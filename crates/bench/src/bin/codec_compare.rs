@@ -30,7 +30,7 @@ fn main() {
     let mut wins = 0;
     for b in SpecBenchmark::ALL {
         let trace = generate_trace(Workload::spec(b, DEFAULT_SEED), n, &tg);
-        let v1 = trace.encode().stats().bits_per_instruction();
+        let v1 = trace.stats().bits_per_instruction();
         let v2 = trace.encode_v2().stats().bits_per_instruction();
         s1 += v1;
         s2 += v2;

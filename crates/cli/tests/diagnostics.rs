@@ -178,3 +178,58 @@ fn replaying_an_alien_file_is_an_error() {
     assert!(err.contains("RSTR"), "magic mismatch must be explained: {err}");
     fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn a_roster_without_a_divider_is_a_diagnostic_not_a_deadlock() {
+    let (code, out, err) = run_on(
+        "nodiv-run",
+        "[workload]\nbudget = 2000\n\n[engine.fu]\ndivs = 0\n",
+        &["run"],
+    );
+    assert_eq!(code, 1, "stdout: {out}\nstderr: {err}");
+    assert!(err.contains("s.toml:4:"), "{err}");
+    assert!(err.contains("at least one divider"), "{err}");
+
+    let (code, out, err) = run_on(
+        "nodiv-sweep",
+        "[sweep]\nworkloads = [\"gzip\"]\nbudgets = [2000]\nseeds = [1]\n\n\
+         [sweep.grid]\nrb_sizes = [16]\n\n[sweep.grid.base.fu]\ndivs = 0\n",
+        &["sweep"],
+    );
+    assert_eq!(code, 1, "stdout: {out}\nstderr: {err}");
+    assert!(err.contains("s.toml:9:"), "{err}");
+    assert!(err.contains("at least one divider"), "{err}");
+}
+
+#[test]
+fn sweep_notes_an_engine_table_its_grid_does_not_use() {
+    let sweep = "[sweep]\nworkloads = [\"gzip\"]\nbudgets = [500]\nseeds = [1]\n\
+                 [sweep.grid]\nrb_sizes = [16]\n";
+    let note = "note: [engine] differs from the sweep grid's base";
+    let dir = scratch("engine-note-csv");
+    let csv = |name: &str| dir.join(name).to_str().unwrap().to_string();
+
+    let (code, out, err) = run_on(
+        "engine-ignored",
+        &format!("[engine.fu]\nalu_latency = 5\n{sweep}"),
+        &["sweep", "--stable-csv", &csv("ignored.csv")],
+    );
+    assert_eq!(code, 0, "stderr: {err}");
+    assert!(out.contains(note), "{out}");
+    assert!(out.contains("[sweep.grid.base]"), "{out}");
+
+    // An [engine] that is the grid base gets no note, and the note
+    // changes nothing the cells report.
+    let (code, out, err) = run_on(
+        "engine-agrees",
+        &format!("[engine]\npreset = \"paper-4wide\"\n{sweep}"),
+        &["sweep", "--stable-csv", &csv("agreed.csv")],
+    );
+    assert_eq!(code, 0, "stderr: {err}");
+    assert!(!out.contains("note:"), "{out}");
+    assert_eq!(
+        fs::read_to_string(csv("ignored.csv")).unwrap(),
+        fs::read_to_string(csv("agreed.csv")).unwrap()
+    );
+    fs::remove_dir_all(&dir).unwrap();
+}

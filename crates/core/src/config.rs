@@ -161,6 +161,12 @@ impl EngineConfig {
         if self.fus.alus == 0 {
             return Err(ConfigError::NoAlus);
         }
+        if self.fus.mults == 0 {
+            return Err(ConfigError::NoMults);
+        }
+        if self.fus.divs == 0 {
+            return Err(ConfigError::NoDivs);
+        }
         if self.mem_read_ports == 0 || self.mem_write_ports == 0 {
             return Err(ConfigError::NoMemPorts);
         }
@@ -305,6 +311,12 @@ pub enum ConfigError {
     ZeroLsq,
     /// At least one ALU is required (branches execute there).
     NoAlus,
+    /// At least one multiplier is required: traces carry multiply-class
+    /// operations, which would otherwise never issue.
+    NoMults,
+    /// At least one divider is required: traces carry divide-class
+    /// operations, which would otherwise never issue.
+    NoDivs,
     /// At least one read and one write port are required.
     NoMemPorts,
     /// A pipeline barring loads from its first issue slot requires
@@ -335,6 +347,16 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroLsq => write!(f, "LSQ needs at least one entry"),
             ConfigError::NoAlus => write!(f, "at least one ALU is required"),
+            ConfigError::NoMults => write!(
+                f,
+                "at least one multiplier is required (mults = 0 leaves multiply \
+                 operations nowhere to issue)"
+            ),
+            ConfigError::NoDivs => write!(
+                f,
+                "at least one divider is required (divs = 0 leaves divide \
+                 operations nowhere to issue)"
+            ),
             ConfigError::NoMemPorts => {
                 write!(f, "at least one memory read and write port are required")
             }
@@ -415,6 +437,27 @@ mod tests {
             ..EngineConfig::paper_4wide()
         };
         assert!(matches!(bad.validate(), Err(ConfigError::RbTooSmall { .. })));
+    }
+
+    #[test]
+    fn rosters_missing_a_unit_class_are_rejected() {
+        let with_fus = |fus| EngineConfig {
+            fus,
+            ..EngineConfig::paper_4wide()
+        };
+        let no_mults = with_fus(FuConfig {
+            mults: 0,
+            ..FuConfig::paper()
+        });
+        assert_eq!(no_mults.validate(), Err(ConfigError::NoMults));
+        let no_divs = with_fus(FuConfig {
+            divs: 0,
+            div_pipelined: true,
+            ..FuConfig::paper()
+        });
+        assert_eq!(no_divs.validate(), Err(ConfigError::NoDivs));
+        assert!(ConfigError::NoDivs.to_string().contains("divs = 0"));
+        assert!(ConfigError::NoMults.to_string().contains("mults = 0"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! `tests/restart_persistence.rs`.
 
 use resim_obs::Counter;
-use resim_serve::{Client, ResultCache, Server, MAX_FRAME};
+use resim_serve::{Client, ClientError, ResultCache, Server, MAX_FRAME};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -180,6 +180,30 @@ fn protocol_abuse_is_typed_and_never_wedges_the_server() {
     client.ping().expect("server is still serving");
     // `run()` joins every handler, and a handler lives as long as its
     // connection: close ours before asking the server to drain.
+    drop(client);
+    stop_server(&addr, handle);
+}
+
+#[test]
+fn an_unrunnable_fu_roster_is_a_bad_scenario_and_the_next_job_completes() {
+    let (_server, addr, handle) = start_server();
+    let sweep = "[sweep]\nworkloads = [\"gzip\"]\nbudgets = [2000]\nseeds = [1]\n\
+                 [sweep.grid]\nrb_sizes = [16]\n";
+    let mut client = Client::connect(&addr).expect("connect");
+    for roster in ["divs = 0", "mults = 0"] {
+        let bad = format!("{sweep}[sweep.grid.base.fu]\n{roster}\n");
+        match client.submit(&bad) {
+            Err(ClientError::Server { code, message }) => {
+                assert_eq!(code, "bad-scenario", "{roster}: {message}");
+                assert!(message.contains("at least one"), "{roster}: {message}");
+            }
+            other => panic!("{roster}: expected bad-scenario, got {other:?}"),
+        }
+    }
+    let done = client
+        .submit_and_wait(sweep, |_| {})
+        .expect("the next job runs");
+    assert_eq!(done.get("state").and_then(|s| s.as_str()), Some("done"));
     drop(client);
     stop_server(&addr, handle);
 }

@@ -107,6 +107,9 @@ pub struct ScenarioDoc {
     /// The raw `[sweep]` table, resolved on demand by
     /// [`ScenarioDoc::sweep_scenario`].
     sweep: Option<Table>,
+    /// Whether the document spelled out an `[engine]` section; only
+    /// then can a sweep grid silently disagree with it.
+    engine_explicit: bool,
 }
 
 impl ScenarioDoc {
@@ -130,7 +133,8 @@ impl ScenarioDoc {
             None => None,
         };
 
-        let engine = match doc.opt_table("engine")? {
+        let engine_table = doc.opt_table("engine")?;
+        let engine = match engine_table {
             Some(t) => EngineConfig::from_table_with(t, pipeline.as_ref())?,
             None => match &pipeline {
                 Some(p) => EngineConfig {
@@ -200,6 +204,7 @@ impl ScenarioDoc {
             sample,
             pipeline,
             sweep,
+            engine_explicit: engine_table.is_some(),
         })
     }
 
@@ -223,6 +228,23 @@ impl ScenarioDoc {
 
     /// Resolves the `[sweep]` section into a runnable [`Scenario`].
     ///
+    /// A sweep grid starts from `[sweep.grid.base]`, never from the
+    /// document's `[engine]`. When the document has an `[engine]`
+    /// table that simulates a different machine
+    /// ([`EngineConfig::fingerprint`]), the scenario carries a
+    /// [`Scenario::grid_notes`] line saying so.
+    ///
+    /// ```
+    /// use resim_sweep::ScenarioDoc;
+    ///
+    /// let sweep = "[sweep]\nworkloads = [\"gzip\"]\nbudgets = [500]\nseeds = [1]\n\
+    ///              [sweep.grid]\nrb_sizes = [16]\n";
+    /// let doc = ScenarioDoc::parse_str(&format!("[engine]\nrb_size = 32\n{sweep}")).unwrap();
+    /// assert!(doc.sweep_scenario().unwrap().grid_notes()[0].contains("[sweep.grid.base]"));
+    /// let doc = ScenarioDoc::parse_str(&format!("[engine]\nrb_size = 16\n{sweep}")).unwrap();
+    /// assert!(doc.sweep_scenario().unwrap().grid_notes().is_empty());
+    /// ```
+    ///
     /// # Errors
     ///
     /// [`Error`] when the section is missing, or whatever
@@ -232,7 +254,19 @@ impl ScenarioDoc {
             .sweep
             .as_ref()
             .ok_or_else(|| Error::new(0, "this command needs a [sweep] section"))?;
-        Scenario::from_table_with(t, self.pipeline.as_ref())
+        let scenario = Scenario::from_table_with(t, self.pipeline.as_ref())?;
+        let Some(grid) = t.opt_table("grid")?.filter(|_| self.engine_explicit) else {
+            return Ok(scenario);
+        };
+        let base = crate::from_table::grid_base(grid, self.pipeline.as_ref())?;
+        if base.fingerprint() == self.engine.fingerprint() {
+            return Ok(scenario);
+        }
+        Ok(scenario.with_grid_notes([
+            "[engine] differs from the sweep grid's base; grid cells use \
+             [sweep.grid.base] (default paper-4wide), not [engine]"
+                .to_string(),
+        ]))
     }
 
     /// Resolves the whole document into the one executable shape: the

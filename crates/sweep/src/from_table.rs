@@ -187,16 +187,7 @@ impl Scenario {
             scenario = scenario.config(name, engine, tracegen);
         }
         if let Some(g) = t.opt_table("grid")? {
-            let base = match g.opt_table("base")? {
-                Some(b) => EngineConfig::from_table_with(b, custom)?,
-                None => match custom {
-                    Some(p) => EngineConfig {
-                        pipeline: p.clone(),
-                        ..EngineConfig::paper_4wide()
-                    },
-                    None => EngineConfig::paper_4wide(),
-                },
-            };
+            let base = grid_base(g, custom)?;
             let tracegen = resolve_tracegen(&base, g.opt_table("tracegen")?)?;
             let grid = ConfigGrid::from_table_with(base, g, custom)?;
             let (points, notes) = grid
@@ -267,6 +258,25 @@ impl Scenario {
             .map_err(|e| t.error(format!("invalid scenario: {e}")))?;
         Ok(scenario)
     }
+}
+
+/// The base point of a `[sweep.grid]` table: its `[sweep.grid.base]`
+/// engine, or `paper-4wide` (with the document's custom pipeline, if
+/// any) when the table has none.
+pub(crate) fn grid_base(
+    grid: &Table,
+    custom: Option<&PipelineDescription>,
+) -> Result<EngineConfig, Error> {
+    Ok(match grid.opt_table("base")? {
+        Some(b) => EngineConfig::from_table_with(b, custom)?,
+        None => match custom {
+            Some(p) => EngineConfig {
+                pipeline: p.clone(),
+                ..EngineConfig::paper_4wide()
+            },
+            None => EngineConfig::paper_4wide(),
+        },
+    })
 }
 
 #[cfg(test)]

@@ -24,6 +24,8 @@
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
+    /// Exactly `len_bits.div_ceil(8)` bytes; bits past `len_bits` in the
+    /// last byte are zero.
     buf: Vec<u8>,
     /// Number of valid bits in `buf`.
     len_bits: u64,
@@ -52,23 +54,30 @@ impl BitWriter {
                 "value {value:#x} does not fit in {nbits} bits"
             );
         }
-        for i in 0..nbits {
-            let bit = (value >> i) & 1;
-            let byte_idx = (self.len_bits / 8) as usize;
-            let bit_idx = (self.len_bits % 8) as u32;
-            if bit_idx == 0 {
-                self.buf.push(0);
-            }
-            if bit == 1 {
-                self.buf[byte_idx] |= 1 << bit_idx;
-            }
-            self.len_bits += 1;
+        // Shift the value past the bits already used in the last byte:
+        // at most 7 + 32 bits, so one u64 holds the whole span.
+        let used = (self.len_bits % 8) as usize;
+        let span = (u64::from(value) << used).to_le_bytes();
+        let mut first = 0;
+        if used != 0 {
+            *self.buf.last_mut().expect("a partial byte is buffered") |= span[0];
+            first = 1;
         }
+        let end = (used + nbits as usize).div_ceil(8);
+        self.buf.extend_from_slice(&span[first..end]);
+        self.len_bits += u64::from(nbits);
     }
 
     /// Appends a single flag bit.
     pub fn put_bool(&mut self, value: bool) {
         self.put(u32::from(value), 1);
+    }
+
+    /// Pads with zero bits up to the next byte boundary (a no-op when
+    /// already aligned).
+    pub(crate) fn pad_to_byte(&mut self) {
+        // The last byte's unused bits are already zero.
+        self.len_bits = self.len_bits.next_multiple_of(8);
     }
 
     /// Number of bits written so far.
@@ -294,6 +303,66 @@ mod tests {
         assert_eq!(r.position(), 21, "failed skip must not move");
         assert!(!r.skip_bits(u64::MAX), "overflowing skip must fail cleanly");
         assert_eq!(r.position(), 21);
+    }
+
+    /// The bit-serial writer `BitWriter` replaced, kept as the oracle.
+    #[derive(Default)]
+    struct SerialWriter {
+        buf: Vec<u8>,
+        len_bits: u64,
+    }
+
+    impl SerialWriter {
+        fn put(&mut self, value: u32, nbits: u32) {
+            for i in 0..nbits {
+                if self.len_bits.is_multiple_of(8) {
+                    self.buf.push(0);
+                }
+                let byte = (self.len_bits / 8) as usize;
+                self.buf[byte] |= (((value >> i) & 1) as u8) << (self.len_bits % 8);
+                self.len_bits += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn matches_the_bit_serial_writer_at_every_width_and_offset() {
+        for width in 1..=32u32 {
+            let max = u32::MAX >> (32 - width);
+            for value in [max, 0, 0x5555_5555 & max, 0xA5C3_0F96 & max, 1] {
+                for offset in 0..=7u32 {
+                    let mut fast = BitWriter::new();
+                    let mut slow = SerialWriter::default();
+                    // A prefix of `offset` set bits, the value, then a
+                    // trailing flag to show the value's top is clean.
+                    let puts = [(0x7Fu32 >> (7 - offset), offset), (value, width), (1, 1)];
+                    for &(v, n) in puts.iter().filter(|&&(_, n)| n > 0) {
+                        fast.put(v, n);
+                        slow.put(v, n);
+                    }
+                    let case = format!("width {width}, value {value:#x}, offset {offset}");
+                    assert_eq!(fast.len_bits(), slow.len_bits, "{case}");
+                    let (bytes, bits) = fast.finish();
+                    assert_eq!(bytes, slow.buf, "{case}");
+                    assert_eq!(bits, slow.len_bits, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pad_to_byte_appends_zero_bits_to_the_boundary() {
+        let mut w = BitWriter::new();
+        w.pad_to_byte();
+        assert_eq!(w.len_bits(), 0, "an empty writer is aligned");
+        w.put(0b111, 3);
+        w.pad_to_byte();
+        assert_eq!(w.len_bits(), 8);
+        w.pad_to_byte();
+        assert_eq!(w.len_bits(), 8, "aligned stays put");
+        w.put(0x1, 1);
+        let (bytes, bits) = w.finish();
+        assert_eq!((bytes, bits), (vec![0b111, 0b1], 9));
     }
 
     #[test]

@@ -40,6 +40,31 @@ pub(crate) const FMT_OTHER: u32 = 0;
 pub(crate) const FMT_MEM: u32 = 1;
 pub(crate) const FMT_BRANCH: u32 = 2;
 
+/// Whether `record` carries its PC explicitly, given the PC implied by
+/// the record before it (`None` at trace start).
+///
+/// Branch records always carry their PC: they are the stream's
+/// synchronisation points (misfetch checking and mid-trace seek need
+/// the branch PC without decoding the predecessor chain).
+fn pc_is_explicit(record: &TraceRecord, expected_pc: Option<u32>) -> bool {
+    record.is_branch() || expected_pc != Some(record.pc())
+}
+
+/// The size in bits of `record`'s v1 encoding, read off the layout
+/// above without encoding it: `4 + 32·explicit + payload`, rounded up
+/// to a whole byte. `expected_pc` is the PC implied by the previous
+/// record ([`TraceRecord::implied_next_pc`]), `None` at trace start.
+pub(crate) fn v1_record_bits(record: &TraceRecord, expected_pc: Option<u32>) -> u64 {
+    let reg = |r: Option<Reg>| if r.is_some() { 1 + 6 } else { 1 };
+    let payload = match record {
+        TraceRecord::Other(o) => 2 + reg(o.dest) + reg(o.src1) + reg(o.src2),
+        TraceRecord::Mem(m) => 1 + 2 + 32 + reg(m.base) + reg(m.data),
+        TraceRecord::Branch(b) => 3 + 1 + 32 + reg(b.src1) + reg(b.src2),
+    };
+    let explicit = u64::from(pc_is_explicit(record, expected_pc));
+    (4 + 32 * explicit + payload).next_multiple_of(8)
+}
+
 /// Version of the record bit layout this codec produces.
 ///
 /// Stored in the on-disk trace container header
@@ -74,7 +99,7 @@ impl TraceEncoder {
     /// Encodes one record.
     pub fn push(&mut self, record: &TraceRecord) {
         let before = self.writer.len_bits();
-        let pc = record.pc();
+        let bits = v1_record_bits(record, self.expected_pc);
         let fmt = match record {
             TraceRecord::Other(_) => FMT_OTHER,
             TraceRecord::Mem(_) => FMT_MEM,
@@ -82,13 +107,10 @@ impl TraceEncoder {
         };
         self.writer.put(fmt, 2);
         self.writer.put_bool(record.wrong_path());
-        // Branch records always carry their PC: they are the stream's
-        // synchronisation points (misfetch checking and mid-trace seek
-        // need the branch PC without decoding the predecessor chain).
-        let explicit = record.is_branch() || self.expected_pc != Some(pc);
+        let explicit = pc_is_explicit(record, self.expected_pc);
         self.writer.put_bool(explicit);
         if explicit {
-            self.writer.put(pc, 32);
+            self.writer.put(record.pc(), 32);
         }
         match record {
             TraceRecord::Other(o) => {
@@ -113,11 +135,13 @@ impl TraceEncoder {
             }
         }
         // Byte-align each record (hardware decoder framing).
-        while !self.writer.len_bits().is_multiple_of(8) {
-            self.writer.put_bool(false);
-        }
+        self.writer.pad_to_byte();
+        debug_assert_eq!(
+            self.writer.len_bits() - before,
+            bits,
+            "v1_record_bits disagrees with the encoder on {record:?}"
+        );
         self.expected_pc = Some(record.implied_next_pc());
-        let bits = self.writer.len_bits() - before;
         self.stats.account(record, bits);
         self.records += 1;
     }
@@ -853,6 +877,59 @@ mod tests {
         while bad.next_record().is_some() {}
         assert_eq!(bad.error(), Some(DecodeError::Truncated));
         assert_eq!(bad.skip(1), 0, "errored source skips nothing");
+    }
+
+    #[test]
+    fn closed_form_size_matches_the_encoder_for_every_shape() {
+        let reg = |present: bool, i: u8| present.then(|| Reg::new(i));
+        let mut shapes = Vec::new();
+        for mask in 0..8u8 {
+            let p = |bit: u8| mask & (1 << bit) != 0;
+            for wrong_path in [false, true] {
+                shapes.push(TraceRecord::Other(OtherRecord {
+                    pc: 0x100,
+                    class: OpClass::IntMult,
+                    dest: reg(p(0), 1),
+                    src1: reg(p(1), 2),
+                    src2: reg(p(2), 63),
+                    wrong_path,
+                }));
+                shapes.push(TraceRecord::Mem(MemRecord {
+                    pc: 0x100,
+                    addr: 0xFFFF_FFFC,
+                    size: MemSize::Double,
+                    kind: MemKind::Store,
+                    base: reg(p(0), 29),
+                    data: reg(p(1), 4),
+                    wrong_path,
+                }));
+                for taken in [false, true] {
+                    shapes.push(TraceRecord::Branch(BranchRecord {
+                        pc: 0x100,
+                        target: 0x800,
+                        taken,
+                        kind: BranchKind::Cond,
+                        src1: reg(p(0), 5),
+                        src2: reg(p(1), 6),
+                        wrong_path,
+                    }));
+                }
+            }
+        }
+        // Each shape at trace start, after a predecessor implying its
+        // PC, and after one implying a different PC.
+        for record in &shapes {
+            for expected in [None, Some(0x100), Some(0x200)] {
+                let mut enc = TraceEncoder::new();
+                enc.expected_pc = expected;
+                enc.push(record);
+                assert_eq!(
+                    v1_record_bits(record, expected),
+                    enc.finish().len_bits(),
+                    "{record:?} after {expected:?}"
+                );
+            }
+        }
     }
 
     #[test]

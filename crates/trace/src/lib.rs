@@ -163,11 +163,19 @@ impl Trace {
         codec_v2::encode_v2(&self.records)
     }
 
-    /// Computes the per-format statistics without keeping the encoded bytes.
+    /// Computes the per-format statistics without encoding.
     ///
-    /// The bit counts match what [`Trace::encode`] would produce.
+    /// Each record's size is read off the v1 layout in closed form, so
+    /// the bit counts equal what [`Trace::encode`] would produce while
+    /// no bit is written.
     pub fn stats(&self) -> TraceStats {
-        self.encode().stats().clone()
+        let mut stats = TraceStats::new();
+        let mut expected_pc = None;
+        for r in &self.records {
+            stats.account(r, codec::v1_record_bits(r, expected_pc));
+            expected_pc = Some(r.implied_next_pc());
+        }
+        stats
     }
 
     /// A [`TraceSource`] yielding this trace's records by value.

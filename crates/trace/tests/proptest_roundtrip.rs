@@ -76,7 +76,53 @@ fn arb_record() -> impl Strategy<Value = TraceRecord> {
     prop_oneof![other, mem, branch]
 }
 
+fn with_pc(mut record: TraceRecord, pc: u32) -> TraceRecord {
+    match &mut record {
+        TraceRecord::Other(o) => o.pc = pc,
+        TraceRecord::Mem(m) => m.pc = pc,
+        TraceRecord::Branch(b) => b.pc = pc,
+    }
+    record
+}
+
+/// Record streams whose PCs mostly follow the implied-PC chain (so the
+/// encoder drops them), with random discontinuities mixed in.
+fn arb_stream() -> impl Strategy<Value = Vec<TraceRecord>> {
+    prop::collection::vec((arb_record(), 0u32..4), 0..200).prop_map(|pairs| {
+        let mut next_pc = None;
+        pairs
+            .into_iter()
+            .map(|(record, roll)| {
+                // Three records in four follow the chain.
+                let record = match next_pc {
+                    Some(pc) if roll != 0 => with_pc(record, pc),
+                    _ => record,
+                };
+                next_pc = Some(record.implied_next_pc());
+                record
+            })
+            .collect()
+    })
+}
+
+#[test]
+fn empty_trace_sizes_to_zero() {
+    let trace = Trace::new();
+    assert_eq!(&trace.stats(), trace.encode().stats());
+    assert_eq!(trace.stats().total_bits(), 0);
+}
+
 proptest! {
+    /// Closed-form sizing agrees with the encoder on every field of the
+    /// statistics, for streams mixing implied and explicit PCs.
+    #[test]
+    fn sizing_without_encoding_matches_the_encoder(records in arb_stream()) {
+        let trace = Trace::from_records(records);
+        let encoded = trace.encode();
+        prop_assert_eq!(&trace.stats(), encoded.stats());
+        prop_assert_eq!(trace.stats().total_bits(), encoded.len_bits());
+    }
+
     /// encode(decode(x)) == x for arbitrary record sequences.
     #[test]
     fn roundtrip_lossless(records in prop::collection::vec(arb_record(), 0..200)) {

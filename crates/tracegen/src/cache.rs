@@ -13,8 +13,9 @@
 //! correctness story: two racing generators for the same key produce
 //! bit-identical traces, so whichever insert wins, every consumer
 //! observes the same records. The trace's encoded-size statistics
-//! ([`TraceStats`]) are computed once at insertion — encoding a
-//! million-record trace is itself a cost worth deduplicating.
+//! ([`TraceStats`]) ride along, computed once at insertion; they are a
+//! cheap closed-form walk over the records, so caching the trace is
+//! what saves the work.
 
 use crate::TraceGenConfig;
 use resim_trace::{Trace, TraceStats};
