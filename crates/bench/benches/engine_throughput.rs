@@ -12,17 +12,10 @@
 //! data-layout wins are not tuned to one branch/memory mix — gzip's
 //! streaming loops, bzip2's high ILP, parser's branchy pointer chasing,
 //! vortex's call-heavy working set and vpr's mispredict-prone inner
-//! loops stress different engine paths. Three extra axes on top:
-//!
-//! * `slice-lite/<workload>` — the stats-lite engine (occupancy and
-//!   stage-activity bookkeeping compiled out) on the cheapest supply,
-//!   where the bookkeeping share is largest;
-//! * `encoded-lite/gzip`, `file-lite/gzip` — lite on the decoding
-//!   frontends, pinning the "lite is never slower" claim per frontend;
-//! * `slice-2n3/gzip`, `slice-n4/gzip` (+ `-lite` twins) — the paper's
-//!   simple (2N+3) and improved (N+4) pipeline organizations next to
-//!   the default optimized N+3, for the per-organization table in
-//!   `EXPERIMENTS.md` ("Engine throughput").
+//! loops stress different engine paths. On top, `slice-2n3/gzip` and
+//! `slice-n4/gzip` run the paper's simple (2N+3) and improved (N+4)
+//! pipeline organizations next to the default optimized N+3, for the
+//! per-organization table in `EXPERIMENTS.md` ("Engine throughput").
 //!
 //! Set `RESIM_BENCH_QUICK=1` to shrink the budget and sample two
 //! workloads (gzip, parser) for CI smoke runs.
@@ -76,12 +69,8 @@ fn prepare(bench: SpecBenchmark, n: usize) -> Prepared {
     Prepared { name: bench.name(), trace, encoded, path }
 }
 
-fn make_engine(config: &EngineConfig, lite: bool) -> Engine {
-    if lite {
-        Engine::new_lite(config.clone()).expect("valid config")
-    } else {
-        Engine::new(config.clone()).expect("valid config")
-    }
+fn make_engine(config: &EngineConfig) -> Engine {
+    Engine::new(config.clone()).expect("valid config")
 }
 
 fn engine_throughput(c: &mut Criterion) {
@@ -98,14 +87,14 @@ fn engine_throughput(c: &mut Criterion) {
     for p in &prepared {
         group.bench_function(&format!("slice/{}", p.name), |b| {
             b.iter_batched(
-                || make_engine(&config, false),
+                || make_engine(&config),
                 |mut engine| engine.run(p.trace.source()),
                 BatchSize::PerIteration,
             )
         });
         group.bench_function(&format!("encoded/{}", p.name), |b| {
             b.iter_batched(
-                || make_engine(&config, false),
+                || make_engine(&config),
                 |mut engine| engine.run(p.encoded.source()),
                 BatchSize::PerIteration,
             )
@@ -114,7 +103,7 @@ fn engine_throughput(c: &mut Criterion) {
             b.iter_batched(
                 || {
                     (
-                        make_engine(&config, false),
+                        make_engine(&config),
                         FileSource::open(&p.path).expect("bench trace readable"),
                     )
                 },
@@ -126,60 +115,24 @@ fn engine_throughput(c: &mut Criterion) {
                 BatchSize::PerIteration,
             )
         });
-        // Stats-lite on the cheapest supply, where the bookkeeping
-        // share of the cycle loop is largest.
-        group.bench_function(&format!("slice-lite/{}", p.name), |b| {
-            b.iter_batched(
-                || make_engine(&config, true),
-                |mut engine| engine.run(p.trace.source()),
-                BatchSize::PerIteration,
-            )
-        });
     }
 
-    // Lite on the decoding frontends (gzip): together with the
-    // full-stats rows above this pins "lite is never slower" for every
-    // frontend. bench_guard enforces the same claim in CI at the quick
-    // budget.
     let gzip = &prepared[0];
-    group.bench_function("encoded-lite/gzip", |b| {
-        b.iter_batched(
-            || make_engine(&config, true),
-            |mut engine| engine.run(gzip.encoded.source()),
-            BatchSize::PerIteration,
-        )
-    });
-    group.bench_function("file-lite/gzip", |b| {
-        b.iter_batched(
-            || {
-                (
-                    make_engine(&config, true),
-                    FileSource::open(&gzip.path).expect("bench trace readable"),
-                )
-            },
-            |(mut engine, src)| engine.run(src),
-            BatchSize::PerIteration,
-        )
-    });
-
     // Organization axis (slice, gzip): the paper's simple 2N+3 and
-    // improved N+4 grids next to the default optimized N+3, full and
-    // lite, for the per-organization table in EXPERIMENTS.md.
+    // improved N+4 grids next to the default optimized N+3, for the
+    // per-organization table in EXPERIMENTS.md.
     for (org, desc) in [
         ("2n3", PipelineDescription::simple()),
         ("n4", PipelineDescription::improved()),
     ] {
         let org_config = EngineConfig { pipeline: desc, ..EngineConfig::paper_4wide() };
-        for lite in [false, true] {
-            let id = format!("slice-{org}{}/gzip", if lite { "-lite" } else { "" });
-            group.bench_function(&id, |b| {
-                b.iter_batched(
-                    || make_engine(&org_config, lite),
-                    |mut engine| engine.run(gzip.trace.source()),
-                    BatchSize::PerIteration,
-                )
-            });
-        }
+        group.bench_function(&format!("slice-{org}/gzip"), |b| {
+            b.iter_batched(
+                || make_engine(&org_config),
+                |mut engine| engine.run(gzip.trace.source()),
+                BatchSize::PerIteration,
+            )
+        });
     }
 
     group.finish();

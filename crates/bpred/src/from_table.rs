@@ -11,6 +11,14 @@ use crate::direction::{DirectionConfig, TwoLevelConfig};
 use crate::predictor::PredictorConfig;
 use resim_toml::{Error, Table};
 
+/// Largest accepted predictor or BTB table (entries). Every table is
+/// allocated up front, so an unbounded size from a scenario file would
+/// exhaust memory instead of failing as a diagnostic.
+const MAX_TABLE_ENTRIES: usize = 1 << 24;
+
+/// Largest accepted return-address stack depth.
+const MAX_RAS_ENTRIES: usize = 1 << 16;
+
 /// Keys meaningful for every predictor kind.
 const COMMON_KEYS: &[&str] = &["kind", "btb_entries", "btb_associativity", "ras_entries"];
 
@@ -47,7 +55,8 @@ impl PredictorConfig {
     ///
     /// A line-numbered [`Error`] for unknown keys, keys that do not
     /// apply to the selected kind, or invalid geometry (non-power-of-two
-    /// table sizes, out-of-range history lengths).
+    /// table sizes, tables over 2^24 entries, a RAS deeper than 2^16,
+    /// out-of-range history lengths).
     pub fn from_table(t: &Table) -> Result<Self, Error> {
         let mut config = PredictorConfig::paper_two_level();
         let kind = t.opt_str("kind")?.unwrap_or("two-level");
@@ -132,24 +141,29 @@ impl PredictorConfig {
                 "ras_entries must be at least 1",
             ));
         }
+        if config.ras_entries > MAX_RAS_ENTRIES {
+            return Err(Error::new(
+                t.key_line("ras_entries"),
+                format!(
+                    "ras_entries {} exceeds the maximum of {MAX_RAS_ENTRIES}",
+                    config.ras_entries
+                ),
+            ));
+        }
         Ok(config)
     }
 }
 
 fn check_two_level(t: &Table, two: &TwoLevelConfig) -> Result<(), Error> {
     power_of_two(t, "l1_size", two.l1_size)?;
-    if two.l2_size != 0 && !two.l2_size.is_power_of_two() {
-        return Err(Error::new(
-            t.key_line(if t.get("pht_size").is_some() { "pht_size" } else { "l2_size" }),
-            format!("value {} must be a power of two", two.l2_size),
-        ));
-    }
+    let l2_key = if t.get("pht_size").is_some() { "pht_size" } else { "l2_size" };
     if two.l2_size == 0 {
         return Err(Error::new(
-            t.key_line(if t.get("pht_size").is_some() { "pht_size" } else { "l2_size" }),
+            t.key_line(l2_key),
             "pattern table needs at least one entry",
         ));
     }
+    power_of_two(t, l2_key, two.l2_size)?;
     if !(1..=16).contains(&two.history_bits) {
         return Err(Error::new(
             t.key_line("history_bits"),
@@ -165,11 +179,18 @@ fn check_two_level(t: &Table, two: &TwoLevelConfig) -> Result<(), Error> {
     Ok(())
 }
 
+/// Checks a table size: a power of two of at most [`MAX_TABLE_ENTRIES`].
 fn power_of_two(t: &Table, key: &str, value: usize) -> Result<(), Error> {
     if value == 0 || !value.is_power_of_two() {
         return Err(Error::new(
             t.key_line(key),
             format!("key {key:?}: {value} must be a power of two"),
+        ));
+    }
+    if value > MAX_TABLE_ENTRIES {
+        return Err(Error::new(
+            t.key_line(key),
+            format!("key {key:?}: {value} exceeds the maximum of {MAX_TABLE_ENTRIES} entries"),
         ));
     }
     Ok(())
@@ -243,6 +264,12 @@ mod tests {
         assert!(parse("btb_associativity = 4\nbtb_entries = 2").unwrap_err().to_string().contains("exceeds"));
         assert!(parse("ras_entries = 0").unwrap_err().to_string().contains("at least 1"));
         assert!(parse("kind = \"gshare\"\npht_size = 100").unwrap_err().line() == 2);
+        // Size bounds: the largest accepted value passes, one step over
+        // fails at its line.
+        assert!(parse("btb_entries = 16777216\nl2_size = 16777216\nras_entries = 65536").is_ok());
+        assert_eq!(parse("\nbtb_entries = 33554432").unwrap_err().line(), 2);
+        assert!(parse("l2_size = 33554432").unwrap_err().to_string().contains("maximum"));
+        assert!(parse("ras_entries = 65537").unwrap_err().to_string().contains("maximum"));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use resim_obs::{write_events_jsonl, Counter, MetricsDoc, MetricsRecorder, TraceD
 use resim_sample::{run_sampled, SamplePlan};
 use resim_serve::{Client, ResultCache, Server};
 use resim_session::SessionRecord;
-use resim_sweep::{CellMode, StatsMode, SweepProgress, SweepRunner};
+use resim_sweep::{CellMode, SweepProgress, SweepRunner};
 use resim_toml::json::JsonValue;
 use resim_trace::{
     save_trace_file, FileSource, Trace, TraceFileHeader, TraceSource, TRACE_CONTAINER_VERSION,
@@ -192,21 +192,10 @@ pub(crate) fn run(
         return profile(scenario_path, trace_flag, None, None, None, out);
     }
     let doc = load_scenario(scenario_path)?;
-    let stats_mode = doc
-        .sweep_stats()
-        .map_err(|e| e.display_in(scenario_path))?;
-    let mut engine = match stats_mode {
-        StatsMode::Full => Engine::new(doc.engine.clone()),
-        StatsMode::Lite => Engine::new_lite(doc.engine.clone()),
-    }
-    .map_err(|e| format!("invalid engine configuration: {e}"))?;
+    let mut engine = Engine::new(doc.engine.clone())
+        .map_err(|e| format!("invalid engine configuration: {e}"))?;
     let source = resolve_source(&doc, trace_flag)?;
-    let mut banner = describe_source(&doc, &source);
-    if engine.is_stats_lite() {
-        banner.push_str(
-            "stats mode: lite (occupancy and stage-activity bookkeeping not collected)\n",
-        );
-    }
+    let banner = describe_source(&doc, &source);
 
     let stats = match source {
         Source::File(mut src, path) => {
@@ -221,17 +210,13 @@ pub(crate) fn run(
 
     let mut s = banner;
     s.push_str(&stats.report());
-    let activity = if engine.is_stats_lite() {
-        "not collected (stats = \"lite\")".to_string()
-    } else {
-        engine
-            .scheduler()
-            .activity()
-            .into_iter()
-            .map(|(stage, ops)| format!("{stage} {ops}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
+    let activity = engine
+        .scheduler()
+        .activity()
+        .into_iter()
+        .map(|(stage, ops)| format!("{stage} {ops}"))
+        .collect::<Vec<_>>()
+        .join(", ");
     let _ = writeln!(s, "stage activity (ops): {activity}");
     let _ = writeln!(s, "\nIPC {:.4} over {} cycles", stats.ipc(), stats.cycles);
     emit(out, &s)
@@ -249,20 +234,6 @@ pub(crate) fn profile(
     out: &mut dyn Write,
 ) -> CmdResult {
     let doc = load_scenario(scenario_path)?;
-    // A profile is exactly the bookkeeping lite mode removes: per-stage
-    // wall time, occupancy heatmaps, event journals. Refuse rather than
-    // print a report of zeros.
-    if doc
-        .sweep_stats()
-        .map_err(|e| e.display_in(scenario_path))?
-        == StatsMode::Lite
-    {
-        return Err(format!(
-            "scenario {scenario_path:?} requests stats = \"lite\", but `resim profile` \
-             exists to collect the occupancy and per-stage data lite mode disables; \
-             remove the stats key (or set stats = \"full\") to profile this scenario"
-        ));
-    }
     let recorder = match journal {
         Some(cap) => MetricsRecorder::with_journal_capacity(cap),
         None => MetricsRecorder::new(),

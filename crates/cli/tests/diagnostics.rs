@@ -233,3 +233,60 @@ fn sweep_notes_an_engine_table_its_grid_does_not_use() {
     );
     fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn oversized_allocating_keys_are_diagnostics_not_crashes() {
+    // Each of these keys sizes an allocation, so an unbounded value
+    // would panic on capacity overflow or abort out of memory. `{v}` is
+    // replaced by each oversized value; `line` is where the diagnostic
+    // must point.
+    let cases: [(&str, &str, usize); 12] = [
+        ("rb_size", "[engine]\nrb_size = {v}\n", 1),
+        ("ifq_size", "[engine]\nifq_size = {v}\n", 1),
+        ("lsq_size", "[engine]\nlsq_size = {v}\n", 1),
+        ("divs", "[engine.fu]\ndivs = {v}\n", 1),
+        ("l1_size", "[engine.predictor]\nl1_size = {v}\n", 2),
+        ("l2_size", "[engine.predictor]\nl2_size = {v}\n", 2),
+        ("btb_entries", "[engine.predictor]\nbtb_entries = {v}\n", 2),
+        ("ras_entries", "[engine.predictor]\nras_entries = {v}\n", 2),
+        ("size", "[engine.predictor]\nkind = \"bimodal\"\nsize = {v}\n", 3),
+        (
+            "size_bytes",
+            "[engine.memory]\nkind = \"split\"\n[engine.memory.l1d]\nsize_bytes = {v}\n",
+            4,
+        ),
+        ("wrong_path_len", "[tracegen]\nwrong_path_len = {v}\n", 2),
+        (
+            "rb_size",
+            "[sweep]\nworkloads = [\"gzip\"]\nbudgets = [500]\nseeds = [1]\n\
+             [sweep.grid]\nrb_sizes = [16]\n[sweep.grid.base]\nrb_size = {v}\n",
+            7,
+        ),
+    ];
+    for value in ["1099511627776", "9223372036854775807"] {
+        for (i, (key, template, line)) in cases.iter().enumerate() {
+            let scenario = template.replace("{v}", value);
+            let verb = if scenario.starts_with("[sweep]") { "sweep" } else { "run" };
+            let (code, out, err) = run_on(&format!("oversized-{i}-{value}"), &scenario, &[verb]);
+            assert_eq!(code, 1, "{key} = {value}: stdout: {out}\nstderr: {err}");
+            assert!(err.contains(&format!("s.toml:{line}:")), "{key} = {value}: {err}");
+            assert!(err.contains(key), "{key} = {value}: {err}");
+        }
+    }
+}
+
+#[test]
+fn the_removed_sweep_stats_key_is_an_unknown_key() {
+    for mode in ["lite", "full"] {
+        let scenario = format!(
+            "[workload]\nbudget = 500\n[sweep]\nstats = \"{mode}\"\nworkloads = [\"gzip\"]\n\
+             budgets = [500]\nseeds = [1]\n[[sweep.config]]\nname = \"a\"\n"
+        );
+        for verb in ["run", "sweep"] {
+            let (code, out, err) = run_on(&format!("stats-{mode}-{verb}"), &scenario, &[verb]);
+            assert_eq!(code, 1, "{verb} with stats = {mode:?}: stdout: {out}\nstderr: {err}");
+            assert!(err.contains("s.toml:4:"), "{err}");
+            assert!(err.contains("unknown key \"stats\""), "{err}");
+        }
+    }
+}

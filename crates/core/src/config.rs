@@ -131,14 +131,23 @@ impl EngineConfig {
         }
     }
 
+    /// Upper bound on every queue size (`ifq_size`, `rb_size`,
+    /// `lsq_size`) and functional-unit count. Each sizes an allocation or
+    /// a per-cycle scan, so an unbounded value from a scenario file would
+    /// exhaust memory instead of failing validation; the bound is far
+    /// above any machine the paper's engine models.
+    pub const MAX_ENTRIES: usize = 1 << 16;
+
     /// Validates structural consistency.
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] when sizes are zero, the RB cannot cover
-    /// one dispatch group, the pipeline description cannot build a
-    /// schedule grid at this width, or the first-slot load restriction's
-    /// memory-port precondition (≤ N−1 ports, §IV.B) is violated.
+    /// Returns a [`ConfigError`] when sizes are zero, a queue size or
+    /// functional-unit count exceeds [`EngineConfig::MAX_ENTRIES`], the
+    /// RB cannot cover one dispatch group, the pipeline description
+    /// cannot build a schedule grid at this width, or the first-slot
+    /// load restriction's memory-port precondition (≤ N−1 ports, §IV.B)
+    /// is violated.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.width == 0 {
             return Err(ConfigError::ZeroWidth);
@@ -169,6 +178,22 @@ impl EngineConfig {
         }
         if self.mem_read_ports == 0 || self.mem_write_ports == 0 {
             return Err(ConfigError::NoMemPorts);
+        }
+        for (field, value) in [
+            ("ifq_size", self.ifq_size),
+            ("rb_size", self.rb_size),
+            ("lsq_size", self.lsq_size),
+            ("alus", self.fus.alus),
+            ("mults", self.fus.mults),
+            ("divs", self.fus.divs),
+        ] {
+            if value > Self::MAX_ENTRIES {
+                return Err(ConfigError::TooLarge {
+                    field,
+                    value,
+                    max: Self::MAX_ENTRIES,
+                });
+            }
         }
         self.pipeline
             .validate_at(self.width)
@@ -319,6 +344,16 @@ pub enum ConfigError {
     NoDivs,
     /// At least one read and one write port are required.
     NoMemPorts,
+    /// A queue size or functional-unit count exceeds
+    /// [`EngineConfig::MAX_ENTRIES`].
+    TooLarge {
+        /// The offending field, as scenario files spell it.
+        field: &'static str,
+        /// Its configured value.
+        value: usize,
+        /// The largest accepted value.
+        max: usize,
+    },
     /// A pipeline barring loads from its first issue slot requires
     /// ≤ N−1 memory ports (§IV.B; the optimized N+3 organization).
     OptimizedPortLimit {
@@ -359,6 +394,9 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::NoMemPorts => {
                 write!(f, "at least one memory read and write port are required")
+            }
+            ConfigError::TooLarge { field, value, max } => {
+                write!(f, "{field} of {value} exceeds the maximum of {max}")
             }
             ConfigError::OptimizedPortLimit { ports, width } => write!(
                 f,
@@ -405,6 +443,25 @@ mod tests {
         assert_eq!(c.mispredict_penalty, 3);
         assert_eq!(c.minor_cycles_per_major(), 7); // N+3
         assert_eq!(c.wrong_path_block_len(), 32); // RB + IFQ
+    }
+
+    #[test]
+    fn allocating_sizes_are_bounded() {
+        let max = EngineConfig::MAX_ENTRIES;
+        let at_max = EngineConfig {
+            rb_size: max,
+            fus: FuConfig { divs: max, ..FuConfig::paper() },
+            ..EngineConfig::paper_4wide()
+        };
+        assert_eq!(at_max.validate(), Ok(()));
+        let over = EngineConfig {
+            lsq_size: max + 1,
+            ..EngineConfig::paper_4wide()
+        };
+        assert_eq!(
+            over.validate(),
+            Err(ConfigError::TooLarge { field: "lsq_size", value: max + 1, max })
+        );
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! index bump, and the per-block cost is amortised over
 //! [`DEFAULT_BATCH`] records.
 
-use crate::stages::TraceFeed;
 use resim_trace::{OpClass, OtherRecord, TraceRecord, TraceSource};
 
 /// A persistent, ring-buffered read position over a [`TraceSource`].
@@ -121,6 +120,25 @@ impl<S: TraceSource> TraceCursor<S> {
         Some(r)
     }
 
+    /// The contiguous run of already-decoded records at the read
+    /// position, refilling the ring first if it is drained. An empty
+    /// slice means the trace is exhausted.
+    pub(crate) fn buffered(&mut self) -> &[TraceRecord] {
+        if self.head == self.len {
+            self.refill();
+        }
+        &self.buf[self.head..self.len]
+    }
+
+    /// Discards the first `n` records of [`TraceCursor::buffered`].
+    /// Callers must not pass `n` larger than the slice the last
+    /// `buffered` call returned.
+    pub(crate) fn consume(&mut self, n: usize) {
+        debug_assert!(n <= self.len - self.head, "consume past the buffered run");
+        self.head += n;
+        self.consumed += n as u64;
+    }
+
     fn refill(&mut self) {
         if self.done {
             return;
@@ -130,29 +148,6 @@ impl<S: TraceSource> TraceCursor<S> {
         if self.len == 0 {
             self.done = true;
         }
-    }
-}
-
-impl<S: TraceSource> TraceFeed for TraceCursor<S> {
-    fn peek(&mut self) -> Option<&TraceRecord> {
-        TraceCursor::peek(self)
-    }
-
-    fn take(&mut self) -> Option<TraceRecord> {
-        TraceCursor::next(self)
-    }
-
-    fn buffered(&mut self) -> &[TraceRecord] {
-        if self.head == self.len {
-            self.refill();
-        }
-        &self.buf[self.head..self.len]
-    }
-
-    fn consume(&mut self, n: usize) {
-        debug_assert!(n <= self.len - self.head, "consume past the buffered run");
-        self.head += n;
-        self.consumed += n as u64;
     }
 }
 

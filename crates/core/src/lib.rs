@@ -18,12 +18,12 @@
 //! engine latency for implementation simplicity
 //! ([`PipelineOrganization`], Figures 2–4: `2N+3`, `N+4`, `N+3` minor
 //! cycles). In this reproduction the engine is that structure made
-//! explicit: each stage is a unit in [`stages`] implementing the common
-//! [`Stage`] trait over the shared [`CoreState`], and the
-//! [`MinorCycleScheduler`] owns the stage roster, the evaluation order
-//! and the per-organization minor-cycle accounting — derived from the
-//! organization's schedule grid, exactly as the grid determines the FPGA
-//! engine's MIPS (`resim-fpga` turns it into simulated MIPS).
+//! explicit: each of the six stages is a fixed unit over the shared
+//! [`CoreState`], and the [`MinorCycleScheduler`] calls them directly in
+//! the fixed evaluation order and owns the per-organization minor-cycle
+//! accounting — derived from the organization's schedule grid, exactly
+//! as the grid determines the FPGA engine's MIPS (`resim-fpga` turns it
+//! into simulated MIPS).
 //!
 //! ## Quick start
 //!
@@ -58,7 +58,6 @@ mod cursor;
 mod describe;
 mod description;
 mod engine;
-mod fingerprint;
 mod from_table;
 mod grid;
 mod lsq;
@@ -67,9 +66,8 @@ mod pipeline;
 mod rob;
 mod scheduler;
 mod state;
-pub mod stages;
+mod stages;
 mod stats;
-mod stats_policy;
 
 pub use checkpoint::{
     Checkpoint, CheckpointError, ResumeError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
@@ -82,17 +80,18 @@ pub use description::{
     StageRow, MAX_SLOT, STAGE_AREA_KEYS,
 };
 pub use engine::Engine;
-pub use fingerprint::Fnv64;
 pub use grid::ConfigGrid;
 pub use lsq::{LoadReady, LoadStoreQueue, LsqEntry};
 pub use multicore::{MultiCore, MultiCoreError};
 pub use pipeline::{PipelineOrganization, Schedule, ScheduleRow};
 pub use rob::{InstState, PendingSet, ReorderBuffer, RobEntry, RobEntryMut, RobEntryView};
 pub use scheduler::MinorCycleScheduler;
-pub use stages::{Stage, StageActivity, TraceFeed};
 pub use state::CoreState;
 pub use stats::{SimStats, SIM_STATS_FIELDS};
-pub use stats_policy::{FullStats, LiteStats, StatsPolicy};
+
+// The workspace content hash, re-exported so callers that key on engine
+// fingerprints need not name `resim-trace`.
+pub use resim_trace::Fnv64;
 
 // The instrumentation seam the engine is generic over, re-exported so
 // engine users can attach a recorder without naming `resim-obs`.

@@ -17,8 +17,8 @@
 //! cache lines entirely. Entries are exposed through the view types
 //! [`RobEntryView`] / [`RobEntryMut`], which present the classic
 //! entry-at-a-time surface over the lanes; [`RobEntry`] remains the
-//! owned form used to allocate ([`ReorderBuffer::push`]) and retire
-//! ([`ReorderBuffer::pop_head`], [`ReorderBuffer::squash_younger`]).
+//! owned form used to allocate ([`ReorderBuffer::push`]) and squash
+//! ([`ReorderBuffer::squash_younger`]).
 
 use resim_trace::{OpClass, OtherRecord, TraceRecord};
 
@@ -144,9 +144,9 @@ impl FromIterator<u64> for PendingSet {
 }
 
 /// One Reorder Buffer entry, in owned (array-of-structs) form — the
-/// currency of allocation and retirement. Inside the buffer the fields
-/// live in separate lanes; use [`ReorderBuffer::at`] /
-/// [`ReorderBuffer::find`] for in-place views.
+/// currency of allocation and squashing. Inside the buffer the fields
+/// live in separate lanes; use [`ReorderBuffer::head`],
+/// [`ReorderBuffer::at`] or [`ReorderBuffer::iter`] for in-place views.
 #[derive(Debug, Clone)]
 pub struct RobEntry {
     /// Global age tag (unique, monotonically increasing).
@@ -417,25 +417,9 @@ impl ReorderBuffer {
         })
     }
 
-    /// Removes and returns the oldest entry.
-    pub fn pop_head(&mut self) -> Option<RobEntry> {
-        if self.len == 0 {
-            return None;
-        }
-        let entry = RobEntryView {
-            rob: self,
-            phys: self.head,
-        }
-        .to_entry();
-        self.head = self.phys(1);
-        self.len -= 1;
-        Some(entry)
-    }
-
     /// Retires the head slot in place, without materializing an owned
-    /// [`RobEntry`] — the commit fast path reads what it needs through
-    /// [`ReorderBuffer::head`] first and then drops the slot, skipping
-    /// the `TraceRecord` copy [`ReorderBuffer::pop_head`] pays.
+    /// [`RobEntry`] — commit reads what it needs through
+    /// [`ReorderBuffer::head`] first and then drops the slot.
     ///
     /// # Panics
     ///
@@ -479,27 +463,11 @@ impl ReorderBuffer {
         (lo < self.len && self.seq[self.phys(lo)] == seq).then_some(lo)
     }
 
-    /// Looks up an entry by age tag.
-    pub fn find(&self, seq: u64) -> Option<RobEntryView<'_>> {
-        self.position(seq).map(|idx| RobEntryView {
-            phys: self.phys(idx),
-            rob: self,
-        })
-    }
-
-    /// Mutable lookup by age tag.
-    pub fn find_mut(&mut self, seq: u64) -> Option<RobEntryMut<'_>> {
-        self.position(seq).map(|idx| RobEntryMut {
-            phys: self.phys(idx),
-            rob: self,
-        })
-    }
-
     /// The entry at position `idx` (0 = oldest), if in range.
     ///
     /// Positions are stable while no entry is pushed, popped or
     /// squashed — stages that first scan the window and then revisit
-    /// their picks use this for O(1) access instead of a `find` scan.
+    /// their picks use this for O(1) access.
     pub fn at(&self, idx: usize) -> Option<RobEntryView<'_>> {
         (idx < self.len).then(|| RobEntryView {
             phys: self.phys(idx),
@@ -649,7 +617,8 @@ mod tests {
         }
         assert!(rb.is_full());
         assert_eq!(rb.head().unwrap().seq(), 1);
-        assert_eq!(rb.pop_head().unwrap().seq, 1);
+        rb.drop_head();
+        assert_eq!(rb.head().unwrap().seq(), 2);
         assert_eq!(rb.len(), 3);
     }
 
@@ -680,9 +649,9 @@ mod tests {
         e3.pending = [1, 2].into_iter().collect();
         rb.push(e3);
         rb.broadcast(1);
-        assert!(rb.find(2).unwrap().operands_ready());
+        assert!(rb.at(1).unwrap().operands_ready());
         assert_eq!(
-            rb.find(3).unwrap().pending().tags().collect::<Vec<_>>(),
+            rb.at(2).unwrap().pending().tags().collect::<Vec<_>>(),
             [2]
         );
     }
@@ -724,7 +693,8 @@ mod tests {
         rb.at_mut(1)
             .unwrap()
             .set_state(InstState::Completed { at: 9 });
-        assert!(rb.find(2).unwrap().is_completed());
+        assert!(rb.at(1).unwrap().is_completed());
+        assert!(!rb.is_outstanding(2), "position 1 holds age tag 2");
     }
 
     #[test]
@@ -744,7 +714,7 @@ mod tests {
         let mut rb = ReorderBuffer::new(4);
         rb.push(entry(1));
         assert!(rb.is_outstanding(1));
-        rb.find_mut(1)
+        rb.at_mut(0)
             .unwrap()
             .set_state(InstState::Completed { at: 5 });
         assert!(!rb.is_outstanding(1));
@@ -752,7 +722,7 @@ mod tests {
     }
 
     #[test]
-    fn find_handles_gapped_tags_after_squash() {
+    fn tag_lookup_handles_gapped_tags_after_squash() {
         // A recovery squashes tags but never resets the allocator, so
         // the live window can hold non-contiguous ages — exactly the
         // case the binary-search fallback exists for.
@@ -760,13 +730,13 @@ mod tests {
         for s in [1, 2, 5, 9] {
             rb.push(entry(s));
         }
-        assert_eq!(rb.find(5).unwrap().seq(), 5);
-        assert_eq!(rb.find(9).unwrap().seq(), 9);
-        assert!(rb.find(3).is_none());
-        assert!(rb.find(4).is_none());
-        assert!(rb.find(10).is_none());
+        // Every live entry is waiting, so "outstanding" reads "found".
         assert!(rb.is_outstanding(5));
-        rb.find_mut(5)
+        assert!(rb.is_outstanding(9));
+        assert!(!rb.is_outstanding(3));
+        assert!(!rb.is_outstanding(4));
+        assert!(!rb.is_outstanding(10));
+        rb.at_mut(2)
             .unwrap()
             .set_state(InstState::Completed { at: 1 });
         assert!(!rb.is_outstanding(5));
@@ -807,7 +777,8 @@ mod tests {
             rb.push(entry(s));
         }
         for s in 1..=3 {
-            assert_eq!(rb.pop_head().unwrap().seq, s);
+            assert_eq!(rb.head().unwrap().seq(), s);
+            rb.drop_head();
         }
         for s in 5..=7 {
             rb.push(entry(s));
@@ -815,7 +786,7 @@ mod tests {
         assert!(rb.is_full());
         let seqs: Vec<_> = rb.iter().map(|e| e.seq()).collect();
         assert_eq!(seqs, [4, 5, 6, 7]);
-        assert_eq!(rb.find(6).unwrap().seq(), 6);
+        assert!(rb.is_outstanding(6));
         rb.broadcast(42); // must not touch dead slots
         let squashed = rb.squash_younger(5);
         assert_eq!(squashed.iter().map(|e| e.seq).collect::<Vec<_>>(), [6, 7]);

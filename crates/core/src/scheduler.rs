@@ -6,10 +6,11 @@
 //! same stages onto minor-cycle grids (Figures 2–4). The scheduler owns
 //! both halves of that story for one engine instance:
 //!
-//! * the **stage roster and evaluation order** — the boxed
-//!   [`Stage`] units, evaluated once per major cycle in the fixed
-//!   architectural order (see [`crate::stages`] for why the order is
-//!   organization-independent);
+//! * the **stages and their evaluation order** — one unit of each of the
+//!   six stages, called directly once per major cycle in the fixed
+//!   architectural order (see the `stages` module for why the order is
+//!   organization-independent). The roster never varies, so it is bound
+//!   when the engine is built rather than dispatched at run time;
 //! * the **minor-cycle cost** of a major cycle — *derived from the
 //!   description's schedule grid* (the highest occupied slot across
 //!   stage rows, plus one), not from the closed-form `2N+3` / `N+4` /
@@ -19,16 +20,26 @@
 //!   == closed-form for every built-in organization and width.
 
 use crate::config::{ConfigError, EngineConfig};
+use crate::cursor::TraceCursor;
 use crate::description::PipelineDescription;
 use crate::stages::{
-    CommitStage, DispatchStage, FetchStage, IssueStage, LsqRefreshStage, Stage, TraceFeed,
-    WritebackStage,
+    CommitStage, DispatchStage, FetchStage, IssueStage, LsqRefreshStage, WritebackStage,
 };
 use crate::state::CoreState;
-use crate::stats_policy::StatsPolicy;
-use resim_obs::{NullRecorder, Recorder, SpanId};
+use resim_obs::{Recorder, SpanId};
+use resim_trace::TraceSource;
 
-/// Wall-time span ids aligned with the stage roster's evaluation order.
+/// Stage names in evaluation order, as the paper spells them.
+const STAGE_NAMES: [&str; 6] = [
+    "Commit",
+    "Writeback",
+    "Lsq_refresh",
+    "Issue",
+    "Dispatch",
+    "Fetch",
+];
+
+/// Wall-time span ids aligned with [`STAGE_NAMES`].
 const STAGE_SPANS: [SpanId; 6] = [
     SpanId::Commit,
     SpanId::Writeback,
@@ -38,29 +49,31 @@ const STAGE_SPANS: [SpanId; 6] = [
     SpanId::Fetch,
 ];
 
-/// Executes one major cycle of the engine: evaluates the stage roster in
+/// Executes one major cycle of the engine: evaluates the six stages in
 /// architectural order and charges the description's minor-cycle cost.
 ///
 /// Built by [`Engine::new`](crate::Engine::new) from the configuration's
 /// [`PipelineDescription`]; exposed so `describe` and tests can inspect
-/// the roster and the activity-derived accounting. Generic over the
-/// engine's [`Recorder`] so each stage evaluation can be wrapped in a
-/// wall-time span (a no-op under the default [`NullRecorder`]).
+/// the roster and the activity-derived accounting.
 #[derive(Debug)]
-pub struct MinorCycleScheduler<R: Recorder = NullRecorder> {
+pub struct MinorCycleScheduler {
     description: PipelineDescription,
     width: usize,
     /// Minor cycles one major cycle costs, derived from the schedule
     /// grid at construction.
     minor_cycles_per_major: u64,
-    /// The stage units, in architectural evaluation order.
-    stages: Vec<Box<dyn Stage<R>>>,
-    /// Total operations performed per stage, aligned with `stages`.
-    activity: Vec<u64>,
+    commit: CommitStage,
+    writeback: WritebackStage,
+    lsq_refresh: LsqRefreshStage,
+    issue: IssueStage,
+    dispatch: DispatchStage,
+    fetch: FetchStage,
+    /// Total operations performed per stage, aligned with [`STAGE_NAMES`].
+    activity: [u64; 6],
 }
 
-impl<R: Recorder> MinorCycleScheduler<R> {
-    /// Builds the scheduler (stage roster + minor-cycle grid) for a
+impl MinorCycleScheduler {
+    /// Builds the scheduler (stages + minor-cycle grid) for a
     /// configuration.
     ///
     /// # Errors
@@ -90,21 +103,17 @@ impl<R: Recorder> MinorCycleScheduler<R> {
             })
             .max()
             .unwrap_or(0);
-        let stages: Vec<Box<dyn Stage<R>>> = vec![
-            Box::new(CommitStage),
-            Box::new(WritebackStage::default()),
-            Box::new(LsqRefreshStage),
-            Box::new(IssueStage::new(&config.fus)),
-            Box::new(DispatchStage),
-            Box::new(FetchStage),
-        ];
-        let activity = vec![0; stages.len()];
         Ok(Self {
             description,
             width,
             minor_cycles_per_major,
-            stages,
-            activity,
+            commit: CommitStage,
+            writeback: WritebackStage::default(),
+            lsq_refresh: LsqRefreshStage,
+            issue: IssueStage::new(&config.fus),
+            dispatch: DispatchStage,
+            fetch: FetchStage,
+            activity: [0; 6],
         })
     }
 
@@ -128,49 +137,49 @@ impl<R: Recorder> MinorCycleScheduler<R> {
     /// Stage names in evaluation order — the roster `resim describe`
     /// reports.
     pub fn roster(&self) -> Vec<&'static str> {
-        self.stages.iter().map(|s| s.name()).collect()
+        STAGE_NAMES.to_vec()
     }
 
-    /// Per-stage totals of architectural operations performed so far,
-    /// in evaluation order.
+    /// Per-stage totals of architectural operations performed so far
+    /// (instructions committed / written back / issued / dispatched /
+    /// fetched, or LSQ entries refreshed), in evaluation order.
     pub fn activity(&self) -> Vec<(&'static str, u64)> {
-        self.stages
-            .iter()
-            .map(|s| s.name())
-            .zip(self.activity.iter().copied())
-            .collect()
+        STAGE_NAMES.into_iter().zip(self.activity).collect()
     }
 
     /// Evaluates every stage once (one major cycle) and returns the
     /// minor cycles charged for it.
-    ///
-    /// Per-stage activity accumulation is compiled out under
-    /// [`LiteStats`](crate::LiteStats) — the lite mode's
-    /// [`activity`](Self::activity) totals read as zero.
-    pub(crate) fn step<P: StatsPolicy>(
+    pub(crate) fn step<R: Recorder, S: TraceSource>(
         &mut self,
         core: &mut CoreState<R>,
-        feed: &mut dyn TraceFeed,
+        cursor: &mut TraceCursor<S>,
     ) -> u64 {
-        for (i, (stage, total)) in self
-            .stages
-            .iter_mut()
-            .zip(self.activity.iter_mut())
-            .enumerate()
-        {
-            if R::ENABLED {
-                core.recorder.span_enter(STAGE_SPANS[i]);
-            }
-            let activity = stage.evaluate(core, feed);
-            if P::FULL {
-                *total += activity.ops;
-            }
-            if R::ENABLED {
-                core.recorder.span_exit(STAGE_SPANS[i]);
-            }
-        }
+        self.activity[0] += timed(core, 0, |core| self.commit.evaluate(core));
+        self.activity[1] += timed(core, 1, |core| self.writeback.evaluate(core, cursor));
+        self.activity[2] += timed(core, 2, |core| self.lsq_refresh.evaluate(core));
+        self.activity[3] += timed(core, 3, |core| self.issue.evaluate(core));
+        self.activity[4] += timed(core, 4, |core| self.dispatch.evaluate(core));
+        self.activity[5] += timed(core, 5, |core| self.fetch.evaluate(core, cursor));
         self.minor_cycles_per_major
     }
+}
+
+/// Runs one stage evaluation inside its wall-time span (a no-op under
+/// the default [`NullRecorder`](resim_obs::NullRecorder)).
+#[inline(always)]
+fn timed<R: Recorder>(
+    core: &mut CoreState<R>,
+    stage: usize,
+    evaluate: impl FnOnce(&mut CoreState<R>) -> u64,
+) -> u64 {
+    if R::ENABLED {
+        core.recorder.span_enter(STAGE_SPANS[stage]);
+    }
+    let ops = evaluate(core);
+    if R::ENABLED {
+        core.recorder.span_exit(STAGE_SPANS[stage]);
+    }
+    ops
 }
 
 #[cfg(test)]
@@ -200,7 +209,7 @@ mod tests {
         // / N+3 must agree for every organization and width.
         for org in PipelineOrganization::ALL {
             for width in 1..=16usize {
-                let sched: MinorCycleScheduler = MinorCycleScheduler::new(&config_for(org, width)).unwrap();
+                let sched = MinorCycleScheduler::new(&config_for(org, width)).unwrap();
                 assert_eq!(
                     sched.minor_cycles_per_major(),
                     org.minor_cycles_per_major(width),
@@ -212,7 +221,7 @@ mod tests {
 
     #[test]
     fn roster_is_the_architectural_evaluation_order() {
-        let sched: MinorCycleScheduler = MinorCycleScheduler::new(&EngineConfig::paper_4wide()).unwrap();
+        let sched = MinorCycleScheduler::new(&EngineConfig::paper_4wide()).unwrap();
         assert_eq!(
             sched.roster(),
             ["Commit", "Writeback", "Lsq_refresh", "Issue", "Dispatch", "Fetch"]
@@ -228,7 +237,7 @@ mod tests {
             ..EngineConfig::paper_4wide()
         };
         assert_eq!(
-            MinorCycleScheduler::<resim_obs::NullRecorder>::new(&bad).unwrap_err(),
+            MinorCycleScheduler::new(&bad).unwrap_err(),
             ConfigError::ZeroWidth
         );
     }
@@ -240,14 +249,14 @@ mod tests {
             ..EngineConfig::paper_4wide()
         };
         assert!(matches!(
-            MinorCycleScheduler::<resim_obs::NullRecorder>::new(&bad).unwrap_err(),
+            MinorCycleScheduler::new(&bad).unwrap_err(),
             ConfigError::Pipeline(_)
         ));
     }
 
     #[test]
     fn activity_starts_at_zero_for_every_stage() {
-        let sched: MinorCycleScheduler = MinorCycleScheduler::new(&EngineConfig::paper_4wide()).unwrap();
+        let sched = MinorCycleScheduler::new(&EngineConfig::paper_4wide()).unwrap();
         let activity = sched.activity();
         assert_eq!(activity.len(), 6);
         assert!(activity.iter().all(|&(_, ops)| ops == 0));

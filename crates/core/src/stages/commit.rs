@@ -1,6 +1,5 @@
 //! Commit: in-order retirement at the Reorder Buffer head (§III).
 
-use super::{Stage, StageActivity, TraceFeed};
 use crate::rob::InstState;
 use crate::state::CoreState;
 use resim_obs::{CacheKind, Counter, EventKind, Hist, Recorder};
@@ -10,14 +9,11 @@ use resim_trace::TraceRecord;
 /// memory write port and access the D-cache; branches train the
 /// predictor (§III).
 #[derive(Debug, Default)]
-pub struct CommitStage;
+pub(crate) struct CommitStage;
 
-impl<R: Recorder> Stage<R> for CommitStage {
-    fn name(&self) -> &'static str {
-        "Commit"
-    }
-
-    fn evaluate(&mut self, core: &mut CoreState<R>, _feed: &mut dyn TraceFeed) -> StageActivity {
+impl CommitStage {
+    /// Evaluates the stage for one major cycle; returns the instructions committed.
+    pub(crate) fn evaluate<R: Recorder>(&mut self, core: &mut CoreState<R>) -> u64 {
         let mut write_ports = core.config.mem_write_ports;
         let mut committed = 0u64;
         for _ in 0..core.config.width {
@@ -66,7 +62,7 @@ impl<R: Recorder> Stage<R> for CommitStage {
                 TraceRecord::Other(_) => {}
             }
             // Retire in place: everything needed was read through the
-            // view, so the owned-entry copy of `pop_head` is skipped.
+            // view, so no owned copy of the entry is made.
             core.rob.drop_head();
             if in_lsq {
                 core.lsq.remove(seq);
@@ -79,6 +75,6 @@ impl<R: Recorder> Stage<R> for CommitStage {
             core.recorder.counter(Counter::Committed, committed);
             core.recorder.histogram(Hist::CommittedPerCycle, committed);
         }
-        StageActivity::ops(committed)
+        committed
     }
 }

@@ -1,6 +1,5 @@
 //! Dispatch: IFQ → RB/LSQ allocation and renaming (§III).
 
-use super::{Stage, StageActivity, TraceFeed};
 use crate::lsq::{LoadReady, LsqEntry};
 use crate::rob::{InstState, PendingSet, ReorderBuffer, RobEntry};
 use crate::state::CoreState;
@@ -10,14 +9,11 @@ use resim_trace::TraceRecord;
 /// Dispatch: move up to N instructions from the IFQ into the RB (and
 /// LSQ), reading the rename table for dependences (§III).
 #[derive(Debug, Default)]
-pub struct DispatchStage;
+pub(crate) struct DispatchStage;
 
-impl<R: Recorder> Stage<R> for DispatchStage {
-    fn name(&self) -> &'static str {
-        "Dispatch"
-    }
-
-    fn evaluate(&mut self, core: &mut CoreState<R>, _feed: &mut dyn TraceFeed) -> StageActivity {
+impl DispatchStage {
+    /// Evaluates the stage for one major cycle; returns the instructions dispatched.
+    pub(crate) fn evaluate<R: Recorder>(&mut self, core: &mut CoreState<R>) -> u64 {
         let mut dispatched = 0u64;
         for _ in 0..core.config.width {
             let Some(front) = core.ifq.front() else { break };
@@ -84,6 +80,6 @@ impl<R: Recorder> Stage<R> for DispatchStage {
         if R::ENABLED {
             core.recorder.counter(Counter::Dispatched, dispatched);
         }
-        StageActivity::ops(dispatched)
+        dispatched
     }
 }

@@ -1,25 +1,25 @@
 //! Fetch: trace records → IFQ, with branch prediction and the I-cache
 //! (§III).
 
-use super::{Stage, StageActivity, TraceFeed};
+use crate::cursor::TraceCursor;
 use crate::state::{CoreState, FetchedInst};
 use resim_bpred::Resolution;
 use resim_obs::{CacheKind, Counter, EventKind, Hist, Recorder};
-use resim_trace::TraceRecord;
+use resim_trace::{TraceRecord, TraceSource};
 
 /// Fetch: pull up to N records from the trace into the IFQ, stopping at
 /// a control-flow bubble, an IFQ-full condition, an I-cache miss, a
 /// misfetch bubble or wrong-path exhaustion (§III).
 ///
-/// The stage is batch-aware: it asks the feed for its whole decoded run
-/// ([`TraceFeed::buffered`]) and walks it with in-slice lookahead,
+/// The stage is batch-aware: it asks the cursor for its whole decoded
+/// run (`TraceCursor::buffered`) and walks it with in-slice lookahead,
 /// paying one `consume` call for the records it admitted instead of a
-/// `peek`/`take` virtual-call pair per record. Only the final record of
-/// a buffer — whose lookahead crosses a refill boundary — goes through
-/// the classic single-record path, so any batch size replays the exact
+/// `peek`/`next` pair per record. Only the final record of a buffer —
+/// whose lookahead crosses a refill boundary — goes through the classic
+/// single-record path, so any batch size replays the exact
 /// record-by-record semantics (pinned by `batched_cursor.rs`).
 #[derive(Debug, Default)]
-pub struct FetchStage;
+pub(crate) struct FetchStage;
 
 /// Admits one record into the IFQ: I-cache probe, statistics, branch
 /// prediction against `next` (the following trace record, if visible),
@@ -95,15 +95,16 @@ fn admit<R: Recorder>(
     next.is_some_and(|n| n.pc() != record.pc().wrapping_add(4))
 }
 
-impl<R: Recorder> Stage<R> for FetchStage {
-    fn name(&self) -> &'static str {
-        "Fetch"
-    }
-
-    fn evaluate(&mut self, core: &mut CoreState<R>, feed: &mut dyn TraceFeed) -> StageActivity {
+impl FetchStage {
+    /// Evaluates the stage for one major cycle; returns the instructions fetched.
+    pub(crate) fn evaluate<R: Recorder, S: TraceSource>(
+        &mut self,
+        core: &mut CoreState<R>,
+        cursor: &mut TraceCursor<S>,
+    ) -> u64 {
         if core.cycle < core.fetch_stall_until {
             core.stats.fetch_stall_cycles += 1;
-            return StageActivity::ops(0);
+            return 0;
         }
         let width = core.config.width as u64;
         let mut fetched = 0u64;
@@ -111,7 +112,7 @@ impl<R: Recorder> Stage<R> for FetchStage {
             if core.ifq.len() == core.config.ifq_size {
                 break;
             }
-            let buf = feed.buffered();
+            let buf = cursor.buffered();
             if buf.is_empty() {
                 break;
             }
@@ -125,8 +126,8 @@ impl<R: Recorder> Stage<R> for FetchStage {
                     core.stats.fetch_stall_cycles += 1;
                     break;
                 }
-                let record = feed.take().expect("buffered run is non-empty");
-                if admit(core, record, feed.peek(), &mut fetched) {
+                let record = cursor.next().expect("buffered run is non-empty");
+                if admit(core, record, cursor.peek(), &mut fetched) {
                     break;
                 }
                 continue;
@@ -152,7 +153,7 @@ impl<R: Recorder> Stage<R> for FetchStage {
                     break;
                 }
             }
-            feed.consume(taken);
+            cursor.consume(taken);
             if stop {
                 break 'group;
             }
@@ -160,6 +161,6 @@ impl<R: Recorder> Stage<R> for FetchStage {
         if R::ENABLED {
             core.recorder.histogram(Hist::FetchedPerCycle, fetched);
         }
-        StageActivity::ops(fetched)
+        fetched
     }
 }

@@ -1,7 +1,6 @@
 //! Issue: wakeup/select onto functional units, read ports and the
 //! D-cache (§III).
 
-use super::{Stage, StageActivity, TraceFeed};
 use crate::config::FuConfig;
 use crate::lsq::LoadReady;
 use crate::rob::InstState;
@@ -17,7 +16,7 @@ use resim_trace::{OpClass, TraceRecord};
 /// stage observes them — so they live here rather than in
 /// [`CoreState`].
 #[derive(Debug)]
-pub struct IssueStage {
+pub(crate) struct IssueStage {
     /// Per-divider busy-until cycles (dividers are unpipelined by
     /// default).
     div_busy_until: Vec<u64>,
@@ -28,20 +27,15 @@ pub struct IssueStage {
 
 impl IssueStage {
     /// Builds the stage for a functional-unit pool.
-    pub fn new(fus: &FuConfig) -> Self {
+    pub(crate) fn new(fus: &FuConfig) -> Self {
         Self {
             div_busy_until: vec![0; fus.divs],
             candidates: Vec::new(),
         }
     }
-}
 
-impl<R: Recorder> Stage<R> for IssueStage {
-    fn name(&self) -> &'static str {
-        "Issue"
-    }
-
-    fn evaluate(&mut self, core: &mut CoreState<R>, _feed: &mut dyn TraceFeed) -> StageActivity {
+    /// Evaluates the stage for one major cycle; returns the instructions issued.
+    pub(crate) fn evaluate<R: Recorder>(&mut self, core: &mut CoreState<R>) -> u64 {
         let width = core.config.width;
         let fus = core.config.fus;
         let mut slots = width;
@@ -175,6 +169,6 @@ impl<R: Recorder> Stage<R> for IssueStage {
             core.recorder.counter(Counter::Issued, issued);
             core.recorder.histogram(Hist::IssuedPerCycle, issued);
         }
-        StageActivity::ops(issued)
+        issued
     }
 }

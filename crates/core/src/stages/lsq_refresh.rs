@@ -1,7 +1,6 @@
 //! `Lsq_refresh`: the memory-dependence scan of §III, a stage of its own
 //! in every organization of §IV.
 
-use super::{Stage, StageActivity, TraceFeed};
 use crate::state::CoreState;
 use resim_obs::{Counter, Recorder};
 
@@ -9,14 +8,11 @@ use resim_obs::{Counter, Recorder};
 /// readiness (including store-to-load forwarding) from producer state,
 /// once per major cycle (§III/§IV).
 #[derive(Debug, Default)]
-pub struct LsqRefreshStage;
+pub(crate) struct LsqRefreshStage;
 
-impl<R: Recorder> Stage<R> for LsqRefreshStage {
-    fn name(&self) -> &'static str {
-        "Lsq_refresh"
-    }
-
-    fn evaluate(&mut self, core: &mut CoreState<R>, _feed: &mut dyn TraceFeed) -> StageActivity {
+impl LsqRefreshStage {
+    /// Evaluates the stage for one major cycle; returns the LSQ entries refreshed.
+    pub(crate) fn evaluate<R: Recorder>(&mut self, core: &mut CoreState<R>) -> u64 {
         // Split borrows: the LSQ refresh consults the RB for producer
         // liveness while mutating LSQ entries.
         let CoreState { lsq, rob, .. } = core;
@@ -25,6 +21,6 @@ impl<R: Recorder> Stage<R> for LsqRefreshStage {
         if R::ENABLED {
             core.recorder.counter(Counter::LsqRefreshed, refreshed);
         }
-        StageActivity::ops(refreshed)
+        refreshed
     }
 }

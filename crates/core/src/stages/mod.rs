@@ -1,15 +1,15 @@
-//! The pipeline stages of the ReSim engine as swappable units.
+//! The six pipeline stages of the ReSim engine as fixed units.
 //!
 //! The paper's engine is a set of hardware stages — Fetch, Dispatch,
 //! Issue, `Lsq_refresh`, Writeback, Commit — wired around shared
 //! structures (IFQ, rename table, RB, LSQ; Figure 1), and its three
 //! internal pipeline organizations (Figures 2–4) re-arrange *the same
 //! stages* onto different minor-cycle grids. This module mirrors that
-//! structure in software: each stage is a unit type in its own file
-//! implementing the common [`Stage`] trait over a shared
-//! [`CoreState`], and the
-//! [`MinorCycleScheduler`](crate::MinorCycleScheduler) owns the roster
-//! and evaluation order.
+//! structure in software: each stage is a unit type in its own file with
+//! an inherent `evaluate` over the shared
+//! [`CoreState`](crate::CoreState) that returns the operations it
+//! performed, and the [`MinorCycleScheduler`](crate::MinorCycleScheduler)
+//! holds one of each and calls them directly, in evaluation order.
 //!
 //! ## Evaluation order vs. minor-cycle timeline
 //!
@@ -39,103 +39,9 @@ mod issue;
 mod lsq_refresh;
 mod writeback;
 
-pub use commit::CommitStage;
-pub use dispatch::DispatchStage;
-pub use fetch::FetchStage;
-pub use issue::IssueStage;
-pub use lsq_refresh::LsqRefreshStage;
-pub use writeback::WritebackStage;
-
-use crate::state::CoreState;
-use resim_obs::Recorder;
-use resim_trace::TraceRecord;
-
-/// A pull-based, peekable supply of trace records, as the Fetch stage
-/// (and misprediction recovery) consumes them.
-///
-/// This is the stage-facing face of the ring-buffered
-/// [`TraceCursor`](crate::TraceCursor): one record of lookahead
-/// (`peek`) plus consumption (`take`). Keeping the trait object-safe is
-/// what lets stage units live behind `dyn Stage` in the scheduler while
-/// the engine stays generic over its [`TraceSource`] — the per-record
-/// virtual call lands on a ring-buffer index bump, not on the decoder.
-///
-/// [`TraceSource`]: resim_trace::TraceSource
-pub trait TraceFeed {
-    /// The next record, without consuming it.
-    fn peek(&mut self) -> Option<&TraceRecord>;
-
-    /// Consumes and returns the next record.
-    fn take(&mut self) -> Option<TraceRecord>;
-
-    /// The contiguous run of already-decoded records at the read
-    /// position, refilling the underlying buffer first if it is drained.
-    /// An empty slice means the feed is exhausted.
-    ///
-    /// Fetch uses this to process a whole decoded batch per cycle group
-    /// with in-slice lookahead instead of a `peek`/`take` virtual-call
-    /// pair per record. The default implementation exposes one record
-    /// (via [`TraceFeed::peek`]), which preserves exact single-record
-    /// semantics for simple feeds.
-    fn buffered(&mut self) -> &[TraceRecord] {
-        match self.peek() {
-            Some(r) => std::slice::from_ref(r),
-            None => &[],
-        }
-    }
-
-    /// Discards the first `n` records of [`TraceFeed::buffered`].
-    ///
-    /// Callers must not pass `n` larger than the slice the last
-    /// `buffered` call returned.
-    fn consume(&mut self, n: usize) {
-        for _ in 0..n {
-            self.take().expect("consume within the buffered run");
-        }
-    }
-}
-
-/// What a stage did during one major-cycle evaluation, as reported back
-/// to the scheduler.
-///
-/// The scheduler aggregates these per stage ([`MinorCycleScheduler::activity`])
-/// — the activity-derived view of the engine that `resim run` reports
-/// after a simulation ("stage activity (ops): …").
-///
-/// [`MinorCycleScheduler::activity`]: crate::MinorCycleScheduler::activity
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageActivity {
-    /// Architectural operations performed: instructions committed /
-    /// written back / issued / dispatched / fetched, or LSQ entries
-    /// refreshed, depending on the stage.
-    pub ops: u64,
-}
-
-impl StageActivity {
-    /// Activity of `ops` operations.
-    pub fn ops(ops: u64) -> Self {
-        Self { ops }
-    }
-}
-
-/// One pipeline stage of the engine: a unit evaluated once per major
-/// cycle against the shared [`CoreState`].
-///
-/// Implementations hold only state that is genuinely *inside* the stage
-/// hardware (e.g. the Issue stage's divider busy timers); everything
-/// shared between stages lives in [`CoreState`], and trace consumption
-/// goes through the [`TraceFeed`].
-///
-/// The trait is generic over the engine's instrumentation
-/// [`Recorder`] so stage code can emit counters and events through
-/// `core.recorder` — with the default `NullRecorder` every hook
-/// monomorphizes to nothing, and the trait stays object-safe per
-/// recorder instantiation (`Box<dyn Stage<R>>`).
-pub trait Stage<R: Recorder>: Send + std::fmt::Debug {
-    /// The stage's name as the paper spells it (used in rosters,
-    /// schedules and `describe` output).
-    fn name(&self) -> &'static str;
-
-    /// Evaluates the stage for one major cycle.
-    fn evaluate(&mut self, core: &mut CoreState<R>, feed: &mut dyn TraceFeed) -> StageActivity;
-}
+pub(crate) use commit::CommitStage;
+pub(crate) use dispatch::DispatchStage;
+pub(crate) use fetch::FetchStage;
+pub(crate) use issue::IssueStage;
+pub(crate) use lsq_refresh::LsqRefreshStage;
+pub(crate) use writeback::WritebackStage;

@@ -1,26 +1,28 @@
 //! Writeback: result broadcast (wakeup) and misprediction recovery
 //! (§III).
 
-use super::{Stage, StageActivity, TraceFeed};
+use crate::cursor::TraceCursor;
 use crate::rob::InstState;
 use crate::state::CoreState;
 use resim_obs::{Counter, Recorder};
+use resim_trace::TraceSource;
 
 /// Writeback: select the oldest N finished executions, broadcast their
 /// results (wakeup), and run misprediction recovery (§III).
 #[derive(Debug, Default)]
-pub struct WritebackStage {
+pub(crate) struct WritebackStage {
     /// Scratch select list `(rob position, seq)`, reused across cycles
     /// so the hot loop never allocates.
     done: Vec<(usize, u64)>,
 }
 
-impl<R: Recorder> Stage<R> for WritebackStage {
-    fn name(&self) -> &'static str {
-        "Writeback"
-    }
-
-    fn evaluate(&mut self, core: &mut CoreState<R>, feed: &mut dyn TraceFeed) -> StageActivity {
+impl WritebackStage {
+    /// Evaluates the stage for one major cycle; returns the instructions written back.
+    pub(crate) fn evaluate<R: Recorder, S: TraceSource>(
+        &mut self,
+        core: &mut CoreState<R>,
+        cursor: &mut TraceCursor<S>,
+    ) -> u64 {
         // The select scan walks only the packed state/time/seq lanes.
         self.done.clear();
         core.rob
@@ -40,12 +42,12 @@ impl<R: Recorder> Stage<R> for WritebackStage {
             core.rob.broadcast(seq);
             written_back += 1;
             if recover {
-                core.recover(seq, feed);
+                core.recover(seq, cursor);
             }
         }
         if R::ENABLED {
             core.recorder.counter(Counter::WrittenBack, written_back);
         }
-        StageActivity::ops(written_back)
+        written_back
     }
 }

@@ -12,15 +12,14 @@
 
 use crate::checkpoint::{Checkpoint, ResumeError};
 use crate::config::{ConfigError, EngineConfig};
+use crate::cursor::TraceCursor;
 use crate::lsq::LoadStoreQueue;
 use crate::rob::ReorderBuffer;
-use crate::stages::TraceFeed;
 use crate::stats::SimStats;
-use crate::stats_policy::StatsPolicy;
 use resim_bpred::BranchPredictor;
 use resim_mem::MemorySystem;
 use resim_obs::{Counter, EventKind, Gauge, Hist, NullRecorder, Recorder};
-use resim_trace::TraceRecord;
+use resim_trace::{TraceRecord, TraceSource};
 use std::collections::VecDeque;
 
 /// An IFQ slot: a fetched record plus fetch-time metadata.
@@ -32,7 +31,7 @@ pub(crate) struct FetchedInst {
 }
 
 /// The microarchitectural state of one simulated core, shared by every
-/// [`Stage`](crate::stages::Stage).
+/// pipeline stage.
 ///
 /// Owns the structures of the paper's Figure 1 — IFQ, rename table,
 /// Reorder Buffer, Load/Store Queue, branch predictor, memory system —
@@ -144,19 +143,16 @@ impl<R: Recorder> CoreState<R> {
         s
     }
 
-    /// End-of-major-cycle bookkeeping: occupancy statistics (compiled
-    /// out under [`LiteStats`](crate::LiteStats)), then the cycle
-    /// counters advance (`minor_cycles` by whatever the scheduler
+    /// End-of-major-cycle bookkeeping: occupancy statistics, then the
+    /// cycle counters advance (`minor_cycles` by whatever the scheduler
     /// charged for the cycle just executed).
-    pub(crate) fn finish_cycle<P: StatsPolicy>(&mut self, minor_cycles: u64) {
-        if P::FULL {
-            self.stats.ifq_occupancy_sum += self.ifq.len() as u64;
-            self.stats.rb_occupancy_sum += self.rob.len() as u64;
-            self.stats.lsq_occupancy_sum += self.lsq.len() as u64;
-            self.stats.ifq_occupancy_max = self.stats.ifq_occupancy_max.max(self.ifq.len() as u64);
-            self.stats.rb_occupancy_max = self.stats.rb_occupancy_max.max(self.rob.len() as u64);
-            self.stats.lsq_occupancy_max = self.stats.lsq_occupancy_max.max(self.lsq.len() as u64);
-        }
+    pub(crate) fn finish_cycle(&mut self, minor_cycles: u64) {
+        self.stats.ifq_occupancy_sum += self.ifq.len() as u64;
+        self.stats.rb_occupancy_sum += self.rob.len() as u64;
+        self.stats.lsq_occupancy_sum += self.lsq.len() as u64;
+        self.stats.ifq_occupancy_max = self.stats.ifq_occupancy_max.max(self.ifq.len() as u64);
+        self.stats.rb_occupancy_max = self.stats.rb_occupancy_max.max(self.rob.len() as u64);
+        self.stats.lsq_occupancy_max = self.stats.lsq_occupancy_max.max(self.lsq.len() as u64);
         if R::ENABLED {
             let (ifq, rb, lsq) = (self.ifq.len() as u64, self.rob.len() as u64, self.lsq.len() as u64);
             self.recorder.gauge(Gauge::IfqOccupancy, ifq);
@@ -181,8 +177,12 @@ impl<R: Recorder> CoreState<R> {
     ///
     /// Invoked by the Writeback stage; lives on `CoreState` because it
     /// cuts across every structure at once (RB, LSQ, IFQ, rename table,
-    /// the trace feed and the fetch throttle).
-    pub(crate) fn recover(&mut self, branch_seq: u64, feed: &mut dyn TraceFeed) {
+    /// the trace cursor and the fetch throttle).
+    pub(crate) fn recover<S: TraceSource>(
+        &mut self,
+        branch_seq: u64,
+        cursor: &mut TraceCursor<S>,
+    ) {
         self.stats.mispredict_recoveries += 1;
         let squashed = self.rob.squash_younger(branch_seq);
         self.stats.squashed += squashed.len() as u64;
@@ -212,11 +212,11 @@ impl<R: Recorder> CoreState<R> {
         // decoded batch at a time.
         loop {
             let (n, drained_buffer) = {
-                let buf = feed.buffered();
+                let buf = cursor.buffered();
                 let n = buf.iter().take_while(|r| r.wrong_path()).count();
                 (n, n == buf.len())
             };
-            feed.consume(n);
+            cursor.consume(n);
             self.stats.wrong_path_discarded += n as u64;
             if n == 0 || !drained_buffer {
                 break;

@@ -48,8 +48,8 @@ fn arb_rob_ops() -> impl Strategy<Value = (usize, Vec<u8>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// ROB length never exceeds capacity, and `pop_head` yields strictly
-    /// increasing sequence numbers — commits happen in program order no
+    /// ROB length never exceeds capacity, and retiring the head yields
+    /// strictly increasing sequence numbers — commits happen in program order no
     /// matter how pushes, completions, pops and squashes interleave.
     #[test]
     fn rob_capacity_and_program_order((capacity, ops) in arb_rob_ops()) {
@@ -65,11 +65,8 @@ proptest! {
                     }
                 }
                 1 => {
-                    if let Some(head) = rob.head() {
-                        let seq = head.seq();
-                        rob.find_mut(seq)
-                            .unwrap()
-                            .set_state(InstState::Completed { at: 0 });
+                    if let Some(mut head) = rob.at_mut(0) {
+                        head.set_state(InstState::Completed { at: 0 });
                     }
                 }
                 2 => {
@@ -77,14 +74,15 @@ proptest! {
                         .head()
                         .is_some_and(|h| matches!(h.state(), InstState::Completed { .. }));
                     if head_done {
-                        let e = rob.pop_head().unwrap();
+                        let seq = rob.head().unwrap().seq();
+                        rob.drop_head();
                         prop_assert!(
-                            e.seq > last_popped,
+                            seq > last_popped,
                             "pop order violated: {} after {}",
-                            e.seq,
+                            seq,
                             last_popped
                         );
-                        last_popped = e.seq;
+                        last_popped = seq;
                     }
                 }
                 _ => {

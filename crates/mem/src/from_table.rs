@@ -9,6 +9,11 @@ use crate::cache::{CacheConfig, Replacement};
 use crate::system::MemorySystemConfig;
 use resim_toml::{Error, Table};
 
+/// Largest accepted cache capacity in bytes. The tag arrays are
+/// allocated up front, so an unbounded size from a scenario file would
+/// exhaust memory instead of failing as a diagnostic.
+const MAX_CACHE_BYTES: usize = 1 << 30;
+
 impl CacheConfig {
     /// Builds one cache geometry from a scenario-file table
     /// (`[engine.memory.l1i]` / `[engine.memory.l1d]`).
@@ -29,8 +34,8 @@ impl CacheConfig {
     /// # Errors
     ///
     /// A line-numbered [`Error`] for unknown keys or invalid geometry
-    /// (non-power-of-two sizes, blocks under 4 bytes, a capacity that
-    /// cannot hold one set, a zero hit latency).
+    /// (non-power-of-two sizes, a capacity over 2^30 bytes, blocks under
+    /// 4 bytes, a capacity that cannot hold one set, a zero hit latency).
     pub fn from_table(t: &Table) -> Result<Self, Error> {
         t.ensure_only(&[
             "size_bytes",
@@ -70,6 +75,15 @@ impl CacheConfig {
             Ok(())
         };
         pow2("size_bytes", config.size_bytes)?;
+        if config.size_bytes > MAX_CACHE_BYTES {
+            return Err(Error::new(
+                t.key_line("size_bytes"),
+                format!(
+                    "key \"size_bytes\": {} exceeds the maximum of {MAX_CACHE_BYTES}",
+                    config.size_bytes
+                ),
+            ));
+        }
         pow2("block_bytes", config.block_bytes)?;
         pow2("associativity", config.associativity)?;
         if config.block_bytes < 4 {
@@ -78,7 +92,8 @@ impl CacheConfig {
                 "block_bytes must be at least 4",
             ));
         }
-        if config.size_bytes < config.block_bytes * config.associativity {
+        let set_bytes = config.block_bytes.checked_mul(config.associativity);
+        if set_bytes.is_none_or(|set| config.size_bytes < set) {
             return Err(Error::new(
                 t.key_line("size_bytes"),
                 format!(
@@ -217,6 +232,18 @@ mod tests {
             .to_string()
             .contains("cannot hold"));
         assert!(parse("kind = \"split\"\n[l1d]\nreplacement = \"plru\"").is_err());
+        assert!(parse("kind = \"split\"\n[l1d]\nsize_bytes = 1073741824").is_ok());
+        let err = parse("kind = \"split\"\n[l1d]\nsize_bytes = 2147483648").unwrap_err();
+        assert_eq!(err.line(), 3);
+        assert!(err.to_string().contains("maximum"), "{err}");
+        // A block × ways product that overflows is a diagnostic too.
+        let huge = 1usize << 62;
+        assert!(parse(&format!(
+            "kind = \"split\"\n[l1d]\nblock_bytes = {huge}\nassociativity = {huge}"
+        ))
+        .unwrap_err()
+        .to_string()
+        .contains("cannot hold"));
     }
 
     #[test]

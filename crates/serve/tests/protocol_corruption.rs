@@ -207,3 +207,34 @@ fn an_unrunnable_fu_roster_is_a_bad_scenario_and_the_next_job_completes() {
     drop(client);
     stop_server(&addr, handle);
 }
+
+#[test]
+fn oversized_sizes_and_removed_keys_are_bad_scenarios_and_the_next_job_completes() {
+    let (_server, addr, handle) = start_server();
+    let sweep = "[sweep]\nworkloads = [\"gzip\"]\nbudgets = [2000]\nseeds = [1]\n\
+                 [sweep.grid]\nrb_sizes = [16]\n";
+    let mut client = Client::connect(&addr).expect("connect");
+    // An unbounded rb_size would abort the whole server out of memory;
+    // `stats` is not a [sweep] key.
+    let oversized = format!("{sweep}[sweep.grid.base]\nrb_size = 1099511627776\n");
+    let removed = sweep.replace("[sweep]\n", "[sweep]\nstats = \"lite\"\n");
+    let cases = [
+        (oversized, "exceeds the maximum"),
+        (removed, "unknown key \"stats\""),
+    ];
+    for (bad, expected) in &cases {
+        match client.submit(bad) {
+            Err(ClientError::Server { code, message }) => {
+                assert_eq!(code, "bad-scenario", "{message}");
+                assert!(message.contains(expected), "{message}");
+            }
+            other => panic!("expected bad-scenario for {bad:?}, got {other:?}"),
+        }
+    }
+    let done = client
+        .submit_and_wait(sweep, |_| {})
+        .expect("the next job runs");
+    assert_eq!(done.get("state").and_then(|s| s.as_str()), Some("done"));
+    drop(client);
+    stop_server(&addr, handle);
+}

@@ -4,7 +4,7 @@
 //! [`Scenario`] — the entry point of the declarative bulk-simulation
 //! path (`resim sweep`). See `docs/guide.md` for the key reference.
 
-use crate::scenario::{CellMode, Scenario, StatsMode, WorkloadPoint};
+use crate::scenario::{CellMode, Scenario, WorkloadPoint};
 use resim_core::{ConfigGrid, EngineConfig, PipelineDescription};
 use resim_sample::SamplePlan;
 use resim_toml::{Error, Table};
@@ -82,6 +82,19 @@ pub fn resolve_tracegen(
     }
 }
 
+/// The keys a `[sweep]` table may carry.
+pub(crate) const SWEEP_KEYS: &[&str] = &[
+    "workloads",
+    "budgets",
+    "seeds",
+    "modes",
+    "sample",
+    "config",
+    "grid",
+    "threads",
+    "trace_files",
+];
+
 impl Scenario {
     /// Builds a sweep scenario from a `[sweep]` table.
     ///
@@ -93,10 +106,6 @@ impl Scenario {
     /// * `modes` — optional array of `"full"` / `"sampled"`;
     ///   `"sampled"` reads its plan from the `[sweep.sample]` sub-table
     ///   ([`SamplePlan::from_table`]);
-    /// * `stats` — optional `"full"` (default) or `"lite"`: the
-    ///   grid-wide [`StatsMode`]. `"lite"` runs every cell on the
-    ///   stats-lite engine (occupancy and stage-activity bookkeeping
-    ///   compiled out) and cannot combine with sampled modes;
     /// * configurations — any number of `[[sweep.config]]` entries
     ///   (`name`, optional `engine` and `tracegen` sub-tables), and/or
     ///   one `[sweep.grid]` (axis keys per
@@ -156,18 +165,7 @@ impl Scenario {
         t: &Table,
         custom: Option<&PipelineDescription>,
     ) -> Result<Self, Error> {
-        t.ensure_only(&[
-            "workloads",
-            "budgets",
-            "seeds",
-            "modes",
-            "stats",
-            "sample",
-            "config",
-            "grid",
-            "threads",
-            "trace_files",
-        ])?;
+        t.ensure_only(SWEEP_KEYS)?;
         let mut scenario = Scenario::new();
 
         for entry in t.table_array("config")? {
@@ -222,17 +220,6 @@ impl Scenario {
             return Err(t.error("missing required array key \"seeds\""));
         };
         scenario = scenario.budgets(budgets).seeds(seeds);
-
-        match t.opt_str("stats")? {
-            None | Some("full") => {}
-            Some("lite") => scenario = scenario.stats(StatsMode::Lite),
-            Some(other) => {
-                return Err(Error::new(
-                    t.key_line("stats"),
-                    format!("unknown stats mode {other:?} (expected \"full\" or \"lite\")"),
-                ))
-            }
-        }
 
         if let Some(modes) = t.opt_str_array("modes")? {
             for m in &modes {
@@ -436,31 +423,6 @@ name = "base"
         )
         .unwrap_err();
         assert!(err.to_string().contains("[sweep.sample]"));
-    }
-
-    #[test]
-    fn stats_key_selects_the_mode() {
-        let lite = parse(
-            "[sweep]\nstats = \"lite\"\nworkloads = [\"gzip\"]\nbudgets = [1]\nseeds = [1]\n[[sweep.config]]\nname = \"a\"",
-        )
-        .unwrap();
-        assert_eq!(lite.stats_mode(), StatsMode::Lite);
-        let full = parse(
-            "[sweep]\nstats = \"full\"\nworkloads = [\"gzip\"]\nbudgets = [1]\nseeds = [1]\n[[sweep.config]]\nname = \"a\"",
-        )
-        .unwrap();
-        assert_eq!(full.stats_mode(), StatsMode::Full);
-        assert_eq!(parse(MINIMAL).unwrap().stats_mode(), StatsMode::Full);
-        let err = parse(
-            "[sweep]\nstats = \"turbo\"\nworkloads = [\"gzip\"]\nbudgets = [1]\nseeds = [1]\n[[sweep.config]]\nname = \"a\"",
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("turbo"), "{err}");
-        let err = parse(
-            "[sweep]\nstats = \"lite\"\nmodes = [\"sampled\"]\nworkloads = [\"gzip\"]\nbudgets = [10000]\nseeds = [1]\n[sweep.sample]\ninterval = 1000\ndetailed = 200\n[[sweep.config]]\nname = \"a\"",
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("lite"), "{err}");
     }
 
     #[test]

@@ -68,4 +68,4 @@ pub use doc::{ScenarioDoc, WorkloadSpec};
 pub use from_table::resolve_tracegen;
 pub use report::{stable_csv_header, stable_csv_row, CellResult, SweepReport};
 pub use runner::{SweepPhase, SweepProgress, SweepRunner};
-pub use scenario::{Cell, CellMode, ConfigPoint, Scenario, ScenarioError, StatsMode, WorkloadPoint};
+pub use scenario::{Cell, CellMode, ConfigPoint, Scenario, ScenarioError, WorkloadPoint};

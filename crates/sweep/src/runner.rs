@@ -14,7 +14,7 @@
 //! [`resim_tracegen::TraceCache`].
 
 use crate::report::{CellResult, SweepReport};
-use crate::scenario::{CellMode, Scenario, ScenarioError, StatsMode};
+use crate::scenario::{CellMode, Scenario, ScenarioError};
 use resim_core::Engine;
 use resim_sample::run_sampled;
 use resim_tracegen::{TraceCache, TraceKey};
@@ -254,14 +254,8 @@ impl SweepRunner {
             let cell_t0 = Instant::now();
             let (stats, sampled) = match &mode {
                 CellMode::Full => {
-                    // The grid-wide stats knob: lite grids run on the
-                    // stats-lite engine (validate() already rejected
-                    // lite + sampled combinations).
-                    let mut engine = match scenario.stats_mode() {
-                        StatsMode::Full => Engine::new(config.engine.clone()),
-                        StatsMode::Lite => Engine::new_lite(config.engine.clone()),
-                    }
-                    .expect("scenario validated every config");
+                    let mut engine = Engine::new(config.engine.clone())
+                        .expect("scenario validated every config");
                     (engine.run(cached.trace.source()), None)
                 }
                 CellMode::Sampled(plan) => {

@@ -32,37 +32,6 @@ impl CellMode {
     }
 }
 
-/// How much statistics bookkeeping every cell's engine performs — the
-/// scenario-wide `[sweep] stats = "lite" | "full"` knob.
-///
-/// Unlike [`CellMode`] this is **not** an axis: it applies to the whole
-/// grid, because mixing modes inside one report would make occupancy
-/// columns silently incomparable. [`StatsMode::Lite`] cells run on
-/// [`Engine::new_lite`](resim_core::Engine::new_lite): occupancy
-/// sums/maxima read as zero while every architectural counter stays
-/// bit-identical to a full-stats run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum StatsMode {
-    /// Every statistics field maintained (the historical behaviour).
-    #[default]
-    Full,
-    /// Occupancy and per-stage activity bookkeeping compiled out of the
-    /// cycle loop for throughput.
-    Lite,
-}
-
-impl StatsMode {
-    /// Stable display name (`"full"` / `"lite"`), as scenario files
-    /// spell it.
-    pub fn name(&self) -> &'static str {
-        match self {
-            StatsMode::Full => "full",
-            StatsMode::Lite => "lite",
-        }
-    }
-}
-
-
 /// One engine design point plus the trace-generation configuration its
 /// traces must be produced with (the generator's predictor must match the
 /// engine's for the wrong-path tags to be meaningful, §V.A).
@@ -157,8 +126,6 @@ pub struct Scenario {
     seeds: Vec<u64>,
     /// Execution-mode axis; empty means the implicit `[CellMode::Full]`.
     modes: Vec<CellMode>,
-    /// Grid-wide statistics mode (not an axis; see [`StatsMode`]).
-    stats: StatsMode,
     /// Human-readable notes from grid construction (e.g. a pipeline
     /// substituted because the requested one is unsatisfiable at a
     /// width) — surfaced by the CLI, never silent.
@@ -237,18 +204,6 @@ impl Scenario {
     pub fn modes(mut self, modes: impl IntoIterator<Item = CellMode>) -> Self {
         self.modes = modes.into_iter().collect();
         self
-    }
-
-    /// Sets the grid-wide statistics mode (`[sweep] stats` in a
-    /// scenario file; defaults to [`StatsMode::Full`]).
-    pub fn stats(mut self, stats: StatsMode) -> Self {
-        self.stats = stats;
-        self
-    }
-
-    /// The grid-wide statistics mode.
-    pub fn stats_mode(&self) -> StatsMode {
-        self.stats
     }
 
     /// Attaches grid-construction notes (see [`Scenario::grid_notes`]).
@@ -358,12 +313,6 @@ impl Scenario {
             if let CellMode::Sampled(plan) = m {
                 plan.validate()
                     .map_err(|e| ScenarioError::Mode(m.name(), e))?;
-                // Sampled cells merge windowed statistics — including the
-                // occupancy fields lite mode does not maintain — so the
-                // combination would not be bit-identical to anything.
-                if self.stats == StatsMode::Lite {
-                    return Err(ScenarioError::LiteSampled(m.name()));
-                }
             }
         }
         for c in &self.configs {
@@ -424,13 +373,6 @@ impl Scenario {
         h.write_u64(cell.seed);
         h.write_u64(cell.budget as u64);
         h.write_str(&self.cell_mode(cell).name());
-        // Asymmetric on purpose: full-stats cells hash exactly what they
-        // always hashed, so every fingerprint minted before the stats
-        // knob existed — including the pinned corpus sessions and any
-        // deployed `resim-serve` cache — stays valid.
-        if self.stats == StatsMode::Lite {
-            h.write_str("stats=lite");
-        }
         h.finish()
     }
 
@@ -479,8 +421,6 @@ pub enum ScenarioError {
     Config(String, ConfigError),
     /// A sampled execution mode carries a degenerate plan.
     Mode(String, PlanError),
-    /// `stats = "lite"` combined with a sampled execution mode.
-    LiteSampled(String),
     /// A subset run named a cell index outside the grid.
     CellIndex {
         /// The offending index.
@@ -502,11 +442,6 @@ impl fmt::Display for ScenarioError {
             ScenarioError::ZeroBudget => write!(f, "instruction budgets must be non-zero"),
             ScenarioError::Config(name, e) => write!(f, "config {name:?} is invalid: {e}"),
             ScenarioError::Mode(name, e) => write!(f, "mode {name:?} is invalid: {e}"),
-            ScenarioError::LiteSampled(name) => write!(
-                f,
-                "stats = \"lite\" cannot combine with sampled mode {name:?}: sampled \
-                 simulation merges windowed statistics that lite mode does not maintain"
-            ),
             ScenarioError::CellIndex { index, cells } => {
                 write!(f, "cell index {index} is outside the grid ({cells} cells)")
             }
@@ -632,40 +567,6 @@ mod tests {
             "sampled-u1000d100k10f"
         );
         assert_eq!(CellMode::default(), CellMode::Full);
-    }
-
-    #[test]
-    fn stats_mode_defaults_full_and_marks_lite_fingerprints() {
-        let full = two_by_two();
-        assert_eq!(full.stats_mode(), StatsMode::Full);
-        let lite = two_by_two().stats(StatsMode::Lite);
-        assert_eq!(lite.stats_mode(), StatsMode::Lite);
-        assert!(lite.validate().is_ok());
-        // Lite cells must never hit a full-stats cache entry (and vice
-        // versa): the fingerprint carries the mode.
-        let cell = full.cells()[0];
-        assert_ne!(full.cell_fingerprint(&cell), lite.cell_fingerprint(&cell));
-        assert_eq!(StatsMode::Full.name(), "full");
-        assert_eq!(StatsMode::Lite.name(), "lite");
-        assert_eq!(StatsMode::default(), StatsMode::Full);
-    }
-
-    #[test]
-    fn lite_stats_reject_sampled_modes() {
-        let plan = SamplePlan::systematic(1_000, 200, 2);
-        let s = two_by_two()
-            .stats(StatsMode::Lite)
-            .mode(CellMode::Full)
-            .mode(CellMode::Sampled(plan));
-        let err = s.validate().unwrap_err();
-        assert!(matches!(err, ScenarioError::LiteSampled(_)));
-        assert!(err.to_string().contains("lite"), "{err}");
-        // Full cells alone are fine under lite stats.
-        assert!(two_by_two()
-            .stats(StatsMode::Lite)
-            .mode(CellMode::Full)
-            .validate()
-            .is_ok());
     }
 
     #[test]

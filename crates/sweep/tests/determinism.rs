@@ -189,37 +189,6 @@ fn subset_runs_match_the_full_run_cell_for_cell() {
     assert!(err.to_string().contains("outside the grid"), "{err}");
 }
 
-/// The stats-lite contract at the sweep layer: a lite grid reproduces the
-/// full grid's architectural results exactly — its stable CSV (which
-/// carries no occupancy columns) is byte-identical — while every lite
-/// cell's occupancy words read zero.
-#[test]
-fn lite_sweep_stable_csv_matches_full_byte_for_byte() {
-    use resim_sweep::StatsMode;
-    let scenario = eight_cell_scenario();
-    let full = SweepRunner::new(2).run(&scenario).expect("valid");
-    let lite = SweepRunner::new(2)
-        .run(&eight_cell_scenario().stats(StatsMode::Lite))
-        .expect("valid");
-
-    assert_eq!(full.to_csv_stable(), lite.to_csv_stable());
-
-    // Occupancy words are indices 17..23 of the 42-word vector; lite
-    // zeroes exactly those and nothing else.
-    for (f, l) in full.cells.iter().zip(&lite.cells) {
-        let fw = f.stats.to_words();
-        let lw = l.stats.to_words();
-        for (i, (a, b)) in fw.iter().zip(&lw).enumerate() {
-            if (17..23).contains(&i) {
-                assert_eq!(*b, 0, "word {i} must be zeroed in lite");
-            } else {
-                assert_eq!(a, b, "word {i} drifted between full and lite");
-            }
-        }
-        assert!(fw[17..23].iter().any(|&w| w > 0), "full grid saw occupancy");
-    }
-}
-
 #[test]
 fn cell_fingerprints_key_on_content_not_names() {
     let scenario = eight_cell_scenario();

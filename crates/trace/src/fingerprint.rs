@@ -1,16 +1,18 @@
 //! The workspace's platform-stable content hash: FNV-1a over a
 //! canonical little-endian byte feed.
 //!
-//! Every identity in ReSim — engine-configuration fingerprints,
-//! statistics digests, scenario-cell cache keys, on-disk entry
-//! checksums — hashes the same way, so equal content produces equal
-//! 64-bit words on every platform, process and Rust version (unlike
-//! `std::hash::Hash`, whose hasher is randomized per process).
+//! Every identity in ReSim — trace-generation and engine-configuration
+//! fingerprints, statistics digests, scenario-cell cache keys, on-disk
+//! entry checksums — hashes the same way, so equal content produces
+//! equal 64-bit words on every platform, process and Rust version
+//! (unlike `std::hash::Hash`, whose hasher is randomized per process).
+//! It lives in this leaf crate so every crate above it shares the one
+//! implementation.
 
 /// An incremental FNV-1a 64-bit hasher.
 ///
 /// ```
-/// use resim_core::Fnv64;
+/// use resim_trace::Fnv64;
 ///
 /// let mut h = Fnv64::new();
 /// h.write_u64(2009);

@@ -69,6 +69,7 @@ mod bits;
 mod codec;
 mod codec_v2;
 mod file;
+mod fingerprint;
 mod record;
 mod source;
 mod stats;
@@ -78,6 +79,7 @@ pub use codec::{
     DecodeError, EncodedSource, EncodedTrace, TraceDecoder, TraceEncoder, TRACE_LAYOUT_VERSION,
 };
 pub use codec_v2::TRACE_LAYOUT_VERSION_V2;
+pub use fingerprint::Fnv64;
 pub use file::{
     save_trace_file, FileError, FileSource, TraceFileError, TraceFileHeader,
     SUPPORTED_LAYOUT_VERSIONS, TRACE_CONTAINER_VERSION, TRACE_FILE_MAGIC,

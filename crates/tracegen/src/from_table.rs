@@ -7,6 +7,12 @@ use crate::TraceGenConfig;
 use resim_bpred::PredictorConfig;
 use resim_toml::{Error, Table};
 
+/// Largest accepted wrong-path block length. Each block is buffered
+/// whole while the generator synthesizes it, so an unbounded length from
+/// a scenario file would exhaust memory instead of failing as a
+/// diagnostic.
+const MAX_WRONG_PATH_LEN: usize = 1 << 16;
+
 impl TraceGenConfig {
     /// Builds a generator configuration from a `[tracegen]` table.
     ///
@@ -35,8 +41,9 @@ impl TraceGenConfig {
     ///
     /// # Errors
     ///
-    /// A line-numbered [`Error`] for unknown keys, a zero
-    /// `wrong_path_len`, or predictor sub-table problems.
+    /// A line-numbered [`Error`] for unknown keys, a `wrong_path_len`
+    /// of zero or over 2^16, or
+    /// predictor sub-table problems.
     pub fn from_table(t: &Table) -> Result<Self, Error> {
         t.ensure_only(&["wrong_path_len", "seed", "predictor"])?;
         let base = TraceGenConfig::paper();
@@ -52,6 +59,15 @@ impl TraceGenConfig {
             return Err(Error::new(
                 t.key_line("wrong_path_len"),
                 "wrong_path_len must be at least 1 (the paper uses RB + IFQ = 32)",
+            ));
+        }
+        if config.wrong_path_len > MAX_WRONG_PATH_LEN {
+            return Err(Error::new(
+                t.key_line("wrong_path_len"),
+                format!(
+                    "wrong_path_len {} exceeds the maximum of {MAX_WRONG_PATH_LEN}",
+                    config.wrong_path_len
+                ),
             ));
         }
         Ok(config)
@@ -88,6 +104,8 @@ mod tests {
     #[test]
     fn problems_are_line_numbered() {
         assert_eq!(parse("\nwrong_path_len = 0").unwrap_err().line(), 2);
+        assert!(parse("wrong_path_len = 65536").is_ok());
+        assert_eq!(parse("\nwrong_path_len = 65537").unwrap_err().line(), 2);
         let err = parse("wrongpath = 3").unwrap_err();
         assert!(err.to_string().contains("unknown key"), "{err}");
         assert!(parse("[predictor]\nkind = \"x\"").is_err());

@@ -47,7 +47,7 @@ pub use stream::TraceStream;
 pub use wrongpath::WrongPathSynth;
 
 use resim_bpred::{BranchPredictor, PredictorConfig, Resolution};
-use resim_trace::{Trace, TraceRecord};
+use resim_trace::{Fnv64, Trace, TraceRecord};
 
 /// Configuration of the trace generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,7 +84,7 @@ impl TraceGenConfig {
 
     /// A deterministic 64-bit fingerprint of this configuration.
     ///
-    /// FNV-1a over a canonical little-endian field serialization —
+    /// [`Fnv64`] over a canonical little-endian field serialization —
     /// stable across platforms, processes and Rust versions (unlike
     /// `Hash`, whose hasher is randomized). Stored in the on-disk trace
     /// container header
@@ -105,38 +105,30 @@ impl TraceGenConfig {
     pub fn fingerprint(&self) -> u64 {
         use resim_bpred::DirectionConfig;
 
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = Fnv64::new();
         match self.predictor.direction {
-            DirectionConfig::Perfect => eat(&[0]),
-            DirectionConfig::Taken => eat(&[1]),
-            DirectionConfig::NotTaken => eat(&[2]),
+            DirectionConfig::Perfect => h.write_u8(0),
+            DirectionConfig::Taken => h.write_u8(1),
+            DirectionConfig::NotTaken => h.write_u8(2),
             DirectionConfig::Bimodal { size } => {
-                eat(&[3]);
-                eat(&(size as u64).to_le_bytes());
+                h.write_u8(3);
+                h.write_u64(size as u64);
             }
             DirectionConfig::TwoLevel(t) => {
-                eat(&[4]);
-                eat(&(t.l1_size as u64).to_le_bytes());
-                eat(&t.history_bits.to_le_bytes());
-                eat(&(t.l2_size as u64).to_le_bytes());
-                eat(&[u8::from(t.xor)]);
-                eat(&t.counter_bits.to_le_bytes());
+                h.write_u8(4);
+                h.write_u64(t.l1_size as u64);
+                h.write(&t.history_bits.to_le_bytes());
+                h.write_u64(t.l2_size as u64);
+                h.write_u8(u8::from(t.xor));
+                h.write(&t.counter_bits.to_le_bytes());
             }
         }
-        eat(&(self.predictor.btb.entries as u64).to_le_bytes());
-        eat(&(self.predictor.btb.associativity as u64).to_le_bytes());
-        eat(&(self.predictor.ras_entries as u64).to_le_bytes());
-        eat(&(self.wrong_path_len as u64).to_le_bytes());
-        eat(&self.seed.to_le_bytes());
-        hash
+        h.write_u64(self.predictor.btb.entries as u64);
+        h.write_u64(self.predictor.btb.associativity as u64);
+        h.write_u64(self.predictor.ras_entries as u64);
+        h.write_u64(self.wrong_path_len as u64);
+        h.write_u64(self.seed);
+        h.finish()
     }
 }
 

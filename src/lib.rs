@@ -74,7 +74,7 @@ pub mod prelude {
     pub use resim_core::{
         block_diagram, Checkpoint, CoreState, Engine, EngineConfig, MinorCycleScheduler,
         MultiCore, PipelineDescription, PipelineOrganization, SimStats, SlotExpr, SlotSpec,
-        Stage, StageRow, TraceCursor,
+        StageRow, TraceCursor,
     };
     pub use resim_fpga::{
         effective_mips, AreaModel, FpgaDevice, ThroughputModel, TraceLink,
