@@ -16,9 +16,16 @@
 //! | `ablation` | §IV parallel-fetch ablation + pipeline/width sweeps |
 //! | `bandwidth` | §V trace-link feasibility analysis |
 //! | `sampling` | sampled-vs-full IPC error and speedup (`resim-sample`) |
+//! | `throughput_table` | host throughput: frontends, workloads, recorder, components |
+//! | `bench_guard` | CI gate: engine throughput per frontend vs `BENCH_BASELINE.json` |
+//!
+//! Both host-speed binaries time through [`timing`]: best-of-N rates
+//! over one trace supplied as a slice, a v1 encoding and a file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod timing;
 
 use resim_core::{Engine, EngineConfig, SimStats};
 use resim_fpga::{FpgaDevice, SimulationSpeed, ThroughputModel};

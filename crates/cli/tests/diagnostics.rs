@@ -290,3 +290,79 @@ fn the_removed_sweep_stats_key_is_an_unknown_key() {
         }
     }
 }
+
+/// Every penalty and latency key, as the section that holds it plus the
+/// key's name in diagnostics; each scenario line sets `key = {v}`.
+const TIMING_KEYS: [(&str, &str); 10] = [
+    ("[engine]", "mispredict_penalty"),
+    ("[engine]", "misfetch_penalty"),
+    ("[engine.fu]", "alu_latency"),
+    ("[engine.fu]", "mult_latency"),
+    ("[engine.fu]", "div_latency"),
+    ("[engine.memory]", "latency"),
+    ("[engine.memory.l1i]", "l1i.hit_latency"),
+    ("[engine.memory.l1i]", "l1i.miss_penalty"),
+    ("[engine.memory.l1d]", "l1d.hit_latency"),
+    ("[engine.memory.l1d]", "l1d.miss_penalty"),
+];
+
+/// The `[engine]` sections setting every key of `keys` to `value`, with
+/// split caches when any key lives under an L1 table.
+fn timing_sections(keys: &[(&str, &str)], value: &str) -> String {
+    let mut out = String::new();
+    let mut last = "";
+    for &(section, key) in keys {
+        if section.starts_with("[engine.memory.l1") && !out.contains("kind = \"split\"") {
+            out.push_str("[engine.memory]\nkind = \"split\"\n");
+        }
+        if section != last {
+            out.push_str(&format!("{section}\n"));
+            last = section;
+        }
+        let name = key.rsplit('.').next().unwrap();
+        out.push_str(&format!("{name} = {value}\n"));
+    }
+    out
+}
+
+#[test]
+fn oversized_timing_keys_are_diagnostics_not_crashes() {
+    // An unbounded penalty or latency stalls the pipeline past the
+    // deadlock watchdog (a panic) or, near u32::MAX, for hours. The
+    // engine table, line 1, carries the diagnostic; a sweep's carries it
+    // at its `[sweep.grid.base]` line.
+    let sweep = "[sweep]\nworkloads = [\"gzip\"]\nbudgets = [500]\nseeds = [1]\n\
+                 [sweep.grid]\nrb_sizes = [16]\n";
+    for value in ["16385", "4294967295"] {
+        for (i, entry) in TIMING_KEYS.iter().enumerate() {
+            let (_, key) = entry;
+            let scenario = timing_sections(std::slice::from_ref(entry), value);
+            let (code, out, err) = run_on(&format!("slow-{i}-{value}"), &scenario, &["run"]);
+            assert_eq!(code, 1, "{key} = {value}: stdout: {out}\nstderr: {err}");
+            assert!(err.contains("s.toml:1:"), "{key} = {value}: {err}");
+            assert!(err.contains(key), "{key} = {value}: {err}");
+        }
+        let scenario = format!("{sweep}[sweep.grid.base]\nmispredict_penalty = {value}\n");
+        let (code, _, err) = run_on(&format!("slow-sweep-{value}"), &scenario, &["sweep"]);
+        assert_eq!(code, 1, "{err}");
+        assert!(err.contains("s.toml:7:") && err.contains("mispredict_penalty"), "{err}");
+    }
+}
+
+#[test]
+fn every_timing_key_at_its_bound_completes_on_every_workload() {
+    // Both memory systems, every penalty and latency at the 2^14 bound
+    // together: slow, but it must simulate to completion.
+    for keys in [&TIMING_KEYS[..6], &[&TIMING_KEYS[..5], &TIMING_KEYS[6..]].concat()] {
+        for workload in ["gzip", "bzip2", "parser", "vortex", "vpr"] {
+            let scenario = format!(
+                "{}[workload]\nname = \"{workload}\"\nbudget = 300\n",
+                timing_sections(keys, "16384")
+            );
+            let (code, out, err) = run_on(&format!("bound-{workload}"), &scenario, &["run"]);
+            assert_eq!(code, 0, "{workload}: stdout: {out}\nstderr: {err}");
+            let committed = out.lines().find_map(|l| l.strip_prefix("sim_num_insn"));
+            assert_eq!(committed.map(str::trim), Some("300"), "{workload}: {out}");
+        }
+    }
+}

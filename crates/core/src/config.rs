@@ -138,13 +138,23 @@ impl EngineConfig {
     /// above any machine the paper's engine models.
     pub const MAX_ENTRIES: usize = 1 << 16;
 
+    /// Upper bound, in cycles, on every penalty and latency: the
+    /// misfetch and mispredict penalties, the FU latencies, the perfect
+    /// memory latency and the L1 hit latencies and miss penalties. One
+    /// such delay must stay far below the engine's deadlock watchdog
+    /// (200 000 cycles without a commit), or a slow but valid machine
+    /// would trip it; the largest value any shipped configuration uses
+    /// is 20.
+    pub const MAX_LATENCY: u32 = 1 << 14;
+
     /// Validates structural consistency.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] when sizes are zero, a queue size or
     /// functional-unit count exceeds [`EngineConfig::MAX_ENTRIES`], the
-    /// RB cannot cover one dispatch group, the pipeline description
+    /// RB cannot cover one dispatch group, a penalty or latency exceeds
+    /// [`EngineConfig::MAX_LATENCY`], the pipeline description
     /// cannot build a schedule grid at this width, or the first-slot
     /// load restriction's memory-port precondition (≤ N−1 ports, §IV.B)
     /// is violated.
@@ -194,6 +204,31 @@ impl EngineConfig {
                     max: Self::MAX_ENTRIES,
                 });
             }
+        }
+        let memory = match self.memory {
+            // One delay; repeated to the split system's four.
+            MemorySystemConfig::Perfect { latency } => [("latency", latency); 4],
+            MemorySystemConfig::Split { l1i, l1d } => [
+                ("l1i.hit_latency", l1i.hit_latency),
+                ("l1i.miss_penalty", l1i.miss_penalty),
+                ("l1d.hit_latency", l1d.hit_latency),
+                ("l1d.miss_penalty", l1d.miss_penalty),
+            ],
+        };
+        let latencies = [
+            ("misfetch_penalty", self.misfetch_penalty),
+            ("mispredict_penalty", self.mispredict_penalty),
+            ("alu_latency", self.fus.alu_latency),
+            ("mult_latency", self.fus.mult_latency),
+            ("div_latency", self.fus.div_latency),
+        ];
+        let too_large = latencies.into_iter().chain(memory).find(|&(_, v)| v > Self::MAX_LATENCY);
+        if let Some((field, value)) = too_large {
+            return Err(ConfigError::LatencyTooLarge {
+                field,
+                value,
+                max: Self::MAX_LATENCY,
+            });
         }
         self.pipeline
             .validate_at(self.width)
@@ -354,6 +389,15 @@ pub enum ConfigError {
         /// The largest accepted value.
         max: usize,
     },
+    /// A penalty or latency exceeds [`EngineConfig::MAX_LATENCY`] cycles.
+    LatencyTooLarge {
+        /// The offending field, as scenario files spell it.
+        field: &'static str,
+        /// Its configured value, in cycles.
+        value: u32,
+        /// The largest accepted value.
+        max: u32,
+    },
     /// A pipeline barring loads from its first issue slot requires
     /// ≤ N−1 memory ports (§IV.B; the optimized N+3 organization).
     OptimizedPortLimit {
@@ -365,9 +409,6 @@ pub enum ConfigError {
     /// The pipeline description cannot build a schedule grid for this
     /// configuration.
     Pipeline(DescriptionError),
-    /// A multi-core set needs at least one core
-    /// ([`MultiCore`](crate::MultiCore)).
-    ZeroCores,
 }
 
 impl fmt::Display for ConfigError {
@@ -398,6 +439,9 @@ impl fmt::Display for ConfigError {
             ConfigError::TooLarge { field, value, max } => {
                 write!(f, "{field} of {value} exceeds the maximum of {max}")
             }
+            ConfigError::LatencyTooLarge { field, value, max } => {
+                write!(f, "{field} of {value} cycles exceeds the maximum of {max}")
+            }
             ConfigError::OptimizedPortLimit { ports, width } => write!(
                 f,
                 "a pipeline that bars loads from the first issue slot allows at most {} \
@@ -405,7 +449,6 @@ impl fmt::Display for ConfigError {
                 width.saturating_sub(1)
             ),
             ConfigError::Pipeline(e) => write!(f, "invalid pipeline description: {e}"),
-            ConfigError::ZeroCores => write!(f, "a multi-core set needs at least one core"),
         }
     }
 }
@@ -461,6 +504,32 @@ mod tests {
         assert_eq!(
             over.validate(),
             Err(ConfigError::TooLarge { field: "lsq_size", value: max + 1, max })
+        );
+    }
+
+    #[test]
+    fn penalties_and_latencies_are_bounded() {
+        let max = EngineConfig::MAX_LATENCY;
+        let mut cached = EngineConfig {
+            mispredict_penalty: max,
+            fus: FuConfig { div_latency: max, ..FuConfig::paper() },
+            ..EngineConfig::paper_2wide_cached()
+        };
+        assert_eq!(cached.validate(), Ok(()));
+        if let MemorySystemConfig::Split { l1d, .. } = &mut cached.memory {
+            l1d.miss_penalty = max + 1;
+        }
+        assert_eq!(
+            cached.validate(),
+            Err(ConfigError::LatencyTooLarge { field: "l1d.miss_penalty", value: max + 1, max })
+        );
+        let perfect = EngineConfig {
+            memory: MemorySystemConfig::Perfect { latency: u32::MAX },
+            ..EngineConfig::paper_4wide()
+        };
+        assert_eq!(
+            perfect.validate(),
+            Err(ConfigError::LatencyTooLarge { field: "latency", value: u32::MAX, max })
         );
     }
 

@@ -61,7 +61,6 @@ mod engine;
 mod from_table;
 mod grid;
 mod lsq;
-mod multicore;
 mod pipeline;
 mod rob;
 mod scheduler;
@@ -82,7 +81,6 @@ pub use description::{
 pub use engine::Engine;
 pub use grid::ConfigGrid;
 pub use lsq::{LoadReady, LoadStoreQueue, LsqEntry};
-pub use multicore::{MultiCore, MultiCoreError};
 pub use pipeline::{PipelineOrganization, Schedule, ScheduleRow};
 pub use rob::{InstState, PendingSet, ReorderBuffer, RobEntry, RobEntryMut, RobEntryView};
 pub use scheduler::MinorCycleScheduler;

@@ -1,31 +1,14 @@
-//! A minimal, dependency-free JSON writer.
+//! A minimal JSON writer for the pretty, golden-pinned metrics schema.
 //!
 //! The workspace has no serde (no crates.io access), and the metrics
 //! schema is small and fixed, so a push-style writer is all the
 //! exporters need. Emission order is exactly call order — which is what
-//! makes the output golden-pinnable byte for byte.
+//! makes the output golden-pinnable byte for byte. Strings are escaped
+//! by the same routine as the compact wire-protocol writer,
+//! [`resim_toml::json::render_json_string`].
 
+use resim_toml::json::render_json_string;
 use std::fmt::Write as _;
-
-/// Escapes `s` for inclusion inside a JSON string literal (quotes not
-/// included).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Formats an `f64` deterministically for the metrics schema: six
 /// decimal places, non-finite values clamped to `0.0`.
@@ -74,14 +57,15 @@ impl JsonObject {
         }
         self.newline();
         if let Some(key) = key {
-            let _ = write!(self.out, "\"{}\": ", json_escape(key));
+            render_json_string(key, &mut self.out);
+            self.out.push_str(": ");
         }
     }
 
     /// Adds `"key": "value"`.
     pub fn string(&mut self, key: &str, value: &str) -> &mut Self {
         self.member(Some(key));
-        let _ = write!(self.out, "\"{}\"", json_escape(value));
+        render_json_string(value, &mut self.out);
         self
     }
 
@@ -183,13 +167,6 @@ impl Default for JsonObject {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_covers_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain"), "plain");
-    }
 
     #[test]
     fn nested_document_renders_deterministically() {

@@ -25,7 +25,8 @@
 //!   export schema ([`METRICS_SCHEMA`] JSON, [`EVENTS_SCHEMA`] JSONL)
 //!   that `resim profile` writes and a future `resim-serve` streams.
 //!
-//! The crate is dependency-free and knows nothing about the engine; the
+//! The crate depends only on `resim-toml` (for its JSON string escaper)
+//! and knows nothing about the engine; the
 //! engine (`resim-core`) is generic over `R: Recorder` and defaults to
 //! [`NullRecorder`], which is what keeps the bit-identity contract
 //! trivial: a recorder only ever *observes*, it never feeds back into
@@ -45,6 +46,6 @@ pub use doc::{
     EVENTS_SCHEMA, METRICS_SCHEMA,
 };
 pub use journal::{Event, EventJournal, DEFAULT_JOURNAL_CAPACITY};
-pub use json::{json_escape, JsonObject};
+pub use json::JsonObject;
 pub use metrics::{GaugeSummary, MetricsRecorder, OccupancyTrack, Pow2Histogram, SpanSummary};
 pub use recorder::{CacheKind, Counter, EventKind, Gauge, Hist, NullRecorder, Recorder, SpanId};

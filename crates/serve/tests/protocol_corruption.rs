@@ -214,12 +214,20 @@ fn oversized_sizes_and_removed_keys_are_bad_scenarios_and_the_next_job_completes
     let sweep = "[sweep]\nworkloads = [\"gzip\"]\nbudgets = [2000]\nseeds = [1]\n\
                  [sweep.grid]\nrb_sizes = [16]\n";
     let mut client = Client::connect(&addr).expect("connect");
-    // An unbounded rb_size would abort the whole server out of memory;
-    // `stats` is not a [sweep] key.
+    // An unbounded rb_size would abort the whole server out of memory,
+    // and an unbounded penalty would wedge its executor (the deadlock
+    // watchdog, or hours of stalled cycles); `stats` is not a [sweep] key.
     let oversized = format!("{sweep}[sweep.grid.base]\nrb_size = 1099511627776\n");
+    let penalty = format!("{sweep}[sweep.grid.base]\nmispredict_penalty = 1000000\n");
+    let miss = format!(
+        "{sweep}[sweep.grid.base.memory]\nkind = \"split\"\n\
+         [sweep.grid.base.memory.l1d]\nmiss_penalty = 4294967295\n"
+    );
     let removed = sweep.replace("[sweep]\n", "[sweep]\nstats = \"lite\"\n");
     let cases = [
         (oversized, "exceeds the maximum"),
+        (penalty, "mispredict_penalty of 1000000 cycles exceeds the maximum of 16384"),
+        (miss, "l1d.miss_penalty of 4294967295 cycles exceeds the maximum"),
         (removed, "unknown key \"stats\""),
     ];
     for (bad, expected) in &cases {

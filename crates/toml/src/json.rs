@@ -165,8 +165,11 @@ impl JsonValue {
     }
 }
 
-/// Escapes and quotes `s` into `out` per JSON string rules.
-fn render_json_string(s: &str, out: &mut String) {
+/// Escapes and quotes `s` into `out` per JSON string rules: `"` and
+/// `\` are backslash-escaped, `\n`, `\r` and `\t` get their short
+/// forms, other control characters become `\u00XX`, and everything
+/// else is copied as is.
+pub fn render_json_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -493,6 +496,20 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn quoted(s: &str) -> String {
+        let mut out = String::new();
+        render_json_string(s, &mut out);
+        out
+    }
+
+    #[test]
+    fn string_escape_covers_specials() {
+        assert_eq!(quoted("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(quoted("\r\t"), "\"\\r\\t\"");
+        assert_eq!(quoted("\u{1}"), "\"\\u0001\"");
+        assert_eq!(quoted("plain"), "\"plain\"");
+    }
 
     #[test]
     fn scalars_parse() {

@@ -73,8 +73,8 @@ pub mod prelude {
     pub use resim_bpred::{BranchPredictor, PredictorConfig};
     pub use resim_core::{
         block_diagram, Checkpoint, CoreState, Engine, EngineConfig, MinorCycleScheduler,
-        MultiCore, PipelineDescription, PipelineOrganization, SimStats, SlotExpr, SlotSpec,
-        StageRow, TraceCursor,
+        PipelineDescription, PipelineOrganization, SimStats, SlotExpr, SlotSpec, StageRow,
+        TraceCursor,
     };
     pub use resim_fpga::{
         effective_mips, AreaModel, FpgaDevice, ThroughputModel, TraceLink,
