@@ -38,6 +38,7 @@
 //! numbers (the restart-persistence test pins this).
 
 use crate::protocol::fingerprint_hex;
+use crate::recover;
 use resim_core::{Fnv64, SimStats, SIM_STATS_FIELDS};
 use resim_sweep::CellResult;
 use std::collections::HashMap;
@@ -423,7 +424,7 @@ impl ResultCache {
 
     /// Entries currently held in memory.
     pub fn len(&self) -> usize {
-        self.mem.lock().expect("cache map poisoned").len()
+        recover(self.mem.lock()).len()
     }
 
     /// Whether the in-memory map is empty.
@@ -441,12 +442,7 @@ impl ResultCache {
     /// Looks a cell up by fingerprint: memory first, then disk (a disk
     /// hit is validated and promoted to memory).
     pub fn lookup(&self, fingerprint: u64) -> Lookup {
-        if let Some(cell) = self
-            .mem
-            .lock()
-            .expect("cache map poisoned")
-            .get(&fingerprint)
-        {
+        if let Some(cell) = recover(self.mem.lock()).get(&fingerprint) {
             return Lookup::Memory(cell.clone());
         }
         let Some(path) = self.entry_path(fingerprint) else {
@@ -467,10 +463,7 @@ impl ResultCache {
                 found: cell.fingerprint,
             });
         }
-        self.mem
-            .lock()
-            .expect("cache map poisoned")
-            .insert(fingerprint, cell.clone());
+        recover(self.mem.lock()).insert(fingerprint, cell.clone());
         Lookup::Disk(cell)
     }
 
@@ -485,10 +478,7 @@ impl ResultCache {
     pub fn insert(&self, cell: CachedCell) -> io::Result<()> {
         let fingerprint = cell.fingerprint;
         let bytes = cell.to_bytes();
-        self.mem
-            .lock()
-            .expect("cache map poisoned")
-            .insert(fingerprint, cell);
+        recover(self.mem.lock()).insert(fingerprint, cell);
         if let Some(path) = self.entry_path(fingerprint) {
             let tmp = path.with_extension("rsce.tmp");
             fs::write(&tmp, &bytes)?;
@@ -652,5 +642,18 @@ mod tests {
             })
         ));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_poisoned_map_keeps_serving() {
+        let cache = ResultCache::in_memory();
+        cache.insert(cell(1)).unwrap();
+        crate::poison(&cache.mem);
+
+        assert!(matches!(cache.lookup(1), Lookup::Memory(c) if c == cell(1)));
+        assert_eq!(cache.lookup(2), Lookup::Miss);
+        cache.insert(cell(2)).unwrap();
+        assert!(matches!(cache.lookup(2), Lookup::Memory(_)));
+        assert_eq!(cache.len(), 2);
     }
 }

@@ -1,7 +1,7 @@
 //! A small blocking client — what `resim submit` and the test battery
 //! drive the server with.
 
-use crate::protocol::object;
+use crate::protocol::{object, write_frame};
 use resim_toml::json::{parse_json, JsonValue};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
@@ -60,6 +60,7 @@ impl Client {
     /// The connect error.
     pub fn connect(addr: &str) -> io::Result<Self> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Self { reader, writer })
     }
@@ -71,19 +72,10 @@ impl Client {
         request: JsonValue,
         mut on_event: impl FnMut(&JsonValue),
     ) -> Result<JsonValue, ClientError> {
-        let mut line = request.render();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()?;
+        write_frame(&mut self.writer, &request.render())?;
         loop {
-            let mut buf = String::new();
-            if self.reader.read_line(&mut buf)? == 0 {
-                return Err(ClientError::Protocol(
-                    "connection closed before a response arrived".to_string(),
-                ));
-            }
-            let value = parse_json(buf.trim_end_matches('\n'))
-                .map_err(|e| ClientError::Protocol(e.to_string()))?;
+            let buf = self.read_line()?;
+            let value = parse_json(&buf).map_err(|e| ClientError::Protocol(e.to_string()))?;
             if value.get("event").is_some() {
                 on_event(&value);
                 continue;
@@ -204,15 +196,25 @@ impl Client {
     /// Transport errors, or [`ClientError::Protocol`] when the
     /// connection closes without a line.
     pub fn raw(&mut self, bytes: &[u8]) -> Result<String, ClientError> {
+        // Deliberately not `write_frame`: the bytes go out exactly as
+        // given, in one write, framed or not.
         self.writer.write_all(bytes)?;
         self.writer.flush()?;
+        self.read_line()
+    }
+
+    /// Reads one response line, newline stripped.
+    fn read_line(&mut self) -> Result<String, ClientError> {
         let mut buf = String::new();
         if self.reader.read_line(&mut buf)? == 0 {
             return Err(ClientError::Protocol(
-                "connection closed without a response".to_string(),
+                "connection closed before a response arrived".to_string(),
             ));
         }
-        Ok(buf.trim_end_matches('\n').to_string())
+        if buf.ends_with('\n') {
+            buf.pop();
+        }
+        Ok(buf)
     }
 }
 

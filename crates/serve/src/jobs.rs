@@ -15,6 +15,7 @@
 //! Parallelism lives *inside* a job (the sweep runner's worker pool),
 //! where it is deterministic.
 
+use crate::recover;
 use resim_sweep::ScenarioDoc;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
@@ -163,10 +164,7 @@ impl JobTable {
             if inner.closed {
                 return None;
             }
-            inner = self
-                .changed
-                .wait(inner)
-                .expect("job table poisoned");
+            inner = recover(self.changed.wait(inner));
         }
     }
 
@@ -212,10 +210,7 @@ impl JobTable {
             if entry.version > seen_version || entry.state.terminal() {
                 return Some(snapshot(id, entry));
             }
-            inner = self
-                .changed
-                .wait(inner)
-                .expect("job table poisoned");
+            inner = recover(self.changed.wait(inner));
         }
     }
 
@@ -230,7 +225,7 @@ impl JobTable {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("job table poisoned")
+        recover(self.inner.lock())
     }
 }
 
@@ -337,5 +332,29 @@ mod tests {
         table.finish(id, Ok(outcome()));
         let s = waiter.join().unwrap();
         assert!(s.terminal());
+    }
+
+    #[test]
+    fn a_poisoned_table_keeps_serving() {
+        let table = std::sync::Arc::new(JobTable::new());
+        let id = table.submit(ScenarioDoc::default());
+        crate::poison(&table.inner);
+
+        let (got, _) = table.take_next().unwrap();
+        assert_eq!(got, id);
+        assert_eq!(table.status(id).unwrap().state, "running");
+        let second = table.submit(ScenarioDoc::default());
+        assert_eq!(table.status(second).unwrap().state, "queued");
+        // A waiter parked on the condvar wakes through the poisoned
+        // mutex too.
+        let seen = table.status(id).unwrap().version;
+        let waiter = {
+            let table = table.clone();
+            std::thread::spawn(move || table.wait_change(id, seen).unwrap())
+        };
+        table.finish(id, Ok(outcome()));
+        assert!(waiter.join().unwrap().terminal());
+        table.close();
+        assert!(table.take_next().is_none());
     }
 }

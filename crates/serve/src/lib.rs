@@ -16,6 +16,14 @@
 //! oversized lines — is answered with such an error, never a panic or
 //! a hang (the corruption battery pins this).
 //!
+//! Each side writes a frame, line and newline, as one buffer in one
+//! write ([`protocol::write_frame`]), and both set `TCP_NODELAY`, so a
+//! response leaves as soon as it is written. Under Nagle's algorithm,
+//! a segment written while the previous one is unacknowledged (the
+//! second half of a split write, or the next streamed progress event)
+//! waits for the client's delayed ACK, about 40 ms: far longer than
+//! the protocol work itself.
+//!
 //! ## The result cache
 //!
 //! Results are **content-addressed** (see [`cache`]): the unit is one
@@ -56,3 +64,31 @@ pub use client::{Client, ClientError};
 pub use jobs::{JobOutcome, JobStatus, JobTable};
 pub use protocol::{ErrorCode, Request, WireError, MAX_FRAME, SERVE_SCHEMA};
 pub use server::{Server, SERVER_VERSION};
+
+use std::sync::{LockResult, PoisonError};
+
+/// Takes the guard out of a lock or condvar-wait result, poisoned or
+/// not. A thread that panicked while holding one of this crate's locks
+/// fails alone: every critical section here is a short map insert or
+/// lookup, queue step or counter update, so the data behind a poisoned
+/// lock is still consistent, and refusing it would turn one failed job
+/// into a server whose every later request panics.
+pub(crate) fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Poisons `mutex` the way a failing job would: a thread panics while
+/// holding it.
+#[cfg(test)]
+pub(crate) fn poison<T: Send>(mutex: &std::sync::Mutex<T>) {
+    std::thread::scope(|s| {
+        let panicked = s
+            .spawn(|| {
+                let _guard = mutex.lock();
+                panic!("poisoning the lock on purpose");
+            })
+            .join();
+        assert!(panicked.is_err());
+    });
+    assert!(mutex.is_poisoned());
+}

@@ -14,7 +14,7 @@
 //! panic and never a hang.
 
 use resim_toml::json::{parse_json, JsonValue};
-use std::io::{self, BufRead, Read as _};
+use std::io::{self, BufRead, Read as _, Write};
 
 /// Upper bound on one request frame, newline included. A scenario file
 /// is a few KiB; anything near this limit is garbage or abuse, and the
@@ -223,6 +223,26 @@ pub fn read_frame(reader: &mut impl BufRead) -> Result<Option<String>, FrameErro
         .map_err(|_| FrameError::BadUtf8)
 }
 
+/// Writes one frame: `line` and its terminating `'\n'` as a single
+/// buffer in a single `write_all`, the mirror of [`read_frame`].
+///
+/// One write per frame matters on a TCP stream: a trailing one-byte
+/// `"\n"` sent as a second segment is exactly what Nagle's algorithm
+/// holds back until the peer's delayed ACK fires (about 40 ms). The
+/// server and client also set `TCP_NODELAY`, so a frame leaves as soon
+/// as it is written.
+///
+/// # Errors
+///
+/// The transport's write or flush error.
+pub fn write_frame(writer: &mut impl Write, line: &str) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    writer.write_all(&frame)?;
+    writer.flush()
+}
+
 /// Builds a JSON object from `(key, value)` pairs, insertion-ordered.
 pub fn object(fields: Vec<(&str, JsonValue)>) -> JsonValue {
     JsonValue::Object(
@@ -369,5 +389,30 @@ mod tests {
             line,
             r#"{"ok":true,"job":4,"fingerprint":"00000000000000ab"}"#
         );
+    }
+
+    #[test]
+    fn a_written_frame_is_one_write_that_reads_back() {
+        #[derive(Default)]
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes::default();
+        write_frame(&mut w, r#"{"ok":true}"#).unwrap();
+        assert_eq!(
+            w.0,
+            vec![b"{\"ok\":true}\n".to_vec()],
+            "line and newline in one write"
+        );
+        let mut r = io::Cursor::new(w.0.concat());
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(r#"{"ok":true}"#));
+        assert_eq!(read_frame(&mut r).unwrap(), None);
     }
 }

@@ -4,13 +4,14 @@
 use crate::cache::{CachedCell, Lookup, ResultCache};
 use crate::jobs::{JobOutcome, JobStatus, JobTable};
 use crate::protocol::{
-    fingerprint_hex, object, ok_response, parse_request, read_frame, ErrorCode, FrameError,
-    Request, WireError, SERVE_SCHEMA,
+    fingerprint_hex, object, ok_response, parse_request, read_frame, write_frame, ErrorCode,
+    FrameError, Request, WireError, SERVE_SCHEMA,
 };
+use crate::recover;
 use resim_obs::{Counter, MetricsRecorder, Recorder as _};
 use resim_sweep::{stable_csv_header, ScenarioDoc, SweepRunner};
 use resim_toml::json::JsonValue;
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -78,7 +79,7 @@ impl Server {
 
     /// Current value of one serve counter.
     pub fn counter(&self, c: Counter) -> u64 {
-        self.metrics.lock().expect("metrics poisoned").counter_value(c)
+        recover(self.metrics.lock()).counter_value(c)
     }
 
     /// Serves until a `shutdown` verb arrives; every connection gets
@@ -108,7 +109,7 @@ impl Server {
     }
 
     fn bump(&self, c: Counter, by: u64) {
-        self.metrics.lock().expect("metrics poisoned").counter(c, by);
+        recover(self.metrics.lock()).counter(c, by);
     }
 
     /// The serial executor: pops jobs in submission order, runs each
@@ -199,6 +200,10 @@ impl Server {
     /// One connection: frames in, responses out, until EOF or an
     /// unframeable error.
     fn handle(&self, stream: TcpStream) {
+        // Without this, a response written while the previous one is
+        // still unacknowledged waits out the peer's delayed ACK: a
+        // 40 ms floor under every round trip after the first.
+        let _ = stream.set_nodelay(true);
         let Ok(read_half) = stream.try_clone() else {
             return;
         };
@@ -310,7 +315,7 @@ impl Server {
             }
             Request::Metrics => {
                 let counters: Vec<(&str, JsonValue)> = {
-                    let m = self.metrics.lock().expect("metrics poisoned");
+                    let m = recover(self.metrics.lock());
                     Counter::ALL
                         .iter()
                         .map(|&c| (c.name(), JsonValue::Int(m.counter_value(c) as i64)))
@@ -394,9 +399,5 @@ fn progress_event(s: &JobStatus) -> String {
 
 /// Writes one response line; `false` when the peer is gone.
 fn send(writer: &mut TcpStream, line: &str) -> bool {
-    writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-        .is_ok()
+    write_frame(writer, line).is_ok()
 }

@@ -4,6 +4,9 @@
 //! Run with `cargo run --release -p resim-sweep --example smoke`.
 //! Exits non-zero (panics) if any cell misbehaves, so CI can gate on it.
 
+// A CI program, not library code: printing its report is its job.
+#![allow(clippy::disallowed_macros)]
+
 use resim_core::EngineConfig;
 use resim_sweep::{Scenario, SweepRunner, WorkloadPoint};
 use resim_tracegen::TraceGenConfig;
