@@ -79,7 +79,7 @@ pub fn block_diagram(config: &EngineConfig) -> String {
         mfp = config.misfetch_penalty,
         mpp = config.mispredict_penalty,
         pipe = config.pipeline,
-        minor = scheduler.minor_cycles_per_major(),
+        minor = config.minor_cycles_per_major(),
         roster = scheduler.roster().join(" -> "),
     )
 }

@@ -5,10 +5,12 @@
 //! simulated pipeline and returns `sim-outorder`-style statistics. The
 //! engine itself is a thin shell with one cycle loop: the
 //! microarchitectural structures live in [`CoreState`], and the
-//! [`MinorCycleScheduler`] holds the six pipeline stages, calls them
-//! directly in the fixed evaluation order and does the per-organization
-//! minor-cycle accounting (Figures 2–4). Trace records arrive through
-//! the ring-buffered, batch-decoding [`TraceCursor`].
+//! [`MinorCycleScheduler`] holds the six pipeline stages and calls them
+//! directly in the fixed evaluation order. The per-organization
+//! minor-cycle cost (Figures 2–4) is fixed at construction and charged
+//! when statistics are read ([`SimStats::with_minor_cycle_cost`]).
+//! Trace records arrive through the ring-buffered, batch-decoding
+//! [`TraceCursor`].
 //!
 //! ## Mis-speculation
 //!
@@ -231,11 +233,11 @@ impl<R: Recorder> Engine<R> {
     }
 
     /// Advances one simulated (major) cycle: the scheduler evaluates the
-    /// stage roster, then the state closes the cycle with occupancy and
-    /// minor-cycle accounting.
+    /// stage roster, then the state closes the cycle with occupancy
+    /// accounting.
     fn step<S: TraceSource>(&mut self, cursor: &mut TraceCursor<S>) {
-        let minors = self.scheduler.step(&mut self.state, cursor);
-        self.state.finish_cycle(minors);
+        self.scheduler.step(&mut self.state, cursor);
+        self.state.finish_cycle();
     }
 
     fn check_watchdog(&self) {

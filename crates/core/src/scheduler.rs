@@ -4,20 +4,22 @@
 //! serially, splitting each **major** (simulated) cycle into **minor**
 //! (engine clock) cycles, and §IV develops three organizations of the
 //! same stages onto minor-cycle grids (Figures 2–4). The scheduler owns
-//! both halves of that story for one engine instance:
+//! the **stages and their evaluation order** for one engine instance —
+//! one unit of each of the six stages, called directly once per major
+//! cycle in the fixed architectural order (see the `stages` module for
+//! why the order is organization-independent). The roster never varies,
+//! so it is bound when the engine is built rather than dispatched at run
+//! time.
 //!
-//! * the **stages and their evaluation order** — one unit of each of the
-//!   six stages, called directly once per major cycle in the fixed
-//!   architectural order (see the `stages` module for why the order is
-//!   organization-independent). The roster never varies, so it is bound
-//!   when the engine is built rather than dispatched at run time;
-//! * the **minor-cycle cost** of a major cycle — *derived from the
-//!   description's schedule grid* (the highest occupied slot across
-//!   stage rows, plus one), not from the closed-form `2N+3` / `N+4` /
-//!   `N+3` formulas. The formulas remain in
-//!   [`PipelineOrganization`](crate::PipelineOrganization) as the
-//!   paper's analytical result, and a dedicated test pins grid-derived
-//!   == closed-form for every built-in organization and width.
+//! The **minor-cycle cost** of a major cycle is not the scheduler's: it
+//! is a property of the configuration
+//! ([`EngineConfig::minor_cycles_per_major`], derived from the
+//! description's schedule grid), fixed in [`CoreState`] at construction
+//! and charged by one rule, [`SimStats::with_minor_cycle_cost`]. Nothing
+//! in the cycle loop depends on it, which is what lets a sweep simulate
+//! organizations that differ only in their grid once.
+//!
+//! [`SimStats::with_minor_cycle_cost`]: crate::SimStats::with_minor_cycle_cost
 
 use crate::config::{ConfigError, EngineConfig};
 use crate::cursor::TraceCursor;
@@ -50,18 +52,15 @@ const STAGE_SPANS: [SpanId; 6] = [
 ];
 
 /// Executes one major cycle of the engine: evaluates the six stages in
-/// architectural order and charges the description's minor-cycle cost.
+/// architectural order.
 ///
 /// Built by [`Engine::new`](crate::Engine::new) from the configuration's
 /// [`PipelineDescription`]; exposed so `describe` and tests can inspect
-/// the roster and the activity-derived accounting.
+/// the roster and the per-stage activity.
 #[derive(Debug)]
 pub struct MinorCycleScheduler {
     description: PipelineDescription,
     width: usize,
-    /// Minor cycles one major cycle costs, derived from the schedule
-    /// grid at construction.
-    minor_cycles_per_major: u64,
     commit: CommitStage,
     writeback: WritebackStage,
     lsq_refresh: LsqRefreshStage,
@@ -73,8 +72,7 @@ pub struct MinorCycleScheduler {
 }
 
 impl MinorCycleScheduler {
-    /// Builds the scheduler (stages + minor-cycle grid) for a
-    /// configuration.
+    /// Builds the scheduler's stages for a configuration.
     ///
     /// # Errors
     ///
@@ -87,26 +85,12 @@ impl MinorCycleScheduler {
         }
         let description = config.pipeline.clone();
         let width = config.width;
-        let schedule = description
-            .schedule(width)
+        description
+            .validate_at(width)
             .map_err(ConfigError::Pipeline)?;
-        // Activity-derived cost: the last minor-cycle slot any stage
-        // occupies in the description's grid bounds the major cycle.
-        let minor_cycles_per_major = schedule
-            .rows()
-            .iter()
-            .flat_map(|row| {
-                row.cells
-                    .iter()
-                    .rposition(|c| c.is_some())
-                    .map(|last| last as u64 + 1)
-            })
-            .max()
-            .unwrap_or(0);
         Ok(Self {
             description,
             width,
-            minor_cycles_per_major,
             commit: CommitStage,
             writeback: WritebackStage::default(),
             lsq_refresh: LsqRefreshStage,
@@ -127,13 +111,6 @@ impl MinorCycleScheduler {
         self.width
     }
 
-    /// Minor cycles one major cycle costs, as derived from the schedule
-    /// grid (cross-checked against the paper's closed-form formulas in
-    /// tests).
-    pub fn minor_cycles_per_major(&self) -> u64 {
-        self.minor_cycles_per_major
-    }
-
     /// Stage names in evaluation order — the roster `resim describe`
     /// reports.
     pub fn roster(&self) -> Vec<&'static str> {
@@ -147,20 +124,18 @@ impl MinorCycleScheduler {
         STAGE_NAMES.into_iter().zip(self.activity).collect()
     }
 
-    /// Evaluates every stage once (one major cycle) and returns the
-    /// minor cycles charged for it.
+    /// Evaluates every stage once (one major cycle).
     pub(crate) fn step<R: Recorder, S: TraceSource>(
         &mut self,
         core: &mut CoreState<R>,
         cursor: &mut TraceCursor<S>,
-    ) -> u64 {
+    ) {
         self.activity[0] += timed(core, 0, |core| self.commit.evaluate(core));
         self.activity[1] += timed(core, 1, |core| self.writeback.evaluate(core, cursor));
         self.activity[2] += timed(core, 2, |core| self.lsq_refresh.evaluate(core));
         self.activity[3] += timed(core, 3, |core| self.issue.evaluate(core));
         self.activity[4] += timed(core, 4, |core| self.dispatch.evaluate(core));
         self.activity[5] += timed(core, 5, |core| self.fetch.evaluate(core, cursor));
-        self.minor_cycles_per_major
     }
 }
 
@@ -185,40 +160,6 @@ fn timed<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::PipelineOrganization;
-
-    fn config_for(org: PipelineOrganization, width: usize) -> EngineConfig {
-        EngineConfig {
-            width,
-            ifq_size: width.max(16),
-            rb_size: width.max(16),
-            fus: crate::config::FuConfig {
-                alus: width,
-                ..Default::default()
-            },
-            mem_read_ports: 1.max(width.saturating_sub(1).min(2)),
-            pipeline: org.description(),
-            ..EngineConfig::paper_4wide()
-        }
-    }
-
-    #[test]
-    fn grid_derived_cost_matches_the_paper_formulas() {
-        // The tentpole cross-check: the scheduler derives its engine-cycle
-        // cost from the schedule grid; the paper's closed-form 2N+3 / N+4
-        // / N+3 must agree for every organization and width.
-        for org in PipelineOrganization::ALL {
-            for width in 1..=16usize {
-                let sched = MinorCycleScheduler::new(&config_for(org, width)).unwrap();
-                assert_eq!(
-                    sched.minor_cycles_per_major(),
-                    org.minor_cycles_per_major(width),
-                    "{org} at width {width}: grid-derived cost diverged from the formula"
-                );
-            }
-        }
-    }
-
     #[test]
     fn roster_is_the_architectural_evaluation_order() {
         let sched = MinorCycleScheduler::new(&EngineConfig::paper_4wide()).unwrap();

@@ -59,10 +59,10 @@ pub struct CoreState<R: Recorder = NullRecorder> {
     pub(crate) rename: [Option<u64>; 64],
     pub(crate) ifq: VecDeque<FetchedInst>,
     pub(crate) cycle: u64,
-    /// Minor cycles the engine has spent, accumulated per major cycle
-    /// from the scheduler's grid — not derived from a closed-form
-    /// formula at read time.
-    pub(crate) minor_cycles: u64,
+    /// Minor cycles one simulated cycle costs under the configured
+    /// pipeline description, fixed at construction
+    /// ([`EngineConfig::minor_cycles_per_major`]).
+    minor_cycles_per_major: u64,
     pub(crate) next_seq: u64,
     /// Fetch is allowed again once `cycle >= fetch_stall_until`.
     pub(crate) fetch_stall_until: u64,
@@ -102,7 +102,7 @@ impl<R: Recorder> CoreState<R> {
             rename: [None; 64],
             ifq: VecDeque::with_capacity(config.ifq_size),
             cycle: 0,
-            minor_cycles: 0,
+            minor_cycles_per_major: config.minor_cycles_per_major(),
             next_seq: 1,
             fetch_stall_until: 0,
             in_wrong_path: false,
@@ -132,21 +132,21 @@ impl<R: Recorder> CoreState<R> {
         self.ifq.is_empty() && self.rob.is_empty()
     }
 
-    /// Statistics so far, with the live component counters folded in.
+    /// Statistics so far, with the live component counters folded in
+    /// and the minor-cycle count charged through
+    /// [`SimStats::with_minor_cycle_cost`].
     pub fn stats(&self) -> SimStats {
         let mut s = self.stats;
         s.cycles = self.cycle;
-        s.minor_cycles = self.minor_cycles;
         s.predictor = self.predictor.stats();
         s.memory = self.memory.stats();
         s.load_forwards = self.lsq.forwards();
-        s
+        s.with_minor_cycle_cost(self.minor_cycles_per_major)
     }
 
     /// End-of-major-cycle bookkeeping: occupancy statistics, then the
-    /// cycle counters advance (`minor_cycles` by whatever the scheduler
-    /// charged for the cycle just executed).
-    pub(crate) fn finish_cycle(&mut self, minor_cycles: u64) {
+    /// cycle counter advances.
+    pub(crate) fn finish_cycle(&mut self) {
         self.stats.ifq_occupancy_sum += self.ifq.len() as u64;
         self.stats.rb_occupancy_sum += self.rob.len() as u64;
         self.stats.lsq_occupancy_sum += self.lsq.len() as u64;
@@ -168,7 +168,6 @@ impl<R: Recorder> CoreState<R> {
             );
         }
         self.cycle += 1;
-        self.minor_cycles += minor_cycles;
     }
 
     /// Misprediction recovery at branch writeback: squash younger
@@ -271,5 +270,45 @@ impl<R: Recorder> CoreState<R> {
         self.predictor.restore_state(&checkpoint.predictor)?;
         self.memory.restore_state(&checkpoint.memory)?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::FuConfig;
+    use crate::pipeline::PipelineOrganization;
+
+    #[test]
+    fn grid_derived_cost_matches_the_paper_formulas() {
+        // The state charges the cost its configuration derives from the
+        // schedule grid; the paper's closed-form 2N+3 / N+4 / N+3 must
+        // agree for every organization and width.
+        for org in PipelineOrganization::ALL {
+            for width in 1..=16usize {
+                let config = EngineConfig {
+                    width,
+                    ifq_size: width.max(16),
+                    rb_size: width.max(16),
+                    fus: FuConfig {
+                        alus: width,
+                        ..Default::default()
+                    },
+                    mem_read_ports: 1.max(width.saturating_sub(1).min(2)),
+                    pipeline: org.description(),
+                    ..EngineConfig::paper_4wide()
+                };
+                assert_eq!(
+                    config.minor_cycles_per_major(),
+                    org.minor_cycles_per_major(width),
+                    "{org} at width {width}: grid-derived cost diverged from the formula"
+                );
+                // Optimized at width 1 fails the port rule; every
+                // buildable state charges the configuration's cost.
+                if let Ok(state) = CoreState::new(config.clone()) {
+                    assert_eq!(state.minor_cycles_per_major, config.minor_cycles_per_major());
+                }
+            }
+        }
     }
 }

@@ -297,6 +297,22 @@ impl SimStats {
         }
     }
 
+    /// These statistics charged at `minor_cycles_per_major` engine
+    /// cycles per simulated cycle: `minor_cycles = cycles × cost`, every
+    /// other counter unchanged.
+    ///
+    /// This is the one definition of the minor-cycle count. The engine
+    /// reports its own statistics through it, and because the §IV
+    /// organizations simulate identical timing, a sweep re-costs one
+    /// organization's run with another's
+    /// [`EngineConfig::minor_cycles_per_major`](crate::EngineConfig::minor_cycles_per_major)
+    /// to get that organization's statistics bit-exactly. The rule is
+    /// linear in `cycles`, so it commutes with [`SimStats::merge`].
+    pub fn with_minor_cycle_cost(mut self, minor_cycles_per_major: u64) -> SimStats {
+        self.minor_cycles = self.cycles * minor_cycles_per_major;
+        self
+    }
+
     /// Committed instructions per simulated cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -493,6 +509,34 @@ mod tests {
         assert!((s.processed_per_cycle() - 3.0).abs() < 1e-12);
         assert!((s.wrong_path_fraction() - 50.0 / 300.0).abs() < 1e-12);
         assert!((s.avg_rb_occupancy() - 8.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn recosting_touches_only_minor_cycles_and_commutes_with_merge() {
+        let a = SimStats {
+            cycles: 100,
+            minor_cycles: 700,
+            committed: 250,
+            ..SimStats::default()
+        };
+        let b = SimStats {
+            cycles: 40,
+            committed: 90,
+            ..SimStats::default()
+        };
+        let simple = a.with_minor_cycle_cost(11);
+        assert_eq!(simple.minor_cycles, 1_100);
+        assert_eq!(
+            SimStats {
+                minor_cycles: a.minor_cycles,
+                ..simple
+            },
+            a
+        );
+        assert_eq!(
+            a.merge(&b).with_minor_cycle_cost(11),
+            a.with_minor_cycle_cost(11).merge(&b.with_minor_cycle_cost(11))
+        );
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! Run with `cargo run --release -p resim-sample --example smoke`.
 //! Exits non-zero (panics) on any violation, so CI can gate on it.
 
+// A CI program, not library code: printing its report is its job.
+#![allow(clippy::disallowed_macros)]
+
 use resim_core::{Engine, EngineConfig};
 use resim_sample::{run_sampled, SamplePlan};
 use resim_tracegen::{generate_trace, TraceGenConfig};

@@ -13,6 +13,7 @@ use resim_sweep::{stable_csv_header, ScenarioDoc, SweepRunner};
 use resim_toml::json::JsonValue;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -113,10 +114,11 @@ impl Server {
     }
 
     /// The serial executor: pops jobs in submission order, runs each
-    /// against the cache, publishes the outcome.
+    /// against the cache, publishes the outcome. A job that panics
+    /// fails alone ([`catch_job_panic`]); the executor keeps serving.
     fn executor(&self) {
         while let Some((id, doc)) = self.jobs.take_next() {
-            let result = self.run_job(id, &doc);
+            let result = catch_job_panic(|| self.run_job(id, &doc));
             self.jobs.finish(id, result);
             self.bump(Counter::ServeJobsCompleted, 1);
         }
@@ -400,4 +402,50 @@ fn progress_event(s: &JobStatus) -> String {
 /// Writes one response line; `false` when the peer is gone.
 fn send(writer: &mut TcpStream, line: &str) -> bool {
     write_frame(writer, line).is_ok()
+}
+
+/// Runs one job, turning a panic inside it into a failed job with a
+/// `job panicked: …` message instead of a dead executor.
+///
+/// Asserting unwind safety is sound here: every lock the job touches is
+/// taken through [`recover`], whose critical sections leave their data
+/// consistent, and the job's own state is dropped with the panic.
+fn catch_job_panic<T>(job: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    panic::catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        Err(format!("job panicked: {message}"))
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::catch_job_panic;
+
+    #[test]
+    fn a_panicking_job_becomes_a_failed_job() {
+        let cycle = 200_001;
+        let formatted: Result<(), String> =
+            catch_job_panic(|| panic!("engine deadlock: no commit since cycle {cycle}"));
+        assert_eq!(
+            formatted.unwrap_err(),
+            "job panicked: engine deadlock: no commit since cycle 200001"
+        );
+        let literal: Result<(), String> = catch_job_panic(|| panic!("static message"));
+        assert_eq!(literal.unwrap_err(), "job panicked: static message");
+        let opaque: Result<(), String> = catch_job_panic(|| std::panic::panic_any(7u32));
+        assert_eq!(opaque.unwrap_err(), "job panicked: non-string panic payload");
+    }
+
+    #[test]
+    fn a_job_that_returns_passes_through() {
+        assert_eq!(catch_job_panic(|| Ok::<_, String>(3)), Ok(3));
+        assert_eq!(
+            catch_job_panic(|| Err::<u8, _>("bad-scenario".to_string())),
+            Err("bad-scenario".to_string())
+        );
+    }
 }

@@ -27,8 +27,11 @@ pub struct CellResult {
     pub sampled: Option<SampledStats>,
     /// Encoded-trace statistics of the (shared) input trace.
     pub trace_stats: TraceStats,
-    /// Wall-clock time of this cell's engine run (informational only —
-    /// never part of any determinism contract).
+    /// Wall-clock time spent producing this cell (informational only —
+    /// never part of any determinism contract): the engine run for the
+    /// cell that ran its timing group, near zero for a cell derived from
+    /// that run by re-costing, so summed cell walls never exceed the
+    /// simulate phase.
     pub wall: Duration,
 }
 

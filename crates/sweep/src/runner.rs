@@ -1,22 +1,34 @@
 //! The deterministic worker-pool sweep runner.
 //!
-//! Cells are dispatched to plain `std::thread` workers pulling indices
-//! from a shared atomic cursor; results land in a slot vector indexed by
-//! cell, so the report order — and, because every cell's seeding comes
-//! from the scenario definition rather than from scheduling — every
-//! [`SimStats`](resim_core::SimStats) is bit-identical regardless of
-//! thread count or interleaving.
+//! Work items are dispatched to plain `std::thread` workers pulling
+//! indices from a shared atomic cursor; results land in a slot vector
+//! indexed by cell, so the report order — and, because every cell's
+//! seeding comes from the scenario definition rather than from
+//! scheduling — every [`SimStats`](resim_core::SimStats) is bit-identical
+//! regardless of thread count or interleaving.
 //!
 //! Trace generation runs as a separate phase over the *unique* trace
 //! keys of the grid, so a sweep of many configurations over one
 //! `(workload, seed, budget)` tuple generates (and encodes) its trace
 //! exactly once, shared behind an [`Arc`] via
 //! [`resim_tracegen::TraceCache`].
+//!
+//! Simulation then runs once per *timing point*, not once per cell.
+//! Cells whose configurations differ only in the internal pipeline
+//! organization simulate the same processor cycle for cycle (§IV), so
+//! [`Scenario::timing_groups`] puts them in one group: the group's first
+//! cell runs the engine, and every cell of the group gets that run's
+//! statistics charged at its own organization's minor-cycle cost
+//! ([`SimStats::with_minor_cycle_cost`](resim_core::SimStats::with_minor_cycle_cost)).
+//! A `grid-deep`-shaped sweep of 8 RB sizes × 3 organizations runs 8
+//! engines, not 24. Sharing is always on and changes no statistic:
+//! the determinism tests compare every shared cell with its own direct
+//! engine run.
 
 use crate::report::{CellResult, SweepReport};
 use crate::scenario::{CellMode, Scenario, ScenarioError};
 use resim_core::Engine;
-use resim_sample::run_sampled;
+use resim_sample::{run_sampled, SampledStats};
 use resim_tracegen::{TraceCache, TraceKey};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -238,46 +250,63 @@ impl SweepRunner {
             emit(SweepPhase::Generate, d, unique.len(), phase_t0);
         });
 
-        // Phase 2: run the cells, each against its shared trace.
+        // Phase 2: one engine run per timing group, against its shared
+        // trace; every cell of the group is that run re-costed with its
+        // own pipeline's minor-cycle charge.
+        let groups = scenario.timing_groups(&cells);
         let phase_t0 = Instant::now();
         let done = AtomicUsize::new(0);
         emit(SweepPhase::Simulate, 0, cells.len(), phase_t0);
         let slots: Mutex<Vec<Option<CellResult>>> = Mutex::new(vec![None; cells.len()]);
-        self.for_indices(cells.len(), |i| {
-            let cell = &cells[i];
-            let config = &scenario.configs()[cell.config];
+        self.for_indices(groups.len(), |g| {
+            let group = &groups[g];
+            let cell = &cells[group[0]];
             let cached = self
                 .cache
                 .get(&scenario.trace_key(cell))
                 .expect("phase 1 filled every key");
             let mode = scenario.cell_mode(cell);
-            let cell_t0 = Instant::now();
+            let run_t0 = Instant::now();
+            let run_config = &scenario.configs()[cell.config].engine;
             let (stats, sampled) = match &mode {
                 CellMode::Full => {
-                    let mut engine = Engine::new(config.engine.clone())
-                        .expect("scenario validated every config");
+                    let mut engine =
+                        Engine::new(run_config.clone()).expect("scenario validated every config");
                     (engine.run(cached.trace.source()), None)
                 }
                 CellMode::Sampled(plan) => {
-                    let s = run_sampled(&config.engine, cached.trace.source(), plan)
+                    let s = run_sampled(run_config, cached.trace.source(), plan)
                         .expect("scenario validated every plan and config");
                     (s.sim, Some(s))
                 }
             };
-            let result = CellResult {
-                config: config.name.clone(),
-                workload: scenario.workloads()[cell.workload].name.clone(),
-                mode: mode.name(),
-                budget: cell.budget,
-                seed: cell.seed,
-                stats,
-                sampled,
-                trace_stats: cached.stats.clone(),
-                wall: cell_t0.elapsed(),
-            };
-            slots.lock().expect("result slots poisoned")[i] = Some(result);
-            let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-            emit(SweepPhase::Simulate, d, cells.len(), phase_t0);
+            let mut wall = run_t0.elapsed();
+            for &position in group {
+                let cell_t0 = Instant::now();
+                let cell = &cells[position];
+                let config = &scenario.configs()[cell.config];
+                let cost = config.engine.minor_cycles_per_major();
+                let result = CellResult {
+                    config: config.name.clone(),
+                    workload: scenario.workloads()[cell.workload].name.clone(),
+                    mode: mode.name(),
+                    budget: cell.budget,
+                    seed: cell.seed,
+                    stats: stats.with_minor_cycle_cost(cost),
+                    sampled: sampled.clone().map(|s| SampledStats {
+                        sim: s.sim.with_minor_cycle_cost(cost),
+                        ..s
+                    }),
+                    trace_stats: cached.stats.clone(),
+                    wall: wall + cell_t0.elapsed(),
+                };
+                // The run's time stays with the cell that ran it; the
+                // others report only the time spent deriving them.
+                wall = Duration::ZERO;
+                slots.lock().expect("result slots poisoned")[position] = Some(result);
+                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
+                emit(SweepPhase::Simulate, d, cells.len(), phase_t0);
+            }
         });
 
         let cells = slots

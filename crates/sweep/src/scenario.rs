@@ -1,10 +1,11 @@
 //! Scenario grids: the cross product of engine configurations,
 //! workloads, instruction budgets and workload seeds.
 
-use resim_core::{ConfigError, EngineConfig};
+use resim_core::{ConfigError, EngineConfig, PipelineDescription};
 use resim_sample::{PlanError, SamplePlan};
 use resim_tracegen::{TraceGenConfig, TraceKey};
 use resim_workloads::{SpecBenchmark, Workload, WorkloadProfile};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -374,6 +375,50 @@ impl Scenario {
         h.write_u64(cell.budget as u64);
         h.write_str(&self.cell_mode(cell).name());
         h.finish()
+    }
+
+    /// Groups `cells` into engine runs: each inner vector holds the
+    /// positions (into `cells`) of cells that simulate identical timing,
+    /// so one run serves them all. The first position of a group is the
+    /// cell whose configuration runs; groups appear in the order of
+    /// their first cell.
+    ///
+    /// Two cells share a run when they have the same workload, seed,
+    /// budget and mode, their configs have the same trace-generation
+    /// configuration, and their engine configurations are equal in every
+    /// field except `pipeline`. The §IV organizations simulate the same
+    /// processor cycle for cycle and differ only in the engine's
+    /// minor-cycle cost, which the runner charges per cell through
+    /// [`SimStats::with_minor_cycle_cost`](resim_core::SimStats::with_minor_cycle_cost).
+    /// Configs are compared once each pair (`configs²`), with `==` on
+    /// copies whose pipeline is normalized, never by fingerprint.
+    pub fn timing_groups(&self, cells: &[Cell]) -> Vec<Vec<usize>> {
+        let normal = PipelineDescription::optimized();
+        let timing: Vec<(EngineConfig, TraceGenConfig)> = self
+            .configs
+            .iter()
+            .map(|c| {
+                let engine = EngineConfig {
+                    pipeline: normal.clone(),
+                    ..c.engine.clone()
+                };
+                (engine, c.tracegen)
+            })
+            .collect();
+        let representative: Vec<usize> = (0..timing.len())
+            .map(|i| (0..i).find(|&j| timing[j] == timing[i]).unwrap_or(i))
+            .collect();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of = HashMap::new();
+        for (position, c) in cells.iter().enumerate() {
+            let key = (representative[c.config], c.workload, c.seed, c.budget, c.mode);
+            let group = *group_of.entry(key).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[group].push(position);
+        }
+        groups
     }
 
     /// The trace-cache key of one cell.

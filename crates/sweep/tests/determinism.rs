@@ -2,10 +2,15 @@
 //! produces byte-identical `SimStats` whether it runs serially by hand or
 //! through `resim-sweep` at any thread count.
 
-use resim_core::{Engine, EngineConfig, SimStats};
-use resim_sweep::{Scenario, SweepRunner, WorkloadPoint};
+use resim_core::{Engine, EngineConfig, PipelineOrganization, SimStats};
+use resim_sample::{run_sampled, SampledStats, SamplePlan};
+use resim_sweep::{
+    Cell, CellMode, Scenario, ScenarioDoc, SweepPhase, SweepReport, SweepRunner, WorkloadPoint,
+};
 use resim_tracegen::{generate_trace, TraceGenConfig};
 use resim_workloads::SpecBenchmark;
+use std::collections::HashSet;
+use std::sync::Mutex;
 
 const BUDGET: usize = 10_000;
 
@@ -100,7 +105,6 @@ fn shared_cache_does_not_perturb_results() {
 /// and identical per-window confidence data — at any thread count.
 #[test]
 fn sampled_sweeps_are_thread_count_invariant() {
-    use resim_sweep::CellMode;
     let scenario = eight_cell_scenario()
         .mode(CellMode::Full)
         .mode(CellMode::Sampled(
@@ -210,4 +214,167 @@ fn cell_fingerprints_key_on_content_not_names() {
         renamed.cell_fingerprint(&renamed.cells()[0]),
         scenario.cell_fingerprint(&cells[0]),
     );
+}
+
+/// A pipelines × RB sizes grid, pipeline axis outermost so the cells of
+/// one timing point are not adjacent in the dispatch order, run both
+/// full and sampled: 9 configs × 2 modes = 18 cells, 6 timing points.
+fn pipeline_grid() -> Scenario {
+    let mut scenario = Scenario::new();
+    for org in PipelineOrganization::ALL {
+        for rb_size in [8usize, 16, 32] {
+            scenario = scenario.config(
+                format!("{org}-rb{rb_size}"),
+                EngineConfig {
+                    rb_size,
+                    pipeline: org.description(),
+                    ..EngineConfig::paper_4wide()
+                },
+                TraceGenConfig::paper(),
+            );
+        }
+    }
+    scenario
+        .workload(WorkloadPoint::spec(SpecBenchmark::Gzip))
+        .budgets([6_000])
+        .seeds([2009])
+        .mode(CellMode::Full)
+        .mode(CellMode::Sampled(SamplePlan::systematic(2_000, 500, 2)))
+}
+
+/// One cell simulated on its own: a fresh trace and a direct engine (or
+/// sampled) run of exactly that cell's configuration.
+fn direct_run(scenario: &Scenario, cell: &Cell) -> (SimStats, Option<SampledStats>) {
+    let config = &scenario.configs()[cell.config];
+    let trace = generate_trace(
+        scenario.workloads()[cell.workload].instantiate(cell.seed),
+        cell.budget,
+        &config.tracegen,
+    );
+    match scenario.cell_mode(cell) {
+        CellMode::Full => {
+            let stats = Engine::new(config.engine.clone())
+                .expect("valid config")
+                .run(trace.source());
+            (stats, None)
+        }
+        CellMode::Sampled(plan) => {
+            let s = run_sampled(&config.engine, trace.source(), &plan).expect("valid plan");
+            (s.sim, Some(s))
+        }
+    }
+}
+
+fn assert_matches_direct(scenario: &Scenario, cells: &[Cell], report: &SweepReport, what: &str) {
+    assert_eq!(report.cells.len(), cells.len());
+    for (cell, result) in cells.iter().zip(&report.cells) {
+        let (stats, sampled) = direct_run(scenario, cell);
+        let name = &scenario.configs()[cell.config].name;
+        assert_eq!(result.config, *name);
+        assert_eq!(result.stats, stats, "{what}: {name} ({}) diverged", result.mode);
+        assert_eq!(result.stats.digest(), stats.digest());
+        assert_eq!(result.sampled, sampled, "{what}: {name} window data diverged");
+    }
+}
+
+/// Sharing one engine run across pipeline organizations is invisible:
+/// every cell — minor cycles and digest included, full and sampled —
+/// equals a direct run of its own configuration, at any thread count
+/// and through `run_subset`.
+#[test]
+fn pipeline_sharing_is_invisible() {
+    let scenario = pipeline_grid();
+    let cells = scenario.cells();
+    assert_eq!(cells.len(), 18);
+    assert_eq!(scenario.timing_groups(&cells).len(), 6);
+    for threads in [1usize, 3] {
+        let report = SweepRunner::new(threads).run(&scenario).expect("valid");
+        assert_matches_direct(&scenario, &cells, &report, &format!("{threads} threads"));
+        // The organizations really do differ in engine cost.
+        let minor: HashSet<u64> = report.cells.iter().map(|c| c.stats.minor_cycles).collect();
+        assert!(minor.len() > 6, "re-costing must give each organization its own charge");
+    }
+
+    // A subset holding only a non-representative cell: improved-rb16,
+    // sampled, whose group's first cell (simple-rb16) is not in it.
+    let groups = scenario.timing_groups(&cells);
+    let index = cells
+        .iter()
+        .position(|c| scenario.configs()[c.config].name == "improved-rb16" && c.mode == 1)
+        .expect("cell exists");
+    assert!(
+        groups.iter().all(|g| g[0] != index) && groups.iter().any(|g| g.contains(&index)),
+        "the chosen cell is not its group's representative"
+    );
+    let subset = SweepRunner::new(1)
+        .run_subset(&scenario, &[index], |_| {})
+        .expect("valid subset");
+    assert_matches_direct(&scenario, &[cells[index]], &subset, "subset");
+}
+
+/// Progress still counts cells, not engine runs.
+#[test]
+fn shared_cells_each_report_progress() {
+    let scenario = pipeline_grid();
+    let samples = Mutex::new(Vec::new());
+    SweepRunner::new(3)
+        .run_with_progress(&scenario, |p| {
+            if p.phase == SweepPhase::Simulate {
+                samples.lock().unwrap().push((p.done, p.total));
+            }
+        })
+        .expect("valid");
+    let mut samples = samples.into_inner().unwrap();
+    samples.sort_unstable();
+    let expected: Vec<(usize, usize)> = (0..=18).map(|d| (d, 18)).collect();
+    assert_eq!(samples, expected, "one start sample plus one per cell");
+}
+
+/// Identical engines behind different trace-generation configurations
+/// see different traces, so they must not share a run.
+#[test]
+fn configs_with_different_tracegen_do_not_share() {
+    let scenario = Scenario::new()
+        .config("paper", EngineConfig::paper_4wide(), TraceGenConfig::paper())
+        .config("perfect", EngineConfig::paper_4wide(), TraceGenConfig::perfect())
+        .config("paper-again", EngineConfig::paper_4wide(), TraceGenConfig::paper())
+        .workload(WorkloadPoint::spec(SpecBenchmark::Gzip))
+        .budgets([3_000])
+        .seeds([2009]);
+    let cells = scenario.cells();
+    assert_eq!(scenario.timing_groups(&cells), vec![vec![0, 2], vec![1]]);
+    let report = SweepRunner::new(2).run(&scenario).expect("valid");
+    assert_matches_direct(&scenario, &cells, &report, "tracegen");
+    assert_ne!(report.cells[0].stats, report.cells[1].stats);
+}
+
+/// The `grid-deep` shape — one trace, 8 RB sizes × 3 organizations,
+/// built through the scenario-file path — needs 8 engine runs, and each
+/// run serves exactly the three organizations of one RB size.
+#[test]
+fn grid_deep_shape_maps_24_cells_to_8_runs() {
+    let doc = ScenarioDoc::parse_str(
+        "[sweep]\n\
+         workloads = [\"gzip\"]\n\
+         budgets = [1000]\n\
+         seeds = [2009]\n\
+         [sweep.grid]\n\
+         rb_sizes = [8, 12, 16, 24, 32, 48, 64, 96]\n\
+         pipelines = [\"simple\", \"optimized\", \"improved\"]\n",
+    )
+    .expect("parses");
+    let scenario = doc.sweep_scenario().expect("valid grid");
+    let cells = scenario.cells();
+    assert_eq!(cells.len(), 24);
+    let groups = scenario.timing_groups(&cells);
+    assert_eq!(groups.len(), 8);
+    for group in &groups {
+        let engines: Vec<&EngineConfig> = group
+            .iter()
+            .map(|&p| &scenario.configs()[cells[p].config].engine)
+            .collect();
+        let pipelines: HashSet<&str> = engines.iter().map(|e| e.pipeline.name()).collect();
+        assert_eq!(pipelines.len(), 3, "one run per RB size serves all three organizations");
+        assert!(engines.iter().all(|e| e.rb_size == engines[0].rb_size));
+    }
 }
