@@ -1,6 +1,6 @@
 //! Regenerates the host-throughput tables in `EXPERIMENTS.md`.
 //!
-//! Prints four Markdown tables, every cell a best-of-9 rate over
+//! Prints five Markdown tables, every cell a best-of-9 rate over
 //! 200 000 correct-path records (seed 2009):
 //!
 //! 1. frontend × configuration on gzip: the three pipeline
@@ -8,9 +8,12 @@
 //!    (right) machine on its perfect-predictor trace;
 //! 2. workload × frontend: all five SPEC profiles on the Table 1 (left)
 //!    machine;
-//! 3. recorder overhead: `NullRecorder` against `MetricsRecorder`,
+//! 3. RB size: gzip on the slice frontend, the Table 1 (left) machine at
+//!    16, 64 and 256 RB entries — the per-window cost of wakeup and
+//!    select;
+//! 4. recorder overhead: `NullRecorder` against `MetricsRecorder`,
 //!    asserting the two runs' `SimStats` are bit-identical;
-//! 4. components: trace generation, v1 and v2 encode and decode,
+//! 5. components: trace generation, v1 and v2 encode and decode,
 //!    predictor, L1 cache and workload generation.
 //!
 //! Engine cells are committed records per second over full runs, a
@@ -73,6 +76,19 @@ fn workload_by_frontend() {
             .map(|frontend| mrate(supplied.engine_rate(&config, frontend, RUNS)))
             .collect();
         println!("| {} | {} |", bench.name(), rates.join(" | "));
+    }
+}
+
+fn rb_sizes(gzip: &SuppliedTrace) {
+    println!("| RB entries (gzip, slice, paper-4wide) | Mrec/s |");
+    println!("|---------------------------------------|--------|");
+    for rb_size in [16, 64, 256] {
+        let config = EngineConfig {
+            rb_size,
+            ..EngineConfig::paper_4wide()
+        };
+        let rate = gzip.engine_rate(&config, Frontend::Slice, RUNS);
+        println!("| {rb_size} | {} |", mrate(rate));
     }
 }
 
@@ -189,6 +205,8 @@ fn main() {
     frontend_by_configuration(&gzip);
     println!();
     workload_by_frontend();
+    println!();
+    rb_sizes(&gzip);
     println!();
     recorder_overhead(&gzip);
     println!();

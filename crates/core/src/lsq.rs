@@ -52,11 +52,18 @@ impl LsqEntry {
 
 /// Program-ordered load/store queue with forwarding and dependence
 /// checking.
+///
+/// Entries are allocated at the tail, retired from the head (commit is
+/// in order) and squashed from the tail, so the queue stays sorted by
+/// age tag and lookups binary-search it.
 #[derive(Debug, Clone)]
 pub struct LoadStoreQueue {
     entries: std::collections::VecDeque<LsqEntry>,
     capacity: usize,
     forwards: u64,
+    /// Whether load readiness may have changed since the last
+    /// `refresh`: an entry was pushed or retired, or a flag flipped.
+    stale: bool,
 }
 
 impl LoadStoreQueue {
@@ -71,6 +78,7 @@ impl LoadStoreQueue {
             entries: std::collections::VecDeque::with_capacity(capacity),
             capacity,
             forwards: 0,
+            stale: false,
         }
     }
 
@@ -103,30 +111,43 @@ impl LoadStoreQueue {
     ///
     /// # Panics
     ///
-    /// Panics if full.
+    /// Panics if full or if `entry.seq` does not exceed the tail's tag.
     pub fn push(&mut self, entry: LsqEntry) {
         assert!(!self.is_full(), "LSQ overflow");
+        assert!(
+            self.entries.back().is_none_or(|tail| tail.seq < entry.seq),
+            "LSQ ages must increase"
+        );
         self.entries.push_back(entry);
-    }
-
-    /// Looks up by age tag.
-    pub fn find_mut(&mut self, seq: u64) -> Option<&mut LsqEntry> {
-        self.entries.iter_mut().find(|e| e.seq == seq)
+        self.stale = true;
     }
 
     /// Immutable lookup by age tag.
     pub fn find(&self, seq: u64) -> Option<&LsqEntry> {
-        self.entries.iter().find(|e| e.seq == seq)
+        self.index_of(seq).map(|i| &self.entries[i])
     }
 
-    /// Removes the entry with tag `seq` (commit or squash).
-    pub fn remove(&mut self, seq: u64) {
-        self.entries.retain(|e| e.seq != seq);
+    /// Queue index of age tag `seq` (the queue is sorted by tag).
+    fn index_of(&self, seq: u64) -> Option<usize> {
+        self.entries.binary_search_by_key(&seq, |e| e.seq).ok()
     }
 
-    /// The `Lsq_refresh` stage, run once per major cycle (§III/§IV):
-    /// recomputes address/data availability from producer state and marks
-    /// load readiness.
+    /// Retires the oldest entry (commit).
+    pub fn pop_head(&mut self) -> Option<LsqEntry> {
+        let head = self.entries.pop_front();
+        self.stale |= head.is_some();
+        head
+    }
+
+    /// The `Lsq_refresh` stage, run once per major cycle (§III/§IV).
+    ///
+    /// Pass 1 recomputes address/data availability from producer state
+    /// for the entries still missing either. Pass 2 marks the readiness
+    /// of every unissued load against the older stores; it runs only if,
+    /// since the last refresh, an entry was pushed or retired or pass 1
+    /// flipped a flag — an unissued load's readiness depends on nothing
+    /// else (a squash removes only younger entries, which no surviving
+    /// load depends on).
     ///
     /// `is_outstanding` reports whether a producer tag is still in flight
     /// without a result (the RB's view).
@@ -135,6 +156,7 @@ impl LoadStoreQueue {
         for e in &mut self.entries {
             if !e.addr_known {
                 e.addr_known = e.base_dep.is_none_or(|d| !is_outstanding(d));
+                self.stale |= e.addr_known;
             }
             if !e.data_ready {
                 let data_ok = e.data_dep.is_none_or(|d| !is_outstanding(d));
@@ -143,7 +165,11 @@ impl LoadStoreQueue {
                 } else {
                     data_ok
                 };
+                self.stale |= e.data_ready;
             }
+        }
+        if !std::mem::take(&mut self.stale) {
+            return;
         }
         // Pass 2: load readiness against older stores.
         for i in 0..self.entries.len() {
@@ -181,10 +207,11 @@ impl LoadStoreQueue {
         }
     }
 
-    /// Marks a load issued, counting a forward if it was satisfied
-    /// in-queue.
+    /// Marks an entry issued, counting a forward if it was a load
+    /// satisfied in-queue.
     pub fn mark_issued(&mut self, seq: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.seq == seq) {
+        if let Some(i) = self.index_of(seq) {
+            let e = &mut self.entries[i];
             e.issued = true;
             if e.load_ready == LoadReady::ReadyForward {
                 self.forwards += 1;
@@ -198,8 +225,13 @@ impl LoadStoreQueue {
     }
 
     /// Squashes every entry younger than `seq`.
+    ///
+    /// A load's readiness depends only on older entries, so removing the
+    /// youngest ones leaves every survivor's readiness current.
     pub fn squash_younger(&mut self, seq: u64) {
-        self.entries.retain(|e| e.seq <= seq);
+        while self.entries.back().is_some_and(|e| e.seq > seq) {
+            self.entries.pop_back();
+        }
     }
 }
 
@@ -316,16 +348,17 @@ mod tests {
     }
 
     #[test]
-    fn squash_and_remove() {
+    fn squash_and_pop_head() {
         let mut lsq = LoadStoreQueue::new(8);
         for s in 1..=5 {
             lsq.push(entry(s, MemKind::Load, 0x100 + s as u32 * 4));
         }
         lsq.squash_younger(3);
         assert_eq!(lsq.len(), 3);
-        lsq.remove(1);
+        assert_eq!(lsq.pop_head().map(|e| e.seq), Some(1));
         assert_eq!(lsq.len(), 2);
         assert!(lsq.find(1).is_none());
+        assert_eq!(lsq.find(3).map(|e| e.seq), Some(3));
     }
 
     #[test]

@@ -10,15 +10,32 @@
 //! # Layout
 //!
 //! The buffer is a **struct-of-arrays circular buffer**: each entry
-//! field lives in its own parallel lane, indexed by physical slot. The
-//! wakeup (Issue) and select (Writeback) scans run every cycle over the
-//! whole window but only consult the packed `state`/`time`/`pending`
-//! lanes — the 24-byte `TraceRecord` payload stays out of the scanned
-//! cache lines entirely. Entries are exposed through the view types
-//! [`RobEntryView`] / [`RobEntryMut`], which present the classic
-//! entry-at-a-time surface over the lanes; [`RobEntry`] remains the
-//! owned form used to allocate ([`ReorderBuffer::push`]) and squash
-//! ([`ReorderBuffer::squash_younger`]).
+//! field lives in its own parallel lane, indexed by physical slot.
+//! Entries are exposed through the view types [`RobEntryView`] /
+//! [`RobEntryMut`], which present the classic entry-at-a-time surface
+//! over the lanes; [`RobEntry`] remains the owned form used to allocate
+//! ([`ReorderBuffer::push`]).
+//!
+//! # Event-driven wakeup and select
+//!
+//! No per-cycle operation walks the whole window. The work is done once
+//! per event instead:
+//!
+//! * **Select by bitset.** Two slot bitsets, `ready` (waiting with no
+//!   pending producer) and `executing`, are kept current by every state
+//!   change, allocation, wakeup and squash. The Issue stage's
+//!   [`scan_ready`](ReorderBuffer::scan_ready) and the Writeback stage's
+//!   [`scan_done`](ReorderBuffer::scan_done) visit only their set bits,
+//!   in age order (`head..capacity`, then `0..head`).
+//! * **Wakeup by waiter list.** Consumer slot `s` owns two operand edges,
+//!   `2·s + k`, one per [`PendingSet`] slot `k`. Allocation links each
+//!   awaited operand's edge into its producer slot's doubly-linked
+//!   waiter list; a broadcast walks only that list and empties it; a
+//!   squash unlinks the squashed consumers' edges.
+//!
+//! Every lane is sized at construction, so none of this allocates.
+//! Invariant: a [`PendingSet`] slot holds a tag exactly when its edge is
+//! linked into the list of a live, older producer.
 
 use resim_trace::{OpClass, OtherRecord, TraceRecord};
 
@@ -73,7 +90,7 @@ const NO_TAG: u64 = u64::MAX;
 /// two source operands, and dispatch runs once per instruction on the
 /// hottest path of the simulator — this keeps the reservation-station
 /// wait list allocation-free. Slots hold a sentinel rather than an
-/// `Option` so the set is 16 bytes and the wakeup scan's emptiness
+/// `Option` so the set is 16 bytes and the wakeup's emptiness
 /// check is a single AND-compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingSet([u64; 2]);
@@ -117,16 +134,6 @@ impl PendingSet {
         *slot = tag;
     }
 
-    /// Removes `tag` if present (result broadcast / wakeup).
-    pub fn clear_tag(&mut self, tag: u64) {
-        for slot in &mut self.0 {
-            if *slot == tag {
-                *slot = NO_TAG;
-            }
-        }
-    }
-
-
     /// The awaited tags, in insertion order.
     pub fn tags(&self) -> impl Iterator<Item = u64> + '_ {
         self.0.iter().copied().filter(|&t| t != NO_TAG)
@@ -144,7 +151,7 @@ impl FromIterator<u64> for PendingSet {
 }
 
 /// One Reorder Buffer entry, in owned (array-of-structs) form — the
-/// currency of allocation and squashing. Inside the buffer the fields
+/// currency of allocation. Inside the buffer the fields
 /// live in separate lanes; use [`ReorderBuffer::head`],
 /// [`ReorderBuffer::at`] or [`ReorderBuffer::iter`] for in-place views.
 #[derive(Debug, Clone)]
@@ -233,18 +240,6 @@ impl RobEntryView<'_> {
     pub fn is_waiting(&self) -> bool {
         self.rob.state[self.phys] == ST_WAITING
     }
-
-    /// The owned form of this entry (copies the lanes back together).
-    pub fn to_entry(&self) -> RobEntry {
-        RobEntry {
-            seq: self.seq(),
-            record: *self.record(),
-            state: self.state(),
-            pending: *self.pending(),
-            in_lsq: self.in_lsq(),
-            mispredicted_branch: self.mispredicted_branch(),
-        }
-    }
 }
 
 impl std::fmt::Debug for RobEntryView<'_> {
@@ -290,9 +285,7 @@ impl RobEntryMut<'_> {
 
     /// Transitions the entry's execution state.
     pub fn set_state(&mut self, state: InstState) {
-        let (code, time) = pack_state(state);
-        self.rob.state[self.phys] = code;
-        self.rob.time[self.phys] = time;
+        self.rob.set_state_at(self.phys, state);
     }
 }
 
@@ -309,8 +302,93 @@ fn filler_record() -> TraceRecord {
     })
 }
 
+/// Sentinel for "no edge" in the waiter lists.
+const NIL: u32 = u32::MAX;
+
+/// One operand edge's links in its producer's waiter list.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    prev: u32,
+    next: u32,
+    /// Physical slot of the producer whose list holds the edge.
+    producer: u32,
+}
+
+/// A fixed-capacity set of physical slots, one bit per slot.
+#[derive(Debug, Clone)]
+struct SlotSet(Box<[u64]>);
+
+impl SlotSet {
+    fn new(capacity: usize) -> Self {
+        Self(vec![0; capacity.div_ceil(64)].into_boxed_slice())
+    }
+
+    fn set(&mut self, slot: usize, member: bool) {
+        let bit = 1u64 << (slot % 64);
+        let word = &mut self.0[slot / 64];
+        *word = (*word & !bit) | (bit * u64::from(member));
+    }
+
+    /// Members in `lo..hi`, ascending.
+    fn range(&self, lo: usize, hi: usize) -> SetBits<'_> {
+        if lo >= hi {
+            return SetBits {
+                words: &self.0,
+                cur: 0,
+                word: 0,
+                last: 0,
+                last_mask: 0,
+            };
+        }
+        let (word, last) = (lo / 64, (hi - 1) / 64);
+        let last_mask = !0u64 >> (63 - (hi - 1) % 64);
+        let mut cur = self.0[word] & (!0u64 << (lo % 64));
+        if word == last {
+            cur &= last_mask;
+        }
+        SetBits {
+            words: &self.0,
+            cur,
+            word,
+            last,
+            last_mask,
+        }
+    }
+}
+
+/// Iterator over the set bits of a [`SlotSet`] range.
+struct SetBits<'a> {
+    words: &'a [u64],
+    /// Unvisited bits of word `word`.
+    cur: u64,
+    word: usize,
+    last: usize,
+    /// Bits of word `last` inside the range.
+    last_mask: u64,
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.cur == 0 {
+            if self.word >= self.last {
+                return None;
+            }
+            self.word += 1;
+            self.cur = self.words[self.word];
+            if self.word == self.last {
+                self.cur &= self.last_mask;
+            }
+        }
+        let bit = self.cur.trailing_zeros() as usize;
+        self.cur &= self.cur - 1;
+        Some(self.word * 64 + bit)
+    }
+}
+
 /// A circular, age-ordered Reorder Buffer in struct-of-arrays layout
-/// (see the module docs).
+/// with event-driven wakeup and select (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ReorderBuffer {
     /// Age-tag lane; strictly increasing in logical (age) order.
@@ -326,9 +404,18 @@ pub struct ReorderBuffer {
     in_lsq: Box<[bool]>,
     /// Mispredicted-branch lane.
     mispredicted: Box<[bool]>,
-    /// Instruction payload lane — deliberately last: the per-cycle scans
-    /// never touch it.
+    /// Instruction payload lane — deliberately last: the scans never
+    /// touch it.
     record: Box<[TraceRecord]>,
+    /// Live slots that are waiting with no pending producer.
+    ready: SlotSet,
+    /// Live slots that are executing.
+    executing: SlotSet,
+    /// First edge of each producer slot's waiter list ([`NIL`] if none).
+    waiters: Box<[u32]>,
+    /// Operand edge `2·slot + k` of consumer `slot`, pending slot `k`;
+    /// meaningful only while that pending slot holds a tag.
+    edges: Box<[Edge]>,
     /// Physical index of the oldest entry.
     head: usize,
     /// Live entries.
@@ -340,9 +427,19 @@ impl ReorderBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or too large to index its operand
+    /// edges with `u32`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "RB capacity must be non-zero");
+        assert!(
+            capacity < (NIL / 2) as usize,
+            "RB capacity {capacity} exceeds the waiter-list index range"
+        );
+        let no_edge = Edge {
+            prev: NIL,
+            next: NIL,
+            producer: NIL,
+        };
         Self {
             seq: vec![0; capacity].into_boxed_slice(),
             state: vec![ST_WAITING; capacity].into_boxed_slice(),
@@ -351,6 +448,10 @@ impl ReorderBuffer {
             in_lsq: vec![false; capacity].into_boxed_slice(),
             mispredicted: vec![false; capacity].into_boxed_slice(),
             record: vec![filler_record(); capacity].into_boxed_slice(),
+            ready: SlotSet::new(capacity),
+            executing: SlotSet::new(capacity),
+            waiters: vec![NIL; capacity].into_boxed_slice(),
+            edges: vec![no_edge; 2 * capacity].into_boxed_slice(),
             head: 0,
             len: 0,
         }
@@ -385,7 +486,18 @@ impl ReorderBuffer {
         if p >= self.capacity() { p - self.capacity() } else { p }
     }
 
+    /// Logical (age-order) index of live physical slot `p`.
+    #[inline]
+    fn logical(&self, p: usize) -> usize {
+        if p >= self.head { p - self.head } else { p + self.capacity() - self.head }
+    }
+
     /// Allocates at the tail.
+    ///
+    /// Each pending tag whose producer is still outstanding (see
+    /// [`ReorderBuffer::is_outstanding`]) is linked into the producer's
+    /// waiter list; any other tag is dropped, its result being
+    /// available already.
     ///
     /// # Panics
     ///
@@ -398,15 +510,79 @@ impl ReorderBuffer {
             assert!(entry.seq > tail_seq, "RB ages must increase");
         }
         let p = self.phys(self.len);
-        let (code, time) = pack_state(entry.state);
+        let mut pending = entry.pending;
+        for (k, tag) in pending.0.iter_mut().enumerate() {
+            if *tag == NO_TAG {
+                continue;
+            }
+            match self.position(*tag).map(|idx| self.phys(idx)) {
+                Some(producer) if self.state[producer] != ST_COMPLETED => {
+                    self.link(2 * p + k, producer);
+                }
+                _ => *tag = NO_TAG,
+            }
+        }
         self.seq[p] = entry.seq;
-        self.state[p] = code;
-        self.time[p] = time;
-        self.pending[p] = entry.pending;
+        self.pending[p] = pending;
         self.in_lsq[p] = entry.in_lsq;
         self.mispredicted[p] = entry.mispredicted_branch;
         self.record[p] = entry.record;
+        self.set_state_at(p, entry.state);
         self.len += 1;
+    }
+
+    /// Writes slot `p`'s state lanes and its select-bitset membership.
+    fn set_state_at(&mut self, p: usize, state: InstState) {
+        let (code, time) = pack_state(state);
+        self.state[p] = code;
+        self.time[p] = time;
+        self.executing.set(p, code == ST_EXECUTING);
+        self.ready.set(p, code == ST_WAITING && self.pending[p].is_empty());
+    }
+
+    /// Links operand edge `edge` at the front of `producer`'s waiter list.
+    fn link(&mut self, edge: usize, producer: usize) {
+        let first = self.waiters[producer];
+        self.edges[edge] = Edge {
+            prev: NIL,
+            next: first,
+            producer: producer as u32,
+        };
+        if first != NIL {
+            self.edges[first as usize].prev = edge as u32;
+        }
+        self.waiters[producer] = edge as u32;
+    }
+
+    /// Unlinks operand edge `edge` from its producer's waiter list.
+    fn unlink(&mut self, edge: usize) {
+        let Edge {
+            prev,
+            next,
+            producer,
+        } = self.edges[edge];
+        if prev == NIL {
+            self.waiters[producer as usize] = next;
+        } else {
+            self.edges[prev as usize].next = next;
+        }
+        if next != NIL {
+            self.edges[next as usize].prev = prev;
+        }
+    }
+
+    /// Wakes every consumer on slot `p`'s waiter list and empties it.
+    fn wake(&mut self, p: usize) {
+        let mut edge = std::mem::replace(&mut self.waiters[p], NIL);
+        while edge != NIL {
+            let e = edge as usize;
+            let consumer = e / 2;
+            self.pending[consumer].0[e % 2] = NO_TAG;
+            if self.state[consumer] == ST_WAITING && self.pending[consumer].is_empty() {
+                self.ready.set(consumer, true);
+            }
+            edge = self.edges[e].next;
+        }
     }
 
     /// The oldest entry.
@@ -419,38 +595,55 @@ impl ReorderBuffer {
 
     /// Retires the head slot in place, without materializing an owned
     /// [`RobEntry`] — commit reads what it needs through
-    /// [`ReorderBuffer::head`] first and then drops the slot.
+    /// [`ReorderBuffer::head`] first and then drops the slot. Consumers
+    /// still waiting on the head (only possible if it never broadcast)
+    /// are woken: a producer that left the window is no longer
+    /// outstanding.
     ///
     /// # Panics
     ///
     /// Panics (debug builds) if the buffer is empty.
     pub fn drop_head(&mut self) {
         debug_assert!(self.len > 0, "drop_head on an empty RB");
+        let p = self.head;
+        // The oldest entry has no live producer, so no linked edges.
+        debug_assert!(self.pending[p].is_empty(), "the head waits on nothing");
+        self.wake(p);
+        self.ready.set(p, false);
+        self.executing.set(p, false);
         self.head = self.phys(1);
         self.len -= 1;
     }
 
     /// The logical (age-order) position of age tag `seq`, if live.
     ///
-    /// Fast path: with no squash since allocation, tag `seq` sits
-    /// exactly `seq - head_seq` entries past the head — one probe.
-    /// After a recovery the tag sequence has gaps (squashed tags are
-    /// never re-issued), so a miss falls back to a binary search over
-    /// the strictly increasing seq lane.
+    /// A recovery leaves a gap in the tag sequence (squashed tags are
+    /// never re-issued), and allocation after it is contiguous again. So
+    /// two probes find every tag older than the first gap or younger
+    /// than the last: `seq - head_seq` entries past the head, or
+    /// `tail_seq - seq` entries before the tail. A tag between two gaps
+    /// falls back to a binary search over the strictly increasing seq
+    /// lane, bounded by the two probes.
     fn position(&self, seq: u64) -> Option<usize> {
         if self.len == 0 {
             return None;
         }
         let head_seq = self.seq[self.head];
-        if seq < head_seq {
+        let tail_seq = self.seq[self.phys(self.len - 1)];
+        if seq < head_seq || seq > tail_seq {
             return None;
         }
         let delta = (seq - head_seq) as usize;
         if delta < self.len && self.seq[self.phys(delta)] == seq {
             return Some(delta);
         }
-        // Gapped tags sort the match strictly before `delta`.
-        let mut lo = 0;
+        let back = (tail_seq - seq) as usize;
+        if back < self.len && self.seq[self.phys(self.len - 1 - back)] == seq {
+            return Some(self.len - 1 - back);
+        }
+        // Gapped tags sort the match strictly before `delta` and
+        // strictly after `len - 1 - back`.
+        let mut lo = (self.len - 1).saturating_sub(back);
         let mut hi = delta.min(self.len);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -489,7 +682,7 @@ impl ReorderBuffer {
     ///
     /// O(1) on the contiguous fast path (O(log n) after a squash) — this
     /// is Dispatch's per-operand dependence probe and the LSQ refresh
-    /// callback, formerly a linear scan.
+    /// callback.
     pub fn is_outstanding(&self, seq: u64) -> bool {
         self.position(seq)
             .is_some_and(|idx| self.state[self.phys(idx)] != ST_COMPLETED)
@@ -503,64 +696,49 @@ impl ReorderBuffer {
         })
     }
 
+    /// Members of `set` in age order: the live window starts at `head`
+    /// and may wrap to slot 0, and dead slots are never members.
+    fn age_order<'a>(&self, set: &'a SlotSet) -> impl Iterator<Item = usize> + 'a {
+        set.range(self.head, self.capacity())
+            .chain(set.range(0, self.head))
+    }
+
     /// Appends `(position, seq)` of every entry that is waiting with all
-    /// operands ready — the Issue stage's wakeup scan, touching only the
-    /// `state`/`pending`/`seq` lanes.
+    /// operands ready, oldest first — the Issue stage's wakeup scan,
+    /// visiting only the `ready` bitset's members.
     pub fn scan_ready(&self, out: &mut Vec<(usize, u64)>) {
-        // Two contiguous physical runs — no per-entry wrap arithmetic.
-        let first = (self.capacity() - self.head).min(self.len);
-        for (idx, p) in (self.head..self.head + first).enumerate() {
-            if self.state[p] == ST_WAITING && self.pending[p].is_empty() {
-                out.push((idx, self.seq[p]));
-            }
-        }
-        for p in 0..self.len - first {
-            if self.state[p] == ST_WAITING && self.pending[p].is_empty() {
-                out.push((first + p, self.seq[p]));
-            }
+        for p in self.age_order(&self.ready) {
+            out.push((self.logical(p), self.seq[p]));
         }
     }
 
-    /// Appends `(position, seq)` of the oldest (at most `limit`) entries
-    /// whose execution finishes by `cycle` — the Writeback stage's
-    /// select scan, touching only the `state`/`time`/`seq` lanes.
+    /// Appends `(position, seq)` of the oldest entries whose execution
+    /// finishes by `cycle`, until `out` holds `limit` — the Writeback
+    /// stage's select scan, visiting only the `executing` bitset's
+    /// members.
     pub fn scan_done(&self, cycle: u64, limit: usize, out: &mut Vec<(usize, u64)>) {
-        // Two contiguous physical runs — no per-entry wrap arithmetic.
-        let first = (self.capacity() - self.head).min(self.len);
-        for (idx, p) in (self.head..self.head + first).enumerate() {
+        for p in self.age_order(&self.executing) {
             if out.len() >= limit {
                 return;
             }
-            if self.state[p] == ST_EXECUTING && self.time[p] <= cycle {
-                out.push((idx, self.seq[p]));
-            }
-        }
-        for p in 0..self.len - first {
-            if out.len() >= limit {
-                return;
-            }
-            if self.state[p] == ST_EXECUTING && self.time[p] <= cycle {
-                out.push((first + p, self.seq[p]));
+            if self.time[p] <= cycle {
+                out.push((self.logical(p), self.seq[p]));
             }
         }
     }
 
-    /// Broadcasts a completed producer: removes `seq` from every pending
-    /// set (the wakeup of §III's Writeback). Walks only the pending lane
-    /// (two contiguous physical runs).
+    /// Broadcasts producer `seq`'s result (the wakeup of §III's
+    /// Writeback): clears it from the pending set of every consumer on
+    /// its waiter list, and empties the list. A tag that names no live
+    /// entry has no waiters.
     pub fn broadcast(&mut self, seq: u64) {
-        let first = (self.capacity() - self.head).min(self.len);
-        for slot in &mut self.pending[self.head..self.head + first] {
-            slot.clear_tag(seq);
-        }
-        for slot in &mut self.pending[..self.len - first] {
-            slot.clear_tag(seq);
+        if let Some(idx) = self.position(seq) {
+            self.wake(self.phys(idx));
         }
     }
 
-    /// Squashes every entry younger than `seq`, returning them
-    /// (youngest last).
-    pub fn squash_younger(&mut self, seq: u64) -> Vec<RobEntry> {
+    /// Squashes every entry younger than `seq`, returning how many.
+    pub fn squash_younger(&mut self, seq: u64) -> usize {
         // First logical index with a tag strictly greater than `seq`
         // (the seq lane is strictly increasing).
         let mut lo = 0;
@@ -573,15 +751,21 @@ impl ReorderBuffer {
                 hi = mid;
             }
         }
-        let squashed = (lo..self.len)
-            .map(|idx| {
-                RobEntryView {
-                    phys: self.phys(idx),
-                    rob: self,
+        // Youngest first: every waiter of a squashed producer is younger
+        // than it, so its list is empty by the time the producer is
+        // reached.
+        for idx in (lo..self.len).rev() {
+            let p = self.phys(idx);
+            for k in 0..2 {
+                if self.pending[p].0[k] != NO_TAG {
+                    self.unlink(2 * p + k);
                 }
-                .to_entry()
-            })
-            .collect();
+            }
+            debug_assert_eq!(self.waiters[p], NIL, "a squashed producer's waiters are squashed");
+            self.ready.set(p, false);
+            self.executing.set(p, false);
+        }
+        let squashed = self.len - lo;
         self.len = lo;
         squashed
     }
@@ -665,11 +849,7 @@ mod tests {
         assert!(!p.is_empty());
         assert!(p.contains(7) && p.contains(9));
         assert!(!p.contains(8));
-        p.clear_tag(7);
-        assert!(!p.contains(7));
-        assert_eq!(p.tags().collect::<Vec<_>>(), [9]);
-        p.clear_tag(9);
-        assert!(p.is_empty());
+        assert_eq!(p.tags().collect::<Vec<_>>(), [7, 9]);
     }
 
     #[test]
@@ -703,8 +883,7 @@ mod tests {
         for s in 1..=6 {
             rb.push(entry(s));
         }
-        let squashed = rb.squash_younger(3);
-        assert_eq!(squashed.iter().map(|e| e.seq).collect::<Vec<_>>(), [4, 5, 6]);
+        assert_eq!(rb.squash_younger(3), 3);
         assert_eq!(rb.len(), 3);
         assert_eq!(rb.head().unwrap().seq(), 1);
     }
@@ -788,8 +967,8 @@ mod tests {
         assert_eq!(seqs, [4, 5, 6, 7]);
         assert!(rb.is_outstanding(6));
         rb.broadcast(42); // must not touch dead slots
-        let squashed = rb.squash_younger(5);
-        assert_eq!(squashed.iter().map(|e| e.seq).collect::<Vec<_>>(), [6, 7]);
+        assert_eq!(rb.squash_younger(5), 2);
         assert_eq!(rb.len(), 2);
+        assert_eq!(rb.iter().map(|e| e.seq()).collect::<Vec<_>>(), [4, 5]);
     }
 }

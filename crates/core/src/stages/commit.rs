@@ -65,7 +65,9 @@ impl CommitStage {
             // view, so no owned copy of the entry is made.
             core.rob.drop_head();
             if in_lsq {
-                core.lsq.remove(seq);
+                // Both queues retire in program order.
+                let retired = core.lsq.pop_head();
+                debug_assert_eq!(retired.map(|e| e.seq), Some(seq), "LSQ head is the RB head");
             }
             core.stats.committed += 1;
             core.last_commit_cycle = core.cycle;

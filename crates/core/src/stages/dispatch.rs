@@ -30,10 +30,11 @@ impl DispatchStage {
             let seq = core.next_seq;
             core.next_seq += 1;
 
+            // `push` keeps only the producers still outstanding.
             let mut pending = PendingSet::new();
             for src in fi.record.sources().into_iter().flatten() {
                 if let Some(p) = core.rename[src.index() as usize] {
-                    if core.rob.is_outstanding(p) && !pending.contains(p) {
+                    if !pending.contains(p) {
                         pending.push(p);
                     }
                 }

@@ -47,7 +47,7 @@ impl IssueStage {
 
         // Positions are stable for the whole loop: issue only flips
         // entry states, never adds or removes entries. The wakeup scan
-        // walks only the packed state/pending/seq lanes.
+        // visits only the ready entries.
         self.candidates.clear();
         core.rob.scan_ready(&mut self.candidates);
 

@@ -4,9 +4,10 @@
 use crate::state::CoreState;
 use resim_obs::{Counter, Recorder};
 
-/// `Lsq_refresh`: recomputes address/data availability and load
-/// readiness (including store-to-load forwarding) from producer state,
-/// once per major cycle (§III/§IV).
+/// `Lsq_refresh`: recomputes address/data availability from producer
+/// state once per major cycle, and load readiness (including
+/// store-to-load forwarding) whenever the queue changed (§III/§IV; see
+/// [`LoadStoreQueue::refresh`](crate::LoadStoreQueue::refresh)).
 #[derive(Debug, Default)]
 pub(crate) struct LsqRefreshStage;
 

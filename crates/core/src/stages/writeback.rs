@@ -23,7 +23,7 @@ impl WritebackStage {
         core: &mut CoreState<R>,
         cursor: &mut TraceCursor<S>,
     ) -> u64 {
-        // The select scan walks only the packed state/time/seq lanes.
+        // The select scan visits only the executing entries.
         self.done.clear();
         core.rob
             .scan_done(core.cycle, core.config.width, &mut self.done);

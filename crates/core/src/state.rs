@@ -183,17 +183,10 @@ impl<R: Recorder> CoreState<R> {
         cursor: &mut TraceCursor<S>,
     ) {
         self.stats.mispredict_recoveries += 1;
-        let squashed = self.rob.squash_younger(branch_seq);
-        self.stats.squashed += squashed.len() as u64;
-        for e in &squashed {
-            if e.in_lsq {
-                self.lsq.remove(e.seq);
-            }
-        }
+        let total = (self.rob.squash_younger(branch_seq) + self.ifq.len()) as u64;
         self.lsq.squash_younger(branch_seq);
-        self.stats.squashed += self.ifq.len() as u64;
+        self.stats.squashed += total;
         if R::ENABLED {
-            let total = (squashed.len() + self.ifq.len()) as u64;
             self.recorder.counter(Counter::MispredictRecoveries, 1);
             self.recorder.counter(Counter::Squashed, total);
             self.recorder.histogram(Hist::SquashDepth, total);

@@ -9,6 +9,11 @@
 //! simulated output, not merely "close". If a change is *meant* to alter
 //! simulated timing, the new numbers must be re-pinned deliberately and
 //! called out in review; this fixture turns silent drift into a red test.
+//!
+//! Both fixtures run a 16-entry RB. [`WINDOW_PINS`] adds the digest,
+//! cycles and commits of wider and narrower windows, recorded on the
+//! polling RB/LSQ before the event-driven wakeup replaced it: bitset and
+//! ring bugs hide at the 64-slot word boundary and at wrap-around.
 
 use resim_bpred::PredictorStats;
 use resim_core::{Engine, EngineConfig, PipelineOrganization, SimStats};
@@ -170,4 +175,67 @@ fn golden_run_replays_identically_from_the_encoded_stream() {
         .unwrap()
         .run(encoded.source());
     assert_eq!(stats, expected_perfect());
+}
+
+/// One wide-window pin: `(rb_size, lsq_size, cached memory?)` →
+/// `(SimStats::digest(), cycles, committed)` over the golden trace.
+type WindowPin = ((usize, usize, bool), (u64, u64, u64));
+
+/// Pins across RB sizes that straddle the wakeup/select structures'
+/// edges — an RB as small as one dispatch group (4), both sides of the
+/// 64-slot word boundary (63, 64, 65), and windows that wrap a second
+/// word (96, 200) — for two LSQ sizes on both memory systems.
+const WINDOW_PINS: &[WindowPin] = &[
+    ((4, 8, false), (0x910a448990116a08, 8300, 10000)),
+    ((63, 8, false), (0x2ae70131924218fe, 3992, 10000)),
+    ((64, 8, false), (0x2ae70131924218fe, 3992, 10000)),
+    ((65, 8, false), (0x2ae70131924218fe, 3992, 10000)),
+    ((96, 8, false), (0x2ae70131924218fe, 3992, 10000)),
+    ((200, 8, false), (0x2ae70131924218fe, 3992, 10000)),
+    ((4, 32, false), (0x910a448990116a08, 8300, 10000)),
+    ((63, 32, false), (0x2d906286ee06e92e, 3537, 10000)),
+    ((64, 32, false), (0xa55281b501ca1411, 3538, 10000)),
+    ((65, 32, false), (0x575f993bb919fdf0, 3533, 10000)),
+    ((96, 32, false), (0x29b74d7d812002ff, 3511, 10000)),
+    ((200, 32, false), (0xebf12b86369a68b2, 3511, 10000)),
+    ((4, 8, true), (0x6ecc9131cd18f008, 12755, 10000)),
+    ((63, 8, true), (0x179deb842ed1daad, 6715, 10000)),
+    ((64, 8, true), (0x179deb842ed1daad, 6715, 10000)),
+    ((65, 8, true), (0x179deb842ed1daad, 6715, 10000)),
+    ((96, 8, true), (0x179deb842ed1daad, 6715, 10000)),
+    ((200, 8, true), (0x179deb842ed1daad, 6715, 10000)),
+    ((4, 32, true), (0x6ecc9131cd18f008, 12755, 10000)),
+    ((63, 32, true), (0xb7a268b0fa0d4c6d, 5337, 10000)),
+    ((64, 32, true), (0x0e7dbb4f638bb51a, 5323, 10000)),
+    ((65, 32, true), (0x27b60d72e815b921, 5304, 10000)),
+    ((96, 32, true), (0x5eb459769bdaee8c, 4910, 10000)),
+    ((200, 32, true), (0xb5c677371858bae8, 4818, 10000)),
+];
+
+fn window_config(rb_size: usize, lsq_size: usize, cached: bool) -> EngineConfig {
+    EngineConfig {
+        rb_size,
+        lsq_size,
+        memory: if cached {
+            resim_mem::MemorySystemConfig::l1_32k()
+        } else {
+            EngineConfig::paper_4wide().memory
+        },
+        ..EngineConfig::paper_4wide()
+    }
+}
+
+#[test]
+fn wide_window_stats_match_the_pins() {
+    let trace = golden_trace();
+    for &((rb_size, lsq_size, cached), pin) in WINDOW_PINS {
+        let stats = Engine::new(window_config(rb_size, lsq_size, cached))
+            .unwrap()
+            .run(trace.source());
+        assert_eq!(
+            (stats.digest(), stats.cycles, stats.committed),
+            pin,
+            "rb_size {rb_size}, lsq_size {lsq_size}, cached {cached} drifted from its pin"
+        );
+    }
 }

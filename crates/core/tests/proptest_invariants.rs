@@ -4,6 +4,9 @@
 //!   program order;
 //! * the LSQ never readies a load past an older store whose address is
 //!   still unresolved;
+//! * the event-driven RB bookkeeping (select bitsets, waiter lists) and
+//!   the change-driven LSQ refresh agree, after every operation of a
+//!   random sequence, with a brute-force recomputation from scratch;
 //! * at the engine level, observed IFQ/RB/LSQ occupancies never exceed
 //!   the configured capacities (via the per-run occupancy maxima).
 
@@ -89,8 +92,10 @@ proptest! {
                     // Squash everything younger than the middle live entry.
                     let mid = rob.iter().map(|e| e.seq()).nth(rob.len() / 2);
                     if let Some(mid) = mid {
+                        let before = rob.len();
                         let squashed = rob.squash_younger(mid);
-                        prop_assert!(squashed.iter().all(|e| e.seq > mid));
+                        prop_assert_eq!(squashed, before - rob.len());
+                        prop_assert!(rob.iter().all(|e| e.seq() <= mid));
                         // Resume allocation after the squash point, like
                         // the engine's recovery does.
                         next_seq = mid + 1;
@@ -187,6 +192,272 @@ proptest! {
                     );
                 }
                 LoadReady::NotReady => unreachable!(),
+            }
+        }
+    }
+}
+
+/// A reference RB entry: the state and awaited tags the event-driven
+/// buffer must reproduce.
+struct RefEntry {
+    seq: u64,
+    state: InstState,
+    pending: Vec<u64>,
+}
+
+/// Checks the buffer's scans and pending sets against `reference` and a
+/// brute-force scan over its `iter()` views.
+fn check_rob_against_reference(rob: &ReorderBuffer, reference: &[RefEntry], cycle: u64) {
+    let live: Vec<u64> = rob.iter().map(|e| e.seq()).collect();
+    let expected: Vec<u64> = reference.iter().map(|e| e.seq).collect();
+    assert_eq!(live, expected, "live window");
+    for (view, r) in rob.iter().zip(reference) {
+        assert_eq!(view.state(), r.state, "state of {}", r.seq);
+        let mut tags: Vec<u64> = view.pending().tags().collect();
+        tags.sort_unstable();
+        assert_eq!(tags, r.pending, "pending set of {}", r.seq);
+    }
+    let mut ready = Vec::new();
+    rob.scan_ready(&mut ready);
+    let brute: Vec<(usize, u64)> = rob
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.is_waiting() && e.operands_ready())
+        .map(|(i, e)| (i, e.seq()))
+        .collect();
+    assert_eq!(ready, brute, "scan_ready");
+    for limit in [0, 1, 4, usize::MAX] {
+        let mut done = Vec::new();
+        rob.scan_done(cycle, limit, &mut done);
+        let brute: Vec<(usize, u64)> = rob
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| matches!(e.state(), InstState::Executing { done_at } if done_at <= cycle))
+            .map(|(i, e)| (i, e.seq()))
+            .take(limit)
+            .collect();
+        assert_eq!(done, brute, "scan_done at cycle {cycle}, limit {limit}");
+    }
+}
+
+/// Recomputes a load's readiness from scratch over the queue's current
+/// flags (the `Lsq_refresh` rule, §III).
+fn load_ready_from_scratch(entries: &[LsqEntry], i: usize) -> LoadReady {
+    if !entries[i].addr_known {
+        return LoadReady::NotReady;
+    }
+    for older in entries[..i].iter().rev().filter(|o| !o.is_load()) {
+        if !older.addr_known {
+            return LoadReady::NotReady;
+        }
+        if older.mem.overlaps(&entries[i].mem) {
+            return if older.data_ready {
+                LoadReady::ReadyForward
+            } else {
+                LoadReady::NotReady
+            };
+        }
+    }
+    LoadReady::ReadyCache
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Differential check of the RB's event-driven bookkeeping: random
+    /// push (with pending tags drawn from live outstanding entries),
+    /// issue, writeback (complete + broadcast), commit, head drop and squash
+    /// sequences at capacities on both sides of the 64-slot word
+    /// boundary. After every operation, `scan_ready`, `scan_done` and
+    /// every pending set equal a from-scratch reference.
+    #[test]
+    fn rob_bookkeeping_matches_a_brute_force_reference(
+        capacity in prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(130)],
+        ops in prop::collection::vec((0u8..16, any::<u32>()), 1..800),
+    ) {
+        let mut rob = ReorderBuffer::new(capacity);
+        let mut reference: Vec<RefEntry> = Vec::new();
+        let mut next_seq = 1u64;
+        let mut cycle = 0u64;
+        for (op, arg) in ops {
+            // Half the picks take the oldest candidate, so the head
+            // keeps retiring and the window wraps the ring.
+            let pick = |n: usize| if arg & 2 == 0 { 0 } else { arg as usize % n };
+            match op {
+                // Push: up to two producers among the outstanding entries.
+                0..=4 => {
+                    if rob.is_full() {
+                        continue;
+                    }
+                    let outstanding: Vec<u64> = reference
+                        .iter()
+                        .filter(|e| !matches!(e.state, InstState::Completed { .. }))
+                        .map(|e| e.seq)
+                        .collect();
+                    let mut tags = Vec::new();
+                    if !outstanding.is_empty() {
+                        for shift in [8, 20] {
+                            if (arg >> (shift - 1)) & 1 == 1 {
+                                let tag = outstanding[(arg >> shift) as usize % outstanding.len()];
+                                if !tags.contains(&tag) {
+                                    tags.push(tag);
+                                }
+                            }
+                        }
+                    }
+                    rob.push(RobEntry {
+                        pending: tags.iter().copied().collect(),
+                        ..rob_entry(next_seq)
+                    });
+                    tags.sort_unstable();
+                    reference.push(RefEntry { seq: next_seq, state: InstState::Waiting, pending: tags });
+                    next_seq += 1;
+                }
+                // Issue a ready entry.
+                5..=7 => {
+                    let ready: Vec<usize> = (0..reference.len())
+                        .filter(|&i| reference[i].state == InstState::Waiting && reference[i].pending.is_empty())
+                        .collect();
+                    if ready.is_empty() {
+                        continue;
+                    }
+                    let i = ready[pick(ready.len())];
+                    let state = InstState::Executing { done_at: cycle + u64::from(arg >> 16) % 4 };
+                    rob.at_mut(i).unwrap().set_state(state);
+                    reference[i].state = state;
+                }
+                // Writeback an executing entry: complete, then broadcast.
+                8..=10 => {
+                    let executing: Vec<usize> = (0..reference.len())
+                        .filter(|&i| matches!(reference[i].state, InstState::Executing { .. }))
+                        .collect();
+                    if executing.is_empty() {
+                        continue;
+                    }
+                    let i = executing[pick(executing.len())];
+                    let seq = reference[i].seq;
+                    let state = InstState::Completed { at: cycle };
+                    rob.at_mut(i).unwrap().set_state(state);
+                    rob.broadcast(seq);
+                    reference[i].state = state;
+                    for e in &mut reference {
+                        e.pending.retain(|&t| t != seq);
+                    }
+                }
+                // Commit a completed head.
+                11 => {
+                    if reference.first().is_some_and(|e| matches!(e.state, InstState::Completed { .. })) {
+                        rob.drop_head();
+                        reference.remove(0);
+                    }
+                }
+                // Drop the head in any state: a producer that leaves the
+                // window wakes whoever still waits on it.
+                12 => {
+                    if !reference.is_empty() {
+                        rob.drop_head();
+                        let seq = reference.remove(0).seq;
+                        for e in &mut reference {
+                            e.pending.retain(|&t| t != seq);
+                        }
+                    }
+                }
+                // Squash a few of the youngest entries, as a recovery
+                // does.
+                13 => {
+                    if reference.is_empty() {
+                        continue;
+                    }
+                    let keep = reference.len() - arg as usize % reference.len().min(8);
+                    let seq = reference[keep - 1].seq;
+                    prop_assert_eq!(rob.squash_younger(seq), reference.len() - keep);
+                    reference.truncate(keep);
+                }
+                _ => cycle += 1,
+            }
+            check_rob_against_reference(&rob, &reference, cycle);
+        }
+    }
+
+    /// Differential check of the change-driven `refresh`: after random
+    /// push / commit / squash / issue / producer-resolution / refresh
+    /// sequences, every unissued load's readiness equals a from-scratch
+    /// recomputation over `iter()`.
+    #[test]
+    fn lsq_refresh_matches_a_from_scratch_recomputation(
+        capacity in 1usize..12,
+        ops in prop::collection::vec((0u8..16, any::<u32>()), 1..300),
+    ) {
+        let mut lsq = LoadStoreQueue::new(capacity);
+        // Producer tags 1000..1016 start outstanding and resolve once.
+        let mut outstanding: HashSet<u64> = (1000..1016).collect();
+        let mut next_seq = 1u64;
+        for (op, arg) in ops {
+            match op {
+                0..=2 => {
+                    if lsq.is_full() {
+                        continue;
+                    }
+                    let is_load = arg & 1 == 0;
+                    let dep = |bits: u32| ((bits & 0x1f) < 16).then_some(1000 + u64::from(bits & 0xf));
+                    lsq.push(LsqEntry {
+                        seq: next_seq,
+                        mem: MemRecord {
+                            pc: 0x2000,
+                            addr: 0x8000 + ((arg >> 1) & 7) * 4,
+                            size: MemSize::Word,
+                            kind: if is_load { MemKind::Load } else { MemKind::Store },
+                            base: None,
+                            data: None,
+                            wrong_path: false,
+                        },
+                        base_dep: dep(arg >> 4),
+                        data_dep: if is_load { None } else { dep(arg >> 9) },
+                        // Now and then the flags arrive already set.
+                        addr_known: arg >> 14 & 3 == 0,
+                        data_ready: arg >> 16 & 3 == 0,
+                        load_ready: LoadReady::NotReady,
+                        issued: false,
+                    });
+                    next_seq += 1;
+                }
+                3 => {
+                    lsq.pop_head();
+                }
+                5 => {
+                    let live: Vec<u64> = lsq.iter().map(|e| e.seq).collect();
+                    if !live.is_empty() {
+                        let keep = arg as usize % live.len();
+                        lsq.squash_younger(live[keep]);
+                        prop_assert_eq!(lsq.len(), keep + 1);
+                    }
+                }
+                4 => {
+                    let live: Vec<u64> = lsq.iter().map(|e| e.seq).collect();
+                    if !live.is_empty() {
+                        lsq.mark_issued(live[arg as usize % live.len()]);
+                    }
+                }
+                // Resolve a producer. Refreshes are frequent, so many
+                // see only resolutions since the previous one.
+                6..=8 => {
+                    outstanding.remove(&(1000 + u64::from(arg % 16)));
+                }
+                _ => {
+                    lsq.refresh(|seq| outstanding.contains(&seq));
+                    let entries: Vec<LsqEntry> = lsq.iter().cloned().collect();
+                    for (i, e) in entries.iter().enumerate() {
+                        if e.is_load() && !e.issued {
+                            prop_assert_eq!(
+                                e.load_ready,
+                                load_ready_from_scratch(&entries, i),
+                                "load {} in {:?}",
+                                e.seq,
+                                entries
+                            );
+                        }
+                    }
+                }
             }
         }
     }
