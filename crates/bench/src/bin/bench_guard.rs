@@ -1,7 +1,7 @@
 //! CI bench-regression guard for engine throughput.
 //!
-//! Re-measures committed-records-per-second for the three trace
-//! frontends (`slice`, `encoded`, `file`) on gzip and compares every row
+//! Re-measures committed-records-per-second for the two trace
+//! frontends (`slice`, `file`) on gzip and compares every row
 //! against the checked-in `BENCH_BASELINE.json` at the repository root.
 //! A row that drops below `baseline * (1 - allowed_drop)` fails the run
 //! (exit 1), which is how CI catches an accidental O(n)-per-record
@@ -50,7 +50,7 @@ struct Row {
 #[derive(Debug, PartialEq)]
 struct Baseline {
     allowed_drop: f64,
-    rates: [f64; 3],
+    rates: [f64; 2],
 }
 
 /// One compared row of the `resim.bench/2` line.
@@ -90,7 +90,7 @@ fn parse_baseline(text: &str) -> Result<Baseline, String> {
     let rates = doc
         .get("records_per_sec")
         .ok_or("\"records_per_sec\" is missing")?;
-    let mut out = [0.0; 3];
+    let mut out = [0.0; 2];
     for (slot, frontend) in out.iter_mut().zip(Frontend::ALL) {
         *slot = rates
             .get(frontend.name())
@@ -237,11 +237,11 @@ mod tests {
     const GOOD: &str = r#"{
   "bench": "engine_throughput",
   "allowed_drop": 0.20,
-  "records_per_sec": {"slice": 4000000, "encoded": 2000000.5, "file": 1900000}
+  "records_per_sec": {"slice": 4000000, "file": 1900000.5}
 }"#;
 
     #[test]
-    fn the_committed_baseline_parses_to_three_rows() {
+    fn the_committed_baseline_parses_to_two_rows() {
         let text = std::fs::read_to_string(baseline_path()).expect("baseline is committed");
         let baseline = parse_baseline(&text).expect("committed baseline parses");
         assert_eq!(baseline.allowed_drop, 0.20);
@@ -255,7 +255,7 @@ mod tests {
             parse_baseline(GOOD),
             Ok(Baseline {
                 allowed_drop: 0.20,
-                rates: [4e6, 2000000.5, 1.9e6]
+                rates: [4e6, 1900000.5]
             })
         );
     }
@@ -268,7 +268,7 @@ mod tests {
                 GOOD.replace("\"allowed_drop\": 0.20,", ""),
             ),
             ("string allowed_drop", GOOD.replace("0.20", "\"0.20\"")),
-            ("no file row", GOOD.replace(", \"file\": 1900000", "")),
+            ("no file row", GOOD.replace(", \"file\": 1900000.5", "")),
             ("string rate", GOOD.replace("4000000", "\"fast\"")),
             ("no rates", GOOD.replace("records_per_sec", "rates")),
             ("not JSON", GOOD.replace('}', "")),

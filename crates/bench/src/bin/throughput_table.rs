@@ -3,7 +3,7 @@
 //! Prints five Markdown tables, every cell a best-of-9 rate over
 //! 200 000 correct-path records (seed 2009):
 //!
-//! 1. frontend × configuration on gzip: the three pipeline
+//! 1. frontend (slice, file) × configuration on gzip: the three pipeline
 //!    organizations of the Table 1 (left) machine, plus the Table 1
 //!    (right) machine on its perfect-predictor trace;
 //! 2. workload × frontend: all five SPEC profiles on the Table 1 (left)
@@ -13,8 +13,9 @@
 //!    select;
 //! 4. recorder overhead: `NullRecorder` against `MetricsRecorder`,
 //!    asserting the two runs' `SimStats` are bit-identical;
-//! 5. components: trace generation, v1 and v2 encode and decode,
-//!    predictor, L1 cache and workload generation.
+//! 5. components: trace generation, v1 and v2 encode and decode (each
+//!    decode through `EncodedTrace::decode`, the one reader), predictor,
+//!    L1 cache and workload generation.
 //!
 //! Engine cells are committed records per second over full runs, a
 //! fresh engine per run. Run with
@@ -67,8 +68,8 @@ fn frontend_by_configuration(gzip: &SuppliedTrace) {
 
 fn workload_by_frontend() {
     let config = EngineConfig::paper_4wide();
-    println!("| workload | slice | encoded | file |");
-    println!("|----------|-------|---------|------|");
+    println!("| workload | slice | file |");
+    println!("|----------|-------|------|");
     for bench in SpecBenchmark::ALL {
         let supplied = SuppliedTrace::generate(bench, RECORDS, &TraceGenConfig::paper());
         let rates: Vec<String> = Frontend::ALL

@@ -28,33 +28,31 @@ pub fn best_rate(runs: usize, mut work: impl FnMut() -> u64) -> f64 {
     })
 }
 
-/// The three ways a trace reaches the engine.
+/// The two ways a trace reaches the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Frontend {
     /// Pre-decoded records in memory (`Trace::source`).
     Slice,
-    /// The v1 bit-packed stream, decoded on the fly (`EncodedTrace::source`).
-    Encoded,
-    /// The on-disk container through a buffered reader (`FileSource`).
+    /// The v1 on-disk container, decoded on the fly through a buffered
+    /// reader (`FileSource`).
     File,
 }
 
 impl Frontend {
     /// Every frontend, cheapest supply first.
-    pub const ALL: [Frontend; 3] = [Frontend::Slice, Frontend::Encoded, Frontend::File];
+    pub const ALL: [Frontend; 2] = [Frontend::Slice, Frontend::File];
 
     /// The frontend's name in tables and in `BENCH_BASELINE.json`.
     pub fn name(self) -> &'static str {
         match self {
             Frontend::Slice => "slice",
-            Frontend::Encoded => "encoded",
             Frontend::File => "file",
         }
     }
 }
 
-/// One generated trace in all three supply forms: the record slice, the
-/// v1 encoding and a container file in the temp directory, which is
+/// One generated trace in three forms: the record slice, the v1
+/// encoding and a container file of it in the temp directory, which is
 /// removed when the value is dropped (a panicking run included).
 #[derive(Debug)]
 pub struct SuppliedTrace {
@@ -104,7 +102,6 @@ impl SuppliedTrace {
         let mut engine = Engine::new(config.clone()).expect("valid bench configuration");
         match frontend {
             Frontend::Slice => engine.run(self.trace.source()),
-            Frontend::Encoded => engine.run(self.encoded.source()),
             Frontend::File => {
                 engine.run(FileSource::open(&self.path).expect("bench trace readable"))
             }

@@ -1,29 +1,17 @@
-//! Little bit-granular writer/reader used by the trace codec.
+//! The bit-granular writer and reader behind the trace codec.
 //!
 //! Records are variable-length bit strings ("each with its own fields and
 //! length", paper §V.A), so the codec cannot rely on byte alignment. Bits
-//! are packed LSB-first into a byte vector.
+//! are packed LSB-first into a byte vector by [`BitWriter`] and read back
+//! by [`StreamBits`], the one reader every encoded stream decodes
+//! through: an in-memory body is read as an `&[u8]`, an on-disk container
+//! as a buffered file.
+
+use std::io::{self, Read};
 
 /// Appends values of 1–32 bits into a growing byte buffer, LSB-first.
-///
-/// # Example
-///
-/// ```
-/// use resim_trace::{BitReader, BitWriter};
-///
-/// let mut w = BitWriter::new();
-/// w.put(0b101, 3);
-/// w.put(0xABCD, 16);
-/// let (bytes, bits) = w.finish();
-/// assert_eq!(bits, 19);
-///
-/// let mut r = BitReader::new(&bytes, bits);
-/// assert_eq!(r.get(3), Some(0b101));
-/// assert_eq!(r.get(16), Some(0xABCD));
-/// assert_eq!(r.get(1), None);
-/// ```
 #[derive(Debug, Clone, Default)]
-pub struct BitWriter {
+pub(crate) struct BitWriter {
     /// Exactly `len_bits.div_ceil(8)` bytes; bits past `len_bits` in the
     /// last byte are zero.
     buf: Vec<u8>,
@@ -33,7 +21,7 @@ pub struct BitWriter {
 
 impl BitWriter {
     /// Creates an empty writer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -43,7 +31,7 @@ impl BitWriter {
     ///
     /// Panics if `nbits` is 0 or greater than 32, or if `value` has bits
     /// set above `nbits`.
-    pub fn put(&mut self, value: u32, nbits: u32) {
+    pub(crate) fn put(&mut self, value: u32, nbits: u32) {
         assert!(
             (1..=32).contains(&nbits),
             "bit width {nbits} out of range 1..=32"
@@ -69,7 +57,7 @@ impl BitWriter {
     }
 
     /// Appends a single flag bit.
-    pub fn put_bool(&mut self, value: bool) {
+    pub(crate) fn put_bool(&mut self, value: bool) {
         self.put(u32::from(value), 1);
     }
 
@@ -81,80 +69,86 @@ impl BitWriter {
     }
 
     /// Number of bits written so far.
-    pub fn len_bits(&self) -> u64 {
+    pub(crate) fn len_bits(&self) -> u64 {
         self.len_bits
     }
 
     /// Finishes, returning the packed bytes and the exact bit count.
-    pub fn finish(self) -> (Vec<u8>, u64) {
+    pub(crate) fn finish(self) -> (Vec<u8>, u64) {
         (self.buf, self.len_bits)
     }
 }
 
-/// The bit-granular read interface shared by the in-memory
-/// [`BitReader`] and the streaming trace-file reader: everything the
-/// record codec needs, so one decode routine serves both.
-pub(crate) trait BitRead {
-    /// Reads `nbits` (1–32) bits; `None` if fewer remain.
-    fn get(&mut self, nbits: u32) -> Option<u32>;
+/// Reads back values packed by [`BitWriter`], pulling bytes on demand
+/// from an [`io::Read`].
+///
+/// The total payload bit length comes from the caller (the container
+/// header); an I/O error — including a body shorter than that length —
+/// is parked in `io_error`, bit reads then report exhaustion, and
+/// [`FileSource`](crate::FileSource) surfaces it as
+/// [`FileError::Io`](crate::FileError::Io).
+#[derive(Debug)]
+pub(crate) struct StreamBits<R: Read> {
+    reader: R,
+    total_bits: u64,
+    pos: u64,
+    /// The byte currently being consumed bit by bit.
+    cur: u8,
+    io_error: Option<io::Error>,
+}
 
-    /// Reads one flag bit.
-    fn get_bool(&mut self) -> Option<bool> {
-        self.get(1).map(|b| b == 1)
+impl<R: Read> StreamBits<R> {
+    /// Creates a reader over `reader` holding exactly `total_bits` valid
+    /// bits.
+    pub(crate) fn new(reader: R, total_bits: u64) -> Self {
+        Self {
+            reader,
+            total_bits,
+            pos: 0,
+            cur: 0,
+            io_error: None,
+        }
     }
 
-    /// Advances past `nbits` bits without assembling a value; `false` if
-    /// fewer remain.
-    fn skip_bits(&mut self, nbits: u64) -> bool;
+    /// Takes the parked I/O error, if a read failed.
+    pub(crate) fn take_io_error(&mut self) -> Option<io::Error> {
+        self.io_error.take()
+    }
 
-    /// Current read position in bits.
-    fn position(&self) -> u64;
-
-    /// Bits remaining to be read.
-    fn remaining_bits(&self) -> u64;
-}
-
-/// Reads back values packed by [`BitWriter`].
-#[derive(Debug, Clone)]
-pub struct BitReader<'a> {
-    buf: &'a [u8],
-    len_bits: u64,
-    pos: u64,
-}
-
-impl<'a> BitReader<'a> {
-    /// Creates a reader over `buf` holding exactly `len_bits` valid bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len_bits` exceeds the buffer capacity.
-    pub fn new(buf: &'a [u8], len_bits: u64) -> Self {
-        assert!(
-            len_bits <= buf.len() as u64 * 8,
-            "len_bits {len_bits} exceeds buffer capacity {}",
-            buf.len() as u64 * 8
-        );
-        Self {
-            buf,
-            len_bits,
-            pos: 0,
+    /// Loads the byte holding bit `pos` when crossing a byte boundary;
+    /// `false` on I/O failure (including a body shorter than declared).
+    fn refill(&mut self) -> bool {
+        if !self.pos.is_multiple_of(8) {
+            return true;
+        }
+        let mut byte = [0u8; 1];
+        match self.reader.read_exact(&mut byte) {
+            Ok(()) => {
+                self.cur = byte[0];
+                true
+            }
+            Err(e) => {
+                self.io_error = Some(e);
+                false
+            }
         }
     }
 
     /// Reads `nbits` (1–32) bits; `None` if fewer remain.
-    pub fn get(&mut self, nbits: u32) -> Option<u32> {
+    pub(crate) fn get(&mut self, nbits: u32) -> Option<u32> {
         assert!(
             (1..=32).contains(&nbits),
             "bit width {nbits} out of range 1..=32"
         );
-        if self.pos + u64::from(nbits) > self.len_bits {
+        if self.io_error.is_some() || self.pos + u64::from(nbits) > self.total_bits {
             return None;
         }
         let mut value = 0u32;
         for i in 0..nbits {
-            let byte_idx = (self.pos / 8) as usize;
-            let bit_idx = (self.pos % 8) as u32;
-            let bit = (self.buf[byte_idx] >> bit_idx) & 1;
+            if !self.refill() {
+                return None;
+            }
+            let bit = (self.cur >> (self.pos % 8)) & 1;
             value |= u32::from(bit) << i;
             self.pos += 1;
         }
@@ -162,53 +156,65 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads one flag bit.
-    pub fn get_bool(&mut self) -> Option<bool> {
+    pub(crate) fn get_bool(&mut self) -> Option<bool> {
         self.get(1).map(|b| b == 1)
     }
 
     /// Advances past `nbits` bits without assembling a value; `false` if
-    /// fewer remain (position is then unchanged).
-    ///
-    /// This is the decode-and-discard primitive behind
-    /// [`TraceDecoder::skip_record`](crate::TraceDecoder::skip_record):
-    /// skipping is O(1) in the width, where [`BitReader::get`] walks every
-    /// bit.
-    pub fn skip_bits(&mut self, nbits: u64) -> bool {
+    /// fewer remain (the position is then unchanged unless a read
+    /// failed).
+    pub(crate) fn skip_bits(&mut self, nbits: u64) -> bool {
+        // A generic `io::Read` cannot seek, so skipping still consumes
+        // bytes — but without assembling values, and whole bytes at a
+        // time once aligned.
         match self.pos.checked_add(nbits) {
-            Some(end) if end <= self.len_bits => {
-                self.pos = end;
-                true
-            }
-            _ => false,
+            Some(end) if end <= self.total_bits => {}
+            _ => return false,
         }
-    }
-
-    /// Bits remaining to be read.
-    pub fn remaining_bits(&self) -> u64 {
-        self.len_bits - self.pos
+        if self.io_error.is_some() {
+            return false;
+        }
+        let mut left = nbits;
+        // Finish the partially consumed byte.
+        while left > 0 && !self.pos.is_multiple_of(8) {
+            self.pos += 1;
+            left -= 1;
+        }
+        let mut bytes = left / 8;
+        let mut chunk = [0u8; 256];
+        while bytes > 0 {
+            let n = bytes.min(chunk.len() as u64) as usize;
+            if let Err(e) = self.reader.read_exact(&mut chunk[..n]) {
+                self.io_error = Some(e);
+                return false;
+            }
+            self.pos += n as u64 * 8;
+            left -= n as u64 * 8;
+            bytes -= n as u64;
+        }
+        // Enter the trailing partial byte, if any.
+        while left > 0 {
+            if !self.refill() {
+                return false;
+            }
+            self.pos += 1;
+            left -= 1;
+        }
+        true
     }
 
     /// Current read position in bits.
-    pub fn position(&self) -> u64 {
+    pub(crate) fn position(&self) -> u64 {
         self.pos
     }
-}
 
-impl BitRead for BitReader<'_> {
-    fn get(&mut self, nbits: u32) -> Option<u32> {
-        BitReader::get(self, nbits)
-    }
-
-    fn skip_bits(&mut self, nbits: u64) -> bool {
-        BitReader::skip_bits(self, nbits)
-    }
-
-    fn position(&self) -> u64 {
-        BitReader::position(self)
-    }
-
-    fn remaining_bits(&self) -> u64 {
-        BitReader::remaining_bits(self)
+    /// Bits remaining to be read (none once a read has failed).
+    pub(crate) fn remaining_bits(&self) -> u64 {
+        if self.io_error.is_some() {
+            0
+        } else {
+            self.total_bits - self.pos
+        }
     }
 }
 
@@ -228,7 +234,7 @@ mod tests {
         assert_eq!(total, 1 + 1 + 6 + 32 + 3);
         let (bytes, bits) = w.finish();
         assert_eq!(bits, total);
-        let mut r = BitReader::new(&bytes, bits);
+        let mut r = StreamBits::new(&bytes[..], bits);
         assert_eq!(r.get(1), Some(1));
         assert_eq!(r.get(1), Some(0));
         assert_eq!(r.get(6), Some(0x3F));
@@ -240,7 +246,7 @@ mod tests {
 
     #[test]
     fn empty_reader() {
-        let mut r = BitReader::new(&[], 0);
+        let mut r = StreamBits::new(&[][..], 0);
         assert_eq!(r.get(1), None);
         assert_eq!(r.remaining_bits(), 0);
     }
@@ -252,7 +258,7 @@ mod tests {
         w.put_bool(false);
         w.put_bool(true);
         let (bytes, bits) = w.finish();
-        let mut r = BitReader::new(&bytes, bits);
+        let mut r = StreamBits::new(&bytes[..], bits);
         assert_eq!(r.get_bool(), Some(true));
         assert_eq!(r.get_bool(), Some(false));
         assert_eq!(r.get_bool(), Some(true));
@@ -279,7 +285,7 @@ mod tests {
         w.put(0x7, 3);
         w.put(0x1, 2);
         let (bytes, bits) = w.finish();
-        let mut r = BitReader::new(&bytes, bits);
+        let mut r = StreamBits::new(&bytes[..], bits);
         assert_eq!(r.position(), 0);
         r.get(3);
         assert_eq!(r.position(), 3);
@@ -294,7 +300,7 @@ mod tests {
         w.put(0xBEEF, 16);
         w.put(0x3, 2);
         let (bytes, bits) = w.finish();
-        let mut r = BitReader::new(&bytes, bits);
+        let mut r = StreamBits::new(&bytes[..], bits);
         assert!(r.skip_bits(3));
         assert_eq!(r.position(), 3);
         assert!(r.skip_bits(16));
@@ -371,7 +377,7 @@ mod tests {
         w.put(u32::MAX, 32);
         w.put(0, 32);
         let (bytes, bits) = w.finish();
-        let mut r = BitReader::new(&bytes, bits);
+        let mut r = StreamBits::new(&bytes[..], bits);
         assert_eq!(r.get(32), Some(u32::MAX));
         assert_eq!(r.get(32), Some(0));
     }

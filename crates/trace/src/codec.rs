@@ -26,8 +26,14 @@
 //! following a PC discontinuity 4 more. The resulting 40-some bits per
 //! average instruction is the band the paper's Table 3 reports (41–47
 //! bits/instruction on SPECINT).
+//!
+//! [`TraceEncoder`] writes the stream; there is no separate decoder type.
+//! [`EncodedTrace::source`] and [`EncodedTrace::decode`] read it back
+//! through [`FileSource`], the crate's one record source, whose bit
+//! reader streams off an `&[u8]` here and off a file for a container.
 
-use crate::bits::{BitRead, BitReader, BitWriter};
+use crate::bits::{BitWriter, StreamBits};
+use crate::file::{FileError, FileSource, TraceFileHeader};
 use crate::record::{
     BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, Reg, TraceRecord,
 };
@@ -35,6 +41,7 @@ use crate::stats::TraceStats;
 use crate::Trace;
 use std::error::Error;
 use std::fmt;
+use std::io::Read;
 
 pub(crate) const FMT_OTHER: u32 = 0;
 pub(crate) const FMT_MEM: u32 = 1;
@@ -184,7 +191,7 @@ pub(crate) fn put_reg(w: &mut BitWriter, reg: Option<Reg>) {
     }
 }
 
-pub(crate) fn get_reg<B: BitRead>(r: &mut B) -> Result<Option<Reg>, DecodeError> {
+pub(crate) fn get_reg<R: Read>(r: &mut StreamBits<R>) -> Result<Option<Reg>, DecodeError> {
     let present = r.get_bool().ok_or(DecodeError::Truncated)?;
     if !present {
         return Ok(None);
@@ -218,20 +225,6 @@ impl EncodedTrace {
             stats,
             layout,
         }
-    }
-
-    /// Test-only: reinterprets raw bytes as a v2 body of `len_bits`
-    /// bits (no stats, no record count). Lets the fuzz suites clip a
-    /// stream at an arbitrary bit without going through a container.
-    #[doc(hidden)]
-    pub fn from_bytes_v2_for_test(bytes: Vec<u8>, len_bits: u64) -> Self {
-        Self::from_raw_parts(
-            bytes,
-            len_bits,
-            0,
-            TraceStats::default(),
-            crate::codec_v2::TRACE_LAYOUT_VERSION_V2,
-        )
     }
 
     /// The packed bytes (the final byte may be partially used).
@@ -274,211 +267,38 @@ impl EncodedTrace {
     /// Returns a [`DecodeError`] if the bit stream is truncated or contains
     /// an invalid format/enum field.
     pub fn decode(&self) -> Result<Trace, DecodeError> {
+        use crate::TraceSource as _;
         let mut src = self.source();
         let mut out = Vec::with_capacity(self.records as usize);
-        {
-            use crate::TraceSource as _;
-            while let Some(r) = src.next_record() {
-                out.push(r);
-            }
+        while let Some(r) = src.next_record() {
+            out.push(r);
         }
-        if let Some(e) = src.error() {
-            return Err(e);
+        match src.error() {
+            None => Ok(Trace::from_records(out)),
+            Some(FileError::Decode(e)) => Err(*e),
+            // An I/O error: the body is shorter than its bit length.
+            Some(_) => Err(DecodeError::Truncated),
         }
-        Ok(Trace::from_records(out))
     }
 
     /// A streaming [`TraceSource`](crate::TraceSource) decoding records on
-    /// the fly.
-    ///
-    /// [`TraceSource::skip`](crate::TraceSource::skip) on a v1 source uses
-    /// the codec-level fast path ([`TraceDecoder::skip_record`]) — records
-    /// are paged over without being materialised. A v2 stream chains
-    /// decoder state through every record, so its skip decodes and
-    /// discards.
-    pub fn source(&self) -> EncodedSource<'_> {
-        let inner = if self.layout == crate::codec_v2::TRACE_LAYOUT_VERSION_V2 {
-            SourceInner::V2 {
-                reader: BitReader::new(&self.bytes, self.len_bits),
-                state: crate::codec_v2::V2State::default(),
-            }
-        } else {
-            SourceInner::V1(TraceDecoder::new(&self.bytes, self.len_bits))
-        };
-        EncodedSource {
-            inner,
-            remaining: self.records,
-            error: None,
-        }
+    /// the fly: the [`FileSource`] every encoded stream decodes through,
+    /// reading this trace's body from memory under a header that
+    /// describes it (no workload id, seed or fingerprint).
+    pub fn source(&self) -> FileSource<&[u8]> {
+        FileSource::new(TraceFileHeader::for_trace(self, "", 0, 0), &self.bytes[..])
     }
 }
 
-/// A [`TraceSource`](crate::TraceSource) streaming straight out of an
-/// [`EncodedTrace`]'s bit
-/// stream, decoding one record per pull.
+/// Decodes one v1 record; `Ok(None)` at a clean end of stream.
 ///
-/// Decode errors terminate the stream (fused `None`); the first error is
-/// retained and can be inspected with [`EncodedSource::error`]. Traces
-/// produced by [`TraceEncoder`] never error.
-#[derive(Debug, Clone)]
-pub struct EncodedSource<'a> {
-    inner: SourceInner<'a>,
-    remaining: u64,
-    error: Option<DecodeError>,
-}
-
-/// The layout-specific decoder behind an [`EncodedSource`].
-#[derive(Debug, Clone)]
-enum SourceInner<'a> {
-    V1(TraceDecoder<'a>),
-    V2 {
-        reader: BitReader<'a>,
-        state: crate::codec_v2::V2State,
-    },
-}
-
-impl SourceInner<'_> {
-    fn next_record(&mut self) -> Result<Option<TraceRecord>, DecodeError> {
-        match self {
-            SourceInner::V1(dec) => dec.next_record(),
-            SourceInner::V2 { reader, state } => {
-                crate::codec_v2::decode_record_bits_v2(reader, state)
-            }
-        }
-    }
-
-    /// Advances past one record; v1 uses the decode-and-discard fast
-    /// path, v2 must fully decode to keep its delta chains threaded.
-    fn skip_record(&mut self) -> Result<bool, DecodeError> {
-        match self {
-            SourceInner::V1(dec) => dec.skip_record(),
-            SourceInner::V2 { reader, state } => {
-                crate::codec_v2::decode_record_bits_v2(reader, state).map(|r| r.is_some())
-            }
-        }
-    }
-}
-
-impl EncodedSource<'_> {
-    /// The first decode error hit, if the stream ended abnormally.
-    pub fn error(&self) -> Option<DecodeError> {
-        self.error
-    }
-}
-
-impl crate::TraceSource for EncodedSource<'_> {
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        if self.error.is_some() {
-            return None;
-        }
-        match self.inner.next_record() {
-            Ok(Some(r)) => {
-                self.remaining = self.remaining.saturating_sub(1);
-                Some(r)
-            }
-            Ok(None) => None,
-            Err(e) => {
-                self.error = Some(e);
-                None
-            }
-        }
-    }
-
-    fn fill(&mut self, buf: &mut [TraceRecord]) -> usize {
-        // Block decode: the bit-level parse loop runs to completion over
-        // the whole buffer, so decoder state (reader position, expected
-        // PC) stays hot instead of being reloaded per pulled record.
-        let mut n = 0;
-        while n < buf.len() && self.error.is_none() {
-            match self.inner.next_record() {
-                Ok(Some(r)) => {
-                    buf[n] = r;
-                    n += 1;
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    self.error = Some(e);
-                    break;
-                }
-            }
-        }
-        self.remaining = self.remaining.saturating_sub(n as u64);
-        n
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.remaining)
-    }
-
-    fn skip(&mut self, n: u64) -> u64 {
-        let mut skipped = 0;
-        while skipped < n && self.error.is_none() {
-            match self.inner.skip_record() {
-                Ok(true) => skipped += 1,
-                Ok(false) => break,
-                Err(e) => {
-                    self.error = Some(e);
-                    break;
-                }
-            }
-        }
-        self.remaining = self.remaining.saturating_sub(skipped);
-        skipped
-    }
-}
-
-/// Streaming decoder over a packed bit stream.
-#[derive(Debug, Clone)]
-pub struct TraceDecoder<'a> {
-    reader: BitReader<'a>,
-    expected_pc: Option<u32>,
-}
-
-impl<'a> TraceDecoder<'a> {
-    /// Creates a decoder over `bytes` holding `len_bits` valid bits.
-    pub fn new(bytes: &'a [u8], len_bits: u64) -> Self {
-        Self {
-            reader: BitReader::new(bytes, len_bits),
-            expected_pc: None,
-        }
-    }
-
-    /// Decodes the next record; `Ok(None)` at a clean end of stream.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError::Truncated`] if the stream ends mid-record;
-    /// [`DecodeError::BadFormat`] / [`DecodeError::BadEnum`] on invalid
-    /// field values.
-    pub fn next_record(&mut self) -> Result<Option<TraceRecord>, DecodeError> {
-        decode_record_bits(&mut self.reader, &mut self.expected_pc)
-    }
-
-    /// Discards the next record without building a [`TraceRecord`] —
-    /// the codec-level fast path behind
-    /// [`TraceSource::skip`](crate::TraceSource::skip).
-    ///
-    /// Only the fields that determine record length and PC chaining are
-    /// examined (presence flags, and a branch's taken/target pair); the
-    /// 32-bit address/register payloads are skipped wholesale, never
-    /// validated or materialised. Returns `Ok(false)` at a clean end of
-    /// stream.
-    ///
-    /// # Errors
-    ///
-    /// The same [`DecodeError`]s as [`TraceDecoder::next_record`], except
-    /// that enum payloads (`OpClass`, `MemSize`, `BranchKind`) are *not*
-    /// range-checked here.
-    pub fn skip_record(&mut self) -> Result<bool, DecodeError> {
-        skip_record_bits(&mut self.reader, &mut self.expected_pc)
-    }
-}
-
-/// Decodes one record from any [`BitRead`] source — the single parse
-/// routine behind both [`TraceDecoder`] (in-memory bit slices) and the
-/// streaming trace-file reader ([`FileSource`](crate::FileSource)).
-pub(crate) fn decode_record_bits<B: BitRead>(
-    reader: &mut B,
+/// # Errors
+///
+/// [`DecodeError::Truncated`] if the stream ends mid-record;
+/// [`DecodeError::BadFormat`] / [`DecodeError::BadEnum`] on invalid
+/// field values.
+pub(crate) fn decode_record_bits<R: Read>(
+    reader: &mut StreamBits<R>,
     expected_pc: &mut Option<u32>,
 ) -> Result<Option<TraceRecord>, DecodeError> {
     if reader.remaining_bits() == 0 {
@@ -559,11 +379,22 @@ pub(crate) fn decode_record_bits<B: BitRead>(
     Ok(Some(record))
 }
 
-/// Discards one record from any [`BitRead`] source — the generic body of
-/// [`TraceDecoder::skip_record`], shared with the streaming trace-file
-/// reader.
-pub(crate) fn skip_record_bits<B: BitRead>(
-    reader: &mut B,
+/// Discards one v1 record without building a [`TraceRecord`] — the
+/// fast path behind [`TraceSource::skip`](crate::TraceSource::skip).
+///
+/// Only the fields that determine record length and PC chaining are
+/// examined (presence flags, and a branch's taken/target pair); the
+/// 32-bit address/register payloads are skipped wholesale, never
+/// validated or materialised. Returns `Ok(false)` at a clean end of
+/// stream.
+///
+/// # Errors
+///
+/// The same [`DecodeError`]s as [`decode_record_bits`], except that enum
+/// payloads (`OpClass`, `MemSize`, `BranchKind`) are *not* range-checked
+/// here.
+pub(crate) fn skip_record_bits<R: Read>(
+    reader: &mut StreamBits<R>,
     expected_pc: &mut Option<u32>,
 ) -> Result<bool, DecodeError> {
     if reader.remaining_bits() == 0 {
@@ -631,7 +462,7 @@ pub(crate) fn skip_record_bits<B: BitRead>(
     Ok(true)
 }
 
-fn skip_reg<B: BitRead>(r: &mut B) -> Result<(), DecodeError> {
+fn skip_reg<R: Read>(r: &mut StreamBits<R>) -> Result<(), DecodeError> {
     let present = r.get_bool().ok_or(DecodeError::Truncated)?;
     if present && !r.skip_bits(6) {
         return Err(DecodeError::Truncated);
@@ -783,33 +614,43 @@ mod tests {
         assert_eq!(dec.records()[1].pc(), 0x800);
     }
 
+    /// A source over `bytes` whose header declares `len_bits` bits and
+    /// `records` records.
+    fn source_over(bytes: &[u8], len_bits: u64, records: u64) -> FileSource<&[u8]> {
+        let header = TraceFileHeader {
+            len_bits,
+            records,
+            ..TraceFileHeader::for_trace(&TraceEncoder::new().finish(), "", 0, 0)
+        };
+        FileSource::new(header, bytes)
+    }
+
     #[test]
     fn truncated_stream_errors() {
+        use crate::TraceSource as _;
         let trace = Trace::from_records(sample_records());
         let enc = trace.encode();
-        let mut dec = TraceDecoder::new(enc.bytes(), enc.len_bits() - 8);
-        let mut err = None;
-        loop {
-            match dec.next_record() {
-                Ok(Some(_)) => continue,
-                Ok(None) => break,
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        assert_eq!(err, Some(DecodeError::Truncated));
+        let mut src = source_over(enc.bytes(), enc.len_bits() - 8, enc.len());
+        while src.next_record().is_some() {}
+        assert_eq!(
+            src.error(),
+            Some(&FileError::Decode(DecodeError::Truncated))
+        );
     }
 
     #[test]
     fn bad_format_tag_errors() {
+        use crate::TraceSource as _;
         let mut w = BitWriter::new();
         w.put(3, 2); // reserved format
         w.put(0, 2);
         let (bytes, bits) = w.finish();
-        let mut dec = TraceDecoder::new(&bytes, bits);
-        assert_eq!(dec.next_record(), Err(DecodeError::BadFormat(3)));
+        let mut src = source_over(&bytes, bits, 1);
+        assert_eq!(src.next_record(), None);
+        assert_eq!(
+            src.error(),
+            Some(&FileError::Decode(DecodeError::BadFormat(3)))
+        );
     }
 
     #[test]
@@ -869,13 +710,12 @@ mod tests {
         use crate::TraceSource as _;
         let trace = Trace::from_records(sample_records());
         let enc = trace.encode();
-        let mut bad = EncodedSource {
-            inner: SourceInner::V1(TraceDecoder::new(enc.bytes(), enc.len_bits() - 8)),
-            remaining: enc.len(),
-            error: None,
-        };
+        let mut bad = source_over(enc.bytes(), enc.len_bits() - 8, enc.len());
         while bad.next_record().is_some() {}
-        assert_eq!(bad.error(), Some(DecodeError::Truncated));
+        assert_eq!(
+            bad.error(),
+            Some(&FileError::Decode(DecodeError::Truncated))
+        );
         assert_eq!(bad.skip(1), 0, "errored source skips nothing");
     }
 

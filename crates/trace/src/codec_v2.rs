@@ -43,11 +43,12 @@
 //!
 //! `expected_pc` starts at 0; a memory record's address reference starts
 //! at 0. Decoding is strictly streaming: the decoder state is a handful
-//! of words ([`V2State`]) regardless of trace length, so the same record
-//! parser serves in-memory buffers and the on-disk
-//! [`FileSource`](crate::FileSource).
+//! of words ([`V2State`]) regardless of trace length, and records are
+//! parsed off the crate's one bit reader by the one
+//! [`FileSource`](crate::FileSource), whether the body sits in memory
+//! ([`EncodedTrace::source`]) or in a container file.
 
-use crate::bits::{BitRead, BitWriter};
+use crate::bits::{BitWriter, StreamBits};
 use crate::codec::{
     get_reg, put_reg, DecodeError, EncodedTrace, FMT_BRANCH, FMT_MEM, FMT_OTHER,
 };
@@ -55,6 +56,7 @@ use crate::record::{
     BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, TraceRecord,
 };
 use crate::stats::TraceStats;
+use std::io::Read;
 
 /// The layout version tag written by [`encode_v2`](crate::Trace::encode_v2).
 ///
@@ -95,7 +97,7 @@ pub(crate) fn put_varint(w: &mut BitWriter, mut v: u64) {
 ///
 /// A stream claiming more than the ten groups a `u64` can need is
 /// malformed ([`DecodeError::BadVarint`]), not an infinite loop.
-pub(crate) fn get_varint<B: BitRead>(r: &mut B) -> Result<u64, DecodeError> {
+pub(crate) fn get_varint<R: Read>(r: &mut StreamBits<R>) -> Result<u64, DecodeError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -130,7 +132,7 @@ fn put_rle(w: &mut BitWriter, mut v: u64) {
     }
 }
 
-fn get_rle<B: BitRead>(r: &mut B) -> Result<u64, DecodeError> {
+fn get_rle<R: Read>(r: &mut StreamBits<R>) -> Result<u64, DecodeError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -160,7 +162,7 @@ fn put_delta_field(w: &mut BitWriter, actual: u32, reference: u32) {
     }
 }
 
-fn get_delta_field<B: BitRead>(r: &mut B, reference: u32) -> Result<u32, DecodeError> {
+fn get_delta_field<R: Read>(r: &mut StreamBits<R>, reference: u32) -> Result<u32, DecodeError> {
     if r.get_bool().ok_or(DecodeError::Truncated)? {
         let zz = get_varint(r)?;
         let zz = u32::try_from(zz).map_err(|_| DecodeError::BadVarint)?;
@@ -307,10 +309,10 @@ pub(crate) struct V2State {
     outcome_left: u64,
 }
 
-/// Decodes one v2 record from any [`BitRead`] source; `Ok(None)` at a
-/// clean end of stream (which can only fall on a group boundary).
-pub(crate) fn decode_record_bits_v2<B: BitRead>(
-    reader: &mut B,
+/// Decodes one v2 record; `Ok(None)` at a clean end of stream (which
+/// can only fall on a group boundary).
+pub(crate) fn decode_record_bits_v2<R: Read>(
+    reader: &mut StreamBits<R>,
     st: &mut V2State,
 ) -> Result<Option<TraceRecord>, DecodeError> {
     let pc = if st.group_left == 0 {
@@ -400,7 +402,6 @@ pub(crate) fn decode_record_bits_v2<B: BitRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits::BitReader;
     use crate::record::Reg;
     use crate::Trace;
 
@@ -411,7 +412,7 @@ mod tests {
             let mut w = BitWriter::new();
             put_varint(&mut w, v);
             let (bytes, bits) = w.finish();
-            let mut r = BitReader::new(&bytes, bits);
+            let mut r = StreamBits::new(&bytes[..], bits);
             assert_eq!(get_varint(&mut r), Ok(v), "varint {v}");
             assert_eq!(r.remaining_bits(), 0);
         }
@@ -423,7 +424,7 @@ mod tests {
             let mut w = BitWriter::new();
             put_rle(&mut w, v);
             let (bytes, bits) = w.finish();
-            let mut r = BitReader::new(&bytes, bits);
+            let mut r = StreamBits::new(&bytes[..], bits);
             assert_eq!(get_rle(&mut r), Ok(v), "rle {v}");
             assert_eq!(r.remaining_bits(), 0);
         }
@@ -440,7 +441,7 @@ mod tests {
         w.put_bool(false);
         w.put(0, 7);
         let (bytes, bits) = w.finish();
-        let mut r = BitReader::new(&bytes, bits);
+        let mut r = StreamBits::new(&bytes[..], bits);
         assert_eq!(get_varint(&mut r), Err(DecodeError::BadVarint));
     }
 
@@ -463,7 +464,7 @@ mod tests {
         put_delta_field(&mut w, 0x8000_0000, 0);
         assert_eq!(w.len_bits(), 33);
         let (bytes, bits) = w.finish();
-        let mut r = BitReader::new(&bytes, bits);
+        let mut r = StreamBits::new(&bytes[..], bits);
         assert_eq!(get_delta_field(&mut r, 0), Ok(0x8000_0000));
     }
 
@@ -572,7 +573,7 @@ mod tests {
         let enc = encode_v2(&records);
         for cut in 0..enc.len_bits() {
             let mut st = V2State::default();
-            let mut r = BitReader::new(enc.bytes(), cut);
+            let mut r = StreamBits::new(enc.bytes(), cut);
             // Must terminate with Ok(None) or an error — never panic.
             while let Ok(Some(_)) = decode_record_bits_v2(&mut r, &mut st) {}
         }

@@ -7,7 +7,9 @@
 //! that link: a trace is generated and encoded **once**, written to disk
 //! with enough metadata to identify it, and replayed any number of times
 //! through a streaming [`FileSource`] — by `resim run`, `resim sample`
-//! and `resim sweep` alike.
+//! and `resim sweep` alike. The same source decodes an in-memory
+//! [`EncodedTrace`] ([`EncodedTrace::source`]), so every encoded stream
+//! goes through one reader.
 //!
 //! ## Layout
 //!
@@ -73,7 +75,7 @@
 //! assert_eq!(round, trace);
 //! ```
 
-use crate::bits::BitRead;
+use crate::bits::StreamBits;
 use crate::codec::{
     decode_record_bits, skip_record_bits, DecodeError, EncodedTrace, TRACE_LAYOUT_VERSION,
 };
@@ -274,14 +276,17 @@ pub fn save_trace_file(
         .map_err(at)
 }
 
-/// A streaming [`TraceSource`] over an on-disk trace container.
+/// A streaming [`TraceSource`] over an encoded record stream: the one
+/// source every v1 and v2 body decodes through.
 ///
-/// The header is parsed (and version-checked) eagerly at construction;
-/// body records are decoded one `next_record` at a time straight off the
+/// [`FileSource::open`] and [`FileSource::from_reader`] parse (and
+/// version-check) a container header eagerly, then decode body records
+/// one `next_record` (or one `fill` batch) at a time straight off the
 /// reader, so replaying a multi-gigabyte trace never buffers more than
-/// one byte of it. [`TraceSource::skip`] uses the codec's
-/// decode-and-discard fast path, exactly like
-/// [`EncodedSource`](crate::EncodedSource).
+/// one byte of it. [`EncodedTrace::source`] builds the same source over
+/// an in-memory body. On a v1 body [`TraceSource::skip`] pages over
+/// records without materialising them; a v2 body chains decoder state
+/// through every record, so its skip decodes and discards.
 ///
 /// I/O and decode problems after construction terminate the stream
 /// (fused `None`); inspect [`FileSource::error`] to distinguish a clean
@@ -331,13 +336,19 @@ impl<R: Read> FileSource<R> {
     /// Everything [`TraceFileHeader::read_from`] rejects.
     pub fn from_reader(mut reader: R) -> Result<Self, FileError> {
         let header = TraceFileHeader::read_from(&mut reader)?;
+        Ok(Self::new(header, reader))
+    }
+
+    /// A source decoding the body `reader` is positioned at, as `header`
+    /// describes it (layout, record count, bit length).
+    pub(crate) fn new(header: TraceFileHeader, reader: R) -> Self {
         let bits = StreamBits::new(reader, header.len_bits);
         let body = if header.layout_version == TRACE_LAYOUT_VERSION_V2 {
             BodyDecoder::V2(V2State::default())
         } else {
             BodyDecoder::V1 { expected_pc: None }
         };
-        Ok(Self {
+        Self {
             remaining: header.records,
             header,
             bits,
@@ -345,7 +356,7 @@ impl<R: Read> FileSource<R> {
             error: None,
             decoded: 0,
             fills: 0,
-        })
+        }
     }
 
     /// The container header (validated at construction).
@@ -473,131 +484,6 @@ impl<R: Read> TraceSource for FileSource<R> {
             }
         }
         skipped
-    }
-}
-
-/// A [`BitRead`] pulling bytes on demand from an [`io::Read`].
-///
-/// The total payload bit length comes from the container header; an I/O
-/// error is parked in `io_error` (bit reads then report exhaustion) and
-/// surfaced by [`FileSource`] as [`FileError::Io`].
-#[derive(Debug)]
-struct StreamBits<R: Read> {
-    reader: R,
-    total_bits: u64,
-    pos: u64,
-    /// The byte currently being consumed bit by bit.
-    cur: u8,
-    io_error: Option<io::Error>,
-}
-
-impl<R: Read> StreamBits<R> {
-    fn new(reader: R, total_bits: u64) -> Self {
-        Self {
-            reader,
-            total_bits,
-            pos: 0,
-            cur: 0,
-            io_error: None,
-        }
-    }
-
-    fn take_io_error(&mut self) -> Option<io::Error> {
-        self.io_error.take()
-    }
-
-    /// Loads the byte holding bit `pos` when crossing a byte boundary;
-    /// `false` on I/O failure (including a file shorter than the header
-    /// declared).
-    fn refill(&mut self) -> bool {
-        if !self.pos.is_multiple_of(8) {
-            return true;
-        }
-        let mut byte = [0u8; 1];
-        match self.reader.read_exact(&mut byte) {
-            Ok(()) => {
-                self.cur = byte[0];
-                true
-            }
-            Err(e) => {
-                self.io_error = Some(e);
-                false
-            }
-        }
-    }
-}
-
-impl<R: Read> BitRead for StreamBits<R> {
-    fn get(&mut self, nbits: u32) -> Option<u32> {
-        assert!(
-            (1..=32).contains(&nbits),
-            "bit width {nbits} out of range 1..=32"
-        );
-        if self.io_error.is_some() || self.pos + u64::from(nbits) > self.total_bits {
-            return None;
-        }
-        let mut value = 0u32;
-        for i in 0..nbits {
-            if !self.refill() {
-                return None;
-            }
-            let bit = (self.cur >> (self.pos % 8)) & 1;
-            value |= u32::from(bit) << i;
-            self.pos += 1;
-        }
-        Some(value)
-    }
-
-    fn skip_bits(&mut self, nbits: u64) -> bool {
-        // A generic `io::Read` cannot seek, so skipping still consumes
-        // bytes — but without assembling values, and whole bytes at a
-        // time once aligned.
-        match self.pos.checked_add(nbits) {
-            Some(end) if end <= self.total_bits => {}
-            _ => return false,
-        }
-        if self.io_error.is_some() {
-            return false;
-        }
-        let mut left = nbits;
-        // Finish the partially consumed byte.
-        while left > 0 && !self.pos.is_multiple_of(8) {
-            self.pos += 1;
-            left -= 1;
-        }
-        let mut bytes = left / 8;
-        let mut chunk = [0u8; 256];
-        while bytes > 0 {
-            let n = bytes.min(chunk.len() as u64) as usize;
-            if let Err(e) = self.reader.read_exact(&mut chunk[..n]) {
-                self.io_error = Some(e);
-                return false;
-            }
-            self.pos += n as u64 * 8;
-            left -= n as u64 * 8;
-            bytes -= n as u64;
-        }
-        // Enter the trailing partial byte, if any.
-        while left > 0 {
-            if !self.refill() {
-                return false;
-            }
-            self.pos += 1;
-            left -= 1;
-        }
-        true
-    }
-
-    fn position(&self) -> u64 {
-        self.pos
-    }
-
-    fn remaining_bits(&self) -> u64 {
-        if self.io_error.is_some() {
-            0
-        } else {
-            self.total_bits - self.pos
-        }
     }
 }
 

@@ -18,9 +18,12 @@
 //!
 //! * [`TraceRecord`] and its three variants ([`BranchRecord`],
 //!   [`MemRecord`], [`OtherRecord`]) — the in-memory decoded form;
-//! * a bit-exact variable-length codec ([`TraceEncoder`] /
-//!   [`TraceDecoder`]) reproducing the paper's per-format trace lengths
-//!   (Table 3 reports 41–47 bits per instruction on SPECINT 2000);
+//! * a bit-exact variable-length codec ([`TraceEncoder`],
+//!   [`Trace::encode_v2`]) reproducing the paper's per-format trace
+//!   lengths (Table 3 reports 41–47 bits per instruction on SPECINT
+//!   2000), whose streams decode through one bit reader and one record
+//!   source, [`FileSource`] — over memory ([`EncodedTrace::source`]) or
+//!   a container file alike;
 //! * [`Trace`], an owned record buffer, and the [`TraceSource`] streaming
 //!   abstraction the engine consumes (supporting both off-line traces and
 //!   FAST-style on-the-fly generation);
@@ -74,10 +77,7 @@ mod record;
 mod source;
 mod stats;
 
-pub use bits::{BitReader, BitWriter};
-pub use codec::{
-    DecodeError, EncodedSource, EncodedTrace, TraceDecoder, TraceEncoder, TRACE_LAYOUT_VERSION,
-};
+pub use codec::{DecodeError, EncodedTrace, TraceEncoder, TRACE_LAYOUT_VERSION};
 pub use codec_v2::TRACE_LAYOUT_VERSION_V2;
 pub use fingerprint::Fnv64;
 pub use file::{

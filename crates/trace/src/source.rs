@@ -26,10 +26,9 @@ pub trait TraceSource {
     /// set-up) once per block instead of once per record. The default
     /// implementation loops `next_record`, so every source gets the API
     /// for free; sources with a cheaper block path override it —
-    /// [`SliceSource`] copies a sub-slice, and the codec-backed sources
-    /// ([`EncodedSource`](crate::EncodedSource),
-    /// [`FileSource`](crate::FileSource)) run their bit-level decode
-    /// loop without surfacing between records.
+    /// [`SliceSource`] copies a sub-slice, and the codec-backed
+    /// [`FileSource`](crate::FileSource) runs its bit-level decode loop
+    /// without surfacing between records.
     ///
     /// Records land in `buf[..n]` in trace order; `buf[n..]` is left
     /// untouched. A short return (`n < buf.len()`) means end of trace,
@@ -59,9 +58,8 @@ pub trait TraceSource {
     /// The default implementation decodes and drops records one by one;
     /// sources with cheaper seeks override it —
     /// [`SliceSource`] jumps its cursor in O(1), and
-    /// [`EncodedSource`](crate::EncodedSource) pages over the bit stream
-    /// without materialising records
-    /// ([`TraceDecoder::skip_record`](crate::TraceDecoder::skip_record)).
+    /// [`FileSource`](crate::FileSource) pages over a v1 bit stream
+    /// without materialising records.
     /// Sampled simulation uses this for warmup fast-forward between
     /// detailed windows.
     fn skip(&mut self, n: u64) -> u64 {

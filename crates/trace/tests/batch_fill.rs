@@ -1,8 +1,8 @@
 //! Differential tests for the batched [`TraceSource::fill`] frontend.
 //!
-//! Every specialized block decoder — [`SliceSource`]'s sub-slice copy,
-//! [`EncodedSource`]'s in-memory bit-stream loop and [`FileSource`]'s
-//! streaming-reader loop — must agree record-for-record with the
+//! Both specialized block decoders — [`SliceSource`]'s sub-slice copy
+//! and [`FileSource`]'s bit-stream loop, over an in-memory v1 or v2
+//! body and over a container — must agree record-for-record with the
 //! trait's default one-at-a-time implementation, at every batch size and
 //! from every stream offset. The fixture is the golden-codec vector
 //! (one record of every interesting shape: implicit and explicit PCs,
@@ -129,6 +129,7 @@ fn file_container(trace: &Trace) -> Vec<u8> {
 fn specialized_fill_agrees_with_default_fill_on_the_golden_vector() {
     let trace = Trace::from_records(fixture_records());
     let encoded = trace.encode();
+    let encoded_v2 = trace.encode_v2();
     let container = file_container(&trace);
 
     for batch in [1usize, 2, 3, 5, 7, 64] {
@@ -136,6 +137,8 @@ fn specialized_fill_agrees_with_default_fill_on_the_golden_vector() {
         let via_slice_default = drain_via_fill(DefaultFillOnly(trace.source()), batch);
         let via_encoded = drain_via_fill(encoded.source(), batch);
         let via_encoded_default = drain_via_fill(DefaultFillOnly(encoded.source()), batch);
+        let via_v2 = drain_via_fill(encoded_v2.source(), batch);
+        let via_v2_default = drain_via_fill(DefaultFillOnly(encoded_v2.source()), batch);
         let via_file = drain_via_fill(
             resim_trace::FileSource::from_reader(&container[..]).unwrap(),
             batch,
@@ -149,6 +152,8 @@ fn specialized_fill_agrees_with_default_fill_on_the_golden_vector() {
         assert_eq!(via_slice_default, trace.records());
         assert_eq!(via_encoded, trace.records(), "encoded fill, batch {batch}");
         assert_eq!(via_encoded_default, trace.records());
+        assert_eq!(via_v2, trace.records(), "v2 fill, batch {batch}");
+        assert_eq!(via_v2_default, trace.records());
         assert_eq!(via_file, trace.records(), "file fill, batch {batch}");
         assert_eq!(via_file_default, trace.records());
     }

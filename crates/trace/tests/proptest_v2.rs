@@ -1,12 +1,13 @@
 //! Property tests for the layout-v2 (delta/run-length) codec: lossless
 //! round-trips for arbitrary record sequences, accounting that matches
 //! the stream, agreement with the v1 codec on what the records *are*,
-//! and graceful failure on truncation.
+//! and graceful failure on truncation (of both layouts).
 
 use proptest::prelude::*;
 use resim_trace::{
-    BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, Reg, Trace,
-    TraceRecord, TraceSource, TRACE_LAYOUT_VERSION, TRACE_LAYOUT_VERSION_V2,
+    BranchKind, BranchRecord, DecodeError, FileError, FileSource, MemKind, MemRecord, MemSize,
+    OpClass, OtherRecord, Reg, Trace, TraceFileHeader, TraceRecord, TraceSource,
+    TRACE_LAYOUT_VERSION, TRACE_LAYOUT_VERSION_V2,
 };
 
 // A deliberate copy of `proptest_roundtrip`'s strategy (integration
@@ -142,30 +143,43 @@ proptest! {
         }
     }
 
-    /// Truncating a v2 stream anywhere either yields a clean prefix of
-    /// the records or a decode error — never a panic, never an invented
-    /// record.
+    /// Truncating a v1 or v2 stream at any bit yields a clean prefix of
+    /// the records followed by `DecodeError::Truncated` — never a panic,
+    /// never an invented record, never a clean end. The container's
+    /// header declares `len_bits = cut` over the clipped bytes, so even
+    /// a sub-byte cut ends inside the reader's bit budget, not at an I/O
+    /// short read.
     #[test]
     fn v2_truncation_is_graceful(
         records in prop::collection::vec(arb_record(), 1..60),
         cut_fraction in 0.0f64..1.0,
+        v2 in any::<bool>(),
     ) {
         let trace = Trace::from_records(records);
-        let encoded = trace.encode_v2();
+        let encoded = if v2 { trace.encode_v2() } else { trace.encode() };
         let cut = ((encoded.len_bits() as f64) * cut_fraction) as u64;
-        let bytes = encoded.bytes();
-        let keep_bytes = (cut as usize).div_ceil(8).min(bytes.len());
-        let clipped = resim_trace::EncodedTrace::from_bytes_v2_for_test(
-            bytes[..keep_bytes].to_vec(),
-            cut,
-        );
-        let mut src = clipped.source();
+        prop_assert!(cut < encoded.len_bits());
+        let header = TraceFileHeader {
+            len_bits: cut,
+            ..TraceFileHeader::for_trace(&encoded, "clipped", 0, 0)
+        };
+        let mut container = Vec::new();
+        header.write_to(&mut container).unwrap();
+        container.extend_from_slice(&encoded.bytes()[..(cut as usize).div_ceil(8)]);
+        let mut src = FileSource::from_reader(&container[..]).expect("header is well-formed");
         let mut n = 0usize;
         while let Some(r) = src.next_record() {
             // Every record produced must be a true prefix element.
             prop_assert_eq!(&r, &trace.records()[n]);
             n += 1;
         }
-        prop_assert!(n <= trace.len());
+        prop_assert!(n < trace.len());
+        prop_assert_eq!(
+            src.error(),
+            Some(&FileError::Decode(DecodeError::Truncated)),
+            "cut at bit {} of {}",
+            cut,
+            encoded.len_bits()
+        );
     }
 }
