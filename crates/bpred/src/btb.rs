@@ -4,8 +4,6 @@
 //! of entries and the associativity are user parameters of the VHDL
 //! generator (§III), so both are parameters here.
 
-use crate::state::{BtbEntryState, BtbState, StateError};
-
 /// BTB geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BtbConfig {
@@ -65,7 +63,7 @@ struct BtbEntry {
 }
 
 /// A set-associative branch target buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Btb {
     config: BtbConfig,
     sets: Vec<Vec<BtbEntry>>,
@@ -181,45 +179,10 @@ impl Btb {
         ways[way].lru = 0;
     }
 
-    /// Captures the BTB contents set-major (statistics excluded).
-    pub fn state(&self) -> BtbState {
-        BtbState {
-            entries: self
-                .sets
-                .iter()
-                .flatten()
-                .map(|e| BtbEntryState {
-                    tag: e.tag,
-                    target: e.target,
-                    lru: e.lru,
-                    valid: e.valid,
-                })
-                .collect(),
-        }
-    }
-
-    /// Restores contents captured from a BTB of the same geometry.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] if the snapshot's entry count differs.
-    pub fn restore_state(&mut self, state: &BtbState) -> Result<(), StateError> {
-        if state.entries.len() != self.config.entries {
-            return Err(StateError {
-                what: "BTB entries",
-                expected: self.config.entries,
-                got: state.entries.len(),
-            });
-        }
-        for (line, snap) in self.sets.iter_mut().flatten().zip(&state.entries) {
-            *line = BtbEntry {
-                tag: snap.tag,
-                target: snap.target,
-                lru: snap.lru,
-                valid: snap.valid,
-            };
-        }
-        Ok(())
+    /// Zeroes the lookup/hit counters, keeping the table contents.
+    pub(crate) fn reset_stats(&mut self) {
+        self.lookups = 0;
+        self.hits = 0;
     }
 
     /// Lookups performed.

@@ -47,12 +47,6 @@ impl SatCounter {
         self.value > self.max / 2
     }
 
-    /// Sets the raw value, clamping into the counter's range (used when
-    /// restoring a warm-state snapshot).
-    pub fn set(&mut self, value: u8) {
-        self.value = value.min(self.max);
-    }
-
     /// Trains the counter toward the resolved direction.
     ///
     /// Branchless: the ±1 move is computed arithmetically and saturated

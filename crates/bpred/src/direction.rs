@@ -9,7 +9,6 @@
 //! so it never sends fetch down a wrong path.
 
 use crate::counter::SatCounter;
-use crate::state::{DirectionState, StateError};
 
 /// Configuration of a two-level adaptive predictor (SimpleScalar `2lev`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,7 +97,7 @@ impl DirectionConfig {
 ///
 /// Prediction is split from update so callers can model delayed training
 /// (ReSim updates the predictor at Commit, §III).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DirectionPredictor {
     /// See [`DirectionConfig::Perfect`].
     Perfect,
@@ -154,6 +153,17 @@ impl DirectionPredictor {
         }
     }
 
+    /// The configuration this predictor was built with.
+    pub fn config(&self) -> DirectionConfig {
+        match self {
+            DirectionPredictor::Perfect => DirectionConfig::Perfect,
+            DirectionPredictor::Taken => DirectionConfig::Taken,
+            DirectionPredictor::NotTaken => DirectionConfig::NotTaken,
+            DirectionPredictor::Bimodal { table } => DirectionConfig::Bimodal { size: table.len() },
+            DirectionPredictor::TwoLevel { config, .. } => DirectionConfig::TwoLevel(*config),
+        }
+    }
+
     /// Whether this predictor is the perfect oracle.
     pub fn is_perfect(&self) -> bool {
         matches!(self, DirectionPredictor::Perfect)
@@ -205,80 +215,6 @@ impl DirectionPredictor {
                 let mask = (1u32 << config.history_bits) - 1;
                 histories[h_idx] =
                     (((u32::from(histories[h_idx]) << 1) | u32::from(taken)) & mask) as u16;
-            }
-        }
-    }
-
-    /// Captures the table contents as a plain-data snapshot
-    /// (empty for static predictors).
-    pub fn state(&self) -> DirectionState {
-        match self {
-            DirectionPredictor::Perfect
-            | DirectionPredictor::Taken
-            | DirectionPredictor::NotTaken => DirectionState::default(),
-            DirectionPredictor::Bimodal { table } => DirectionState {
-                histories: Vec::new(),
-                counters: table.iter().map(|c| c.value()).collect(),
-            },
-            DirectionPredictor::TwoLevel { histories, pht, .. } => DirectionState {
-                histories: histories.clone(),
-                counters: pht.iter().map(|c| c.value()).collect(),
-            },
-        }
-    }
-
-    /// Restores a snapshot taken from a predictor of the same geometry.
-    ///
-    /// Counter values are clamped into the counter range and histories
-    /// masked to the configured length, so any byte pattern of the right
-    /// shape restores to a reachable machine state.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] if the snapshot's table sizes do not match this
-    /// predictor's geometry.
-    pub fn restore_state(&mut self, state: &DirectionState) -> Result<(), StateError> {
-        let check = |what, expected, got| {
-            if expected == got {
-                Ok(())
-            } else {
-                Err(StateError {
-                    what,
-                    expected,
-                    got,
-                })
-            }
-        };
-        match self {
-            DirectionPredictor::Perfect
-            | DirectionPredictor::Taken
-            | DirectionPredictor::NotTaken => {
-                check("direction histories", 0, state.histories.len())?;
-                check("direction counters", 0, state.counters.len())
-            }
-            DirectionPredictor::Bimodal { table } => {
-                check("direction histories", 0, state.histories.len())?;
-                check("direction counters", table.len(), state.counters.len())?;
-                for (c, &v) in table.iter_mut().zip(&state.counters) {
-                    c.set(v);
-                }
-                Ok(())
-            }
-            DirectionPredictor::TwoLevel {
-                histories,
-                pht,
-                config,
-            } => {
-                check("direction histories", histories.len(), state.histories.len())?;
-                check("direction counters", pht.len(), state.counters.len())?;
-                let mask = ((1u32 << config.history_bits) - 1) as u16;
-                for (h, &v) in histories.iter_mut().zip(&state.histories) {
-                    *h = v & mask;
-                }
-                for (c, &v) in pht.iter_mut().zip(&state.counters) {
-                    c.set(v);
-                }
-                Ok(())
             }
         }
     }

@@ -53,13 +53,11 @@ mod from_table;
 mod direction;
 mod predictor;
 mod ras;
-mod state;
 mod tournament;
 
 pub use btb::{Btb, BtbConfig};
 pub use counter::SatCounter;
 pub use direction::{DirectionConfig, DirectionPredictor, TwoLevelConfig};
 pub use predictor::{BranchPredictor, Prediction, PredictorConfig, PredictorStats, Resolution};
-pub use state::{BtbEntryState, BtbState, DirectionState, PredictorState, RasState, StateError};
 pub use ras::Ras;
 pub use tournament::{TournamentConfig, TournamentPredictor};

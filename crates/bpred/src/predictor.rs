@@ -19,7 +19,6 @@
 use crate::btb::{Btb, BtbConfig};
 use crate::direction::{DirectionConfig, DirectionPredictor};
 use crate::ras::Ras;
-use crate::state::{PredictorState, StateError};
 use resim_trace::{BranchKind, TraceRecord};
 
 /// Configuration of the combined predictor.
@@ -180,7 +179,7 @@ impl PredictorStats {
 }
 
 /// Direction predictor + BTB + RAS, with ReSim's fetch-time classification.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchPredictor {
     direction: DirectionPredictor,
     btb: Btb,
@@ -199,6 +198,15 @@ impl BranchPredictor {
             ras: Ras::new(config.ras_entries),
             perfect,
             stats: PredictorStats::default(),
+        }
+    }
+
+    /// The configuration this predictor was built with.
+    pub fn config(&self) -> PredictorConfig {
+        PredictorConfig {
+            direction: self.direction.config(),
+            btb: self.btb.config(),
+            ras_entries: self.ras.capacity(),
         }
     }
 
@@ -302,8 +310,7 @@ impl BranchPredictor {
     /// a detailed replay would leave them: the direction predictor trains
     /// on conditionals, the BTB learns taken targets, and calls/returns
     /// push/pop the RAS (whose internal traffic diagnostics do tick — they
-    /// are not part of [`PredictorStats`] or of the serialized warm
-    /// state).
+    /// are not part of [`PredictorStats`]).
     pub fn warm_record(&mut self, record: &TraceRecord) {
         let TraceRecord::Branch(b) = record else {
             return;
@@ -330,26 +337,15 @@ impl BranchPredictor {
         }
     }
 
-    /// Captures the complete warm state (tables only; statistics are a
-    /// property of a measurement window, never of the machine state).
-    pub fn state(&self) -> PredictorState {
-        PredictorState {
-            direction: self.direction.state(),
-            btb: self.btb.state(),
-            ras: self.ras.state(),
-        }
-    }
-
-    /// Restores warm state captured from a predictor of identical
-    /// configuration. Statistics counters are left untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] on any geometry mismatch.
-    pub fn restore_state(&mut self, state: &PredictorState) -> Result<(), StateError> {
-        self.direction.restore_state(&state.direction)?;
-        self.btb.restore_state(&state.btb)?;
-        self.ras.restore_state(&state.ras)
+    /// Zeroes every counter — [`PredictorStats`], BTB lookups/hits and
+    /// RAS traffic — keeping the tables warm. Afterwards the predictor
+    /// equals a fresh one for the same configuration that had been
+    /// trained into the same tables, which is what lets a sampled run
+    /// hand one live predictor from window to window.
+    pub fn reset_stats(&mut self) {
+        self.stats = PredictorStats::default();
+        self.btb.reset_stats();
+        self.ras.reset_stats();
     }
 
     /// Accumulated statistics.
@@ -485,16 +481,18 @@ mod tests {
             detailed.resolve(pc, kind, taken, target);
             warmed.warm(pc, kind, taken, target);
         }
-        assert_eq!(detailed.state(), warmed.state());
         assert_eq!(warmed.stats(), PredictorStats::default(), "warm is stats-silent");
         assert!(detailed.stats().branches > 0);
+        detailed.reset_stats();
+        warmed.reset_stats();
+        assert_eq!(detailed, warmed, "same tables");
     }
 
     #[test]
     fn warm_record_ignores_non_branches() {
         use resim_trace::{OpClass, OtherRecord};
         let mut bp = BranchPredictor::new(PredictorConfig::paper_two_level());
-        let before = bp.state();
+        let before = bp.clone();
         bp.warm_record(&TraceRecord::Other(OtherRecord {
             pc: 0x100,
             class: OpClass::IntAlu,
@@ -503,48 +501,61 @@ mod tests {
             src2: None,
             wrong_path: false,
         }));
-        assert_eq!(bp.state(), before);
+        assert_eq!(bp, before);
     }
 
     #[test]
-    fn state_roundtrip_restores_future_behaviour() {
+    fn reset_stats_zeroes_counters_and_keeps_future_behaviour() {
         let mut warm = BranchPredictor::new(PredictorConfig::paper_two_level());
         for (pc, kind, taken, target) in mixed_branches(300) {
-            warm.warm(pc, kind, taken, target);
+            warm.predict(pc, kind, taken, target);
+            warm.resolve(pc, kind, taken, target);
         }
-        let snap = warm.state();
-        let mut restored = BranchPredictor::new(PredictorConfig::paper_two_level());
-        restored.restore_state(&snap).unwrap();
-        assert_eq!(restored.state(), snap);
+        let mut reset = warm.clone();
+        reset.reset_stats();
+        assert_eq!(reset.stats(), PredictorStats::default());
+        assert_eq!((reset.btb().lookups(), reset.btb().hits()), (0, 0));
+        assert_eq!((reset.ras().pushes(), reset.ras().pops()), (0, 0));
+        assert_eq!(reset.ras().depth(), warm.ras().depth(), "RAS contents kept");
         // Identical behaviour from here on.
         for (pc, kind, taken, target) in mixed_branches(100) {
             let a = warm.predict(pc, kind, taken, target);
-            let b = restored.predict(pc, kind, taken, target);
+            let b = reset.predict(pc, kind, taken, target);
             assert_eq!(a, b);
             warm.resolve(pc, kind, taken, target);
-            restored.resolve(pc, kind, taken, target);
+            reset.resolve(pc, kind, taken, target);
         }
     }
 
     #[test]
-    fn restore_rejects_geometry_mismatch() {
-        let small = BranchPredictor::new(PredictorConfig::gshare(4, 256)).state();
-        let mut paper = BranchPredictor::new(PredictorConfig::paper_two_level());
-        let err = paper.restore_state(&small).unwrap_err();
-        assert_eq!(err.what, "direction histories");
-        let mut ras_bad = paper.state();
-        ras_bad.ras.top = 99;
-        assert!(paper.restore_state(&ras_bad).is_err());
+    fn config_reads_back_from_the_live_predictor() {
+        for config in [
+            PredictorConfig::paper_two_level(),
+            PredictorConfig::perfect(),
+            PredictorConfig::gshare(4, 256),
+            PredictorConfig {
+                direction: DirectionConfig::Bimodal { size: 64 },
+                btb: BtbConfig {
+                    entries: 8,
+                    associativity: 2,
+                },
+                ras_entries: 4,
+            },
+            PredictorConfig {
+                direction: DirectionConfig::NotTaken,
+                ..PredictorConfig::default()
+            },
+        ] {
+            assert_eq!(BranchPredictor::new(config).config(), config);
+        }
     }
 
     #[test]
-    fn perfect_predictor_state_is_empty_and_warm_is_noop() {
+    fn perfect_predictor_warm_is_noop() {
         let mut bp = BranchPredictor::new(PredictorConfig::perfect());
+        let before = bp.clone();
         bp.warm(0x100, BranchKind::Call, true, 0x800);
-        let s = bp.state();
-        assert!(s.direction.counters.is_empty());
-        assert_eq!(s.ras.depth, 0);
-        assert!(s.btb.entries.iter().all(|e| !e.valid));
+        assert_eq!(bp, before);
     }
 
     #[test]

@@ -4,10 +4,8 @@
 //! oldest entry (standard hardware behaviour), and popping an empty stack
 //! yields no prediction.
 
-use crate::state::{RasState, StateError};
-
 /// A circular return-address stack.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ras {
     entries: Vec<u32>,
     /// Index of the next free slot (top-of-stack is `top - 1`).
@@ -95,48 +93,12 @@ impl Ras {
         }
     }
 
-    /// Captures the stack contents (traffic counters excluded).
-    pub fn state(&self) -> RasState {
-        RasState {
-            entries: self.entries.clone(),
-            top: self.top as u32,
-            depth: self.depth as u32,
-        }
-    }
-
-    /// Restores contents captured from a RAS of the same capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] if the capacity differs, or if `top`/`depth` are out
-    /// of range for it.
-    pub fn restore_state(&mut self, state: &RasState) -> Result<(), StateError> {
-        let cap = self.capacity();
-        if state.entries.len() != cap {
-            return Err(StateError {
-                what: "RAS entries",
-                expected: cap,
-                got: state.entries.len(),
-            });
-        }
-        if state.top as usize >= cap {
-            return Err(StateError {
-                what: "RAS top index",
-                expected: cap,
-                got: state.top as usize,
-            });
-        }
-        if state.depth as usize > cap {
-            return Err(StateError {
-                what: "RAS depth",
-                expected: cap,
-                got: state.depth as usize,
-            });
-        }
-        self.entries.copy_from_slice(&state.entries);
-        self.top = state.top as usize;
-        self.depth = state.depth as usize;
-        Ok(())
+    /// Zeroes the traffic counters, keeping the stack contents.
+    pub(crate) fn reset_stats(&mut self) {
+        self.pushes = 0;
+        self.pops = 0;
+        self.underflows = 0;
+        self.overflows = 0;
     }
 
     /// Total pushes performed.

@@ -409,6 +409,10 @@ pub enum ConfigError {
     /// The pipeline description cannot build a schedule grid for this
     /// configuration.
     Pipeline(DescriptionError),
+    /// A warm predictor or memory system handed to
+    /// [`Engine::resume`](crate::Engine::resume) was built for a different
+    /// configuration than the engine's.
+    WarmStateMismatch,
 }
 
 impl fmt::Display for ConfigError {
@@ -449,6 +453,10 @@ impl fmt::Display for ConfigError {
                 width.saturating_sub(1)
             ),
             ConfigError::Pipeline(e) => write!(f, "invalid pipeline description: {e}"),
+            ConfigError::WarmStateMismatch => write!(
+                f,
+                "the warm predictor or memory system was built for a different configuration"
+            ),
         }
     }
 }

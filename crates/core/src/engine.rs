@@ -23,12 +23,13 @@
 //! misprediction penalty and resumes on the correct path (see
 //! [`CoreState::recover`] — the cross-cutting part of Writeback).
 
-use crate::checkpoint::{Checkpoint, ResumeError};
 use crate::config::{ConfigError, EngineConfig};
 use crate::cursor::TraceCursor;
 use crate::scheduler::MinorCycleScheduler;
 use crate::state::CoreState;
 use crate::stats::SimStats;
+use resim_bpred::BranchPredictor;
+use resim_mem::MemorySystem;
 use resim_obs::{NullRecorder, Recorder};
 use resim_trace::TraceSource;
 
@@ -91,21 +92,35 @@ impl Engine {
         Self::with_recorder(config, NullRecorder)
     }
 
-    /// Builds a fresh engine whose predictor and memory system start from
-    /// `checkpoint`'s warm state instead of cold tables.
+    /// Builds an engine around a warm `predictor` and `memory` system
+    /// instead of cold ones — the objects move in, their tables untouched.
     ///
-    /// Statistics, the cycle counter and the pipeline all start from
-    /// zero, so the stats of a resumed window compose with other windows
-    /// through [`SimStats::merge`].
+    /// Every counter of the two objects is zeroed on the way in, and the
+    /// statistics, the cycle counter and the pipeline all start from
+    /// zero, so the engine is exactly a fresh one whose tables had been
+    /// trained to the handed-in state, and the stats of a resumed window
+    /// compose with other windows through [`SimStats::merge`].
+    /// [`Engine::into_warm`] hands the objects back.
     ///
     /// # Errors
     ///
-    /// [`ResumeError`] if `config` is structurally invalid or the
-    /// checkpoint was taken under a different predictor/memory geometry.
-    pub fn resume_from(config: EngineConfig, checkpoint: &Checkpoint) -> Result<Self, ResumeError> {
-        let mut engine = Engine::new(config)?;
-        engine.state.restore(checkpoint)?;
-        Ok(engine)
+    /// The [`ConfigError`] from [`EngineConfig::validate`], or
+    /// [`ConfigError::WarmStateMismatch`] if either object was built for
+    /// a different configuration than `config`'s.
+    pub fn resume(
+        config: EngineConfig,
+        mut predictor: BranchPredictor,
+        mut memory: MemorySystem,
+    ) -> Result<Self, ConfigError> {
+        config.validate()?;
+        if predictor.config() != config.predictor || memory.config() != config.memory {
+            return Err(ConfigError::WarmStateMismatch);
+        }
+        predictor.reset_stats();
+        memory.reset_stats();
+        let state = CoreState::from_parts(config, NullRecorder, predictor, memory);
+        let scheduler = MinorCycleScheduler::new(&state.config)?;
+        Ok(Self { state, scheduler })
     }
 }
 
@@ -201,14 +216,7 @@ impl<R: Recorder> Engine<R> {
         records: u64,
     ) -> SimStats {
         let target = cursor.consumed().saturating_add(records);
-        while cursor.consumed() < target {
-            if cursor.peek().is_none() && self.state.is_drained() {
-                break;
-            }
-            self.step(cursor);
-            self.check_watchdog();
-        }
-        self.stats()
+        self.step_until(cursor, |_, cursor| cursor.consumed() >= target)
     }
 
     /// Runs until the cursor is exhausted and the pipeline is empty —
@@ -222,7 +230,17 @@ impl<R: Recorder> Engine<R> {
         cursor: &mut TraceCursor<S>,
         max_cycles: u64,
     ) -> SimStats {
-        while self.state.cycle() < max_cycles {
+        self.step_until(cursor, |state, _| state.cycle() >= max_cycles)
+    }
+
+    /// The one cycle loop: steps until `stop` holds, or the cursor is
+    /// exhausted and the pipeline is empty, and returns the statistics.
+    fn step_until<S: TraceSource>(
+        &mut self,
+        cursor: &mut TraceCursor<S>,
+        stop: impl Fn(&CoreState<R>, &TraceCursor<S>) -> bool,
+    ) -> SimStats {
+        while !stop(&self.state, cursor) {
             if cursor.peek().is_none() && self.state.is_drained() {
                 break;
             }
@@ -252,9 +270,12 @@ impl<R: Recorder> Engine<R> {
         }
     }
 
-    /// Captures the warm microarchitectural state as a serializable
-    /// [`Checkpoint`] — see [`CoreState::snapshot`].
-    pub fn snapshot(&self) -> Checkpoint {
-        self.state.snapshot()
+    /// Consumes the engine, handing back its live predictor and memory
+    /// system — the counterpart of [`Engine::resume`]. Call it on a
+    /// drained engine: the objects carry the tables as the run left them,
+    /// wrong-path pollution included, and their counters still hold the
+    /// run's counts until the next [`Engine::resume`] zeroes them.
+    pub fn into_warm(self) -> (BranchPredictor, MemorySystem) {
+        (self.state.predictor, self.state.memory)
     }
 }

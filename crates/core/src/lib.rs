@@ -52,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod checkpoint;
 mod config;
 mod cursor;
 mod describe;
@@ -68,9 +67,6 @@ mod state;
 mod stages;
 mod stats;
 
-pub use checkpoint::{
-    Checkpoint, CheckpointError, ResumeError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-};
 pub use config::{ConfigError, EngineConfig, FuConfig};
 pub use cursor::{TraceCursor, DEFAULT_BATCH};
 pub use describe::block_diagram;

@@ -10,7 +10,6 @@
 //! ([`crate::MinorCycleScheduler`]) hands each stage a `&mut CoreState`;
 //! the stages communicate only through it.
 
-use crate::checkpoint::{Checkpoint, ResumeError};
 use crate::config::{ConfigError, EngineConfig};
 use crate::cursor::TraceCursor;
 use crate::lsq::LoadStoreQueue;
@@ -36,9 +35,10 @@ pub(crate) struct FetchedInst {
 /// Owns the structures of the paper's Figure 1 — IFQ, rename table,
 /// Reorder Buffer, Load/Store Queue, branch predictor, memory system —
 /// plus the cycle counters and statistics. [`Engine`](crate::Engine) is
-/// a thin shell around one `CoreState` and one scheduler; checkpointing
-/// ([`CoreState::snapshot`] / [`CoreState::restore`]) operates directly
-/// on this state.
+/// a thin shell around one `CoreState` and one scheduler; sampled runs
+/// move a warm predictor and memory system in
+/// ([`Engine::resume`](crate::Engine::resume)) and back out
+/// ([`Engine::into_warm`](crate::Engine::into_warm)).
 ///
 /// The state is generic over the instrumentation [`Recorder`] it emits
 /// into, defaulting to the no-op [`NullRecorder`]: every hook
@@ -93,10 +93,23 @@ impl<R: Recorder> CoreState<R> {
     /// structural inconsistencies.
     pub fn with_recorder(config: EngineConfig, recorder: R) -> Result<Self, ConfigError> {
         config.validate()?;
-        Ok(Self {
+        let predictor = BranchPredictor::new(config.predictor);
+        let memory = MemorySystem::new(config.memory);
+        Ok(Self::from_parts(config, recorder, predictor, memory))
+    }
+
+    /// Empty pipeline state around `predictor` and `memory`, for an
+    /// already validated `config` they were built for.
+    pub(crate) fn from_parts(
+        config: EngineConfig,
+        recorder: R,
+        predictor: BranchPredictor,
+        memory: MemorySystem,
+    ) -> Self {
+        Self {
             recorder,
-            predictor: BranchPredictor::new(config.predictor),
-            memory: MemorySystem::new(config.memory),
+            predictor,
+            memory,
             rob: ReorderBuffer::new(config.rb_size),
             lsq: LoadStoreQueue::new(config.lsq_size),
             rename: [None; 64],
@@ -109,7 +122,7 @@ impl<R: Recorder> CoreState<R> {
             stats: SimStats::default(),
             last_commit_cycle: 0,
             config,
-        })
+        }
     }
 
     /// The configuration this state was built for.
@@ -231,38 +244,6 @@ impl<R: Recorder> CoreState<R> {
                 rename[d.index() as usize] = Some(e.seq());
             }
         }
-    }
-
-    /// Captures the warm microarchitectural state — predictor tables,
-    /// BTB, RAS and cache tag arrays — as a serializable [`Checkpoint`].
-    ///
-    /// In-flight pipeline contents (IFQ/RB/LSQ entries, rename map) are
-    /// **not** part of a checkpoint: snapshots are meant to be taken at
-    /// drained window boundaries, where the pipeline is architecturally
-    /// empty. `position` is left at 0 — the driver that knows the trace
-    /// offset fills it in.
-    pub fn snapshot(&self) -> Checkpoint {
-        Checkpoint {
-            position: 0,
-            predictor: self.predictor.state(),
-            memory: self.memory.state(),
-        }
-    }
-
-    /// Overwrites the predictor and memory warm state from `checkpoint`
-    /// (statistics and pipeline contents are untouched — restore into
-    /// freshly built state, as [`Engine::resume_from`] does).
-    ///
-    /// # Errors
-    ///
-    /// [`ResumeError`] if the checkpoint was taken under a different
-    /// predictor/memory geometry.
-    ///
-    /// [`Engine::resume_from`]: crate::Engine::resume_from
-    pub fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), ResumeError> {
-        self.predictor.restore_state(&checkpoint.predictor)?;
-        self.memory.restore_state(&checkpoint.memory)?;
-        Ok(())
     }
 }
 

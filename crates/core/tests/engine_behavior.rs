@@ -2,8 +2,9 @@
 //! the former `engine.rs` unit tests, now exercising the public API of
 //! the stage-graph engine.
 
-use resim_core::{Checkpoint, Engine, EngineConfig, FuConfig, PipelineOrganization, ResumeError,
-                 SimStats, TraceCursor};
+use resim_core::{
+    ConfigError, Engine, EngineConfig, FuConfig, PipelineOrganization, SimStats, TraceCursor,
+};
 use resim_trace::{
     BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, Reg, Trace,
     TraceRecord,
@@ -370,7 +371,7 @@ fn window_stats_deltas_merge_back_to_the_full_run() {
 }
 
 #[test]
-fn snapshot_resume_replays_identically_on_warm_state() {
+fn resume_replays_identically_on_warm_state() {
     use resim_tracegen::{generate_trace, TraceGenConfig};
     use resim_workloads::{SpecBenchmark, Workload};
     let config = EngineConfig {
@@ -382,50 +383,55 @@ fn snapshot_resume_replays_identically_on_warm_state() {
         10_000,
         &TraceGenConfig::paper(),
     );
-    // Warm an engine on the trace, snapshot, resume twice: the two
-    // resumed engines must agree bit-for-bit on a second trace.
+    // Warm an engine on the trace and take its predictor and caches: two
+    // engines resumed from clones of that pair must agree bit-for-bit on
+    // a second trace.
     let mut warm = Engine::new(config.clone()).unwrap();
-    warm.run(trace.source());
-    let mut ck = warm.snapshot();
-    ck.position = trace.len() as u64;
-
-    let ck2 = Checkpoint::from_bytes(&ck.to_bytes()).unwrap();
-    assert_eq!(ck2, ck, "serialization round-trips");
+    let warm_stats = warm.run(trace.source());
+    let (predictor, memory) = warm.into_warm();
 
     let probe = generate_trace(
         Workload::spec(SpecBenchmark::Bzip2, 10),
         5_000,
         &TraceGenConfig::paper(),
     );
-    let mut a = Engine::resume_from(config.clone(), &ck).unwrap();
-    let mut b = Engine::resume_from(config.clone(), &ck2).unwrap();
+    let mut a = Engine::resume(config.clone(), predictor.clone(), memory.clone()).unwrap();
+    let mut b = Engine::resume(config.clone(), predictor, memory).unwrap();
     let sa = a.run(probe.source());
     let sb = b.run(probe.source());
     assert_eq!(sa, sb);
     // Warm state matters: a cold engine behaves differently.
     let cold = Engine::new(config).unwrap().run(probe.source());
-    assert_ne!(sa, cold, "checkpoint must carry real warm state");
-    // Resumed stats start from zero (composability).
+    assert_ne!(sa, cold, "the moved objects must carry real warm state");
+    // Resumed stats start from zero (composability): the predictor and
+    // I-cache counters count only this window's fetches, not the warm
+    // run's.
     assert_eq!(sa.committed, 5_000);
+    assert_eq!(sa.predictor.branches, sa.committed_branches);
+    assert_eq!(sa.memory.l1i.accesses(), sa.fetched);
+    assert!(warm_stats.memory.l1i.accesses() > sa.memory.l1i.accesses());
 }
 
 #[test]
-fn resume_rejects_mismatched_geometry() {
-    let small = Engine::new(EngineConfig {
+fn resume_rejects_mismatched_config() {
+    let (gshare, perfect_mem) = Engine::new(EngineConfig {
         predictor: resim_bpred::PredictorConfig::gshare(4, 256),
         ..EngineConfig::paper_4wide()
     })
     .unwrap()
-    .snapshot();
-    let err = Engine::resume_from(EngineConfig::paper_4wide(), &small);
-    assert!(matches!(err, Err(ResumeError::Predictor(_))));
-    let perfect_mem = Engine::new(EngineConfig::paper_4wide()).unwrap().snapshot();
+    .into_warm();
+    let (paper, _) = Engine::new(EngineConfig::paper_4wide())
+        .unwrap()
+        .into_warm();
+    let err = Engine::resume(EngineConfig::paper_4wide(), gshare, perfect_mem.clone());
+    assert!(matches!(err, Err(ConfigError::WarmStateMismatch)));
     let cached = EngineConfig {
         memory: resim_mem::MemorySystemConfig::l1_32k(),
         ..EngineConfig::paper_4wide()
     };
     assert!(matches!(
-        Engine::resume_from(cached, &perfect_mem),
-        Err(ResumeError::Memory(_))
+        Engine::resume(cached, paper.clone(), perfect_mem.clone()),
+        Err(ConfigError::WarmStateMismatch)
     ));
+    assert!(Engine::resume(EngineConfig::paper_4wide(), paper, perfect_mem).is_ok());
 }

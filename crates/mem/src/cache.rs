@@ -1,8 +1,5 @@
 //! Tag-only set-associative cache.
 
-use std::error::Error;
-use std::fmt;
-
 /// Replacement policy for a cache set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Replacement {
@@ -160,7 +157,7 @@ impl CacheStats {
 /// the LRU touch — the two hottest memory-system operations in the
 /// simulator — then run over packed arrays with mask arithmetic instead
 /// of striding over structs and branching per way.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     config: CacheConfig,
     /// Block tags, line-indexed (`set * associativity + way`).
@@ -360,45 +357,10 @@ impl Cache {
         evicted
     }
 
-    /// Captures the tag/replacement state (statistics excluded — they
-    /// describe a measurement window, not the machine state).
-    pub fn state(&self) -> CacheState {
-        CacheState {
-            lines: (0..self.tags.len())
-                .map(|i| LineState {
-                    tag: self.tags[i],
-                    rank: self.ranks[i],
-                    valid: self.valid[i],
-                })
-                .collect(),
-            fifo_counter: self.fifo_counter,
-            rng_state: self.rng_state,
-        }
-    }
-
-    /// Restores state captured from a cache of the same geometry.
-    /// Statistics counters are left untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] if the snapshot's line count differs.
-    pub fn restore_state(&mut self, state: &CacheState) -> Result<(), StateError> {
-        let lines = self.config.sets() * self.config.associativity;
-        if state.lines.len() != lines {
-            return Err(StateError {
-                what: "cache lines",
-                expected: lines,
-                got: state.lines.len(),
-            });
-        }
-        for (i, snap) in state.lines.iter().enumerate() {
-            self.tags[i] = snap.tag;
-            self.ranks[i] = snap.rank;
-            self.valid[i] = snap.valid;
-        }
-        self.fifo_counter = state.fifo_counter;
-        self.rng_state = state.rng_state;
-        Ok(())
+    /// Zeroes the statistics counters, keeping the tag array and the
+    /// replacement state.
+    pub(crate) fn reset_stats(&mut self) {
+        self.stats = CacheStats::default();
     }
 
     fn touch_lru(&mut self, set_idx: usize, line: usize) {
@@ -418,52 +380,6 @@ impl Cache {
         self.ranks[base + way] = 0;
     }
 }
-
-/// One cache line's snapshot (see [`Cache::state`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LineState {
-    /// Block tag.
-    pub tag: u32,
-    /// Replacement rank (LRU: 0 = MRU; FIFO: insertion order).
-    pub rank: u32,
-    /// Whether the line holds a block.
-    pub valid: bool,
-}
-
-/// Plain-data snapshot of a cache's tag array and replacement state,
-/// set-major (all ways of set 0, then set 1, ...).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheState {
-    /// `sets × associativity` line snapshots.
-    pub lines: Vec<LineState>,
-    /// FIFO insertion counter.
-    pub fifo_counter: u32,
-    /// Deterministic replacement-RNG state.
-    pub rng_state: u64,
-}
-
-/// A snapshot cannot be restored into a cache of different geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StateError {
-    /// Which structure mismatched.
-    pub what: &'static str,
-    /// The size the live structure expects.
-    pub expected: usize,
-    /// The size the snapshot carries.
-    pub got: usize,
-}
-
-impl fmt::Display for StateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cannot restore {}: geometry expects {}, snapshot has {}",
-            self.what, self.expected, self.got
-        )
-    }
-}
-
-impl Error for StateError {}
 
 #[cfg(test)]
 mod tests {
@@ -596,35 +512,11 @@ mod tests {
                 accessed.access(a, a % 3 == 0);
                 warmed.warm(a);
             }
-            assert_eq!(accessed.state(), warmed.state(), "{repl:?}");
             assert_eq!(warmed.stats(), CacheStats::default(), "warm is stats-silent");
             assert!(accessed.stats().accesses() > 0);
+            accessed.reset_stats();
+            assert_eq!(accessed, warmed, "{repl:?}: same tags and replacement state");
         }
-    }
-
-    #[test]
-    fn state_roundtrip_restores_future_behaviour() {
-        let mut warm = tiny(2, Replacement::Lru);
-        for i in 0..50u32 {
-            warm.warm(i * 64);
-        }
-        let snap = warm.state();
-        let mut restored = tiny(2, Replacement::Lru);
-        restored.restore_state(&snap).unwrap();
-        assert_eq!(restored.state(), snap);
-        for i in 0..50u32 {
-            let a = warm.access(i * 48, false);
-            let b = restored.access(i * 48, false);
-            assert_eq!(a, b, "restored cache must hit/miss identically");
-        }
-    }
-
-    #[test]
-    fn restore_rejects_geometry_mismatch() {
-        let snap = tiny(1, Replacement::Lru).state();
-        let mut other = Cache::new(CacheConfig::l1_32k());
-        let err = other.restore_state(&snap).unwrap_err();
-        assert_eq!(err.what, "cache lines");
     }
 
     #[test]

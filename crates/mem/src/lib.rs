@@ -35,7 +35,5 @@ mod cache;
 mod from_table;
 mod system;
 
-pub use cache::{
-    AccessResult, Cache, CacheConfig, CacheState, CacheStats, LineState, Replacement, StateError,
-};
-pub use system::{MemoryState, MemorySystem, MemorySystemConfig, MemorySystemStats};
+pub use cache::{AccessResult, Cache, CacheConfig, CacheStats, Replacement};
+pub use system::{MemorySystem, MemorySystemConfig, MemorySystemStats};

@@ -1,6 +1,6 @@
 //! The memory system seen by the engine: perfect, or split L1 I/D caches.
 
-use crate::cache::{AccessResult, Cache, CacheConfig, CacheState, CacheStats, StateError};
+use crate::cache::{AccessResult, Cache, CacheConfig, CacheStats};
 use resim_trace::TraceRecord;
 
 /// Memory-system selection (paper §V.C evaluates both).
@@ -46,17 +46,6 @@ impl Default for MemorySystemConfig {
     }
 }
 
-/// Plain-data snapshot of the warm memory-system state (tag arrays and
-/// replacement state of both caches; `None` sides for perfect memory).
-/// Statistics are excluded — see [`Cache::state`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MemoryState {
-    /// Instruction-cache state (absent for perfect memory).
-    pub l1i: Option<CacheState>,
-    /// Data-cache state (absent for perfect memory).
-    pub l1d: Option<CacheState>,
-}
-
 /// Combined statistics for the memory system.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemorySystemStats {
@@ -89,7 +78,7 @@ impl MemorySystemStats {
 /// issue and store commit on the D-cache (§III: "During Fetch Instruction
 /// Cache is also accessed", loads allocate a read port at Issue, stores
 /// release to memory at Commit "if a memory write port is available").
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemorySystem {
     config: MemorySystemConfig,
     l1i: Option<Cache>,
@@ -186,43 +175,18 @@ impl MemorySystem {
         }
     }
 
-    /// Captures the warm tag-array state of both caches.
-    pub fn state(&self) -> MemoryState {
-        MemoryState {
-            l1i: self.l1i.as_ref().map(|c| c.state()),
-            l1d: self.l1d.as_ref().map(|c| c.state()),
+    /// Zeroes every counter — both caches' [`CacheStats`] and the
+    /// perfect-memory access counts — keeping the tag arrays and
+    /// replacement state warm. Afterwards the system equals a fresh one
+    /// for the same configuration that had been warmed into the same
+    /// state, which is what lets a sampled run hand one live memory
+    /// system from window to window.
+    pub fn reset_stats(&mut self) {
+        for cache in [&mut self.l1i, &mut self.l1d].into_iter().flatten() {
+            cache.reset_stats();
         }
-    }
-
-    /// Restores state captured from a memory system of identical
-    /// configuration. Statistics counters are left untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`] if the snapshot and this system disagree about the
-    /// presence or geometry of either cache.
-    pub fn restore_state(&mut self, state: &MemoryState) -> Result<(), StateError> {
-        let restore_side = |cache: &mut Option<Cache>,
-                            snap: &Option<CacheState>,
-                            what: &'static str|
-         -> Result<(), StateError> {
-            match (cache, snap) {
-                (Some(c), Some(s)) => c.restore_state(s),
-                (None, None) => Ok(()),
-                (Some(c), None) => Err(StateError {
-                    what,
-                    expected: c.config().sets() * c.config().associativity,
-                    got: 0,
-                }),
-                (None, Some(s)) => Err(StateError {
-                    what,
-                    expected: 0,
-                    got: s.lines.len(),
-                }),
-            }
-        };
-        restore_side(&mut self.l1i, &state.l1i, "L1I presence")?;
-        restore_side(&mut self.l1d, &state.l1d, "L1D presence")
+        self.perfect_inst = 0;
+        self.perfect_data = 0;
     }
 
     /// Accumulated statistics.
@@ -312,35 +276,36 @@ mod tests {
     }
 
     #[test]
-    fn state_roundtrip_between_systems() {
+    fn reset_stats_zeroes_counters_and_keeps_future_behaviour() {
         let mut warm = MemorySystem::new(MemorySystemConfig::l1_32k());
         for i in 0..100u32 {
-            warm.warm_inst(0x1000 + i * 64);
-            warm.warm_data(0x9000 + i * 32);
+            warm.inst_access(0x1000 + i * 64);
+            warm.data_access(0x9000 + i * 32, i % 3 == 0);
         }
-        let snap = warm.state();
-        let mut restored = MemorySystem::new(MemorySystemConfig::l1_32k());
-        restored.restore_state(&snap).unwrap();
-        assert_eq!(restored.state(), snap);
+        let mut reset = warm.clone();
+        reset.reset_stats();
+        assert_eq!(reset.stats(), MemorySystemStats::default());
         for i in 0..100u32 {
             assert_eq!(
                 warm.data_access(0x9000 + i * 48, false),
-                restored.data_access(0x9000 + i * 48, false)
+                reset.data_access(0x9000 + i * 48, false)
             );
         }
+
+        let mut perfect = MemorySystem::new(MemorySystemConfig::perfect());
+        perfect.inst_access(0x0);
+        perfect.data_access(0x0, true);
+        perfect.reset_stats();
+        assert_eq!(perfect, MemorySystem::new(MemorySystemConfig::perfect()));
     }
 
     #[test]
-    fn perfect_state_is_empty_and_restores() {
+    fn perfect_warm_is_a_noop() {
         let mut p = MemorySystem::new(MemorySystemConfig::perfect());
-        let s = p.state();
-        assert_eq!(s, MemoryState::default());
-        p.restore_state(&s).unwrap();
-        // Mixing perfect and cached states is rejected both ways.
-        let cached = MemorySystem::new(MemorySystemConfig::l1_32k()).state();
-        assert!(p.restore_state(&cached).is_err());
-        let mut c = MemorySystem::new(MemorySystemConfig::l1_32k());
-        assert!(c.restore_state(&MemoryState::default()).is_err());
+        let before = p.clone();
+        p.warm_inst(0x1000);
+        p.warm_data(0x8000);
+        assert_eq!(p, before);
     }
 
     #[test]

@@ -21,11 +21,12 @@
 //! * [`FunctionalWarmer`] — drives the stats-silent `warm_record` entry
 //!   points of `resim-bpred` and `resim-mem` (branch tables, BTB, RAS,
 //!   cache tag arrays) with no out-of-order engine at all;
-//! * [`Checkpoint`](resim_core::Checkpoint) hand-off — at each sampling
-//!   point the warm state seals into a serializable checkpoint, a
-//!   detailed engine resumes from it
-//!   ([`Engine::resume_from`](resim_core::Engine::resume_from)), and its
-//!   post-window state flows back into the warmer;
+//! * the warm-state hand-off by move — at each sampling point the
+//!   warmer's live predictor and memory system move into a detailed
+//!   engine ([`Engine::resume`](resim_core::Engine::resume), which zeroes
+//!   only their counters), and after the window the same objects move
+//!   back ([`Engine::into_warm`](resim_core::Engine::into_warm)); no
+//!   table is ever copied;
 //! * [`run_sampled`] — the driver, with a contiguous fast path that makes
 //!   a 100 %-coverage plan **bit-identical** to
 //!   [`Engine::run`](resim_core::Engine::run);

@@ -60,7 +60,7 @@ impl SamplePlan {
     }
 
     /// The 100 %-coverage plan: every interval fully detailed. Runs the
-    /// engine contiguously (no checkpoints) and is bit-identical to one
+    /// engine contiguously (no warm-state hand-off) and is bit-identical to one
     /// `Engine::run`, while still reporting per-interval window IPCs.
     pub fn full_coverage(interval: u64) -> Self {
         Self::systematic(interval, interval, 1)

@@ -3,7 +3,7 @@
 use crate::plan::{PlanError, SamplePlan, WarmupMode};
 use crate::stats::{SampledStats, WindowStats};
 use crate::warm::FunctionalWarmer;
-use resim_core::{Engine, EngineConfig, ResumeError, SimStats, TraceCursor};
+use resim_core::{ConfigError, Engine, EngineConfig, SimStats, TraceCursor};
 use resim_trace::TraceSource;
 use std::error::Error;
 use std::fmt;
@@ -13,16 +13,18 @@ use std::fmt;
 pub enum SampleError {
     /// The plan is degenerate.
     Plan(PlanError),
-    /// The engine configuration is invalid, or a checkpoint/config
-    /// geometry mismatch occurred.
-    Resume(ResumeError),
+    /// The engine configuration is invalid.
+    Config(ConfigError),
 }
 
 impl fmt::Display for SampleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SampleError::Plan(e) => write!(f, "invalid sample plan: {e}"),
-            SampleError::Resume(e) => write!(f, "cannot build sampling engine: {e}"),
+            SampleError::Config(e) => write!(
+                f,
+                "cannot build sampling engine: invalid engine configuration: {e}"
+            ),
         }
     }
 }
@@ -35,9 +37,9 @@ impl From<PlanError> for SampleError {
     }
 }
 
-impl From<ResumeError> for SampleError {
-    fn from(e: ResumeError) -> Self {
-        SampleError::Resume(e)
+impl From<ConfigError> for SampleError {
+    fn from(e: ConfigError) -> Self {
+        SampleError::Config(e)
     }
 }
 
@@ -53,10 +55,11 @@ impl From<ResumeError> for SampleError {
 ///   machinery.
 /// * **sampled** — between detailed windows the records are functionally
 ///   warmed (or skipped, per [`WarmupMode`]); at each sampling point the
-///   warm state is sealed into a checkpoint, a detailed engine is built
-///   with [`Engine::resume_from`], runs its window to drain, and hands
-///   its (further-trained) state back to the warmer. Per-window
-///   statistics merge through [`SimStats::merge`].
+///   warmer's live predictor and memory system move into a detailed
+///   engine ([`Engine::resume`], which zeroes their counters), the engine
+///   runs its window to drain, and [`Engine::into_warm`] hands the same
+///   (further-trained) objects back to the warmer. Per-window statistics
+///   merge through [`SimStats::merge`].
 ///
 /// # Errors
 ///
@@ -71,17 +74,17 @@ pub fn run_sampled<S: TraceSource>(
     if plan.is_full_coverage() {
         run_full_coverage(config, source, plan)
     } else {
-        run_checkpointed(config, source, plan)
+        run_windows(config, source, plan)
     }
 }
 
-/// The contiguous fast path: no checkpoints, no warmup, exact statistics.
+/// The contiguous fast path: one engine, no warmup, exact statistics.
 fn run_full_coverage<S: TraceSource>(
     config: &EngineConfig,
     source: S,
     plan: &SamplePlan,
 ) -> Result<SampledStats, SampleError> {
-    let mut engine = Engine::new(config.clone()).map_err(ResumeError::Config)?;
+    let mut engine = Engine::new(config.clone())?;
     let mut cursor = TraceCursor::new(source);
     let mut windows: Vec<WindowStats> = Vec::new();
     let mut prev = SimStats::default();
@@ -122,7 +125,7 @@ fn run_full_coverage<S: TraceSource>(
     })
 }
 
-/// One-record lookahead over a [`TraceSource`]: the checkpointed runner
+/// One-record lookahead over a [`TraceSource`]: the sampled runner
 /// must see whether a window boundary landed inside a wrong-path block
 /// without losing the record it peeked at.
 struct Peekable<S: TraceSource> {
@@ -159,9 +162,9 @@ impl<S: TraceSource> TraceSource for Peekable<S> {
     }
 }
 
-/// The sampled path: warm/skip the gaps, checkpoint at each sampling
-/// point, run detailed windows on resumed engines.
-fn run_checkpointed<S: TraceSource>(
+/// The sampled path: warm/skip the gaps, move the warm state into a
+/// detailed engine at each sampling point and take it back after.
+fn run_windows<S: TraceSource>(
     config: &EngineConfig,
     source: S,
     plan: &SamplePlan,
@@ -212,12 +215,15 @@ fn run_checkpointed<S: TraceSource>(
         }
 
         // --- the detailed window ---
-        let checkpoint = warmer.checkpoint(position);
-        let mut engine = Engine::resume_from(config.clone(), &checkpoint)?;
+        let (predictor, memory) = warmer.into_parts();
+        let mut engine = Engine::resume(config.clone(), predictor, memory)?;
         let start_record = position;
         let mut window = source.window(plan.detailed_records);
         let stats = engine.run(&mut window);
         let taken = plan.detailed_records - window.remaining();
+        // Carry the window's training (and wrong-path pollution) forward.
+        let (predictor, memory) = engine.into_warm();
+        warmer = FunctionalWarmer::from_parts(predictor, memory);
         if taken == 0 {
             break; // the trace ended exactly at the sampling point
         }
@@ -232,10 +238,6 @@ fn run_checkpointed<S: TraceSource>(
             committed: stats.committed,
             cycles: stats.cycles,
         });
-        // Carry the window's training (and wrong-path pollution) forward.
-        warmer
-            .adopt(&engine.snapshot())
-            .expect("engine and warmer share one config");
         if taken < plan.detailed_records {
             break; // the trace ended inside the window
         }
@@ -285,6 +287,24 @@ mod tests {
             &SamplePlan::systematic(0, 1, 1),
         );
         assert!(matches!(err, Err(SampleError::Plan(_))));
+    }
+
+    #[test]
+    fn invalid_config_is_rejected_on_both_paths() {
+        let trace = gzip_trace(100, 1);
+        let config = EngineConfig {
+            width: 0,
+            ..EngineConfig::paper_4wide()
+        };
+        for plan in [
+            SamplePlan::full_coverage(50),
+            SamplePlan::systematic(50, 10, 2),
+        ] {
+            let err = run_sampled(&config, trace.source(), &plan).unwrap_err();
+            assert_eq!(err, SampleError::Config(ConfigError::ZeroWidth));
+            let message = err.to_string();
+            assert!(message.starts_with("cannot build sampling engine: "));
+        }
     }
 
     #[test]

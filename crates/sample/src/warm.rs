@@ -7,14 +7,21 @@
 //! `resim-bpred` and `resim-mem`. There is no IFQ, no reorder buffer, no
 //! issue logic and no cycle accounting, which is what makes it an order
 //! of magnitude cheaper per record than detailed simulation.
+//!
+//! The warmer owns the live predictor and memory system of a sampled
+//! run. At each sampling point they move into the detailed engine
+//! ([`Engine::resume`](resim_core::Engine::resume)) and come back after
+//! the window ([`Engine::into_warm`](resim_core::Engine::into_warm)), so
+//! the window's training and wrong-path pollution carry forward with no
+//! copy of any table.
 
 use resim_bpred::BranchPredictor;
-use resim_core::{Checkpoint, EngineConfig, ResumeError};
+use resim_core::EngineConfig;
 use resim_mem::MemorySystem;
 use resim_trace::{TraceRecord, TraceSource};
 
 /// Cold-start functional warm state for one engine configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionalWarmer {
     predictor: BranchPredictor,
     memory: MemorySystem,
@@ -29,32 +36,17 @@ impl FunctionalWarmer {
         }
     }
 
-    /// A warmer resuming from `checkpoint`'s tables.
-    ///
-    /// # Errors
-    ///
-    /// [`ResumeError`] if the checkpoint was taken under a different
-    /// predictor/memory geometry.
-    pub fn from_checkpoint(
-        config: &EngineConfig,
-        checkpoint: &Checkpoint,
-    ) -> Result<Self, ResumeError> {
-        let mut w = Self::new(config);
-        w.adopt(checkpoint)?;
-        Ok(w)
+    /// A warmer around a live predictor and memory system, typically
+    /// the pair a detailed window handed back through
+    /// [`Engine::into_warm`](resim_core::Engine::into_warm).
+    pub fn from_parts(predictor: BranchPredictor, memory: MemorySystem) -> Self {
+        Self { predictor, memory }
     }
 
-    /// Replaces the warm state with `checkpoint`'s — used after a
-    /// detailed window to carry the window's training (and wrong-path
-    /// pollution) forward into the next gap.
-    ///
-    /// # Errors
-    ///
-    /// [`ResumeError`] on geometry mismatch.
-    pub fn adopt(&mut self, checkpoint: &Checkpoint) -> Result<(), ResumeError> {
-        self.predictor.restore_state(&checkpoint.predictor)?;
-        self.memory.restore_state(&checkpoint.memory)?;
-        Ok(())
+    /// Hands the live predictor and memory system out, for
+    /// [`Engine::resume`](resim_core::Engine::resume).
+    pub fn into_parts(self) -> (BranchPredictor, MemorySystem) {
+        (self.predictor, self.memory)
     }
 
     /// Warms one record: branches train the predictor/BTB/RAS, every
@@ -82,16 +74,6 @@ impl FunctionalWarmer {
         }
         n
     }
-
-    /// Seals the current warm state into a [`Checkpoint`] at trace
-    /// `position`.
-    pub fn checkpoint(&self, position: u64) -> Checkpoint {
-        Checkpoint {
-            position,
-            predictor: self.predictor.state(),
-            memory: self.memory.state(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +90,7 @@ mod tests {
     }
 
     #[test]
-    fn warmer_checkpoint_resumes_an_engine() {
+    fn warm_state_moves_through_an_engine_and_back() {
         use resim_trace::{BranchKind, BranchRecord};
         let config = cached_config();
         let mut w = FunctionalWarmer::new(&config);
@@ -123,17 +105,17 @@ mod tests {
                 wrong_path: false,
             }));
         }
-        let ck = w.checkpoint(200);
-        assert_eq!(ck.position, 200);
-        let engine = Engine::resume_from(config.clone(), &ck).expect("geometries match");
-        // The resumed engine's snapshot equals the warmer's checkpoint
-        // (modulo position, which the engine does not know).
-        let mut back = engine.snapshot();
-        back.position = 200;
-        assert_eq!(back, ck);
-        // And a second warmer can adopt it.
-        let w2 = FunctionalWarmer::from_checkpoint(&config, &ck).unwrap();
-        assert_eq!(w2.checkpoint(200), ck);
+        assert_ne!(
+            w,
+            FunctionalWarmer::new(&config),
+            "the branches trained tables"
+        );
+        let before = w.clone();
+        let (predictor, memory) = w.into_parts();
+        let engine = Engine::resume(config, predictor, memory).expect("configs match");
+        let (predictor, memory) = engine.into_warm();
+        // An engine that ran nothing hands back exactly what it took.
+        assert_eq!(FunctionalWarmer::from_parts(predictor, memory), before);
     }
 
     #[test]
@@ -141,7 +123,7 @@ mod tests {
         use resim_trace::{OpClass, OtherRecord};
         let config = cached_config();
         let mut w = FunctionalWarmer::new(&config);
-        let cold = w.checkpoint(0);
+        let cold = w.clone();
         w.warm_record(&TraceRecord::Other(OtherRecord {
             pc: 0x4000,
             class: OpClass::IntAlu,
@@ -150,7 +132,7 @@ mod tests {
             src2: None,
             wrong_path: true,
         }));
-        assert_eq!(w.checkpoint(0), cold);
+        assert_eq!(w, cold);
     }
 
     #[test]
@@ -174,12 +156,5 @@ mod tests {
         assert_eq!(w.warm_from(&mut src, 4), 4);
         assert_eq!(w.warm_from(&mut src, 100), 6);
         assert_eq!(w.warm_from(&mut src, 1), 0);
-    }
-
-    #[test]
-    fn adopt_rejects_mismatched_geometry() {
-        let cached = FunctionalWarmer::new(&cached_config()).checkpoint(0);
-        let mut perfect = FunctionalWarmer::new(&EngineConfig::paper_4wide());
-        assert!(perfect.adopt(&cached).is_err());
     }
 }

@@ -54,7 +54,8 @@ struct Pin {
     windows: &'static [WindowPin],
 }
 
-/// Captured before the move hand-off replaced the checkpoint mirror.
+/// Captured while each window still copied the warm tables in and out;
+/// handing the live objects over by move must reproduce them exactly.
 const PINS: &[Pin] = &[
     Pin {
         replacement: Replacement::Lru,

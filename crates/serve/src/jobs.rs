@@ -196,7 +196,7 @@ impl JobTable {
     /// Snapshots a job; `None` for an id the table never issued.
     pub fn status(&self, id: u64) -> Option<JobStatus> {
         let inner = self.lock();
-        inner.jobs.get(&id).map(|e| snapshot(id, e))
+        inner.jobs.get(&id).map(|e| status_of(id, e))
     }
 
     /// Blocks until job `id` changes past `seen_version` (or is already
@@ -208,7 +208,7 @@ impl JobTable {
         loop {
             let entry = inner.jobs.get(&id)?;
             if entry.version > seen_version || entry.state.terminal() {
-                return Some(snapshot(id, entry));
+                return Some(status_of(id, entry));
             }
             inner = recover(self.changed.wait(inner));
         }
@@ -229,7 +229,7 @@ impl JobTable {
     }
 }
 
-fn snapshot(id: u64, e: &JobEntry) -> JobStatus {
+fn status_of(id: u64, e: &JobEntry) -> JobStatus {
     let (outcome, error) = match &e.state {
         State::Done(o) => (Some(o.clone()), None),
         State::Failed(m) => (None, Some(m.clone())),

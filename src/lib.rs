@@ -16,7 +16,7 @@
 //! | [`tracegen`] | `resim-tracegen` | `sim-bpred`-style trace generation with wrong-path blocks |
 //! | [`core`] | `resim-core` | the out-of-order timing engine and minor-cycle pipeline models |
 //! | [`obs`] | `resim-obs` | zero-overhead-when-off instrumentation: `Recorder` trait, metrics, event journal, versioned exports |
-//! | [`sample`] | `resim-sample` | SMARTS-style sampled simulation: functional warmup, checkpoints, confidence-bounded IPC |
+//! | [`sample`] | `resim-sample` | SMARTS-style sampled simulation: functional warmup, warm state moved into each detailed window, confidence-bounded IPC |
 //! | [`session`] | `resim-session` | RSSN record/replay artifacts: every nondeterministic input of a run plus its stats digest |
 //! | [`sweep`] | `resim-sweep` | deterministic multi-threaded scenario-grid sweeps with trace sharing |
 //! | [`serve`] | `resim-serve` | persistent TCP simulation service with a content-addressed, restart-surviving result cache |
@@ -72,9 +72,8 @@ pub use resim_workloads as workloads;
 pub mod prelude {
     pub use resim_bpred::{BranchPredictor, PredictorConfig};
     pub use resim_core::{
-        block_diagram, Checkpoint, CoreState, Engine, EngineConfig, MinorCycleScheduler,
-        PipelineDescription, PipelineOrganization, SimStats, SlotExpr, SlotSpec, StageRow,
-        TraceCursor,
+        block_diagram, CoreState, Engine, EngineConfig, MinorCycleScheduler, PipelineDescription,
+        PipelineOrganization, SimStats, SlotExpr, SlotSpec, StageRow, TraceCursor,
     };
     pub use resim_fpga::{
         effective_mips, AreaModel, FpgaDevice, ThroughputModel, TraceLink,
