@@ -14,11 +14,16 @@
 //! cycles and commits of wider and narrower windows, recorded on the
 //! polling RB/LSQ before the event-driven wakeup replaced it: bitset and
 //! ring bugs hide at the 64-slot word boundary and at wrap-around.
+//! [`FORWARD_PINS`] does the same for store-to-load forwarding over a
+//! synthetic aliasing trace, which the gzip trace never exercises.
 
 use resim_bpred::PredictorStats;
 use resim_core::{Engine, EngineConfig, PipelineOrganization, SimStats};
 use resim_mem::{CacheStats, MemorySystemStats};
-use resim_trace::Trace;
+use resim_trace::{
+    BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, Reg, Trace,
+    TraceRecord,
+};
 use resim_tracegen::{generate_trace, TraceGenConfig};
 use resim_workloads::{SpecBenchmark, Workload};
 
@@ -238,4 +243,209 @@ fn wide_window_stats_match_the_pins() {
             "rb_size {rb_size}, lsq_size {lsq_size}, cached {cached} drifted from its pin"
         );
     }
+}
+
+fn other(pc: u32, class: OpClass, dest: Option<u8>, src: Option<u8>) -> TraceRecord {
+    TraceRecord::Other(OtherRecord {
+        pc,
+        class,
+        dest: dest.map(Reg::new),
+        src1: src.map(Reg::new),
+        src2: None,
+        wrong_path: false,
+    })
+}
+
+/// A memory record; `reg` is the destination of a load and the data
+/// source of a store.
+fn mem(pc: u32, kind: MemKind, size: MemSize, addr: u32, base: Option<u8>, reg: u8) -> TraceRecord {
+    TraceRecord::Mem(MemRecord {
+        pc,
+        addr,
+        size,
+        kind,
+        base: base.map(Reg::new),
+        data: Some(Reg::new(reg)),
+        wrong_path: false,
+    })
+}
+
+/// A deterministic aliasing trace: the SPEC-like traces forward a load
+/// almost never, so this one repeats a block that walks every
+/// store-to-load rule of `Lsq_refresh`. Register 30 is never written,
+/// so a store reading it has its data from the start.
+fn aliasing_trace() -> Trace {
+    const LOOP_HEAD: u32 = 0x1000;
+    use MemKind::{Load, Store};
+    use MemSize::{Byte, Word};
+    let mut recs: Vec<TraceRecord> = Vec::new();
+    for i in 0..250u32 {
+        let a = 0x1_0000 + (i * 37 % 48) * 64;
+        let slow = if i % 2 == 0 {
+            OpClass::IntMult
+        } else {
+            OpClass::IntDiv
+        };
+        let block = [
+            // A forward whose store data is ready.
+            mem(0, Store, Word, a, None, 30),
+            mem(0, Load, Word, a, None, 1),
+            // A forward held back by a slow data producer; the divide
+            // below waits for the forwarded value.
+            other(0, slow, Some(5), None),
+            mem(0, Store, Word, a + 8, None, 5),
+            mem(0, Load, Word, a + 8, None, 6),
+            // A disjoint load blocked by a store whose base is unresolved.
+            other(0, OpClass::IntMult, Some(7), None),
+            mem(0, Store, Word, a + 16, Some(7), 30),
+            mem(0, Load, Word, a + 24, None, 8),
+            // Byte/word partial overlaps both ways, and an adjacent miss.
+            mem(0, Store, Word, a + 32, None, 30),
+            mem(0, Load, Byte, a + 35, None, 9),
+            mem(0, Store, Byte, a + 41, None, 30),
+            mem(0, Load, Word, a + 40, None, 10),
+            mem(0, Load, Byte, a + 36, None, 11),
+            // A load that is forward-ready while eight older ALU ops
+            // take the issue slots, and reads the cache once its store
+            // has committed.
+            other(0, OpClass::IntDiv, Some(12), Some(6)),
+            mem(0, Store, Word, a + 48, None, 30),
+            other(0, OpClass::IntAlu, Some(13), Some(12)),
+            other(0, OpClass::IntAlu, Some(13), Some(12)),
+            other(0, OpClass::IntAlu, Some(13), Some(12)),
+            other(0, OpClass::IntAlu, Some(13), Some(12)),
+            other(0, OpClass::IntAlu, Some(13), Some(12)),
+            other(0, OpClass::IntAlu, Some(13), Some(12)),
+            other(0, OpClass::IntAlu, Some(13), Some(12)),
+            other(0, OpClass::IntAlu, Some(13), Some(12)),
+            mem(0, Load, Word, a + 48, Some(12), 14),
+        ];
+        // One loop iteration: consecutive PCs, closed by a jump back.
+        for (k, mut r) in block.into_iter().enumerate() {
+            let pc = LOOP_HEAD + 4 * k as u32;
+            match &mut r {
+                TraceRecord::Mem(m) => m.pc = pc,
+                TraceRecord::Other(o) => o.pc = pc,
+                TraceRecord::Branch(_) => unreachable!("the block holds no branch"),
+            }
+            recs.push(r);
+        }
+        recs.push(TraceRecord::Branch(BranchRecord {
+            pc: LOOP_HEAD + 4 * block.len() as u32,
+            target: LOOP_HEAD,
+            taken: true,
+            kind: BranchKind::Jump,
+            src1: None,
+            src2: None,
+            wrong_path: false,
+        }));
+    }
+    Trace::from_records(recs)
+}
+
+/// One forwarding pin: `(lsq_size, cached memory?, organization)` →
+/// `(SimStats::digest(), cycles, load_forwards)` over [`aliasing_trace`]
+/// on a 64-entry RB.
+type ForwardPin = ((usize, bool, PipelineOrganization), (u64, u64, u64));
+
+/// Pins of the forwarding paths, recorded on the LSQ that recomputed
+/// readiness in a per-cycle `Lsq_refresh` pass.
+const FORWARD_PINS: &[ForwardPin] = &[
+    (
+        (4, false, PipelineOrganization::SimpleSerial),
+        (0x72e9c130a560280a, 6254, 876),
+    ),
+    (
+        (4, false, PipelineOrganization::ImprovedSerial),
+        (0x5985e60a7edc5180, 6254, 876),
+    ),
+    (
+        (4, false, PipelineOrganization::OptimizedSerial),
+        (0x1ac62a6e6708538e, 6254, 876),
+    ),
+    (
+        (4, true, PipelineOrganization::SimpleSerial),
+        (0xf0e64e05ea23ef03, 6281, 875),
+    ),
+    (
+        (4, true, PipelineOrganization::ImprovedSerial),
+        (0x06be8f0085e35b3e, 6281, 875),
+    ),
+    (
+        (4, true, PipelineOrganization::OptimizedSerial),
+        (0x570f92b0c5edc148, 6281, 875),
+    ),
+    (
+        (8, false, PipelineOrganization::SimpleSerial),
+        (0xef342950c87d951a, 5132, 1000),
+    ),
+    (
+        (8, false, PipelineOrganization::ImprovedSerial),
+        (0x45ae589c0cdd79ea, 5132, 1000),
+    ),
+    (
+        (8, false, PipelineOrganization::OptimizedSerial),
+        (0xd83f2b1927ca7d5a, 5132, 1000),
+    ),
+    (
+        (8, true, PipelineOrganization::SimpleSerial),
+        (0x171dcb980677f116, 5208, 1022),
+    ),
+    (
+        (8, true, PipelineOrganization::ImprovedSerial),
+        (0x01e7424e5f51fbd5, 5208, 1022),
+    ),
+    (
+        (8, true, PipelineOrganization::OptimizedSerial),
+        (0x431348aa81eb46f1, 5208, 1022),
+    ),
+    (
+        (32, false, PipelineOrganization::SimpleSerial),
+        (0xa08ef999fea6a462, 4012, 1124),
+    ),
+    (
+        (32, false, PipelineOrganization::ImprovedSerial),
+        (0xa49646ed5e7990a1, 4012, 1124),
+    ),
+    (
+        (32, false, PipelineOrganization::OptimizedSerial),
+        (0x68fd8a31377f22d5, 4012, 1124),
+    ),
+    (
+        (32, true, PipelineOrganization::SimpleSerial),
+        (0x9d3f073fd82a9b79, 4047, 1123),
+    ),
+    (
+        (32, true, PipelineOrganization::ImprovedSerial),
+        (0x21621d5ad066e449, 4047, 1123),
+    ),
+    (
+        (32, true, PipelineOrganization::OptimizedSerial),
+        (0xce1c873804294650, 4047, 1123),
+    ),
+];
+
+#[test]
+fn store_to_load_forwarding_matches_the_pins() {
+    let trace = aliasing_trace();
+    let mut got = Vec::new();
+    for lsq_size in [4, 8, 32] {
+        for cached in [false, true] {
+            for org in PipelineOrganization::ALL {
+                let config = EngineConfig {
+                    pipeline: org.description(),
+                    ..window_config(64, lsq_size, cached)
+                };
+                let stats = Engine::new(config).unwrap().run(trace.source());
+                got.push((
+                    (lsq_size, cached, org),
+                    (stats.digest(), stats.cycles, stats.load_forwards),
+                ));
+            }
+        }
+    }
+    assert_eq!(
+        got, FORWARD_PINS,
+        "forwarding over the aliasing trace drifted from its pins"
+    );
 }
