@@ -78,7 +78,9 @@ pub use engine::Engine;
 pub use grid::ConfigGrid;
 pub use lsq::{LoadReady, LoadStoreQueue, LsqEntry};
 pub use pipeline::{PipelineOrganization, Schedule, ScheduleRow};
-pub use rob::{InstState, PendingSet, ReorderBuffer, RobEntry, RobEntryMut, RobEntryView};
+pub use rob::{
+    InstState, PendingSet, Producer, ReorderBuffer, RobEntry, RobEntryMut, RobEntryView,
+};
 pub use scheduler::MinorCycleScheduler;
 pub use state::CoreState;
 pub use stats::{SimStats, SIM_STATS_FIELDS};

@@ -5,10 +5,32 @@
 //! checks are performed by Lsq_refresh." — and loads whose value is
 //! forwarded from an older store in the LSQ do not allocate a cache read
 //! port.
+//!
+//! # Readiness on demand
+//!
+//! The hardware runs the check as a stage every cycle. This model
+//! computes it only where it is used: when the Issue stage reaches a load
+//! among its ready candidates, it asks [`LoadStoreQueue::load_ready`].
+//! An entry stores no derived flags, only its tag, its [`MemRecord`] and
+//! the [`Producer`] handles of its address base and store data, so each
+//! "is this address (or this data) known yet?" question is one O(1)
+//! producer check against the RB. Readiness is a pure function of the
+//! queue and of producer completion, and no producer completes between
+//! the `Lsq_refresh` slot and Issue, so the answer equals what a
+//! per-cycle scan would have cached.
+//!
+//! Entries are named by an **ordinal**, the count of entries allocated
+//! before them: [`LoadStoreQueue::push`] returns it, the RB keeps it in
+//! a lane, and the queue finds the entry at `ordinal − head ordinal`.
+//! Retiring the head advances the head ordinal; a squash pops the tail,
+//! so the next push reuses the squashed ordinals.
 
+use crate::rob::Producer;
 use resim_trace::{MemKind, MemRecord};
+use std::collections::VecDeque;
 
-/// Issue-readiness of a load, as computed by [`LoadStoreQueue::refresh`].
+/// Issue-readiness of a load, as computed by
+/// [`LoadStoreQueue::load_ready`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadReady {
     /// Address not yet calculated, or an older store's address/data is
@@ -27,20 +49,11 @@ pub struct LsqEntry {
     pub seq: u64,
     /// The memory record (kind, address, size).
     pub mem: MemRecord,
-    /// Producer of the address base register, if still outstanding at
+    /// Producer of the address base register, if one was renamed at
     /// dispatch.
-    pub base_dep: Option<u64>,
+    pub base_dep: Option<Producer>,
     /// Producer of the store-data register (stores only).
-    pub data_dep: Option<u64>,
-    /// Whether the effective address has been calculated.
-    pub addr_known: bool,
-    /// Whether store data is available (always true for loads once
-    /// `addr_known`).
-    pub data_ready: bool,
-    /// Issue readiness computed by the last `refresh`.
-    pub load_ready: LoadReady,
-    /// Whether the instruction has issued.
-    pub issued: bool,
+    pub data_dep: Option<Producer>,
 }
 
 impl LsqEntry {
@@ -54,16 +67,14 @@ impl LsqEntry {
 /// checking.
 ///
 /// Entries are allocated at the tail, retired from the head (commit is
-/// in order) and squashed from the tail, so the queue stays sorted by
-/// age tag and lookups binary-search it.
+/// in order) and squashed from the tail, so the queue stays in program
+/// order and an ordinal indexes it directly (see the module docs).
 #[derive(Debug, Clone)]
 pub struct LoadStoreQueue {
-    entries: std::collections::VecDeque<LsqEntry>,
+    entries: VecDeque<LsqEntry>,
     capacity: usize,
-    forwards: u64,
-    /// Whether load readiness may have changed since the last
-    /// `refresh`: an entry was pushed or retired, or a flag flipped.
-    stale: bool,
+    /// Ordinal of the head entry: the number of entries retired so far.
+    head_ordinal: u64,
 }
 
 impl LoadStoreQueue {
@@ -75,10 +86,9 @@ impl LoadStoreQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LSQ capacity must be non-zero");
         Self {
-            entries: std::collections::VecDeque::with_capacity(capacity),
+            entries: VecDeque::with_capacity(capacity),
             capacity,
-            forwards: 0,
-            stale: false,
+            head_ordinal: 0,
         }
     }
 
@@ -102,121 +112,73 @@ impl LoadStoreQueue {
         self.entries.len() == self.capacity
     }
 
-    /// Loads satisfied by forwarding so far.
-    pub fn forwards(&self) -> u64 {
-        self.forwards
-    }
-
-    /// Allocates an entry at the tail (program order).
+    /// Allocates an entry at the tail (program order) and returns its
+    /// ordinal.
     ///
     /// # Panics
     ///
     /// Panics if full or if `entry.seq` does not exceed the tail's tag.
-    pub fn push(&mut self, entry: LsqEntry) {
+    pub fn push(&mut self, entry: LsqEntry) -> u64 {
         assert!(!self.is_full(), "LSQ overflow");
         assert!(
             self.entries.back().is_none_or(|tail| tail.seq < entry.seq),
             "LSQ ages must increase"
         );
         self.entries.push_back(entry);
-        self.stale = true;
+        self.head_ordinal + self.entries.len() as u64 - 1
     }
 
-    /// Immutable lookup by age tag.
-    pub fn find(&self, seq: u64) -> Option<&LsqEntry> {
-        self.index_of(seq).map(|i| &self.entries[i])
-    }
-
-    /// Queue index of age tag `seq` (the queue is sorted by tag).
-    fn index_of(&self, seq: u64) -> Option<usize> {
-        self.entries.binary_search_by_key(&seq, |e| e.seq).ok()
+    /// The live entry with ordinal `ordinal`, if any.
+    pub fn get(&self, ordinal: u64) -> Option<&LsqEntry> {
+        let idx = ordinal.checked_sub(self.head_ordinal)?;
+        self.entries.get(usize::try_from(idx).ok()?)
     }
 
     /// Retires the oldest entry (commit).
     pub fn pop_head(&mut self) -> Option<LsqEntry> {
         let head = self.entries.pop_front();
-        self.stale |= head.is_some();
+        self.head_ordinal += u64::from(head.is_some());
         head
     }
 
-    /// The `Lsq_refresh` stage, run once per major cycle (§III/§IV).
+    /// The `Lsq_refresh` check for the load with ordinal `ordinal`
+    /// (§III/§IV), computed on demand.
     ///
-    /// Pass 1 recomputes address/data availability from producer state
-    /// for the entries still missing either. Pass 2 marks the readiness
-    /// of every unissued load against the older stores; it runs only if,
-    /// since the last refresh, an entry was pushed or retired or pass 1
-    /// flipped a flag — an unissued load's readiness depends on nothing
-    /// else (a squash removes only younger entries, which no surviving
-    /// load depends on).
+    /// The load is [`NotReady`](LoadReady::NotReady) while its own
+    /// address base is outstanding. Otherwise the older stores are
+    /// scanned youngest first: one with an unresolved address blocks the
+    /// load (§III: "no unresolved memory dependencies"); the nearest one
+    /// that overlaps it forwards its value once its data is ready
+    /// ([`ReadyForward`](LoadReady::ReadyForward)) and blocks it until
+    /// then; with neither, the load reads the cache
+    /// ([`ReadyCache`](LoadReady::ReadyCache)).
     ///
-    /// `is_outstanding` reports whether a producer tag is still in flight
+    /// `is_outstanding` reports whether a producer is still in flight
     /// without a result (the RB's view).
-    pub fn refresh(&mut self, is_outstanding: impl Fn(u64) -> bool) {
-        // Pass 1: address & data availability.
-        for e in &mut self.entries {
-            if !e.addr_known {
-                e.addr_known = e.base_dep.is_none_or(|d| !is_outstanding(d));
-                self.stale |= e.addr_known;
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ordinal` names no live entry.
+    pub fn load_ready(&self, ordinal: u64, is_outstanding: impl Fn(Producer) -> bool) -> LoadReady {
+        let idx = (ordinal - self.head_ordinal) as usize;
+        let load = &self.entries[idx];
+        let resolved = |dep: Option<Producer>| dep.is_none_or(|p| !is_outstanding(p));
+        if !resolved(load.base_dep) {
+            return LoadReady::NotReady;
+        }
+        for older in self.entries.range(..idx).rev().filter(|e| !e.is_load()) {
+            if !resolved(older.base_dep) {
+                return LoadReady::NotReady;
             }
-            if !e.data_ready {
-                let data_ok = e.data_dep.is_none_or(|d| !is_outstanding(d));
-                e.data_ready = if e.is_load() {
-                    e.addr_known
+            if older.mem.overlaps(&load.mem) {
+                return if resolved(older.data_dep) {
+                    LoadReady::ReadyForward
                 } else {
-                    data_ok
+                    LoadReady::NotReady
                 };
-                self.stale |= e.data_ready;
             }
         }
-        if !std::mem::take(&mut self.stale) {
-            return;
-        }
-        // Pass 2: load readiness against older stores.
-        for i in 0..self.entries.len() {
-            if !self.entries[i].is_load() || self.entries[i].issued {
-                continue;
-            }
-            if !self.entries[i].addr_known {
-                self.entries[i].load_ready = LoadReady::NotReady;
-                continue;
-            }
-            let load_mem = self.entries[i].mem;
-            let mut ready = LoadReady::ReadyCache;
-            // Scan older entries, youngest first, for stores.
-            for j in (0..i).rev() {
-                let older = &self.entries[j];
-                if older.is_load() {
-                    continue;
-                }
-                if !older.addr_known {
-                    // Unresolved store address: conservative stall (§III:
-                    // "no unresolved memory dependencies").
-                    ready = LoadReady::NotReady;
-                    break;
-                }
-                if older.mem.overlaps(&load_mem) {
-                    ready = if older.data_ready {
-                        LoadReady::ReadyForward
-                    } else {
-                        LoadReady::NotReady
-                    };
-                    break;
-                }
-            }
-            self.entries[i].load_ready = ready;
-        }
-    }
-
-    /// Marks an entry issued, counting a forward if it was a load
-    /// satisfied in-queue.
-    pub fn mark_issued(&mut self, seq: u64) {
-        if let Some(i) = self.index_of(seq) {
-            let e = &mut self.entries[i];
-            e.issued = true;
-            if e.load_ready == LoadReady::ReadyForward {
-                self.forwards += 1;
-            }
-        }
+        LoadReady::ReadyCache
     }
 
     /// Iterates oldest → youngest.
@@ -224,10 +186,8 @@ impl LoadStoreQueue {
         self.entries.iter()
     }
 
-    /// Squashes every entry younger than `seq`.
-    ///
-    /// A load's readiness depends only on older entries, so removing the
-    /// youngest ones leaves every survivor's readiness current.
+    /// Squashes every entry younger than `seq`; the next push reuses
+    /// their ordinals.
     pub fn squash_younger(&mut self, seq: u64) {
         while self.entries.back().is_some_and(|e| e.seq > seq) {
             self.entries.pop_back();
@@ -240,61 +200,62 @@ mod tests {
     use super::*;
     use resim_trace::MemSize;
 
-    fn mem(kind: MemKind, addr: u32) -> MemRecord {
-        MemRecord {
-            pc: 0,
-            addr,
-            size: MemSize::Word,
-            kind,
-            base: None,
-            data: None,
-            wrong_path: false,
-        }
-    }
-
     fn entry(seq: u64, kind: MemKind, addr: u32) -> LsqEntry {
         LsqEntry {
             seq,
-            mem: mem(kind, addr),
+            mem: MemRecord {
+                pc: 0,
+                addr,
+                size: MemSize::Word,
+                kind,
+                base: None,
+                data: None,
+                wrong_path: false,
+            },
             base_dep: None,
             data_dep: None,
-            addr_known: false,
-            data_ready: false,
-            load_ready: LoadReady::NotReady,
-            issued: false,
         }
     }
 
+    /// A producer handle named by its tag alone (slot 0).
+    fn producer(seq: u64) -> Option<Producer> {
+        Some(Producer { seq, slot: 0 })
+    }
+
+    /// An `is_outstanding` view in which exactly `tags` are in flight.
+    fn outstanding(tags: &[u64]) -> impl Fn(Producer) -> bool + '_ {
+        move |p| tags.contains(&p.seq)
+    }
+
     #[test]
-    fn lone_load_becomes_cache_ready() {
+    fn lone_load_is_cache_ready() {
         let mut lsq = LoadStoreQueue::new(8);
-        lsq.push(entry(1, MemKind::Load, 0x100));
-        lsq.refresh(|_| false);
-        assert_eq!(lsq.find(1).unwrap().load_ready, LoadReady::ReadyCache);
+        let load = lsq.push(entry(1, MemKind::Load, 0x100));
+        assert_eq!(lsq.load_ready(load, outstanding(&[])), LoadReady::ReadyCache);
     }
 
     #[test]
     fn load_waits_for_base_producer() {
         let mut lsq = LoadStoreQueue::new(8);
-        let mut e = entry(2, MemKind::Load, 0x100);
-        e.base_dep = Some(1);
-        lsq.push(e);
-        lsq.refresh(|seq| seq == 1); // producer still outstanding
-        assert_eq!(lsq.find(2).unwrap().load_ready, LoadReady::NotReady);
-        lsq.refresh(|_| false); // producer wrote back
-        assert_eq!(lsq.find(2).unwrap().load_ready, LoadReady::ReadyCache);
+        let load = lsq.push(LsqEntry {
+            base_dep: producer(1),
+            ..entry(2, MemKind::Load, 0x100)
+        });
+        // Producer still outstanding, then written back.
+        assert_eq!(lsq.load_ready(load, outstanding(&[1])), LoadReady::NotReady);
+        assert_eq!(lsq.load_ready(load, outstanding(&[])), LoadReady::ReadyCache);
     }
 
     #[test]
     fn load_blocked_by_unresolved_store_address() {
         let mut lsq = LoadStoreQueue::new(8);
-        let mut st = entry(1, MemKind::Store, 0x200);
-        st.base_dep = Some(99);
-        lsq.push(st);
-        lsq.push(entry(2, MemKind::Load, 0x100));
-        lsq.refresh(|seq| seq == 99);
+        lsq.push(LsqEntry {
+            base_dep: producer(99),
+            ..entry(1, MemKind::Store, 0x200)
+        });
+        let load = lsq.push(entry(2, MemKind::Load, 0x100));
         assert_eq!(
-            lsq.find(2).unwrap().load_ready,
+            lsq.load_ready(load, outstanding(&[99])),
             LoadReady::NotReady,
             "conservative: unknown store address blocks all younger loads"
         );
@@ -304,35 +265,33 @@ mod tests {
     fn overlapping_store_forwards_when_data_ready() {
         let mut lsq = LoadStoreQueue::new(8);
         lsq.push(entry(1, MemKind::Store, 0x100));
-        lsq.push(entry(2, MemKind::Load, 0x100));
-        lsq.refresh(|_| false);
-        assert_eq!(lsq.find(2).unwrap().load_ready, LoadReady::ReadyForward);
-        lsq.mark_issued(2);
-        assert_eq!(lsq.forwards(), 1);
+        let load = lsq.push(entry(2, MemKind::Load, 0x100));
+        assert_eq!(lsq.load_ready(load, outstanding(&[])), LoadReady::ReadyForward);
     }
 
     #[test]
     fn overlapping_store_without_data_blocks() {
         let mut lsq = LoadStoreQueue::new(8);
-        let mut st = entry(1, MemKind::Store, 0x100);
-        st.data_dep = Some(50);
-        lsq.push(st);
-        lsq.push(entry(2, MemKind::Load, 0x100));
-        lsq.refresh(|seq| seq == 50);
-        assert_eq!(lsq.find(2).unwrap().load_ready, LoadReady::NotReady);
+        lsq.push(LsqEntry {
+            data_dep: producer(50),
+            ..entry(1, MemKind::Store, 0x100)
+        });
+        let load = lsq.push(entry(2, MemKind::Load, 0x100));
+        assert_eq!(lsq.load_ready(load, outstanding(&[50])), LoadReady::NotReady);
+        assert_eq!(lsq.load_ready(load, outstanding(&[])), LoadReady::ReadyForward);
     }
 
     #[test]
     fn youngest_older_store_wins() {
         let mut lsq = LoadStoreQueue::new(8);
         lsq.push(entry(1, MemKind::Store, 0x100)); // older, data ready
-        let mut st2 = entry(2, MemKind::Store, 0x100); // younger, data missing
-        st2.data_dep = Some(70);
-        lsq.push(st2);
-        lsq.push(entry(3, MemKind::Load, 0x100));
-        lsq.refresh(|seq| seq == 70);
+        lsq.push(LsqEntry {
+            data_dep: producer(70), // younger, data missing
+            ..entry(2, MemKind::Store, 0x100)
+        });
+        let load = lsq.push(entry(3, MemKind::Load, 0x100));
         assert_eq!(
-            lsq.find(3).unwrap().load_ready,
+            lsq.load_ready(load, outstanding(&[70])),
             LoadReady::NotReady,
             "the youngest older store is the forwarding source"
         );
@@ -342,23 +301,36 @@ mod tests {
     fn disjoint_store_does_not_block() {
         let mut lsq = LoadStoreQueue::new(8);
         lsq.push(entry(1, MemKind::Store, 0x200));
-        lsq.push(entry(2, MemKind::Load, 0x100));
-        lsq.refresh(|_| false);
-        assert_eq!(lsq.find(2).unwrap().load_ready, LoadReady::ReadyCache);
+        let load = lsq.push(entry(2, MemKind::Load, 0x100));
+        assert_eq!(lsq.load_ready(load, outstanding(&[])), LoadReady::ReadyCache);
     }
 
     #[test]
-    fn squash_and_pop_head() {
+    fn forward_turns_into_a_cache_read_once_the_store_retires() {
         let mut lsq = LoadStoreQueue::new(8);
-        for s in 1..=5 {
-            lsq.push(entry(s, MemKind::Load, 0x100 + s as u32 * 4));
-        }
+        lsq.push(entry(1, MemKind::Store, 0x100));
+        let load = lsq.push(entry(2, MemKind::Load, 0x100));
+        assert_eq!(lsq.load_ready(load, outstanding(&[])), LoadReady::ReadyForward);
+        lsq.pop_head();
+        assert_eq!(lsq.load_ready(load, outstanding(&[])), LoadReady::ReadyCache);
+    }
+
+    #[test]
+    fn ordinals_survive_retire_and_rewind_on_squash() {
+        let mut lsq = LoadStoreQueue::new(8);
+        let ordinals: Vec<u64> = (1..=5)
+            .map(|s| lsq.push(entry(s, MemKind::Load, 0x100 + s as u32 * 4)))
+            .collect();
+        assert_eq!(ordinals, [0, 1, 2, 3, 4]);
         lsq.squash_younger(3);
         assert_eq!(lsq.len(), 3);
         assert_eq!(lsq.pop_head().map(|e| e.seq), Some(1));
         assert_eq!(lsq.len(), 2);
-        assert!(lsq.find(1).is_none());
-        assert_eq!(lsq.find(3).map(|e| e.seq), Some(3));
+        assert!(lsq.get(0).is_none(), "the retired head's ordinal is gone");
+        assert_eq!(lsq.get(2).map(|e| e.seq), Some(3));
+        assert!(lsq.get(3).is_none(), "squashed ordinals are gone");
+        assert_eq!(lsq.push(entry(9, MemKind::Load, 0x100)), 3, "the tail rewound");
+        assert_eq!(lsq.get(3).map(|e| e.seq), Some(9));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! ReSim's simulated architecture "is based on reservation stations"
 //! with a Reorder Buffer (Figure 1); this model folds the reservation
 //! stations into the RB entries (an RUU-style organization, as in
-//! SimpleScalar): each entry tracks the producer tags it still waits on,
+//! SimpleScalar): each entry tracks the producers it still waits on,
 //! its execution state and its completion time.
 //!
 //! # Layout
@@ -15,6 +15,18 @@
 //! [`RobEntryMut`], which present the classic entry-at-a-time surface
 //! over the lanes; [`RobEntry`] remains the owned form used to allocate
 //! ([`ReorderBuffer::push`]).
+//!
+//! # Producer handles
+//!
+//! Every entry is named by a [`Producer`] handle, its age tag plus the
+//! physical slot it was allocated to, which [`ReorderBuffer::push`]
+//! returns. The rename table, the pending sets and the LSQ's
+//! address/data dependences all hold handles, so "is this producer
+//! still outstanding?" ([`ReorderBuffer::is_outstanding`]) is one slot
+//! read: the slot is live, its tag lane still holds the handle's tag,
+//! and it has not completed. The tag acts as the slot's generation: once
+//! the entry commits or is squashed and a younger one reuses the slot,
+//! the old handle reads as not outstanding, as it must.
 //!
 //! # Event-driven wakeup and select
 //!
@@ -29,13 +41,13 @@
 //!   in age order (`head..capacity`, then `0..head`).
 //! * **Wakeup by waiter list.** Consumer slot `s` owns two operand edges,
 //!   `2·s + k`, one per [`PendingSet`] slot `k`. Allocation links each
-//!   awaited operand's edge into its producer slot's doubly-linked
-//!   waiter list; a broadcast walks only that list and empties it; a
-//!   squash unlinks the squashed consumers' edges.
+//!   awaited operand's edge into the waiter list of the slot its handle
+//!   names; completion ([`RobEntryMut::complete`]) walks only that list
+//!   and empties it; a squash unlinks the squashed consumers' edges.
 //!
 //! Every lane is sized at construction, so none of this allocates.
-//! Invariant: a [`PendingSet`] slot holds a tag exactly when its edge is
-//! linked into the list of a live, older producer.
+//! Invariant: a [`PendingSet`] slot holds a handle exactly when its edge
+//! is linked into the list of a live, older producer.
 
 use resim_trace::{OpClass, OtherRecord, TraceRecord};
 
@@ -80,24 +92,40 @@ fn unpack_state(code: u8, time: u64) -> InstState {
     }
 }
 
-/// Sentinel for an empty [`PendingSet`] slot. Age tags start at 1 and
-/// could not reach this value in any conceivable simulation length.
+/// Sentinel tag for an empty [`PendingSet`] slot and for "no LSQ
+/// entry". Age tags start at 1 and could not reach this value in any
+/// conceivable simulation length.
 const NO_TAG: u64 = u64::MAX;
 
-/// The (≤ 2) producer tags an instruction still waits on.
+/// An O(1) handle on a Reorder Buffer entry: its age tag and the
+/// physical slot it was allocated to (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Producer {
+    /// Age tag of the entry; also the slot's generation.
+    pub seq: u64,
+    /// Physical slot the entry was allocated to.
+    pub slot: u32,
+}
+
+/// The empty [`PendingSet`] slot.
+const NO_PRODUCER: Producer = Producer {
+    seq: NO_TAG,
+    slot: NIL,
+};
+
+/// The (≤ 2) producers an instruction still waits on.
 ///
 /// A fixed two-slot set rather than a `Vec`: an instruction has at most
 /// two source operands, and dispatch runs once per instruction on the
 /// hottest path of the simulator — this keeps the reservation-station
 /// wait list allocation-free. Slots hold a sentinel rather than an
-/// `Option` so the set is 16 bytes and the wakeup's emptiness
-/// check is a single AND-compare.
+/// `Option` so the wakeup's emptiness check is a single AND-compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PendingSet([u64; 2]);
+pub struct PendingSet([Producer; 2]);
 
 impl Default for PendingSet {
     fn default() -> Self {
-        Self([NO_TAG; 2])
+        Self([NO_PRODUCER; 2])
     }
 }
 
@@ -110,41 +138,41 @@ impl PendingSet {
     /// Whether no producer is awaited.
     pub fn is_empty(&self) -> bool {
         // AND can only yield the all-ones sentinel if both slots hold it.
-        self.0[0] & self.0[1] == NO_TAG
+        self.0[0].seq & self.0[1].seq == NO_TAG
     }
 
-    /// Whether `tag` is awaited.
-    pub fn contains(&self, tag: u64) -> bool {
-        self.0[0] == tag || self.0[1] == tag
+    /// Whether `producer` is awaited.
+    pub fn contains(&self, producer: Producer) -> bool {
+        self.0[0] == producer || self.0[1] == producer
     }
 
-    /// Adds `tag` to the set.
+    /// Adds `producer` to the set.
     ///
     /// # Panics
     ///
     /// Panics if both slots are taken — an instruction has at most two
     /// source operands.
-    pub fn push(&mut self, tag: u64) {
-        debug_assert_ne!(tag, NO_TAG, "tag collides with the empty sentinel");
+    pub fn push(&mut self, producer: Producer) {
+        debug_assert_ne!(producer.seq, NO_TAG, "tag collides with the empty sentinel");
         let slot = self
             .0
             .iter_mut()
-            .find(|s| **s == NO_TAG)
+            .find(|s| s.seq == NO_TAG)
             .expect("an instruction waits on at most two producers");
-        *slot = tag;
+        *slot = producer;
     }
 
-    /// The awaited tags, in insertion order.
+    /// The awaited producers' age tags, in insertion order.
     pub fn tags(&self) -> impl Iterator<Item = u64> + '_ {
-        self.0.iter().copied().filter(|&t| t != NO_TAG)
+        self.0.iter().map(|p| p.seq).filter(|&t| t != NO_TAG)
     }
 }
 
-impl FromIterator<u64> for PendingSet {
-    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
+impl FromIterator<Producer> for PendingSet {
+    fn from_iter<I: IntoIterator<Item = Producer>>(iter: I) -> Self {
         let mut set = PendingSet::new();
-        for tag in iter {
-            set.push(tag);
+        for producer in iter {
+            set.push(producer);
         }
         set
     }
@@ -162,10 +190,12 @@ pub struct RobEntry {
     pub record: TraceRecord,
     /// Execution state.
     pub state: InstState,
-    /// Producer tags this instruction still waits on (≤ 2).
+    /// Producers this instruction still waits on (≤ 2).
     pub pending: PendingSet,
-    /// Whether the instruction occupies an LSQ slot.
-    pub in_lsq: bool,
+    /// Ordinal of the instruction's LSQ entry
+    /// ([`LoadStoreQueue::push`](crate::LoadStoreQueue::push)), for a
+    /// memory instruction.
+    pub lsq_ordinal: Option<u64>,
     /// Set on an (untagged) branch that the trace marks as mispredicted:
     /// its writeback triggers recovery.
     pub mispredicted_branch: bool,
@@ -211,14 +241,23 @@ impl RobEntryView<'_> {
         unpack_state(self.rob.state[self.phys], self.rob.time[self.phys])
     }
 
-    /// Producer tags this instruction still waits on.
+    /// The entry's producer handle.
+    pub fn handle(&self) -> Producer {
+        Producer {
+            seq: self.seq(),
+            slot: self.phys as u32,
+        }
+    }
+
+    /// Producers this instruction still waits on.
     pub fn pending(&self) -> &PendingSet {
         &self.rob.pending[self.phys]
     }
 
-    /// Whether the instruction occupies an LSQ slot.
-    pub fn in_lsq(&self) -> bool {
-        self.rob.in_lsq[self.phys]
+    /// Ordinal of the instruction's LSQ entry, if it has one.
+    pub fn lsq_ordinal(&self) -> Option<u64> {
+        let ordinal = self.rob.lsq_ordinal[self.phys];
+        (ordinal != NO_TAG).then_some(ordinal)
     }
 
     /// Whether writeback of this (branch) entry triggers recovery.
@@ -249,7 +288,7 @@ impl std::fmt::Debug for RobEntryView<'_> {
             .field("record", self.record())
             .field("state", &self.state())
             .field("pending", self.pending())
-            .field("in_lsq", &self.in_lsq())
+            .field("lsq_ordinal", &self.lsq_ordinal())
             .field("mispredicted_branch", &self.mispredicted_branch())
             .finish()
     }
@@ -286,6 +325,14 @@ impl RobEntryMut<'_> {
     /// Transitions the entry's execution state.
     pub fn set_state(&mut self, state: InstState) {
         self.rob.set_state_at(self.phys, state);
+    }
+
+    /// Writes the entry back at cycle `at` (the wakeup of §III's
+    /// Writeback): marks it completed, clears it from the pending set of
+    /// every consumer on its waiter list, and empties the list.
+    pub fn complete(&mut self, at: u64) {
+        self.set_state(InstState::Completed { at });
+        self.rob.wake(self.phys);
     }
 }
 
@@ -400,8 +447,8 @@ pub struct ReorderBuffer {
     time: Box<[u64]>,
     /// Outstanding-producer lane.
     pending: Box<[PendingSet]>,
-    /// LSQ-occupancy lane.
-    in_lsq: Box<[bool]>,
+    /// LSQ-ordinal lane ([`NO_TAG`] for a non-memory instruction).
+    lsq_ordinal: Box<[u64]>,
     /// Mispredicted-branch lane.
     mispredicted: Box<[bool]>,
     /// Instruction payload lane — deliberately last: the scans never
@@ -445,7 +492,7 @@ impl ReorderBuffer {
             state: vec![ST_WAITING; capacity].into_boxed_slice(),
             time: vec![0; capacity].into_boxed_slice(),
             pending: vec![PendingSet::new(); capacity].into_boxed_slice(),
-            in_lsq: vec![false; capacity].into_boxed_slice(),
+            lsq_ordinal: vec![NO_TAG; capacity].into_boxed_slice(),
             mispredicted: vec![false; capacity].into_boxed_slice(),
             record: vec![filler_record(); capacity].into_boxed_slice(),
             ready: SlotSet::new(capacity),
@@ -492,18 +539,18 @@ impl ReorderBuffer {
         if p >= self.head { p - self.head } else { p + self.capacity() - self.head }
     }
 
-    /// Allocates at the tail.
+    /// Allocates at the tail and returns the new entry's handle.
     ///
-    /// Each pending tag whose producer is still outstanding (see
-    /// [`ReorderBuffer::is_outstanding`]) is linked into the producer's
-    /// waiter list; any other tag is dropped, its result being
-    /// available already.
+    /// Each pending producer that is still outstanding (see
+    /// [`ReorderBuffer::is_outstanding`]) gets the operand's edge linked
+    /// into its slot's waiter list; any other is dropped, its result
+    /// being available already.
     ///
     /// # Panics
     ///
     /// Panics if full or if `entry.seq` does not exceed the current tail
     /// seq (ages must be monotone).
-    pub fn push(&mut self, entry: RobEntry) {
+    pub fn push(&mut self, entry: RobEntry) -> Producer {
         assert!(!self.is_full(), "RB overflow");
         if self.len > 0 {
             let tail_seq = self.seq[self.phys(self.len - 1)];
@@ -511,24 +558,27 @@ impl ReorderBuffer {
         }
         let p = self.phys(self.len);
         let mut pending = entry.pending;
-        for (k, tag) in pending.0.iter_mut().enumerate() {
-            if *tag == NO_TAG {
+        for (k, producer) in pending.0.iter_mut().enumerate() {
+            if producer.seq == NO_TAG {
                 continue;
             }
-            match self.position(*tag).map(|idx| self.phys(idx)) {
-                Some(producer) if self.state[producer] != ST_COMPLETED => {
-                    self.link(2 * p + k, producer);
-                }
-                _ => *tag = NO_TAG,
+            if self.is_outstanding(*producer) {
+                self.link(2 * p + k, producer.slot as usize);
+            } else {
+                *producer = NO_PRODUCER;
             }
         }
         self.seq[p] = entry.seq;
         self.pending[p] = pending;
-        self.in_lsq[p] = entry.in_lsq;
+        self.lsq_ordinal[p] = entry.lsq_ordinal.unwrap_or(NO_TAG);
         self.mispredicted[p] = entry.mispredicted_branch;
         self.record[p] = entry.record;
         self.set_state_at(p, entry.state);
         self.len += 1;
+        Producer {
+            seq: entry.seq,
+            slot: p as u32,
+        }
     }
 
     /// Writes slot `p`'s state lanes and its select-bitset membership.
@@ -577,7 +627,7 @@ impl ReorderBuffer {
         while edge != NIL {
             let e = edge as usize;
             let consumer = e / 2;
-            self.pending[consumer].0[e % 2] = NO_TAG;
+            self.pending[consumer].0[e % 2] = NO_PRODUCER;
             if self.state[consumer] == ST_WAITING && self.pending[consumer].is_empty() {
                 self.ready.set(consumer, true);
             }
@@ -615,47 +665,6 @@ impl ReorderBuffer {
         self.len -= 1;
     }
 
-    /// The logical (age-order) position of age tag `seq`, if live.
-    ///
-    /// A recovery leaves a gap in the tag sequence (squashed tags are
-    /// never re-issued), and allocation after it is contiguous again. So
-    /// two probes find every tag older than the first gap or younger
-    /// than the last: `seq - head_seq` entries past the head, or
-    /// `tail_seq - seq` entries before the tail. A tag between two gaps
-    /// falls back to a binary search over the strictly increasing seq
-    /// lane, bounded by the two probes.
-    fn position(&self, seq: u64) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let head_seq = self.seq[self.head];
-        let tail_seq = self.seq[self.phys(self.len - 1)];
-        if seq < head_seq || seq > tail_seq {
-            return None;
-        }
-        let delta = (seq - head_seq) as usize;
-        if delta < self.len && self.seq[self.phys(delta)] == seq {
-            return Some(delta);
-        }
-        let back = (tail_seq - seq) as usize;
-        if back < self.len && self.seq[self.phys(self.len - 1 - back)] == seq {
-            return Some(self.len - 1 - back);
-        }
-        // Gapped tags sort the match strictly before `delta` and
-        // strictly after `len - 1 - back`.
-        let mut lo = (self.len - 1).saturating_sub(back);
-        let mut hi = delta.min(self.len);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.seq[self.phys(mid)] < seq {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        (lo < self.len && self.seq[self.phys(lo)] == seq).then_some(lo)
-    }
-
     /// The entry at position `idx` (0 = oldest), if in range.
     ///
     /// Positions are stable while no entry is pushed, popped or
@@ -676,16 +685,16 @@ impl ReorderBuffer {
         })
     }
 
-    /// Whether `seq` names a producer whose result is still outstanding
-    /// (present and not completed). Absent entries have committed (or
-    /// been squashed along with every possible consumer).
-    ///
-    /// O(1) on the contiguous fast path (O(log n) after a squash) — this
-    /// is Dispatch's per-operand dependence probe and the LSQ refresh
-    /// callback.
-    pub fn is_outstanding(&self, seq: u64) -> bool {
-        self.position(seq)
-            .is_some_and(|idx| self.state[self.phys(idx)] != ST_COMPLETED)
+    /// Whether `producer` names an entry whose result is still
+    /// outstanding: its slot is live, still holds its tag, and has not
+    /// completed. A committed or squashed producer is not outstanding,
+    /// nor is one whose slot a younger entry has reused. O(1) — this is
+    /// the allocation-time operand probe and the LSQ's dependence check.
+    pub fn is_outstanding(&self, producer: Producer) -> bool {
+        let slot = producer.slot as usize;
+        self.seq.get(slot) == Some(&producer.seq)
+            && self.state[slot] != ST_COMPLETED
+            && self.logical(slot) < self.len
     }
 
     /// Iterates oldest → youngest.
@@ -727,16 +736,6 @@ impl ReorderBuffer {
         }
     }
 
-    /// Broadcasts producer `seq`'s result (the wakeup of §III's
-    /// Writeback): clears it from the pending set of every consumer on
-    /// its waiter list, and empties the list. A tag that names no live
-    /// entry has no waiters.
-    pub fn broadcast(&mut self, seq: u64) {
-        if let Some(idx) = self.position(seq) {
-            self.wake(self.phys(idx));
-        }
-    }
-
     /// Squashes every entry younger than `seq`, returning how many.
     pub fn squash_younger(&mut self, seq: u64) -> usize {
         // First logical index with a tag strictly greater than `seq`
@@ -757,7 +756,7 @@ impl ReorderBuffer {
         for idx in (lo..self.len).rev() {
             let p = self.phys(idx);
             for k in 0..2 {
-                if self.pending[p].0[k] != NO_TAG {
+                if self.pending[p].0[k].seq != NO_TAG {
                     self.unlink(2 * p + k);
                 }
             }
@@ -788,8 +787,15 @@ mod tests {
             }),
             state: InstState::Waiting,
             pending: PendingSet::new(),
-            in_lsq: false,
+            lsq_ordinal: None,
             mispredicted_branch: false,
+        }
+    }
+
+    fn waiting_on(seq: u64, producers: &[Producer]) -> RobEntry {
+        RobEntry {
+            pending: producers.iter().copied().collect(),
+            ..entry(seq)
         }
     }
 
@@ -823,32 +829,27 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_clears_pending() {
+    fn completion_clears_pending() {
         let mut rb = ReorderBuffer::new(4);
-        rb.push(entry(1));
-        let mut e2 = entry(2);
-        e2.pending = [1].into_iter().collect();
-        rb.push(e2);
-        let mut e3 = entry(3);
-        e3.pending = [1, 2].into_iter().collect();
-        rb.push(e3);
-        rb.broadcast(1);
+        let p1 = rb.push(entry(1));
+        let p2 = rb.push(waiting_on(2, &[p1]));
+        rb.push(waiting_on(3, &[p1, p2]));
+        rb.at_mut(0).unwrap().complete(7);
+        assert_eq!(rb.at(0).unwrap().state(), InstState::Completed { at: 7 });
         assert!(rb.at(1).unwrap().operands_ready());
-        assert_eq!(
-            rb.at(2).unwrap().pending().tags().collect::<Vec<_>>(),
-            [2]
-        );
+        assert_eq!(rb.at(2).unwrap().pending().tags().collect::<Vec<_>>(), [2]);
     }
 
     #[test]
     fn pending_set_semantics() {
+        let (a, b) = (Producer { seq: 7, slot: 0 }, Producer { seq: 9, slot: 1 });
         let mut p = PendingSet::new();
         assert!(p.is_empty());
-        p.push(7);
-        p.push(9);
+        p.push(a);
+        p.push(b);
         assert!(!p.is_empty());
-        assert!(p.contains(7) && p.contains(9));
-        assert!(!p.contains(8));
+        assert!(p.contains(a) && p.contains(b));
+        assert!(!p.contains(Producer { seq: 8, slot: 0 }));
         assert_eq!(p.tags().collect::<Vec<_>>(), [7, 9]);
     }
 
@@ -856,25 +857,25 @@ mod tests {
     #[should_panic(expected = "at most two")]
     fn pending_set_overflow_panics() {
         let mut p = PendingSet::new();
-        p.push(1);
-        p.push(2);
-        p.push(3);
+        for seq in 1..=3 {
+            p.push(Producer { seq, slot: 0 });
+        }
     }
 
     #[test]
     fn positional_access_matches_age_order() {
         let mut rb = ReorderBuffer::new(4);
-        for s in 1..=3 {
-            rb.push(entry(s));
-        }
+        let handles: Vec<Producer> = (1..=3).map(|s| rb.push(entry(s))).collect();
         assert_eq!(rb.at(0).unwrap().seq(), 1);
         assert_eq!(rb.at(2).unwrap().seq(), 3);
         assert!(rb.at(3).is_none());
+        assert_eq!(rb.at(1).unwrap().handle(), handles[1]);
         rb.at_mut(1)
             .unwrap()
             .set_state(InstState::Completed { at: 9 });
         assert!(rb.at(1).unwrap().is_completed());
-        assert!(!rb.is_outstanding(2), "position 1 holds age tag 2");
+        assert!(!rb.is_outstanding(handles[1]), "position 1 holds age tag 2");
+        assert!(rb.is_outstanding(handles[2]));
     }
 
     #[test]
@@ -891,43 +892,50 @@ mod tests {
     #[test]
     fn outstanding_tracks_completion() {
         let mut rb = ReorderBuffer::new(4);
-        rb.push(entry(1));
-        assert!(rb.is_outstanding(1));
+        let p1 = rb.push(entry(1));
+        assert!(rb.is_outstanding(p1));
         rb.at_mut(0)
             .unwrap()
             .set_state(InstState::Completed { at: 5 });
-        assert!(!rb.is_outstanding(1));
-        assert!(!rb.is_outstanding(99), "absent entries are not outstanding");
+        assert!(!rb.is_outstanding(p1));
+        let absent = Producer { seq: 99, slot: 3 };
+        assert!(!rb.is_outstanding(absent), "absent entries are not outstanding");
+        let out_of_range = Producer { seq: 1, slot: 40 };
+        assert!(!rb.is_outstanding(out_of_range));
     }
 
     #[test]
-    fn tag_lookup_handles_gapped_tags_after_squash() {
-        // A recovery squashes tags but never resets the allocator, so
-        // the live window can hold non-contiguous ages — exactly the
-        // case the binary-search fallback exists for.
-        let mut rb = ReorderBuffer::new(8);
-        for s in [1, 2, 5, 9] {
-            rb.push(entry(s));
-        }
-        // Every live entry is waiting, so "outstanding" reads "found".
-        assert!(rb.is_outstanding(5));
-        assert!(rb.is_outstanding(9));
-        assert!(!rb.is_outstanding(3));
-        assert!(!rb.is_outstanding(4));
-        assert!(!rb.is_outstanding(10));
-        rb.at_mut(2)
-            .unwrap()
-            .set_state(InstState::Completed { at: 1 });
-        assert!(!rb.is_outstanding(5));
+    fn stale_handles_are_not_outstanding() {
+        let mut rb = ReorderBuffer::new(2);
+        let committed = rb.push(entry(1));
+        let squashed = rb.push(entry(2));
+        // Commit the head without completing it, as a drained window
+        // might: a producer that left the window is not outstanding.
+        rb.drop_head();
+        assert!(!rb.is_outstanding(committed), "committed producer");
+        assert!(rb.is_outstanding(squashed));
+        rb.squash_younger(1);
+        assert!(!rb.is_outstanding(squashed), "squashed producer");
+        // The allocator resumes after the squash point; the new entries
+        // reuse both slots.
+        let reused = rb.push(entry(2));
+        let younger = rb.push(entry(3));
+        assert_eq!(reused.slot, squashed.slot);
+        assert_eq!(younger.slot, committed.slot);
+        assert!(rb.is_outstanding(reused) && rb.is_outstanding(younger));
+        assert!(!rb.is_outstanding(committed), "slot reused by a younger entry");
+        // A consumer handed a stale handle does not wait on it.
+        rb.drop_head();
+        let consumer = rb.push(waiting_on(4, &[committed, younger]));
+        assert_eq!(consumer.slot, reused.slot);
+        assert_eq!(rb.at(1).unwrap().pending().tags().collect::<Vec<_>>(), [3]);
     }
 
     #[test]
     fn lane_scans_match_entry_predicates() {
         let mut rb = ReorderBuffer::new(8);
-        rb.push(entry(1)); // waiting, ready
-        let mut e2 = entry(2);
-        e2.pending = [1].into_iter().collect();
-        rb.push(e2); // waiting, not ready
+        let p1 = rb.push(entry(1)); // waiting, ready
+        rb.push(waiting_on(2, &[p1])); // waiting, not ready
         let mut e3 = entry(3);
         e3.state = InstState::Executing { done_at: 4 };
         rb.push(e3);
@@ -959,16 +967,14 @@ mod tests {
             assert_eq!(rb.head().unwrap().seq(), s);
             rb.drop_head();
         }
-        for s in 5..=7 {
-            rb.push(entry(s));
-        }
+        let handles: Vec<Producer> = (5..=7).map(|s| rb.push(entry(s))).collect();
         assert!(rb.is_full());
         let seqs: Vec<_> = rb.iter().map(|e| e.seq()).collect();
         assert_eq!(seqs, [4, 5, 6, 7]);
-        assert!(rb.is_outstanding(6));
-        rb.broadcast(42); // must not touch dead slots
+        assert!(rb.is_outstanding(handles[1]));
         assert_eq!(rb.squash_younger(5), 2);
         assert_eq!(rb.len(), 2);
         assert_eq!(rb.iter().map(|e| e.seq()).collect::<Vec<_>>(), [4, 5]);
+        assert!(!rb.is_outstanding(handles[1]));
     }
 }

@@ -35,7 +35,7 @@ impl CommitStage {
                 }
                 write_ports -= 1;
             }
-            let (seq, in_lsq) = (head.seq(), head.in_lsq());
+            let (seq, in_lsq) = (head.seq(), head.lsq_ordinal().is_some());
             match head.record() {
                 TraceRecord::Mem(m) => {
                     if m.is_store() {

@@ -1,13 +1,16 @@
 //! Dispatch: IFQ → RB/LSQ allocation and renaming (§III).
 
-use crate::lsq::{LoadReady, LsqEntry};
-use crate::rob::{InstState, PendingSet, ReorderBuffer, RobEntry};
+use crate::lsq::LsqEntry;
+use crate::rob::{InstState, PendingSet, RobEntry};
 use crate::state::CoreState;
 use resim_obs::{Counter, Recorder};
 use resim_trace::TraceRecord;
 
 /// Dispatch: move up to N instructions from the IFQ into the RB (and
-/// LSQ), reading the rename table for dependences (§III).
+/// LSQ), reading the rename table for dependences (§III). The table
+/// holds producer handles, so the RB links each operand to its
+/// producer's slot and the LSQ entry keeps the handles its address and
+/// data wait on.
 #[derive(Debug, Default)]
 pub(crate) struct DispatchStage;
 
@@ -40,41 +43,34 @@ impl DispatchStage {
                 }
             }
 
-            if let TraceRecord::Mem(m) = fi.record {
-                let dep_of = |reg: Option<resim_trace::Reg>,
-                              rename: &[Option<u64>; 64],
-                              rob: &ReorderBuffer| {
-                    reg.and_then(|r| rename[r.index() as usize])
-                        .filter(|&p| rob.is_outstanding(p))
-                };
-                let base_dep = dep_of(m.base, &core.rename, &core.rob);
-                let data_dep = if m.is_store() {
-                    dep_of(m.data, &core.rename, &core.rob)
-                } else {
-                    None
-                };
-                core.lsq.push(LsqEntry {
-                    seq,
-                    mem: m,
-                    base_dep,
-                    data_dep,
-                    addr_known: false,
-                    data_ready: false,
-                    load_ready: LoadReady::NotReady,
-                    issued: false,
-                });
-            }
+            // A handle that is no longer outstanding never becomes so
+            // again, so the LSQ keeps them unfiltered.
+            let lsq_ordinal = match fi.record {
+                TraceRecord::Mem(m) => {
+                    let producer = |reg: Option<resim_trace::Reg>| {
+                        reg.and_then(|r| core.rename[r.index() as usize])
+                    };
+                    let entry = LsqEntry {
+                        seq,
+                        mem: m,
+                        base_dep: producer(m.base),
+                        data_dep: if m.is_store() { producer(m.data) } else { None },
+                    };
+                    Some(core.lsq.push(entry))
+                }
+                _ => None,
+            };
 
-            core.rob.push(RobEntry {
+            let handle = core.rob.push(RobEntry {
                 seq,
                 record: fi.record,
                 state: InstState::Waiting,
                 pending,
-                in_lsq: is_mem,
+                lsq_ordinal,
                 mispredicted_branch: fi.mispredicted,
             });
             if let Some(d) = fi.record.dest() {
-                core.rename[d.index() as usize] = Some(seq);
+                core.rename[d.index() as usize] = Some(handle);
             }
             dispatched += 1;
         }

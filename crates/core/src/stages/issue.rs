@@ -58,7 +58,7 @@ impl IssueStage {
             }
             let entry = core.rob.at(idx).expect("candidate cannot vanish mid-issue");
             debug_assert_eq!(entry.seq(), seq, "issue positions must be stable");
-            let record = *entry.record();
+            let (record, lsq_ordinal) = (*entry.record(), entry.lsq_ordinal());
             let done_at = match &record {
                 TraceRecord::Other(o) => match o.class {
                     OpClass::IntAlu => {
@@ -107,21 +107,18 @@ impl IssueStage {
                     if m.is_store() {
                         // Stores "execute" (address generation) once base
                         // and data are ready; memory is written at commit.
-                        core.lsq.mark_issued(seq);
                         core.cycle + 1
                     } else {
-                        let ready = core
-                            .lsq
-                            .find(seq)
-                            .map(|e| e.load_ready)
-                            .unwrap_or(LoadReady::NotReady);
-                        match ready {
+                        // The `Lsq_refresh` check, on demand (see `lsq`).
+                        let ordinal = lsq_ordinal.expect("a load holds an LSQ entry");
+                        let rob = &core.rob;
+                        match core.lsq.load_ready(ordinal, |p| rob.is_outstanding(p)) {
                             LoadReady::NotReady => continue,
                             LoadReady::ReadyForward => {
                                 // Forwarded in the LSQ: no read port
                                 // (§III), single-cycle.
                                 loads_issued += 1;
-                                core.lsq.mark_issued(seq);
+                                core.stats.load_forwards += 1;
                                 core.cycle + 1
                             }
                             LoadReady::ReadyCache => {
@@ -130,7 +127,6 @@ impl IssueStage {
                                 }
                                 read_ports_used += 1;
                                 loads_issued += 1;
-                                core.lsq.mark_issued(seq);
                                 let acc = core.memory.data_access(m.addr, false);
                                 if R::ENABLED && !acc.hit {
                                     core.recorder.counter(Counter::DcacheMisses, 1);

@@ -1,24 +1,25 @@
-//! `Lsq_refresh`: the memory-dependence scan of §III, a stage of its own
+//! `Lsq_refresh`: the memory-dependence check of §III, a stage of its own
 //! in every organization of §IV.
 
 use crate::state::CoreState;
 use resim_obs::{Counter, Recorder};
 
-/// `Lsq_refresh`: recomputes address/data availability from producer
-/// state once per major cycle, and load readiness (including
-/// store-to-load forwarding) whenever the queue changed (§III/§IV; see
-/// [`LoadStoreQueue::refresh`](crate::LoadStoreQueue::refresh)).
+/// `Lsq_refresh`: the slot of the memory-dependence check (§III/§IV).
+///
+/// The check itself runs on demand inside Issue, which asks
+/// [`LoadStoreQueue::load_ready`](crate::LoadStoreQueue::load_ready) for
+/// each load it reaches; the answer equals what a scan here would have
+/// cached, since no producer completes between this slot and Issue. The
+/// stage stays in the roster and the minor-cycle grids, and counts the
+/// LSQ entries the hardware stage scans each cycle.
 #[derive(Debug, Default)]
 pub(crate) struct LsqRefreshStage;
 
 impl LsqRefreshStage {
-    /// Evaluates the stage for one major cycle; returns the LSQ entries refreshed.
+    /// Evaluates the stage for one major cycle; returns the LSQ entries
+    /// the hardware stage scans.
     pub(crate) fn evaluate<R: Recorder>(&mut self, core: &mut CoreState<R>) -> u64 {
-        // Split borrows: the LSQ refresh consults the RB for producer
-        // liveness while mutating LSQ entries.
-        let CoreState { lsq, rob, .. } = core;
-        lsq.refresh(|seq| rob.is_outstanding(seq));
-        let refreshed = lsq.len() as u64;
+        let refreshed = core.lsq.len() as u64;
         if R::ENABLED {
             core.recorder.counter(Counter::LsqRefreshed, refreshed);
         }

@@ -2,7 +2,6 @@
 //! (§III).
 
 use crate::cursor::TraceCursor;
-use crate::rob::InstState;
 use crate::state::CoreState;
 use resim_obs::{Counter, Recorder};
 use resim_trace::TraceSource;
@@ -37,9 +36,8 @@ impl WritebackStage {
             let Some(mut e) = core.rob.at_mut(idx).filter(|e| e.seq() == seq) else {
                 continue;
             };
-            e.set_state(InstState::Completed { at: core.cycle });
             let recover = e.mispredicted_branch();
-            core.rob.broadcast(seq);
+            e.complete(core.cycle);
             written_back += 1;
             if recover {
                 core.recover(seq, cursor);

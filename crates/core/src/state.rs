@@ -13,7 +13,7 @@
 use crate::config::{ConfigError, EngineConfig};
 use crate::cursor::TraceCursor;
 use crate::lsq::LoadStoreQueue;
-use crate::rob::ReorderBuffer;
+use crate::rob::{Producer, ReorderBuffer};
 use crate::stats::SimStats;
 use resim_bpred::BranchPredictor;
 use resim_mem::MemorySystem;
@@ -55,8 +55,8 @@ pub struct CoreState<R: Recorder = NullRecorder> {
     pub(crate) memory: MemorySystem,
     pub(crate) rob: ReorderBuffer,
     pub(crate) lsq: LoadStoreQueue,
-    /// Architectural register → producing age tag.
-    pub(crate) rename: [Option<u64>; 64],
+    /// Architectural register → handle of its youngest producer.
+    pub(crate) rename: [Option<Producer>; 64],
     pub(crate) ifq: VecDeque<FetchedInst>,
     pub(crate) cycle: u64,
     /// Minor cycles one simulated cycle costs under the configured
@@ -153,7 +153,6 @@ impl<R: Recorder> CoreState<R> {
         s.cycles = self.cycle;
         s.predictor = self.predictor.stats();
         s.memory = self.memory.stats();
-        s.load_forwards = self.lsq.forwards();
         s.with_minor_cycle_cost(self.minor_cycles_per_major)
     }
 
@@ -241,7 +240,7 @@ impl<R: Recorder> CoreState<R> {
         *rename = [None; 64];
         for e in rob.iter() {
             if let Some(d) = e.record().dest() {
-                rename[d.index() as usize] = Some(e.seq());
+                rename[d.index() as usize] = Some(e.handle());
             }
         }
     }

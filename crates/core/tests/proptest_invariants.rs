@@ -4,16 +4,17 @@
 //!   program order;
 //! * the LSQ never readies a load past an older store whose address is
 //!   still unresolved;
-//! * the event-driven RB bookkeeping (select bitsets, waiter lists) and
-//!   the change-driven LSQ refresh agree, after every operation of a
-//!   random sequence, with a brute-force recomputation from scratch;
+//! * the event-driven RB bookkeeping (select bitsets, waiter lists,
+//!   producer handles) and the LSQ's on-demand load readiness agree,
+//!   after every operation of a random sequence, with a brute-force
+//!   recomputation from scratch;
 //! * at the engine level, observed IFQ/RB/LSQ occupancies never exceed
 //!   the configured capacities (via the per-run occupancy maxima).
 
 use proptest::prelude::*;
 use resim_core::{
-    Engine, EngineConfig, InstState, LoadReady, LoadStoreQueue, LsqEntry, PendingSet, ReorderBuffer,
-    RobEntry,
+    Engine, EngineConfig, InstState, LoadReady, LoadStoreQueue, LsqEntry, PendingSet, Producer,
+    ReorderBuffer, RobEntry,
 };
 use resim_trace::{MemKind, MemRecord, MemSize, OpClass, OtherRecord, TraceRecord};
 use resim_tracegen::{generate_trace, TraceGenConfig};
@@ -37,7 +38,7 @@ fn rob_entry(seq: u64) -> RobEntry {
         record: alu_record(seq),
         state: InstState::Waiting,
         pending: PendingSet::new(),
-        in_lsq: false,
+        lsq_ordinal: None,
         mispredicted_branch: false,
     }
 }
@@ -106,9 +107,9 @@ proptest! {
         }
     }
 
-    /// After `refresh`, no load is ready while any older store's address
-    /// is unresolved, and forwarding only happens from an overlapping,
-    /// data-ready older store.
+    /// No load is ready while any older store's address is unresolved,
+    /// and forwarding only happens from an overlapping, data-ready older
+    /// store.
     #[test]
     fn lsq_never_readies_a_load_past_an_unresolved_store(
         entries in prop::collection::vec(
@@ -118,6 +119,7 @@ proptest! {
     ) {
         let mut lsq = LoadStoreQueue::new(entries.len());
         let mut outstanding: HashSet<u64> = HashSet::new();
+        let mut ordinals = Vec::new();
         for (i, &(is_load, slot, base_unresolved, data_unresolved)) in
             entries.iter().enumerate()
         {
@@ -130,7 +132,7 @@ proptest! {
             if data_unresolved {
                 outstanding.insert(data_producer);
             }
-            lsq.push(LsqEntry {
+            ordinals.push(lsq.push(LsqEntry {
                 seq,
                 mem: MemRecord {
                     pc: 0x2000 + (i as u32) * 4,
@@ -141,23 +143,21 @@ proptest! {
                     data: None,
                     wrong_path: false,
                 },
-                base_dep: base_unresolved.then_some(producer),
-                data_dep: (!is_load && data_unresolved).then_some(data_producer),
-                addr_known: false,
-                data_ready: false,
-                load_ready: LoadReady::NotReady,
-                issued: false,
-            });
+                base_dep: Some(handle(producer)),
+                data_dep: (!is_load).then_some(handle(data_producer)),
+            }));
         }
-        lsq.refresh(|seq| outstanding.contains(&seq));
+        let is_outstanding = |p: Producer| outstanding.contains(&p.seq);
+        let resolved = |dep: Option<Producer>| dep.is_none_or(|p| !is_outstanding(p));
 
         let snapshot: Vec<_> = lsq.iter().cloned().collect();
         for (i, e) in snapshot.iter().enumerate() {
-            if !e.is_load() || e.load_ready == LoadReady::NotReady {
+            let ready = lsq.load_ready(ordinals[i], is_outstanding);
+            if !e.is_load() || ready == LoadReady::NotReady {
                 continue;
             }
             // Invariant 1: a ready load's own address is known.
-            prop_assert!(e.addr_known, "load {} ready without an address", e.seq);
+            prop_assert!(resolved(e.base_dep), "load {} ready without an address", e.seq);
             // The forwarding source, if any: the *youngest* older store
             // that overlaps the load. Stores older than the source are
             // architecturally irrelevant — the source's value supersedes
@@ -171,18 +171,18 @@ proptest! {
             for older in &snapshot[watch_from..i] {
                 if !older.is_load() {
                     prop_assert!(
-                        older.addr_known,
+                        resolved(older.base_dep),
                         "load {} ready past store {} with unresolved address",
                         e.seq,
                         older.seq
                     );
                 }
             }
-            match e.load_ready {
+            match ready {
                 LoadReady::ReadyForward => {
                     let source = source.expect("forwarding needs an overlapping store");
-                    prop_assert!(source.data_ready, "forwarded from store without data");
-                    prop_assert!(source.addr_known, "forwarded from unresolved store");
+                    prop_assert!(resolved(source.data_dep), "forwarded from store without data");
+                    prop_assert!(resolved(source.base_dep), "forwarded from unresolved store");
                 }
                 LoadReady::ReadyCache => {
                     prop_assert!(
@@ -197,25 +197,50 @@ proptest! {
     }
 }
 
-/// A reference RB entry: the state and awaited tags the event-driven
-/// buffer must reproduce.
+/// A producer handle for LSQ-only tests, where no RB exists and the
+/// tag alone decides outstanding-ness.
+fn handle(seq: u64) -> Producer {
+    Producer {
+        seq,
+        slot: (seq % 16) as u32,
+    }
+}
+
+/// A reference RB entry: the handle, state and awaited tags the
+/// event-driven buffer must reproduce.
 struct RefEntry {
-    seq: u64,
+    handle: Producer,
     state: InstState,
     pending: Vec<u64>,
 }
 
-/// Checks the buffer's scans and pending sets against `reference` and a
-/// brute-force scan over its `iter()` views.
-fn check_rob_against_reference(rob: &ReorderBuffer, reference: &[RefEntry], cycle: u64) {
+/// Checks the buffer's scans, pending sets and producer checks against
+/// `reference` and a brute-force scan over its `iter()` views; every
+/// handle in `dead` (committed or squashed) must read not outstanding.
+fn check_rob_against_reference(
+    rob: &ReorderBuffer,
+    reference: &[RefEntry],
+    dead: &[Producer],
+    cycle: u64,
+) {
     let live: Vec<u64> = rob.iter().map(|e| e.seq()).collect();
-    let expected: Vec<u64> = reference.iter().map(|e| e.seq).collect();
+    let expected: Vec<u64> = reference.iter().map(|e| e.handle.seq).collect();
     assert_eq!(live, expected, "live window");
     for (view, r) in rob.iter().zip(reference) {
-        assert_eq!(view.state(), r.state, "state of {}", r.seq);
+        let seq = r.handle.seq;
+        assert_eq!(view.handle(), r.handle, "handle of {seq}");
+        assert_eq!(view.state(), r.state, "state of {seq}");
+        assert_eq!(
+            rob.is_outstanding(r.handle),
+            !matches!(r.state, InstState::Completed { .. }),
+            "outstanding {seq}"
+        );
         let mut tags: Vec<u64> = view.pending().tags().collect();
         tags.sort_unstable();
-        assert_eq!(tags, r.pending, "pending set of {}", r.seq);
+        assert_eq!(tags, r.pending, "pending set of {seq}");
+    }
+    for &stale in dead {
+        assert!(!rob.is_outstanding(stale), "stale handle {stale:?} reads outstanding");
     }
     let mut ready = Vec::new();
     rob.scan_ready(&mut ready);
@@ -240,18 +265,22 @@ fn check_rob_against_reference(rob: &ReorderBuffer, reference: &[RefEntry], cycl
     }
 }
 
-/// Recomputes a load's readiness from scratch over the queue's current
-/// flags (the `Lsq_refresh` rule, §III).
-fn load_ready_from_scratch(entries: &[LsqEntry], i: usize) -> LoadReady {
-    if !entries[i].addr_known {
+/// Recomputes a load's readiness from scratch (the `Lsq_refresh` rule,
+/// §III): first every entry's address/data flags from the set of
+/// outstanding producer tags, then the scan over those flags.
+fn load_ready_from_scratch(entries: &[LsqEntry], i: usize, outstanding: &HashSet<u64>) -> LoadReady {
+    let known = |dep: Option<Producer>| dep.is_none_or(|p| !outstanding.contains(&p.seq));
+    let addr_known: Vec<bool> = entries.iter().map(|e| known(e.base_dep)).collect();
+    let data_ready: Vec<bool> = entries.iter().map(|e| known(e.data_dep)).collect();
+    if !addr_known[i] {
         return LoadReady::NotReady;
     }
-    for older in entries[..i].iter().rev().filter(|o| !o.is_load()) {
-        if !older.addr_known {
+    for j in (0..i).rev().filter(|&j| !entries[j].is_load()) {
+        if !addr_known[j] {
             return LoadReady::NotReady;
         }
-        if older.mem.overlaps(&entries[i].mem) {
-            return if older.data_ready {
+        if entries[j].mem.overlaps(&entries[i].mem) {
+            return if data_ready[j] {
                 LoadReady::ReadyForward
             } else {
                 LoadReady::NotReady
@@ -265,11 +294,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Differential check of the RB's event-driven bookkeeping: random
-    /// push (with pending tags drawn from live outstanding entries),
-    /// issue, writeback (complete + broadcast), commit, head drop and squash
-    /// sequences at capacities on both sides of the 64-slot word
-    /// boundary. After every operation, `scan_ready`, `scan_done` and
-    /// every pending set equal a from-scratch reference.
+    /// push (with pending producers drawn from live outstanding entries
+    /// and from stale handles), issue, writeback (complete + wakeup),
+    /// commit, head drop and squash sequences at capacities on both
+    /// sides of the 64-slot word boundary. After every operation,
+    /// `scan_ready`, `scan_done`, every pending set and every producer
+    /// check equal a from-scratch reference, and every committed or
+    /// squashed handle — including those whose slot a younger entry now
+    /// holds — reads not outstanding.
     #[test]
     fn rob_bookkeeping_matches_a_brute_force_reference(
         capacity in prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(130)],
@@ -277,6 +309,7 @@ proptest! {
     ) {
         let mut rob = ReorderBuffer::new(capacity);
         let mut reference: Vec<RefEntry> = Vec::new();
+        let mut dead: Vec<Producer> = Vec::new();
         let mut next_seq = 1u64;
         let mut cycle = 0u64;
         for (op, arg) in ops {
@@ -284,33 +317,42 @@ proptest! {
             // keeps retiring and the window wraps the ring.
             let pick = |n: usize| if arg & 2 == 0 { 0 } else { arg as usize % n };
             match op {
-                // Push: up to two producers among the outstanding entries.
+                // Push: up to two producers, each an outstanding entry
+                // or, now and then, a stale handle the buffer must drop.
                 0..=4 => {
                     if rob.is_full() {
                         continue;
                     }
-                    let outstanding: Vec<u64> = reference
+                    let outstanding: Vec<Producer> = reference
                         .iter()
                         .filter(|e| !matches!(e.state, InstState::Completed { .. }))
-                        .map(|e| e.seq)
+                        .map(|e| e.handle)
                         .collect();
-                    let mut tags = Vec::new();
-                    if !outstanding.is_empty() {
-                        for shift in [8, 20] {
-                            if (arg >> (shift - 1)) & 1 == 1 {
-                                let tag = outstanding[(arg >> shift) as usize % outstanding.len()];
-                                if !tags.contains(&tag) {
-                                    tags.push(tag);
-                                }
+                    let mut producers: Vec<Producer> = Vec::new();
+                    for shift in [8, 20] {
+                        if (arg >> (shift - 1)) & 1 == 0 {
+                            continue;
+                        }
+                        let k = (arg >> shift) as usize;
+                        let from = if k.is_multiple_of(4) && !dead.is_empty() { &dead } else { &outstanding };
+                        if let Some(&p) = from.get(k % from.len().max(1)) {
+                            if !producers.contains(&p) {
+                                producers.push(p);
                             }
                         }
                     }
-                    rob.push(RobEntry {
-                        pending: tags.iter().copied().collect(),
+                    let handle = rob.push(RobEntry {
+                        pending: producers.iter().copied().collect(),
                         ..rob_entry(next_seq)
                     });
+                    prop_assert_eq!(handle.seq, next_seq);
+                    let mut tags: Vec<u64> = producers
+                        .iter()
+                        .filter(|p| !dead.contains(p))
+                        .map(|p| p.seq)
+                        .collect();
                     tags.sort_unstable();
-                    reference.push(RefEntry { seq: next_seq, state: InstState::Waiting, pending: tags });
+                    reference.push(RefEntry { handle, state: InstState::Waiting, pending: tags });
                     next_seq += 1;
                 }
                 // Issue a ready entry.
@@ -326,7 +368,7 @@ proptest! {
                     rob.at_mut(i).unwrap().set_state(state);
                     reference[i].state = state;
                 }
-                // Writeback an executing entry: complete, then broadcast.
+                // Writeback an executing entry: complete and wake.
                 8..=10 => {
                     let executing: Vec<usize> = (0..reference.len())
                         .filter(|&i| matches!(reference[i].state, InstState::Executing { .. }))
@@ -335,11 +377,9 @@ proptest! {
                         continue;
                     }
                     let i = executing[pick(executing.len())];
-                    let seq = reference[i].seq;
-                    let state = InstState::Completed { at: cycle };
-                    rob.at_mut(i).unwrap().set_state(state);
-                    rob.broadcast(seq);
-                    reference[i].state = state;
+                    let seq = reference[i].handle.seq;
+                    rob.at_mut(i).unwrap().complete(cycle);
+                    reference[i].state = InstState::Completed { at: cycle };
                     for e in &mut reference {
                         e.pending.retain(|&t| t != seq);
                     }
@@ -348,7 +388,7 @@ proptest! {
                 11 => {
                     if reference.first().is_some_and(|e| matches!(e.state, InstState::Completed { .. })) {
                         rob.drop_head();
-                        reference.remove(0);
+                        dead.push(reference.remove(0).handle);
                     }
                 }
                 // Drop the head in any state: a producer that leaves the
@@ -356,10 +396,11 @@ proptest! {
                 12 => {
                     if !reference.is_empty() {
                         rob.drop_head();
-                        let seq = reference.remove(0).seq;
+                        let gone = reference.remove(0).handle;
                         for e in &mut reference {
-                            e.pending.retain(|&t| t != seq);
+                            e.pending.retain(|&t| t != gone.seq);
                         }
+                        dead.push(gone);
                     }
                 }
                 // Squash a few of the youngest entries, as a recovery
@@ -369,38 +410,40 @@ proptest! {
                         continue;
                     }
                     let keep = reference.len() - arg as usize % reference.len().min(8);
-                    let seq = reference[keep - 1].seq;
+                    let seq = reference[keep - 1].handle.seq;
                     prop_assert_eq!(rob.squash_younger(seq), reference.len() - keep);
-                    reference.truncate(keep);
+                    dead.extend(reference.drain(keep..).map(|e| e.handle));
                 }
                 _ => cycle += 1,
             }
-            check_rob_against_reference(&rob, &reference, cycle);
+            check_rob_against_reference(&rob, &reference, &dead, cycle);
         }
     }
 
-    /// Differential check of the change-driven `refresh`: after random
-    /// push / commit / squash / issue / producer-resolution / refresh
-    /// sequences, every unissued load's readiness equals a from-scratch
-    /// recomputation over `iter()`.
+    /// Differential check of the on-demand `load_ready`: after random
+    /// push / commit / squash / producer-resolution sequences, every
+    /// load's readiness equals a from-scratch recomputation over
+    /// `iter()`, reached through the ordinal `push` returned.
     #[test]
-    fn lsq_refresh_matches_a_from_scratch_recomputation(
+    fn lsq_load_ready_matches_a_from_scratch_recomputation(
         capacity in 1usize..12,
         ops in prop::collection::vec((0u8..16, any::<u32>()), 1..300),
     ) {
         let mut lsq = LoadStoreQueue::new(capacity);
         // Producer tags 1000..1016 start outstanding and resolve once.
         let mut outstanding: HashSet<u64> = (1000..1016).collect();
+        // The ordinal of each live entry, oldest first.
+        let mut ordinals: Vec<u64> = Vec::new();
         let mut next_seq = 1u64;
         for (op, arg) in ops {
             match op {
-                0..=2 => {
+                0..=3 => {
                     if lsq.is_full() {
                         continue;
                     }
                     let is_load = arg & 1 == 0;
-                    let dep = |bits: u32| ((bits & 0x1f) < 16).then_some(1000 + u64::from(bits & 0xf));
-                    lsq.push(LsqEntry {
+                    let dep = |bits: u32| ((bits & 0x1f) < 16).then_some(handle(1000 + u64::from(bits & 0xf)));
+                    ordinals.push(lsq.push(LsqEntry {
                         seq: next_seq,
                         mem: MemRecord {
                             pc: 0x2000,
@@ -413,50 +456,39 @@ proptest! {
                         },
                         base_dep: dep(arg >> 4),
                         data_dep: if is_load { None } else { dep(arg >> 9) },
-                        // Now and then the flags arrive already set.
-                        addr_known: arg >> 14 & 3 == 0,
-                        data_ready: arg >> 16 & 3 == 0,
-                        load_ready: LoadReady::NotReady,
-                        issued: false,
-                    });
+                    }));
                     next_seq += 1;
                 }
-                3 => {
-                    lsq.pop_head();
+                4 | 5 if lsq.pop_head().is_some() => {
+                    ordinals.remove(0);
                 }
-                5 => {
+                6 => {
                     let live: Vec<u64> = lsq.iter().map(|e| e.seq).collect();
                     if !live.is_empty() {
                         let keep = arg as usize % live.len();
                         lsq.squash_younger(live[keep]);
                         prop_assert_eq!(lsq.len(), keep + 1);
+                        ordinals.truncate(keep + 1);
                     }
                 }
-                4 => {
-                    let live: Vec<u64> = lsq.iter().map(|e| e.seq).collect();
-                    if !live.is_empty() {
-                        lsq.mark_issued(live[arg as usize % live.len()]);
-                    }
-                }
-                // Resolve a producer. Refreshes are frequent, so many
-                // see only resolutions since the previous one.
-                6..=8 => {
+                // Resolve a producer.
+                7..=9 => {
                     outstanding.remove(&(1000 + u64::from(arg % 16)));
                 }
-                _ => {
-                    lsq.refresh(|seq| outstanding.contains(&seq));
-                    let entries: Vec<LsqEntry> = lsq.iter().cloned().collect();
-                    for (i, e) in entries.iter().enumerate() {
-                        if e.is_load() && !e.issued {
-                            prop_assert_eq!(
-                                e.load_ready,
-                                load_ready_from_scratch(&entries, i),
-                                "load {} in {:?}",
-                                e.seq,
-                                entries
-                            );
-                        }
-                    }
+                _ => {}
+            }
+            let entries: Vec<LsqEntry> = lsq.iter().cloned().collect();
+            prop_assert_eq!(entries.len(), ordinals.len());
+            for (i, e) in entries.iter().enumerate() {
+                prop_assert_eq!(lsq.get(ordinals[i]).map(|g| g.seq), Some(e.seq));
+                if e.is_load() {
+                    prop_assert_eq!(
+                        lsq.load_ready(ordinals[i], |p| outstanding.contains(&p.seq)),
+                        load_ready_from_scratch(&entries, i, &outstanding),
+                        "load {} in {:?}",
+                        e.seq,
+                        entries
+                    );
                 }
             }
         }
