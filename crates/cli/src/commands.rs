@@ -10,7 +10,7 @@ use resim_obs::{write_events_jsonl, Counter, MetricsDoc, MetricsRecorder, TraceD
 use resim_sample::{run_sampled, SamplePlan};
 use resim_serve::{Client, ResultCache, Server};
 use resim_session::SessionRecord;
-use resim_sweep::{CellMode, SweepProgress, SweepRunner};
+use resim_sweep::{CellMode, SweepProgress, SweepRunner, MAX_BUDGET};
 use resim_toml::json::JsonValue;
 use resim_trace::{
     save_trace_file, FileSource, Trace, TraceFileHeader, TraceSource, TRACE_CONTAINER_VERSION,
@@ -51,6 +51,9 @@ pub(crate) fn trace(
     if let Some(b) = budget {
         if b == 0 {
             return Err("--budget must be non-zero".to_string());
+        }
+        if b > MAX_BUDGET {
+            return Err(format!("--budget {b} exceeds the maximum of {MAX_BUDGET}"));
         }
         doc.workload.budget = b;
     }

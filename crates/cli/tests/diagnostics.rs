@@ -366,3 +366,35 @@ fn every_timing_key_at_its_bound_completes_on_every_workload() {
         }
     }
 }
+
+#[test]
+fn over_bound_budgets_are_rejected_on_every_path() {
+    let huge = i64::MAX.to_string();
+    let over = (resim_sweep::MAX_BUDGET + 1).to_string();
+    for budget in [huge.as_str(), over.as_str()] {
+        let (code, _, err) = run_on(
+            "workload-budget",
+            &format!("[workload]\nname = \"gzip\"\nbudget = {budget}\n"),
+            &["run"],
+        );
+        assert_eq!(code, 1);
+        assert!(err.contains("s.toml:3:"), "{err}");
+        assert!(err.contains("exceeds the maximum"), "{err}");
+
+        let (code, _, err) = run_on(
+            "sweep-budgets",
+            &format!(
+                "[sweep]\nworkloads = [\"gzip\"]\nbudgets = [1000, {budget}]\nseeds = [1]\n\
+                 [[sweep.config]]\nname = \"a\"\n"
+            ),
+            &["describe"],
+        );
+        assert_eq!(code, 1);
+        assert!(err.contains("s.toml:3:"), "{err}");
+        assert!(err.contains("exceeds the maximum"), "{err}");
+
+        let (code, _, err) = run_on("flag-budget", "", &["trace", "--budget", budget]);
+        assert_eq!(code, 1);
+        assert!(err.contains("--budget") && err.contains("exceeds the maximum"), "{err}");
+    }
+}

@@ -17,7 +17,7 @@
 //! ([`Scenario`]) the runner and the server share.
 
 use crate::from_table::SWEEP_KEYS;
-use crate::scenario::{CellMode, Scenario, WorkloadPoint};
+use crate::scenario::{CellMode, Scenario, WorkloadPoint, MAX_BUDGET};
 use resim_core::{EngineConfig, Fnv64, PipelineDescription};
 use resim_sample::SamplePlan;
 use resim_toml::{Error, Table};
@@ -172,6 +172,12 @@ impl ScenarioDoc {
             if let Some(budget) = t.opt_usize("budget")? {
                 if budget == 0 {
                     return Err(Error::new(t.key_line("budget"), "budget must be non-zero"));
+                }
+                if budget > MAX_BUDGET {
+                    return Err(Error::new(
+                        t.key_line("budget"),
+                        format!("budget {budget} exceeds the maximum of {MAX_BUDGET}"),
+                    ));
                 }
                 workload.budget = budget;
             }
@@ -523,6 +529,16 @@ pipeline = "improved"
         )
         .unwrap_err();
         assert!(err.to_string().contains("stage"), "{err}");
+    }
+
+    #[test]
+    fn workload_budget_is_bounded() {
+        let at = format!("[workload]\nname = \"gzip\"\nbudget = {MAX_BUDGET}");
+        assert_eq!(ScenarioDoc::parse_str(&at).unwrap().workload.budget, MAX_BUDGET);
+        let over = format!("[workload]\nname = \"gzip\"\nbudget = {}", MAX_BUDGET + 1);
+        let err = ScenarioDoc::parse_str(&over).unwrap_err();
+        assert_eq!(err.line(), 3, "{err}");
+        assert!(err.to_string().contains("exceeds the maximum"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`Scenario`] — the entry point of the declarative bulk-simulation
 //! path (`resim sweep`). See `docs/guide.md` for the key reference.
 
-use crate::scenario::{CellMode, Scenario, WorkloadPoint};
+use crate::scenario::{CellMode, Scenario, WorkloadPoint, MAX_BUDGET};
 use resim_core::{ConfigGrid, EngineConfig, PipelineDescription};
 use resim_sample::SamplePlan;
 use resim_toml::{Error, Table};
@@ -216,6 +216,12 @@ impl Scenario {
         let Some(budgets) = t.opt_usize_array("budgets")? else {
             return Err(t.error("missing required array key \"budgets\""));
         };
+        if let Some(budget) = budgets.iter().find(|&&b| b > MAX_BUDGET) {
+            return Err(Error::new(
+                t.key_line("budgets"),
+                format!("budget {budget} exceeds the maximum of {MAX_BUDGET}"),
+            ));
+        }
         let Some(seeds) = t.opt_u64_array("seeds")? else {
             return Err(t.error("missing required array key \"seeds\""));
         };
@@ -423,6 +429,20 @@ name = "base"
         )
         .unwrap_err();
         assert!(err.to_string().contains("[sweep.sample]"));
+    }
+
+    #[test]
+    fn sweep_budgets_are_bounded() {
+        let sweep = |budget: usize| {
+            format!(
+                "[sweep]\nworkloads = [\"gzip\"]\nbudgets = [1000, {budget}]\nseeds = [1]\n\
+                 [[sweep.config]]\nname = \"a\""
+            )
+        };
+        assert!(parse(&sweep(MAX_BUDGET)).is_ok());
+        let err = parse(&sweep(MAX_BUDGET + 1)).unwrap_err();
+        assert_eq!(err.line(), 3, "{err}");
+        assert!(err.to_string().contains("exceeds the maximum"), "{err}");
     }
 
     #[test]

@@ -453,6 +453,20 @@ pub struct Cell {
     pub mode: usize,
 }
 
+/// The largest correct-path instruction budget a scenario may request,
+/// through `[workload] budget`, `[sweep] budgets` or `resim trace
+/// --budget`.
+///
+/// A budget is materialized: the whole trace, wrong-path records
+/// included, is generated into memory before the engine runs it. Peak
+/// resident memory grows by about 22 bytes per budgeted instruction
+/// for `resim run` and `resim sweep`, and 28 for `resim trace`, which
+/// also holds the encoded copy (measured on gzip between budgets of 1 M
+/// and 4 M). The bound therefore caps one trace at about 0.7–0.9 GB.
+/// The largest budget any committed scenario, example or benchmark
+/// uses is 1,000,000.
+pub const MAX_BUDGET: usize = 32_000_000;
+
 /// Reasons a scenario cannot run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioError {
