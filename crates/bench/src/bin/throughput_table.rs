@@ -1,6 +1,6 @@
 //! Regenerates the host-throughput tables in `EXPERIMENTS.md`.
 //!
-//! Prints five Markdown tables, every cell a best-of-9 rate over
+//! Prints six Markdown tables, every cell a best-of-9 rate over
 //! 200 000 correct-path records (seed 2009):
 //!
 //! 1. frontend (slice, file) × configuration on gzip: the three pipeline
@@ -11,9 +11,13 @@
 //! 3. RB size: gzip on the slice frontend, the Table 1 (left) machine at
 //!    16, 64 and 256 RB entries — the per-window cost of wakeup and
 //!    select;
-//! 4. recorder overhead: `NullRecorder` against `MetricsRecorder`,
+//! 4. LSQ size: gzip and parser on the slice frontend, the Table 1
+//!    (left) machine with a 64-entry RB at 8 and 32 LSQ entries, on
+//!    perfect memory and split 32 KB L1 caches — the per-load cost of
+//!    memory disambiguation;
+//! 5. recorder overhead: `NullRecorder` against `MetricsRecorder`,
 //!    asserting the two runs' `SimStats` are bit-identical;
-//! 5. components: trace generation, v1 and v2 encode and decode (each
+//! 6. components: trace generation, v1 and v2 encode and decode (each
 //!    decode through `EncodedTrace::decode`, the one reader), predictor,
 //!    L1 cache and workload generation.
 //!
@@ -24,7 +28,7 @@
 use resim_bench::timing::{best_rate, Frontend, SuppliedTrace};
 use resim_bpred::{BranchPredictor, PredictorConfig};
 use resim_core::{Engine, EngineConfig, MetricsRecorder, PipelineDescription, SimStats};
-use resim_mem::{Cache, CacheConfig};
+use resim_mem::{Cache, CacheConfig, MemorySystemConfig};
 use resim_trace::BranchKind;
 use resim_tracegen::{generate_trace, TraceGenConfig};
 use resim_workloads::{SpecBenchmark, Workload};
@@ -90,6 +94,29 @@ fn rb_sizes(gzip: &SuppliedTrace) {
         };
         let rate = gzip.engine_rate(&config, Frontend::Slice, RUNS);
         println!("| {rb_size} | {} |", mrate(rate));
+    }
+}
+
+fn lsq_sizes(gzip: &SuppliedTrace) {
+    let parser = SuppliedTrace::generate(SpecBenchmark::Parser, RECORDS, &TraceGenConfig::paper());
+    println!("| workload (slice, paper-4wide, RB 64) | LSQ entries | memory | Mrec/s |");
+    println!("|--------------------------------------|-------------|--------|--------|");
+    for (name, supplied) in [("gzip", gzip), ("parser", &parser)] {
+        for lsq_size in [8, 32] {
+            for (memory_name, memory) in [
+                ("perfect", MemorySystemConfig::perfect()),
+                ("l1_32k", MemorySystemConfig::l1_32k()),
+            ] {
+                let config = EngineConfig {
+                    rb_size: 64,
+                    lsq_size,
+                    memory,
+                    ..EngineConfig::paper_4wide()
+                };
+                let rate = supplied.engine_rate(&config, Frontend::Slice, RUNS);
+                println!("| {name} | {lsq_size} | {memory_name} | {} |", mrate(rate));
+            }
+        }
     }
 }
 
@@ -208,6 +235,8 @@ fn main() {
     workload_by_frontend();
     println!();
     rb_sizes(&gzip);
+    println!();
+    lsq_sizes(&gzip);
     println!();
     recorder_overhead(&gzip);
     println!();

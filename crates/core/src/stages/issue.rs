@@ -1,5 +1,11 @@
 //! Issue: wakeup/select onto functional units, read ports and the
 //! D-cache (§III).
+//!
+//! Issue also runs the `Lsq_refresh` memory-dependence check, on demand:
+//! for each load among its ready candidates it asks the LSQ for that
+//! load's readiness through the ordinal the RB entry holds, an O(1)
+//! lookup followed by a scan of the older stores with O(1) producer
+//! checks. Forwarded loads are counted here.
 
 use crate::config::FuConfig;
 use crate::lsq::LoadReady;

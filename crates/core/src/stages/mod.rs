@@ -21,7 +21,11 @@
 //!   the cycle it completes — the behaviour the hardware enforces with a
 //!   flag (§IV.B);
 //! * Writeback precedes Lsq_refresh and Issue, so instructions woken by
-//!   a producer "may be issued during the same simulated cycle" (§IV);
+//!   a producer "may be issued during the same simulated cycle" (§IV).
+//!   Nothing between the two completes a producer, which is why Issue
+//!   may compute the `Lsq_refresh` check on demand, per load it reaches
+//!   ([`LoadStoreQueue::load_ready`](crate::LoadStoreQueue::load_ready)),
+//!   and the `Lsq_refresh` unit itself does no host work;
 //! * Dispatch precedes Fetch, so it consumes IFQ contents fetched in
 //!   earlier cycles.
 //!

@@ -480,7 +480,6 @@ proptest! {
             let entries: Vec<LsqEntry> = lsq.iter().cloned().collect();
             prop_assert_eq!(entries.len(), ordinals.len());
             for (i, e) in entries.iter().enumerate() {
-                prop_assert_eq!(lsq.get(ordinals[i]).map(|g| g.seq), Some(e.seq));
                 if e.is_load() {
                     prop_assert_eq!(
                         lsq.load_ready(ordinals[i], |p| outstanding.contains(&p.seq)),

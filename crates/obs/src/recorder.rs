@@ -17,7 +17,9 @@ pub enum Counter {
     Issued,
     /// Instructions written back (result broadcast).
     WrittenBack,
-    /// LSQ entries refreshed by the `Lsq_refresh` scan.
+    /// LSQ entries the `Lsq_refresh` stage covers each cycle (the live
+    /// queue length). The engine computes load readiness on demand in
+    /// Issue, so this counts the hardware stage's scan, not host work.
     LsqRefreshed,
     /// Instructions committed in order.
     Committed,
@@ -168,7 +170,10 @@ pub enum SpanId {
     Commit,
     /// The Writeback stage evaluation.
     Writeback,
-    /// The `Lsq_refresh` stage evaluation.
+    /// The `Lsq_refresh` stage evaluation. Load readiness is computed on
+    /// demand inside Issue, so this span holds only the activity count;
+    /// the memory-dependence check's host time shows under
+    /// [`SpanId::Issue`].
     LsqRefresh,
     /// The Issue stage evaluation.
     Issue,
