@@ -5,7 +5,9 @@
 //! are packed LSB-first into a byte vector by [`BitWriter`] and read back
 //! by [`StreamBits`], the one reader every encoded stream decodes
 //! through: an in-memory body is read as an `&[u8]`, an on-disk container
-//! as a buffered file.
+//! as a buffered file. The reader pulls the body a block at a time and
+//! serves bit fields from a 64-bit accumulator, so a field costs a shift
+//! and a mask, not a loop over its bits.
 
 use std::io::{self, Read};
 
@@ -79,12 +81,29 @@ impl BitWriter {
     }
 }
 
-/// Reads back values packed by [`BitWriter`], pulling bytes on demand
-/// from an [`io::Read`].
+/// Largest body block a [`StreamBits`] buffers: big enough that one
+/// `read` call serves thousands of records (and that `BufReader` hands
+/// it straight to the file), small enough to cost nothing per source.
+const BLOCK_BYTES: usize = 16 * 1024;
+
+/// Reads back values packed by [`BitWriter`] from an [`io::Read`], a
+/// block at a time.
+///
+/// Body bytes are read into a block of at most [`BLOCK_BYTES`] (never
+/// more than the declared body, so an inflated header cannot make it
+/// allocate by the declared length) and moved from there into a 64-bit
+/// accumulator, whose low bits are the next bits of the stream. A value
+/// is one mask of the accumulator.
+///
+/// Reads happen on exact demand: the block is refilled only when a
+/// `get` or `skip_bits` needs a bit it does not hold, so a body shorter
+/// than declared fails at the same call, after the same records, as a
+/// bit-at-a-time reader would.
 ///
 /// The total payload bit length comes from the caller (the container
-/// header); an I/O error — including a body shorter than that length —
-/// is parked in `io_error`, bit reads then report exhaustion, and
+/// header); an I/O error — including a body shorter than that length,
+/// reported as [`io::ErrorKind::UnexpectedEof`] — is parked in
+/// `io_error`, bit reads then report exhaustion, and
 /// [`FileSource`](crate::FileSource) surfaces it as
 /// [`FileError::Io`](crate::FileError::Io).
 #[derive(Debug)]
@@ -92,8 +111,16 @@ pub(crate) struct StreamBits<R: Read> {
     reader: R,
     total_bits: u64,
     pos: u64,
-    /// The byte currently being consumed bit by bit.
-    cur: u8,
+    /// Up to 64 unread bits, the next one in bit 0; bits above
+    /// `acc_bits` are zero.
+    acc: u64,
+    acc_bits: u32,
+    /// Body bytes read but not yet moved into `acc`: `block[head..tail]`.
+    block: Vec<u8>,
+    head: usize,
+    tail: usize,
+    /// Body bytes not yet requested from `reader`.
+    unread: u64,
     io_error: Option<io::Error>,
 }
 
@@ -101,11 +128,18 @@ impl<R: Read> StreamBits<R> {
     /// Creates a reader over `reader` holding exactly `total_bits` valid
     /// bits.
     pub(crate) fn new(reader: R, total_bits: u64) -> Self {
+        let unread = total_bits.div_ceil(8);
+        let block_len = usize::try_from(unread).map_or(BLOCK_BYTES, |n| n.min(BLOCK_BYTES));
         Self {
             reader,
             total_bits,
             pos: 0,
-            cur: 0,
+            acc: 0,
+            acc_bits: 0,
+            block: vec![0; block_len],
+            head: 0,
+            tail: 0,
+            unread,
             io_error: None,
         }
     }
@@ -115,26 +149,61 @@ impl<R: Read> StreamBits<R> {
         self.io_error.take()
     }
 
-    /// Loads the byte holding bit `pos` when crossing a byte boundary;
-    /// `false` on I/O failure (including a body shorter than declared).
+    /// Reads the next body bytes into the emptied block; `false` (with
+    /// the error parked) on I/O failure, a 0-byte read counting as
+    /// [`io::ErrorKind::UnexpectedEof`].
     fn refill(&mut self) -> bool {
-        if !self.pos.is_multiple_of(8) {
-            return true;
-        }
-        let mut byte = [0u8; 1];
-        match self.reader.read_exact(&mut byte) {
-            Ok(()) => {
-                self.cur = byte[0];
-                true
-            }
-            Err(e) => {
-                self.io_error = Some(e);
-                false
+        let want =
+            usize::try_from(self.unread).map_or(self.block.len(), |n| n.min(self.block.len()));
+        loop {
+            match self.reader.read(&mut self.block[..want]) {
+                Ok(0) => {
+                    self.io_error = Some(io::ErrorKind::UnexpectedEof.into());
+                    return false;
+                }
+                Ok(n) => {
+                    self.head = 0;
+                    self.tail = n;
+                    self.unread -= n as u64;
+                    return true;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    self.io_error = Some(e);
+                    return false;
+                }
             }
         }
     }
 
+    /// Makes `acc` hold at least `need` (≤ 32) bits, reading only if the
+    /// block runs dry first; `false` on I/O failure.
+    fn top_up(&mut self, need: u32) -> bool {
+        while self.acc_bits < need {
+            if self.head == self.tail && !self.refill() {
+                return false;
+            }
+            // Move as many whole bytes as fit; no I/O, so no demand.
+            let ready = &self.block[self.head..self.tail];
+            let take = ready.len().min(((64 - self.acc_bits) / 8) as usize);
+            let mut word = [0u8; 8];
+            word[..take].copy_from_slice(&ready[..take]);
+            self.acc |= u64::from_le_bytes(word) << self.acc_bits;
+            self.head += take;
+            self.acc_bits += take as u32 * 8;
+        }
+        true
+    }
+
+    /// Drops `n` (≤ `acc_bits`) bits from the accumulator.
+    fn consume(&mut self, n: u32) {
+        self.acc = self.acc.checked_shr(n).unwrap_or(0);
+        self.acc_bits -= n;
+        self.pos += u64::from(n);
+    }
+
     /// Reads `nbits` (1–32) bits; `None` if fewer remain.
+    #[inline]
     pub(crate) fn get(&mut self, nbits: u32) -> Option<u32> {
         assert!(
             (1..=32).contains(&nbits),
@@ -143,16 +212,12 @@ impl<R: Read> StreamBits<R> {
         if self.io_error.is_some() || self.pos + u64::from(nbits) > self.total_bits {
             return None;
         }
-        let mut value = 0u32;
-        for i in 0..nbits {
-            if !self.refill() {
-                return None;
-            }
-            let bit = (self.cur >> (self.pos % 8)) & 1;
-            value |= u32::from(bit) << i;
-            self.pos += 1;
+        if self.acc_bits < nbits && !self.top_up(nbits) {
+            return None;
         }
-        Some(value)
+        let value = self.acc & ((1u64 << nbits) - 1);
+        self.consume(nbits);
+        Some(value as u32)
     }
 
     /// Reads one flag bit.
@@ -164,9 +229,6 @@ impl<R: Read> StreamBits<R> {
     /// fewer remain (the position is then unchanged unless a read
     /// failed).
     pub(crate) fn skip_bits(&mut self, nbits: u64) -> bool {
-        // A generic `io::Read` cannot seek, so skipping still consumes
-        // bytes — but without assembling values, and whole bytes at a
-        // time once aligned.
         match self.pos.checked_add(nbits) {
             Some(end) if end <= self.total_bits => {}
             _ => return false,
@@ -174,31 +236,27 @@ impl<R: Read> StreamBits<R> {
         if self.io_error.is_some() {
             return false;
         }
-        let mut left = nbits;
-        // Finish the partially consumed byte.
-        while left > 0 && !self.pos.is_multiple_of(8) {
-            self.pos += 1;
-            left -= 1;
-        }
-        let mut bytes = left / 8;
-        let mut chunk = [0u8; 256];
-        while bytes > 0 {
-            let n = bytes.min(chunk.len() as u64) as usize;
-            if let Err(e) = self.reader.read_exact(&mut chunk[..n]) {
-                self.io_error = Some(e);
+        // Drop what the accumulator holds, then whole bytes straight out
+        // of the block (a generic `io::Read` cannot seek), then the
+        // sub-byte tail.
+        let held = nbits.min(u64::from(self.acc_bits)) as u32;
+        self.consume(held);
+        let mut left = nbits - u64::from(held);
+        while left >= 8 {
+            if self.head == self.tail && !self.refill() {
                 return false;
             }
-            self.pos += n as u64 * 8;
-            left -= n as u64 * 8;
-            bytes -= n as u64;
+            let bytes = (left / 8).min((self.tail - self.head) as u64);
+            self.head += bytes as usize;
+            self.pos += bytes * 8;
+            left -= bytes * 8;
         }
-        // Enter the trailing partial byte, if any.
-        while left > 0 {
-            if !self.refill() {
+        let tail = left as u32;
+        if tail > 0 {
+            if !self.top_up(tail) {
                 return false;
             }
-            self.pos += 1;
-            left -= 1;
+            self.consume(tail);
         }
         true
     }
@@ -380,5 +438,243 @@ mod tests {
         let mut r = StreamBits::new(&bytes[..], bits);
         assert_eq!(r.get(32), Some(u32::MAX));
         assert_eq!(r.get(32), Some(0));
+    }
+
+    /// The bit-serial reader `StreamBits` replaced, kept as the oracle:
+    /// one bit per step and a 1-byte `read_exact` at every byte boundary.
+    struct SerialBits<R: Read> {
+        reader: R,
+        total_bits: u64,
+        pos: u64,
+        cur: u8,
+        io_error: Option<io::Error>,
+    }
+
+    impl<R: Read> SerialBits<R> {
+        fn new(reader: R, total_bits: u64) -> Self {
+            Self {
+                reader,
+                total_bits,
+                pos: 0,
+                cur: 0,
+                io_error: None,
+            }
+        }
+
+        fn refill(&mut self) -> bool {
+            if !self.pos.is_multiple_of(8) {
+                return true;
+            }
+            let mut byte = [0u8; 1];
+            match self.reader.read_exact(&mut byte) {
+                Ok(()) => {
+                    self.cur = byte[0];
+                    true
+                }
+                Err(e) => {
+                    self.io_error = Some(e);
+                    false
+                }
+            }
+        }
+
+        fn get(&mut self, nbits: u32) -> Option<u32> {
+            if self.io_error.is_some() || self.pos + u64::from(nbits) > self.total_bits {
+                return None;
+            }
+            let mut value = 0u32;
+            for i in 0..nbits {
+                if !self.refill() {
+                    return None;
+                }
+                value |= u32::from((self.cur >> (self.pos % 8)) & 1) << i;
+                self.pos += 1;
+            }
+            Some(value)
+        }
+
+        fn skip_bits(&mut self, nbits: u64) -> bool {
+            match self.pos.checked_add(nbits) {
+                Some(end) if end <= self.total_bits => {}
+                _ => return false,
+            }
+            if self.io_error.is_some() {
+                return false;
+            }
+            for _ in 0..nbits {
+                if !self.refill() {
+                    return false;
+                }
+                self.pos += 1;
+            }
+            true
+        }
+
+        fn remaining_bits(&self) -> u64 {
+            if self.io_error.is_some() {
+                0
+            } else {
+                self.total_bits - self.pos
+            }
+        }
+    }
+
+    /// SplitMix64: a tiny deterministic generator for the differential
+    /// cases.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..=hi`.
+        fn range(&mut self, lo: u64, hi: u64) -> u64 {
+            lo + self.next() % (hi - lo + 1)
+        }
+    }
+
+    /// An `io::Read` that hands out 1–3 bytes per call, injects
+    /// `Interrupted` before some calls, and ends its body with a 0-byte
+    /// read or with `end_error`.
+    struct Dribble {
+        body: Vec<u8>,
+        at: usize,
+        rng: Rng,
+        end_error: Option<io::ErrorKind>,
+    }
+
+    impl Read for Dribble {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.rng.range(0, 3) == 0 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            if self.at == self.body.len() {
+                return match self.end_error {
+                    Some(kind) => Err(kind.into()),
+                    None => Ok(0),
+                };
+            }
+            let n = (self.rng.range(1, 3) as usize)
+                .min(buf.len())
+                .min(self.body.len() - self.at);
+            buf[..n].copy_from_slice(&self.body[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// Runs one random sequence of `get`/`skip_bits` calls against both
+    /// readers, asserting equal values, positions and remaining bits
+    /// while reads succeed, and failure at the same call with the same
+    /// error kind.
+    fn differential_case(seed: u64) {
+        let mut rng = Rng(seed);
+        let body: Vec<u8> = (0..rng.range(0, 80)).map(|_| rng.next() as u8).collect();
+        let body_bits = body.len() as u64 * 8;
+        // Every third body is shorter than it declares.
+        let total_bits = if seed.is_multiple_of(3) {
+            body_bits + rng.range(1, 200)
+        } else {
+            body_bits - rng.range(0, 7).min(body_bits)
+        };
+        let end_error = seed
+            .is_multiple_of(5)
+            .then_some(io::ErrorKind::ConnectionReset);
+        let reader = |salt: u64| Dribble {
+            body: body.clone(),
+            at: 0,
+            rng: Rng(seed ^ salt),
+            end_error,
+        };
+        let mut fast = StreamBits::new(reader(1), total_bits);
+        let mut slow = SerialBits::new(reader(2), total_bits);
+        for call in 0..rng.range(1, 60) {
+            let case = format!("seed {seed}, call {call}, total {total_bits}, body {body_bits}");
+            let ok = if rng.range(0, 3) == 0 {
+                let n = if rng.range(0, 4) == 0 {
+                    rng.range(0, 300)
+                } else {
+                    rng.range(0, 40)
+                };
+                let got = fast.skip_bits(n);
+                assert_eq!(got, slow.skip_bits(n), "{case}: skip_bits({n})");
+                got
+            } else {
+                let n = rng.range(1, 32) as u32;
+                let got = fast.get(n);
+                assert_eq!(got, slow.get(n), "{case}: get({n})");
+                got.is_some()
+            };
+            let fast_err = fast.io_error.as_ref().map(io::Error::kind);
+            let slow_err = slow.io_error.as_ref().map(io::Error::kind);
+            assert_eq!(fast_err, slow_err, "{case}: error kind");
+            assert_eq!(fast.remaining_bits(), slow.remaining_bits(), "{case}");
+            if fast_err.is_some() {
+                assert!(!ok, "{case}: a failed read must report failure");
+                return;
+            }
+            assert_eq!(fast.position(), slow.pos, "{case}");
+        }
+    }
+
+    #[test]
+    fn block_reader_matches_the_bit_serial_reader() {
+        for seed in 0..3000 {
+            differential_case(seed);
+        }
+    }
+
+    #[test]
+    fn block_reader_matches_the_bit_serial_reader_over_slices() {
+        let mut rng = Rng(2009);
+        for case in 0..500 {
+            // Bodies past one block, so refills land mid-record.
+            let body: Vec<u8> = (0..rng.range(0, 40_000))
+                .map(|_| rng.next() as u8)
+                .collect();
+            let body_bits = body.len() as u64 * 8;
+            let total_bits = if case % 4 == 0 {
+                body_bits + rng.range(1, 64)
+            } else {
+                body_bits - rng.range(0, 7).min(body_bits)
+            };
+            let mut fast = StreamBits::new(&body[..], total_bits);
+            let mut slow = SerialBits::new(&body[..], total_bits);
+            loop {
+                let got = if rng.range(0, 8) == 0 {
+                    let n = rng.range(0, 20_000);
+                    let got = fast.skip_bits(n);
+                    assert_eq!(got, slow.skip_bits(n), "case {case}: skip_bits({n})");
+                    got
+                } else {
+                    let n = rng.range(1, 32) as u32;
+                    let got = fast.get(n);
+                    assert_eq!(got, slow.get(n), "case {case}: get({n})");
+                    got.is_some()
+                };
+                let fast_err = fast.io_error.as_ref().map(io::Error::kind);
+                let slow_err = slow.io_error.as_ref().map(io::Error::kind);
+                assert_eq!(fast_err, slow_err, "case {case}");
+                if fast_err.is_some() || fast.remaining_bits() == 0 {
+                    break;
+                }
+                if got {
+                    assert_eq!(fast.position(), slow.pos, "case {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_is_sized_by_the_body_not_the_header() {
+        let r = StreamBits::new(&[0u8; 3][..], 17);
+        assert_eq!(r.block.len(), 3);
+        let r = StreamBits::new(&[][..], u64::MAX);
+        assert_eq!(r.block.len(), BLOCK_BYTES);
     }
 }

@@ -283,10 +283,11 @@ pub fn save_trace_file(
 /// version-check) a container header eagerly, then decode body records
 /// one `next_record` (or one `fill` batch) at a time straight off the
 /// reader, so replaying a multi-gigabyte trace never buffers more than
-/// one byte of it. [`EncodedTrace::source`] builds the same source over
-/// an in-memory body. On a v1 body [`TraceSource::skip`] pages over
-/// records without materialising them; a v2 body chains decoder state
-/// through every record, so its skip decodes and discards.
+/// one 16 KiB block of it. [`EncodedTrace::source`] builds the same
+/// source over an in-memory body. On a v1 body [`TraceSource::skip`]
+/// pages over records without materialising them; a v2 body chains
+/// decoder state through every record, so its skip decodes and
+/// discards.
 ///
 /// I/O and decode problems after construction terminate the stream
 /// (fused `None`); inspect [`FileSource::error`] to distinguish a clean
@@ -328,8 +329,9 @@ impl FileSource<io::BufReader<fs::File>> {
 impl<R: Read> FileSource<R> {
     /// Wraps any reader positioned at the start of a trace container.
     ///
-    /// For raw [`fs::File`]s prefer [`FileSource::open`], which adds
-    /// buffering; the decoder pulls single bytes.
+    /// The decoder reads the body in blocks of up to 16 KiB, so a raw
+    /// [`fs::File`] works too; [`FileSource::open`] wraps the file in a
+    /// `BufReader`, which passes reads of that size straight through.
     ///
     /// # Errors
     ///

@@ -8,8 +8,8 @@
 //! every prefix length deterministically.
 
 use resim_trace::{
-    BranchKind, BranchRecord, FileSource, Fnv64, MemKind, MemRecord, MemSize, OpClass,
-    OtherRecord, Reg, Trace, TraceFileHeader, TraceRecord, TraceSource,
+    BranchKind, BranchRecord, FileSource, Fnv64, MemKind, MemRecord, MemSize, OpClass, OtherRecord,
+    Reg, Trace, TraceFileHeader, TraceRecord, TraceSource,
 };
 
 fn sample_trace() -> Trace {
@@ -160,7 +160,11 @@ fn mixed_trace() -> Trace {
             taken: kind.is_unconditional() || i % 4 == 0,
             kind,
             src1: if kind.is_indirect() { reg(4) } else { None },
-            src2: if kind == BranchKind::Cond { reg(6) } else { None },
+            src2: if kind == BranchKind::Cond {
+                reg(6)
+            } else {
+                None
+            },
             wrong_path: false,
         };
         t.push(TraceRecord::Branch(branch));
@@ -302,14 +306,23 @@ fn corruption_outcomes_are_pinned() {
     let trace = mixed_trace();
     for (layout, _) in PINNED {
         let (records, errored) = drain(&mixed_container(layout)).expect("pristine header parses");
-        assert!(!errored, "layout {layout}: pristine container must drain cleanly");
-        assert_eq!(records, trace.records(), "layout {layout}: pristine round trip");
+        assert!(
+            !errored,
+            "layout {layout}: pristine container must drain cleanly"
+        );
+        assert_eq!(
+            records,
+            trace.records(),
+            "layout {layout}: pristine round trip"
+        );
     }
     let mut mismatches = Vec::new();
     for (layout, want) in PINNED {
         let got = corruption_outcome_digest(layout);
         if got != want {
-            mismatches.push(format!("layout {layout}: digest {got:#018x}, pinned {want:#018x}"));
+            mismatches.push(format!(
+                "layout {layout}: digest {got:#018x}, pinned {want:#018x}"
+            ));
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
