@@ -129,7 +129,7 @@ impl<R: Read> StreamBits<R> {
     /// bits.
     pub(crate) fn new(reader: R, total_bits: u64) -> Self {
         let unread = total_bits.div_ceil(8);
-        let block_len = usize::try_from(unread).map_or(BLOCK_BYTES, |n| n.min(BLOCK_BYTES));
+        let block_len = unread.min(BLOCK_BYTES as u64) as usize;
         Self {
             reader,
             total_bits,
@@ -153,8 +153,7 @@ impl<R: Read> StreamBits<R> {
     /// the error parked) on I/O failure, a 0-byte read counting as
     /// [`io::ErrorKind::UnexpectedEof`].
     fn refill(&mut self) -> bool {
-        let want =
-            usize::try_from(self.unread).map_or(self.block.len(), |n| n.min(self.block.len()));
+        let want = self.unread.min(self.block.len() as u64) as usize;
         loop {
             match self.reader.read(&mut self.block[..want]) {
                 Ok(0) => {
@@ -178,6 +177,10 @@ impl<R: Read> StreamBits<R> {
 
     /// Makes `acc` hold at least `need` (≤ 32) bits, reading only if the
     /// block runs dry first; `false` on I/O failure.
+    ///
+    /// Out of line so that `get`'s fast path, a mask and a shift, stays
+    /// small enough to inline into the record decoders.
+    #[inline(never)]
     fn top_up(&mut self, need: u32) -> bool {
         while self.acc_bits < need {
             if self.head == self.tail && !self.refill() {
