@@ -198,13 +198,6 @@ impl<R: Read> StreamBits<R> {
         true
     }
 
-    /// Drops `n` (≤ `acc_bits`) bits from the accumulator.
-    fn consume(&mut self, n: u32) {
-        self.acc = self.acc.checked_shr(n).unwrap_or(0);
-        self.acc_bits -= n;
-        self.pos += u64::from(n);
-    }
-
     /// Reads `nbits` (1–32) bits; `None` if fewer remain.
     #[inline]
     pub(crate) fn get(&mut self, nbits: u32) -> Option<u32> {
@@ -219,7 +212,9 @@ impl<R: Read> StreamBits<R> {
             return None;
         }
         let value = self.acc & ((1u64 << nbits) - 1);
-        self.consume(nbits);
+        self.acc >>= nbits;
+        self.acc_bits -= nbits;
+        self.pos += u64::from(nbits);
         Some(value as u32)
     }
 
@@ -239,27 +234,14 @@ impl<R: Read> StreamBits<R> {
         if self.io_error.is_some() {
             return false;
         }
-        // Drop what the accumulator holds, then whole bytes straight out
-        // of the block (a generic `io::Read` cannot seek), then the
-        // sub-byte tail.
-        let held = nbits.min(u64::from(self.acc_bits)) as u32;
-        self.consume(held);
-        let mut left = nbits - u64::from(held);
-        while left >= 8 {
-            if self.head == self.tail && !self.refill() {
+        // A generic `io::Read` cannot seek: read past the bits instead.
+        let mut left = nbits;
+        while left > 0 {
+            let n = left.min(32) as u32;
+            if self.get(n).is_none() {
                 return false;
             }
-            let bytes = (left / 8).min((self.tail - self.head) as u64);
-            self.head += bytes as usize;
-            self.pos += bytes * 8;
-            left -= bytes * 8;
-        }
-        let tail = left as u32;
-        if tail > 0 {
-            if !self.top_up(tail) {
-                return false;
-            }
-            self.consume(tail);
+            left -= u64::from(n);
         }
         true
     }
