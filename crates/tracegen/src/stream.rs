@@ -12,7 +12,6 @@
 use crate::wrongpath::WrongPathSynth;
 use crate::{Tagger, TraceGenConfig, TraceGenStats};
 use resim_trace::{TraceRecord, TraceSource};
-use std::collections::VecDeque;
 
 /// A [`TraceSource`] that tags mispredictions and splices wrong-path
 /// blocks into an underlying correct-path stream, on the fly.
@@ -22,7 +21,10 @@ pub struct TraceStream<I> {
     tagger: Tagger,
     synth: WrongPathSynth,
     wrong_path_len: usize,
-    queue: VecDeque<TraceRecord>,
+    /// The wrong-path block being emitted; `queue[queued..]` is still
+    /// to come.
+    queue: Vec<TraceRecord>,
+    queued: usize,
     done: bool,
 }
 
@@ -34,7 +36,8 @@ impl<I: Iterator<Item = TraceRecord>> TraceStream<I> {
             tagger: Tagger::new(config.predictor),
             synth: WrongPathSynth::new(config.seed),
             wrong_path_len: config.wrong_path_len,
-            queue: VecDeque::new(),
+            queue: Vec::new(),
+            queued: 0,
             done: false,
         }
     }
@@ -47,7 +50,8 @@ impl<I: Iterator<Item = TraceRecord>> TraceStream<I> {
 
 impl<I: Iterator<Item = TraceRecord>> TraceSource for TraceStream<I> {
     fn next_record(&mut self) -> Option<TraceRecord> {
-        if let Some(r) = self.queue.pop_front() {
+        if let Some(&r) = self.queue.get(self.queued) {
+            self.queued += 1;
             return Some(r);
         }
         if self.done {
@@ -65,9 +69,11 @@ impl<I: Iterator<Item = TraceRecord>> TraceSource for TraceStream<I> {
                 );
                 self.synth.observe(&record);
                 if let Some(wrong_pc) = self.tagger.process(&record) {
-                    let block = self.synth.block(wrong_pc, self.wrong_path_len);
-                    self.tagger.count_wrong_path(block.len() as u64);
-                    self.queue.extend(block);
+                    // The previous block is drained: reuse its buffer.
+                    self.queue.clear();
+                    self.queued = 0;
+                    self.synth.block(wrong_pc, self.wrong_path_len, &mut self.queue);
+                    self.tagger.count_wrong_path(self.wrong_path_len as u64);
                 }
                 Some(record)
             }

@@ -48,10 +48,10 @@ impl WrongPathSynth {
         }
     }
 
-    /// Produces a tagged straight-line block of `len` instructions
-    /// starting at `start_pc`.
-    pub fn block(&mut self, start_pc: u32, len: usize) -> Vec<TraceRecord> {
-        let mut out = Vec::with_capacity(len);
+    /// Appends a tagged straight-line block of `len` instructions
+    /// starting at `start_pc` to `out`.
+    pub fn block(&mut self, start_pc: u32, len: usize, out: &mut Vec<TraceRecord>) {
+        out.reserve(len);
         let mut pc = start_pc;
         for _ in 0..len {
             let x: f64 = self.rng.gen();
@@ -76,7 +76,6 @@ impl WrongPathSynth {
             out.push(r);
             pc = pc.wrapping_add(4);
         }
-        out
     }
 
     fn mem_record(&mut self, pc: u32, kind: MemKind) -> TraceRecord {
@@ -104,10 +103,16 @@ impl WrongPathSynth {
 mod tests {
     use super::*;
 
+    fn block(s: &mut WrongPathSynth, start_pc: u32, len: usize) -> Vec<TraceRecord> {
+        let mut out = Vec::new();
+        s.block(start_pc, len, &mut out);
+        out
+    }
+
     #[test]
     fn block_is_tagged_sequential_and_sized() {
         let mut s = WrongPathSynth::new(1);
-        let b = s.block(0x4000, 16);
+        let b = block(&mut s, 0x4000, 16);
         assert_eq!(b.len(), 16);
         for (i, r) in b.iter().enumerate() {
             assert!(r.wrong_path(), "all block records carry the tag");
@@ -127,7 +132,7 @@ mod tests {
             data: None,
             wrong_path: false,
         }));
-        let b = s.block(0x100, 64);
+        let b = block(&mut s, 0x100, 64);
         let near_either = b.iter().all(|r| match r {
             TraceRecord::Mem(m) => {
                 let d1 = (m.addr as i64 - 0x2000_0000i64).abs();
@@ -143,13 +148,23 @@ mod tests {
     fn deterministic_for_seed() {
         let mut a = WrongPathSynth::new(3);
         let mut b = WrongPathSynth::new(3);
-        assert_eq!(a.block(0x0, 32), b.block(0x0, 32));
+        assert_eq!(block(&mut a, 0x0, 32), block(&mut b, 0x0, 32));
+    }
+
+    #[test]
+    fn block_appends_to_the_buffer() {
+        let mut out = block(&mut WrongPathSynth::new(5), 0x0, 4);
+        let first = out.clone();
+        WrongPathSynth::new(5).block(0x0, 4, &mut out);
+        assert_eq!(out.len(), 8);
+        assert_eq!(&out[..4], first.as_slice(), "earlier records stay in place");
+        assert_eq!(&out[4..], first.as_slice());
     }
 
     #[test]
     fn blocks_contain_no_branches() {
         let mut s = WrongPathSynth::new(4);
-        let b = s.block(0x800, 128);
+        let b = block(&mut s, 0x800, 128);
         assert!(b.iter().all(|r| !r.is_branch()));
     }
 }

@@ -6,7 +6,7 @@ use crate::profile::WorkloadProfile;
 use crate::spec::SpecBenchmark;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Base address of the synthetic data segment.
 const DATA_BASE: u32 = 0x1000_0000;
@@ -35,12 +35,14 @@ pub struct Workload {
     cur: BlockId,
     /// Pending records of the block being emitted.
     pending: VecDeque<TraceRecord>,
-    /// Remaining trips of each active loop back-edge, keyed by block.
-    loop_state: HashMap<usize, u32>,
+    /// Remaining trips of each active loop back-edge, indexed by block.
+    loop_state: Vec<Option<u32>>,
     /// Call stack of return blocks.
     call_stack: Vec<BlockId>,
-    /// Ring of recently written registers (dependency sampling pool).
-    recent_dests: VecDeque<Reg>,
+    /// Recently written registers, newest first (dependency sampling
+    /// pool); the first `recent_len` are valid.
+    recent_dests: [Reg; RECENT_DESTS],
+    recent_len: usize,
     /// Round-robin destination allocator state.
     next_dest: u8,
     /// Sequential-stream cursor.
@@ -62,15 +64,17 @@ impl Workload {
         profile.validate();
         let mut build_rng = SmallRng::seed_from_u64(seed);
         let cfg = StaticCfg::build(profile, &mut build_rng);
+        let loop_state = vec![None; cfg.blocks.len()];
         Self {
             cfg,
             profile: profile.clone(),
             rng: SmallRng::seed_from_u64(seed ^ 0x5DEE_CE66_D1CE_5EED),
             cur: BlockId(0),
             pending: VecDeque::new(),
-            loop_state: HashMap::new(),
+            loop_state,
             call_stack: Vec::new(),
-            recent_dests: VecDeque::new(),
+            recent_dests: [Reg::new(0); RECENT_DESTS],
+            recent_len: 0,
             next_dest: 8,
             seq_cursor: DATA_BASE,
             emitted: 0,
@@ -121,13 +125,11 @@ impl Workload {
     /// Emits the current block's records into `pending` and advances.
     fn emit_block(&mut self) {
         let block = self.cur;
-        let (start_pc, slots, terminator) = {
-            let b = &self.cfg.blocks[block.0];
-            (b.start_pc, b.slots.clone(), b.terminator)
-        };
-        let mut pc = start_pc;
-        for slot in &slots {
-            let r = self.emit_slot(pc, *slot);
+        let b = &self.cfg.blocks[block.0];
+        let (mut pc, n_slots, terminator) = (b.start_pc, b.slots.len(), b.terminator);
+        for i in 0..n_slots {
+            let slot = self.cfg.blocks[block.0].slots[i];
+            let r = self.emit_slot(pc, slot);
             self.pending.push_back(r);
             pc += 4;
         }
@@ -243,13 +245,14 @@ impl Workload {
                 back
             }
             Terminator::Loop { target, trips } => {
-                let remaining = self.loop_state.entry(block.0).or_insert(trips);
+                let state = &mut self.loop_state[block.0];
+                let remaining = state.get_or_insert(trips);
                 let taken = *remaining > 0;
                 if taken {
                     *remaining -= 1;
                 } else {
                     // Re-arm for the next loop entry.
-                    self.loop_state.remove(&block.0);
+                    *state = None;
                 }
                 let src = Some(self.pick_source());
                 self.push_branch(pc, BranchKind::Cond, taken, self.block_pc(target), src);
@@ -307,20 +310,21 @@ impl Workload {
 
     /// Picks a source register at a geometric dependence distance.
     fn pick_source(&mut self) -> Reg {
-        if self.recent_dests.is_empty() {
+        if self.recent_len == 0 {
             // Stable, long-lived register (always ready).
             return Reg::new(29);
         }
         let mean = self.profile.dep_distance_mean;
         let u: f64 = self.rng.gen::<f64>().max(1e-12);
-        let dist = ((-u.ln()) * mean).floor() as usize;
-        let idx = dist.min(self.recent_dests.len() - 1);
-        self.recent_dests[idx]
+        // Non-negative and finite, so truncation is `floor` without the
+        // libm call.
+        let dist = ((-u.ln()) * mean) as usize;
+        self.recent_dests[dist.min(self.recent_len - 1)]
     }
 
     /// Picks a base register for an address: dependent or stable.
     fn pick_base(&mut self) -> Reg {
-        if !self.recent_dests.is_empty() && self.rng.gen_bool(self.profile.frac_addr_dep) {
+        if self.recent_len > 0 && self.rng.gen_bool(self.profile.frac_addr_dep) {
             self.pick_source()
         } else {
             Reg::new(30)
@@ -332,8 +336,9 @@ impl Workload {
         // Walk r8..r27 to avoid the stable pointer/stack registers.
         let d = Reg::new(self.next_dest);
         self.next_dest = if self.next_dest >= 27 { 8 } else { self.next_dest + 1 };
-        self.recent_dests.push_front(d);
-        self.recent_dests.truncate(RECENT_DESTS);
+        self.recent_dests.copy_within(..RECENT_DESTS - 1, 1);
+        self.recent_dests[0] = d;
+        self.recent_len = (self.recent_len + 1).min(RECENT_DESTS);
         d
     }
 
@@ -380,6 +385,7 @@ impl Iterator for Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn mix(records: &[TraceRecord]) -> (f64, f64, f64) {
         let n = records.len() as f64;
