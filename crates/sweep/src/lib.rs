@@ -19,7 +19,9 @@
 //! * traces for identical `(workload, seed, budget, tracegen)` inputs
 //!   are generated **once** and shared behind an `Arc` through
 //!   [`resim_tracegen::TraceCache`] — the dominant redundant cost of a
-//!   naive sweep;
+//!   naive sweep — and each `(workload, seed, budget)` stream is walked
+//!   once, the traces of further tracegen configs re-tagging the first
+//!   trace's correct path;
 //! * results collect into a [`SweepReport`]: per-cell
 //!   [`CellResult`]s (stats, trace stats, wall time) plus grid-level
 //!   aggregates, renderable as CSV or Markdown;

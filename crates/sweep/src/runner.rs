@@ -7,11 +7,32 @@
 //! scheduling — every [`SimStats`](resim_core::SimStats) is bit-identical
 //! regardless of thread count or interleaving.
 //!
-//! Trace generation runs as a separate phase over the *unique* trace
-//! keys of the grid, so a sweep of many configurations over one
-//! `(workload, seed, budget)` tuple generates (and encodes) its trace
-//! exactly once, shared behind an [`Arc`] via
-//! [`resim_tracegen::TraceCache`].
+//! Trace generation is phase 1, over the *unique* trace keys of the
+//! grid: a key is `(workload, seed, budget, tracegen config)`, so a
+//! sweep of many engine configurations over one key generates its trace
+//! (and computes its encoded-size statistics) exactly once and shares it
+//! behind an [`Arc`] through the runner's
+//! [`resim_tracegen::TraceCache`]. The cache lives as long as the
+//! runner, or longer when handed in through [`SweepRunner::with_cache`]:
+//! `resim-serve` keeps one runner for the life of the process, and the
+//! CLI preloads trace files into the cache before the sweep. Either way
+//! phase 1 finds the earlier traces there and generates only what is
+//! missing.
+//!
+//! Keys that differ only in the tracegen config tag the same correct
+//! path — the first `budget` records of the workload's stream — with
+//! different predictors. [`Scenario::stream_groups`] makes each such
+//! `(workload, seed, budget)` point one unit of phase-1 work, filled one
+//! key after another: the first key is generated by walking the
+//! workload model, unless a key of the unit is already cached; every
+//! other key re-tags that trace's correct path
+//! ([`CachedTrace::correct_path`](resim_tracegen::CachedTrace::correct_path)),
+//! which gives the same trace bit for bit without walking again. A
+//! `table1` sweep (5 workloads × 2 predictors) walks 5 streams, not 10.
+//! Filling one key at a time keeps one growing trace per worker; tagging
+//! both predictors in one pass would grow two at once and raise the peak
+//! resident set. Cache misses and [`SweepPhase::Generate`] progress
+//! still count generated traces, one per key.
 //!
 //! Simulation then runs once per *timing point*, not once per cell.
 //! Cells whose configurations differ only in the internal pipeline
@@ -30,7 +51,6 @@ use crate::scenario::{CellMode, Scenario, ScenarioError};
 use resim_core::Engine;
 use resim_sample::{run_sampled, SampledStats};
 use resim_tracegen::{TraceCache, TraceKey};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -228,26 +248,30 @@ impl SweepRunner {
             });
         };
 
-        // Phase 1: generate each unique trace once, in parallel.
-        let mut seen = HashSet::new();
-        let unique: Vec<(TraceKey, usize, u64)> = cells
-            .iter()
-            .filter_map(|c| {
-                let key = scenario.trace_key(c);
-                seen.insert(key.clone())
-                    .then_some((key, c.workload, c.seed))
-            })
-            .collect();
+        // Phase 1: fill each unique trace key once, one stream group per
+        // work unit and its keys one after another (see the module docs).
+        let streams = scenario.stream_groups(&cells);
+        let n_keys = streams.iter().map(Vec::len).sum();
         let phase_t0 = Instant::now();
         let done = AtomicUsize::new(0);
-        emit(SweepPhase::Generate, 0, unique.len(), phase_t0);
-        self.for_indices(unique.len(), |i| {
-            let (key, workload, seed) = &unique[i];
-            let point = &scenario.workloads()[*workload];
-            self.cache
-                .get_or_generate(key.clone(), || point.instantiate(*seed));
-            let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-            emit(SweepPhase::Generate, d, unique.len(), phase_t0);
+        emit(SweepPhase::Generate, 0, n_keys, phase_t0);
+        self.for_indices(streams.len(), |g| {
+            let first = &cells[streams[g][0]];
+            let keys: Vec<TraceKey> =
+                streams[g].iter().map(|&p| scenario.trace_key(&cells[p])).collect();
+            let mut from = keys.iter().find_map(|k| self.cache.get(k));
+            for key in keys {
+                let filled = match &from {
+                    Some(from) => self.cache.get_or_generate(key, || from.correct_path()),
+                    None => {
+                        let point = &scenario.workloads()[first.workload];
+                        self.cache.get_or_generate(key, || point.instantiate(first.seed))
+                    }
+                };
+                from.get_or_insert(filled);
+                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
+                emit(SweepPhase::Generate, d, n_keys, phase_t0);
+            }
         });
 
         // Phase 2: one engine run per timing group, against its shared

@@ -5,7 +5,7 @@ use resim_core::{ConfigError, EngineConfig, PipelineDescription};
 use resim_sample::{PlanError, SamplePlan};
 use resim_tracegen::{TraceGenConfig, TraceKey};
 use resim_workloads::{SpecBenchmark, Workload, WorkloadProfile};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -421,6 +421,35 @@ impl Scenario {
         groups
     }
 
+    /// Groups the distinct trace keys of `cells` by the stream they tag:
+    /// each inner vector holds, for one `(workload, seed, budget)` point,
+    /// the position (into `cells`) of the first cell of every distinct
+    /// trace-generation configuration. Groups and their members appear
+    /// in the order of their first cell.
+    ///
+    /// Every trace of a group has the same correct path — the first
+    /// `budget` records of the workload's stream — and differs only in
+    /// the predictor and block length that tag it, so phase 1 of
+    /// [`SweepRunner`](crate::SweepRunner) walks the workload once per
+    /// group and re-tags that trace's correct path for the rest.
+    pub fn stream_groups(&self, cells: &[Cell]) -> Vec<Vec<usize>> {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of = HashMap::new();
+        let mut seen = HashSet::new();
+        for (position, c) in cells.iter().enumerate() {
+            let stream = (c.workload, c.seed, c.budget);
+            if !seen.insert((stream, self.configs[c.config].tracegen)) {
+                continue;
+            }
+            let group = *group_of.entry(stream).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[group].push(position);
+        }
+        groups
+    }
+
     /// The trace-cache key of one cell.
     pub fn trace_key(&self, cell: &Cell) -> TraceKey {
         TraceKey {
@@ -556,6 +585,32 @@ mod tests {
             .seeds([7]);
         let cells = s.cells();
         assert_eq!(s.trace_key(&cells[0]), s.trace_key(&cells[1]));
+    }
+
+    #[test]
+    fn stream_groups_hold_one_cell_per_trace_key() {
+        // Configs a and c share a trace; b tags with another predictor.
+        let s = two_by_two()
+            .config("c", EngineConfig::paper_2wide_cached(), TraceGenConfig::paper())
+            .budgets([1_000, 2_000]);
+        let cells = s.cells();
+        let groups = s.stream_groups(&cells);
+        assert_eq!(groups.len(), 2 * 2 * 2, "workloads x seeds x budgets");
+        let mut keys = HashSet::new();
+        for group in &groups {
+            assert_eq!(group.len(), 2, "two distinct tracegen configs");
+            let first = &cells[group[0]];
+            for &p in group {
+                let c = &cells[p];
+                let stream = |c: &Cell| (c.workload, c.seed, c.budget);
+                assert_eq!(stream(c), stream(first));
+                assert!(keys.insert(s.trace_key(c)), "a key appears once");
+            }
+        }
+        let all: HashSet<_> = cells.iter().map(|c| s.trace_key(c)).collect();
+        assert_eq!(keys, all, "every key is in some group");
+        let firsts: Vec<usize> = groups.iter().map(|g| g[0]).collect();
+        assert!(firsts.windows(2).all(|w| w[0] < w[1]), "groups in first-cell order");
     }
 
     #[test]

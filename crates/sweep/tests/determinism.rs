@@ -2,6 +2,7 @@
 //! produces byte-identical `SimStats` whether it runs serially by hand or
 //! through `resim-sweep` at any thread count.
 
+use resim_bpred::{DirectionConfig, PredictorConfig};
 use resim_core::{Engine, EngineConfig, PipelineOrganization, SimStats};
 use resim_sample::{run_sampled, SampledStats, SamplePlan};
 use resim_sweep::{
@@ -376,5 +377,148 @@ fn grid_deep_shape_maps_24_cells_to_8_runs() {
         let pipelines: HashSet<&str> = engines.iter().map(|e| e.pipeline.name()).collect();
         assert_eq!(pipelines.len(), 3, "one run per RB size serves all three organizations");
         assert!(engines.iter().all(|e| e.rb_size == engines[0].rb_size));
+    }
+}
+
+/// Three trace-generation configurations that differ in predictor and
+/// in wrong-path block length, each on its own engine.
+fn tracegen_configs() -> Vec<(&'static str, EngineConfig, TraceGenConfig)> {
+    let tracegen = |direction, wrong_path_len| TraceGenConfig {
+        predictor: PredictorConfig {
+            direction,
+            ..PredictorConfig::paper_two_level()
+        },
+        wrong_path_len,
+        ..TraceGenConfig::paper()
+    };
+    vec![
+        (
+            "two-level-32",
+            EngineConfig::paper_4wide(),
+            TraceGenConfig::paper(),
+        ),
+        (
+            "bimodal-8",
+            EngineConfig {
+                rb_size: 32,
+                ..EngineConfig::paper_4wide()
+            },
+            tracegen(DirectionConfig::Bimodal { size: 2048 }, 8),
+        ),
+        (
+            "taken-16",
+            EngineConfig::paper_2wide_cached(),
+            tracegen(DirectionConfig::Taken, 16),
+        ),
+    ]
+}
+
+fn tracegen_grid(
+    configs: &[(&'static str, EngineConfig, TraceGenConfig)],
+    workloads: &[SpecBenchmark],
+    budgets: &[usize],
+) -> Scenario {
+    let mut scenario = Scenario::new();
+    for (name, engine, tracegen) in configs {
+        scenario = scenario.config(*name, engine.clone(), *tracegen);
+    }
+    for &w in workloads {
+        scenario = scenario.workload(WorkloadPoint::spec(w));
+    }
+    scenario.budgets(budgets.iter().copied()).seeds([2009])
+}
+
+/// Every cell equals a direct run over its own freshly generated trace,
+/// and every cached trace equals generating it, bit for bit.
+fn assert_traces_and_cells_match_direct(
+    runner: &SweepRunner,
+    scenario: &Scenario,
+    report: &SweepReport,
+    what: &str,
+) {
+    let cells = scenario.cells();
+    assert_matches_direct(scenario, &cells, report, what);
+    for (cell, result) in cells.iter().zip(&report.cells) {
+        let key = scenario.trace_key(cell);
+        let direct = generate_trace(
+            scenario.workloads()[cell.workload].instantiate(cell.seed),
+            cell.budget,
+            &key.config,
+        );
+        assert_eq!(result.trace_stats, direct.stats(), "{what}: trace stats");
+        let cached = runner
+            .cache()
+            .get(&key)
+            .expect("the sweep cached every key");
+        assert!(
+            cached.trace == direct,
+            "{what}: cached trace differs from generating it"
+        );
+    }
+}
+
+/// Phase 1 walks each `(workload, seed, budget)` stream once and derives
+/// the other configurations' traces from it. That must be invisible:
+/// the same traces, statistics and cache counters as generating every
+/// key from its own walk, at any thread count and on a warm cache.
+#[test]
+fn derived_traces_are_invisible() {
+    let configs = tracegen_configs();
+    let workloads = [SpecBenchmark::Vpr, SpecBenchmark::Parser];
+    let budgets = [4_000, 7_000];
+    let scenario = tracegen_grid(&configs, &workloads, &budgets);
+    let cells = scenario.cells();
+    let unique: HashSet<_> = cells.iter().map(|c| scenario.trace_key(c)).collect();
+    assert_eq!(
+        unique.len(),
+        12,
+        "3 tracegen configs x 2 workloads x 2 budgets"
+    );
+    assert_eq!(scenario.stream_groups(&cells).len(), 4);
+
+    for threads in [1usize, 3] {
+        let what = format!("{threads} threads");
+        let runner = SweepRunner::new(threads);
+        let generate = Mutex::new(Vec::new());
+        let report = runner
+            .run_with_progress(&scenario, |p| {
+                if p.phase == SweepPhase::Generate {
+                    generate
+                        .lock()
+                        .unwrap()
+                        .push((p.done, p.total, p.cache_misses));
+                }
+            })
+            .expect("valid");
+        assert_traces_and_cells_match_direct(&runner, &scenario, &report, &what);
+        assert_eq!(
+            report.trace_cache_misses, 12,
+            "{what}: one miss per unique key"
+        );
+        assert_eq!(report.trace_cache_hits, 0, "{what}");
+        let mut generate = generate.into_inner().unwrap();
+        generate.sort_unstable();
+        let done: Vec<(usize, usize)> = generate.iter().map(|&(d, t, _)| (d, t)).collect();
+        let expected: Vec<(usize, usize)> = (0..=12).map(|d| (d, 12)).collect();
+        assert_eq!(done, expected, "{what}: one tracegen unit per unique key");
+        assert_eq!(generate.last().unwrap().2, 12, "{what}");
+
+        // A fourth configuration on the warm cache: its one new key per
+        // stream is derived from a cached trace. Over one stream point
+        // that is exactly one miss.
+        let mut more = configs.clone();
+        more.push((
+            "perfect",
+            EngineConfig::paper_4wide(),
+            TraceGenConfig::perfect(),
+        ));
+        let second = tracegen_grid(&more, &workloads[..1], &budgets[..1]);
+        let report = runner.run(&second).expect("valid");
+        assert_eq!(
+            report.trace_cache_misses, 1,
+            "{what}: only the new key misses"
+        );
+        assert_eq!(report.trace_cache_hits, 3, "{what}: the cached keys hit");
+        assert_traces_and_cells_match_direct(&runner, &second, &report, &format!("{what}, warm"));
     }
 }

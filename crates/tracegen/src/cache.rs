@@ -9,6 +9,16 @@
 //! determines its content: the workload identity, the workload seed, the
 //! correct-path instruction budget and the full [`TraceGenConfig`].
 //!
+//! The cache belongs to whoever drives the generation — a
+//! `resim-sweep` runner, which fills it in its phase 1 from sweep worker
+//! threads and reads it in phase 2 — and lives as long as they keep it:
+//! one sweep, one CLI invocation with preloaded trace files
+//! ([`TraceCache::insert`]), or a `resim-serve` process serving many
+//! submissions. Keys that share `(workload, seed, n_correct)` share their
+//! correct path, so one cached trace of such a point yields the others
+//! by re-tagging [`CachedTrace::correct_path`] instead of walking the
+//! workload again; the runner fills them that way.
+//!
 //! Generation is deterministic, which gives the cache a simple
 //! correctness story: two racing generators for the same key produce
 //! bit-identical traces, so whichever insert wins, every consumer
@@ -58,6 +68,18 @@ impl CachedTrace {
         let trace = crate::generate_trace(stream, key.n_correct, &key.config);
         let stats = trace.stats();
         Self { trace, stats }
+    }
+
+    /// The trace's correct path: its untagged records, in order.
+    ///
+    /// Tagging passes correct-path records through untouched, so for a
+    /// trace generated under budget `n` these are the first `n` records
+    /// of its stream. Generating from them under any other
+    /// [`TraceGenConfig`] with the same budget therefore gives exactly
+    /// the trace generating from the stream would, without walking the
+    /// workload again.
+    pub fn correct_path(&self) -> impl Iterator<Item = resim_trace::TraceRecord> + '_ {
+        self.trace.records().iter().filter(|r| !r.wrong_path()).copied()
     }
 }
 
