@@ -7,6 +7,7 @@
 //! hits), occupancy statistics for IFQ / Reorder Buffer / LSQ, and
 //! detailed branch information.
 
+use crate::EngineConfig;
 use resim_bpred::PredictorStats;
 use resim_mem::MemorySystemStats;
 
@@ -313,6 +314,59 @@ impl SimStats {
         self
     }
 
+    /// Whether these statistics, from a run of `ran`, are also the run
+    /// of `other` over the same trace, bit for bit once re-costed with
+    /// `other`'s [`EngineConfig::minor_cycles_per_major`] through
+    /// [`SimStats::with_minor_cycle_cost`].
+    ///
+    /// A queue size matters to the engine in one place only: the full
+    /// check before a push (Fetch for the IFQ, Dispatch for the RB and
+    /// LSQ). Each queue grows only in the stage that checks it, and the
+    /// cycle's occupancy is sampled after that stage, so
+    /// `*_occupancy_max` is the largest size the queue ever reached. A
+    /// queue whose maximum stays below its size never failed the check,
+    /// and it would not fail it at any other size above that maximum
+    /// either. So `other` is covered when it equals `ran` apart from
+    /// `pipeline` (the §IV organizations simulate identical timing) and
+    /// the three queue sizes, and each queue either keeps its size or
+    /// never filled in this run and stays above its maximum in `other`.
+    ///
+    /// The rule holds for [`SimStats::merge`]d window statistics too,
+    /// since merging takes the largest of the windows' maxima.
+    pub fn covers(&self, ran: &EngineConfig, other: &EngineConfig) -> bool {
+        let queue = |max: u64, ran: usize, other: usize| {
+            ran == other || (max < ran as u64 && max < other as u64)
+        };
+        // Destructured in full, so a new field must be placed on one
+        // side of the rule before this compiles.
+        let EngineConfig {
+            width,
+            ifq_size,
+            rb_size,
+            lsq_size,
+            fus,
+            mem_read_ports,
+            mem_write_ports,
+            misfetch_penalty,
+            mispredict_penalty,
+            predictor,
+            memory,
+            pipeline: _,
+        } = ran;
+        (width, fus, mem_read_ports, mem_write_ports)
+            == (&other.width, &other.fus, &other.mem_read_ports, &other.mem_write_ports)
+            && (misfetch_penalty, mispredict_penalty, predictor, memory)
+                == (
+                    &other.misfetch_penalty,
+                    &other.mispredict_penalty,
+                    &other.predictor,
+                    &other.memory,
+                )
+            && queue(self.ifq_occupancy_max, *ifq_size, other.ifq_size)
+            && queue(self.rb_occupancy_max, *rb_size, other.rb_size)
+            && queue(self.lsq_occupancy_max, *lsq_size, other.lsq_size)
+    }
+
     /// Committed instructions per simulated cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -537,6 +591,43 @@ mod tests {
             a.merge(&b).with_minor_cycle_cost(11),
             a.with_minor_cycle_cost(11).merge(&b.with_minor_cycle_cost(11))
         );
+    }
+
+    #[test]
+    fn covers_needs_the_same_machine_and_unfilled_queues() {
+        let ran = EngineConfig {
+            rb_size: 64,
+            ..EngineConfig::paper_4wide()
+        };
+        let stats = SimStats {
+            ifq_occupancy_max: 16,
+            rb_occupancy_max: 40,
+            lsq_occupancy_max: 8,
+            ..SimStats::default()
+        };
+        let with = |f: fn(&mut EngineConfig)| {
+            let mut c = ran.clone();
+            f(&mut c);
+            c
+        };
+        assert!(stats.covers(&ran, &ran));
+        assert!(stats.covers(&ran, &with(|c| c.rb_size = 41)));
+        assert!(stats.covers(&ran, &with(|c| c.rb_size = 256)));
+        assert!(stats.covers(
+            &ran,
+            &with(|c| c.pipeline = crate::PipelineOrganization::SimpleSerial.description())
+        ));
+        // At its maximum the RB would have filled; the IFQ and LSQ did.
+        assert!(!stats.covers(&ran, &with(|c| c.rb_size = 40)));
+        assert!(!stats.covers(&ran, &with(|c| c.ifq_size = 17)));
+        assert!(!stats.covers(&ran, &with(|c| c.lsq_size = 9)));
+        // Any other field is a different machine.
+        assert!(!stats.covers(&ran, &with(|c| c.width = 2)));
+        assert!(!stats.covers(&ran, &with(|c| c.misfetch_penalty = 4)));
+        assert!(!stats.covers(
+            &ran,
+            &with(|c| c.memory = resim_mem::MemorySystemConfig::l1_32k())
+        ));
     }
 
     #[test]

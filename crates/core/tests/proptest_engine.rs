@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use resim_core::{Engine, EngineConfig, FuConfig, PipelineDescription, PipelineOrganization};
 use resim_tracegen::{generate_trace, TraceGenConfig};
-use resim_workloads::{Workload, WorkloadProfile};
+use resim_workloads::{SpecBenchmark, Workload, WorkloadProfile};
 
 /// A randomised but always-valid workload profile.
 fn arb_profile() -> impl Strategy<Value = WorkloadProfile> {
@@ -152,6 +152,91 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// A queue that never filled is invisible: the run is the same at
+    /// any size above the queue's largest occupancy. For every queue of
+    /// a SPEC run whose maximum stayed below its size, a run at
+    /// `max + 1` and one at a random larger size (at least the width)
+    /// under another organization equal the first run re-costed, in
+    /// every field, and [`SimStats::covers`] says so. It says no to a
+    /// saturated queue asked one entry larger, and to a machine that
+    /// differs anywhere but the organization and the queue sizes. This
+    /// is the rule that lets a sweep serve several queue sizes from one
+    /// run; these runs go through the engine directly, so that sharing
+    /// cannot hide a divergence.
+    ///
+    /// [`SimStats::covers`]: resim_core::SimStats::covers
+    #[test]
+    fn unsaturated_queues_are_invisible(
+        bench in 0usize..SpecBenchmark::ALL.len(),
+        seed in 0u64..1000,
+        budget in 2_000usize..=20_000,
+        cached in 0u8..2,
+        organization in 0usize..3,
+        ifq in prop_oneof![Just(4usize), Just(8), Just(32), Just(64)],
+        rb in prop_oneof![Just(8usize), Just(16), Just(128), Just(256)],
+        lsq in prop_oneof![Just(4usize), Just(8), Just(64), Just(128)],
+        larger in 0usize..200,
+    ) {
+        let organizations = PipelineOrganization::ALL;
+        let workload = Workload::spec(SpecBenchmark::ALL[bench], seed);
+        let trace = generate_trace(workload, budget, &TraceGenConfig::paper());
+        let ran = EngineConfig {
+            ifq_size: ifq,
+            rb_size: rb,
+            lsq_size: lsq,
+            memory: if cached == 1 {
+                resim_mem::MemorySystemConfig::l1_32k()
+            } else {
+                resim_mem::MemorySystemConfig::perfect()
+            },
+            pipeline: organizations[organization].description(),
+            ..EngineConfig::paper_4wide()
+        };
+        let stats = Engine::new(ran.clone()).unwrap().run(trace.source());
+        let width = ran.width;
+        let other_pipeline = organizations[(organization + 1) % 3].description();
+
+        type Size = fn(&EngineConfig) -> usize;
+        type Resize = fn(&mut EngineConfig, usize);
+        let queues: [(&str, Size, Resize, u64); 3] = [
+            ("ifq", |c| c.ifq_size, |c, n| c.ifq_size = n, stats.ifq_occupancy_max),
+            ("rb", |c| c.rb_size, |c, n| c.rb_size = n, stats.rb_occupancy_max),
+            ("lsq", |c| c.lsq_size, |c, n| c.lsq_size = n, stats.lsq_occupancy_max),
+        ];
+        for (name, size, set, max) in queues {
+            let resized = |n: usize, pipeline: &PipelineDescription| {
+                let mut c = EngineConfig { pipeline: pipeline.clone(), ..ran.clone() };
+                set(&mut c, n);
+                c
+            };
+            if max < size(&ran) as u64 {
+                let max = max as usize;
+                // The IFQ and RB must hold at least one fetch group.
+                let floor = if name == "lsq" { 1 } else { width };
+                for n in [(max + 1).max(floor), (max + 2 + larger).max(floor)] {
+                    let other = resized(n, &other_pipeline);
+                    let rerun = Engine::new(other.clone()).unwrap().run(trace.source());
+                    prop_assert_eq!(
+                        rerun,
+                        stats.with_minor_cycle_cost(other.minor_cycles_per_major()),
+                        "{} {} -> {} (max {}) changed the run", name, size(&ran), n, max
+                    );
+                    prop_assert!(stats.covers(&ran, &other), "{} {} -> {}", name, size(&ran), n);
+                }
+            } else {
+                prop_assert_eq!(max, size(&ran) as u64, "{} overflowed", name);
+                let other = resized(size(&ran) + 1, &ran.pipeline);
+                prop_assert!(!stats.covers(&ran, &other), "saturated {} covered", name);
+            }
+        }
+        let other_machine = EngineConfig {
+            mispredict_penalty: ran.mispredict_penalty + 1,
+            ..ran.clone()
+        };
+        prop_assert!(!stats.covers(&ran, &other_machine));
+        prop_assert!(stats.covers(&ran, &ran));
     }
 
     /// Determinism: identical inputs produce identical statistics.
