@@ -33,7 +33,11 @@ fn main() {
         "each (workload, seed) trace is generated once and shared by both configs"
     );
     for cell in &report.cells {
-        assert_eq!(cell.stats.committed, 20_000, "{}: short commit", cell.config);
+        assert_eq!(
+            cell.stats.committed, 20_000,
+            "{}: short commit",
+            cell.config
+        );
         assert!(
             cell.stats.ipc() > 0.0 && cell.stats.ipc() <= 4.0,
             "{}/{}: IPC {} out of range",

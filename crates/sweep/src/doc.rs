@@ -416,10 +416,16 @@ mod tests {
 
     #[test]
     fn unknown_sections_and_keys_are_rejected() {
-        assert!(ScenarioDoc::parse_str("[motor]\nx = 1").unwrap_err().to_string().contains("motor"));
+        assert!(ScenarioDoc::parse_str("[motor]\nx = 1")
+            .unwrap_err()
+            .to_string()
+            .contains("motor"));
         let err = ScenarioDoc::parse_str("[workload]\nname = \"gzip\"\nseeds = 3").unwrap_err();
         assert_eq!(err.line(), 3);
-        assert!(ScenarioDoc::parse_str("[workload]\nname = \"mcf\"").unwrap_err().to_string().contains("mcf"));
+        assert!(ScenarioDoc::parse_str("[workload]\nname = \"mcf\"")
+            .unwrap_err()
+            .to_string()
+            .contains("mcf"));
         assert!(ScenarioDoc::parse_str("[workload]\nbudget = 0").is_err());
     }
 
@@ -451,7 +457,11 @@ mod tests {
         assert!(doc.sweep_scenario().is_err());
         // No sweep at all is its own message.
         let doc = ScenarioDoc::parse_str("").unwrap();
-        assert!(doc.sweep_scenario().unwrap_err().to_string().contains("[sweep]"));
+        assert!(doc
+            .sweep_scenario()
+            .unwrap_err()
+            .to_string()
+            .contains("[sweep]"));
     }
 
     #[test]
@@ -524,17 +534,18 @@ pipeline = "improved"
 
     #[test]
     fn broken_pipeline_section_is_a_line_diagnostic() {
-        let err = ScenarioDoc::parse_str(
-            "[pipeline]\nname = \"bad\"\npipelined = true\n",
-        )
-        .unwrap_err();
+        let err =
+            ScenarioDoc::parse_str("[pipeline]\nname = \"bad\"\npipelined = true\n").unwrap_err();
         assert!(err.to_string().contains("stage"), "{err}");
     }
 
     #[test]
     fn workload_budget_is_bounded() {
         let at = format!("[workload]\nname = \"gzip\"\nbudget = {MAX_BUDGET}");
-        assert_eq!(ScenarioDoc::parse_str(&at).unwrap().workload.budget, MAX_BUDGET);
+        assert_eq!(
+            ScenarioDoc::parse_str(&at).unwrap().workload.budget,
+            MAX_BUDGET
+        );
         let over = format!("[workload]\nname = \"gzip\"\nbudget = {}", MAX_BUDGET + 1);
         let err = ScenarioDoc::parse_str(&over).unwrap_err();
         assert_eq!(err.line(), 3, "{err}");
@@ -580,7 +591,10 @@ pipeline = "improved"
     fn fingerprints_are_content_addressed() {
         let base = ScenarioDoc::parse_str("").unwrap().fingerprint().unwrap();
         // Stable across parses.
-        assert_eq!(ScenarioDoc::parse_str("").unwrap().fingerprint().unwrap(), base);
+        assert_eq!(
+            ScenarioDoc::parse_str("").unwrap().fingerprint().unwrap(),
+            base
+        );
         // Every identity input moves the fingerprint…
         for (label, text) in [
             ("engine", "[engine]\nrb_size = 32"),

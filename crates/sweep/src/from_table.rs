@@ -26,7 +26,10 @@ impl WorkloadPoint {
     /// ```
     pub fn named(name: &str) -> Option<Self> {
         if name == "generic" {
-            return Some(WorkloadPoint::profile("generic", WorkloadProfile::generic()));
+            return Some(WorkloadPoint::profile(
+                "generic",
+                WorkloadProfile::generic(),
+            ));
         }
         SpecBenchmark::by_name(name).map(WorkloadPoint::spec)
     }
@@ -161,10 +164,7 @@ impl Scenario {
     /// # Errors
     ///
     /// As [`Scenario::from_table`].
-    pub fn from_table_with(
-        t: &Table,
-        custom: Option<&PipelineDescription>,
-    ) -> Result<Self, Error> {
+    pub fn from_table_with(t: &Table, custom: Option<&PipelineDescription>) -> Result<Self, Error> {
         t.ensure_only(SWEEP_KEYS)?;
         let mut scenario = Scenario::new();
 
@@ -191,7 +191,9 @@ impl Scenario {
             let (points, notes) = grid
                 .try_build_with_notes()
                 .map_err(|(name, e)| g.error(format!("grid point {name:?}: {e}")))?;
-            scenario = scenario.config_grid(points, tracegen).with_grid_notes(notes);
+            scenario = scenario
+                .config_grid(points, tracegen)
+                .with_grid_notes(notes);
         }
         if scenario.configs().is_empty() {
             return Err(t.error(
@@ -238,9 +240,9 @@ impl Scenario {
                         scenario.mode(CellMode::Sampled(SamplePlan::from_table(sub)?))
                     }
                     other => {
-                        return Err(m.error(format!(
-                            "unknown mode {other:?} (expected full or sampled)"
-                        )))
+                        return Err(
+                            m.error(format!("unknown mode {other:?} (expected full or sampled)"))
+                        )
                     }
                 };
             }
@@ -403,11 +405,13 @@ name = "base"
             .unwrap_err();
         assert!(err.to_string().contains("workloads"), "{err}");
         let err = parse("[sweep]\nworkloads = [\"gzip\"]\nbudgets = [1]\nseeds = [1]").unwrap_err();
-        assert!(err.to_string().contains("at least one configuration"), "{err}");
-        let err = parse(
-            "[sweep]\nworkloads = [\"gzip\"]\nseeds = [1]\n[[sweep.config]]\nname = \"a\"",
-        )
-        .unwrap_err();
+        assert!(
+            err.to_string().contains("at least one configuration"),
+            "{err}"
+        );
+        let err =
+            parse("[sweep]\nworkloads = [\"gzip\"]\nseeds = [1]\n[[sweep.config]]\nname = \"a\"")
+                .unwrap_err();
         assert!(err.to_string().contains("budgets"), "{err}");
     }
 
@@ -505,7 +509,8 @@ pipelines = ["improved", "skewed"]
         let sweep = doc.opt_table("sweep").unwrap().unwrap();
         let s = Scenario::from_table_with(sweep, Some(&custom)).unwrap();
         assert_eq!(
-            s.configs()[0].engine.pipeline, custom,
+            s.configs()[0].engine.pipeline,
+            custom,
             "a config entry without [engine] inherits the scenario pipeline"
         );
         assert_eq!(s.configs()[2].name, "skewed");
@@ -530,7 +535,11 @@ mem_read_ports = 1
         .unwrap();
         assert_eq!(s.configs().len(), 2);
         assert_eq!(s.grid_notes().len(), 1, "{:?}", s.grid_notes());
-        assert!(s.grid_notes()[0].contains("unsatisfiable"), "{:?}", s.grid_notes());
+        assert!(
+            s.grid_notes()[0].contains("unsatisfiable"),
+            "{:?}",
+            s.grid_notes()
+        );
     }
 
     #[test]

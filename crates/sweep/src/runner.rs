@@ -257,15 +257,18 @@ impl SweepRunner {
         emit(SweepPhase::Generate, 0, n_keys, phase_t0);
         self.for_indices(streams.len(), |g| {
             let first = &cells[streams[g][0]];
-            let keys: Vec<TraceKey> =
-                streams[g].iter().map(|&p| scenario.trace_key(&cells[p])).collect();
+            let keys: Vec<TraceKey> = streams[g]
+                .iter()
+                .map(|&p| scenario.trace_key(&cells[p]))
+                .collect();
             let mut from = keys.iter().find_map(|k| self.cache.get(k));
             for key in keys {
                 let filled = match &from {
                     Some(from) => self.cache.get_or_generate(key, || from.correct_path()),
                     None => {
                         let point = &scenario.workloads()[first.workload];
-                        self.cache.get_or_generate(key, || point.instantiate(first.seed))
+                        self.cache
+                            .get_or_generate(key, || point.instantiate(first.seed))
                     }
                 };
                 from.get_or_insert(filled);
@@ -392,7 +395,11 @@ mod tests {
 
     fn small_grid() -> Scenario {
         Scenario::new()
-            .config("4wide", EngineConfig::paper_4wide(), TraceGenConfig::paper())
+            .config(
+                "4wide",
+                EngineConfig::paper_4wide(),
+                TraceGenConfig::paper(),
+            )
             .config(
                 "rb32",
                 EngineConfig {
@@ -425,8 +432,14 @@ mod tests {
         let first = runner.run(&small_grid()).unwrap();
         let second = runner.run(&small_grid()).unwrap();
         assert_eq!(first.trace_cache_misses, 1);
-        assert_eq!(second.trace_cache_misses, 0, "second sweep generates nothing");
-        assert!(second.trace_cache_hits >= 1, "second sweep reuses the trace");
+        assert_eq!(
+            second.trace_cache_misses, 0,
+            "second sweep generates nothing"
+        );
+        assert!(
+            second.trace_cache_hits >= 1,
+            "second sweep reuses the trace"
+        );
     }
 
     #[test]
@@ -467,14 +480,23 @@ mod tests {
         assert_eq!(sim.last().unwrap().done, 2);
         assert_eq!(sim.last().unwrap().total, 2);
         assert_eq!(sim.last().unwrap().cache_misses, 1);
-        assert!(sim.last().unwrap().eta.is_none(), "no eta once the phase is done");
+        assert!(
+            sim.last().unwrap().eta.is_none(),
+            "no eta once the phase is done"
+        );
         assert_eq!(sim[1].done, 1);
-        assert!(sim[1].eta.is_some(), "mid-phase samples estimate the remainder");
+        assert!(
+            sim[1].eta.is_some(),
+            "mid-phase samples estimate the remainder"
+        );
         assert_eq!(SweepPhase::Generate.label(), "tracegen");
         assert_eq!(SweepPhase::Simulate.label(), "simulate");
         // Reporting must not change results.
         assert_eq!(report.cells.len(), 2);
         let plain = SweepRunner::new(1).run(&small_grid()).unwrap();
-        assert_eq!(report.cells[0].stats.digest(), plain.cells[0].stats.digest());
+        assert_eq!(
+            report.cells[0].stats.digest(),
+            plain.cells[0].stats.digest()
+        );
     }
 }

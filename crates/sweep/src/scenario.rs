@@ -286,7 +286,9 @@ impl Scenario {
                 .iter()
                 .any(|c| c.name == self.configs[window].name)
             {
-                return Err(ScenarioError::DuplicateName(self.configs[window].name.clone()));
+                return Err(ScenarioError::DuplicateName(
+                    self.configs[window].name.clone(),
+                ));
             }
         }
         for window in 0..self.workloads.len() {
@@ -411,7 +413,13 @@ impl Scenario {
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut group_of = HashMap::new();
         for (position, c) in cells.iter().enumerate() {
-            let key = (representative[c.config], c.workload, c.seed, c.budget, c.mode);
+            let key = (
+                representative[c.config],
+                c.workload,
+                c.seed,
+                c.budget,
+                c.mode,
+            );
             let group = *group_of.entry(key).or_insert_with(|| {
                 groups.push(Vec::new());
                 groups.len() - 1
@@ -546,7 +554,11 @@ mod tests {
     fn two_by_two() -> Scenario {
         Scenario::new()
             .config("a", EngineConfig::paper_4wide(), TraceGenConfig::paper())
-            .config("b", EngineConfig::paper_2wide_cached(), TraceGenConfig::perfect())
+            .config(
+                "b",
+                EngineConfig::paper_2wide_cached(),
+                TraceGenConfig::perfect(),
+            )
             .workload(WorkloadPoint::spec(SpecBenchmark::Gzip))
             .workload(WorkloadPoint::spec(SpecBenchmark::Vpr))
             .budgets([1_000])
@@ -559,9 +571,18 @@ mod tests {
         assert_eq!(s.len(), 8);
         let cells = s.cells();
         assert_eq!(cells.len(), 8);
-        assert_eq!((cells[0].config, cells[0].workload, cells[0].seed), (0, 0, 1));
-        assert_eq!((cells[1].config, cells[1].workload, cells[1].seed), (1, 0, 1));
-        assert_eq!((cells[2].config, cells[2].workload, cells[2].seed), (0, 1, 1));
+        assert_eq!(
+            (cells[0].config, cells[0].workload, cells[0].seed),
+            (0, 0, 1)
+        );
+        assert_eq!(
+            (cells[1].config, cells[1].workload, cells[1].seed),
+            (1, 0, 1)
+        );
+        assert_eq!(
+            (cells[2].config, cells[2].workload, cells[2].seed),
+            (0, 1, 1)
+        );
         assert_eq!(cells[7].seed, 2);
         for (i, c) in cells.iter().enumerate() {
             assert_eq!(c.index, i);
@@ -591,7 +612,11 @@ mod tests {
     fn stream_groups_hold_one_cell_per_trace_key() {
         // Configs a and c share a trace; b tags with another predictor.
         let s = two_by_two()
-            .config("c", EngineConfig::paper_2wide_cached(), TraceGenConfig::paper())
+            .config(
+                "c",
+                EngineConfig::paper_2wide_cached(),
+                TraceGenConfig::paper(),
+            )
             .budgets([1_000, 2_000]);
         let cells = s.cells();
         let groups = s.stream_groups(&cells);
@@ -610,14 +635,20 @@ mod tests {
         let all: HashSet<_> = cells.iter().map(|c| s.trace_key(c)).collect();
         assert_eq!(keys, all, "every key is in some group");
         let firsts: Vec<usize> = groups.iter().map(|g| g[0]).collect();
-        assert!(firsts.windows(2).all(|w| w[0] < w[1]), "groups in first-cell order");
+        assert!(
+            firsts.windows(2).all(|w| w[0] < w[1]),
+            "groups in first-cell order"
+        );
     }
 
     #[test]
     fn validation_catches_problems() {
         assert_eq!(Scenario::new().validate(), Err(ScenarioError::EmptyAxis));
         let dup = two_by_two().config("a", EngineConfig::paper_4wide(), TraceGenConfig::paper());
-        assert!(matches!(dup.validate(), Err(ScenarioError::DuplicateName(_))));
+        assert!(matches!(
+            dup.validate(),
+            Err(ScenarioError::DuplicateName(_))
+        ));
         let zero = two_by_two().budgets([0]);
         assert_eq!(zero.validate(), Err(ScenarioError::ZeroBudget));
         let bad = two_by_two().config(

@@ -4,7 +4,7 @@
 
 use resim_bpred::{DirectionConfig, PredictorConfig};
 use resim_core::{Engine, EngineConfig, PipelineOrganization, SimStats};
-use resim_sample::{run_sampled, SampledStats, SamplePlan};
+use resim_sample::{run_sampled, SamplePlan, SampledStats};
 use resim_sweep::{
     Cell, CellMode, Scenario, ScenarioDoc, SweepPhase, SweepReport, SweepRunner, WorkloadPoint,
 };
@@ -18,7 +18,11 @@ const BUDGET: usize = 10_000;
 /// An 8-cell grid: 2 configs × 2 workloads × 1 budget × 2 seeds.
 fn eight_cell_scenario() -> Scenario {
     Scenario::new()
-        .config("4wide", EngineConfig::paper_4wide(), TraceGenConfig::paper())
+        .config(
+            "4wide",
+            EngineConfig::paper_4wide(),
+            TraceGenConfig::paper(),
+        )
         .config(
             "rb32",
             EngineConfig {
@@ -97,7 +101,10 @@ fn shared_cache_does_not_perturb_results() {
     let cold = runner.run(&scenario).expect("valid");
     let warm = runner.run(&scenario).expect("valid");
     assert_eq!(cold.all_stats(), warm.all_stats());
-    assert_eq!(cold.trace_cache_misses, 4, "4 unique (workload, seed) traces");
+    assert_eq!(
+        cold.trace_cache_misses, 4,
+        "4 unique (workload, seed) traces"
+    );
     assert_eq!(warm.trace_cache_misses, 0, "warm sweep generates nothing");
 }
 
@@ -108,9 +115,9 @@ fn shared_cache_does_not_perturb_results() {
 fn sampled_sweeps_are_thread_count_invariant() {
     let scenario = eight_cell_scenario()
         .mode(CellMode::Full)
-        .mode(CellMode::Sampled(
-            resim_sample::SamplePlan::systematic(2_000, 500, 2),
-        ));
+        .mode(CellMode::Sampled(resim_sample::SamplePlan::systematic(
+            2_000, 500, 2,
+        )));
     let reference = SweepRunner::new(1).run(&scenario).expect("valid");
     assert_eq!(reference.cells.len(), 16, "mode axis doubles the grid");
 
@@ -142,7 +149,10 @@ fn sampled_sweeps_are_thread_count_invariant() {
                     && c.seed == full.seed
             })
             .expect("every full cell has a sampled twin");
-        let s = sampled.sampled.as_ref().expect("sampled cell carries windows");
+        let s = sampled
+            .sampled
+            .as_ref()
+            .expect("sampled cell carries windows");
         assert!(
             s.relative_error(full.stats.ipc()) < 0.15,
             "sampled {} vs full {} ({} / {} / seed {})",
@@ -185,7 +195,10 @@ fn subset_runs_match_the_full_run_cell_for_cell() {
     let report = runner
         .run_subset(&scenario, &[0, 1], |_| {})
         .expect("valid subset");
-    assert_eq!(report.trace_cache_misses, 1, "cells 0 and 1 share one trace");
+    assert_eq!(
+        report.trace_cache_misses, 1,
+        "cells 0 and 1 share one trace"
+    );
 
     // An index outside the grid is a typed error, not a panic.
     let err = SweepRunner::new(1)
@@ -207,7 +220,11 @@ fn cell_fingerprints_key_on_content_not_names() {
     // Renaming a config does not move the fingerprint; changing the
     // engine does.
     let renamed = Scenario::new()
-        .config("other-name", EngineConfig::paper_4wide(), TraceGenConfig::paper())
+        .config(
+            "other-name",
+            EngineConfig::paper_4wide(),
+            TraceGenConfig::paper(),
+        )
         .workload(WorkloadPoint::spec(SpecBenchmark::Gzip))
         .budgets([BUDGET])
         .seeds([2009]);
@@ -272,9 +289,16 @@ fn assert_matches_direct(scenario: &Scenario, cells: &[Cell], report: &SweepRepo
         let (stats, sampled) = direct_run(scenario, cell);
         let name = &scenario.configs()[cell.config].name;
         assert_eq!(result.config, *name);
-        assert_eq!(result.stats, stats, "{what}: {name} ({}) diverged", result.mode);
+        assert_eq!(
+            result.stats, stats,
+            "{what}: {name} ({}) diverged",
+            result.mode
+        );
         assert_eq!(result.stats.digest(), stats.digest());
-        assert_eq!(result.sampled, sampled, "{what}: {name} window data diverged");
+        assert_eq!(
+            result.sampled, sampled,
+            "{what}: {name} window data diverged"
+        );
     }
 }
 
@@ -293,7 +317,10 @@ fn pipeline_sharing_is_invisible() {
         assert_matches_direct(&scenario, &cells, &report, &format!("{threads} threads"));
         // The organizations really do differ in engine cost.
         let minor: HashSet<u64> = report.cells.iter().map(|c| c.stats.minor_cycles).collect();
-        assert!(minor.len() > 6, "re-costing must give each organization its own charge");
+        assert!(
+            minor.len() > 6,
+            "re-costing must give each organization its own charge"
+        );
     }
 
     // A subset holding only a non-representative cell: improved-rb16,
@@ -336,9 +363,21 @@ fn shared_cells_each_report_progress() {
 #[test]
 fn configs_with_different_tracegen_do_not_share() {
     let scenario = Scenario::new()
-        .config("paper", EngineConfig::paper_4wide(), TraceGenConfig::paper())
-        .config("perfect", EngineConfig::paper_4wide(), TraceGenConfig::perfect())
-        .config("paper-again", EngineConfig::paper_4wide(), TraceGenConfig::paper())
+        .config(
+            "paper",
+            EngineConfig::paper_4wide(),
+            TraceGenConfig::paper(),
+        )
+        .config(
+            "perfect",
+            EngineConfig::paper_4wide(),
+            TraceGenConfig::perfect(),
+        )
+        .config(
+            "paper-again",
+            EngineConfig::paper_4wide(),
+            TraceGenConfig::paper(),
+        )
         .workload(WorkloadPoint::spec(SpecBenchmark::Gzip))
         .budgets([3_000])
         .seeds([2009]);
@@ -375,7 +414,11 @@ fn grid_deep_shape_maps_24_cells_to_8_runs() {
             .map(|&p| &scenario.configs()[cells[p].config].engine)
             .collect();
         let pipelines: HashSet<&str> = engines.iter().map(|e| e.pipeline.name()).collect();
-        assert_eq!(pipelines.len(), 3, "one run per RB size serves all three organizations");
+        assert_eq!(
+            pipelines.len(),
+            3,
+            "one run per RB size serves all three organizations"
+        );
         assert!(engines.iter().all(|e| e.rb_size == engines[0].rb_size));
     }
 }
