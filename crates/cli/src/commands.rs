@@ -458,6 +458,12 @@ pub(crate) fn sweep(
     };
 
     s.push_str(&report.to_markdown());
+    let _ = writeln!(
+        s,
+        "engine runs {} for {} cells",
+        runner.engine_runs(),
+        report.cells.len()
+    );
     if let Some(path) = csv {
         fs::write(path, report.to_csv()).map_err(|e| format!("cannot write {path:?}: {e}"))?;
         let _ = writeln!(s, "wrote {path}");

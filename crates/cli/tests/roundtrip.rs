@@ -145,6 +145,56 @@ fn toml_sweep_matches_programmatic_sweep_byte_for_byte() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `resim sweep` reports how many engine runs served its cells. On a
+/// `grid-deep`-shaped grid at `-j 1` that is exactly the count a brute
+/// force gives: every config simulated directly, then in descending RB
+/// order each config runs unless an earlier run covers it.
+#[test]
+fn sweep_reports_engine_runs() {
+    let dir = scratch("engine-runs");
+    let scenario_path = dir.join("s.toml");
+    let text = r#"
+[sweep]
+workloads = ["gzip"]
+budgets = [10000]
+seeds = [2009]
+
+[sweep.grid]
+rb_sizes = [8, 12, 16, 24, 32, 48, 64, 96]
+pipelines = ["simple", "optimized", "improved"]
+"#;
+    fs::write(&scenario_path, text).unwrap();
+    let s = scenario_path.to_str().unwrap();
+    let (code, out, err) = run_for_test(&["sweep", "-s", s, "-j", "1"]);
+    assert_eq!(code, 0, "stderr: {err}");
+
+    let scenario = ScenarioDoc::parse_str(text)
+        .unwrap()
+        .sweep_scenario()
+        .unwrap();
+    let cell = scenario.cells()[0];
+    let trace = resim_tracegen::generate_trace(
+        scenario.workloads()[0].instantiate(cell.seed),
+        cell.budget,
+        &scenario.configs()[0].tracegen,
+    );
+    let mut configs: Vec<&EngineConfig> =
+        scenario.configs().iter().map(|c| &c.engine).collect();
+    configs.sort_by_key(|e| std::cmp::Reverse(e.rb_size));
+    let mut runs: Vec<(&EngineConfig, resim_core::SimStats)> = Vec::new();
+    for config in configs {
+        let stats = Engine::new(config.clone()).unwrap().run(trace.source());
+        if !runs.iter().any(|(ran, s)| s.covers(ran, config)) {
+            runs.push((config, stats));
+        }
+    }
+    assert!(runs.len() < 8, "the largest RBs never fill: {} runs", runs.len());
+    let line = format!("engine runs {} for 24 cells", runs.len());
+    assert!(out.contains(&line), "expected {line:?} in:\n{out}");
+
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn sweep_replays_preloaded_trace_files() {
     let dir = scratch("preload");

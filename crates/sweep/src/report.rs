@@ -29,9 +29,10 @@ pub struct CellResult {
     pub trace_stats: TraceStats,
     /// Wall-clock time spent producing this cell (informational only —
     /// never part of any determinism contract): the engine run for the
-    /// cell that ran its timing group, near zero for a cell derived from
-    /// that run by re-costing, so summed cell walls never exceed the
-    /// simulate phase.
+    /// cell that ran it, near zero for a cell derived from a run by
+    /// re-costing — another organization of its timing point, or a
+    /// timing point of its queue family served by a larger run — so
+    /// summed cell walls never exceed the simulate phase.
     pub wall: Duration,
 }
 

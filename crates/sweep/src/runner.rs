@@ -41,17 +41,38 @@
 //! cell runs the engine, and every cell of the group gets that run's
 //! statistics charged at its own organization's minor-cycle cost
 //! ([`SimStats::with_minor_cycle_cost`](resim_core::SimStats::with_minor_cycle_cost)).
-//! A `grid-deep`-shaped sweep of 8 RB sizes × 3 organizations runs 8
-//! engines, not 24. Sharing is always on and changes no statistic:
-//! the determinism tests compare every shared cell with its own direct
-//! engine run.
+//! A `grid-deep`-shaped sweep of 8 RB sizes × 3 organizations has 8
+//! timing points, not 24.
+//!
+//! Timing points that differ only in their queue sizes form a *queue
+//! family* ([`Scenario::queue_families`]), and one engine run often
+//! serves several of them. A queue size matters to the engine only at
+//! the full check before a push, so a queue that never filled in a run
+//! — its largest occupancy stayed below its size — would not fill at
+//! any other size above that occupancy either, and the run is the run
+//! of that size too, bit for bit
+//! ([`SimStats::covers`](resim_core::SimStats::covers)). Phase 2 walks
+//! the timing points family by family, each family's members in
+//! descending `(rb, lsq, ifq)` order. Before a point runs its engine,
+//! it checks its family's finished runs; if one covers it, its cells
+//! take that run's statistics (and sampled windows) and nothing runs.
+//! On the paper's 4-wide machine the 8-entry LSQ binds before a large
+//! RB does: the RB-96 run of `grid-deep` never holds more than about 45
+//! entries, so it also serves RB 64 and RB 48, and the sweep makes 6
+//! engine runs. No worker waits for another: with several threads a
+//! point whose cover is still running simply runs, so
+//! [`SweepRunner::engine_runs`] can be higher than on one thread while
+//! every statistic stays the same. Sharing is always on and changes no
+//! statistic: the determinism tests compare every shared cell with its
+//! own direct engine run.
 
 use crate::report::{CellResult, SweepReport};
-use crate::scenario::{CellMode, Scenario, ScenarioError};
-use resim_core::Engine;
+use crate::scenario::{Cell, CellMode, Scenario, ScenarioError};
+use resim_core::{Engine, EngineConfig, SimStats};
 use resim_sample::{run_sampled, SampledStats};
+use resim_trace::Trace;
 use resim_tracegen::{TraceCache, TraceKey};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -123,6 +144,15 @@ pub struct SweepProgress {
 pub struct SweepRunner {
     threads: usize,
     cache: Arc<TraceCache>,
+    engine_runs: AtomicU64,
+}
+
+/// A finished engine run of phase 2, kept so that later members of its
+/// queue family can take it instead of running.
+struct EngineRun<'a> {
+    config: &'a EngineConfig,
+    stats: SimStats,
+    sampled: Option<SampledStats>,
 }
 
 impl SweepRunner {
@@ -140,7 +170,11 @@ impl SweepRunner {
         } else {
             threads
         };
-        Self { threads, cache }
+        Self {
+            threads,
+            cache,
+            engine_runs: AtomicU64::new(0),
+        }
     }
 
     /// Worker-thread count this runner uses.
@@ -151,6 +185,16 @@ impl SweepRunner {
     /// The shared trace cache.
     pub fn cache(&self) -> &Arc<TraceCache> {
         &self.cache
+    }
+
+    /// Engine runs — full or sampled — this runner has made, summed over
+    /// every sweep since it was created. A cell served by another cell's
+    /// run adds nothing, so a sweep adds at most its number of timing
+    /// points. On one thread every point that a finished run covers
+    /// takes it; with more threads a point whose cover is still running
+    /// runs itself, so the count can be higher (see the module docs).
+    pub fn engine_runs(&self) -> u64 {
+        self.engine_runs.load(Ordering::Relaxed)
     }
 
     /// Runs every cell of `scenario` and collects the report.
@@ -228,7 +272,7 @@ impl SweepRunner {
     fn run_cells(
         &self,
         scenario: &Scenario,
-        cells: Vec<crate::scenario::Cell>,
+        cells: Vec<Cell>,
         progress: impl Fn(&SweepProgress) + Sync,
     ) -> Result<SweepReport, ScenarioError> {
         let t0 = Instant::now();
@@ -278,14 +322,25 @@ impl SweepRunner {
         });
 
         // Phase 2: one engine run per timing group, against its shared
-        // trace; every cell of the group is that run re-costed with its
-        // own pipeline's minor-cycle charge.
+        // trace, unless a finished run of its queue family covers it;
+        // every cell of the group is that run re-costed with its own
+        // pipeline's minor-cycle charge. Families go one after another,
+        // each with its largest queues first (see the module docs).
         let groups = scenario.timing_groups(&cells);
+        let families = scenario.queue_families(&cells, &groups);
+        let order: Vec<(usize, usize)> = families
+            .iter()
+            .enumerate()
+            .flat_map(|(f, family)| family.iter().map(move |&g| (f, g)))
+            .collect();
+        let finished: Vec<Mutex<Vec<EngineRun>>> =
+            families.iter().map(|_| Mutex::new(Vec::new())).collect();
         let phase_t0 = Instant::now();
         let done = AtomicUsize::new(0);
         emit(SweepPhase::Simulate, 0, cells.len(), phase_t0);
         let slots: Mutex<Vec<Option<CellResult>>> = Mutex::new(vec![None; cells.len()]);
-        self.for_indices(groups.len(), |g| {
+        self.for_indices(order.len(), |i| {
+            let (family, g) = order[i];
             let group = &groups[g];
             let cell = &cells[group[0]];
             let cached = self
@@ -293,21 +348,8 @@ impl SweepRunner {
                 .get(&scenario.trace_key(cell))
                 .expect("phase 1 filled every key");
             let mode = scenario.cell_mode(cell);
-            let run_t0 = Instant::now();
-            let run_config = &scenario.configs()[cell.config].engine;
-            let (stats, sampled) = match &mode {
-                CellMode::Full => {
-                    let mut engine =
-                        Engine::new(run_config.clone()).expect("scenario validated every config");
-                    (engine.run(cached.trace.source()), None)
-                }
-                CellMode::Sampled(plan) => {
-                    let s = run_sampled(run_config, cached.trace.source(), plan)
-                        .expect("scenario validated every plan and config");
-                    (s.sim, Some(s))
-                }
-            };
-            let mut wall = run_t0.elapsed();
+            let (stats, sampled, mut wall) =
+                self.run_or_share(scenario, cell, &cached.trace, &finished[family]);
             for &position in group {
                 let cell_t0 = Instant::now();
                 let cell = &cells[position];
@@ -349,6 +391,53 @@ impl SweepRunner {
             trace_cache_hits: self.cache.hits() - hits0,
             trace_cache_misses: self.cache.misses() - misses0,
         })
+    }
+
+    /// The statistics of the timing point whose first cell is `cell`,
+    /// and the time spent running its engine: a finished run of its
+    /// queue family that covers it (no time), or else a new run over
+    /// `trace`, which joins `finished` for the family's later points.
+    fn run_or_share<'a>(
+        &self,
+        scenario: &'a Scenario,
+        cell: &Cell,
+        trace: &Trace,
+        finished: &Mutex<Vec<EngineRun<'a>>>,
+    ) -> (SimStats, Option<SampledStats>, Duration) {
+        let config = &scenario.configs()[cell.config].engine;
+        let covering = finished
+            .lock()
+            .expect("finished runs poisoned")
+            .iter()
+            .find(|run| run.stats.covers(run.config, config))
+            .map(|run| (run.stats, run.sampled.clone()));
+        if let Some((stats, sampled)) = covering {
+            return (stats, sampled, Duration::ZERO);
+        }
+        let run_t0 = Instant::now();
+        let (stats, sampled) = match scenario.cell_mode(cell) {
+            CellMode::Full => {
+                let mut engine =
+                    Engine::new(config.clone()).expect("scenario validated every config");
+                (engine.run(trace.source()), None)
+            }
+            CellMode::Sampled(plan) => {
+                let s = run_sampled(config, trace.source(), &plan)
+                    .expect("scenario validated every plan and config");
+                (s.sim, Some(s))
+            }
+        };
+        let wall = run_t0.elapsed();
+        self.engine_runs.fetch_add(1, Ordering::Relaxed);
+        finished
+            .lock()
+            .expect("finished runs poisoned")
+            .push(EngineRun {
+                config,
+                stats,
+                sampled: sampled.clone(),
+            });
+        (stats, sampled, wall)
     }
 
     /// Runs `work(i)` for every `i in 0..n` across the worker pool.

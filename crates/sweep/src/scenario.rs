@@ -5,9 +5,11 @@ use resim_core::{ConfigError, EngineConfig, PipelineDescription};
 use resim_sample::{PlanError, SamplePlan};
 use resim_tracegen::{TraceGenConfig, TraceKey};
 use resim_workloads::{SpecBenchmark, Workload, WorkloadProfile};
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::hash::Hash;
 
 /// How one grid cell executes its trace — the accuracy-versus-wall-clock
 /// axis of a scenario.
@@ -396,37 +398,75 @@ impl Scenario {
     /// copies whose pipeline is normalized, never by fingerprint.
     pub fn timing_groups(&self, cells: &[Cell]) -> Vec<Vec<usize>> {
         let normal = PipelineDescription::optimized();
-        let timing: Vec<(EngineConfig, TraceGenConfig)> = self
+        let class = self.config_classes(|engine| EngineConfig {
+            pipeline: normal.clone(),
+            ..engine.clone()
+        });
+        group_by_key(
+            cells
+                .iter()
+                .map(|c| (class[c.config], c.workload, c.seed, c.budget, c.mode)),
+        )
+    }
+
+    /// Groups the [`Scenario::timing_groups`] of `cells` into queue
+    /// families: each inner vector holds indices into `groups` whose
+    /// runs differ at most in the three queue sizes. Members are in
+    /// descending `(rb_size, lsq_size, ifq_size)` order of the
+    /// configuration each group runs; families appear in the order of
+    /// their first group.
+    ///
+    /// Two groups are in one family when their first cells have the same
+    /// workload, seed, budget and mode, their configs have the same
+    /// trace-generation configuration, and their engine configurations
+    /// are equal in every field except `pipeline`, `ifq_size`, `rb_size`
+    /// and `lsq_size`. A queue that never filled in one member's run is
+    /// invisible at any size above its largest occupancy
+    /// ([`SimStats::covers`](resim_core::SimStats::covers)), so the
+    /// runner runs the largest queues first and serves smaller members
+    /// from those runs where the rule allows. Configs are compared as in
+    /// [`Scenario::timing_groups`].
+    pub fn queue_families(&self, cells: &[Cell], groups: &[Vec<usize>]) -> Vec<Vec<usize>> {
+        let normal = PipelineDescription::optimized();
+        let class = self.config_classes(|engine| EngineConfig {
+            pipeline: normal.clone(),
+            ifq_size: 0,
+            rb_size: 0,
+            lsq_size: 0,
+            ..engine.clone()
+        });
+        let first = |g: &Vec<usize>| &cells[g[0]];
+        let mut families = group_by_key(
+            groups
+                .iter()
+                .map(first)
+                .map(|c| (class[c.config], c.workload, c.seed, c.budget, c.mode)),
+        );
+        for family in &mut families {
+            family.sort_by_key(|&g| {
+                let e = &self.configs[first(&groups[g]).config].engine;
+                Reverse((e.rb_size, e.lsq_size, e.ifq_size))
+            });
+        }
+        families
+    }
+
+    /// For every config, the index of the first config whose engine
+    /// configuration after `normalize`, and whose trace-generation
+    /// configuration, are `==` to its own.
+    fn config_classes(&self, normalize: impl Fn(&EngineConfig) -> EngineConfig) -> Vec<usize> {
+        let normalized: Vec<(EngineConfig, TraceGenConfig)> = self
             .configs
             .iter()
-            .map(|c| {
-                let engine = EngineConfig {
-                    pipeline: normal.clone(),
-                    ..c.engine.clone()
-                };
-                (engine, c.tracegen)
+            .map(|c| (normalize(&c.engine), c.tracegen))
+            .collect();
+        (0..normalized.len())
+            .map(|i| {
+                (0..i)
+                    .find(|&j| normalized[j] == normalized[i])
+                    .unwrap_or(i)
             })
-            .collect();
-        let representative: Vec<usize> = (0..timing.len())
-            .map(|i| (0..i).find(|&j| timing[j] == timing[i]).unwrap_or(i))
-            .collect();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut group_of = HashMap::new();
-        for (position, c) in cells.iter().enumerate() {
-            let key = (
-                representative[c.config],
-                c.workload,
-                c.seed,
-                c.budget,
-                c.mode,
-            );
-            let group = *group_of.entry(key).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[group].push(position);
-        }
-        groups
+            .collect()
     }
 
     /// Groups the distinct trace keys of `cells` by the stream they tag:
@@ -467,6 +507,21 @@ impl Scenario {
             config: self.configs[cell.config].tracegen,
         }
     }
+}
+
+/// Positions `0..` of `keys` grouped by equal key, groups in the order
+/// of their first member.
+fn group_by_key<K: Hash + Eq>(keys: impl Iterator<Item = K>) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of = HashMap::new();
+    for (position, key) in keys.enumerate() {
+        let group = *group_of.entry(key).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[group].push(position);
+    }
+    groups
 }
 
 /// One point of the sweep grid.

@@ -10,6 +10,7 @@ use resim_sweep::{
 };
 use resim_tracegen::{generate_trace, TraceGenConfig};
 use resim_workloads::SpecBenchmark;
+use std::cmp::Reverse;
 use std::collections::HashSet;
 use std::sync::Mutex;
 
@@ -388,15 +389,135 @@ fn configs_with_different_tracegen_do_not_share() {
     assert_ne!(report.cells[0].stats, report.cells[1].stats);
 }
 
+/// The engine runs a one-thread sweep of `scenario` must make, found by
+/// brute force: every timing point simulated directly, then the
+/// covering rule applied in descending `(rb, lsq, ifq)` order, where a
+/// point runs unless an earlier run over the same trace and mode covers
+/// it.
+fn reference_engine_runs(scenario: &Scenario) -> u64 {
+    let cells = scenario.cells();
+    let config = |c: &Cell| &scenario.configs()[c.config];
+    let mut points: Vec<(Cell, SimStats)> = scenario
+        .timing_groups(&cells)
+        .iter()
+        .map(|g| (cells[g[0]], direct_run(scenario, &cells[g[0]]).0))
+        .collect();
+    points.sort_by_key(|(c, _)| {
+        let e = &config(c).engine;
+        Reverse((e.rb_size, e.lsq_size, e.ifq_size))
+    });
+    let mut runs: Vec<(Cell, SimStats)> = Vec::new();
+    for (cell, stats) in points {
+        let covered = runs.iter().any(|(ran, ran_stats)| {
+            scenario.trace_key(ran) == scenario.trace_key(&cell)
+                && ran.mode == cell.mode
+                && ran_stats.covers(&config(ran).engine, &config(&cell).engine)
+        });
+        if !covered {
+            runs.push((cell, stats));
+        }
+    }
+    runs.len() as u64
+}
+
+/// Runs `scenario` at 1 and 3 threads: every cell must equal its direct
+/// run, the one-thread engine-run count must equal
+/// [`reference_engine_runs`], and the three-thread count must lie
+/// between that and the number of timing points. Returns the reference.
+fn assert_queue_sharing_is_invisible(scenario: &Scenario, what: &str) -> u64 {
+    let cells = scenario.cells();
+    let points = scenario.timing_groups(&cells).len() as u64;
+    let reference = reference_engine_runs(scenario);
+    for threads in [1usize, 3] {
+        let runner = SweepRunner::new(threads);
+        let report = runner.run(scenario).expect("valid");
+        let what = format!("{what}, {threads} threads");
+        assert_matches_direct(scenario, &cells, &report, &what);
+        let runs = runner.engine_runs();
+        if threads == 1 {
+            assert_eq!(runs, reference, "{what}: engine runs");
+        } else {
+            assert!(
+                (reference..=points).contains(&runs),
+                "{what}: {runs} engine runs, reference {reference}, {points} timing points"
+            );
+        }
+    }
+    reference
+}
+
+/// Serving a queue size from a run that never filled that queue is
+/// invisible: over RB {8..96} × LSQ {8, 32} × two organizations, full
+/// and sampled, every cell equals a direct run of its own
+/// configuration, and on one thread the sweep makes exactly the engine
+/// runs the covering rule allows.
+#[test]
+fn queue_sharing_is_invisible() {
+    let mut scenario = Scenario::new();
+    for rb_size in [8usize, 16, 32, 48, 64, 96] {
+        for lsq_size in [8usize, 32] {
+            for org in [
+                PipelineOrganization::SimpleSerial,
+                PipelineOrganization::OptimizedSerial,
+            ] {
+                scenario = scenario.config(
+                    format!("rb{rb_size}-lsq{lsq_size}-{org}"),
+                    EngineConfig {
+                        rb_size,
+                        lsq_size,
+                        pipeline: org.description(),
+                        ..EngineConfig::paper_4wide()
+                    },
+                    TraceGenConfig::paper(),
+                );
+            }
+        }
+    }
+    let scenario = scenario
+        .workload(WorkloadPoint::spec(SpecBenchmark::Gzip))
+        .workload(WorkloadPoint::spec(SpecBenchmark::Parser))
+        .budgets([6_000])
+        .seeds([2009])
+        .mode(CellMode::Full)
+        .mode(CellMode::Sampled(SamplePlan::systematic(2_000, 500, 2)));
+    let cells = scenario.cells();
+    assert_eq!(cells.len(), 96);
+    let groups = scenario.timing_groups(&cells);
+    assert_eq!(groups.len(), 48);
+    let families = scenario.queue_families(&cells, &groups);
+    assert_eq!(families.len(), 4, "2 workloads x 2 modes");
+    for family in &families {
+        let sizes: Vec<(usize, usize)> = family
+            .iter()
+            .map(|&g| {
+                let e = &scenario.configs()[cells[groups[g][0]].config].engine;
+                (e.rb_size, e.lsq_size)
+            })
+            .collect();
+        assert_eq!(sizes.len(), 12);
+        assert!(
+            sizes.windows(2).all(|w| w[0] > w[1]),
+            "largest queues first: {sizes:?}"
+        );
+    }
+    let reference = assert_queue_sharing_is_invisible(&scenario, "queues");
+    assert!(
+        reference < 48,
+        "some timing point must be served by a larger one ({reference} runs)"
+    );
+}
+
 /// The `grid-deep` shape — one trace, 8 RB sizes × 3 organizations,
-/// built through the scenario-file path — needs 8 engine runs, and each
-/// run serves exactly the three organizations of one RB size.
+/// built through the scenario-file path — has 8 timing points, each
+/// serving exactly the three organizations of one RB size, and the
+/// large RBs that never fill serve the smaller sizes above their
+/// occupancy, so fewer than 8 engines run.
 #[test]
 fn grid_deep_shape_maps_24_cells_to_8_runs() {
     let doc = ScenarioDoc::parse_str(
         "[sweep]\n\
          workloads = [\"gzip\"]\n\
-         budgets = [1000]\n\
+         budgets = [10000]\n\
          seeds = [2009]\n\
          [sweep.grid]\n\
          rb_sizes = [8, 12, 16, 24, 32, 48, 64, 96]\n\
@@ -421,6 +542,9 @@ fn grid_deep_shape_maps_24_cells_to_8_runs() {
         );
         assert!(engines.iter().all(|e| e.rb_size == engines[0].rb_size));
     }
+    assert_eq!(scenario.queue_families(&cells, &groups).len(), 1);
+    let reference = assert_queue_sharing_is_invisible(&scenario, "grid-deep");
+    assert!(reference < 8, "{reference} engine runs");
 }
 
 /// Three trace-generation configurations that differ in predictor and
