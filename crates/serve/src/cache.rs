@@ -529,7 +529,10 @@ mod tests {
     fn csv_row_matches_the_runner_rendering() {
         let c = cell(1);
         let row = c.stable_csv_row("base");
-        assert_eq!(row, "base,gzip,full,3000,2009,1500,3000,2.0000,,,0.0000,14.25\n");
+        assert_eq!(
+            row,
+            "base,gzip,full,3000,2009,1500,3000,2.0000,,,0.0000,14.25\n"
+        );
         let s = sampled_cell(1);
         let row = s.stable_csv_row("base");
         assert!(row.contains(",1.8750,1.7500,2.0000,"), "{row}");
@@ -552,7 +555,10 @@ mod tests {
         }
         // Truncation at every prefix is an error, never a panic.
         for len in 0..good.len() {
-            assert!(CachedCell::from_bytes(&good[..len]).is_err(), "prefix {len}");
+            assert!(
+                CachedCell::from_bytes(&good[..len]).is_err(),
+                "prefix {len}"
+            );
         }
         // A checksum-repaired bad magic is still caught.
         let mut bad = good[..good.len() - 8].to_vec();

@@ -133,7 +133,10 @@ impl Client {
     ///
     /// Any [`ClientError`]; an unissued id is code `unknown-job`.
     pub fn status(&mut self, job: u64) -> Result<JsonValue, ClientError> {
-        self.roundtrip(verb("status", vec![("job", JsonValue::Int(job as i64))]), |_| {})
+        self.roundtrip(
+            verb("status", vec![("job", JsonValue::Int(job as i64))]),
+            |_| {},
+        )
     }
 
     /// `wait` — block until the job finishes; every streamed progress
@@ -147,7 +150,10 @@ impl Client {
         job: u64,
         on_event: impl FnMut(&JsonValue),
     ) -> Result<JsonValue, ClientError> {
-        self.roundtrip(verb("wait", vec![("job", JsonValue::Int(job as i64))]), on_event)
+        self.roundtrip(
+            verb("wait", vec![("job", JsonValue::Int(job as i64))]),
+            on_event,
+        )
     }
 
     /// `submit` then `wait`: the whole submission as one call,

@@ -142,15 +142,12 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
         .and_then(JsonValue::as_str)
         .ok_or_else(|| WireError::new(ErrorCode::BadRequest, "missing string key \"verb\""))?;
     let job = |what: &str| {
-        value
-            .get("job")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| {
-                WireError::new(
-                    ErrorCode::BadRequest,
-                    format!("{what} requires a non-negative integer key \"job\""),
-                )
-            })
+        value.get("job").and_then(JsonValue::as_u64).ok_or_else(|| {
+            WireError::new(
+                ErrorCode::BadRequest,
+                format!("{what} requires a non-negative integer key \"job\""),
+            )
+        })
     };
     match verb {
         "ping" => Ok(Request::Ping),
@@ -168,7 +165,9 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
                 scenario: scenario.to_string(),
             })
         }
-        "status" => Ok(Request::Status { job: job("status")? }),
+        "status" => Ok(Request::Status {
+            job: job("status")?,
+        }),
         "wait" => Ok(Request::Wait { job: job("wait")? }),
         "metrics" => Ok(Request::Metrics),
         "shutdown" => Ok(Request::Shutdown),
@@ -275,7 +274,10 @@ mod tests {
     fn verbs_parse() {
         assert_eq!(parse_request(r#"{"verb":"ping"}"#), Ok(Request::Ping));
         assert_eq!(parse_request(r#"{"verb":"metrics"}"#), Ok(Request::Metrics));
-        assert_eq!(parse_request(r#"{"verb":"shutdown"}"#), Ok(Request::Shutdown));
+        assert_eq!(
+            parse_request(r#"{"verb":"shutdown"}"#),
+            Ok(Request::Shutdown)
+        );
         assert_eq!(
             parse_request(r#"{"verb":"status","job":3}"#),
             Ok(Request::Status { job: 3 })
@@ -372,7 +374,10 @@ mod tests {
         let mut at_limit = vec![b'y'; MAX_FRAME - 1];
         at_limit.push(b'\n');
         let mut at_limit = io::Cursor::new(at_limit);
-        assert_eq!(read_frame(&mut at_limit).unwrap().unwrap().len(), MAX_FRAME - 1);
+        assert_eq!(
+            read_frame(&mut at_limit).unwrap().unwrap().len(),
+            MAX_FRAME - 1
+        );
 
         // Non-UTF-8 is a typed error.
         let mut bad = io::Cursor::new(b"\xFF\xFE\n".to_vec());
@@ -412,7 +417,10 @@ mod tests {
             "line and newline in one write"
         );
         let mut r = io::Cursor::new(w.0.concat());
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(r#"{"ok":true}"#));
+        assert_eq!(
+            read_frame(&mut r).unwrap().as_deref(),
+            Some(r#"{"ok":true}"#)
+        );
         assert_eq!(read_frame(&mut r).unwrap(), None);
     }
 }

@@ -133,10 +133,7 @@ impl Server {
         let scenario = doc.to_scenario().map_err(|e| e.to_string())?;
         let fingerprint = doc.fingerprint().map_err(|e| e.to_string())?;
         let cells = scenario.cells();
-        let fps: Vec<u64> = cells
-            .iter()
-            .map(|c| scenario.cell_fingerprint(c))
-            .collect();
+        let fps: Vec<u64> = cells.iter().map(|c| scenario.cell_fingerprint(c)).collect();
 
         let mut resolved: Vec<Option<CachedCell>> = vec![None; cells.len()];
         let mut misses: Vec<usize> = Vec::new();
@@ -327,14 +324,8 @@ impl Server {
                     writer,
                     &ok_response(vec![
                         ("schema", JsonValue::Str(SERVE_SCHEMA.to_string())),
-                        (
-                            "counters",
-                            object(counters),
-                        ),
-                        (
-                            "cached_cells",
-                            JsonValue::Int(self.cache.len() as i64),
-                        ),
+                        ("counters", object(counters)),
+                        ("cached_cells", JsonValue::Int(self.cache.len() as i64)),
                     ]),
                 )
             }
@@ -364,7 +355,10 @@ fn status_response(s: &JobStatus) -> String {
         fields.push(("total", JsonValue::Int(s.total as i64)));
     }
     if let Some(o) = &s.outcome {
-        fields.push(("fingerprint", JsonValue::Str(fingerprint_hex(o.fingerprint))));
+        fields.push((
+            "fingerprint",
+            JsonValue::Str(fingerprint_hex(o.fingerprint)),
+        ));
         fields.push(("cells", JsonValue::Int(o.cells as i64)));
         fields.push(("simulated", JsonValue::Int(o.simulated as i64)));
         fields.push(("served_mem", JsonValue::Int(o.served_mem as i64)));
@@ -437,7 +431,10 @@ mod tests {
         let literal: Result<(), String> = catch_job_panic(|| panic!("static message"));
         assert_eq!(literal.unwrap_err(), "job panicked: static message");
         let opaque: Result<(), String> = catch_job_panic(|| std::panic::panic_any(7u32));
-        assert_eq!(opaque.unwrap_err(), "job panicked: non-string panic payload");
+        assert_eq!(
+            opaque.unwrap_err(),
+            "job panicked: non-string panic payload"
+        );
     }
 
     #[test]

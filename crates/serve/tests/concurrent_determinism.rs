@@ -34,15 +34,14 @@ rb_sizes = [16, 32]
 "#;
 
 fn field(v: &JsonValue, key: &str) -> u64 {
-    v.get(key).and_then(JsonValue::as_u64).unwrap_or_else(|| {
-        panic!("terminal status lacks {key:?}: {}", v.render())
-    })
+    v.get(key)
+        .and_then(JsonValue::as_u64)
+        .unwrap_or_else(|| panic!("terminal status lacks {key:?}: {}", v.render()))
 }
 
 #[test]
 fn n_concurrent_identical_submissions_simulate_each_cell_exactly_once() {
-    let server =
-        Arc::new(Server::bind("127.0.0.1:0", ResultCache::in_memory(), 2).expect("bind"));
+    let server = Arc::new(Server::bind("127.0.0.1:0", ResultCache::in_memory(), 2).expect("bind"));
     let addr = server.local_addr().to_string();
     let run = {
         let server = server.clone();
@@ -71,7 +70,10 @@ fn n_concurrent_identical_submissions_simulate_each_cell_exactly_once() {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
     });
 
     let mut total_simulated = 0;
@@ -114,6 +116,9 @@ fn n_concurrent_identical_submissions_simulate_each_cell_exactly_once() {
     );
     assert_eq!(server.counter(Counter::ServeJobsCompleted), CLIENTS as u64);
 
-    Client::connect(&addr).expect("connect").shutdown().expect("shutdown");
+    Client::connect(&addr)
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
     run.join().expect("server thread");
 }

@@ -19,8 +19,7 @@ use std::thread;
 /// Binds a fresh in-memory server and returns it with its address and
 /// the thread running its accept loop.
 fn start_server() -> (Arc<Server>, String, thread::JoinHandle<()>) {
-    let server =
-        Arc::new(Server::bind("127.0.0.1:0", ResultCache::in_memory(), 1).expect("bind"));
+    let server = Arc::new(Server::bind("127.0.0.1:0", ResultCache::in_memory(), 1).expect("bind"));
     let addr = server.local_addr().to_string();
     let handle = {
         let server = server.clone();
@@ -99,12 +98,17 @@ fn every_truncation_gets_a_structured_answer() {
         let case = format!("unterminated cut at {len}");
         let mut stream = TcpStream::connect(&addr).expect("connect");
         stream.write_all(&good[..len]).expect("write");
-        stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
         let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read until close");
-        let line = response.lines().next().unwrap_or_else(|| {
-            panic!("{case}: connection closed without a response")
-        });
+        stream
+            .read_to_string(&mut response)
+            .expect("read until close");
+        let line = response
+            .lines()
+            .next()
+            .unwrap_or_else(|| panic!("{case}: connection closed without a response"));
         assert_response_shape(&case, line);
     }
     stop_server(&addr, handle);
@@ -118,14 +122,26 @@ fn protocol_abuse_is_typed_and_never_wedges_the_server() {
         ("non-object json", b"[1,2,3]\n", "bad-request"),
         ("bare scalar", b"42\n", "bad-request"),
         ("missing verb", b"{\"job\":1}\n", "bad-request"),
-        ("submit without scenario", b"{\"verb\":\"submit\"}\n", "bad-request"),
+        (
+            "submit without scenario",
+            b"{\"verb\":\"submit\"}\n",
+            "bad-request",
+        ),
         (
             "submit with non-string scenario",
             b"{\"verb\":\"submit\",\"scenario\":7}\n",
             "bad-request",
         ),
-        ("status without job", b"{\"verb\":\"status\"}\n", "bad-request"),
-        ("wait with string job", b"{\"verb\":\"wait\",\"job\":\"x\"}\n", "bad-request"),
+        (
+            "status without job",
+            b"{\"verb\":\"status\"}\n",
+            "bad-request",
+        ),
+        (
+            "wait with string job",
+            b"{\"verb\":\"wait\",\"job\":\"x\"}\n",
+            "bad-request",
+        ),
         ("empty frame", b"\n", "bad-json"),
         ("binary garbage", b"\x00\xfe\x01RSCE\x9c\n", "bad-json"),
         (
@@ -138,7 +154,11 @@ fn protocol_abuse_is_typed_and_never_wedges_the_server() {
             b"{\"verb\":\"submit\",\"scenario\":\"[engine]\\npreset = \\\"no-such\\\"\"}\n",
             "bad-scenario",
         ),
-        ("status for a job never issued", b"{\"verb\":\"status\",\"job\":999}\n", "unknown-job"),
+        (
+            "status for a job never issued",
+            b"{\"verb\":\"status\",\"job\":999}\n",
+            "unknown-job",
+        ),
     ];
     for (case, bytes, code) in cases {
         let mut client = Client::connect(&addr).expect("connect");
@@ -149,7 +169,9 @@ fn protocol_abuse_is_typed_and_never_wedges_the_server() {
             "{case}: expected code {code:?}, got {line:?}"
         );
         // The *same connection* keeps working after a typed error.
-        let line = client.raw(b"{\"verb\":\"ping\"}\n").expect("ping after error");
+        let line = client
+            .raw(b"{\"verb\":\"ping\"}\n")
+            .expect("ping after error");
         assert!(
             line.contains("\"ok\":true"),
             "{case}: connection wedged after the error: {line:?}"
@@ -226,8 +248,14 @@ fn oversized_sizes_and_removed_keys_are_bad_scenarios_and_the_next_job_completes
     let removed = sweep.replace("[sweep]\n", "[sweep]\nstats = \"lite\"\n");
     let cases = [
         (oversized, "exceeds the maximum"),
-        (penalty, "mispredict_penalty of 1000000 cycles exceeds the maximum of 16384"),
-        (miss, "l1d.miss_penalty of 4294967295 cycles exceeds the maximum"),
+        (
+            penalty,
+            "mispredict_penalty of 1000000 cycles exceeds the maximum of 16384",
+        ),
+        (
+            miss,
+            "l1d.miss_penalty of 4294967295 cycles exceeds the maximum",
+        ),
         (removed, "unknown key \"stats\""),
     ];
     for (bad, expected) in &cases {

@@ -37,9 +37,9 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn field(v: &JsonValue, key: &str) -> u64 {
-    v.get(key).and_then(JsonValue::as_u64).unwrap_or_else(|| {
-        panic!("terminal status lacks {key:?}: {}", v.render())
-    })
+    v.get(key)
+        .and_then(JsonValue::as_u64)
+        .unwrap_or_else(|| panic!("terminal status lacks {key:?}: {}", v.render()))
 }
 
 fn csv_of(v: &JsonValue) -> String {
@@ -69,7 +69,10 @@ fn one_lifetime(dir: &Path) -> (JsonValue, [u64; 3]) {
         server.counter(Counter::ServeCellsDiskHits),
         server.counter(Counter::ServeCacheRejected),
     ];
-    Client::connect(&addr).expect("connect").shutdown().expect("shutdown");
+    Client::connect(&addr)
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
     run.join().expect("server thread");
     (status, counters)
 }
@@ -129,7 +132,11 @@ fn tampered_and_truncated_entries_are_rejected_and_resimulated() {
     // Lifetime 3: both damaged entries must be rejected, re-simulated
     // honestly, and the answer still bit-identical.
     let (third, [simulated, _disk, rejected]) = one_lifetime(&dir);
-    assert_eq!(csv_of(&third), csv_of(&first), "corruption leaked into the stats");
+    assert_eq!(
+        csv_of(&third),
+        csv_of(&first),
+        "corruption leaked into the stats"
+    );
     assert_eq!(rejected, 2, "both damaged entries are rejected");
     assert_eq!(simulated, 2, "both damaged cells re-simulate");
     assert_eq!(field(&third, "rejected"), 2);

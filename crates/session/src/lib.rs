@@ -327,8 +327,8 @@ impl SessionRecord {
     /// [`SessionRecord::read_from`] rejects.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, SessionFileError> {
         let path = path.as_ref();
-        let bytes = fs::read(path)
-            .map_err(|e| SessionFileError::new(path, SessionError::Io(e.kind())))?;
+        let bytes =
+            fs::read(path).map_err(|e| SessionFileError::new(path, SessionError::Io(e.kind())))?;
         Self::from_bytes(&bytes).map_err(|e| SessionFileError::new(path, e))
     }
 
@@ -418,7 +418,10 @@ impl fmt::Display for SessionError {
             SessionError::Io(kind) => write!(f, "I/O error: {kind}"),
             SessionError::Truncated => write!(f, "session record ends mid-field (truncated file?)"),
             SessionError::BadMagic(m) => {
-                write!(f, "not a session record (magic {m:02x?}, expected \"RSSN\")")
+                write!(
+                    f,
+                    "not a session record (magic {m:02x?}, expected \"RSSN\")"
+                )
             }
             SessionError::UnsupportedVersion {
                 found,
@@ -569,7 +572,9 @@ mod tests {
             trace_container_version: 1,
             trace_layout_version: 2,
             cell_index: Some(7),
-            sample: Some(SamplePlan::systematic(1000, 100, 10).with_warmup(WarmupMode::Bounded(64))),
+            sample: Some(
+                SamplePlan::systematic(1000, 100, 10).with_warmup(WarmupMode::Bounded(64)),
+            ),
             scenario_toml: "[workload]\nname = \"vpr\"\nseed = 2009\nbudget = 5000\n".to_string(),
             embedded_trace: Some(vec![0x52, 0x53, 0x54, 0x52, 1, 0, 0xAA, 0xBB]),
             stats: stats_with(123_456),
@@ -656,8 +661,8 @@ mod tests {
     fn truncation_at_every_byte_errors_cleanly() {
         let bytes = full_record().to_bytes();
         for cut in 0..bytes.len() {
-            let err = SessionRecord::from_bytes(&bytes[..cut])
-                .expect_err("every prefix is incomplete");
+            let err =
+                SessionRecord::from_bytes(&bytes[..cut]).expect_err("every prefix is incomplete");
             assert!(
                 matches!(err, SessionError::Truncated | SessionError::BadMagic(_)),
                 "cut at {cut}: unexpected error {err:?}"
