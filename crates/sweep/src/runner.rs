@@ -228,7 +228,7 @@ impl SweepRunner {
         progress: impl Fn(&SweepProgress) + Sync,
     ) -> Result<SweepReport, ScenarioError> {
         scenario.validate()?;
-        self.run_cells(scenario, scenario.cells(), progress)
+        self.run_cells(scenario, scenario.cells(), &progress)
     }
 
     /// Runs only the cells at `indices` (positions in
@@ -263,17 +263,19 @@ impl SweepRunner {
             })?;
             cells.push(cell);
         }
-        self.run_cells(scenario, cells, progress)
+        self.run_cells(scenario, cells, &progress)
     }
 
     /// The shared execution core of [`SweepRunner::run_with_progress`]
     /// and [`SweepRunner::run_subset`]: generate the unique traces of
     /// `cells`, then simulate each cell, reporting in `cells` order.
+    /// The callback is a trait object so that the phases are compiled
+    /// once, not once per caller's closure type.
     fn run_cells(
         &self,
         scenario: &Scenario,
         cells: Vec<Cell>,
-        progress: impl Fn(&SweepProgress) + Sync,
+        progress: &(dyn Fn(&SweepProgress) + Sync),
     ) -> Result<SweepReport, ScenarioError> {
         let t0 = Instant::now();
         let (hits0, misses0) = (self.cache.hits(), self.cache.misses());
