@@ -849,8 +849,11 @@ pub(crate) fn replay(session_path: &str, out: &mut dyn Write) -> CmdResult {
         ScenarioDoc::parse_str(&rec.scenario_toml).map_err(|e| e.display_in(&embedded_name))?;
 
     let stats = if let Some(cell_index) = rec.cell_index {
+        // The grid of `ScenarioDoc::to_scenario`, which is the `[sweep]`
+        // grid when there is one and a single cell otherwise: the cell
+        // indices `resim-serve` stores its entries under.
         let scenario = doc
-            .sweep_scenario()
+            .to_scenario()
             .map_err(|e| e.display_in(&embedded_name))?;
         let cells = scenario.cells();
         let n = usize::try_from(cell_index)

@@ -66,7 +66,10 @@ impl State {
 
 #[derive(Debug)]
 struct JobEntry {
+    /// The parsed submission and its text, until the executor takes
+    /// them; a finished job keeps neither.
     doc: ScenarioDoc,
+    text: String,
     state: State,
     phase: Option<&'static str>,
     done: u64,
@@ -125,9 +128,9 @@ impl JobTable {
         Self::default()
     }
 
-    /// Enqueues a parsed submission; returns its job id (ids start at 1
-    /// so 0 is never a valid handle).
-    pub fn submit(&self, doc: ScenarioDoc) -> u64 {
+    /// Enqueues a parsed submission and the text it was parsed from;
+    /// returns its job id (ids start at 1 so 0 is never a valid handle).
+    pub fn submit(&self, doc: ScenarioDoc, text: String) -> u64 {
         let mut inner = self.lock();
         inner.next_id += 1;
         let id = inner.next_id;
@@ -135,6 +138,7 @@ impl JobTable {
             id,
             JobEntry {
                 doc,
+                text,
                 state: State::Queued,
                 phase: None,
                 done: 0,
@@ -147,19 +151,20 @@ impl JobTable {
         id
     }
 
-    /// Blocks until a job is queued (returning it marked running) or
-    /// the table is closed (returning `None`). The executor's loop
-    /// condition.
-    pub fn take_next(&self) -> Option<(u64, ScenarioDoc)> {
+    /// Blocks until a job is queued (returning it marked running, with
+    /// its submission and text moved out) or the table is closed
+    /// (returning `None`). The executor's loop condition.
+    pub fn take_next(&self) -> Option<(u64, ScenarioDoc, String)> {
         let mut inner = self.lock();
         loop {
             if let Some(id) = inner.queue.pop_front() {
                 let entry = inner.jobs.get_mut(&id).expect("queued ids exist");
                 entry.state = State::Running;
                 entry.version += 1;
-                let doc = entry.doc.clone();
+                let doc = std::mem::take(&mut entry.doc);
+                let text = std::mem::take(&mut entry.text);
                 self.changed.notify_all();
-                return Some((id, doc));
+                return Some((id, doc, text));
             }
             if inner.closed {
                 return None;
@@ -266,13 +271,13 @@ mod tests {
     #[test]
     fn jobs_move_through_their_states_in_submission_order() {
         let table = JobTable::new();
-        let a = table.submit(ScenarioDoc::default());
-        let b = table.submit(ScenarioDoc::default());
+        let a = table.submit(ScenarioDoc::default(), String::new());
+        let b = table.submit(ScenarioDoc::default(), String::new());
         assert_eq!((a, b), (1, 2));
         assert_eq!(table.status(a).unwrap().state, "queued");
         assert!(table.status(99).is_none());
 
-        let (first, _) = table.take_next().unwrap();
+        let (first, ..) = table.take_next().unwrap();
         assert_eq!(first, a, "FIFO");
         assert_eq!(table.status(a).unwrap().state, "running");
         table.set_progress(a, "simulate", 1, 2);
@@ -284,7 +289,7 @@ mod tests {
         assert!(s.terminal());
         assert_eq!(s.outcome.unwrap().cells, 2);
 
-        let (second, _) = table.take_next().unwrap();
+        let (second, ..) = table.take_next().unwrap();
         table.finish(second, Err("boom".to_string()));
         let s = table.status(b).unwrap();
         assert_eq!(s.state, "failed");
@@ -300,8 +305,8 @@ mod tests {
         // wait_change returns immediately with the fresh snapshot —
         // exactly the loop a `wait` handler runs.
         let table = JobTable::new();
-        let id = table.submit(ScenarioDoc::default());
-        let (got, _) = table.take_next().unwrap();
+        let id = table.submit(ScenarioDoc::default(), String::new());
+        let (got, ..) = table.take_next().unwrap();
         assert_eq!(got, id);
         let s = table.wait_change(id, 0).unwrap();
         assert_eq!(s.state, "running");
@@ -320,8 +325,8 @@ mod tests {
     #[test]
     fn wait_change_blocks_until_woken() {
         let table = std::sync::Arc::new(JobTable::new());
-        let id = table.submit(ScenarioDoc::default());
-        let (got, _) = table.take_next().unwrap();
+        let id = table.submit(ScenarioDoc::default(), String::new());
+        let (got, ..) = table.take_next().unwrap();
         assert_eq!(got, id);
         let seen = table.status(id).unwrap().version;
         let waiter = {
@@ -337,13 +342,13 @@ mod tests {
     #[test]
     fn a_poisoned_table_keeps_serving() {
         let table = std::sync::Arc::new(JobTable::new());
-        let id = table.submit(ScenarioDoc::default());
+        let id = table.submit(ScenarioDoc::default(), String::new());
         crate::poison(&table.inner);
 
-        let (got, _) = table.take_next().unwrap();
+        let (got, ..) = table.take_next().unwrap();
         assert_eq!(got, id);
         assert_eq!(table.status(id).unwrap().state, "running");
-        let second = table.submit(ScenarioDoc::default());
+        let second = table.submit(ScenarioDoc::default(), String::new());
         assert_eq!(table.status(second).unwrap().state, "queued");
         // A waiter parked on the condvar wakes through the poisoned
         // mutex too.

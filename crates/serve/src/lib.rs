@@ -32,10 +32,12 @@
 //! trace-generator fingerprints, workload name, seed, budget,
 //! execution mode — and nothing that doesn't (config display names,
 //! trace file paths). Entries live in memory and spill to one
-//! checksummed `RSCE` file each, so an identical cell submitted again
-//! is answered without simulation across requests *and* across server
-//! restarts; a tampered entry fails its checksum and is re-simulated
-//! honestly.
+//! checksummed RSSN session record each ([`resim_session`]), so an
+//! identical cell submitted again is answered without simulation
+//! across requests *and* across server restarts; a tampered entry
+//! fails its checksum and is re-simulated honestly. Because an entry
+//! is a session of its cell, `resim replay` re-executes any cached
+//! cell and diffs its statistics field by field.
 //!
 //! ## Exactly-once execution
 //!
@@ -59,7 +61,7 @@ pub mod jobs;
 pub mod protocol;
 mod server;
 
-pub use cache::{CacheEntryError, CachedCell, Lookup, ResultCache, CACHE_MAGIC, CACHE_VERSION};
+pub use cache::{CachedCell, Lookup, Rejection, ResultCache};
 pub use client::{Client, ClientError};
 pub use jobs::{JobOutcome, JobStatus, JobTable};
 pub use protocol::{ErrorCode, Request, WireError, MAX_FRAME, SERVE_SCHEMA};

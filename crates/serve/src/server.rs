@@ -117,19 +117,22 @@ impl Server {
     /// against the cache, publishes the outcome. A job that panics
     /// fails alone ([`catch_job_panic`]); the executor keeps serving.
     fn executor(&self) {
-        while let Some((id, doc)) = self.jobs.take_next() {
-            let result = catch_job_panic(|| self.run_job(id, &doc));
-            self.jobs.finish(id, result);
+        while let Some((id, doc, text)) = self.jobs.take_next() {
+            let result = catch_job_panic(|| self.run_job(id, &doc, &text));
+            // Count the job before publishing it, so a client that sees
+            // the terminal status also sees the counter.
             self.bump(Counter::ServeJobsCompleted, 1);
+            self.jobs.finish(id, result);
         }
     }
 
     /// Executes one submission: look every cell up in the result
     /// cache, simulate only the misses (through the shared runner, so
     /// results are bit-identical to a local `resim sweep`), store the
-    /// fresh cells, and assemble the deterministic CSV in scenario
-    /// order.
-    fn run_job(&self, id: u64, doc: &ScenarioDoc) -> Result<JobOutcome, String> {
+    /// fresh cells (a disk-backed cache spills each as a session of
+    /// `text`, the submission `doc` was parsed from), and assemble the
+    /// deterministic CSV in scenario order.
+    fn run_job(&self, id: u64, doc: &ScenarioDoc, text: &str) -> Result<JobOutcome, String> {
         let scenario = doc.to_scenario().map_err(|e| e.to_string())?;
         let fingerprint = doc.fingerprint().map_err(|e| e.to_string())?;
         let cells = scenario.cells();
@@ -170,10 +173,10 @@ impl Server {
                 })
                 .map_err(|e| e.to_string())?;
             for (&slot, result) in misses.iter().zip(report.cells.iter()) {
-                let cached = CachedCell::from_result(fps[slot], result);
+                let cached = CachedCell::from_result(&scenario, &cells[slot], result);
                 // Disk spill is best-effort: the in-memory insert makes
                 // the result servable either way.
-                let _ = self.cache.insert(cached.clone());
+                let _ = self.cache.insert(cached.clone(), text, slot);
                 resolved[slot] = Some(cached);
             }
             self.bump(Counter::ServeCellsSimulated, misses.len() as u64);
@@ -269,7 +272,7 @@ impl Server {
                             .to_scenario()
                             .map(|s| s.len())
                             .expect("fingerprint() already resolved the scenario");
-                        let id = self.jobs.submit(doc);
+                        let id = self.jobs.submit(doc, scenario);
                         self.bump(Counter::ServeJobsSubmitted, 1);
                         send(
                             writer,

@@ -143,7 +143,7 @@ fn protocol_abuse_is_typed_and_never_wedges_the_server() {
             "bad-request",
         ),
         ("empty frame", b"\n", "bad-json"),
-        ("binary garbage", b"\x00\xfe\x01RSCE\x9c\n", "bad-json"),
+        ("binary garbage", b"\x00\xfe\x01RSSN\x9c\n", "bad-json"),
         (
             "invalid utf-8",
             b"{\"verb\":\"ping\"\xff\xfe}\n",

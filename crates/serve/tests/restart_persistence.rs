@@ -89,9 +89,9 @@ fn restart_serves_from_disk_with_zero_resimulation() {
     let entries: Vec<_> = std::fs::read_dir(&dir)
         .expect("cache dir exists")
         .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "rsce"))
+        .filter(|p| p.extension().is_some_and(|e| e == "rssn"))
         .collect();
-    assert_eq!(entries.len() as u64, cells, "one RSCE file per cell");
+    assert_eq!(entries.len() as u64, cells, "one RSSN file per cell");
 
     // Lifetime 2: a brand-new process-equivalent on the same dir —
     // identical stats, zero re-simulation, counter-asserted.
@@ -116,7 +116,7 @@ fn tampered_and_truncated_entries_are_rejected_and_resimulated() {
     let mut entries: Vec<_> = std::fs::read_dir(&dir)
         .expect("cache dir exists")
         .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "rsce"))
+        .filter(|p| p.extension().is_some_and(|e| e == "rssn"))
         .collect();
     entries.sort();
     // Entry 0: one flipped byte in the middle (breaks the checksum).

@@ -13,7 +13,12 @@
 //! versioned little-endian file, so `resim replay` can re-execute the
 //! run months later and diff the statistics field for field.
 //!
-//! ## The RSSN container (version 1)
+//! The same record is `resim-serve`'s on-disk result-cache entry: a
+//! served cell is stored as a sweep-cell session with a *served result*
+//! section ([`ServedResult`]) holding the two numbers its CSV row needs
+//! beyond the statistics, so every cached cell replays too.
+//!
+//! ## The RSSN container (version 2)
 //!
 //! All integers little-endian; strings are UTF-8 with a length prefix.
 //!
@@ -21,7 +26,7 @@
 //! |------------------------|-----------|----------------------------------------|
 //! | magic                  | 4         | `"RSSN"`                               |
 //! | version                | u16       | [`SESSION_VERSION`]                    |
-//! | flags                  | u16       | bit 0 sampled, bit 1 embedded trace, bit 2 sweep cell |
+//! | flags                  | u16       | bit 0 sampled, bit 1 embedded trace, bit 2 sweep cell, bit 3 served result |
 //! | trace container version| u16       | wire versions in effect at record time |
 //! | trace layout version   | u16       |                                        |
 //! | engine fingerprint     | u64       | [`EngineConfig::fingerprint`] result   |
@@ -34,32 +39,42 @@
 //! | sample plan            | 4×u64 + u8 [+ u64] | only when flag bit 0 set      |
 //! | scenario TOML          | u32 + n   | the scenario file text, verbatim       |
 //! | embedded trace         | u64 + n   | only when flag bit 1 set: a whole RSTR container |
+//! | served result          | u64 + u8 [+ 3×u64] | only when flag bit 3 set: bits per instruction (f64 bits), then tag 1 and the IPC estimate's mean/lo/hi, or tag 0 |
 //! | stats words            | u16 + 42×u64 | [`SimStats::to_words`] order        |
 //! | stats digest           | u64       | [`SimStats::digest`], cross-checked on read |
+//! | record checksum        | u64       | FNV-1a over every preceding byte       |
 //!
 //! The digest makes silent corruption of the statistics impossible;
 //! the flags field makes every optional section self-describing; and
-//! unknown flag bits are an error, not a skip, so a v1 reader never
-//! mis-frames a future file.
+//! unknown flag bits are an error, not a skip, so a reader never
+//! mis-frames a future file. The checksum is checked after every field
+//! has parsed, so a damaged field reports its own error first, and any
+//! other flipped or missing byte is still an error; bytes after the
+//! checksum are an error too.
+//!
+//! Version 1 is the same layout without the served-result section (flag
+//! bit 3 is unknown there) and without the checksum. This build still
+//! reads it, so sessions recorded before version 2 replay unchanged; it
+//! writes version 2 only.
 //!
 //! [`EngineConfig::fingerprint`]: resim_core::EngineConfig::fingerprint
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use resim_core::{SimStats, SIM_STATS_FIELDS};
+use resim_core::{Fnv64, SimStats, SIM_STATS_FIELDS};
 use resim_sample::{SamplePlan, WarmupMode};
 use std::error::Error;
 use std::fmt;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// The four magic bytes opening every session record.
 pub const SESSION_MAGIC: [u8; 4] = *b"RSSN";
 
 /// Newest session-record version this build reads and writes.
-pub const SESSION_VERSION: u16 = 1;
+pub const SESSION_VERSION: u16 = 2;
 
 /// Flag bit 0: the run was sampled; a serialized plan follows.
 const FLAG_SAMPLED: u16 = 1 << 0;
@@ -67,7 +82,9 @@ const FLAG_SAMPLED: u16 = 1 << 0;
 const FLAG_EMBEDDED_TRACE: u16 = 1 << 1;
 /// Flag bit 2: the run was one sweep-grid cell; its index follows.
 const FLAG_CELL: u16 = 1 << 2;
-const KNOWN_FLAGS: u16 = FLAG_SAMPLED | FLAG_EMBEDDED_TRACE | FLAG_CELL;
+/// Flag bit 3 (version 2): a served-result section follows.
+const FLAG_SERVED: u16 = 1 << 3;
+const KNOWN_FLAGS_V1: u16 = FLAG_SAMPLED | FLAG_EMBEDDED_TRACE | FLAG_CELL;
 
 /// Everything nondeterministic about one simulation run, plus its
 /// resulting statistics.
@@ -122,8 +139,21 @@ pub struct SessionRecord {
     pub stats: SimStats,
 }
 
+/// The served-result section: what a result cache needs beyond the
+/// statistics to re-render a cell's CSV row byte for byte. Replay does
+/// not read it.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ServedResult {
+    /// Encoded-trace density of the cell's input trace, in bits per
+    /// instruction.
+    pub bits_per_instr: f64,
+    /// `(mean, ci_lo, ci_hi)` of an estimating (sampled) cell.
+    pub ipc_estimate: Option<(f64, f64, f64)>,
+}
+
 impl SessionRecord {
-    /// The flags word this record serializes with.
+    /// The flags word this record serializes with (without a served
+    /// result; [`SessionRecord::to_bytes_served`] adds bit 3).
     pub fn flags(&self) -> u16 {
         let mut f = 0;
         if self.sample.is_some() {
@@ -138,106 +168,140 @@ impl SessionRecord {
         f
     }
 
-    /// Serializes the record.
-    ///
-    /// # Errors
-    ///
-    /// Only the writer's own I/O errors.
-    pub fn write_to(&self, w: &mut dyn Write) -> io::Result<()> {
-        w.write_all(&SESSION_MAGIC)?;
-        w.write_all(&SESSION_VERSION.to_le_bytes())?;
-        w.write_all(&self.flags().to_le_bytes())?;
-        w.write_all(&self.trace_container_version.to_le_bytes())?;
-        w.write_all(&self.trace_layout_version.to_le_bytes())?;
-        w.write_all(&self.engine_fingerprint.to_le_bytes())?;
-        w.write_all(&self.tracegen_fingerprint.to_le_bytes())?;
-        w.write_all(&self.seed.to_le_bytes())?;
-        w.write_all(&self.budget.to_le_bytes())?;
-        write_str16(w, &self.workload)?;
-        write_str16(w, &self.tool_version)?;
+    /// Serializes the record, checksum included.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.to_bytes_served(None)
+    }
+
+    /// Serializes the record with an optional served-result section.
+    pub fn to_bytes_served(&self, served: Option<&ServedResult>) -> Vec<u8> {
+        let mut b = Vec::new();
+        let flags = self.flags() | if served.is_some() { FLAG_SERVED } else { 0 };
+        b.extend_from_slice(&SESSION_MAGIC);
+        b.extend_from_slice(&SESSION_VERSION.to_le_bytes());
+        b.extend_from_slice(&flags.to_le_bytes());
+        b.extend_from_slice(&self.trace_container_version.to_le_bytes());
+        b.extend_from_slice(&self.trace_layout_version.to_le_bytes());
+        for word in [
+            self.engine_fingerprint,
+            self.tracegen_fingerprint,
+            self.seed,
+            self.budget,
+        ] {
+            b.extend_from_slice(&word.to_le_bytes());
+        }
+        write_str16(&mut b, &self.workload);
+        write_str16(&mut b, &self.tool_version);
         if let Some(cell) = self.cell_index {
-            w.write_all(&cell.to_le_bytes())?;
+            b.extend_from_slice(&cell.to_le_bytes());
         }
         if let Some(plan) = &self.sample {
-            w.write_all(&plan.interval_records.to_le_bytes())?;
-            w.write_all(&plan.detailed_records.to_le_bytes())?;
-            w.write_all(&plan.period.to_le_bytes())?;
-            w.write_all(&plan.offset.to_le_bytes())?;
+            for word in [
+                plan.interval_records,
+                plan.detailed_records,
+                plan.period,
+                plan.offset,
+            ] {
+                b.extend_from_slice(&word.to_le_bytes());
+            }
             match plan.warmup {
-                WarmupMode::Functional => w.write_all(&[0u8])?,
+                WarmupMode::Functional => b.push(0),
                 WarmupMode::Bounded(n) => {
-                    w.write_all(&[1u8])?;
-                    w.write_all(&n.to_le_bytes())?;
+                    b.push(1);
+                    b.extend_from_slice(&n.to_le_bytes());
                 }
             }
         }
         let toml = self.scenario_toml.as_bytes();
-        w.write_all(&(toml.len() as u32).to_le_bytes())?;
-        w.write_all(toml)?;
+        b.extend_from_slice(&(toml.len() as u32).to_le_bytes());
+        b.extend_from_slice(toml);
         if let Some(trace) = &self.embedded_trace {
-            w.write_all(&(trace.len() as u64).to_le_bytes())?;
-            w.write_all(trace)?;
+            b.extend_from_slice(&(trace.len() as u64).to_le_bytes());
+            b.extend_from_slice(trace);
+        }
+        if let Some(served) = served {
+            b.extend_from_slice(&served.bits_per_instr.to_bits().to_le_bytes());
+            match served.ipc_estimate {
+                None => b.push(0),
+                Some((mean, lo, hi)) => {
+                    b.push(1);
+                    for f in [mean, lo, hi] {
+                        b.extend_from_slice(&f.to_bits().to_le_bytes());
+                    }
+                }
+            }
         }
         let words = self.stats.to_words();
-        w.write_all(&(words.len() as u16).to_le_bytes())?;
+        b.extend_from_slice(&(words.len() as u16).to_le_bytes());
         for word in &words {
-            w.write_all(&word.to_le_bytes())?;
+            b.extend_from_slice(&word.to_le_bytes());
         }
-        w.write_all(&self.stats.digest().to_le_bytes())?;
-        Ok(())
+        b.extend_from_slice(&self.stats.digest().to_le_bytes());
+        let checksum = Fnv64::hash_bytes(&b);
+        b.extend_from_slice(&checksum.to_le_bytes());
+        b
     }
 
-    /// Serializes to an owned byte vector.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        self.write_to(&mut bytes)
-            .expect("Vec<u8> writes are infallible");
-        bytes
+    /// Deserializes and validates a record of either version, dropping
+    /// a served-result section.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`SessionRecord::from_bytes_served`] rejects.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SessionError> {
+        Self::from_bytes_served(bytes).map(|(rec, _)| rec)
     }
 
-    /// Deserializes and validates a record: magic, version, flags,
-    /// stats arity and digest are all checked.
+    /// Deserializes and validates a record and its served-result
+    /// section, if it has one: magic, version, flags, stats arity and
+    /// digest, then (version 2) the checksum and the absence of
+    /// trailing bytes.
     ///
     /// # Errors
     ///
     /// The first [`SessionError`] found.
-    pub fn read_from(r: &mut dyn Read) -> Result<Self, SessionError> {
-        let magic: [u8; 4] = read_array(r)?;
+    pub fn from_bytes_served(bytes: &[u8]) -> Result<(Self, Option<ServedResult>), SessionError> {
+        let mut r = Reader { bytes, at: 0 };
+        let magic: [u8; 4] = r.array()?;
         if magic != SESSION_MAGIC {
             return Err(SessionError::BadMagic(magic));
         }
-        let version = read_u16(r)?;
+        let version = r.u16()?;
         if version == 0 || version > SESSION_VERSION {
             return Err(SessionError::UnsupportedVersion {
                 found: version,
                 newest_supported: SESSION_VERSION,
             });
         }
-        let flags = read_u16(r)?;
-        if flags & !KNOWN_FLAGS != 0 {
-            return Err(SessionError::UnknownFlags(flags & !KNOWN_FLAGS));
+        let known = match version {
+            1 => KNOWN_FLAGS_V1,
+            _ => KNOWN_FLAGS_V1 | FLAG_SERVED,
+        };
+        let flags = r.u16()?;
+        if flags & !known != 0 {
+            return Err(SessionError::UnknownFlags(flags & !known));
         }
-        let trace_container_version = read_u16(r)?;
-        let trace_layout_version = read_u16(r)?;
-        let engine_fingerprint = read_u64(r)?;
-        let tracegen_fingerprint = read_u64(r)?;
-        let seed = read_u64(r)?;
-        let budget = read_u64(r)?;
-        let workload = read_str16(r)?;
-        let tool_version = read_str16(r)?;
+        let trace_container_version = r.u16()?;
+        let trace_layout_version = r.u16()?;
+        let engine_fingerprint = r.u64()?;
+        let tracegen_fingerprint = r.u64()?;
+        let seed = r.u64()?;
+        let budget = r.u64()?;
+        let workload = r.str16()?;
+        let tool_version = r.str16()?;
         let cell_index = if flags & FLAG_CELL != 0 {
-            Some(read_u64(r)?)
+            Some(r.u64()?)
         } else {
             None
         };
         let sample = if flags & FLAG_SAMPLED != 0 {
-            let interval_records = read_u64(r)?;
-            let detailed_records = read_u64(r)?;
-            let period = read_u64(r)?;
-            let offset = read_u64(r)?;
-            let warmup = match read_u8(r)? {
+            let interval_records = r.u64()?;
+            let detailed_records = r.u64()?;
+            let period = r.u64()?;
+            let offset = r.u64()?;
+            let warmup = match r.array::<1>()?[0] {
                 0 => WarmupMode::Functional,
-                1 => WarmupMode::Bounded(read_u64(r)?),
+                1 => WarmupMode::Bounded(r.u64()?),
                 tag => return Err(SessionError::BadWarmupTag(tag)),
             };
             Some(SamplePlan {
@@ -250,16 +314,33 @@ impl SessionRecord {
         } else {
             None
         };
-        let toml_len = read_u32(r)? as usize;
-        let scenario_toml = read_string(r, toml_len)?;
+        let toml_len = u32::from_le_bytes(r.array()?) as usize;
+        let scenario_toml = r.string(toml_len)?;
         let embedded_trace = if flags & FLAG_EMBEDDED_TRACE != 0 {
-            let len = read_u64(r)?;
-            let len = usize::try_from(len).map_err(|_| SessionError::Truncated)?;
-            Some(read_vec(r, len)?)
+            let len = usize::try_from(r.u64()?).map_err(|_| SessionError::Truncated)?;
+            Some(r.take(len)?.to_vec())
         } else {
             None
         };
-        let n_words = read_u16(r)? as usize;
+        let served = if flags & FLAG_SERVED != 0 {
+            let bits_per_instr = f64::from_bits(r.u64()?);
+            let ipc_estimate = match r.array::<1>()?[0] {
+                0 => None,
+                1 => Some((
+                    f64::from_bits(r.u64()?),
+                    f64::from_bits(r.u64()?),
+                    f64::from_bits(r.u64()?),
+                )),
+                tag => return Err(SessionError::BadEstimateTag(tag)),
+            };
+            Some(ServedResult {
+                bits_per_instr,
+                ipc_estimate,
+            })
+        } else {
+            None
+        };
+        let n_words = r.u16()? as usize;
         if n_words != SIM_STATS_FIELDS.len() {
             return Err(SessionError::BadStatsArity {
                 found: n_words,
@@ -268,9 +349,9 @@ impl SessionRecord {
         }
         let mut words = Vec::with_capacity(n_words);
         for _ in 0..n_words {
-            words.push(read_u64(r)?);
+            words.push(r.u64()?);
         }
-        let stored_digest = read_u64(r)?;
+        let stored_digest = r.u64()?;
         let stats = SimStats::from_words(&words).expect("arity checked above");
         let computed = stats.digest();
         if computed != stored_digest {
@@ -279,7 +360,17 @@ impl SessionRecord {
                 computed,
             });
         }
-        Ok(Self {
+        if version >= 2 {
+            let computed = Fnv64::hash_bytes(&bytes[..r.at]);
+            let stored = r.u64()?;
+            if stored != computed {
+                return Err(SessionError::ChecksumMismatch { stored, computed });
+            }
+            if r.at != bytes.len() {
+                return Err(SessionError::TrailingBytes(bytes.len() - r.at));
+            }
+        }
+        let rec = Self {
             engine_fingerprint,
             tracegen_fingerprint,
             workload,
@@ -293,16 +384,8 @@ impl SessionRecord {
             scenario_toml,
             embedded_trace,
             stats,
-        })
-    }
-
-    /// Deserializes from a byte slice.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`SessionRecord::read_from`] rejects.
-    pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, SessionError> {
-        Self::read_from(&mut bytes)
+        };
+        Ok((rec, served))
     }
 
     /// Writes the record to `path`.
@@ -312,11 +395,8 @@ impl SessionRecord {
     /// A [`SessionFileError`] naming the path.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SessionFileError> {
         let path = path.as_ref();
-        let wrap = |e: io::Error| SessionFileError::new(path, SessionError::Io(e.kind()));
-        let file = fs::File::create(path).map_err(wrap)?;
-        let mut w = io::BufWriter::new(file);
-        self.write_to(&mut w).map_err(wrap)?;
-        w.flush().map_err(wrap)
+        fs::write(path, self.to_bytes())
+            .map_err(|e| SessionFileError::new(path, SessionError::Io(e.kind())))
     }
 
     /// Reads and validates the record at `path`.
@@ -324,7 +404,7 @@ impl SessionRecord {
     /// # Errors
     ///
     /// A [`SessionFileError`] naming the path, wrapping everything
-    /// [`SessionRecord::read_from`] rejects.
+    /// [`SessionRecord::from_bytes`] rejects.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, SessionFileError> {
         let path = path.as_ref();
         let bytes =
@@ -410,6 +490,19 @@ pub enum SessionError {
         /// Digest recomputed from the stored words.
         computed: u64,
     },
+    /// The served-result section's estimate tag is neither absent (0)
+    /// nor present (1).
+    BadEstimateTag(u8),
+    /// The stored checksum does not match the bytes before it
+    /// (version 2): some byte changed although every field parsed.
+    ChecksumMismatch {
+        /// Checksum the file claims.
+        stored: u64,
+        /// Checksum recomputed from the preceding bytes.
+        computed: u64,
+    },
+    /// Bytes follow the checksum (version 2).
+    TrailingBytes(usize),
 }
 
 impl fmt::Display for SessionError {
@@ -446,6 +539,16 @@ impl fmt::Display for SessionError {
                 f,
                 "stats digest mismatch: stored {stored:#018x}, computed {computed:#018x}"
             ),
+            SessionError::BadEstimateTag(tag) => {
+                write!(f, "unknown IPC-estimate tag {tag} in served result")
+            }
+            SessionError::ChecksumMismatch { stored, computed } => write!(
+                f,
+                "record checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+            ),
+            SessionError::TrailingBytes(n) => {
+                write!(f, "{n} trailing bytes after the session record")
+            }
         }
     }
 }
@@ -490,64 +593,51 @@ impl Error for SessionFileError {
     }
 }
 
-fn write_str16(w: &mut dyn Write, s: &str) -> io::Result<()> {
-    let bytes = s.as_bytes();
-    w.write_all(&(bytes.len() as u16).to_le_bytes())?;
-    w.write_all(bytes)
+fn write_str16(b: &mut Vec<u8>, s: &str) {
+    b.extend_from_slice(&(s.len() as u16).to_le_bytes());
+    b.extend_from_slice(s.as_bytes());
 }
 
-fn read_array<const N: usize>(r: &mut dyn Read) -> Result<[u8; N], SessionError> {
-    let mut buf = [0u8; N];
-    read_exact(r, &mut buf)?;
-    Ok(buf)
+/// A bounds-checked cursor over a record's bytes: a length field that
+/// points past the end is [`SessionError::Truncated`], never an
+/// allocation or a panic.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    at: usize,
 }
 
-fn read_exact(r: &mut dyn Read, buf: &mut [u8]) -> Result<(), SessionError> {
-    r.read_exact(buf).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => SessionError::Truncated,
-        kind => SessionError::Io(kind),
-    })
-}
-
-fn read_u8(r: &mut dyn Read) -> Result<u8, SessionError> {
-    Ok(read_array::<1>(r)?[0])
-}
-
-fn read_u16(r: &mut dyn Read) -> Result<u16, SessionError> {
-    Ok(u16::from_le_bytes(read_array(r)?))
-}
-
-fn read_u32(r: &mut dyn Read) -> Result<u32, SessionError> {
-    Ok(u32::from_le_bytes(read_array(r)?))
-}
-
-fn read_u64(r: &mut dyn Read) -> Result<u64, SessionError> {
-    Ok(u64::from_le_bytes(read_array(r)?))
-}
-
-fn read_vec(r: &mut dyn Read, len: usize) -> Result<Vec<u8>, SessionError> {
-    // Read through a bounded loop rather than one `with_capacity(len)`
-    // so a corrupt length field cannot trigger a huge allocation before
-    // the (truncated) stream runs dry.
-    let mut out = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let mut left = len;
-    while left > 0 {
-        let n = left.min(chunk.len());
-        read_exact(r, &mut chunk[..n])?;
-        out.extend_from_slice(&chunk[..n]);
-        left -= n;
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], SessionError> {
+        let end = self
+            .at
+            .checked_add(n)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or(SessionError::Truncated)?;
+        let slice = &self.bytes[self.at..end];
+        self.at = end;
+        Ok(slice)
     }
-    Ok(out)
-}
 
-fn read_string(r: &mut dyn Read, len: usize) -> Result<String, SessionError> {
-    String::from_utf8(read_vec(r, len)?).map_err(|_| SessionError::BadUtf8)
-}
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SessionError> {
+        Ok(self.take(N)?.try_into().expect("took N bytes"))
+    }
 
-fn read_str16(r: &mut dyn Read) -> Result<String, SessionError> {
-    let len = read_u16(r)? as usize;
-    read_string(r, len)
+    fn u16(&mut self) -> Result<u16, SessionError> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
+    fn u64(&mut self) -> Result<u64, SessionError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    fn string(&mut self, len: usize) -> Result<String, SessionError> {
+        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| SessionError::BadUtf8)
+    }
+
+    fn str16(&mut self) -> Result<String, SessionError> {
+        let len = self.u16()? as usize;
+        self.string(len)
+    }
 }
 
 #[cfg(test)]
@@ -778,9 +868,119 @@ mod tests {
                 },
                 "digest mismatch",
             ),
+            (SessionError::BadEstimateTag(4), "tag 4"),
+            (
+                SessionError::ChecksumMismatch {
+                    stored: 1,
+                    computed: 2,
+                },
+                "checksum mismatch",
+            ),
+            (SessionError::TrailingBytes(3), "3 trailing bytes"),
         ];
         for (err, needle) in cases {
             assert!(err.to_string().contains(needle), "{err}");
         }
+    }
+
+    fn served() -> ServedResult {
+        ServedResult {
+            bits_per_instr: 14.25,
+            ipc_estimate: Some((1.875, 1.75, 2.0)),
+        }
+    }
+
+    #[test]
+    fn served_results_roundtrip() {
+        let rec = full_record();
+        for s in [
+            served(),
+            ServedResult {
+                ipc_estimate: None,
+                ..served()
+            },
+        ] {
+            let bytes = rec.to_bytes_served(Some(&s));
+            assert_eq!(
+                SessionRecord::from_bytes_served(&bytes).unwrap(),
+                (rec.clone(), Some(s))
+            );
+            // Replay reads the same record and ignores the section.
+            assert_eq!(SessionRecord::from_bytes(&bytes).unwrap(), rec);
+        }
+        let plain = SessionRecord::from_bytes_served(&rec.to_bytes()).unwrap();
+        assert_eq!(plain, (rec, None));
+    }
+
+    #[test]
+    fn version_1_records_still_read() {
+        // A v1 record is a v2 record without the checksum and the
+        // served section, under version 1.
+        let rec = full_record();
+        let mut v1 = rec.to_bytes();
+        v1.truncate(v1.len() - 8);
+        v1[4] = 1;
+        assert_eq!(SessionRecord::from_bytes(&v1).unwrap(), rec);
+        // The served-result flag does not exist in version 1.
+        let mut v1 = rec.to_bytes_served(Some(&served()));
+        v1[4] = 1;
+        assert_eq!(
+            SessionRecord::from_bytes(&v1),
+            Err(SessionError::UnknownFlags(FLAG_SERVED))
+        );
+    }
+
+    #[test]
+    fn every_corruption_is_a_typed_error() {
+        // Every optional section present: sampled, embedded trace,
+        // sweep cell and served result.
+        let good = full_record().to_bytes_served(Some(&served()));
+        assert_eq!(u16::from_le_bytes([good[6], good[7]]), 0b1111);
+        for at in 0..good.len() {
+            for bit in 0..8 {
+                let mut bad = good.clone();
+                bad[at] ^= 1 << bit;
+                assert!(
+                    SessionRecord::from_bytes_served(&bad).is_err(),
+                    "flip of bit {bit} at byte {at} was accepted"
+                );
+            }
+        }
+        for len in 0..good.len() {
+            assert!(
+                SessionRecord::from_bytes_served(&good[..len]).is_err(),
+                "prefix {len}"
+            );
+        }
+        for extra in [&[0u8][..], &[0; 8], b"RSSN"] {
+            let mut long = good.clone();
+            long.extend_from_slice(extra);
+            assert_eq!(
+                SessionRecord::from_bytes_served(&long),
+                Err(SessionError::TrailingBytes(extra.len()))
+            );
+        }
+        // A checksum that no longer matches is caught even when every
+        // field still parses.
+        let mut bad = good.clone();
+        let last = bad.len() - 1;
+        bad[last] ^= 1;
+        assert!(matches!(
+            SessionRecord::from_bytes_served(&bad),
+            Err(SessionError::ChecksumMismatch { .. })
+        ));
+        // An unknown estimate tag. The served section starts where a
+        // plain record's stats arity does; its tag follows the
+        // bits-per-instruction word.
+        let rec = full_record();
+        let mut bad = rec.to_bytes_served(Some(&served()));
+        let section = rec.to_bytes().len() - 8 - 8 - 8 * SIM_STATS_FIELDS.len() - 2;
+        let tag = section + 8;
+        assert_eq!(bad[tag], 1, "located the estimate tag");
+        bad[tag] = 7;
+        assert_eq!(
+            SessionRecord::from_bytes_served(&bad),
+            Err(SessionError::BadEstimateTag(7))
+        );
     }
 }

@@ -71,5 +71,5 @@ pub use from_table::resolve_tracegen;
 pub use report::{stable_csv_header, stable_csv_row, CellResult, SweepReport};
 pub use runner::{SweepPhase, SweepProgress, SweepRunner};
 pub use scenario::{
-    Cell, CellMode, ConfigPoint, Scenario, ScenarioError, WorkloadPoint, MAX_BUDGET,
+    cell_key, Cell, CellMode, ConfigPoint, Scenario, ScenarioError, WorkloadPoint, MAX_BUDGET,
 };

@@ -35,6 +35,29 @@ impl CellMode {
     }
 }
 
+/// The content-addressed key of one cell from its parts: FNV-1a over
+/// the engine fingerprint, tracegen fingerprint, workload name, seed,
+/// budget and execution-mode name. [`Scenario::cell_fingerprint`] is
+/// this key of a grid cell; `resim-serve` recomputes it from a stored
+/// session to check that an entry holds the cell its file is named for.
+pub fn cell_key(
+    engine_fingerprint: u64,
+    tracegen_fingerprint: u64,
+    workload: &str,
+    seed: u64,
+    budget: u64,
+    mode: &CellMode,
+) -> u64 {
+    let mut h = resim_core::Fnv64::new();
+    h.write_u64(engine_fingerprint);
+    h.write_u64(tracegen_fingerprint);
+    h.write_str(workload);
+    h.write_u64(seed);
+    h.write_u64(budget);
+    h.write_str(&mode.name());
+    h.finish()
+}
+
 /// One engine design point plus the trace-generation configuration its
 /// traces must be produced with (the generator's predictor must match the
 /// engine's for the wrong-path tags to be meaningful, §V.A).
@@ -367,18 +390,20 @@ impl Scenario {
     /// everything that does not — the config's *display name*, thread
     /// counts, trace-file paths — is deliberately excluded, so two
     /// scenarios that simulate the same machine on the same input share
-    /// the key. This is what `resim-serve`'s result cache stores under.
+    /// the key. This is what `resim-serve`'s result cache stores under
+    /// ([`cell_key`] of the cell's parts).
     ///
     /// [`SimStats`]: resim_core::SimStats
     pub fn cell_fingerprint(&self, cell: &Cell) -> u64 {
-        let mut h = resim_core::Fnv64::new();
-        h.write_u64(self.configs[cell.config].engine.fingerprint());
-        h.write_u64(self.configs[cell.config].tracegen.fingerprint());
-        h.write_str(&self.workloads[cell.workload].name);
-        h.write_u64(cell.seed);
-        h.write_u64(cell.budget as u64);
-        h.write_str(&self.cell_mode(cell).name());
-        h.finish()
+        let config = &self.configs[cell.config];
+        cell_key(
+            config.engine.fingerprint(),
+            config.tracegen.fingerprint(),
+            &self.workloads[cell.workload].name,
+            cell.seed,
+            cell.budget as u64,
+            &self.cell_mode(cell),
+        )
     }
 
     /// Groups `cells` into engine runs: each inner vector holds the

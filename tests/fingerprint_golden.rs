@@ -48,8 +48,9 @@ fn corpus_scenario_fingerprints_are_pinned() {
         failures.is_empty(),
         "scenario fingerprints changed — this silently invalidates every deployed \
          resim-serve result cache (and a colliding change could serve WRONG cached \
-         results). If the change is deliberate, bump the RSCE cache version and \
-         re-pin:\n{}",
+         results). If the change is deliberate, re-pin; a deployed cache then misses \
+         once per cell and refills, because each entry's key is recomputed from its \
+         record on read:\n{}",
         failures.join("\n"),
     );
 }
