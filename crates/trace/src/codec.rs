@@ -336,7 +336,11 @@ pub(crate) fn decode_record_bits<R: Read>(
         }
         FMT_MEM => {
             let kind = reader.get(1).ok_or(DecodeError::Truncated)?;
-            let kind = if kind == 0 { MemKind::Load } else { MemKind::Store };
+            let kind = if kind == 0 {
+                MemKind::Load
+            } else {
+                MemKind::Store
+            };
             let size = reader.get(2).ok_or(DecodeError::Truncated)?;
             let size = MemSize::decode(size).ok_or(DecodeError::BadEnum("mem size"))?;
             let addr = reader.get(32).ok_or(DecodeError::Truncated)?;

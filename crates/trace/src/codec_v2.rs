@@ -49,9 +49,7 @@
 //! ([`EncodedTrace::source`]) or in a container file.
 
 use crate::bits::{BitWriter, StreamBits};
-use crate::codec::{
-    get_reg, put_reg, DecodeError, EncodedTrace, FMT_BRANCH, FMT_MEM, FMT_OTHER,
-};
+use crate::codec::{get_reg, put_reg, DecodeError, EncodedTrace, FMT_BRANCH, FMT_MEM, FMT_OTHER};
 use crate::record::{
     BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, TraceRecord,
 };
@@ -350,7 +348,11 @@ pub(crate) fn decode_record_bits_v2<R: Read>(
         }
         FMT_MEM => {
             let kind = reader.get(1).ok_or(DecodeError::Truncated)?;
-            let kind = if kind == 0 { MemKind::Load } else { MemKind::Store };
+            let kind = if kind == 0 {
+                MemKind::Load
+            } else {
+                MemKind::Store
+            };
             let size = reader.get(2).ok_or(DecodeError::Truncated)?;
             let size = MemSize::decode(size).ok_or(DecodeError::BadEnum("mem size"))?;
             let addr = get_delta_field(reader, st.prev_addr)?;
@@ -375,7 +377,9 @@ pub(crate) fn decode_record_bits_v2<R: Read>(
                     None => reader.get_bool().ok_or(DecodeError::Truncated)?,
                     Some(prev) => !prev,
                 };
-                let len = get_rle(reader)?.checked_add(1).ok_or(DecodeError::BadVarint)?;
+                let len = get_rle(reader)?
+                    .checked_add(1)
+                    .ok_or(DecodeError::BadVarint)?;
                 st.outcome = Some(dir);
                 st.outcome_left = len;
             }

@@ -162,7 +162,10 @@ impl TraceFileHeader {
         let id_len = u16::try_from(id.len()).map_err(|_| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("workload id of {} bytes exceeds the 65535-byte field", id.len()),
+                format!(
+                    "workload id of {} bytes exceeds the 65535-byte field",
+                    id.len()
+                ),
             )
         })?;
         w.write_all(&TRACE_FILE_MAGIC)?;
@@ -524,7 +527,10 @@ impl fmt::Display for FileError {
         match self {
             FileError::Io(kind) => write!(f, "trace file i/o error: {kind}"),
             FileError::BadMagic(m) => {
-                write!(f, "not a resim trace file (magic {m:02x?}, expected \"RSTR\")")
+                write!(
+                    f,
+                    "not a resim trace file (magic {m:02x?}, expected \"RSTR\")"
+                )
             }
             FileError::UnsupportedContainer {
                 found,
@@ -608,7 +614,9 @@ impl Error for TraceFileError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, Reg};
+    use crate::record::{
+        BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, Reg,
+    };
     use crate::Trace;
 
     fn sample_trace() -> Trace {
@@ -671,8 +679,8 @@ mod tests {
     fn header_roundtrip() {
         let trace = sample_trace();
         let encoded = trace.encode();
-        let header = TraceFileHeader::for_trace(&encoded, "gzip", 2009, 0xDEAD_BEEF)
-            .with_correct_records(4);
+        let header =
+            TraceFileHeader::for_trace(&encoded, "gzip", 2009, 0xDEAD_BEEF).with_correct_records(4);
         let mut buf = Vec::new();
         header.write_to(&mut buf).unwrap();
         assert_eq!(buf.len(), header.encoded_len());
@@ -706,7 +714,11 @@ mod tests {
             let mut src = FileSource::from_reader(&buf[..]).unwrap();
             assert_eq!(src.skip(n), n);
             let rest: Vec<TraceRecord> = std::iter::from_fn(|| src.next_record()).collect();
-            assert_eq!(rest, trace.records()[n as usize..], "suffix after skipping {n}");
+            assert_eq!(
+                rest,
+                trace.records()[n as usize..],
+                "suffix after skipping {n}"
+            );
             assert!(src.error().is_none());
         }
         let mut src = FileSource::from_reader(&buf[..]).unwrap();
@@ -718,7 +730,8 @@ mod tests {
         let trace = sample_trace();
         let encoded = trace.encode();
         let header = TraceFileHeader::for_trace(&encoded, "disk", 1, 2);
-        let path = std::env::temp_dir().join(format!("resim-trace-test-{}.trace", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("resim-trace-test-{}.trace", std::process::id()));
         save_trace_file(&path, &header, &encoded).unwrap();
         let mut src = FileSource::open(&path).unwrap();
         let round: Vec<TraceRecord> = std::iter::from_fn(|| src.next_record()).collect();
@@ -769,7 +782,10 @@ mod tests {
         let short = &buf[..buf.len() - 2];
         let mut src = FileSource::from_reader(short).unwrap();
         while src.next_record().is_some() {}
-        assert!(src.error().is_some(), "truncation must not look like a clean end");
+        assert!(
+            src.error().is_some(),
+            "truncation must not look like a clean end"
+        );
         assert_eq!(src.skip(1), 0, "errored source skips nothing");
     }
 
@@ -867,7 +883,11 @@ mod tests {
             let mut src = FileSource::from_reader(&buf[..]).unwrap();
             assert_eq!(src.skip(n), n);
             let rest: Vec<TraceRecord> = std::iter::from_fn(|| src.next_record()).collect();
-            assert_eq!(rest, trace.records()[n as usize..], "suffix after skipping {n}");
+            assert_eq!(
+                rest,
+                trace.records()[n as usize..],
+                "suffix after skipping {n}"
+            );
         }
     }
 
@@ -881,7 +901,10 @@ mod tests {
         let short = &buf[..buf.len() - 1];
         let mut src = FileSource::from_reader(short).unwrap();
         while src.next_record().is_some() {}
-        assert!(src.error().is_some(), "truncation must not look like a clean end");
+        assert!(
+            src.error().is_some(),
+            "truncation must not look like a clean end"
+        );
     }
 
     #[test]
@@ -889,7 +912,10 @@ mod tests {
         let path = std::env::temp_dir().join("resim-no-such-trace-file.trace");
         let err = FileSource::open(&path).unwrap_err();
         assert_eq!(err.path(), path.as_path());
-        assert!(matches!(err.error(), FileError::Io(io::ErrorKind::NotFound)));
+        assert!(matches!(
+            err.error(),
+            FileError::Io(io::ErrorKind::NotFound)
+        ));
         let msg = err.to_string();
         assert!(
             msg.contains("resim-no-such-trace-file.trace"),

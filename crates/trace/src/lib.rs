@@ -79,11 +79,11 @@ mod stats;
 
 pub use codec::{DecodeError, EncodedTrace, TraceEncoder, TRACE_LAYOUT_VERSION};
 pub use codec_v2::TRACE_LAYOUT_VERSION_V2;
-pub use fingerprint::Fnv64;
 pub use file::{
     save_trace_file, FileError, FileSource, TraceFileError, TraceFileHeader,
     SUPPORTED_LAYOUT_VERSIONS, TRACE_CONTAINER_VERSION, TRACE_FILE_MAGIC,
 };
+pub use fingerprint::Fnv64;
 pub use record::{
     BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, Reg, RegClass,
     TraceRecord,

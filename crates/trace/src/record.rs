@@ -29,7 +29,10 @@ impl Reg {
     ///
     /// Panics if `index >= 64` (names are a 6-bit trace field).
     pub fn new(index: u8) -> Self {
-        assert!(index < MAX_REGS, "register index {index} out of range 0..64");
+        assert!(
+            index < MAX_REGS,
+            "register index {index} out of range 0..64"
+        );
         Reg(index)
     }
 
@@ -92,7 +95,12 @@ pub enum OpClass {
 
 impl OpClass {
     /// All classes, in encoding order.
-    pub const ALL: [OpClass; 4] = [OpClass::IntAlu, OpClass::IntMult, OpClass::IntDiv, OpClass::Nop];
+    pub const ALL: [OpClass; 4] = [
+        OpClass::IntAlu,
+        OpClass::IntMult,
+        OpClass::IntDiv,
+        OpClass::Nop,
+    ];
 
     /// 2-bit trace encoding.
     pub(crate) fn encode(self) -> u32 {

@@ -433,7 +433,9 @@ fn long_trace() -> Trace {
         t.push(record);
         pc = match rng.below(24) {
             0 => rng.next() as u32 & !3,
-            1 => record.implied_next_pc().wrapping_add(4 * rng.below(64) as u32),
+            1 => record
+                .implied_next_pc()
+                .wrapping_add(4 * rng.below(64) as u32),
             _ => record.implied_next_pc(),
         };
     }

@@ -134,7 +134,10 @@ fn encode_matches_golden_bytes() {
     assert_eq!(enc.len_bits(), GOLDEN_BITS);
     assert_eq!(enc.len(), 9);
     let hex: String = enc.bytes().iter().map(|b| format!("{b:02x}")).collect();
-    assert_eq!(hex, GOLDEN_HEX, "wire format drifted from the golden vector");
+    assert_eq!(
+        hex, GOLDEN_HEX,
+        "wire format drifted from the golden vector"
+    );
 }
 
 /// Decodes the pinned hex through a hand-written container header, so

@@ -55,9 +55,13 @@ fn tiny_trace() -> Trace {
 fn golden_header_hex() {
     let trace = tiny_trace();
     let encoded = trace.encode();
-    assert_eq!(encoded.len_bits(), 64, "body layout drifted; fix before re-pinning");
-    let header = TraceFileHeader::for_trace(&encoded, "gzip", 2009, 0xFEED_5EED)
-        .with_correct_records(2);
+    assert_eq!(
+        encoded.len_bits(),
+        64,
+        "body layout drifted; fix before re-pinning"
+    );
+    let header =
+        TraceFileHeader::for_trace(&encoded, "gzip", 2009, 0xFEED_5EED).with_correct_records(2);
     let mut buf = Vec::new();
     header.write_to(&mut buf).unwrap();
     assert_eq!(
@@ -93,8 +97,8 @@ fn pinned_versions() {
 fn golden_container_roundtrip() {
     let trace = tiny_trace();
     let encoded = trace.encode();
-    let header = TraceFileHeader::for_trace(&encoded, "gzip", 2009, 0xFEED_5EED)
-        .with_correct_records(2);
+    let header =
+        TraceFileHeader::for_trace(&encoded, "gzip", 2009, 0xFEED_5EED).with_correct_records(2);
     let mut buf = Vec::new();
     header.write_trace(&mut buf, &encoded).unwrap();
     // Explicit-PC record: 4 + 32 + 2 + 3 = 41 bits → 48 padded (6 bytes);

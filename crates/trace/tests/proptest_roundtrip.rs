@@ -8,10 +8,7 @@ use resim_trace::{
 };
 
 fn arb_reg() -> impl Strategy<Value = Option<Reg>> {
-    prop_oneof![
-        Just(None),
-        (0u8..64).prop_map(|i| Some(Reg::new(i))),
-    ]
+    prop_oneof![Just(None), (0u8..64).prop_map(|i| Some(Reg::new(i))),]
 }
 
 fn arb_record() -> impl Strategy<Value = TraceRecord> {

@@ -14,10 +14,7 @@ use resim_trace::{
 // tests compile separately; the duplication keeps each file
 // self-contained, same as the golden vectors).
 fn arb_reg() -> impl Strategy<Value = Option<Reg>> {
-    prop_oneof![
-        Just(None),
-        (0u8..64).prop_map(|i| Some(Reg::new(i))),
-    ]
+    prop_oneof![Just(None), (0u8..64).prop_map(|i| Some(Reg::new(i))),]
 }
 
 fn arb_record() -> impl Strategy<Value = TraceRecord> {
@@ -86,8 +83,11 @@ fn arb_record() -> impl Strategy<Value = TraceRecord> {
 /// the regime the delta codec is built for (and where its grouping
 /// logic has the most state to get wrong).
 fn arb_sequential_trace() -> impl Strategy<Value = Vec<TraceRecord>> {
-    (any::<u32>(), prop::collection::vec((arb_record(), 0u8..8), 0..150)).prop_map(
-        |(start, steps)| {
+    (
+        any::<u32>(),
+        prop::collection::vec((arb_record(), 0u8..8), 0..150),
+    )
+        .prop_map(|(start, steps)| {
             let mut pc = start;
             steps
                 .into_iter()
@@ -102,8 +102,7 @@ fn arb_sequential_trace() -> impl Strategy<Value = Vec<TraceRecord>> {
                     r
                 })
                 .collect()
-        },
-    )
+        })
 }
 
 proptest! {
