@@ -246,7 +246,11 @@ fn parse_subcommand(cmd: &str, rest: &[String]) -> Result<Command, String> {
         });
     }
     let scenario = scenario.ok_or_else(|| {
-        let key = if cmd == "replay" { "session" } else { "scenario" };
+        let key = if cmd == "replay" {
+            "session"
+        } else {
+            "scenario"
+        };
         format!("`resim {cmd}` requires --{key} <FILE>")
     })?;
     Ok(match cmd {
@@ -310,7 +314,10 @@ mod tests {
     fn help_and_version() {
         assert_eq!(p(&[]), Ok(Command::Help(None)));
         assert_eq!(p(&["--help"]), Ok(Command::Help(None)));
-        assert_eq!(p(&["help", "sweep"]), Ok(Command::Help(Some("sweep".into()))));
+        assert_eq!(
+            p(&["help", "sweep"]),
+            Ok(Command::Help(Some("sweep".into())))
+        );
         assert_eq!(p(&["run", "--help"]), Ok(Command::Help(Some("run".into()))));
         assert_eq!(p(&["-V"]), Ok(Command::Version));
     }
@@ -318,8 +325,10 @@ mod tests {
     #[test]
     fn subcommands_parse() {
         assert_eq!(
-            p(&["trace", "-s", "a.toml", "-o", "t.trace", "--budget", "5000", "--seed", "7",
-                "--layout", "2"]),
+            p(&[
+                "trace", "-s", "a.toml", "-o", "t.trace", "--budget", "5000", "--seed", "7",
+                "--layout", "2"
+            ]),
             Ok(Command::Trace {
                 scenario: "a.toml".into(),
                 out: Some("t.trace".into()),
@@ -345,8 +354,19 @@ mod tests {
             })
         );
         assert_eq!(
-            p(&["sweep", "-s", "a.toml", "-j", "2", "--stable-csv", "r.csv",
-                "--trace-file", "x.trace", "--trace-file", "y.trace"]),
+            p(&[
+                "sweep",
+                "-s",
+                "a.toml",
+                "-j",
+                "2",
+                "--stable-csv",
+                "r.csv",
+                "--trace-file",
+                "x.trace",
+                "--trace-file",
+                "y.trace"
+            ]),
             Ok(Command::Sweep {
                 scenario: "a.toml".into(),
                 threads: Some(2),
@@ -371,15 +391,28 @@ mod tests {
         );
         assert_eq!(
             p(&["describe", "-s", "a.toml"]),
-            Ok(Command::Describe { scenario: "a.toml".into() })
+            Ok(Command::Describe {
+                scenario: "a.toml".into()
+            })
         );
     }
 
     #[test]
     fn profile_parses() {
         assert_eq!(
-            p(&["profile", "-s", "a.toml", "-t", "t.trace", "--metrics-out", "m.json",
-                "--events-out", "e.jsonl", "--journal", "1024"]),
+            p(&[
+                "profile",
+                "-s",
+                "a.toml",
+                "-t",
+                "t.trace",
+                "--metrics-out",
+                "m.json",
+                "--events-out",
+                "e.jsonl",
+                "--journal",
+                "1024"
+            ]),
             Ok(Command::Profile {
                 scenario: "a.toml".into(),
                 trace: Some("t.trace".into()),
@@ -432,16 +465,26 @@ mod tests {
         );
         assert_eq!(
             p(&["replay", "--session", "a.rssn"]),
-            Ok(Command::Replay { session: "a.rssn".into() })
+            Ok(Command::Replay {
+                session: "a.rssn".into()
+            })
         );
         assert_eq!(
             p(&["replay", "-s", "a.rssn"]),
-            Ok(Command::Replay { session: "a.rssn".into() })
+            Ok(Command::Replay {
+                session: "a.rssn".into()
+            })
         );
         assert!(p(&["replay"]).unwrap_err().contains("--session"));
-        assert!(p(&["replay", "--scenario", "a"]).unwrap_err().contains("unknown option"));
-        assert!(p(&["record", "-s", "a", "--cell", "x"]).unwrap_err().contains("invalid number"));
-        assert!(p(&["replay", "-s", "a", "--cell", "1"]).unwrap_err().contains("unknown option"));
+        assert!(p(&["replay", "--scenario", "a"])
+            .unwrap_err()
+            .contains("unknown option"));
+        assert!(p(&["record", "-s", "a", "--cell", "x"])
+            .unwrap_err()
+            .contains("invalid number"));
+        assert!(p(&["replay", "-s", "a", "--cell", "1"])
+            .unwrap_err()
+            .contains("unknown option"));
     }
 
     #[test]
@@ -455,7 +498,15 @@ mod tests {
             })
         );
         assert_eq!(
-            p(&["serve", "--addr", "127.0.0.1:0", "--cache-dir", "cache", "-j", "2"]),
+            p(&[
+                "serve",
+                "--addr",
+                "127.0.0.1:0",
+                "--cache-dir",
+                "cache",
+                "-j",
+                "2"
+            ]),
             Ok(Command::Serve {
                 addr: "127.0.0.1:0".into(),
                 cache_dir: Some("cache".into()),
@@ -463,8 +514,12 @@ mod tests {
             })
         );
         // Serve has no scenario: its work arrives over the wire.
-        assert!(p(&["serve", "-s", "a.toml"]).unwrap_err().contains("unknown option"));
-        assert!(p(&["serve", "--ping"]).unwrap_err().contains("unknown option"));
+        assert!(p(&["serve", "-s", "a.toml"])
+            .unwrap_err()
+            .contains("unknown option"));
+        assert!(p(&["serve", "--ping"])
+            .unwrap_err()
+            .contains("unknown option"));
     }
 
     #[test]
@@ -481,8 +536,17 @@ mod tests {
             })
         );
         assert_eq!(
-            p(&["submit", "-s", "a.toml", "--addr", "127.0.0.1:7", "--progress",
-                "--ping", "--metrics", "--shutdown"]),
+            p(&[
+                "submit",
+                "-s",
+                "a.toml",
+                "--addr",
+                "127.0.0.1:7",
+                "--progress",
+                "--ping",
+                "--metrics",
+                "--shutdown"
+            ]),
             Ok(Command::Submit {
                 scenario: Some("a.toml".into()),
                 addr: "127.0.0.1:7".into(),
@@ -506,7 +570,9 @@ mod tests {
         );
         // …but a submit with nothing to do is a usage error.
         assert!(p(&["submit"]).unwrap_err().contains("--scenario"));
-        assert!(p(&["submit", "--cache-dir", "x"]).unwrap_err().contains("unknown option"));
+        assert!(p(&["submit", "--cache-dir", "x"])
+            .unwrap_err()
+            .contains("unknown option"));
     }
 
     #[test]
@@ -514,8 +580,14 @@ mod tests {
         assert!(p(&["launch"]).unwrap_err().contains("unknown command"));
         assert!(p(&["run"]).unwrap_err().contains("--scenario"));
         assert!(p(&["run", "-s"]).unwrap_err().contains("requires a value"));
-        assert!(p(&["run", "-s", "a.toml", "--csv", "x"]).unwrap_err().contains("unknown option"));
-        assert!(p(&["trace", "-s", "a", "--budget", "many"]).unwrap_err().contains("invalid number"));
-        assert!(p(&["describe", "-s", "a", "--trace", "t"]).unwrap_err().contains("unknown option"));
+        assert!(p(&["run", "-s", "a.toml", "--csv", "x"])
+            .unwrap_err()
+            .contains("unknown option"));
+        assert!(p(&["trace", "-s", "a", "--budget", "many"])
+            .unwrap_err()
+            .contains("invalid number"));
+        assert!(p(&["describe", "-s", "a", "--trace", "t"])
+            .unwrap_err()
+            .contains("unknown option"));
     }
 }

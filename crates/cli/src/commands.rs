@@ -4,12 +4,12 @@
 //! round-trip tests drive the exact binary code paths; failures are
 //! plain strings already carrying file/line context.
 
-use resim_sweep::ScenarioDoc;
 use resim_core::{block_diagram, Engine, EngineConfig, SimStats, SIM_STATS_FIELDS};
 use resim_obs::{write_events_jsonl, Counter, MetricsDoc, MetricsRecorder, TraceDoc};
 use resim_sample::{run_sampled, SamplePlan};
 use resim_serve::{Client, ResultCache, Server};
 use resim_session::SessionRecord;
+use resim_sweep::ScenarioDoc;
 use resim_sweep::{CellMode, SweepProgress, SweepRunner, MAX_BUDGET};
 use resim_toml::json::JsonValue;
 use resim_trace::{
@@ -69,7 +69,11 @@ pub(crate) fn trace(
     let encoded = match layout.unwrap_or(TRACE_LAYOUT_VERSION) {
         resim_trace::TRACE_LAYOUT_VERSION => trace.encode(),
         resim_trace::TRACE_LAYOUT_VERSION_V2 => trace.encode_v2(),
-        other => return Err(format!("--layout {other} is not supported (supported: 1, 2)")),
+        other => {
+            return Err(format!(
+                "--layout {other} is not supported (supported: 1, 2)"
+            ))
+        }
     };
     let header = TraceFileHeader::for_trace(
         &encoded,
@@ -126,8 +130,8 @@ enum Source {
 fn resolve_source(doc: &ScenarioDoc, trace_flag: Option<&str>) -> Result<Source, String> {
     match doc.trace_path(trace_flag) {
         Some(path) => {
-            let src = FileSource::open(path)
-                .map_err(|e| format!("cannot replay trace {path:?}: {e}"))?;
+            let src =
+                FileSource::open(path).map_err(|e| format!("cannot replay trace {path:?}: {e}"))?;
             Ok(Source::File(Box::new(src), path.to_string()))
         }
         None => Ok(Source::Generated(doc.generate())),
@@ -318,8 +322,7 @@ pub(crate) fn profile(
         mdoc.populate(rec);
         mdoc.trace = trace_doc;
         if let Some(path) = metrics_out {
-            fs::write(path, mdoc.to_json())
-                .map_err(|e| format!("cannot write {path:?}: {e}"))?;
+            fs::write(path, mdoc.to_json()).map_err(|e| format!("cannot write {path:?}: {e}"))?;
             let _ = writeln!(s, "wrote {path}");
         }
         if let Some(path) = events_out {
@@ -408,7 +411,9 @@ pub(crate) fn sweep(
         .map_err(|e| e.display_in(scenario_path))?;
     let threads = match threads {
         Some(t) => t,
-        None => doc.sweep_threads().map_err(|e| e.display_in(scenario_path))?,
+        None => doc
+            .sweep_threads()
+            .map_err(|e| e.display_in(scenario_path))?,
     };
 
     let mut trace_files = doc
@@ -441,10 +446,12 @@ pub(crate) fn sweep(
         let lines: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new());
         let report = runner
             .run_with_progress(&scenario, |p: &SweepProgress| {
-                lines
-                    .lock()
-                    .expect("progress lines poisoned")
-                    .push(format!("progress: {} {}/{}", p.phase.label(), p.done, p.total));
+                lines.lock().expect("progress lines poisoned").push(format!(
+                    "progress: {} {}/{}",
+                    p.phase.label(),
+                    p.done,
+                    p.total
+                ));
             })
             .map_err(|e| format!("invalid scenario: {e}"))?;
         for line in lines.into_inner().expect("progress lines poisoned") {
@@ -474,8 +481,7 @@ pub(crate) fn sweep(
         let _ = writeln!(s, "wrote {path}");
     }
     if let Some(path) = md {
-        fs::write(path, report.to_markdown())
-            .map_err(|e| format!("cannot write {path:?}: {e}"))?;
+        fs::write(path, report.to_markdown()).map_err(|e| format!("cannot write {path:?}: {e}"))?;
         let _ = writeln!(s, "wrote {path}");
     }
     emit(out, &s)
@@ -499,7 +505,10 @@ fn preload(
     let Ok(budget) = usize::try_from(header.correct_records) else {
         return Ok(0);
     };
-    let workload_known = scenario.workloads().iter().any(|w| w.name == header.workload);
+    let workload_known = scenario
+        .workloads()
+        .iter()
+        .any(|w| w.name == header.workload);
     let axes_match = workload_known
         && scenario.seed_values().contains(&header.seed)
         && scenario.budget_values().contains(&budget);
@@ -578,15 +587,24 @@ pub(crate) fn serve(
     let mut s = String::new();
     let _ = writeln!(s, "resim-serve listening on {}", server.local_addr());
     let _ = match cache_dir {
-        Some(dir) => writeln!(s, "  cache    {dir} ({preloaded} entries in memory at start)"),
-        None => writeln!(s, "  cache    in-memory only (results do not survive a restart)"),
+        Some(dir) => writeln!(
+            s,
+            "  cache    {dir} ({preloaded} entries in memory at start)"
+        ),
+        None => writeln!(
+            s,
+            "  cache    in-memory only (results do not survive a restart)"
+        ),
     };
     emit(out, &s)?;
     // The banner must reach a supervising process (CI polls for it)
     // before run() blocks.
-    out.flush().map_err(|e| format!("cannot write output: {e}"))?;
+    out.flush()
+        .map_err(|e| format!("cannot write output: {e}"))?;
 
-    server.run().map_err(|e| format!("serve loop failed: {e}"))?;
+    server
+        .run()
+        .map_err(|e| format!("serve loop failed: {e}"))?;
 
     let mut s = String::new();
     let _ = writeln!(
@@ -628,8 +646,7 @@ pub(crate) fn submit(
     shutdown: bool,
     out: &mut dyn Write,
 ) -> CmdResult {
-    let mut client =
-        Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    let mut client = Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let mut s = String::new();
 
     if ping {
@@ -638,15 +655,18 @@ pub(crate) fn submit(
     }
 
     if let Some(path) = scenario_path {
-        let text = fs::read_to_string(path)
-            .map_err(|e| format!("cannot read scenario {path:?}: {e}"))?;
+        let text =
+            fs::read_to_string(path).map_err(|e| format!("cannot read scenario {path:?}: {e}"))?;
         let mut lines: Vec<String> = Vec::new();
         let status = client
             .submit_and_wait(&text, |event| {
                 if progress {
                     lines.push(format!(
                         "progress: {} {}/{}",
-                        event.get("phase").and_then(JsonValue::as_str).unwrap_or("?"),
+                        event
+                            .get("phase")
+                            .and_then(JsonValue::as_str)
+                            .unwrap_or("?"),
                         response_u64(event, "done"),
                         response_u64(event, "total"),
                     ));
@@ -680,12 +700,16 @@ pub(crate) fn submit(
     }
 
     if metrics {
-        let r = client.metrics().map_err(|e| format!("metrics failed: {e}"))?;
+        let r = client
+            .metrics()
+            .map_err(|e| format!("metrics failed: {e}"))?;
         let _ = writeln!(s, "{}", r.render());
     }
 
     if shutdown {
-        client.shutdown().map_err(|e| format!("shutdown failed: {e}"))?;
+        client
+            .shutdown()
+            .map_err(|e| format!("shutdown failed: {e}"))?;
         let _ = writeln!(s, "server at {addr} is shutting down");
     }
 
@@ -736,7 +760,11 @@ pub(crate) fn record(
         };
         let config = &scenario.configs()[cell.config];
         let workload = &scenario.workloads()[cell.workload];
-        let trace = generate_trace(workload.instantiate(cell.seed), cell.budget, &config.tracegen);
+        let trace = generate_trace(
+            workload.instantiate(cell.seed),
+            cell.budget,
+            &config.tracegen,
+        );
         rec.engine_fingerprint = config.engine.fingerprint();
         rec.tracegen_fingerprint = config.tracegen.fingerprint();
         rec.workload = workload.name.clone();
@@ -786,7 +814,8 @@ pub(crate) fn record(
         None => format!("{}.rssn", rec.workload),
     };
     let path = out_path.unwrap_or(&default_path);
-    rec.save(path).map_err(|e| format!("cannot write session: {e}"))?;
+    rec.save(path)
+        .map_err(|e| format!("cannot write session: {e}"))?;
 
     let mut s = String::new();
     let _ = writeln!(
@@ -869,13 +898,19 @@ pub(crate) fn replay(session_path: &str, out: &mut dyn Write) -> CmdResult {
         let cell = &cells[n];
         let config = &scenario.configs()[cell.config];
         let workload = &scenario.workloads()[cell.workload];
-        check_fingerprint("engine", rec.engine_fingerprint, config.engine.fingerprint())?;
+        check_fingerprint(
+            "engine",
+            rec.engine_fingerprint,
+            config.engine.fingerprint(),
+        )?;
         check_fingerprint(
             "tracegen",
             rec.tracegen_fingerprint,
             config.tracegen.fingerprint(),
         )?;
-        if workload.name != rec.workload || cell.seed != rec.seed || cell.budget as u64 != rec.budget
+        if workload.name != rec.workload
+            || cell.seed != rec.seed
+            || cell.budget as u64 != rec.budget
         {
             return Err(format!(
                 "session cell {n} resolves to workload \"{}\" seed {} budget {}, but the record \
@@ -883,7 +918,11 @@ pub(crate) fn replay(session_path: &str, out: &mut dyn Write) -> CmdResult {
                 workload.name, cell.seed, cell.budget, rec.workload, rec.seed, rec.budget,
             ));
         }
-        let trace = generate_trace(workload.instantiate(cell.seed), cell.budget, &config.tracegen);
+        let trace = generate_trace(
+            workload.instantiate(cell.seed),
+            cell.budget,
+            &config.tracegen,
+        );
         execute(&config.engine, trace.source(), rec.sample.as_ref())?
     } else if let Some(bytes) = &rec.embedded_trace {
         // A self-contained file-frontend session: the engine still has

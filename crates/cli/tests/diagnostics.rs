@@ -29,13 +29,20 @@ fn typo_in_key_reports_file_and_line() {
     let (code, out, err) = run_on("typo", "[engine]\nwidth = 4\nwidht = 2\n", &["describe"]);
     assert_eq!(code, 1);
     assert_eq!(out, "");
-    assert!(err.contains("s.toml:3:"), "diagnostic must carry file:line — got {err}");
+    assert!(
+        err.contains("s.toml:3:"),
+        "diagnostic must carry file:line — got {err}"
+    );
     assert!(err.contains("widht"), "{err}");
 }
 
 #[test]
 fn structural_config_errors_are_diagnostics_too() {
-    let (code, _, err) = run_on("structural", "[engine]\nmem_read_ports = 4\n", &["describe"]);
+    let (code, _, err) = run_on(
+        "structural",
+        "[engine]\nmem_read_ports = 4\n",
+        &["describe"],
+    );
     assert_eq!(code, 1);
     assert!(err.contains("memory ports"), "{err}");
 
@@ -104,21 +111,33 @@ fn replaying_a_foreign_trace_warns_about_the_fingerprint() {
     fs::write(&twolevel, "[workload]\nbudget = 2000\n").unwrap();
 
     let (code, _, err) = run_for_test(&[
-        "trace", "-s", perfect.to_str().unwrap(), "-o", trace.to_str().unwrap(),
+        "trace",
+        "-s",
+        perfect.to_str().unwrap(),
+        "-o",
+        trace.to_str().unwrap(),
     ]);
     assert_eq!(code, 0, "stderr: {err}");
 
     // Replaying a perfect-predictor trace on the two-level scenario
     // runs, but says what it is doing.
     let (code, out, err) = run_for_test(&[
-        "run", "-s", twolevel.to_str().unwrap(), "--trace", trace.to_str().unwrap(),
+        "run",
+        "-s",
+        twolevel.to_str().unwrap(),
+        "--trace",
+        trace.to_str().unwrap(),
     ]);
     assert_eq!(code, 0, "stderr: {err}");
     assert!(out.contains("fingerprint mismatch"), "{out}");
 
     // The matching scenario replays without the warning.
     let (code, out, _) = run_for_test(&[
-        "run", "-s", perfect.to_str().unwrap(), "--trace", trace.to_str().unwrap(),
+        "run",
+        "-s",
+        perfect.to_str().unwrap(),
+        "--trace",
+        trace.to_str().unwrap(),
     ]);
     assert_eq!(code, 0);
     assert!(!out.contains("fingerprint mismatch"), "{out}");
@@ -132,27 +151,43 @@ fn replaying_a_stale_trace_warns_on_explicit_workload_mismatch() {
     let scenario = dir.join("s.toml");
     let engine_only = dir.join("engine-only.toml");
     let trace = dir.join("t.trace");
-    fs::write(&scenario, "[workload]\nname = \"gzip\"\nseed = 1\nbudget = 2000\n").unwrap();
+    fs::write(
+        &scenario,
+        "[workload]\nname = \"gzip\"\nseed = 1\nbudget = 2000\n",
+    )
+    .unwrap();
     fs::write(&engine_only, "[engine]\nrb_size = 32\n").unwrap();
 
     // The trace is written with an overridden seed...
     let (code, _, err) = run_for_test(&[
-        "trace", "-s", scenario.to_str().unwrap(),
-        "--seed", "999",
-        "-o", trace.to_str().unwrap(),
+        "trace",
+        "-s",
+        scenario.to_str().unwrap(),
+        "--seed",
+        "999",
+        "-o",
+        trace.to_str().unwrap(),
     ]);
     assert_eq!(code, 0, "stderr: {err}");
 
     // ...so replaying it against the scenario's [workload] warns.
     let (code, out, err) = run_for_test(&[
-        "run", "-s", scenario.to_str().unwrap(), "--trace", trace.to_str().unwrap(),
+        "run",
+        "-s",
+        scenario.to_str().unwrap(),
+        "--trace",
+        trace.to_str().unwrap(),
     ]);
     assert_eq!(code, 0, "stderr: {err}");
     assert!(out.contains("seed 999") && out.contains("seed 1"), "{out}");
 
     // A scenario with no [workload] section replays anything quietly.
     let (code, out, err) = run_for_test(&[
-        "run", "-s", engine_only.to_str().unwrap(), "--trace", trace.to_str().unwrap(),
+        "run",
+        "-s",
+        engine_only.to_str().unwrap(),
+        "--trace",
+        trace.to_str().unwrap(),
     ]);
     assert_eq!(code, 0, "stderr: {err}");
     assert!(!out.contains("warning"), "{out}");
@@ -175,7 +210,10 @@ fn replaying_an_alien_file_is_an_error() {
         bogus.to_str().unwrap(),
     ]);
     assert_eq!(code, 1);
-    assert!(err.contains("RSTR"), "magic mismatch must be explained: {err}");
+    assert!(
+        err.contains("RSTR"),
+        "magic mismatch must be explained: {err}"
+    );
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -249,7 +287,11 @@ fn oversized_allocating_keys_are_diagnostics_not_crashes() {
         ("l2_size", "[engine.predictor]\nl2_size = {v}\n", 2),
         ("btb_entries", "[engine.predictor]\nbtb_entries = {v}\n", 2),
         ("ras_entries", "[engine.predictor]\nras_entries = {v}\n", 2),
-        ("size", "[engine.predictor]\nkind = \"bimodal\"\nsize = {v}\n", 3),
+        (
+            "size",
+            "[engine.predictor]\nkind = \"bimodal\"\nsize = {v}\n",
+            3,
+        ),
         (
             "size_bytes",
             "[engine.memory]\nkind = \"split\"\n[engine.memory.l1d]\nsize_bytes = {v}\n",
@@ -266,10 +308,17 @@ fn oversized_allocating_keys_are_diagnostics_not_crashes() {
     for value in ["1099511627776", "9223372036854775807"] {
         for (i, (key, template, line)) in cases.iter().enumerate() {
             let scenario = template.replace("{v}", value);
-            let verb = if scenario.starts_with("[sweep]") { "sweep" } else { "run" };
+            let verb = if scenario.starts_with("[sweep]") {
+                "sweep"
+            } else {
+                "run"
+            };
             let (code, out, err) = run_on(&format!("oversized-{i}-{value}"), &scenario, &[verb]);
             assert_eq!(code, 1, "{key} = {value}: stdout: {out}\nstderr: {err}");
-            assert!(err.contains(&format!("s.toml:{line}:")), "{key} = {value}: {err}");
+            assert!(
+                err.contains(&format!("s.toml:{line}:")),
+                "{key} = {value}: {err}"
+            );
             assert!(err.contains(key), "{key} = {value}: {err}");
         }
     }
@@ -284,7 +333,10 @@ fn the_removed_sweep_stats_key_is_an_unknown_key() {
         );
         for verb in ["run", "sweep"] {
             let (code, out, err) = run_on(&format!("stats-{mode}-{verb}"), &scenario, &[verb]);
-            assert_eq!(code, 1, "{verb} with stats = {mode:?}: stdout: {out}\nstderr: {err}");
+            assert_eq!(
+                code, 1,
+                "{verb} with stats = {mode:?}: stdout: {out}\nstderr: {err}"
+            );
             assert!(err.contains("s.toml:4:"), "{err}");
             assert!(err.contains("unknown key \"stats\""), "{err}");
         }
@@ -345,7 +397,10 @@ fn oversized_timing_keys_are_diagnostics_not_crashes() {
         let scenario = format!("{sweep}[sweep.grid.base]\nmispredict_penalty = {value}\n");
         let (code, _, err) = run_on(&format!("slow-sweep-{value}"), &scenario, &["sweep"]);
         assert_eq!(code, 1, "{err}");
-        assert!(err.contains("s.toml:7:") && err.contains("mispredict_penalty"), "{err}");
+        assert!(
+            err.contains("s.toml:7:") && err.contains("mispredict_penalty"),
+            "{err}"
+        );
     }
 }
 
@@ -353,7 +408,10 @@ fn oversized_timing_keys_are_diagnostics_not_crashes() {
 fn every_timing_key_at_its_bound_completes_on_every_workload() {
     // Both memory systems, every penalty and latency at the 2^14 bound
     // together: slow, but it must simulate to completion.
-    for keys in [&TIMING_KEYS[..6], &[&TIMING_KEYS[..5], &TIMING_KEYS[6..]].concat()] {
+    for keys in [
+        &TIMING_KEYS[..6],
+        &[&TIMING_KEYS[..5], &TIMING_KEYS[6..]].concat(),
+    ] {
         for workload in ["gzip", "bzip2", "parser", "vortex", "vpr"] {
             let scenario = format!(
                 "{}[workload]\nname = \"{workload}\"\nbudget = 300\n",
@@ -395,6 +453,9 @@ fn over_bound_budgets_are_rejected_on_every_path() {
 
         let (code, _, err) = run_on("flag-budget", "", &["trace", "--budget", budget]);
         assert_eq!(code, 1);
-        assert!(err.contains("--budget") && err.contains("exceeds the maximum"), "{err}");
+        assert!(
+            err.contains("--budget") && err.contains("exceeds the maximum"),
+            "{err}"
+        );
     }
 }

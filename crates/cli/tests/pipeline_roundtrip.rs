@@ -174,7 +174,8 @@ fn declarative_builtins_are_bit_identical_on_the_golden_fixture() {
             .run(trace.source());
 
         assert_eq!(
-            declarative, reference,
+            declarative,
+            reference,
             "{}: SimStats must be bit-identical to the {} enum path",
             doc.engine.pipeline.name(),
             org.name(),
@@ -201,7 +202,8 @@ fn declarative_builtins_render_the_same_schedule_grid() {
             let custom_grid: Vec<&str> = custom_render.lines().skip(1).collect();
             let builtin_grid: Vec<&str> = builtin_render.lines().skip(1).collect();
             assert_eq!(
-                custom_grid, builtin_grid,
+                custom_grid,
+                builtin_grid,
                 "{} grid at width {width} differs from {}",
                 doc.engine.pipeline.name(),
                 org.name(),

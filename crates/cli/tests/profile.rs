@@ -121,11 +121,20 @@ fn profile_exports_versioned_metrics_and_events() {
     ]);
     assert_eq!(code, 0, "stderr: {err}");
     assert!(out.contains("dropped (capacity 4096)"), "{out}");
-    assert!(out.contains(&format!("wrote {}", metrics.display())), "{out}");
-    assert!(out.contains(&format!("wrote {}", events.display())), "{out}");
+    assert!(
+        out.contains(&format!("wrote {}", metrics.display())),
+        "{out}"
+    );
+    assert!(
+        out.contains(&format!("wrote {}", events.display())),
+        "{out}"
+    );
 
     let m = fs::read_to_string(&metrics).unwrap();
-    assert!(m.starts_with("{\n  \"schema\": \"resim.metrics/1\",\n"), "{m}");
+    assert!(
+        m.starts_with("{\n  \"schema\": \"resim.metrics/1\",\n"),
+        "{m}"
+    );
     for key in [
         "\"organization\": \"fused\"",
         "\"rates\"",
@@ -144,7 +153,10 @@ fn profile_exports_versioned_metrics_and_events() {
     let e = fs::read_to_string(&events).unwrap();
     let mut lines = e.lines();
     let header = lines.next().unwrap();
-    assert!(header.starts_with("{\"schema\":\"resim.events/1\","), "{header}");
+    assert!(
+        header.starts_with("{\"schema\":\"resim.events/1\","),
+        "{header}"
+    );
     let mut n = 0;
     for line in lines {
         assert!(line.starts_with("{\"cycle\":"), "bad event line: {line}");

@@ -66,7 +66,10 @@ fn file_replay_is_bit_identical_to_in_memory_run() {
     let mut src = FileSource::open(&trace_path).unwrap();
     assert_eq!(src.header().workload, "bzip2");
     assert_eq!(src.header().correct_records, 15000);
-    assert_eq!(src.header().tracegen_fingerprint, doc.tracegen.fingerprint());
+    assert_eq!(
+        src.header().tracegen_fingerprint,
+        doc.tracegen.fingerprint()
+    );
     let replayed = Engine::new(doc.engine.clone()).unwrap().run(&mut src);
     assert!(src.error().is_none());
 
@@ -112,7 +115,10 @@ fn programmatic_scenario() -> Scenario {
             },
         )
         .config_grid(
-            EngineConfig::paper_4wide().grid().rb_sizes([16, 32]).build(),
+            EngineConfig::paper_4wide()
+                .grid()
+                .rb_sizes([16, 32])
+                .build(),
             TraceGenConfig::paper(),
         )
         .workload(WorkloadPoint::spec(SpecBenchmark::Gzip))
@@ -140,7 +146,11 @@ fn toml_sweep_matches_programmatic_sweep_byte_for_byte() {
     let cli_csv = fs::read_to_string(&csv_path).unwrap();
 
     let report = SweepRunner::new(2).run(&programmatic_scenario()).unwrap();
-    assert_eq!(cli_csv, report.to_csv_stable(), "CSV must be byte-identical");
+    assert_eq!(
+        cli_csv,
+        report.to_csv_stable(),
+        "CSV must be byte-identical"
+    );
 
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -178,8 +188,7 @@ pipelines = ["simple", "optimized", "improved"]
         cell.budget,
         &scenario.configs()[0].tracegen,
     );
-    let mut configs: Vec<&EngineConfig> =
-        scenario.configs().iter().map(|c| &c.engine).collect();
+    let mut configs: Vec<&EngineConfig> = scenario.configs().iter().map(|c| &c.engine).collect();
     configs.sort_by_key(|e| std::cmp::Reverse(e.rb_size));
     let mut runs: Vec<(&EngineConfig, resim_core::SimStats)> = Vec::new();
     for config in configs {
@@ -188,7 +197,11 @@ pipelines = ["simple", "optimized", "improved"]
             runs.push((config, stats));
         }
     }
-    assert!(runs.len() < 8, "the largest RBs never fill: {} runs", runs.len());
+    assert!(
+        runs.len() < 8,
+        "the largest RBs never fill: {} runs",
+        runs.len()
+    );
     let line = format!("engine runs {} for 24 cells", runs.len());
     assert!(out.contains(&line), "expected {line:?} in:\n{out}");
 
@@ -225,16 +238,25 @@ rb_sizes = [16, 32]
 
     // Once with the file preloaded, once regenerating.
     let (code, out, err) = run_for_test(&[
-        "sweep", "-s", s,
-        "--trace-file", trace_path.to_str().unwrap(),
-        "--stable-csv", csv_path.to_str().unwrap(),
+        "sweep",
+        "-s",
+        s,
+        "--trace-file",
+        trace_path.to_str().unwrap(),
+        "--stable-csv",
+        csv_path.to_str().unwrap(),
     ]);
     assert_eq!(code, 0, "stderr: {err}");
     assert!(out.contains("preloaded"), "{out}");
     assert!(out.contains("traces generated 0, cache hits 1"), "{out}");
 
-    let (code, out, err) =
-        run_for_test(&["sweep", "-s", s, "--stable-csv", csv2_path.to_str().unwrap()]);
+    let (code, out, err) = run_for_test(&[
+        "sweep",
+        "-s",
+        s,
+        "--stable-csv",
+        csv2_path.to_str().unwrap(),
+    ]);
     assert_eq!(code, 0, "stderr: {err}");
     assert!(out.contains("traces generated 1"), "{out}");
 
@@ -263,8 +285,13 @@ fn mismatched_trace_files_fall_back_to_generation() {
     assert_eq!(code, 0);
 
     // ...cannot serve a sweep over seed 2.
-    let (code, out, err) =
-        run_for_test(&["sweep", "-s", s, "--trace-file", trace_path.to_str().unwrap()]);
+    let (code, out, err) = run_for_test(&[
+        "sweep",
+        "-s",
+        s,
+        "--trace-file",
+        trace_path.to_str().unwrap(),
+    ]);
     assert_eq!(code, 0, "stderr: {err}");
     assert!(out.contains("warning"), "{out}");
     assert!(out.contains("traces generated 1"), "{out}");

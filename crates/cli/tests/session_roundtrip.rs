@@ -60,7 +60,10 @@ fn sampled_run_replays_bit_identically() {
          [sample]\ninterval = 1000\ndetailed = 400\nperiod = 2\n",
         &[],
     );
-    assert!(rec_out.contains("mode     sampled u1000d400k2f"), "{rec_out}");
+    assert!(
+        rec_out.contains("mode     sampled u1000d400k2f"),
+        "{rec_out}"
+    );
     assert!(out.contains("sampled plan u1000d400k2f"), "{out}");
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -84,8 +87,7 @@ fn file_frontend_run_embeds_the_container_and_replays() {
         ]);
         assert_eq!(code, 0, "trace failed: {err}");
 
-        let (rec_out, _) =
-            record_and_replay(&dir, scenario, &["-t", trace_path.to_str().unwrap()]);
+        let (rec_out, _) = record_and_replay(&dir, scenario, &["-t", trace_path.to_str().unwrap()]);
         assert!(
             rec_out.contains(&format!("layout v{layout}")),
             "layout {layout}: {rec_out}"
