@@ -5,9 +5,33 @@
 //! are packed LSB-first into a byte vector by [`BitWriter`] and read back
 //! by [`StreamBits`], the one reader every encoded stream decodes
 //! through: an in-memory body is read as an `&[u8]`, an on-disk container
-//! as a buffered file. The reader pulls the body a block at a time and
-//! serves bit fields from a 64-bit accumulator, so a field costs a shift
-//! and a mask, not a loop over its bits.
+//! as a buffered file. The reader pulls the body a block at a time, and a
+//! field is an unaligned 8-byte load from the block, a shift and a mask,
+//! not a loop over its bits.
+//!
+//! Record decoders read their fields through the [`BitFields`] trait, so
+//! one decoder body runs over either of two readers:
+//!
+//! * **The checked reader**, [`StreamBits`] itself. Every field is tested
+//!   against the declared bit length and the bytes buffered, and the
+//!   block is refilled on exact demand. A short or failing body therefore
+//!   stops at the field that first lacks a bit, as a bit-at-a-time
+//!   reader would.
+//! * **The window reader**, [`WindowBits`], which
+//!   [`StreamBits::windows`] lends when the block and the declared
+//!   length both hold at least a given span of bits. A field there is
+//!   only a load, a shift and a mask: no `Option`, no I/O test and no
+//!   length test.
+//!
+//! The window's span is the most bits the decoder can read for one
+//! record on any input (the v2 layout's `MAX_V2_RECORD_BITS`, set by its
+//! varint and run-length group limits). Inside a window, no field can
+//! run past the declared length or past the bytes read, so no field that
+//! the checked reader would fail is ever read there. `Truncated` and I/O
+//! errors therefore arise only on the checked path. Every other error
+//! comes from the decoder body, which both readers share, so every value,
+//! every error and every stop point is the same whichever reader a record
+//! went through.
 
 use std::io::{self, Read};
 
@@ -86,19 +110,72 @@ impl BitWriter {
 /// it straight to the file), small enough to cost nothing per source.
 const BLOCK_BYTES: usize = 16 * 1024;
 
+/// Bytes allocated past a block's capacity, so the 8-byte load behind a
+/// field at any buffered bit stays inside the allocation.
+const LOAD_SLACK: usize = 8;
+
+/// The `nbits` (1–32) bits at bit offset `bit` of `block`: an unaligned
+/// little-endian 8-byte load, a shift and a mask.
+#[inline(always)]
+fn load_bits(block: &[u8], bit: usize, nbits: u32) -> u32 {
+    let at = bit / 8;
+    let word = u64::from_le_bytes(block[at..at + 8].try_into().expect("an 8-byte slice"));
+    ((word >> (bit % 8)) & ((1u64 << nbits) - 1)) as u32
+}
+
+/// What a record decoder reads its bit fields through: the checked
+/// [`StreamBits`], or a [`WindowBits`] over a span the caller has
+/// already bounds-checked.
+pub(crate) trait BitFields {
+    /// Reads `nbits` (1–32) bits; `None` if fewer remain.
+    fn get(&mut self, nbits: u32) -> Option<u32>;
+
+    /// Whether no bits remain.
+    fn is_empty(&self) -> bool;
+
+    /// Reads one flag bit.
+    #[inline(always)]
+    fn get_bool(&mut self) -> Option<bool> {
+        self.get(1).map(|b| b == 1)
+    }
+
+    /// Reads a flag bit, then `nbits` (1–31) value bits.
+    #[inline(always)]
+    fn get_group(&mut self, nbits: u32) -> Option<(bool, u32)> {
+        let flag = self.get_bool()?;
+        Some((flag, self.get(nbits)?))
+    }
+
+    /// Reads a presence bit, then `nbits` (1–31) value bits only if it
+    /// is set.
+    #[inline(always)]
+    fn get_present(&mut self, nbits: u32) -> Option<Option<u32>> {
+        if self.get_bool()? {
+            self.get(nbits).map(Some)
+        } else {
+            Some(None)
+        }
+    }
+}
+
 /// Reads back values packed by [`BitWriter`] from an [`io::Read`], a
 /// block at a time.
 ///
 /// Body bytes are read into a block of at most [`BLOCK_BYTES`] (never
 /// more than the declared body, so an inflated header cannot make it
-/// allocate by the declared length) and moved from there into a 64-bit
-/// accumulator, whose low bits are the next bits of the stream. A value
-/// is one mask of the accumulator.
+/// allocate by the declared length), and a value is one unaligned load,
+/// shift and mask at the cursor's bit offset in the block.
 ///
-/// Reads happen on exact demand: the block is refilled only when a
-/// `get` or `skip_bits` needs a bit it does not hold, so a body shorter
-/// than declared fails at the same call, after the same records, as a
-/// bit-at-a-time reader would.
+/// Every `get` checks the field against the declared length and the
+/// bytes buffered, and reads happen on exact demand: the block is
+/// refilled only when a `get` or `skip_bits` needs a bit it does not
+/// hold, so a body shorter than declared fails at the same call, after
+/// the same records, as a bit-at-a-time reader would.
+///
+/// [`StreamBits::windows`] lends a [`WindowBits`] over a span the
+/// block and the declared length both hold, for decoders that can bound
+/// how far they read: inside it no field can be short, so none is
+/// checked.
 ///
 /// The total payload bit length comes from the caller (the container
 /// header); an I/O error — including a body shorter than that length,
@@ -111,14 +188,12 @@ pub(crate) struct StreamBits<R: Read> {
     reader: R,
     total_bits: u64,
     pos: u64,
-    /// Up to 64 unread bits, the next one in bit 0; bits above
-    /// `acc_bits` are zero.
-    acc: u64,
-    acc_bits: u32,
-    /// Body bytes read but not yet moved into `acc`: `block[head..tail]`.
+    /// Body bytes read: `block[..tail]` is valid, and [`LOAD_SLACK`]
+    /// bytes follow the capacity.
     block: Vec<u8>,
-    head: usize,
     tail: usize,
+    /// Bit offset in `block` of the bit at `pos`.
+    bit: usize,
     /// Body bytes not yet requested from `reader`.
     unread: u64,
     io_error: Option<io::Error>,
@@ -129,16 +204,14 @@ impl<R: Read> StreamBits<R> {
     /// bits.
     pub(crate) fn new(reader: R, total_bits: u64) -> Self {
         let unread = total_bits.div_ceil(8);
-        let block_len = unread.min(BLOCK_BYTES as u64) as usize;
+        let capacity = unread.min(BLOCK_BYTES as u64) as usize;
         Self {
             reader,
             total_bits,
             pos: 0,
-            acc: 0,
-            acc_bits: 0,
-            block: vec![0; block_len],
-            head: 0,
+            block: vec![0; capacity + LOAD_SLACK],
             tail: 0,
+            bit: 0,
             unread,
             io_error: None,
         }
@@ -149,20 +222,23 @@ impl<R: Read> StreamBits<R> {
         self.io_error.take()
     }
 
-    /// Reads the next body bytes into the emptied block; `false` (with
-    /// the error parked) on I/O failure, a 0-byte read counting as
+    /// Reads more body bytes after `block[..tail]`; `false` (with the
+    /// error parked) on I/O failure, a 0-byte read counting as
     /// [`io::ErrorKind::UnexpectedEof`].
     fn refill(&mut self) -> bool {
-        let want = self.unread.min(self.block.len() as u64) as usize;
+        let capacity = self.block.len() - LOAD_SLACK;
+        let want = self.unread.min((capacity - self.tail) as u64) as usize;
         loop {
-            match self.reader.read(&mut self.block[..want]) {
+            match self
+                .reader
+                .read(&mut self.block[self.tail..self.tail + want])
+            {
                 Ok(0) => {
                     self.io_error = Some(io::ErrorKind::UnexpectedEof.into());
                     return false;
                 }
                 Ok(n) => {
-                    self.head = 0;
-                    self.tail = n;
+                    self.tail += n;
                     self.unread -= n as u64;
                     return true;
                 }
@@ -175,25 +251,23 @@ impl<R: Read> StreamBits<R> {
         }
     }
 
-    /// Makes `acc` hold at least `need` (≤ 32) bits, reading only if the
-    /// block runs dry first; `false` on I/O failure.
+    /// Makes the block hold at least `need` (≤ 32) unread bits, reading
+    /// only for bits it lacks; `false` on I/O failure.
     ///
-    /// Out of line so that `get`'s fast path, a mask and a shift, stays
-    /// small enough to inline into the record decoders.
+    /// Out of line so that `get`'s fast path, a load, a shift and a
+    /// mask, stays small enough to inline into the record decoders.
     #[inline(never)]
     fn top_up(&mut self, need: u32) -> bool {
-        while self.acc_bits < need {
-            if self.head == self.tail && !self.refill() {
+        // Move the unread bytes (at most four) to the front, then read
+        // behind them.
+        let keep = self.bit / 8;
+        self.block.copy_within(keep..self.tail, 0);
+        self.tail -= keep;
+        self.bit %= 8;
+        while self.bit + need as usize > self.tail * 8 {
+            if !self.refill() {
                 return false;
             }
-            // Move as many whole bytes as fit; no I/O, so no demand.
-            let ready = &self.block[self.head..self.tail];
-            let take = ready.len().min(((64 - self.acc_bits) / 8) as usize);
-            let mut word = [0u8; 8];
-            word[..take].copy_from_slice(&ready[..take]);
-            self.acc |= u64::from_le_bytes(word) << self.acc_bits;
-            self.head += take;
-            self.acc_bits += take as u32 * 8;
         }
         true
     }
@@ -208,19 +282,62 @@ impl<R: Read> StreamBits<R> {
         if self.io_error.is_some() || self.pos + u64::from(nbits) > self.total_bits {
             return None;
         }
-        if self.acc_bits < nbits && !self.top_up(nbits) {
+        if self.bit + nbits as usize > self.tail * 8 && !self.top_up(nbits) {
             return None;
         }
-        let value = self.acc & ((1u64 << nbits) - 1);
-        self.acc >>= nbits;
-        self.acc_bits -= nbits;
+        let value = load_bits(&self.block, self.bit, nbits);
+        self.bit += nbits as usize;
         self.pos += u64::from(nbits);
-        Some(value as u32)
+        Some(value)
     }
 
     /// Reads one flag bit.
     pub(crate) fn get_bool(&mut self) -> Option<bool> {
         self.get(1).map(|b| b == 1)
+    }
+
+    /// Runs `decode` over a [`WindowBits`] at the cursor, again and again
+    /// while it returns `true` and both the block and the declared
+    /// length hold at least `span` more bits; the cursor then stands
+    /// where the last call stopped. Reads nothing itself.
+    ///
+    /// Each call of `decode` must read at most `span` bits, whatever the
+    /// bytes: then no field inside a window can be truncated or need a
+    /// read, so [`StreamBits::get`] would have returned the same values
+    /// and stopped at the same bit.
+    #[inline]
+    pub(crate) fn windows(
+        &mut self,
+        span: u32,
+        mut decode: impl FnMut(&mut WindowBits<'_>) -> bool,
+    ) {
+        let span = span as usize;
+        if self.io_error.is_some() {
+            return;
+        }
+        let room = (self.total_bits - self.pos).min((self.tail * 8 - self.bit) as u64) as usize;
+        let Some(last_start) = (self.bit + room).checked_sub(span) else {
+            return;
+        };
+        let start = self.bit;
+        let mut window = WindowBits {
+            block: &self.block,
+            bit: start,
+        };
+        while window.bit <= last_start {
+            let at = window.bit;
+            let more = decode(&mut window);
+            debug_assert!(
+                window.bit - at <= span,
+                "read {} bits of a {span}-bit window",
+                window.bit - at
+            );
+            if !more {
+                break;
+            }
+        }
+        self.bit = window.bit;
+        self.pos += (window.bit - start) as u64;
     }
 
     /// Advances past `nbits` bits without assembling a value; `false` if
@@ -258,6 +375,55 @@ impl<R: Read> StreamBits<R> {
         } else {
             self.total_bits - self.pos
         }
+    }
+}
+
+impl<R: Read> BitFields for StreamBits<R> {
+    #[inline(always)]
+    fn get(&mut self, nbits: u32) -> Option<u32> {
+        StreamBits::get(self, nbits)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.remaining_bits() == 0
+    }
+}
+
+/// A cursor over bits a [`StreamBits`] block is known to hold (see
+/// [`StreamBits::windows`]): each field is one load, shift and mask,
+/// with no truncation, I/O or position test.
+pub(crate) struct WindowBits<'a> {
+    block: &'a [u8],
+    bit: usize,
+}
+
+impl BitFields for WindowBits<'_> {
+    #[inline(always)]
+    fn get(&mut self, nbits: u32) -> Option<u32> {
+        let value = load_bits(self.block, self.bit, nbits);
+        self.bit += nbits as usize;
+        Some(value)
+    }
+
+    fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// One load for the flag and the value.
+    #[inline(always)]
+    fn get_group(&mut self, nbits: u32) -> Option<(bool, u32)> {
+        let group = self.get(1 + nbits)?;
+        Some((group & 1 == 1, group >> 1))
+    }
+
+    /// One load for the flag and the value; the value's bits are
+    /// consumed only if the flag is set.
+    #[inline(always)]
+    fn get_present(&mut self, nbits: u32) -> Option<Option<u32>> {
+        let field = load_bits(self.block, self.bit, 1 + nbits);
+        let present = field & 1 == 1;
+        self.bit += if present { 1 + nbits as usize } else { 1 };
+        Some(present.then_some(field >> 1))
     }
 }
 
@@ -658,8 +824,8 @@ mod tests {
     #[test]
     fn block_is_sized_by_the_body_not_the_header() {
         let r = StreamBits::new(&[0u8; 3][..], 17);
-        assert_eq!(r.block.len(), 3);
+        assert_eq!(r.block.len(), 3 + LOAD_SLACK);
         let r = StreamBits::new(&[][..], u64::MAX);
-        assert_eq!(r.block.len(), BLOCK_BYTES);
+        assert_eq!(r.block.len(), BLOCK_BYTES + LOAD_SLACK);
     }
 }

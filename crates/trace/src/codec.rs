@@ -32,7 +32,7 @@
 //! through [`FileSource`], the crate's one record source, whose bit
 //! reader streams off an `&[u8]` here and off a file for a container.
 
-use crate::bits::{BitWriter, StreamBits};
+use crate::bits::{BitFields, BitWriter, StreamBits};
 use crate::file::{FileError, FileSource, TraceFileHeader};
 use crate::record::{
     BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, Reg, TraceRecord,
@@ -191,13 +191,10 @@ pub(crate) fn put_reg(w: &mut BitWriter, reg: Option<Reg>) {
     }
 }
 
-pub(crate) fn get_reg<R: Read>(r: &mut StreamBits<R>) -> Result<Option<Reg>, DecodeError> {
-    let present = r.get_bool().ok_or(DecodeError::Truncated)?;
-    if !present {
-        return Ok(None);
-    }
-    let idx = r.get(6).ok_or(DecodeError::Truncated)?;
-    Ok(Some(Reg::new(idx as u8)))
+#[inline(always)]
+pub(crate) fn get_reg(r: &mut impl BitFields) -> Result<Option<Reg>, DecodeError> {
+    let idx = r.get_present(6).ok_or(DecodeError::Truncated)?;
+    Ok(idx.map(|idx| Reg::new(idx as u8)))
 }
 
 /// A bit-packed, encoded trace plus its accounting.

@@ -48,13 +48,12 @@
 //! [`FileSource`](crate::FileSource), whether the body sits in memory
 //! ([`EncodedTrace::source`]) or in a container file.
 
-use crate::bits::{BitWriter, StreamBits};
+use crate::bits::{BitFields, BitWriter};
 use crate::codec::{get_reg, put_reg, DecodeError, EncodedTrace, FMT_BRANCH, FMT_MEM, FMT_OTHER};
 use crate::record::{
     BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, TraceRecord,
 };
 use crate::stats::TraceStats;
-use std::io::Read;
 
 /// The layout version tag written by [`encode_v2`](crate::Trace::encode_v2).
 ///
@@ -91,16 +90,19 @@ pub(crate) fn put_varint(w: &mut BitWriter, mut v: u64) {
     }
 }
 
+/// Most groups a varint may carry: enough for any `u64`.
+const VARINT_GROUPS: u32 = u64::BITS.div_ceil(7);
+
 /// Reads a varint written by [`put_varint`].
 ///
-/// A stream claiming more than the ten groups a `u64` can need is
-/// malformed ([`DecodeError::BadVarint`]), not an infinite loop.
-pub(crate) fn get_varint<R: Read>(r: &mut StreamBits<R>) -> Result<u64, DecodeError> {
+/// A stream claiming more than the [`VARINT_GROUPS`] groups a `u64` can
+/// need is malformed ([`DecodeError::BadVarint`]), not an infinite loop.
+#[inline(always)]
+pub(crate) fn get_varint(r: &mut impl BitFields) -> Result<u64, DecodeError> {
     let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let cont = r.get_bool().ok_or(DecodeError::Truncated)?;
-        let group = u64::from(r.get(7).ok_or(DecodeError::Truncated)?);
+    for shift in (0..VARINT_GROUPS).map(|g| 7 * g) {
+        let (cont, group) = r.get_group(7).ok_or(DecodeError::Truncated)?;
+        let group = u64::from(group);
         if shift == 63 && group > 1 {
             return Err(DecodeError::BadVarint);
         }
@@ -108,11 +110,8 @@ pub(crate) fn get_varint<R: Read>(r: &mut StreamBits<R>) -> Result<u64, DecodeEr
         if !cont {
             return Ok(v);
         }
-        shift += 7;
-        if shift > 63 {
-            return Err(DecodeError::BadVarint);
-        }
     }
+    Err(DecodeError::BadVarint)
 }
 
 /// Appends `v` as a run-length varint: 3-bit groups of one continuation
@@ -130,21 +129,23 @@ fn put_rle(w: &mut BitWriter, mut v: u64) {
     }
 }
 
-fn get_rle<R: Read>(r: &mut StreamBits<R>) -> Result<u64, DecodeError> {
+/// Most groups a run-length varint may carry: enough for any `u64`.
+const RLE_GROUPS: u32 = u64::BITS / 2;
+
+/// Reads a run length written by [`put_rle`]; more than [`RLE_GROUPS`]
+/// groups is [`DecodeError::BadVarint`].
+#[inline(always)]
+fn get_rle(r: &mut impl BitFields) -> Result<u64, DecodeError> {
     let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let cont = r.get_bool().ok_or(DecodeError::Truncated)?;
-        let group = u64::from(r.get(2).ok_or(DecodeError::Truncated)?);
+    for shift in (0..RLE_GROUPS).map(|g| 2 * g) {
+        let (cont, group) = r.get_group(2).ok_or(DecodeError::Truncated)?;
+        let group = u64::from(group);
         v |= group << shift;
         if !cont {
             return Ok(v);
         }
-        shift += 2;
-        if shift > 62 {
-            return Err(DecodeError::BadVarint);
-        }
     }
+    Err(DecodeError::BadVarint)
 }
 
 /// Writes a 32-bit field as either a zigzag varint delta against
@@ -160,7 +161,8 @@ fn put_delta_field(w: &mut BitWriter, actual: u32, reference: u32) {
     }
 }
 
-fn get_delta_field<R: Read>(r: &mut StreamBits<R>, reference: u32) -> Result<u32, DecodeError> {
+#[inline(always)]
+fn get_delta_field(r: &mut impl BitFields, reference: u32) -> Result<u32, DecodeError> {
     if r.get_bool().ok_or(DecodeError::Truncated)? {
         let zz = get_varint(r)?;
         let zz = u32::try_from(zz).map_err(|_| DecodeError::BadVarint)?;
@@ -307,14 +309,50 @@ pub(crate) struct V2State {
     outcome_left: u64,
 }
 
+/// Most bits [`get_varint`] reads before it returns or fails.
+const VARINT_MAX_BITS: u32 = VARINT_GROUPS * 8;
+
+/// Most bits [`get_delta_field`] reads: the mode flag, then the longer
+/// of a whole varint and the 32-bit escape.
+const DELTA_FIELD_MAX_BITS: u32 = 1 + if VARINT_MAX_BITS > 32 {
+    VARINT_MAX_BITS
+} else {
+    32
+};
+
+/// Bits of a present register field (flag and index).
+const REG_MAX_BITS: u32 = 1 + 6;
+
+/// Most bits [`decode_record_bits_v2`] reads for one record, on any
+/// input, well-formed or not: a group header, the format and tag, and
+/// the longest payload, a branch that starts the first outcome run.
+/// Every varint and run length gives up after its group limit, so a
+/// decoder handed a window of this many bits never reads past it.
+pub(crate) const MAX_V2_RECORD_BITS: u32 = {
+    let header = DELTA_FIELD_MAX_BITS + VARINT_MAX_BITS;
+    let other = 2 + 3 * REG_MAX_BITS;
+    let mem = 1 + 2 + DELTA_FIELD_MAX_BITS + 2 * REG_MAX_BITS;
+    let branch = 3 + 1 + RLE_GROUPS * 3 + DELTA_FIELD_MAX_BITS + 2 * REG_MAX_BITS;
+    let payload = if mem > branch { mem } else { branch };
+    let payload = if other > payload { other } else { payload };
+    header + 2 + 1 + payload
+};
+
 /// Decodes one v2 record; `Ok(None)` at a clean end of stream (which
 /// can only fall on a group boundary).
-pub(crate) fn decode_record_bits_v2<R: Read>(
-    reader: &mut StreamBits<R>,
+///
+/// One body serves both readers: the checked [`StreamBits`] and a
+/// [`WindowBits`] of [`MAX_V2_RECORD_BITS`], so every value, error and
+/// stop point is the same whichever one a record is read through.
+///
+/// [`StreamBits`]: crate::bits::StreamBits
+/// [`WindowBits`]: crate::bits::WindowBits
+pub(crate) fn decode_record_bits_v2(
+    reader: &mut impl BitFields,
     st: &mut V2State,
 ) -> Result<Option<TraceRecord>, DecodeError> {
     let pc = if st.group_left == 0 {
-        if reader.remaining_bits() == 0 {
+        if reader.is_empty() {
             return Ok(None);
         }
         let pc = get_delta_field(reader, st.expected_pc)?;
@@ -406,6 +444,7 @@ pub(crate) fn decode_record_bits_v2<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::StreamBits;
     use crate::record::Reg;
     use crate::Trace;
 
@@ -595,5 +634,260 @@ mod tests {
         assert_eq!(enc.stats().total_bits(), enc.len_bits());
         assert_eq!(enc.stats().total_records(), records.len() as u64);
         assert_eq!(enc.layout_version(), TRACE_LAYOUT_VERSION_V2);
+    }
+
+    /// SplitMix64: a tiny deterministic generator for the differential
+    /// cases.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n`.
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// `len` records of every shape, with PC runs, escaped jumps, strided
+    /// and wild addresses and biased branch outcomes.
+    fn random_records(rng: &mut Rng, len: usize) -> Vec<TraceRecord> {
+        let mut records = Vec::with_capacity(len);
+        let (mut pc, mut addr) = (0x0040_0000u32, 0x1000_0000u32);
+        for _ in 0..len {
+            let reg = |rng: &mut Rng| (rng.below(3) != 0).then(|| Reg::new(rng.below(64) as u8));
+            let wrong_path = rng.below(10) == 0;
+            let record = match rng.below(3) {
+                0 => TraceRecord::Other(OtherRecord {
+                    pc,
+                    class: OpClass::ALL[rng.below(4) as usize],
+                    dest: reg(rng),
+                    src1: reg(rng),
+                    src2: reg(rng),
+                    wrong_path,
+                }),
+                1 => {
+                    addr = match rng.below(4) {
+                        0 => rng.next() as u32,
+                        _ => addr.wrapping_add(4 * rng.below(16) as u32),
+                    };
+                    TraceRecord::Mem(MemRecord {
+                        pc,
+                        addr,
+                        size: MemSize::ALL[rng.below(4) as usize],
+                        kind: [MemKind::Load, MemKind::Store][rng.below(2) as usize],
+                        base: reg(rng),
+                        data: reg(rng),
+                        wrong_path,
+                    })
+                }
+                _ => TraceRecord::Branch(BranchRecord {
+                    pc,
+                    target: match rng.below(4) {
+                        0 => rng.next() as u32,
+                        _ => pc.wrapping_add(4 * rng.below(256) as u32),
+                    },
+                    taken: rng.below(4) != 0,
+                    kind: BranchKind::ALL[rng.below(6) as usize],
+                    src1: reg(rng),
+                    src2: reg(rng),
+                    wrong_path,
+                }),
+            };
+            records.push(record);
+            pc = match rng.below(12) {
+                0 => rng.next() as u32,
+                _ => record.implied_next_pc(),
+            };
+        }
+        records
+    }
+
+    /// Decodes `bytes` record by record two ways: through windows
+    /// wherever the block and the declared length allow one (else the
+    /// checked reader), as `FileSource` does, and through the checked
+    /// reader alone. Every result and every position after it must
+    /// agree; returns how many records went through a window.
+    fn window_matches_checked(bytes: &[u8], total_bits: u64) -> usize {
+        let mut fast = StreamBits::new(bytes, total_bits);
+        let mut slow = StreamBits::new(bytes, total_bits);
+        let (mut fast_state, mut slow_state) = (V2State::default(), V2State::default());
+        let mut windowed = 0;
+        for record in 0.. {
+            let mut through_window = None;
+            fast.windows(MAX_V2_RECORD_BITS, |window| {
+                through_window = Some(decode_record_bits_v2(window, &mut fast_state));
+                false
+            });
+            let got = match through_window {
+                Some(got) => {
+                    windowed += 1;
+                    got
+                }
+                None => decode_record_bits_v2(&mut fast, &mut fast_state),
+            };
+            let want = decode_record_bits_v2(&mut slow, &mut slow_state);
+            let case = format!(
+                "record {record} of {} bytes / {total_bits} bits",
+                bytes.len()
+            );
+            assert_eq!(got, want, "{case}");
+            assert_eq!(fast.position(), slow.position(), "{case}");
+            if !matches!(want, Ok(Some(_))) {
+                break;
+            }
+        }
+        windowed
+    }
+
+    #[test]
+    fn window_reader_matches_the_checked_reader_on_valid_encodings() {
+        let mut rng = Rng(2009);
+        let mut windowed = 0;
+        // The last body spans two read blocks, so windows resume after
+        // a refill.
+        for len in (0..120).map(|i| i * 7).chain([6000]) {
+            let enc = encode_v2(&random_records(&mut rng, len));
+            windowed += window_matches_checked(enc.bytes(), enc.len_bits());
+            // Declared shorter than the body: the records near the cut
+            // must end the same way on both paths.
+            let cut = enc.len_bits().saturating_sub(rng.below(200));
+            window_matches_checked(enc.bytes(), cut);
+        }
+        assert!(
+            windowed > 10_000,
+            "only {windowed} records went through a window"
+        );
+    }
+
+    #[test]
+    fn window_reader_matches_the_checked_reader_on_random_bytes() {
+        let mut rng = Rng(7);
+        for _ in 0..3000 {
+            let bytes: Vec<u8> = (0..rng.below(600)).map(|_| rng.next() as u8).collect();
+            let total_bits = (bytes.len() as u64 * 8).saturating_sub(rng.below(8));
+            window_matches_checked(&bytes, total_bits);
+        }
+    }
+
+    /// A varint of exactly `groups` groups, every value bit zero.
+    fn put_long_varint(w: &mut BitWriter, groups: u32) {
+        for g in 1..=groups {
+            w.put_bool(g < groups);
+            w.put(0, 7);
+        }
+    }
+
+    /// Appends the first record of a branch group, up to its outcome
+    /// run: `header_groups`-group varints for the PC delta and the run.
+    fn put_branch_prefix(w: &mut BitWriter, header_groups: u32) {
+        w.put_bool(true);
+        put_long_varint(w, header_groups);
+        put_long_varint(w, header_groups);
+        w.put(FMT_BRANCH, 2);
+        w.put_bool(false);
+        w.put(BranchKind::Cond.encode(), 3);
+    }
+
+    /// Appends `words` 32-bit words of set bits.
+    fn put_ones(w: &mut BitWriter, words: usize) {
+        for _ in 0..words {
+            w.put(u32::MAX, 32);
+        }
+    }
+
+    /// A one-record group: the checked reader reads it and fills the
+    /// block, so the next record can take a window. Returns its length.
+    fn put_nop_group(w: &mut BitWriter) -> u64 {
+        w.put_bool(true);
+        put_varint(w, 0);
+        put_varint(w, 0);
+        w.put(FMT_OTHER, 2);
+        w.put_bool(false);
+        w.put(OpClass::Nop.encode(), 2);
+        for _ in 0..3 {
+            put_reg(w, None);
+        }
+        w.len_bits()
+    }
+
+    /// Decodes the nop group and then the record after it through the
+    /// checked reader, returning that record's result and length, and
+    /// checks that a window reads it the same way.
+    fn second_record(bytes: &[u8], bits: u64) -> (Result<Option<TraceRecord>, DecodeError>, u64) {
+        let mut r = StreamBits::new(bytes, bits);
+        let mut state = V2State::default();
+        let first = decode_record_bits_v2(&mut r, &mut state);
+        assert!(
+            matches!(first, Ok(Some(TraceRecord::Other(_)))),
+            "{first:?}"
+        );
+        let start = r.position();
+        let second = decode_record_bits_v2(&mut r, &mut state);
+        assert_eq!(
+            window_matches_checked(bytes, bits),
+            1,
+            "one record through a window"
+        );
+        (second, r.position() - start)
+    }
+
+    #[test]
+    fn all_ones_bodies_stop_at_the_group_limits() {
+        // The PC delta's varint gives up in its tenth group.
+        let mut w = BitWriter::new();
+        put_nop_group(&mut w);
+        put_ones(&mut w, 40);
+        let (bytes, bits) = w.finish();
+        let (second, read) = second_record(&bytes, bits);
+        assert_eq!(second, Err(DecodeError::BadVarint));
+        assert_eq!(read, u64::from(DELTA_FIELD_MAX_BITS));
+
+        // The outcome run gives up after its last group.
+        let mut w = BitWriter::new();
+        let first = put_nop_group(&mut w);
+        put_branch_prefix(&mut w, 1);
+        let prefix = w.len_bits() - first;
+        put_ones(&mut w, 40);
+        let (bytes, bits) = w.finish();
+        let (second, read) = second_record(&bytes, bits);
+        assert_eq!(second, Err(DecodeError::BadVarint));
+        assert_eq!(read, prefix + 1 + u64::from(RLE_GROUPS * 3));
+    }
+
+    /// The longest record any input can hold: a group header of two
+    /// ten-group varints, then a branch opening the first outcome run
+    /// with a 32-group run length, a ten-group target delta and both
+    /// registers. It decodes, and fills its window exactly.
+    #[test]
+    fn the_longest_record_fills_its_window_exactly() {
+        let mut w = BitWriter::new();
+        let first = put_nop_group(&mut w);
+        put_branch_prefix(&mut w, VARINT_GROUPS);
+        w.put_bool(true);
+        for g in 1..=RLE_GROUPS {
+            w.put_bool(g < RLE_GROUPS);
+            w.put(0, 2);
+        }
+        w.put_bool(true);
+        put_long_varint(&mut w, VARINT_GROUPS);
+        put_reg(&mut w, Some(Reg::new(63)));
+        put_reg(&mut w, Some(Reg::new(1)));
+        assert_eq!(w.len_bits() - first, u64::from(MAX_V2_RECORD_BITS));
+        assert_eq!(MAX_V2_RECORD_BITS, 359);
+        // It ends the body, so its window ends at the declared length.
+        let (bytes, bits) = w.finish();
+        let (second, read) = second_record(&bytes, bits);
+        assert!(
+            matches!(second, Ok(Some(TraceRecord::Branch(_)))),
+            "{second:?}"
+        );
+        assert_eq!(read, u64::from(MAX_V2_RECORD_BITS));
     }
 }

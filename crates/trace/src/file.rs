@@ -45,6 +45,19 @@
 //!   dispatches the body decoder on it. Anything else is rejected: same
 //!   container, incompatible record stream.
 //!
+//! ## Decoding
+//!
+//! A [`FileSource`] reads its body a 16 KiB block at a time. A layout-2
+//! record is decoded through a window of that block, with no per-field
+//! test, whenever the block and the declared length both still hold the
+//! longest record the decoder can read. Only the records that straddle a
+//! block refill or the end of the body go through the checked reader,
+//! which tests every field. Both readers run the same decoder, and a
+//! window never holds a bit the checked reader would have refused, so
+//! the records, errors and stop points are those of the checked reader
+//! alone (see the [`bits`](crate::bits) module). Layout 1 always uses
+//! the checked reader.
+//!
 //! ## Example
 //!
 //! ```
@@ -79,7 +92,9 @@ use crate::bits::StreamBits;
 use crate::codec::{
     decode_record_bits, skip_record_bits, DecodeError, EncodedTrace, TRACE_LAYOUT_VERSION,
 };
-use crate::codec_v2::{decode_record_bits_v2, V2State, TRACE_LAYOUT_VERSION_V2};
+use crate::codec_v2::{
+    decode_record_bits_v2, V2State, MAX_V2_RECORD_BITS, TRACE_LAYOUT_VERSION_V2,
+};
 use crate::record::TraceRecord;
 use crate::source::TraceSource;
 use std::error::Error;
@@ -395,7 +410,8 @@ impl<R: Read> FileSource<R> {
         });
     }
 
-    /// Decodes the next record through the layout this file declared.
+    /// Decodes the next record through the checked reader, in the
+    /// layout this file declared.
     fn decode_next(&mut self) -> Result<Option<TraceRecord>, DecodeError> {
         match &mut self.body {
             BodyDecoder::V1 { expected_pc } => decode_record_bits(&mut self.bits, expected_pc),
@@ -403,66 +419,82 @@ impl<R: Read> FileSource<R> {
         }
     }
 
-    /// Advances past one record. The v1 layout can skip without
-    /// materialising; v2 chains per-record state, so it decodes and
-    /// discards.
-    fn skip_next(&mut self) -> Result<bool, DecodeError> {
-        match &mut self.body {
-            BodyDecoder::V1 { expected_pc } => skip_record_bits(&mut self.bits, expected_pc),
-            BodyDecoder::V2(state) => {
-                decode_record_bits_v2(&mut self.bits, state).map(|r| r.is_some())
+    /// Decodes up to `max` records in stream order, handing each to
+    /// `take`, and returns how many it took. Stops early at the declared
+    /// record count or at the first error, which it records.
+    ///
+    /// A v2 record is read through a window of the block, with no
+    /// per-field check, whenever the block and the declared length both
+    /// hold [`MAX_V2_RECORD_BITS`] more bits; the checked reader takes
+    /// the records that straddle a refill or the end of the body. Both
+    /// run the same decoder, and no record can read past its window, so
+    /// the records, the error and the stop point are those of the
+    /// checked reader alone.
+    fn decode_into(&mut self, max: u64, mut take: impl FnMut(TraceRecord)) -> u64 {
+        let mut n = 0;
+        while n < max && self.error.is_none() && self.remaining > 0 {
+            if let BodyDecoder::V2(state) = &mut self.body {
+                let want = (max - n).min(self.remaining);
+                let mut taken = 0;
+                let mut failed = None;
+                self.bits.windows(MAX_V2_RECORD_BITS, |window| {
+                    match decode_record_bits_v2(window, state) {
+                        Ok(Some(r)) => {
+                            take(r);
+                            taken += 1;
+                            taken < want
+                        }
+                        // A window is never empty: the end of the body is
+                        // left to the checked reader.
+                        Ok(None) => false,
+                        Err(e) => {
+                            failed = Some(e);
+                            false
+                        }
+                    }
+                });
+                n += taken;
+                self.remaining -= taken;
+                if let Some(e) = failed {
+                    self.fail(e);
+                    break;
+                }
+                if n == max || self.remaining == 0 {
+                    break;
+                }
+            }
+            match self.decode_next() {
+                Ok(Some(r)) => {
+                    take(r);
+                    n += 1;
+                    self.remaining -= 1;
+                }
+                // Body bits ran out before the declared record count.
+                Ok(None) => self.error = Some(FileError::Decode(DecodeError::Truncated)),
+                Err(e) => self.fail(e),
             }
         }
+        n
     }
 }
 
 impl<R: Read> TraceSource for FileSource<R> {
     fn next_record(&mut self) -> Option<TraceRecord> {
-        if self.error.is_some() || self.remaining == 0 {
-            return None;
-        }
-        match self.decode_next() {
-            Ok(Some(r)) => {
-                self.remaining -= 1;
-                self.decoded += 1;
-                Some(r)
-            }
-            Ok(None) => {
-                // Body bits ran out before the declared record count.
-                self.error = Some(FileError::Decode(DecodeError::Truncated));
-                None
-            }
-            Err(e) => {
-                self.fail(e);
-                None
-            }
-        }
+        let mut record = None;
+        self.decoded += self.decode_into(1, |r| record = Some(r));
+        record
     }
 
     fn fill(&mut self, buf: &mut [TraceRecord]) -> usize {
         // Block decode straight off the reader: one `fill` call amortises
-        // the per-record dispatch and keeps the bit cursor and expected-PC
-        // chain in registers across the whole batch.
+        // the per-record dispatch and keeps the bit cursor and decoder
+        // state in registers across the whole batch.
         self.fills += 1;
         let mut n = 0;
-        while n < buf.len() && self.error.is_none() && self.remaining > 0 {
-            match self.decode_next() {
-                Ok(Some(r)) => {
-                    buf[n] = r;
-                    n += 1;
-                    self.remaining -= 1;
-                    self.decoded += 1;
-                }
-                Ok(None) => {
-                    self.error = Some(FileError::Decode(DecodeError::Truncated));
-                    break;
-                }
-                Err(e) => {
-                    self.fail(e);
-                    break;
-                }
-            }
-        }
+        self.decoded += self.decode_into(buf.len() as u64, |r| {
+            buf[n] = r;
+            n += 1;
+        });
         n
     }
 
@@ -473,7 +505,13 @@ impl<R: Read> TraceSource for FileSource<R> {
     fn skip(&mut self, n: u64) -> u64 {
         let mut skipped = 0;
         while skipped < n && self.error.is_none() && self.remaining > 0 {
-            match self.skip_next() {
+            let expected_pc = match &mut self.body {
+                BodyDecoder::V1 { expected_pc } => expected_pc,
+                // v2 chains decoder state through every record, so it
+                // decodes and discards.
+                BodyDecoder::V2(_) => return skipped + self.decode_into(n - skipped, |_| {}),
+            };
+            match skip_record_bits(&mut self.bits, expected_pc) {
                 Ok(true) => {
                     skipped += 1;
                     self.remaining -= 1;

@@ -28,6 +28,7 @@ impl Reg {
     /// # Panics
     ///
     /// Panics if `index >= 64` (names are a 6-bit trace field).
+    #[inline]
     pub fn new(index: u8) -> Self {
         assert!(
             index < MAX_REGS,
@@ -112,6 +113,7 @@ impl OpClass {
         }
     }
 
+    #[inline]
     pub(crate) fn decode(v: u32) -> Option<Self> {
         Some(match v {
             0 => OpClass::IntAlu,
@@ -202,6 +204,7 @@ impl BranchKind {
         }
     }
 
+    #[inline]
     pub(crate) fn decode(v: u32) -> Option<Self> {
         Some(match v {
             0 => BranchKind::Cond,
@@ -294,6 +297,7 @@ impl MemSize {
         }
     }
 
+    #[inline]
     pub(crate) fn decode(v: u32) -> Option<Self> {
         Some(match v {
             0 => MemSize::Byte,
@@ -464,6 +468,7 @@ impl TraceRecord {
 
     /// The PC the *next sequential* record would have if no control flow
     /// transfer happens (taken branches redirect to their target instead).
+    #[inline]
     pub fn implied_next_pc(&self) -> u32 {
         match self {
             TraceRecord::Branch(b) => b.next_pc(),

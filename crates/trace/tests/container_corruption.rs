@@ -377,7 +377,7 @@ fn long_trace() -> Trace {
     let mut addr = 0x1000_0000u32;
     let mut taken_bias = true;
     for _ in 0..11_000 {
-        let mut reg = |rng: &mut Rng| (rng.below(4) != 0).then(|| Reg::new(rng.below(64) as u8));
+        let reg = |rng: &mut Rng| (rng.below(4) != 0).then(|| Reg::new(rng.below(64) as u8));
         let wrong_path = rng.below(16) == 0;
         let record = match rng.below(8) {
             0..=3 => TraceRecord::Other(OtherRecord {
