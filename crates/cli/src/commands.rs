@@ -745,16 +745,16 @@ pub(crate) fn record(
                     .to_string(),
             );
         }
-        let scenario = doc
-            .sweep_scenario()
-            .map_err(|e| e.display_in(scenario_path))?;
+        // The grid `resim replay` resolves a cell in: the `[sweep]` grid
+        // when there is one, else the document's single cell.
+        let scenario = doc.to_scenario().map_err(|e| e.display_in(scenario_path))?;
         scenario
             .validate()
             .map_err(|e| format!("invalid scenario: {e}"))?;
         let cells = scenario.cells();
         let Some(cell) = cells.get(n) else {
             return Err(format!(
-                "--cell {n} is out of range: the [sweep] grid has {} cells",
+                "--cell {n} is out of range: the scenario has {} cell(s)",
                 cells.len()
             ));
         };

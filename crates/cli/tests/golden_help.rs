@@ -289,7 +289,7 @@ fn record_help_is_pinned() {
 resim record — run and capture a replayable RSSN session file
 
 Executes the scenario's run — full-detail, sampled (when a [sample]
-section is present), or one sweep-grid cell with --cell — and writes a
+section is present), or one cell of its grid with --cell — and writes a
 versioned session record (magic \"RSSN\") capturing every
 nondeterministic input: engine and tracegen fingerprints, workload,
 seed, budget, sample plan, the scenario text itself, the resulting
@@ -305,7 +305,8 @@ OPTIONS:
                              the session (self-contained replay)
     -o, --out <FILE>         session path (default: <workload>.rssn,
                              or <workload>-cell<N>.rssn with --cell)
-        --cell <N>           record cell N of the [sweep] grid
+        --cell <N>           record cell N of the scenario's grid
+                             (the [sweep] grid, else its one cell)
     -h, --help               print help
 ";
     let (code, out, _) = run_for_test(&["record", "--help"]);

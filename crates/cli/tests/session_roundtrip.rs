@@ -135,6 +135,37 @@ rb_sizes = [16, 32]
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `--cell` resolves through the same grid as `resim replay`: a
+/// document without `[sweep]` is one cell, full or sampled.
+#[test]
+fn single_cell_documents_record_and_replay_by_cell() {
+    let dir = scratch("single-cell");
+    for scenario in [
+        "[workload]\nname = \"gzip\"\nseed = 5\nbudget = 3000\n",
+        "[workload]\nname = \"vpr\"\nseed = 3\nbudget = 6000\n\
+         [sample]\ninterval = 1000\ndetailed = 400\nperiod = 2\n",
+    ] {
+        let (rec_out, out) = record_and_replay(&dir, scenario, &["--cell", "0"]);
+        assert!(rec_out.contains("sweep cell 0"), "{rec_out}");
+        assert!(out.contains("42/42 fields match"), "{out}");
+
+        let scenario_path = dir.join("s.toml");
+        let (code, _, err) = run_for_test(&[
+            "record",
+            "-s",
+            scenario_path.to_str().unwrap(),
+            "--cell",
+            "1",
+        ]);
+        assert_eq!(code, 1);
+        assert!(
+            err.contains("--cell 1 is out of range: the scenario has 1 cell(s)"),
+            "{err}"
+        );
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn tampered_stats_make_replay_diverge() {
     let dir = scratch("diverge");
