@@ -889,5 +889,10 @@ mod tests {
             "{second:?}"
         );
         assert_eq!(read, u64::from(MAX_V2_RECORD_BITS));
+        // Declared one bit short, the record is truncated. The block still
+        // holds the missing bit, so only the declared length keeps the
+        // window shut.
+        assert_eq!(bits % 8, 0, "the last byte must hold the cut bit");
+        assert_eq!(window_matches_checked(&bytes, bits - 1), 0);
     }
 }
