@@ -272,30 +272,6 @@ impl<R: Read> StreamBits<R> {
         true
     }
 
-    /// Reads `nbits` (1–32) bits; `None` if fewer remain.
-    #[inline]
-    pub(crate) fn get(&mut self, nbits: u32) -> Option<u32> {
-        assert!(
-            (1..=32).contains(&nbits),
-            "bit width {nbits} out of range 1..=32"
-        );
-        if self.io_error.is_some() || self.pos + u64::from(nbits) > self.total_bits {
-            return None;
-        }
-        if self.bit + nbits as usize > self.tail * 8 && !self.top_up(nbits) {
-            return None;
-        }
-        let value = load_bits(&self.block, self.bit, nbits);
-        self.bit += nbits as usize;
-        self.pos += u64::from(nbits);
-        Some(value)
-    }
-
-    /// Reads one flag bit.
-    pub(crate) fn get_bool(&mut self) -> Option<bool> {
-        self.get(1).map(|b| b == 1)
-    }
-
     /// Runs `decode` over a [`WindowBits`] at the cursor, again and again
     /// while it returns `true` and both the block and the declared
     /// length hold at least `span` more bits; the cursor then stands
@@ -303,8 +279,8 @@ impl<R: Read> StreamBits<R> {
     ///
     /// Each call of `decode` must read at most `span` bits, whatever the
     /// bytes: then no field inside a window can be truncated or need a
-    /// read, so [`StreamBits::get`] would have returned the same values
-    /// and stopped at the same bit.
+    /// read, so the checked [`BitFields::get`] would have returned the
+    /// same values and stopped at the same bit.
     #[inline]
     pub(crate) fn windows(
         &mut self,
@@ -379,9 +355,22 @@ impl<R: Read> StreamBits<R> {
 }
 
 impl<R: Read> BitFields for StreamBits<R> {
-    #[inline(always)]
+    #[inline]
     fn get(&mut self, nbits: u32) -> Option<u32> {
-        StreamBits::get(self, nbits)
+        assert!(
+            (1..=32).contains(&nbits),
+            "bit width {nbits} out of range 1..=32"
+        );
+        if self.io_error.is_some() || self.pos + u64::from(nbits) > self.total_bits {
+            return None;
+        }
+        if self.bit + nbits as usize > self.tail * 8 && !self.top_up(nbits) {
+            return None;
+        }
+        let value = load_bits(&self.block, self.bit, nbits);
+        self.bit += nbits as usize;
+        self.pos += u64::from(nbits);
+        Some(value)
     }
 
     fn is_empty(&self) -> bool {
