@@ -423,13 +423,10 @@ impl<R: Read> FileSource<R> {
     /// `take`, and returns how many it took. Stops early at the declared
     /// record count or at the first error, which it records.
     ///
-    /// A v2 record is read through a window of the block, with no
-    /// per-field check, whenever the block and the declared length both
-    /// hold [`MAX_V2_RECORD_BITS`] more bits; the checked reader takes
-    /// the records that straddle a refill or the end of the body. Both
-    /// run the same decoder, and no record can read past its window, so
-    /// the records, the error and the stop point are those of the
-    /// checked reader alone.
+    /// A v2 record goes through a window of the block whenever the block
+    /// and the declared length both hold [`MAX_V2_RECORD_BITS`] more
+    /// bits, and through the checked reader otherwise (see "Decoding" in
+    /// the module docs).
     fn decode_into(&mut self, max: u64, mut take: impl FnMut(TraceRecord)) -> u64 {
         let mut n = 0;
         while n < max && self.error.is_none() && self.remaining > 0 {
