@@ -417,7 +417,7 @@ impl BitFields for WindowBits<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -660,11 +660,11 @@ mod tests {
     }
 
     /// SplitMix64: a tiny deterministic generator for the differential
-    /// cases.
-    struct Rng(u64);
+    /// cases, here and in `codec_v2`.
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -673,7 +673,7 @@ mod tests {
         }
 
         /// Uniform in `lo..=hi`.
-        fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        pub(crate) fn range(&mut self, lo: u64, hi: u64) -> u64 {
             lo + self.next() % (hi - lo + 1)
         }
     }

@@ -444,6 +444,7 @@ pub(crate) fn decode_record_bits_v2(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::tests::Rng;
     use crate::bits::StreamBits;
     use crate::record::Reg;
     use crate::Trace;
@@ -636,52 +637,34 @@ mod tests {
         assert_eq!(enc.layout_version(), TRACE_LAYOUT_VERSION_V2);
     }
 
-    /// SplitMix64: a tiny deterministic generator for the differential
-    /// cases.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        /// Uniform in `0..n`.
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
     /// `len` records of every shape, with PC runs, escaped jumps, strided
     /// and wild addresses and biased branch outcomes.
     fn random_records(rng: &mut Rng, len: usize) -> Vec<TraceRecord> {
         let mut records = Vec::with_capacity(len);
         let (mut pc, mut addr) = (0x0040_0000u32, 0x1000_0000u32);
         for _ in 0..len {
-            let reg = |rng: &mut Rng| (rng.below(3) != 0).then(|| Reg::new(rng.below(64) as u8));
-            let wrong_path = rng.below(10) == 0;
-            let record = match rng.below(3) {
+            let reg =
+                |rng: &mut Rng| (rng.range(0, 2) != 0).then(|| Reg::new(rng.range(0, 63) as u8));
+            let wrong_path = rng.range(0, 9) == 0;
+            let record = match rng.range(0, 2) {
                 0 => TraceRecord::Other(OtherRecord {
                     pc,
-                    class: OpClass::ALL[rng.below(4) as usize],
+                    class: OpClass::ALL[rng.range(0, 3) as usize],
                     dest: reg(rng),
                     src1: reg(rng),
                     src2: reg(rng),
                     wrong_path,
                 }),
                 1 => {
-                    addr = match rng.below(4) {
+                    addr = match rng.range(0, 3) {
                         0 => rng.next() as u32,
-                        _ => addr.wrapping_add(4 * rng.below(16) as u32),
+                        _ => addr.wrapping_add(4 * rng.range(0, 15) as u32),
                     };
                     TraceRecord::Mem(MemRecord {
                         pc,
                         addr,
-                        size: MemSize::ALL[rng.below(4) as usize],
-                        kind: [MemKind::Load, MemKind::Store][rng.below(2) as usize],
+                        size: MemSize::ALL[rng.range(0, 3) as usize],
+                        kind: [MemKind::Load, MemKind::Store][rng.range(0, 1) as usize],
                         base: reg(rng),
                         data: reg(rng),
                         wrong_path,
@@ -689,19 +672,19 @@ mod tests {
                 }
                 _ => TraceRecord::Branch(BranchRecord {
                     pc,
-                    target: match rng.below(4) {
+                    target: match rng.range(0, 3) {
                         0 => rng.next() as u32,
-                        _ => pc.wrapping_add(4 * rng.below(256) as u32),
+                        _ => pc.wrapping_add(4 * rng.range(0, 255) as u32),
                     },
-                    taken: rng.below(4) != 0,
-                    kind: BranchKind::ALL[rng.below(6) as usize],
+                    taken: rng.range(0, 3) != 0,
+                    kind: BranchKind::ALL[rng.range(0, 5) as usize],
                     src1: reg(rng),
                     src2: reg(rng),
                     wrong_path,
                 }),
             };
             records.push(record);
-            pc = match rng.below(12) {
+            pc = match rng.range(0, 11) {
                 0 => rng.next() as u32,
                 _ => record.implied_next_pc(),
             };
@@ -757,7 +740,7 @@ mod tests {
             windowed += window_matches_checked(enc.bytes(), enc.len_bits());
             // Declared shorter than the body: the records near the cut
             // must end the same way on both paths.
-            let cut = enc.len_bits().saturating_sub(rng.below(200));
+            let cut = enc.len_bits().saturating_sub(rng.range(0, 199));
             window_matches_checked(enc.bytes(), cut);
         }
         assert!(
@@ -770,8 +753,8 @@ mod tests {
     fn window_reader_matches_the_checked_reader_on_random_bytes() {
         let mut rng = Rng(7);
         for _ in 0..3000 {
-            let bytes: Vec<u8> = (0..rng.below(600)).map(|_| rng.next() as u8).collect();
-            let total_bits = (bytes.len() as u64 * 8).saturating_sub(rng.below(8));
+            let bytes: Vec<u8> = (0..rng.range(0, 599)).map(|_| rng.next() as u8).collect();
+            let total_bits = (bytes.len() as u64 * 8).saturating_sub(rng.range(0, 7));
             window_matches_checked(&bytes, total_bits);
         }
     }
