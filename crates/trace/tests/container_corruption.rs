@@ -6,7 +6,8 @@
 //! The small-container tests are exhaustive rather than randomized: the
 //! container under test is small enough (< 200 bytes) to try every byte
 //! position and every prefix length deterministically. The multi-block
-//! test cuts a 40 KiB body around each read-block edge and its end.
+//! tests cut a 40 KiB body around each read-block edge and its end, and
+//! flip its bytes at a stride.
 
 use resim_trace::{
     BranchKind, BranchRecord, FileSource, Fnv64, MemKind, MemRecord, MemSize, OpClass, OtherRecord,
