@@ -459,3 +459,41 @@ fn over_bound_budgets_are_rejected_on_every_path() {
         );
     }
 }
+
+/// A container cut mid-body is a diagnostic on every command that runs
+/// it, never a silently short run: `run`, `profile`, `sample` and
+/// `record` all exit 1 naming the file, and `record` writes no session.
+#[test]
+fn a_container_cut_mid_body_ends_abnormally_on_every_run_command() {
+    for layout in ["1", "2"] {
+        let dir = scratch(&format!("cut-v{layout}"));
+        let scenario = dir.join("s.toml");
+        let trace = dir.join("t.trace");
+        let session = dir.join("s.rssn");
+        let (s, t) = (scenario.to_str().unwrap(), trace.to_str().unwrap());
+        fs::write(
+            &scenario,
+            "[workload]\nname = \"gzip\"\nseed = 3\nbudget = 4000\n\
+             [sample]\ninterval = 1000\ndetailed = 400\nperiod = 2\n",
+        )
+        .unwrap();
+        let (code, _, err) = run_for_test(&["trace", "-s", s, "-o", t, "--layout", layout]);
+        assert_eq!(code, 0, "{err}");
+        let bytes = fs::read(&trace).unwrap();
+        fs::write(&trace, &bytes[..bytes.len() * 2 / 3]).unwrap();
+
+        let expected = format!("trace {t:?} ended abnormally: ");
+        for command in ["run", "profile", "sample", "record"] {
+            let mut args = vec![command, "-s", s, "--trace", t];
+            if command == "record" {
+                args.extend(["-o", session.to_str().unwrap()]);
+            }
+            let (code, out, err) = run_for_test(&args);
+            assert_eq!(code, 1, "{command} v{layout}: {out}{err}");
+            assert_eq!(out, "", "{command} v{layout}");
+            assert!(err.contains(&expected), "{command} v{layout}: {err}");
+        }
+        assert!(!session.exists(), "a failed record must write no session");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}
