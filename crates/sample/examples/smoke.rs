@@ -20,7 +20,9 @@ fn main() {
         &TraceGenConfig::paper(),
     );
     let config = EngineConfig::paper_4wide();
-    let full = Engine::new(config.clone()).expect("valid config").run(trace.source());
+    let full = Engine::new(config.clone())
+        .expect("valid config")
+        .run(trace.source());
 
     // 4 sampled windows: detail 1k of every other 5k-record interval.
     let plan = SamplePlan::systematic(5_000, 1_000, 2);
@@ -33,7 +35,11 @@ fn main() {
         100.0 * s.detailed_fraction(),
         full.ipc(),
     );
-    assert!(s.n_windows() >= 4, "expected >= 4 windows, got {}", s.n_windows());
+    assert!(
+        s.n_windows() >= 4,
+        "expected >= 4 windows, got {}",
+        s.n_windows()
+    );
     assert!(
         s.ci95_contains(full.ipc()),
         "full IPC {:.4} outside sampled CI [{lo:.4}, {hi:.4}]",

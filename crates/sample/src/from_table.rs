@@ -112,8 +112,14 @@ mod tests {
 
     #[test]
     fn required_keys_are_reported() {
-        assert!(parse("detailed = 10").unwrap_err().to_string().contains("interval"));
-        assert!(parse("interval = 10").unwrap_err().to_string().contains("detailed"));
+        assert!(parse("detailed = 10")
+            .unwrap_err()
+            .to_string()
+            .contains("interval"));
+        assert!(parse("interval = 10")
+            .unwrap_err()
+            .to_string()
+            .contains("detailed"));
     }
 
     #[test]

@@ -169,7 +169,10 @@ fn run_windows<S: TraceSource>(
     source: S,
     plan: &SamplePlan,
 ) -> Result<SampledStats, SampleError> {
-    let mut source = Peekable { src: source, buf: None };
+    let mut source = Peekable {
+        src: source,
+        buf: None,
+    };
     let mut warmer = FunctionalWarmer::new(config);
     let mut windows: Vec<WindowStats> = Vec::new();
     let mut merged = SimStats::default();
@@ -313,8 +316,12 @@ mod tests {
         let config = cached_config();
         let full = Engine::new(config.clone()).unwrap().run(trace.source());
         for interval in [100u64, 1_000, 7_777, 1 << 40] {
-            let s = run_sampled(&config, trace.source(), &SamplePlan::full_coverage(interval))
-                .unwrap();
+            let s = run_sampled(
+                &config,
+                trace.source(),
+                &SamplePlan::full_coverage(interval),
+            )
+            .unwrap();
             assert!(s.full_coverage);
             assert_eq!(s.sim, full, "interval={interval}");
             assert_eq!(s.records_total, trace.len() as u64);
@@ -352,8 +359,7 @@ mod tests {
         let trace = gzip_trace(60_000, 7);
         let config = cached_config();
         let full = Engine::new(config.clone()).unwrap().run(trace.source());
-        let plan =
-            SamplePlan::systematic(6_000, 1_000, 2).with_warmup(WarmupMode::Bounded(4_000));
+        let plan = SamplePlan::systematic(6_000, 1_000, 2).with_warmup(WarmupMode::Bounded(4_000));
         let s = run_sampled(&config, trace.source(), &plan).unwrap();
         assert!(s.records_skipped > 0, "bounded warmup must use skip()");
         assert!(
@@ -367,8 +373,7 @@ mod tests {
     #[test]
     fn accounting_is_conserved() {
         let trace = gzip_trace(30_000, 3);
-        let plan =
-            SamplePlan::systematic(3_000, 500, 3).with_warmup(WarmupMode::Bounded(1_000));
+        let plan = SamplePlan::systematic(3_000, 500, 3).with_warmup(WarmupMode::Bounded(1_000));
         let s = run_sampled(&cached_config(), trace.source(), &plan).unwrap();
         assert_eq!(
             s.records_detailed + s.records_warmed + s.records_skipped,

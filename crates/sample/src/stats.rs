@@ -145,9 +145,9 @@ impl SampledStats {
 /// i.i.d. enough for SMARTS's estimator, and so for this table).
 fn t95(df: usize) -> f64 {
     const TABLE: [f64; 30] = [
-        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179,
-        2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064,
-        2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
+        2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
+        2.052, 2.048, 2.045, 2.042,
     ];
     if df == 0 {
         f64::INFINITY
@@ -209,7 +209,11 @@ mod tests {
         let tight = stats(vec![window(0, 1_900, 1_000), window(1, 2_100, 1_000)]);
         assert!(spread.ci95_half_width() > tight.ci95_half_width());
 
-        let few = stats((0..4).map(|i| window(i, 2_000 + (i % 2) * 100, 1_000)).collect());
+        let few = stats(
+            (0..4)
+                .map(|i| window(i, 2_000 + (i % 2) * 100, 1_000))
+                .collect(),
+        );
         let many = stats(
             (0..64)
                 .map(|i| window(i, 2_000 + (i % 2) * 100, 1_000))
