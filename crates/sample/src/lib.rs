@@ -30,12 +30,16 @@
 //! * [`run_sampled`] — the driver, with a contiguous fast path that makes
 //!   a 100 %-coverage plan **bit-identical** to
 //!   [`Engine::run`](resim_core::Engine::run);
+//! * [`simulate`] — the one fallible run path of the `resim` commands
+//!   and the sweep runner: one [`Engine::run`](resim_core::Engine::run)
+//!   without a plan, [`run_sampled`] with one, and a [`RunOutcome`]
+//!   either way;
 //! * [`SampledStats`] — per-window IPCs, their mean, variance and a
 //!   Student-t 95 % confidence interval.
 //!
 //! `resim-sweep` exposes all of this as a first-class cell execution mode
-//! (`CellMode::Sampled`), so scenario grids can trade accuracy for
-//! wall-clock per cell.
+//! (`CellMode::Sampled`, run through [`simulate`]), so scenario grids can
+//! trade accuracy for wall-clock per cell.
 //!
 //! ## Example
 //!
@@ -78,6 +82,6 @@ mod stats;
 mod warm;
 
 pub use plan::{PlanError, SamplePlan, WarmupMode};
-pub use runner::{run_sampled, SampleError};
+pub use runner::{run_sampled, simulate, RunOutcome, SampleError};
 pub use stats::{SampledStats, WindowStats};
 pub use warm::FunctionalWarmer;

@@ -43,6 +43,49 @@ impl From<ConfigError> for SampleError {
     }
 }
 
+/// What one [`simulate`] run produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunOutcome {
+    /// A full run's statistics, or a sampled run's merged windows.
+    pub stats: SimStats,
+    /// A sampled run's windows and confidence data.
+    pub sampled: Option<SampledStats>,
+    /// A full run's operations per scheduler stage, in roster order;
+    /// empty for a sampled run, whose engines last one window each.
+    pub activity: Vec<(&'static str, u64)>,
+}
+
+/// Runs `source` on an engine configured as `config`: every record in
+/// detail on one [`Engine`] without a plan, else [`run_sampled`] under
+/// it. The `resim` commands and the sweep runner run through here.
+///
+/// # Errors
+///
+/// [`SampleError::Config`] for an invalid configuration, with or
+/// without a plan; [`SampleError::Plan`] for an invalid plan.
+pub fn simulate<S: TraceSource>(
+    config: &EngineConfig,
+    source: S,
+    plan: Option<&SamplePlan>,
+) -> Result<RunOutcome, SampleError> {
+    let Some(plan) = plan else {
+        let mut engine = Engine::new(config.clone())?;
+        let stats = engine.run(source);
+        let activity = engine.scheduler().activity();
+        return Ok(RunOutcome {
+            stats,
+            sampled: None,
+            activity,
+        });
+    };
+    let sampled = run_sampled(config, source, plan)?;
+    Ok(RunOutcome {
+        stats: sampled.sim,
+        sampled: Some(sampled),
+        activity: Vec::new(),
+    })
+}
+
 /// Runs `source` under `plan` on an engine configured as `config`.
 ///
 /// Two execution paths, chosen by the plan:
@@ -308,6 +351,49 @@ mod tests {
             let message = err.to_string();
             assert!(message.starts_with("cannot build sampling engine: "));
         }
+    }
+
+    #[test]
+    fn simulate_runs_full_without_a_plan_and_sampled_with_one() {
+        let trace = gzip_trace(6_000, 4);
+        let config = cached_config();
+        let mut engine = Engine::new(config.clone()).unwrap();
+        let direct = engine.run(trace.source());
+        let full = simulate(&config, trace.source(), None).unwrap();
+        assert_eq!(full.stats, direct);
+        assert_eq!(full.sampled, None);
+        assert_eq!(full.activity, engine.scheduler().activity());
+
+        let plan = SamplePlan::systematic(1_000, 250, 2);
+        let sampled = simulate(&config, trace.source(), Some(&plan)).unwrap();
+        let expected = run_sampled(&config, trace.source(), &plan).unwrap();
+        assert_eq!(sampled.stats, expected.sim);
+        assert_eq!(sampled.sampled, Some(expected));
+        assert!(sampled.activity.is_empty());
+    }
+
+    #[test]
+    fn simulate_reports_errors_and_never_panics() {
+        let trace = gzip_trace(100, 1);
+        let config = EngineConfig {
+            width: 0,
+            ..EngineConfig::paper_4wide()
+        };
+        for plan in [
+            None,
+            Some(SamplePlan::full_coverage(50)),
+            Some(SamplePlan::systematic(50, 10, 2)),
+        ] {
+            let err = simulate(&config, trace.source(), plan.as_ref()).unwrap_err();
+            assert_eq!(err, SampleError::Config(ConfigError::ZeroWidth), "{plan:?}");
+        }
+        let bad_plan = SamplePlan::systematic(0, 1, 1);
+        let err = simulate(
+            &EngineConfig::paper_4wide(),
+            trace.source(),
+            Some(&bad_plan),
+        );
+        assert!(matches!(err, Err(SampleError::Plan(_))));
     }
 
     #[test]
