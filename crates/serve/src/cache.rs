@@ -128,10 +128,7 @@ impl CachedCell {
             trace_container_version: TRACE_CONTAINER_VERSION,
             trace_layout_version: TRACE_LAYOUT_VERSION,
             cell_index: Some(cell_index as u64),
-            sample: match self.mode {
-                CellMode::Full => None,
-                CellMode::Sampled(plan) => Some(plan),
-            },
+            sample: self.mode.plan().copied(),
             scenario_toml: scenario_toml.to_string(),
             embedded_trace: None,
             stats: self.stats,
@@ -144,7 +141,7 @@ impl CachedCell {
             engine_fingerprint: rec.engine_fingerprint,
             tracegen_fingerprint: rec.tracegen_fingerprint,
             workload: rec.workload,
-            mode: rec.sample.map_or(CellMode::Full, CellMode::Sampled),
+            mode: rec.sample.into(),
             budget: rec.budget,
             seed: rec.seed,
             served,

@@ -304,16 +304,14 @@ impl ScenarioDoc {
         if self.has_sweep() {
             return self.sweep_scenario();
         }
-        let mut s = Scenario::new()
+        let s = Scenario::new()
             .config("single", self.engine.clone(), self.tracegen)
             .workload(
                 WorkloadPoint::named(&self.workload.name).expect("name validated at parse time"),
             )
             .budgets([self.workload.budget])
-            .seeds([self.workload.seed]);
-        if let Some(plan) = &self.sample {
-            s = s.modes([CellMode::Sampled(*plan)]);
-        }
+            .seeds([self.workload.seed])
+            .modes(self.sample.map(CellMode::Sampled));
         s.validate()
             .map_err(|e| Error::new(0, format!("invalid scenario: {e}")))?;
         Ok(s)

@@ -12,19 +12,35 @@ use std::fmt;
 use std::hash::Hash;
 
 /// How one grid cell executes its trace — the accuracy-versus-wall-clock
-/// axis of a scenario.
+/// axis of a scenario. A cell runs through
+/// [`resim_sample::simulate`] with the mode's [`CellMode::plan`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CellMode {
-    /// Every record cycle-accurate: one [`Engine::run`](resim_core::Engine::run).
+    /// Every record cycle-accurate on one engine.
     #[default]
     Full,
-    /// SMARTS-style sampled simulation under the given plan
-    /// ([`resim_sample::run_sampled`]); the cell reports the merged
-    /// detailed-window statistics plus the per-window confidence data.
+    /// SMARTS-style sampled simulation under the given plan; the cell
+    /// reports the merged detailed-window statistics plus the
+    /// per-window confidence data.
     Sampled(SamplePlan),
 }
 
+impl From<Option<SamplePlan>> for CellMode {
+    /// `Sampled` under the plan, `Full` without one.
+    fn from(plan: Option<SamplePlan>) -> Self {
+        plan.map_or(CellMode::Full, CellMode::Sampled)
+    }
+}
+
 impl CellMode {
+    /// The sample plan a `Sampled` cell runs under; `None` for `Full`.
+    pub fn plan(&self) -> Option<&SamplePlan> {
+        match self {
+            CellMode::Full => None,
+            CellMode::Sampled(plan) => Some(plan),
+        }
+    }
+
     /// Display name, unique per distinct mode (`"full"`, or
     /// `"sampled-<plan>"`).
     pub fn name(&self) -> String {
@@ -792,6 +808,16 @@ mod tests {
             "sampled-u1000d100k10f"
         );
         assert_eq!(CellMode::default(), CellMode::Full);
+    }
+
+    #[test]
+    fn modes_convert_to_and_from_plans() {
+        let plan = SamplePlan::systematic(1000, 100, 10);
+        assert_eq!(CellMode::Full.plan(), None);
+        assert_eq!(CellMode::Sampled(plan).plan(), Some(&plan));
+        for mode in [CellMode::Full, CellMode::Sampled(plan)] {
+            assert_eq!(CellMode::from(mode.plan().copied()), mode);
+        }
     }
 
     #[test]
