@@ -67,9 +67,9 @@
 //! own direct engine run.
 
 use crate::report::{CellResult, SweepReport};
-use crate::scenario::{Cell, CellMode, Scenario, ScenarioError};
-use resim_core::{Engine, EngineConfig, SimStats};
-use resim_sample::{run_sampled, SampledStats};
+use crate::scenario::{Cell, Scenario, ScenarioError};
+use resim_core::EngineConfig;
+use resim_sample::{simulate, RunOutcome, SampledStats};
 use resim_trace::Trace;
 use resim_tracegen::{TraceCache, TraceKey};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -151,8 +151,7 @@ pub struct SweepRunner {
 /// queue family can take it instead of running.
 struct EngineRun<'a> {
     config: &'a EngineConfig,
-    stats: SimStats,
-    sampled: Option<SampledStats>,
+    outcome: RunOutcome,
 }
 
 impl SweepRunner {
@@ -350,7 +349,7 @@ impl SweepRunner {
                 .get(&scenario.trace_key(cell))
                 .expect("phase 1 filled every key");
             let mode = scenario.cell_mode(cell);
-            let (stats, sampled, mut wall) =
+            let (RunOutcome { stats, sampled, .. }, mut wall) =
                 self.run_or_share(scenario, cell, &cached.trace, &finished[family]);
             for &position in group {
                 let cell_t0 = Instant::now();
@@ -395,40 +394,30 @@ impl SweepRunner {
         })
     }
 
-    /// The statistics of the timing point whose first cell is `cell`,
-    /// and the time spent running its engine: a finished run of its
-    /// queue family that covers it (no time), or else a new run over
-    /// `trace`, which joins `finished` for the family's later points.
+    /// The run of the timing point whose first cell is `cell`, and the
+    /// time spent running its engine: a finished run of its queue family
+    /// that covers it (no time), or else a new run over `trace`, which
+    /// joins `finished` for the family's later points.
     fn run_or_share<'a>(
         &self,
         scenario: &'a Scenario,
         cell: &Cell,
         trace: &Trace,
         finished: &Mutex<Vec<EngineRun<'a>>>,
-    ) -> (SimStats, Option<SampledStats>, Duration) {
+    ) -> (RunOutcome, Duration) {
         let config = &scenario.configs()[cell.config].engine;
         let covering = finished
             .lock()
             .expect("finished runs poisoned")
             .iter()
-            .find(|run| run.stats.covers(run.config, config))
-            .map(|run| (run.stats, run.sampled.clone()));
-        if let Some((stats, sampled)) = covering {
-            return (stats, sampled, Duration::ZERO);
+            .find(|run| run.outcome.stats.covers(run.config, config))
+            .map(|run| run.outcome.clone());
+        if let Some(outcome) = covering {
+            return (outcome, Duration::ZERO);
         }
         let run_t0 = Instant::now();
-        let (stats, sampled) = match scenario.cell_mode(cell) {
-            CellMode::Full => {
-                let mut engine =
-                    Engine::new(config.clone()).expect("scenario validated every config");
-                (engine.run(trace.source()), None)
-            }
-            CellMode::Sampled(plan) => {
-                let s = run_sampled(config, trace.source(), &plan)
-                    .expect("scenario validated every plan and config");
-                (s.sim, Some(s))
-            }
-        };
+        let outcome = simulate(config, trace.source(), scenario.cell_mode(cell).plan())
+            .expect("scenario validated every plan and config");
         let wall = run_t0.elapsed();
         self.engine_runs.fetch_add(1, Ordering::Relaxed);
         finished
@@ -436,10 +425,9 @@ impl SweepRunner {
             .expect("finished runs poisoned")
             .push(EngineRun {
                 config,
-                stats,
-                sampled: sampled.clone(),
+                outcome: outcome.clone(),
             });
-        (stats, sampled, wall)
+        (outcome, wall)
     }
 
     /// Runs `work(i)` for every `i in 0..n` across the worker pool.
