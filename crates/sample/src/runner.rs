@@ -68,21 +68,20 @@ pub fn simulate<S: TraceSource>(
     source: S,
     plan: Option<&SamplePlan>,
 ) -> Result<RunOutcome, SampleError> {
-    let Some(plan) = plan else {
-        let mut engine = Engine::new(config.clone())?;
-        let stats = engine.run(source);
-        let activity = engine.scheduler().activity();
-        return Ok(RunOutcome {
-            stats,
-            sampled: None,
-            activity,
-        });
+    let (stats, sampled, activity) = match plan {
+        None => {
+            let mut engine = Engine::new(config.clone())?;
+            (engine.run(source), None, engine.scheduler().activity())
+        }
+        Some(plan) => {
+            let sampled = run_sampled(config, source, plan)?;
+            (sampled.sim, Some(sampled), Vec::new())
+        }
     };
-    let sampled = run_sampled(config, source, plan)?;
     Ok(RunOutcome {
-        stats: sampled.sim,
-        sampled: Some(sampled),
-        activity: Vec::new(),
+        stats,
+        sampled,
+        activity,
     })
 }
 
