@@ -4,22 +4,21 @@
 //! round-trip tests drive the exact binary code paths; failures are
 //! plain strings already carrying file/line context.
 
-use resim_core::{block_diagram, Engine, EngineConfig, SimStats, SIM_STATS_FIELDS};
+use resim_core::{block_diagram, Engine, EngineConfig, SIM_STATS_FIELDS};
 use resim_obs::{write_events_jsonl, Counter, MetricsDoc, MetricsRecorder, TraceDoc};
-use resim_sample::{run_sampled, SamplePlan};
+use resim_sample::{simulate, RunOutcome, SampleError, SamplePlan};
 use resim_serve::{Client, ResultCache, Server};
 use resim_session::SessionRecord;
-use resim_sweep::ScenarioDoc;
-use resim_sweep::{CellMode, SweepProgress, SweepRunner, MAX_BUDGET};
+use resim_sweep::{ScenarioDoc, SweepProgress, SweepRunner, WorkloadPoint, MAX_BUDGET};
 use resim_toml::json::JsonValue;
 use resim_trace::{
     save_trace_file, FileSource, Trace, TraceFileHeader, TraceSource, TRACE_CONTAINER_VERSION,
     TRACE_LAYOUT_VERSION,
 };
-use resim_tracegen::{generate_trace, TraceCache, TraceKey};
+use resim_tracegen::{generate_trace, TraceCache, TraceGenConfig, TraceKey};
 use std::fmt::Write as _;
 use std::fs;
-use std::io::Write;
+use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 pub(crate) type CmdResult = Result<(), String>;
@@ -119,70 +118,118 @@ pub(crate) fn trace(
     emit(out, &s)
 }
 
-/// Resolves the input trace for `run`/`sample`: an explicit container
-/// path (flag or `[trace]` key) is replayed, otherwise the trace is
-/// generated in memory.
-enum Source {
-    File(Box<FileSource<std::io::BufReader<fs::File>>>, String),
+/// The input trace of one run: a container, or a trace generated in
+/// memory. [`Source::simulate`] runs it, and every command that runs a
+/// container checks its end through [`Source::check_end`].
+enum Source<R: Read = io::BufReader<fs::File>> {
+    /// A container and the path it was opened from; `None` for the
+    /// container a session embeds.
+    File(Box<FileSource<R>>, Option<String>),
+    /// A trace generated in memory.
     Generated(Trace),
 }
 
-fn resolve_source(doc: &ScenarioDoc, trace_flag: Option<&str>) -> Result<Source, String> {
-    match doc.trace_path(trace_flag) {
-        Some(path) => {
-            let src =
-                FileSource::open(path).map_err(|e| format!("cannot replay trace {path:?}: {e}"))?;
-            Ok(Source::File(Box::new(src), path.to_string()))
+impl Source {
+    /// The input of `run`, `profile`, `sample` and `record`: an
+    /// explicit container path (flag or `[trace]` key) is replayed,
+    /// otherwise the trace is generated in memory.
+    fn resolve(doc: &ScenarioDoc, trace_flag: Option<&str>) -> Result<Self, String> {
+        match doc.trace_path(trace_flag) {
+            Some(path) => {
+                let src = FileSource::open(path)
+                    .map_err(|e| format!("cannot replay trace {path:?}: {e}"))?;
+                Ok(Source::File(Box::new(src), Some(path.to_string())))
+            }
+            None => Ok(Source::Generated(doc.generate())),
         }
-        None => Ok(Source::Generated(doc.generate())),
     }
 }
 
-fn describe_source(doc: &ScenarioDoc, source: &Source) -> String {
-    match source {
-        Source::File(src, path) => {
-            let h = src.header();
-            let mut s = format!(
-                "replaying {path}: {} records of \"{}\" (seed {})\n",
-                h.records, h.workload, h.seed
-            );
-            // Same contract the sweep preloader enforces via the cache
-            // key: wrong-path tags are only meaningful when the trace
-            // was generated under the scenario's tracegen settings.
-            if h.tracegen_fingerprint != doc.tracegen.fingerprint() {
-                s.push_str(
-                    "warning: trace was generated under a different tracegen configuration \
-                     (fingerprint mismatch); wrong-path behaviour may not match this scenario\n",
-                );
+impl<R: Read> Source<R> {
+    /// Fails if the container stopped before its declared end: a cut or
+    /// corrupt body is a diagnostic, never a silently short run.
+    fn check_end(src: &FileSource<R>, path: Option<&str>) -> CmdResult {
+        let Some(e) = src.error() else {
+            return Ok(());
+        };
+        let name = path.map_or_else(|| "embedded trace".to_string(), |p| format!("trace {p:?}"));
+        Err(format!("{name} ended abnormally: {e}"))
+    }
+
+    /// Runs the trace on `config`, every record in detail or under
+    /// `plan`. A failed run reads `invalid engine configuration: …`
+    /// without a plan and `sampled run failed: …` with one.
+    fn simulate(
+        self,
+        config: &EngineConfig,
+        plan: Option<&SamplePlan>,
+    ) -> Result<RunOutcome, String> {
+        let outcome = match self {
+            Source::File(mut src, path) => {
+                let outcome = simulate(config, &mut *src, plan);
+                Self::check_end(&src, path.as_deref())?;
+                outcome
             }
-            // An explicitly pinned [workload] is cross-checked too, so
-            // replaying a stale file after editing the scenario does
-            // not silently attribute results to the wrong inputs.
-            if doc.workload_explicit
-                && (h.workload != doc.workload.name
-                    || h.seed != doc.workload.seed
-                    || h.correct_records != doc.workload.budget as u64)
-            {
-                let _ = writeln!(
-                    s,
-                    "warning: trace file is \"{}\" seed {} budget {}, but the scenario's \
-                     [workload] says \"{}\" seed {} budget {}",
+            Source::Generated(trace) => simulate(config, trace.source(), plan),
+        };
+        outcome.map_err(|e| match (plan, e) {
+            (None, SampleError::Config(e)) => format!("invalid engine configuration: {e}"),
+            (_, e) => format!("sampled run failed: {e}"),
+        })
+    }
+
+    /// The `replaying …` / `generated in memory …` banner of `run`,
+    /// `profile` and `sample`, with warnings when a container does not
+    /// match the scenario.
+    fn describe(&self, doc: &ScenarioDoc) -> String {
+        match self {
+            Source::File(src, path) => {
+                let h = src.header();
+                let mut s = format!(
+                    "replaying {}: {} records of \"{}\" (seed {})\n",
+                    path.as_deref().unwrap_or("embedded trace"),
+                    h.records,
                     h.workload,
-                    h.seed,
-                    h.correct_records,
-                    doc.workload.name,
-                    doc.workload.seed,
-                    doc.workload.budget,
+                    h.seed
                 );
+                // Same contract the sweep preloader enforces via the cache
+                // key: wrong-path tags are only meaningful when the trace
+                // was generated under the scenario's tracegen settings.
+                if h.tracegen_fingerprint != doc.tracegen.fingerprint() {
+                    s.push_str(
+                        "warning: trace was generated under a different tracegen configuration \
+                         (fingerprint mismatch); wrong-path behaviour may not match this scenario\n",
+                    );
+                }
+                // An explicitly pinned [workload] is cross-checked too, so
+                // replaying a stale file after editing the scenario does
+                // not silently attribute results to the wrong inputs.
+                if doc.workload_explicit
+                    && (h.workload != doc.workload.name
+                        || h.seed != doc.workload.seed
+                        || h.correct_records != doc.workload.budget as u64)
+                {
+                    let _ = writeln!(
+                        s,
+                        "warning: trace file is \"{}\" seed {} budget {}, but the scenario's \
+                         [workload] says \"{}\" seed {} budget {}",
+                        h.workload,
+                        h.seed,
+                        h.correct_records,
+                        doc.workload.name,
+                        doc.workload.seed,
+                        doc.workload.budget,
+                    );
+                }
+                s
             }
-            s
+            Source::Generated(trace) => format!(
+                "generated in memory: {} records of \"{}\" (seed {})\n",
+                trace.len(),
+                doc.workload.name,
+                doc.workload.seed
+            ),
         }
-        Source::Generated(trace) => format!(
-            "generated in memory: {} records of \"{}\" (seed {})\n",
-            trace.len(),
-            doc.workload.name,
-            doc.workload.seed
-        ),
     }
 }
 
@@ -199,27 +246,15 @@ pub(crate) fn run(
         return profile(scenario_path, trace_flag, None, None, None, out);
     }
     let doc = load_scenario(scenario_path)?;
-    let mut engine = Engine::new(doc.engine.clone())
-        .map_err(|e| format!("invalid engine configuration: {e}"))?;
-    let source = resolve_source(&doc, trace_flag)?;
-    let banner = describe_source(&doc, &source);
-
-    let stats = match source {
-        Source::File(mut src, path) => {
-            let stats = engine.run(&mut *src);
-            if let Some(e) = src.error() {
-                return Err(format!("trace {path:?} ended abnormally: {e}"));
-            }
-            stats
-        }
-        Source::Generated(trace) => engine.run(trace.source()),
-    };
+    let source = Source::resolve(&doc, trace_flag)?;
+    let banner = source.describe(&doc);
+    let RunOutcome {
+        stats, activity, ..
+    } = source.simulate(&doc.engine, None)?;
 
     let mut s = banner;
     s.push_str(&stats.report());
-    let activity = engine
-        .scheduler()
-        .activity()
+    let activity = activity
         .into_iter()
         .map(|(stage, ops)| format!("{stage} {ops}"))
         .collect::<Vec<_>>()
@@ -247,37 +282,29 @@ pub(crate) fn profile(
     };
     let mut engine = Engine::with_recorder(doc.engine.clone(), recorder)
         .map_err(|e| format!("invalid engine configuration: {e}"))?;
-    let source = resolve_source(&doc, trace_flag)?;
-    let banner = describe_source(&doc, &source);
+    let source = Source::resolve(&doc, trace_flag)?;
+    let banner = source.describe(&doc);
 
     let t0 = std::time::Instant::now();
     let (stats, trace_doc) = match source {
         Source::File(mut src, path) => {
             let stats = engine.run(&mut *src);
-            if let Some(e) = src.error() {
-                return Err(format!("trace {path:?} ended abnormally: {e}"));
-            }
+            Source::check_end(&src, path.as_deref())?;
             let trace_doc = TraceDoc {
-                source: format!("file {path}"),
-                records: stats.trace_records_consumed(),
-                cache_hits: 0,
-                cache_misses: 0,
+                source: format!("file {}", path.unwrap_or_default()),
                 decoded: src.records_decoded(),
                 fills: src.batch_fills(),
+                ..TraceDoc::default()
             };
             (stats, trace_doc)
         }
         Source::Generated(trace) => {
-            let stats = engine.run(trace.source());
+            let source = format!("generated {}", doc.workload.name);
             let trace_doc = TraceDoc {
-                source: format!("generated {}", doc.workload.name),
-                records: stats.trace_records_consumed(),
-                cache_hits: 0,
-                cache_misses: 0,
-                decoded: 0,
-                fills: 0,
+                source,
+                ..TraceDoc::default()
             };
-            (stats, trace_doc)
+            (engine.run(trace.source()), trace_doc)
         }
     };
     let wall = t0.elapsed();
@@ -320,7 +347,10 @@ pub(crate) fn profile(
             .rate("il1_miss", stats.il1_miss_rate())
             .rate("dl1_miss", stats.dl1_miss_rate());
         mdoc.populate(rec);
-        mdoc.trace = trace_doc;
+        mdoc.trace = TraceDoc {
+            records: stats.trace_records_consumed(),
+            ..trace_doc
+        };
         if let Some(path) = metrics_out {
             fs::write(path, mdoc.to_json()).map_err(|e| format!("cannot write {path:?}: {e}"))?;
             let _ = writeln!(s, "wrote {path}");
@@ -344,21 +374,12 @@ pub(crate) fn sample(
     let plan = doc
         .sample
         .ok_or_else(|| format!("scenario {scenario_path:?} has no [sample] section"))?;
-    let source = resolve_source(&doc, trace_flag)?;
-    let banner = describe_source(&doc, &source);
-
-    let sampled = match source {
-        Source::File(mut src, path) => {
-            let sampled = run_sampled(&doc.engine, &mut *src, &plan)
-                .map_err(|e| format!("sampled run failed: {e}"))?;
-            if let Some(e) = src.error() {
-                return Err(format!("trace {path:?} ended abnormally: {e}"));
-            }
-            sampled
-        }
-        Source::Generated(trace) => run_sampled(&doc.engine, trace.source(), &plan)
-            .map_err(|e| format!("sampled run failed: {e}"))?,
-    };
+    let source = Source::resolve(&doc, trace_flag)?;
+    let banner = source.describe(&doc);
+    let sampled = source
+        .simulate(&doc.engine, Some(&plan))?
+        .sampled
+        .expect("a run with a plan is sampled");
 
     let mut s = banner;
     let (lo, hi) = sampled.ci95();
@@ -440,29 +461,24 @@ pub(crate) fn sweep(
     }
 
     let runner = SweepRunner::with_cache(threads, cache);
-    let report = if progress {
-        // Progress samples may come from worker threads; collect them
-        // under a lock and flush into the output in arrival order.
-        let lines: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new());
-        let report = runner
-            .run_with_progress(&scenario, |p: &SweepProgress| {
+    // Progress samples may come from worker threads; collect them under
+    // a lock and flush into the output in arrival order.
+    let lines = std::sync::Mutex::new(Vec::new());
+    let report = runner
+        .run_with_progress(&scenario, |p: &SweepProgress| {
+            if progress {
                 lines.lock().expect("progress lines poisoned").push(format!(
                     "progress: {} {}/{}",
                     p.phase.label(),
                     p.done,
                     p.total
                 ));
-            })
-            .map_err(|e| format!("invalid scenario: {e}"))?;
-        for line in lines.into_inner().expect("progress lines poisoned") {
-            let _ = writeln!(s, "{line}");
-        }
-        report
-    } else {
-        runner
-            .run(&scenario)
-            .map_err(|e| format!("invalid scenario: {e}"))?
-    };
+            }
+        })
+        .map_err(|e| format!("invalid scenario: {e}"))?;
+    for line in lines.into_inner().expect("progress lines poisoned") {
+        let _ = writeln!(s, "{line}");
+    }
 
     s.push_str(&report.to_markdown());
     let _ = writeln!(
@@ -523,9 +539,7 @@ fn preload(
     }
 
     let records: Vec<_> = std::iter::from_fn(|| src.next_record()).collect();
-    if let Some(e) = src.error() {
-        return Err(format!("trace {path:?} ended abnormally: {e}"));
-    }
+    Source::check_end(&src, Some(path))?;
     let trace = Trace::from_records(records);
 
     let mut inserted = 0;
@@ -542,29 +556,6 @@ fn preload(
         }
     }
     Ok(inserted)
-}
-
-/// Runs `source` on `config`, cycle-accurately or under `plan`.
-///
-/// Sampled runs record/replay the merged detailed-window statistics
-/// (`SampledStats::sim`): the full per-window confidence data is a
-/// deterministic function of the same inputs, so the merged stats are
-/// the right bit-identity witness.
-fn execute(
-    config: &EngineConfig,
-    source: impl TraceSource,
-    plan: Option<&SamplePlan>,
-) -> Result<SimStats, String> {
-    match plan {
-        None => {
-            let mut engine = Engine::new(config.clone())
-                .map_err(|e| format!("invalid engine configuration: {e}"))?;
-            Ok(engine.run(source))
-        }
-        Some(plan) => run_sampled(config, source, plan)
-            .map(|sampled| sampled.sim)
-            .map_err(|e| format!("sampled run failed: {e}")),
-    }
 }
 
 /// `resim serve`: run the persistent simulation service until a
@@ -738,76 +729,43 @@ pub(crate) fn record(
         ..SessionRecord::default()
     };
 
-    if let Some(n) = cell {
+    let (engine, source) = if let Some(n) = cell {
         if trace_flag.is_some() {
             return Err(
                 "--cell regenerates the cell's trace; it cannot be combined with --trace"
                     .to_string(),
             );
         }
-        // The grid `resim replay` resolves a cell in: the `[sweep]` grid
-        // when there is one, else the document's single cell.
-        let scenario = doc.to_scenario().map_err(|e| e.display_in(scenario_path))?;
-        scenario
-            .validate()
-            .map_err(|e| format!("invalid scenario: {e}"))?;
-        let cells = scenario.cells();
-        let Some(cell) = cells.get(n) else {
-            return Err(format!(
-                "--cell {n} is out of range: the scenario has {} cell(s)",
-                cells.len()
-            ));
-        };
-        let config = &scenario.configs()[cell.config];
-        let workload = &scenario.workloads()[cell.workload];
-        let trace = generate_trace(
-            workload.instantiate(cell.seed),
-            cell.budget,
-            &config.tracegen,
-        );
-        rec.engine_fingerprint = config.engine.fingerprint();
-        rec.tracegen_fingerprint = config.tracegen.fingerprint();
-        rec.workload = workload.name.clone();
-        rec.seed = cell.seed;
-        rec.budget = cell.budget as u64;
-        rec.cell_index = Some(cell.index as u64);
-        rec.sample = match scenario.cell_mode(cell) {
-            CellMode::Full => None,
-            CellMode::Sampled(plan) => Some(plan),
-        };
-        rec.stats = execute(&config.engine, trace.source(), rec.sample.as_ref())?;
+        let inputs = RunInputs::cell(&doc, scenario_path, n as u64, |cells| {
+            format!("--cell {n} is out of range: the scenario has {cells} cell(s)")
+        })?;
+        inputs.stamp(&mut rec);
+        rec.cell_index = Some(n as u64);
+        inputs.into_run()
     } else {
-        rec.engine_fingerprint = doc.engine.fingerprint();
-        rec.sample = doc.sample;
-        match resolve_source(&doc, trace_flag)? {
-            Source::File(mut src, path) => {
-                // The file's header, not the scenario, says what was
-                // actually simulated — record it, and embed the whole
-                // container so the session replays self-contained.
-                let h = src.header().clone();
-                rec.tracegen_fingerprint = h.tracegen_fingerprint;
-                rec.workload = h.workload;
-                rec.seed = h.seed;
-                rec.budget = h.correct_records;
-                rec.trace_container_version = h.container_version;
-                rec.trace_layout_version = h.layout_version;
-                rec.stats = execute(&doc.engine, &mut *src, rec.sample.as_ref())?;
-                if let Some(e) = src.error() {
-                    return Err(format!("trace {path:?} ended abnormally: {e}"));
-                }
-                rec.embedded_trace = Some(
-                    fs::read(&path).map_err(|e| format!("cannot re-read trace {path:?}: {e}"))?,
-                );
-            }
-            Source::Generated(trace) => {
-                rec.tracegen_fingerprint = doc.tracegen.fingerprint();
-                rec.workload = doc.workload.name.clone();
-                rec.seed = doc.workload.seed;
-                rec.budget = doc.workload.budget as u64;
-                rec.stats = execute(&doc.engine, trace.source(), rec.sample.as_ref())?;
-            }
+        let source = Source::resolve(&doc, trace_flag)?;
+        RunInputs::of(&doc).stamp(&mut rec);
+        if let Source::File(src, path) = &source {
+            // The file's header, not the scenario, says what is
+            // actually simulated — record it, and embed the whole
+            // container so the session replays self-contained.
+            let h = src.header().clone();
+            rec.tracegen_fingerprint = h.tracegen_fingerprint;
+            rec.workload = h.workload;
+            rec.seed = h.seed;
+            rec.budget = h.correct_records;
+            rec.trace_container_version = h.container_version;
+            rec.trace_layout_version = h.layout_version;
+            let path = path.as_deref().unwrap_or_default();
+            rec.embedded_trace =
+                Some(fs::read(path).map_err(|e| format!("cannot re-read trace {path:?}: {e}"))?);
         }
-    }
+        (doc.engine.clone(), source)
+    };
+    // A sampled session records the merged detailed-window statistics:
+    // the per-window data is a deterministic function of the same
+    // inputs, so the merged stats are the bit-identity witness.
+    rec.stats = source.simulate(&engine, rec.sample.as_ref())?.stats;
 
     let default_path = match cell {
         Some(n) => format!("{}-cell{n}.rssn", rec.workload),
@@ -827,11 +785,7 @@ pub(crate) fn record(
         Some(plan) => format!("sampled {}", plan.name()),
         None => "full".to_string(),
     };
-    let cell_note = match rec.cell_index {
-        Some(i) => format!(", sweep cell {i}"),
-        None => String::new(),
-    };
-    let _ = writeln!(s, "  mode     {mode}{cell_note}");
+    let _ = writeln!(s, "  mode     {mode}{}", cell_note(&doc, rec.cell_index));
     let _ = match &rec.embedded_trace {
         Some(bytes) => writeln!(
             s,
@@ -856,6 +810,113 @@ pub(crate) fn record(
     emit(out, &s)
 }
 
+/// What a generated run simulates, as a session records it: a grid
+/// cell's inputs, or the document's own sections. `resim record` stamps
+/// a session with them, and `resim replay` checks a session against
+/// them before it runs anything.
+struct RunInputs {
+    engine: EngineConfig,
+    tracegen: TraceGenConfig,
+    workload: WorkloadPoint,
+    seed: u64,
+    budget: usize,
+    plan: Option<SamplePlan>,
+}
+
+impl RunInputs {
+    /// The run of the document's `[engine]`, `[tracegen]`, `[workload]`
+    /// and `[sample]`.
+    fn of(doc: &ScenarioDoc) -> Self {
+        Self {
+            engine: doc.engine.clone(),
+            tracegen: doc.tracegen,
+            workload: WorkloadPoint::named(&doc.workload.name)
+                .expect("name validated at parse time"),
+            seed: doc.workload.seed,
+            budget: doc.workload.budget,
+            plan: doc.sample,
+        }
+    }
+
+    /// Cell `n` of the document's grid: the `[sweep]` grid when there
+    /// is one, else the document's single cell. These are the indices
+    /// `resim-serve` stores its entries under. `doc_name` names the
+    /// document in diagnostics; `out_of_range` words the error for an
+    /// index past the grid's cell count.
+    fn cell(
+        doc: &ScenarioDoc,
+        doc_name: &str,
+        n: u64,
+        out_of_range: impl FnOnce(usize) -> String,
+    ) -> Result<Self, String> {
+        let scenario = doc.to_scenario().map_err(|e| e.display_in(doc_name))?;
+        scenario
+            .validate()
+            .map_err(|e| format!("invalid scenario: {e}"))?;
+        let cells = scenario.cells();
+        let cell = usize::try_from(n)
+            .ok()
+            .and_then(|n| cells.get(n))
+            .ok_or_else(|| out_of_range(cells.len()))?;
+        let config = &scenario.configs()[cell.config];
+        Ok(Self {
+            engine: config.engine.clone(),
+            tracegen: config.tracegen,
+            workload: scenario.workloads()[cell.workload].clone(),
+            seed: cell.seed,
+            budget: cell.budget,
+            plan: scenario.cell_mode(cell).plan().copied(),
+        })
+    }
+
+    /// Records the inputs in `rec`.
+    fn stamp(&self, rec: &mut SessionRecord) {
+        rec.engine_fingerprint = self.engine.fingerprint();
+        rec.tracegen_fingerprint = self.tracegen.fingerprint();
+        rec.workload = self.workload.name.clone();
+        rec.seed = self.seed;
+        rec.budget = self.budget as u64;
+        rec.sample = self.plan;
+    }
+
+    /// Fails unless `rec` was recorded from these machines and this
+    /// workload, seed and budget; `what` introduces the inputs in the
+    /// error (`what "gzip" seed 1 budget 500, but the record says …`).
+    fn check(&self, rec: &SessionRecord, what: &str) -> CmdResult {
+        let engine = self.engine.fingerprint();
+        check_fingerprint("engine", rec.engine_fingerprint, engine)?;
+        let tracegen = self.tracegen.fingerprint();
+        check_fingerprint("tracegen", rec.tracegen_fingerprint, tracegen)?;
+        let (name, seed, budget) = (&self.workload.name, self.seed, self.budget);
+        if *name != rec.workload || seed != rec.seed || budget as u64 != rec.budget {
+            return Err(format!(
+                "{what} \"{name}\" seed {seed} budget {budget}, but the record says \"{}\" \
+                 seed {} budget {}",
+                rec.workload, rec.seed, rec.budget,
+            ));
+        }
+        Ok(())
+    }
+
+    /// The engine to run and the trace it runs, generated as the sweep
+    /// runner generates a cell's.
+    fn into_run<R: Read>(self) -> (EngineConfig, Source<R>) {
+        let stream = self.workload.instantiate(self.seed);
+        let trace = generate_trace(stream, self.budget, &self.tracegen);
+        (self.engine, Source::Generated(trace))
+    }
+}
+
+/// The `, sweep cell N` suffix of a cell session's summary lines; a
+/// document without `[sweep]` has no sweep, so its one cell is `, cell 0`.
+fn cell_note(doc: &ScenarioDoc, cell_index: Option<u64>) -> String {
+    match cell_index {
+        Some(i) if doc.has_sweep() => format!(", sweep cell {i}"),
+        Some(i) => format!(", cell {i}"),
+        None => String::new(),
+    }
+}
+
 /// A fingerprint cross-check failure message, or `Ok`.
 fn check_fingerprint(kind: &str, recorded: u64, resolved: u64) -> Result<(), String> {
     if recorded == resolved {
@@ -877,99 +938,41 @@ pub(crate) fn replay(session_path: &str, out: &mut dyn Write) -> CmdResult {
     let doc =
         ScenarioDoc::parse_str(&rec.scenario_toml).map_err(|e| e.display_in(&embedded_name))?;
 
-    let stats = if let Some(cell_index) = rec.cell_index {
-        // The grid of `ScenarioDoc::to_scenario`, which is the `[sweep]`
-        // grid when there is one and a single cell otherwise: the cell
-        // indices `resim-serve` stores its entries under.
-        let scenario = doc
-            .to_scenario()
-            .map_err(|e| e.display_in(&embedded_name))?;
-        let cells = scenario.cells();
-        let n = usize::try_from(cell_index)
-            .ok()
-            .filter(|n| *n < cells.len())
-            .ok_or_else(|| {
+    let (engine, source) = match (rec.cell_index, &rec.embedded_trace) {
+        (Some(n), _) => {
+            let inputs = RunInputs::cell(&doc, &embedded_name, n, |cells| {
                 format!(
-                    "session records sweep cell {cell_index}, but the embedded scenario's grid \
-                     has {} cells",
-                    cells.len()
+                    "session records sweep cell {n}, but the embedded scenario's grid has \
+                     {cells} cells"
                 )
             })?;
-        let cell = &cells[n];
-        let config = &scenario.configs()[cell.config];
-        let workload = &scenario.workloads()[cell.workload];
-        check_fingerprint(
-            "engine",
-            rec.engine_fingerprint,
-            config.engine.fingerprint(),
-        )?;
-        check_fingerprint(
-            "tracegen",
-            rec.tracegen_fingerprint,
-            config.tracegen.fingerprint(),
-        )?;
-        if workload.name != rec.workload
-            || cell.seed != rec.seed
-            || cell.budget as u64 != rec.budget
-        {
-            return Err(format!(
-                "session cell {n} resolves to workload \"{}\" seed {} budget {}, but the record \
-                 says \"{}\" seed {} budget {}",
-                workload.name, cell.seed, cell.budget, rec.workload, rec.seed, rec.budget,
-            ));
+            inputs.check(&rec, &format!("session cell {n} resolves to workload"))?;
+            inputs.into_run()
         }
-        let trace = generate_trace(
-            workload.instantiate(cell.seed),
-            cell.budget,
-            &config.tracegen,
-        );
-        execute(&config.engine, trace.source(), rec.sample.as_ref())?
-    } else if let Some(bytes) = &rec.embedded_trace {
-        // A self-contained file-frontend session: the engine still has
-        // to match, but the trace bytes are authoritative as-is.
-        check_fingerprint("engine", rec.engine_fingerprint, doc.engine.fingerprint())?;
-        let mut src = FileSource::from_reader(std::io::Cursor::new(bytes.as_slice()))
-            .map_err(|e| format!("embedded trace container is invalid: {e}"))?;
-        let stats = execute(&doc.engine, &mut src, rec.sample.as_ref())?;
-        if let Some(e) = src.error() {
-            return Err(format!("embedded trace ended abnormally: {e}"));
+        (None, Some(bytes)) => {
+            // A self-contained file-frontend session: the engine still
+            // has to match, but the trace bytes are authoritative as-is.
+            check_fingerprint("engine", rec.engine_fingerprint, doc.engine.fingerprint())?;
+            let src = FileSource::from_reader(io::Cursor::new(bytes.as_slice()))
+                .map_err(|e| format!("embedded trace container is invalid: {e}"))?;
+            (doc.engine.clone(), Source::File(Box::new(src), None))
         }
-        stats
-    } else {
-        check_fingerprint("engine", rec.engine_fingerprint, doc.engine.fingerprint())?;
-        check_fingerprint(
-            "tracegen",
-            rec.tracegen_fingerprint,
-            doc.tracegen.fingerprint(),
-        )?;
-        if doc.workload.name != rec.workload
-            || doc.workload.seed != rec.seed
-            || doc.workload.budget as u64 != rec.budget
-        {
-            return Err(format!(
-                "embedded scenario's [workload] is \"{}\" seed {} budget {}, but the record says \
-                 \"{}\" seed {} budget {}",
-                doc.workload.name,
-                doc.workload.seed,
-                doc.workload.budget,
-                rec.workload,
-                rec.seed,
-                rec.budget,
-            ));
+        (None, None) => {
+            let inputs = RunInputs::of(&doc);
+            inputs.check(&rec, "embedded scenario's [workload] is")?;
+            inputs.into_run()
         }
-        let trace = doc.generate();
-        execute(&doc.engine, trace.source(), rec.sample.as_ref())?
     };
+    let stats = source.simulate(&engine, rec.sample.as_ref())?.stats;
 
     let mut s = String::new();
-    let cell_note = match rec.cell_index {
-        Some(i) => format!(", sweep cell {i}"),
-        None => String::new(),
-    };
     let _ = writeln!(
         s,
-        "replaying {session_path}: workload \"{}\" (seed {}, budget {}){cell_note}",
-        rec.workload, rec.seed, rec.budget,
+        "replaying {session_path}: workload \"{}\" (seed {}, budget {}){}",
+        rec.workload,
+        rec.seed,
+        rec.budget,
+        cell_note(&doc, rec.cell_index),
     );
     if let Some(plan) = &rec.sample {
         let _ = writeln!(s, "  sampled plan {}", plan.name());
@@ -1055,4 +1058,32 @@ pub(crate) fn describe(scenario_path: &str, out: &mut dyn Write) -> CmdResult {
         }
     }
     emit(out, &s)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Scenario files cannot carry an invalid engine (parsing validates
+    /// it), so the run path's diagnostics are pinned here.
+    #[test]
+    fn a_failed_run_keeps_each_commands_diagnostic() {
+        let config = EngineConfig {
+            width: 0,
+            ..EngineConfig::paper_4wide()
+        };
+        let run = |plan: Option<&SamplePlan>| {
+            let trace = ScenarioDoc::default().generate();
+            Source::<io::Empty>::Generated(trace)
+                .simulate(&config, plan)
+                .unwrap_err()
+        };
+        let full = run(None);
+        assert!(full.starts_with("invalid engine configuration: "), "{full}");
+        let sampled = run(Some(&SamplePlan::systematic(1_000, 100, 2)));
+        assert!(
+            sampled.starts_with("sampled run failed: cannot build sampling engine: "),
+            "{sampled}"
+        );
+    }
 }

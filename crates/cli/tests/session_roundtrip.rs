@@ -118,8 +118,14 @@ seeds = [2009]
 rb_sizes = [16, 32]
 ";
     let (rec_out, out) = record_and_replay(&dir, scenario, &["--cell", "3"]);
-    assert!(rec_out.contains("sweep cell 3"), "{rec_out}");
-    assert!(out.contains("sweep cell 3"), "{out}");
+    assert!(
+        rec_out.contains("  mode     full, sweep cell 3\n"),
+        "{rec_out}"
+    );
+    assert!(
+        out.contains("(seed 2009, budget 2500), sweep cell 3\n"),
+        "{out}"
+    );
 
     // Out-of-range cells are a clean runtime error.
     let scenario_path = dir.join("s.toml");
@@ -145,8 +151,14 @@ fn single_cell_documents_record_and_replay_by_cell() {
         "[workload]\nname = \"vpr\"\nseed = 3\nbudget = 6000\n\
          [sample]\ninterval = 1000\ndetailed = 400\nperiod = 2\n",
     ] {
+        // No `[sweep]`, so no "sweep" in the cell's name.
         let (rec_out, out) = record_and_replay(&dir, scenario, &["--cell", "0"]);
-        assert!(rec_out.contains("sweep cell 0"), "{rec_out}");
+        assert!(rec_out.contains(", cell 0\n"), "{rec_out}");
+        assert!(
+            !rec_out.contains("sweep") && !out.contains("sweep"),
+            "{rec_out}{out}"
+        );
+        assert!(out.contains(", cell 0\n"), "{out}");
         assert!(out.contains("42/42 fields match"), "{out}");
 
         let scenario_path = dir.join("s.toml");
