@@ -42,11 +42,7 @@ fn main() {
         let parallel = a.freq_ratio / a.area_ratio;
         println!(
             "{:>6} {:>12.1} {:>12.2} {:>14.3} vs {:.3}",
-            w,
-            a.area_ratio,
-            a.freq_ratio,
-            parallel,
-            serial
+            w, a.area_ratio, a.freq_ratio, parallel, serial
         );
     }
     println!("(paper's measured point: width 4 -> 4x area, 22% slower)\n");

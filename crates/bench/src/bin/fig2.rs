@@ -4,8 +4,14 @@
 use resim_core::PipelineOrganization;
 
 fn main() {
-    let width = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(4);
-    println!("{}", PipelineOrganization::SimpleSerial.schedule(width).render());
+    let width = std::env::args()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(4);
+    println!(
+        "{}",
+        PipelineOrganization::SimpleSerial.schedule(width).render()
+    );
     println!("Writeback and Lsq_refresh minor cycles precede Issue (paper SIV.A);");
     println!("DPL and CA stand for Decouple and Cache Access.");
 }

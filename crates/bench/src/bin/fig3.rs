@@ -4,8 +4,16 @@
 use resim_core::PipelineOrganization;
 
 fn main() {
-    let width = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(4);
-    println!("{}", PipelineOrganization::ImprovedSerial.schedule(width).render());
+    let width = std::env::args()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(4);
+    println!(
+        "{}",
+        PipelineOrganization::ImprovedSerial
+            .schedule(width)
+            .render()
+    );
     println!("Writeback is scheduled one cycle early (pipelined control, paper SIV.B);");
     println!("the cache access precedes writeback; bookkeeping fills the last minor cycle.");
 }

@@ -5,8 +5,16 @@
 use resim_core::PipelineOrganization;
 
 fn main() {
-    let width = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(4);
-    println!("{}", PipelineOrganization::OptimizedSerial.schedule(width).render());
+    let width = std::env::args()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(4);
+    println!(
+        "{}",
+        PipelineOrganization::OptimizedSerial
+            .schedule(width)
+            .render()
+    );
     println!("The first Issue slot considers no loads, so it needs no cache access and");
     println!("can share its minor cycle with Lsq_refresh (paper SIV.B).");
 }

@@ -11,7 +11,7 @@
 
 use resim_bench::DEFAULT_SEED;
 use resim_core::{Engine, EngineConfig, SimStats};
-use resim_sample::{run_sampled, SampledStats, SamplePlan, WarmupMode};
+use resim_sample::{run_sampled, SamplePlan, SampledStats, WarmupMode};
 use resim_trace::Trace;
 use resim_tracegen::{generate_trace, TraceGenConfig};
 use resim_workloads::{SpecBenchmark, Workload};
@@ -46,7 +46,11 @@ fn time_full(config: &EngineConfig, trace: &Trace) -> FullRun {
     }
 }
 
-fn time_sampled(config: &EngineConfig, trace: &Trace, plan: &SamplePlan) -> (SampledStats, Duration) {
+fn time_sampled(
+    config: &EngineConfig,
+    trace: &Trace,
+    plan: &SamplePlan,
+) -> (SampledStats, Duration) {
     let t0 = Instant::now();
     let s = run_sampled(config, trace.source(), plan).expect("valid plan");
     (s, t0.elapsed())
@@ -60,7 +64,9 @@ fn main() {
     let config = EngineConfig::paper_4wide();
     let tracegen = TraceGenConfig::paper();
 
-    println!("sampled-vs-full — paper_4wide, {INSTRUCTIONS} instructions/workload, plans at 5% coverage");
+    println!(
+        "sampled-vs-full — paper_4wide, {INSTRUCTIONS} instructions/workload, plans at 5% coverage"
+    );
     println!();
     println!(
         "| workload | plan | full IPC | sampled IPC (95% CI) | err % | in CI | wall speedup | rec-thpt speedup |"
@@ -91,7 +97,11 @@ fn main() {
                 lo,
                 hi,
                 err,
-                if s.ci95_contains(full.stats.ipc()) { "yes" } else { "no" },
+                if s.ci95_contains(full.stats.ipc()) {
+                    "yes"
+                } else {
+                    "no"
+                },
                 wall_speedup,
                 thpt_speedup,
             );

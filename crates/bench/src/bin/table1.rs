@@ -44,7 +44,16 @@ fn main() {
     println!("'paper' columns are the publication's values for comparison.\n");
     println!(
         "{:8} | {:>8} {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8} {:>8} | {:>8}",
-        "SPEC", "V4 MIPS", "paper", "V5 MIPS", "paper", "V4 MIPS", "paper", "V5 MIPS", "paper", "FAST"
+        "SPEC",
+        "V4 MIPS",
+        "paper",
+        "V5 MIPS",
+        "paper",
+        "V4 MIPS",
+        "paper",
+        "V5 MIPS",
+        "paper",
+        "FAST"
     );
     println!("{}", rule(104));
 

@@ -78,7 +78,11 @@ fn main() {
     println!("\nAverage trace demand: {gbps:.2} Gb/s (paper: ~1.1 Gb/s)");
     for link in TraceLink::ALL {
         let eff = effective_mips(sm / 5.0, sb / 5.0, link);
-        let verdict = if eff + 1e-9 >= sm / 5.0 { "sustains full speed" } else { "THROTTLES" };
+        let verdict = if eff + 1e-9 >= sm / 5.0 {
+            "sustains full speed"
+        } else {
+            "THROTTLES"
+        };
         println!(
             "  over {:20} -> {:>6.2} MIPS  ({verdict})",
             link.to_string(),

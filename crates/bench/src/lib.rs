@@ -96,7 +96,10 @@ pub fn table1_left() -> (EngineConfig, TraceGenConfig) {
 /// The Table 1 (right) experiment configuration: 2-issue, perfect BP,
 /// 32 KB L1 caches, improved N+4 pipeline.
 pub fn table1_right() -> (EngineConfig, TraceGenConfig) {
-    (EngineConfig::paper_2wide_cached(), TraceGenConfig::perfect())
+    (
+        EngineConfig::paper_2wide_cached(),
+        TraceGenConfig::perfect(),
+    )
 }
 
 /// Scenario name of the Table 1 left configuration.

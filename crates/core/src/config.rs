@@ -222,7 +222,10 @@ impl EngineConfig {
             ("mult_latency", self.fus.mult_latency),
             ("div_latency", self.fus.div_latency),
         ];
-        let too_large = latencies.into_iter().chain(memory).find(|&(_, v)| v > Self::MAX_LATENCY);
+        let too_large = latencies
+            .into_iter()
+            .chain(memory)
+            .find(|&(_, v)| v > Self::MAX_LATENCY);
         if let Some((field, value)) = too_large {
             return Err(ConfigError::LatencyTooLarge {
                 field,
@@ -420,10 +423,16 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroWidth => write!(f, "processor width must be at least 1"),
             ConfigError::IfqTooSmall { ifq, width } => {
-                write!(f, "IFQ of {ifq} entries cannot hold a fetch group of {width}")
+                write!(
+                    f,
+                    "IFQ of {ifq} entries cannot hold a fetch group of {width}"
+                )
             }
             ConfigError::RbTooSmall { rb, width } => {
-                write!(f, "RB of {rb} entries cannot hold a dispatch group of {width}")
+                write!(
+                    f,
+                    "RB of {rb} entries cannot hold a dispatch group of {width}"
+                )
             }
             ConfigError::ZeroLsq => write!(f, "LSQ needs at least one entry"),
             ConfigError::NoAlus => write!(f, "at least one ALU is required"),
@@ -501,7 +510,10 @@ mod tests {
         let max = EngineConfig::MAX_ENTRIES;
         let at_max = EngineConfig {
             rb_size: max,
-            fus: FuConfig { divs: max, ..FuConfig::paper() },
+            fus: FuConfig {
+                divs: max,
+                ..FuConfig::paper()
+            },
             ..EngineConfig::paper_4wide()
         };
         assert_eq!(at_max.validate(), Ok(()));
@@ -511,7 +523,11 @@ mod tests {
         };
         assert_eq!(
             over.validate(),
-            Err(ConfigError::TooLarge { field: "lsq_size", value: max + 1, max })
+            Err(ConfigError::TooLarge {
+                field: "lsq_size",
+                value: max + 1,
+                max
+            })
         );
     }
 
@@ -520,7 +536,10 @@ mod tests {
         let max = EngineConfig::MAX_LATENCY;
         let mut cached = EngineConfig {
             mispredict_penalty: max,
-            fus: FuConfig { div_latency: max, ..FuConfig::paper() },
+            fus: FuConfig {
+                div_latency: max,
+                ..FuConfig::paper()
+            },
             ..EngineConfig::paper_2wide_cached()
         };
         assert_eq!(cached.validate(), Ok(()));
@@ -529,7 +548,11 @@ mod tests {
         }
         assert_eq!(
             cached.validate(),
-            Err(ConfigError::LatencyTooLarge { field: "l1d.miss_penalty", value: max + 1, max })
+            Err(ConfigError::LatencyTooLarge {
+                field: "l1d.miss_penalty",
+                value: max + 1,
+                max
+            })
         );
         let perfect = EngineConfig {
             memory: MemorySystemConfig::Perfect { latency: u32::MAX },
@@ -537,7 +560,11 @@ mod tests {
         };
         assert_eq!(
             perfect.validate(),
-            Err(ConfigError::LatencyTooLarge { field: "latency", value: u32::MAX, max })
+            Err(ConfigError::LatencyTooLarge {
+                field: "latency",
+                value: u32::MAX,
+                max
+            })
         );
     }
 
@@ -570,7 +597,10 @@ mod tests {
             rb_size: 2,
             ..EngineConfig::paper_4wide()
         };
-        assert!(matches!(bad.validate(), Err(ConfigError::RbTooSmall { .. })));
+        assert!(matches!(
+            bad.validate(),
+            Err(ConfigError::RbTooSmall { .. })
+        ));
     }
 
     #[test]

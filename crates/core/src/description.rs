@@ -159,11 +159,7 @@ impl std::str::FromStr for SlotExpr {
         for (sign, term) in terms {
             let (coeff, var) = match term.split_once('*') {
                 Some((a, b)) => {
-                    let (num, var) = if a == "i" || a == "n" {
-                        (b, a)
-                    } else {
-                        (a, b)
-                    };
+                    let (num, var) = if a == "i" || a == "n" { (b, a) } else { (a, b) };
                     let c: i64 = num.parse().map_err(|_| FormulaError::bad(s))?;
                     (c, var)
                 }
@@ -318,22 +314,23 @@ impl StageRow {
                 count,
                 first_way,
             } => {
-                let count_val = count.eval(0, n).ok_or_else(|| {
-                    DescriptionError::NegativeCount {
-                        stage: self.stage.clone(),
-                        width: n,
-                    }
-                })?;
+                let count_val =
+                    count
+                        .eval(0, n)
+                        .ok_or_else(|| DescriptionError::NegativeCount {
+                            stage: self.stage.clone(),
+                            width: n,
+                        })?;
                 let verbatim = *count == SlotExpr::constant(1);
                 for k in 0..count_val {
                     let i = first_way + k;
-                    let slot = expr.eval(i, n).ok_or_else(|| {
-                        DescriptionError::NegativeSlot {
+                    let slot = expr
+                        .eval(i, n)
+                        .ok_or_else(|| DescriptionError::NegativeSlot {
                             stage: self.stage.clone(),
                             way: i,
                             width: n,
-                        }
-                    })?;
+                        })?;
                     if slot > MAX_SLOT {
                         return Err(DescriptionError::SlotTooLarge {
                             stage: self.stage.clone(),
@@ -786,7 +783,11 @@ impl PipelineDescription {
     /// distinct organization.
     pub(crate) fn feed_fingerprint(&self, eat: &mut impl FnMut(&[u8])) {
         eat(self.name.as_bytes());
-        eat(&[0xff, u8::from(self.pipelined), u8::from(self.restrict_first_slot_loads)]);
+        eat(&[
+            0xff,
+            u8::from(self.pipelined),
+            u8::from(self.restrict_first_slot_loads),
+        ]);
         for row in &self.rows {
             eat(row.stage.as_bytes());
             eat(&[0xfe]);
@@ -799,7 +800,14 @@ impl PipelineDescription {
                     first_way,
                 } => {
                     eat(&[1]);
-                    for v in [expr.way, expr.width, expr.offset, count.way, count.width, count.offset] {
+                    for v in [
+                        expr.way,
+                        expr.width,
+                        expr.offset,
+                        count.way,
+                        count.width,
+                        count.offset,
+                    ] {
                         eat(&v.to_le_bytes());
                     }
                     eat(&(*first_way as u64).to_le_bytes());
@@ -1020,7 +1028,8 @@ mod tests {
         ] {
             d.validate_shape().unwrap();
             for w in 1..=16 {
-                d.validate_at(w).unwrap_or_else(|e| panic!("{} at {w}: {e}", d.name()));
+                d.validate_at(w)
+                    .unwrap_or_else(|e| panic!("{} at {w}: {e}", d.name()));
             }
         }
     }
@@ -1030,15 +1039,21 @@ mod tests {
         for w in 1..=16usize {
             let n = w as u64;
             assert_eq!(
-                PipelineDescription::simple().minor_cycles_per_major(w).unwrap(),
+                PipelineDescription::simple()
+                    .minor_cycles_per_major(w)
+                    .unwrap(),
                 2 * n + 3
             );
             assert_eq!(
-                PipelineDescription::improved().minor_cycles_per_major(w).unwrap(),
+                PipelineDescription::improved()
+                    .minor_cycles_per_major(w)
+                    .unwrap(),
                 n + 4
             );
             assert_eq!(
-                PipelineDescription::optimized().minor_cycles_per_major(w).unwrap(),
+                PipelineDescription::optimized()
+                    .minor_cycles_per_major(w)
+                    .unwrap(),
                 n + 3
             );
         }
@@ -1050,7 +1065,10 @@ mod tests {
         assert!(PipelineDescription::improved().pipelined());
         assert!(PipelineDescription::optimized().restricts_first_slot_loads());
         assert!(!PipelineDescription::improved().restricts_first_slot_loads());
-        assert_eq!(PipelineDescription::builtin("simple").unwrap().figure(), Some(2));
+        assert_eq!(
+            PipelineDescription::builtin("simple").unwrap().figure(),
+            Some(2)
+        );
         assert!(PipelineDescription::builtin("turbo").is_none());
         assert_eq!(PipelineDescription::optimized().to_string(), "optimized");
     }
@@ -1173,7 +1191,9 @@ mod tests {
         assert!(err.to_string().contains("at most 3"), "{err}");
         assert!(err.to_string().contains("first issue slot"), "{err}");
         // Unrestricted organizations have no limit.
-        PipelineDescription::improved().check_port_limit(1, 8).unwrap();
+        PipelineDescription::improved()
+            .check_port_limit(1, 8)
+            .unwrap();
     }
 
     #[test]
@@ -1181,7 +1201,9 @@ mod tests {
         let (sub, why) = PipelineDescription::optimized().width1_fallback(1).unwrap();
         assert_eq!(sub, PipelineDescription::improved());
         assert!(why.contains("unsatisfiable"), "{why}");
-        assert!(PipelineDescription::optimized().width1_fallback(2).is_none());
+        assert!(PipelineDescription::optimized()
+            .width1_fallback(2)
+            .is_none());
         assert!(PipelineDescription::improved().width1_fallback(1).is_none());
         // A custom restricted description is rejected, not rewritten.
         let custom = PipelineDescription::new(

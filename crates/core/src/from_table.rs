@@ -112,7 +112,11 @@ fn stage_row_from_table(t: &Table) -> Result<StageRow, Error> {
     let name = t.req_str("name")?;
     let label = match t.opt_str("label")? {
         Some(l) => l.to_string(),
-        None => name.chars().take(1).collect::<String>().to_ascii_uppercase(),
+        None => name
+            .chars()
+            .take(1)
+            .collect::<String>()
+            .to_ascii_uppercase(),
     };
     let slots_value = t
         .get("slots")
@@ -156,9 +160,7 @@ fn stage_row_from_table(t: &Table) -> Result<StageRow, Error> {
             for item in items {
                 match item.value {
                     Value::Int(v) if v >= 0 => slots.push(v as usize),
-                    _ => {
-                        return Err(item.error("explicit slots must be non-negative integers"))
-                    }
+                    _ => return Err(item.error("explicit slots must be non-negative integers")),
                 }
             }
             SlotSpec::Explicit(slots)
@@ -282,10 +284,7 @@ impl EngineConfig {
     /// # Errors
     ///
     /// As [`EngineConfig::from_table`].
-    pub fn from_table_with(
-        t: &Table,
-        custom: Option<&PipelineDescription>,
-    ) -> Result<Self, Error> {
+    pub fn from_table_with(t: &Table, custom: Option<&PipelineDescription>) -> Result<Self, Error> {
         t.ensure_only(&[
             "preset",
             "width",
@@ -411,7 +410,14 @@ impl ConfigGrid {
     ) -> Result<Self, Error> {
         // `base` and `tracegen` belong to the caller (`Scenario::from_table`
         // reads them from the same [sweep.grid] table before calling here).
-        t.ensure_only(&["widths", "rb_sizes", "lsq_sizes", "pipelines", "base", "tracegen"])?;
+        t.ensure_only(&[
+            "widths",
+            "rb_sizes",
+            "lsq_sizes",
+            "pipelines",
+            "base",
+            "tracegen",
+        ])?;
         let mut grid = base.grid();
         if let Some(widths) = t.opt_usize_array("widths")? {
             grid = grid.widths(widths);
@@ -457,7 +463,10 @@ mod tests {
             PipelineDescription::improved(),
             "preset fields survive unrelated overrides"
         );
-        assert!(parse("preset = \"paper-8wide\"").unwrap_err().to_string().contains("preset"));
+        assert!(parse("preset = \"paper-8wide\"")
+            .unwrap_err()
+            .to_string()
+            .contains("preset"));
     }
 
     #[test]
@@ -498,10 +507,17 @@ mod tests {
         assert_eq!(c.pipeline, d);
         // ...resolvable by name, and built-ins stay nameable.
         let engine = resim_toml::parse("pipeline = \"dual\"").unwrap();
-        assert_eq!(EngineConfig::from_table_with(&engine, Some(&d)).unwrap().pipeline, d);
+        assert_eq!(
+            EngineConfig::from_table_with(&engine, Some(&d))
+                .unwrap()
+                .pipeline,
+            d
+        );
         let engine = resim_toml::parse("pipeline = \"improved\"").unwrap();
         assert_eq!(
-            EngineConfig::from_table_with(&engine, Some(&d)).unwrap().pipeline,
+            EngineConfig::from_table_with(&engine, Some(&d))
+                .unwrap()
+                .pipeline,
             PipelineDescription::improved()
         );
     }
@@ -509,8 +525,9 @@ mod tests {
     #[test]
     fn pipeline_table_diagnostics_are_line_numbered() {
         // Reserved built-in name.
-        let t = resim_toml::parse("name = \"optimized\"\n[[stage]]\nname = \"Fetch\"\nslots = \"i\"")
-            .unwrap();
+        let t =
+            resim_toml::parse("name = \"optimized\"\n[[stage]]\nname = \"Fetch\"\nslots = \"i\"")
+                .unwrap();
         let err = PipelineDescription::from_table(&t).unwrap_err();
         assert_eq!(err.line(), 1);
         assert!(err.to_string().contains("reserved"));
@@ -558,7 +575,11 @@ mod tests {
         assert_eq!(s.slot_of("Fetch", "F2"), Some(5));
         assert_eq!(s.slot_of("Exec", "X1"), Some(2), "first_way starts at 1");
         assert_eq!(s.slot_of("Exec", "X0"), None);
-        assert_eq!(s.slot_of("Retire", "R"), Some(6), "ways = 1 keeps the bare label");
+        assert_eq!(
+            s.slot_of("Retire", "R"),
+            Some(6),
+            "ways = 1 keeps the bare label"
+        );
         assert_eq!(d.area_keys(), vec!["fetch", "cmt"]);
     }
 
@@ -579,7 +600,10 @@ mod tests {
         assert!(parse("width = 0").is_err());
         assert!(parse("rb_size = 2").unwrap_err().to_string().contains("RB"));
         // Optimized pipeline port precondition (§IV.B).
-        assert!(parse("mem_read_ports = 4").unwrap_err().to_string().contains("memory ports"));
+        assert!(parse("mem_read_ports = 4")
+            .unwrap_err()
+            .to_string()
+            .contains("memory ports"));
     }
 
     #[test]
@@ -587,15 +611,16 @@ mod tests {
         let err = parse("width = 4\nwidht = 2").unwrap_err();
         assert_eq!(err.line(), 2);
         assert!(err.to_string().contains("widht"));
-        assert!(parse("pipeline = \"turbo\"").unwrap_err().to_string().contains("turbo"));
+        assert!(parse("pipeline = \"turbo\"")
+            .unwrap_err()
+            .to_string()
+            .contains("turbo"));
     }
 
     #[test]
     fn grid_axes_parse_and_build() {
-        let t = resim_toml::parse(
-            "widths = [1, 2, 4]\npipelines = [\"improved\", \"optimized\"]",
-        )
-        .unwrap();
+        let t = resim_toml::parse("widths = [1, 2, 4]\npipelines = [\"improved\", \"optimized\"]")
+            .unwrap();
         let grid = ConfigGrid::from_table(EngineConfig::paper_4wide(), &t).unwrap();
         let points = grid.try_build().unwrap();
         assert_eq!(points.len(), 6);

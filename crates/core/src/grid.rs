@@ -298,7 +298,10 @@ mod tests {
 
     #[test]
     fn width_axis_scales_resources_and_stays_valid() {
-        let points = EngineConfig::paper_4wide().grid().widths([1, 2, 4, 8]).build();
+        let points = EngineConfig::paper_4wide()
+            .grid()
+            .widths([1, 2, 4, 8])
+            .build();
         assert_eq!(points.len(), 4);
         for (name, c) in &points {
             c.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -309,7 +312,10 @@ mod tests {
         assert_eq!(w1.mem_read_ports, 1);
         let w8 = &points[3].1;
         assert_eq!(w8.fus.alus, 8);
-        assert_eq!(w8.mem_read_ports, 3, "read ports capped for the optimized pipeline");
+        assert_eq!(
+            w8.mem_read_ports, 3,
+            "read ports capped for the optimized pipeline"
+        );
     }
 
     #[test]
@@ -338,7 +344,10 @@ mod tests {
         assert_eq!(grid.len(), 6);
         let points = grid.build();
         assert_eq!(points.len(), 6);
-        assert_eq!(points[0].0, format!("w2-{}", PipelineOrganization::ALL[0].name()));
+        assert_eq!(
+            points[0].0,
+            format!("w2-{}", PipelineOrganization::ALL[0].name())
+        );
         // Width-major, pipeline-minor ordering.
         assert!(points[2].0.starts_with("w2-"));
         assert!(points[3].0.starts_with("w4-"));

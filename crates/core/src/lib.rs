@@ -63,8 +63,8 @@ mod lsq;
 mod pipeline;
 mod rob;
 mod scheduler;
-mod state;
 mod stages;
+mod state;
 mod stats;
 
 pub use config::{ConfigError, EngineConfig, FuConfig};

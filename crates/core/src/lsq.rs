@@ -225,7 +225,10 @@ mod tests {
     fn lone_load_is_cache_ready() {
         let mut lsq = LoadStoreQueue::new(8);
         let load = lsq.push(entry(1, MemKind::Load, 0x100));
-        assert_eq!(lsq.load_ready(load, outstanding(&[])), LoadReady::ReadyCache);
+        assert_eq!(
+            lsq.load_ready(load, outstanding(&[])),
+            LoadReady::ReadyCache
+        );
     }
 
     #[test]
@@ -237,7 +240,10 @@ mod tests {
         });
         // Producer still outstanding, then written back.
         assert_eq!(lsq.load_ready(load, outstanding(&[1])), LoadReady::NotReady);
-        assert_eq!(lsq.load_ready(load, outstanding(&[])), LoadReady::ReadyCache);
+        assert_eq!(
+            lsq.load_ready(load, outstanding(&[])),
+            LoadReady::ReadyCache
+        );
     }
 
     #[test]
@@ -260,7 +266,10 @@ mod tests {
         let mut lsq = LoadStoreQueue::new(8);
         lsq.push(entry(1, MemKind::Store, 0x100));
         let load = lsq.push(entry(2, MemKind::Load, 0x100));
-        assert_eq!(lsq.load_ready(load, outstanding(&[])), LoadReady::ReadyForward);
+        assert_eq!(
+            lsq.load_ready(load, outstanding(&[])),
+            LoadReady::ReadyForward
+        );
     }
 
     #[test]
@@ -271,8 +280,14 @@ mod tests {
             ..entry(1, MemKind::Store, 0x100)
         });
         let load = lsq.push(entry(2, MemKind::Load, 0x100));
-        assert_eq!(lsq.load_ready(load, outstanding(&[50])), LoadReady::NotReady);
-        assert_eq!(lsq.load_ready(load, outstanding(&[])), LoadReady::ReadyForward);
+        assert_eq!(
+            lsq.load_ready(load, outstanding(&[50])),
+            LoadReady::NotReady
+        );
+        assert_eq!(
+            lsq.load_ready(load, outstanding(&[])),
+            LoadReady::ReadyForward
+        );
     }
 
     #[test]
@@ -296,7 +311,10 @@ mod tests {
         let mut lsq = LoadStoreQueue::new(8);
         lsq.push(entry(1, MemKind::Store, 0x200));
         let load = lsq.push(entry(2, MemKind::Load, 0x100));
-        assert_eq!(lsq.load_ready(load, outstanding(&[])), LoadReady::ReadyCache);
+        assert_eq!(
+            lsq.load_ready(load, outstanding(&[])),
+            LoadReady::ReadyCache
+        );
     }
 
     #[test]
@@ -304,9 +322,15 @@ mod tests {
         let mut lsq = LoadStoreQueue::new(8);
         lsq.push(entry(1, MemKind::Store, 0x100));
         let load = lsq.push(entry(2, MemKind::Load, 0x100));
-        assert_eq!(lsq.load_ready(load, outstanding(&[])), LoadReady::ReadyForward);
+        assert_eq!(
+            lsq.load_ready(load, outstanding(&[])),
+            LoadReady::ReadyForward
+        );
         lsq.pop_head();
-        assert_eq!(lsq.load_ready(load, outstanding(&[])), LoadReady::ReadyCache);
+        assert_eq!(
+            lsq.load_ready(load, outstanding(&[])),
+            LoadReady::ReadyCache
+        );
     }
 
     #[test]
@@ -324,7 +348,10 @@ mod tests {
         // sees the store at ordinal 2 (tag 3, address 0x10c).
         let load = lsq.push(entry(9, MemKind::Load, 0x10c));
         assert_eq!(load, 3);
-        assert_eq!(lsq.load_ready(load, outstanding(&[])), LoadReady::ReadyForward);
+        assert_eq!(
+            lsq.load_ready(load, outstanding(&[])),
+            LoadReady::ReadyForward
+        );
     }
 
     #[test]

@@ -364,6 +364,9 @@ mod tests {
         assert_eq!(PipelineOrganization::SimpleSerial.figure(), 2);
         assert_eq!(PipelineOrganization::ImprovedSerial.figure(), 3);
         assert_eq!(PipelineOrganization::OptimizedSerial.figure(), 4);
-        assert_eq!(PipelineOrganization::OptimizedSerial.to_string(), "optimized");
+        assert_eq!(
+            PipelineOrganization::OptimizedSerial.to_string(),
+            "optimized"
+        );
     }
 }

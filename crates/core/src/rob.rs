@@ -530,13 +530,21 @@ impl ReorderBuffer {
         let p = self.head + idx;
         // Single conditional subtract instead of a modulo: capacity is
         // not required to be a power of two.
-        if p >= self.capacity() { p - self.capacity() } else { p }
+        if p >= self.capacity() {
+            p - self.capacity()
+        } else {
+            p
+        }
     }
 
     /// Logical (age-order) index of live physical slot `p`.
     #[inline]
     fn logical(&self, p: usize) -> usize {
-        if p >= self.head { p - self.head } else { p + self.capacity() - self.head }
+        if p >= self.head {
+            p - self.head
+        } else {
+            p + self.capacity() - self.head
+        }
     }
 
     /// Allocates at the tail and returns the new entry's handle.
@@ -587,7 +595,8 @@ impl ReorderBuffer {
         self.state[p] = code;
         self.time[p] = time;
         self.executing.set(p, code == ST_EXECUTING);
-        self.ready.set(p, code == ST_WAITING && self.pending[p].is_empty());
+        self.ready
+            .set(p, code == ST_WAITING && self.pending[p].is_empty());
     }
 
     /// Links operand edge `edge` at the front of `producer`'s waiter list.
@@ -760,7 +769,10 @@ impl ReorderBuffer {
                     self.unlink(2 * p + k);
                 }
             }
-            debug_assert_eq!(self.waiters[p], NIL, "a squashed producer's waiters are squashed");
+            debug_assert_eq!(
+                self.waiters[p], NIL,
+                "a squashed producer's waiters are squashed"
+            );
             self.ready.set(p, false);
             self.executing.set(p, false);
         }
@@ -899,7 +911,10 @@ mod tests {
             .set_state(InstState::Completed { at: 5 });
         assert!(!rb.is_outstanding(p1));
         let absent = Producer { seq: 99, slot: 3 };
-        assert!(!rb.is_outstanding(absent), "absent entries are not outstanding");
+        assert!(
+            !rb.is_outstanding(absent),
+            "absent entries are not outstanding"
+        );
         let out_of_range = Producer { seq: 1, slot: 40 };
         assert!(!rb.is_outstanding(out_of_range));
     }
@@ -923,7 +938,10 @@ mod tests {
         assert_eq!(reused.slot, squashed.slot);
         assert_eq!(younger.slot, committed.slot);
         assert!(rb.is_outstanding(reused) && rb.is_outstanding(younger));
-        assert!(!rb.is_outstanding(committed), "slot reused by a younger entry");
+        assert!(
+            !rb.is_outstanding(committed),
+            "slot reused by a younger entry"
+        );
         // A consumer handed a stale handle does not wait on it.
         rb.drop_head();
         let consumer = rb.push(waiting_on(4, &[committed, younger]));

@@ -165,7 +165,14 @@ mod tests {
         let sched = MinorCycleScheduler::new(&EngineConfig::paper_4wide()).unwrap();
         assert_eq!(
             sched.roster(),
-            ["Commit", "Writeback", "Lsq_refresh", "Issue", "Dispatch", "Fetch"]
+            [
+                "Commit",
+                "Writeback",
+                "Lsq_refresh",
+                "Issue",
+                "Dispatch",
+                "Fetch"
+            ]
         );
         assert_eq!(sched.description().name(), "optimized");
         assert_eq!(sched.width(), 4);

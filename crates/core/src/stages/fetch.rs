@@ -136,9 +136,7 @@ impl FetchStage {
             // successor in the same slice.
             let mut taken = 0usize;
             let mut stop = false;
-            while taken + 1 < buf.len()
-                && fetched < width
-                && core.ifq.len() < core.config.ifq_size
+            while taken + 1 < buf.len() && fetched < width && core.ifq.len() < core.config.ifq_size
             {
                 let record = buf[taken];
                 if core.in_wrong_path && !record.wrong_path() {

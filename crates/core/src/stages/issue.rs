@@ -87,10 +87,8 @@ impl IssueStage {
                                 continue;
                             }
                         } else {
-                            let Some(unit) = self
-                                .div_busy_until
-                                .iter_mut()
-                                .find(|b| **b <= core.cycle)
+                            let Some(unit) =
+                                self.div_busy_until.iter_mut().find(|b| **b <= core.cycle)
                             else {
                                 continue;
                             };

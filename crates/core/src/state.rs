@@ -166,7 +166,11 @@ impl<R: Recorder> CoreState<R> {
         self.stats.rb_occupancy_max = self.stats.rb_occupancy_max.max(self.rob.len() as u64);
         self.stats.lsq_occupancy_max = self.stats.lsq_occupancy_max.max(self.lsq.len() as u64);
         if R::ENABLED {
-            let (ifq, rb, lsq) = (self.ifq.len() as u64, self.rob.len() as u64, self.lsq.len() as u64);
+            let (ifq, rb, lsq) = (
+                self.ifq.len() as u64,
+                self.rob.len() as u64,
+                self.lsq.len() as u64,
+            );
             self.recorder.gauge(Gauge::IfqOccupancy, ifq);
             self.recorder.gauge(Gauge::RbOccupancy, rb);
             self.recorder.gauge(Gauge::LsqOccupancy, lsq);
@@ -189,11 +193,7 @@ impl<R: Recorder> CoreState<R> {
     /// Invoked by the Writeback stage; lives on `CoreState` because it
     /// cuts across every structure at once (RB, LSQ, IFQ, rename table,
     /// the trace cursor and the fetch throttle).
-    pub(crate) fn recover<S: TraceSource>(
-        &mut self,
-        branch_seq: u64,
-        cursor: &mut TraceCursor<S>,
-    ) {
+    pub(crate) fn recover<S: TraceSource>(&mut self, branch_seq: u64, cursor: &mut TraceCursor<S>) {
         self.stats.mispredict_recoveries += 1;
         let total = (self.rob.squash_younger(branch_seq) + self.ifq.len()) as u64;
         self.lsq.squash_younger(branch_seq);
@@ -279,7 +279,10 @@ mod tests {
                 // Optimized at width 1 fails the port rule; every
                 // buildable state charges the configuration's cost.
                 if let Ok(state) = CoreState::new(config.clone()) {
-                    assert_eq!(state.minor_cycles_per_major, config.minor_cycles_per_major());
+                    assert_eq!(
+                        state.minor_cycles_per_major,
+                        config.minor_cycles_per_major()
+                    );
                 }
             }
         }

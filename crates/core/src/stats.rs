@@ -354,7 +354,12 @@ impl SimStats {
             pipeline: _,
         } = ran;
         (width, fus, mem_read_ports, mem_write_ports)
-            == (&other.width, &other.fus, &other.mem_read_ports, &other.mem_write_ports)
+            == (
+                &other.width,
+                &other.fus,
+                &other.mem_read_ports,
+                &other.mem_write_ports,
+            )
             && (misfetch_penalty, mispredict_penalty, predictor, memory)
                 == (
                     &other.misfetch_penalty,
@@ -430,10 +435,7 @@ impl SimStats {
     /// Conditional-branch direction mispredict rate (mispredicted /
     /// conditional branches predicted).
     pub fn mispredict_rate(&self) -> f64 {
-        ratio(
-            self.predictor.dir_mispredicts,
-            self.predictor.cond_branches,
-        )
+        ratio(self.predictor.dir_mispredicts, self.predictor.cond_branches)
     }
 
     /// L1 instruction-cache miss rate (0 under perfect memory).
@@ -502,9 +504,18 @@ impl SimStats {
         line("misfetch_count", self.misfetches.to_string());
         line("squashed_insn", self.squashed.to_string());
         line("lsq_forwards", self.load_forwards.to_string());
-        line("ifq_occupancy_avg", format!("{:.3}", self.avg_ifq_occupancy()));
-        line("rb_occupancy_avg", format!("{:.3}", self.avg_rb_occupancy()));
-        line("lsq_occupancy_avg", format!("{:.3}", self.avg_lsq_occupancy()));
+        line(
+            "ifq_occupancy_avg",
+            format!("{:.3}", self.avg_ifq_occupancy()),
+        );
+        line(
+            "rb_occupancy_avg",
+            format!("{:.3}", self.avg_rb_occupancy()),
+        );
+        line(
+            "lsq_occupancy_avg",
+            format!("{:.3}", self.avg_lsq_occupancy()),
+        );
         line("ifq_occupancy_max", self.ifq_occupancy_max.to_string());
         line("rb_occupancy_max", self.rb_occupancy_max.to_string());
         line("lsq_occupancy_max", self.lsq_occupancy_max.to_string());
@@ -589,7 +600,8 @@ mod tests {
         );
         assert_eq!(
             a.merge(&b).with_minor_cycle_cost(11),
-            a.with_minor_cycle_cost(11).merge(&b.with_minor_cycle_cost(11))
+            a.with_minor_cycle_cost(11)
+                .merge(&b.with_minor_cycle_cost(11))
         );
     }
 
@@ -676,7 +688,10 @@ mod tests {
         assert_eq!(s.memory.l1i.reads, 31);
         assert_eq!(s.memory.perfect_data_accesses, 42);
         assert_eq!(SimStats::from_words(&words[1..]), None);
-        assert_eq!(SimStats::default().to_words(), vec![0; SIM_STATS_FIELDS.len()]);
+        assert_eq!(
+            SimStats::default().to_words(),
+            vec![0; SIM_STATS_FIELDS.len()]
+        );
     }
 
     #[test]

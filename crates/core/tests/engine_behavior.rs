@@ -54,9 +54,7 @@ fn independent_alus_reach_full_width() {
 #[test]
 fn serial_dependence_chain_limits_ipc_to_one() {
     // Every instruction depends on the previous one.
-    let recs: Vec<TraceRecord> = seq_pcs(4000)
-        .map(|pc| alu(pc, 9, Some(9), None))
-        .collect();
+    let recs: Vec<TraceRecord> = seq_pcs(4000).map(|pc| alu(pc, 9, Some(9), None)).collect();
     let s = run_trace(recs, EngineConfig::paper_4wide());
     assert_eq!(s.committed, 4000);
     assert!(

@@ -9,16 +9,16 @@ use resim_workloads::{SpecBenchmark, Workload, WorkloadProfile};
 /// A randomised but always-valid workload profile.
 fn arb_profile() -> impl Strategy<Value = WorkloadProfile> {
     (
-        0.05f64..0.30,  // frac_load
-        0.02f64..0.15,  // frac_store
-        0.0f64..0.03,   // frac_mult
-        0.0f64..0.005,  // frac_div
-        0.2f64..3.0,    // dep_distance_mean
-        0.0f64..0.8,    // frac_addr_dep
-        0.0f64..0.15,   // frac_random_branches
-        0.80f64..0.99,  // bias_strength
-        2u32..60,       // mean_loop_trips
-        50usize..400,   // num_blocks
+        0.05f64..0.30, // frac_load
+        0.02f64..0.15, // frac_store
+        0.0f64..0.03,  // frac_mult
+        0.0f64..0.005, // frac_div
+        0.2f64..3.0,   // dep_distance_mean
+        0.0f64..0.8,   // frac_addr_dep
+        0.0f64..0.15,  // frac_random_branches
+        0.80f64..0.99, // bias_strength
+        2u32..60,      // mean_loop_trips
+        50usize..400,  // num_blocks
     )
         .prop_map(
             |(load, store, mult, div, dep, addr, random, bias, trips, blocks)| WorkloadProfile {
@@ -48,8 +48,14 @@ fn example_pipelines() -> Vec<(&'static str, PipelineDescription)> {
             );
             let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
             let doc = resim_toml::parse(&text).expect("example parses");
-            let table = doc.opt_table("pipeline").unwrap().expect("example has [pipeline]");
-            (name, PipelineDescription::from_table(table).expect("example pipeline is valid"))
+            let table = doc
+                .opt_table("pipeline")
+                .unwrap()
+                .expect("example has [pipeline]");
+            (
+                name,
+                PipelineDescription::from_table(table).expect("example pipeline is valid"),
+            )
         })
         .collect()
 }

@@ -240,7 +240,10 @@ fn check_rob_against_reference(
         assert_eq!(tags, r.pending, "pending set of {seq}");
     }
     for &stale in dead {
-        assert!(!rob.is_outstanding(stale), "stale handle {stale:?} reads outstanding");
+        assert!(
+            !rob.is_outstanding(stale),
+            "stale handle {stale:?} reads outstanding"
+        );
     }
     let mut ready = Vec::new();
     rob.scan_ready(&mut ready);
@@ -257,7 +260,9 @@ fn check_rob_against_reference(
         let brute: Vec<(usize, u64)> = rob
             .iter()
             .enumerate()
-            .filter(|(_, e)| matches!(e.state(), InstState::Executing { done_at } if done_at <= cycle))
+            .filter(
+                |(_, e)| matches!(e.state(), InstState::Executing { done_at } if done_at <= cycle),
+            )
             .map(|(i, e)| (i, e.seq()))
             .take(limit)
             .collect();
@@ -268,7 +273,11 @@ fn check_rob_against_reference(
 /// Recomputes a load's readiness from scratch (the `Lsq_refresh` rule,
 /// §III): first every entry's address/data flags from the set of
 /// outstanding producer tags, then the scan over those flags.
-fn load_ready_from_scratch(entries: &[LsqEntry], i: usize, outstanding: &HashSet<u64>) -> LoadReady {
+fn load_ready_from_scratch(
+    entries: &[LsqEntry],
+    i: usize,
+    outstanding: &HashSet<u64>,
+) -> LoadReady {
     let known = |dep: Option<Producer>| dep.is_none_or(|p| !outstanding.contains(&p.seq));
     let addr_known: Vec<bool> = entries.iter().map(|e| known(e.base_dep)).collect();
     let data_ready: Vec<bool> = entries.iter().map(|e| known(e.data_dep)).collect();

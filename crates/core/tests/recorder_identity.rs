@@ -12,7 +12,10 @@ use resim_workloads::{SpecBenchmark, Workload};
 
 const BUDGET: usize = 20_000;
 
-fn run_both(config: &EngineConfig, bench: SpecBenchmark) -> (resim_core::SimStats, Engine<MetricsRecorder>) {
+fn run_both(
+    config: &EngineConfig,
+    bench: SpecBenchmark,
+) -> (resim_core::SimStats, Engine<MetricsRecorder>) {
     let trace = generate_trace(
         Workload::spec(bench, 2009),
         BUDGET,
@@ -21,8 +24,8 @@ fn run_both(config: &EngineConfig, bench: SpecBenchmark) -> (resim_core::SimStat
     let null_stats = Engine::new(config.clone())
         .expect("valid config")
         .run(trace.source());
-    let mut instrumented = Engine::with_recorder(config.clone(), MetricsRecorder::new())
-        .expect("valid config");
+    let mut instrumented =
+        Engine::with_recorder(config.clone(), MetricsRecorder::new()).expect("valid config");
     let inst_stats = instrumented.run(trace.source());
     assert_eq!(
         null_stats.to_words(),

@@ -229,7 +229,13 @@ impl OccupancyTrack {
     fn series(&self, idx: usize) -> Vec<f64> {
         self.bins
             .iter()
-            .map(|b| if b[3] == 0 { 0.0 } else { b[idx] as f64 / b[3] as f64 })
+            .map(|b| {
+                if b[3] == 0 {
+                    0.0
+                } else {
+                    b[idx] as f64 / b[3] as f64
+                }
+            })
             .collect()
     }
 
@@ -409,7 +415,8 @@ impl Recorder for MetricsRecorder {
     #[inline]
     fn event(&mut self, cycle: u64, kind: EventKind) {
         if let EventKind::Occupancy { ifq, rb, lsq } = kind {
-            self.track.record(u64::from(ifq), u64::from(rb), u64::from(lsq));
+            self.track
+                .record(u64::from(ifq), u64::from(rb), u64::from(lsq));
         }
         self.journal.push(Event { cycle, kind });
     }
