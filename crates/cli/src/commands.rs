@@ -12,8 +12,8 @@ use resim_session::SessionRecord;
 use resim_sweep::{ScenarioDoc, SweepProgress, SweepRunner, WorkloadPoint, MAX_BUDGET};
 use resim_toml::json::JsonValue;
 use resim_trace::{
-    save_trace_file, FileSource, Trace, TraceFileHeader, TraceSource, TRACE_CONTAINER_VERSION,
-    TRACE_LAYOUT_VERSION,
+    save_trace_file, FileError, FileSource, Trace, TraceFileHeader, TraceSource,
+    TRACE_CONTAINER_VERSION, TRACE_LAYOUT_VERSION,
 };
 use resim_tracegen::{generate_trace, TraceCache, TraceGenConfig, TraceKey};
 use std::fmt::Write as _;
@@ -729,43 +729,57 @@ pub(crate) fn record(
         ..SessionRecord::default()
     };
 
-    let (engine, source) = if let Some(n) = cell {
-        if trace_flag.is_some() {
-            return Err(
-                "--cell regenerates the cell's trace; it cannot be combined with --trace"
-                    .to_string(),
-            );
+    if cell.is_some() && trace_flag.is_some() {
+        return Err(
+            "--cell regenerates the cell's trace; it cannot be combined with --trace".to_string(),
+        );
+    }
+    // A container is read once: the session embeds the very bytes the
+    // run simulates, so a file replaced meanwhile cannot split them.
+    let container = match doc.trace_path(trace_flag) {
+        Some(path) if cell.is_none() => {
+            let bytes = fs::read(path).map_err(|e| {
+                format!(
+                    "cannot replay trace {path:?}: {path}: {}",
+                    FileError::Io(e.kind())
+                )
+            })?;
+            Some((path, bytes))
         }
+        _ => None,
+    };
+    let (engine, source) = if let Some(n) = cell {
         let inputs = RunInputs::cell(&doc, scenario_path, n as u64, |cells| {
             format!("--cell {n} is out of range: the scenario has {cells} cell(s)")
         })?;
         inputs.stamp(&mut rec);
         rec.cell_index = Some(n as u64);
         inputs.into_run()
-    } else {
-        let source = Source::resolve(&doc, trace_flag)?;
+    } else if let Some((path, bytes)) = &container {
+        let src = FileSource::from_reader(io::Cursor::new(bytes.as_slice()))
+            .map_err(|e| format!("cannot replay trace {path:?}: {path}: {e}"))?;
         RunInputs::of(&doc).stamp(&mut rec);
-        if let Source::File(src, path) = &source {
-            // The file's header, not the scenario, says what is
-            // actually simulated — record it, and embed the whole
-            // container so the session replays self-contained.
-            let h = src.header().clone();
-            rec.tracegen_fingerprint = h.tracegen_fingerprint;
-            rec.workload = h.workload;
-            rec.seed = h.seed;
-            rec.budget = h.correct_records;
-            rec.trace_container_version = h.container_version;
-            rec.trace_layout_version = h.layout_version;
-            let path = path.as_deref().unwrap_or_default();
-            rec.embedded_trace =
-                Some(fs::read(path).map_err(|e| format!("cannot re-read trace {path:?}: {e}"))?);
-        }
+        // The file's header, not the scenario, says what is actually
+        // simulated — record it, and embed the whole container so the
+        // session replays self-contained.
+        let h = src.header().clone();
+        rec.tracegen_fingerprint = h.tracegen_fingerprint;
+        rec.workload = h.workload;
+        rec.seed = h.seed;
+        rec.budget = h.correct_records;
+        rec.trace_container_version = h.container_version;
+        rec.trace_layout_version = h.layout_version;
+        let source = Source::File(Box::new(src), Some(path.to_string()));
         (doc.engine.clone(), source)
+    } else {
+        RunInputs::of(&doc).stamp(&mut rec);
+        (doc.engine.clone(), Source::Generated(doc.generate()))
     };
     // A sampled session records the merged detailed-window statistics:
     // the per-window data is a deterministic function of the same
     // inputs, so the merged stats are the bit-identity witness.
     rec.stats = source.simulate(&engine, rec.sample.as_ref())?.stats;
+    rec.embedded_trace = container.map(|(_, bytes)| bytes);
 
     let default_path = match cell {
         Some(n) => format!("{}-cell{n}.rssn", rec.workload),

@@ -87,20 +87,30 @@ fn file_frontend_run_embeds_the_container_and_replays() {
         ]);
         assert_eq!(code, 0, "trace failed: {err}");
 
-        let (rec_out, _) = record_and_replay(&dir, scenario, &["-t", trace_path.to_str().unwrap()]);
+        let (rec_out, replay_out) =
+            record_and_replay(&dir, scenario, &["-t", trace_path.to_str().unwrap()]);
         assert!(
             rec_out.contains(&format!("layout v{layout}")),
             "layout {layout}: {rec_out}"
         );
         assert!(rec_out.contains("trace    embedded"), "{rec_out}");
+        assert!(replay_out.contains("42/42 fields match"), "{replay_out}");
+
+        // The session embeds the container byte for byte.
+        let session_path = dir.join("s.rssn");
+        let session = SessionRecord::load(&session_path).unwrap();
+        assert_eq!(
+            session.embedded_trace.as_deref(),
+            Some(fs::read(&trace_path).unwrap().as_slice()),
+            "layout {layout}: embedded bytes differ from the file"
+        );
 
         // The session is self-contained: replay works with the trace
         // file gone.
         fs::remove_file(&trace_path).unwrap();
-        let session_path = dir.join("s.rssn");
         let (code, out, err) = run_for_test(&["replay", "-s", session_path.to_str().unwrap()]);
         assert_eq!(code, 0, "replay after deleting the trace: {err}");
-        assert!(out.contains("bit-identical"), "{out}");
+        assert!(out.contains("42/42 fields match"), "{out}");
         fs::remove_dir_all(&dir).unwrap();
     }
 }
