@@ -15,8 +15,9 @@
 //!    (left) machine with a 64-entry RB at 8 and 32 LSQ entries, on
 //!    perfect memory and split 32 KB L1 caches — the per-load cost of
 //!    memory disambiguation;
-//! 5. recorder overhead: `NullRecorder` against `MetricsRecorder`,
-//!    asserting the two runs' `SimStats` are bit-identical;
+//! 5. observation overhead: an engine without and with a
+//!    `MetricsRecorder` attached (`Engine::observed`), asserting the two
+//!    runs' `SimStats` are bit-identical;
 //! 6. components: trace generation, v1 and v2 encode and decode (each
 //!    decode through `EncodedTrace::decode`, the one reader), predictor,
 //!    L1 cache and workload generation.
@@ -120,34 +121,34 @@ fn lsq_sizes(gzip: &SuppliedTrace) {
     }
 }
 
-fn recorder_overhead(gzip: &SuppliedTrace) {
+fn observation_overhead(gzip: &SuppliedTrace) {
     let config = EngineConfig::paper_4wide();
-    let mut null_stats: Option<SimStats> = None;
-    let null = best_rate(RUNS, || {
+    let mut off_stats: Option<SimStats> = None;
+    let off = best_rate(RUNS, || {
         let stats = Engine::new(config.clone())
             .expect("paper config is valid")
             .run(gzip.trace.source());
-        null_stats.insert(stats).committed
+        off_stats.insert(stats).committed
     });
-    let mut metrics_stats: Option<SimStats> = None;
-    let metrics = best_rate(RUNS, || {
-        let stats = Engine::with_recorder(config.clone(), MetricsRecorder::new())
+    let mut on_stats: Option<SimStats> = None;
+    let on = best_rate(RUNS, || {
+        let stats = Engine::observed(config.clone(), MetricsRecorder::new())
             .expect("paper config is valid")
             .run(gzip.trace.source());
-        metrics_stats.insert(stats).committed
+        on_stats.insert(stats).committed
     });
     // The recorder observes; it must never feed back into the run.
     assert_eq!(
-        null_stats, metrics_stats,
-        "MetricsRecorder changed the simulated statistics"
+        off_stats, on_stats,
+        "observation changed the simulated statistics"
     );
-    println!("| recorder (slice, N+3) | Mrec/s | vs. null |");
-    println!("|-----------------------|--------|----------|");
-    println!("| `NullRecorder` | {} | — |", mrate(null));
+    println!("| observation (slice, N+3) | Mrec/s | vs. off |");
+    println!("|--------------------------|--------|---------|");
+    println!("| off | {} | — |", mrate(off));
     println!(
-        "| `MetricsRecorder` | {} | {:+.0} % |",
-        mrate(metrics),
-        100.0 * (metrics / null - 1.0)
+        "| on (`MetricsRecorder`) | {} | {:+.0} % |",
+        mrate(on),
+        100.0 * (on / off - 1.0)
     );
 }
 
@@ -238,7 +239,7 @@ fn main() {
     println!();
     lsq_sizes(&gzip);
     println!();
-    recorder_overhead(&gzip);
+    observation_overhead(&gzip);
     println!();
     components(&gzip);
 }

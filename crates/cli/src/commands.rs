@@ -118,37 +118,52 @@ pub(crate) fn trace(
     emit(out, &s)
 }
 
+/// A trace container as every run reads it, from a file or from the
+/// bytes a session embeds. One reader type for both builds the engine
+/// loop once for containers; the reader is called once per 16 KiB block.
+type Container<'a> = FileSource<Box<dyn Read + 'a>>;
+
+/// Reads the header of the container `reader` is positioned at.
+fn container<'a>(reader: impl Read + 'a) -> Result<Container<'a>, FileError> {
+    FileSource::from_reader(Box::new(reader) as Box<dyn Read + 'a>)
+}
+
+/// The diagnostic for a container at `path` that cannot be read.
+fn cannot_replay(path: &str, e: FileError) -> String {
+    format!("cannot replay trace {path:?}: {path}: {e}")
+}
+
 /// The input trace of one run: a container, or a trace generated in
 /// memory. [`Source::simulate`] runs it, and every command that runs a
 /// container checks its end through [`Source::check_end`].
-enum Source<R: Read = io::BufReader<fs::File>> {
-    /// A container and the path it was opened from; `None` for the
+enum Source<'a> {
+    /// A container and the path it was read from; `None` for the
     /// container a session embeds.
-    File(Box<FileSource<R>>, Option<String>),
+    File(Box<Container<'a>>, Option<String>),
     /// A trace generated in memory.
     Generated(Trace),
 }
 
-impl Source {
-    /// The input of `run`, `profile`, `sample` and `record`: an
-    /// explicit container path (flag or `[trace]` key) is replayed,
-    /// otherwise the trace is generated in memory.
+impl Source<'_> {
+    /// The input of `run`, `profile` and `sample`: an explicit container
+    /// path (flag or `[trace]` key) is replayed, otherwise the trace is
+    /// generated in memory.
     fn resolve(doc: &ScenarioDoc, trace_flag: Option<&str>) -> Result<Self, String> {
         match doc.trace_path(trace_flag) {
             Some(path) => {
-                let src = FileSource::open(path)
-                    .map_err(|e| format!("cannot replay trace {path:?}: {e}"))?;
+                let file = fs::File::open(path)
+                    .map_err(|e| cannot_replay(path, FileError::Io(e.kind())))?;
+                let src =
+                    container(io::BufReader::new(file)).map_err(|e| cannot_replay(path, e))?;
                 Ok(Source::File(Box::new(src), Some(path.to_string())))
             }
             None => Ok(Source::Generated(doc.generate())),
         }
     }
-}
 
-impl<R: Read> Source<R> {
     /// Fails if the container stopped before its declared end: a cut or
     /// corrupt body is a diagnostic, never a silently short run.
-    fn check_end(src: &FileSource<R>, path: Option<&str>) -> CmdResult {
+    fn check_end<R: Read>(src: &FileSource<R>, path: Option<&str>) -> CmdResult {
         let Some(e) = src.error() else {
             return Ok(());
         };
@@ -280,7 +295,7 @@ pub(crate) fn profile(
         Some(cap) => MetricsRecorder::with_journal_capacity(cap),
         None => MetricsRecorder::new(),
     };
-    let mut engine = Engine::with_recorder(doc.engine.clone(), recorder)
+    let mut engine = Engine::observed(doc.engine.clone(), recorder)
         .map_err(|e| format!("invalid engine configuration: {e}"))?;
     let source = Source::resolve(&doc, trace_flag)?;
     let banner = source.describe(&doc);
@@ -308,7 +323,7 @@ pub(crate) fn profile(
         }
     };
     let wall = t0.elapsed();
-    let rec = engine.recorder();
+    let rec = engine.recorder().expect("the engine is observed");
 
     let mut s = banner;
     s.push_str(&stats.report());
@@ -736,14 +751,9 @@ pub(crate) fn record(
     }
     // A container is read once: the session embeds the very bytes the
     // run simulates, so a file replaced meanwhile cannot split them.
-    let container = match doc.trace_path(trace_flag) {
+    let file = match doc.trace_path(trace_flag) {
         Some(path) if cell.is_none() => {
-            let bytes = fs::read(path).map_err(|e| {
-                format!(
-                    "cannot replay trace {path:?}: {path}: {}",
-                    FileError::Io(e.kind())
-                )
-            })?;
+            let bytes = fs::read(path).map_err(|e| cannot_replay(path, FileError::Io(e.kind())))?;
             Some((path, bytes))
         }
         _ => None,
@@ -755,9 +765,8 @@ pub(crate) fn record(
         inputs.stamp(&mut rec);
         rec.cell_index = Some(n as u64);
         inputs.into_run()
-    } else if let Some((path, bytes)) = &container {
-        let src = FileSource::from_reader(io::Cursor::new(bytes.as_slice()))
-            .map_err(|e| format!("cannot replay trace {path:?}: {path}: {e}"))?;
+    } else if let Some((path, bytes)) = &file {
+        let src = container(bytes.as_slice()).map_err(|e| cannot_replay(path, e))?;
         RunInputs::of(&doc).stamp(&mut rec);
         // The file's header, not the scenario, says what is actually
         // simulated — record it, and embed the whole container so the
@@ -779,7 +788,7 @@ pub(crate) fn record(
     // the per-window data is a deterministic function of the same
     // inputs, so the merged stats are the bit-identity witness.
     rec.stats = source.simulate(&engine, rec.sample.as_ref())?.stats;
-    rec.embedded_trace = container.map(|(_, bytes)| bytes);
+    rec.embedded_trace = file.map(|(_, bytes)| bytes);
 
     let default_path = match cell {
         Some(n) => format!("{}-cell{n}.rssn", rec.workload),
@@ -914,7 +923,7 @@ impl RunInputs {
 
     /// The engine to run and the trace it runs, generated as the sweep
     /// runner generates a cell's.
-    fn into_run<R: Read>(self) -> (EngineConfig, Source<R>) {
+    fn into_run(self) -> (EngineConfig, Source<'static>) {
         let stream = self.workload.instantiate(self.seed);
         let trace = generate_trace(stream, self.budget, &self.tracegen);
         (self.engine, Source::Generated(trace))
@@ -967,7 +976,7 @@ pub(crate) fn replay(session_path: &str, out: &mut dyn Write) -> CmdResult {
             // A self-contained file-frontend session: the engine still
             // has to match, but the trace bytes are authoritative as-is.
             check_fingerprint("engine", rec.engine_fingerprint, doc.engine.fingerprint())?;
-            let src = FileSource::from_reader(io::Cursor::new(bytes.as_slice()))
+            let src = container(bytes.as_slice())
                 .map_err(|e| format!("embedded trace container is invalid: {e}"))?;
             (doc.engine.clone(), Source::File(Box::new(src), None))
         }
@@ -1088,7 +1097,7 @@ mod tests {
         };
         let run = |plan: Option<&SamplePlan>| {
             let trace = ScenarioDoc::default().generate();
-            Source::<io::Empty>::Generated(trace)
+            Source::Generated(trace)
                 .simulate(&config, plan)
                 .unwrap_err()
         };

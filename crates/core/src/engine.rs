@@ -30,7 +30,7 @@ use crate::state::CoreState;
 use crate::stats::SimStats;
 use resim_bpred::BranchPredictor;
 use resim_mem::MemorySystem;
-use resim_obs::{NullRecorder, Recorder};
+use resim_obs::MetricsRecorder;
 use resim_trace::TraceSource;
 
 /// Cycles without a commit (while work is in flight) after which the
@@ -61,14 +61,12 @@ const WATCHDOG_CYCLES: u64 = 200_000;
 /// # }
 /// ```
 ///
-/// The engine is generic over an instrumentation [`Recorder`]
-/// (defaulting to the no-op [`NullRecorder`], which compiles every hook
-/// away). Attach a collecting recorder with [`Engine::with_recorder`];
-/// recorders only observe, so instrumented statistics stay bit-identical
-/// to the default engine's.
+/// [`Engine::observed`] builds an engine with a [`MetricsRecorder`]
+/// attached; the recorder only observes, so observed statistics stay
+/// bit-identical to an unobserved engine's.
 #[derive(Debug)]
-pub struct Engine<R: Recorder = NullRecorder> {
-    state: CoreState<R>,
+pub struct Engine {
+    state: CoreState,
     scheduler: MinorCycleScheduler,
 }
 
@@ -82,14 +80,40 @@ const _: () = {
 };
 
 impl Engine {
-    /// Builds an engine for `config` with the no-op [`NullRecorder`].
+    /// Builds an engine for `config`.
     ///
     /// # Errors
     ///
     /// Returns the [`ConfigError`] from [`EngineConfig::validate`] on
     /// structural inconsistencies.
     pub fn new(config: EngineConfig) -> Result<Self, ConfigError> {
-        Self::with_recorder(config, NullRecorder)
+        let state = CoreState::new(config)?;
+        let scheduler = MinorCycleScheduler::new(&state.config)?;
+        Ok(Self { state, scheduler })
+    }
+
+    /// Builds an engine for `config` that feeds `recorder` as it runs:
+    /// rare events as they happen, and each cycle's stage operations,
+    /// stage wall times and occupancy at its end.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::new`].
+    pub fn observed(config: EngineConfig, recorder: MetricsRecorder) -> Result<Self, ConfigError> {
+        let mut engine = Self::new(config)?;
+        engine.state.recorder = Some(Box::new(recorder));
+        Ok(engine)
+    }
+
+    /// The attached recorder, if the engine is [observed](Engine::observed).
+    pub fn recorder(&self) -> Option<&MetricsRecorder> {
+        self.state.recorder()
+    }
+
+    /// Consumes the engine, returning the attached recorder with
+    /// everything it collected.
+    pub fn into_recorder(self) -> Option<MetricsRecorder> {
+        self.state.recorder.map(|recorder| *recorder)
     }
 
     /// Builds an engine around a warm `predictor` and `memory` system
@@ -118,35 +142,9 @@ impl Engine {
         }
         predictor.reset_stats();
         memory.reset_stats();
-        let state = CoreState::from_parts(config, NullRecorder, predictor, memory);
+        let state = CoreState::from_parts(config, predictor, memory);
         let scheduler = MinorCycleScheduler::new(&state.config)?;
         Ok(Self { state, scheduler })
-    }
-}
-
-impl<R: Recorder> Engine<R> {
-    /// Builds an engine for `config` emitting instrumentation into
-    /// `recorder`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ConfigError`] from [`EngineConfig::validate`] on
-    /// structural inconsistencies.
-    pub fn with_recorder(config: EngineConfig, recorder: R) -> Result<Self, ConfigError> {
-        let state = CoreState::with_recorder(config, recorder)?;
-        let scheduler = MinorCycleScheduler::new(&state.config)?;
-        Ok(Self { state, scheduler })
-    }
-
-    /// The attached instrumentation recorder.
-    pub fn recorder(&self) -> &R {
-        self.state.recorder()
-    }
-
-    /// Consumes the engine, returning the recorder with everything it
-    /// collected.
-    pub fn into_recorder(self) -> R {
-        self.state.recorder
     }
 
     /// The configuration this engine runs.
@@ -156,7 +154,7 @@ impl<R: Recorder> Engine<R> {
 
     /// The shared stage state (read-only; stages mutate it through the
     /// scheduler).
-    pub fn state(&self) -> &CoreState<R> {
+    pub fn state(&self) -> &CoreState {
         &self.state
     }
 
@@ -216,7 +214,7 @@ impl<R: Recorder> Engine<R> {
         records: u64,
     ) -> SimStats {
         let target = cursor.consumed().saturating_add(records);
-        self.step_until(cursor, |_, cursor| cursor.consumed() >= target)
+        self.step_until(cursor, target, u64::MAX)
     }
 
     /// Runs until the cursor is exhausted and the pipeline is empty —
@@ -230,17 +228,21 @@ impl<R: Recorder> Engine<R> {
         cursor: &mut TraceCursor<S>,
         max_cycles: u64,
     ) -> SimStats {
-        self.step_until(cursor, |state, _| state.cycle() >= max_cycles)
+        self.step_until(cursor, u64::MAX, max_cycles)
     }
 
-    /// The one cycle loop: steps until `stop` holds, or the cursor is
-    /// exhausted and the pipeline is empty, and returns the statistics.
+    /// The one cycle loop: steps until the cursor has consumed
+    /// `records` records in total or the cycle counter reaches
+    /// `max_cycles`, or the cursor is exhausted and the pipeline is
+    /// empty, and returns the statistics. The limits are values, not a
+    /// closure, so the loop is compiled once per trace source.
     fn step_until<S: TraceSource>(
         &mut self,
         cursor: &mut TraceCursor<S>,
-        stop: impl Fn(&CoreState<R>, &TraceCursor<S>) -> bool,
+        records: u64,
+        max_cycles: u64,
     ) -> SimStats {
-        while !stop(&self.state, cursor) {
+        while cursor.consumed() < records && self.state.cycle < max_cycles {
             if cursor.peek().is_none() && self.state.is_drained() {
                 break;
             }

@@ -89,6 +89,6 @@ pub use stats::{SimStats, SIM_STATS_FIELDS};
 // fingerprints need not name `resim-trace`.
 pub use resim_trace::Fnv64;
 
-// The instrumentation seam the engine is generic over, re-exported so
-// engine users can attach a recorder without naming `resim-obs`.
-pub use resim_obs::{MetricsRecorder, NullRecorder, Recorder};
+// The recorder `Engine::observed` attaches, re-exported so engine users
+// can observe a run without naming `resim-obs`.
+pub use resim_obs::MetricsRecorder;

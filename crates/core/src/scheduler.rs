@@ -28,8 +28,8 @@ use crate::stages::{
     CommitStage, DispatchStage, FetchStage, IssueStage, LsqRefreshStage, WritebackStage,
 };
 use crate::state::CoreState;
-use resim_obs::{Recorder, SpanId};
 use resim_trace::TraceSource;
+use std::time::Instant;
 
 /// Stage names in evaluation order, as the paper spells them.
 const STAGE_NAMES: [&str; 6] = [
@@ -39,16 +39,6 @@ const STAGE_NAMES: [&str; 6] = [
     "Issue",
     "Dispatch",
     "Fetch",
-];
-
-/// Wall-time span ids aligned with [`STAGE_NAMES`].
-const STAGE_SPANS: [SpanId; 6] = [
-    SpanId::Commit,
-    SpanId::Writeback,
-    SpanId::LsqRefresh,
-    SpanId::Issue,
-    SpanId::Dispatch,
-    SpanId::Fetch,
 ];
 
 /// Executes one major cycle of the engine: evaluates the six stages in
@@ -124,37 +114,69 @@ impl MinorCycleScheduler {
         STAGE_NAMES.into_iter().zip(self.activity).collect()
     }
 
-    /// Evaluates every stage once (one major cycle).
-    pub(crate) fn step<R: Recorder, S: TraceSource>(
+    /// Evaluates every stage once (one major cycle). The one check for
+    /// a recorder per cycle picks the observed evaluation.
+    pub(crate) fn step<S: TraceSource>(
         &mut self,
-        core: &mut CoreState<R>,
+        core: &mut CoreState,
         cursor: &mut TraceCursor<S>,
     ) {
-        self.activity[0] += timed(core, 0, |core| self.commit.evaluate(core));
-        self.activity[1] += timed(core, 1, |core| self.writeback.evaluate(core, cursor));
-        self.activity[2] += timed(core, 2, |core| self.lsq_refresh.evaluate(core));
-        self.activity[3] += timed(core, 3, |core| self.issue.evaluate(core));
-        self.activity[4] += timed(core, 4, |core| self.dispatch.evaluate(core));
-        self.activity[5] += timed(core, 5, |core| self.fetch.evaluate(core, cursor));
+        let ops = if core.recorder.is_some() {
+            self.step_observed(core, cursor)
+        } else {
+            [
+                self.commit.evaluate(core),
+                self.writeback.evaluate(core, cursor),
+                self.lsq_refresh.evaluate(core),
+                self.issue.evaluate(core),
+                self.dispatch.evaluate(core),
+                self.fetch.evaluate(core, cursor),
+            ]
+        };
+        for (total, ops) in self.activity.iter_mut().zip(ops) {
+            *total += ops;
+        }
     }
-}
 
-/// Runs one stage evaluation inside its wall-time span (a no-op under
-/// the default [`NullRecorder`](resim_obs::NullRecorder)).
-#[inline(always)]
-fn timed<R: Recorder>(
-    core: &mut CoreState<R>,
-    stage: usize,
-    evaluate: impl FnOnce(&mut CoreState<R>) -> u64,
-) -> u64 {
-    if R::ENABLED {
-        core.recorder.span_enter(STAGE_SPANS[stage]);
+    /// The same evaluation with each stage timed, closed by handing the
+    /// cycle to the recorder. Kept out of line so the unobserved loop
+    /// stays as tight as it was.
+    #[inline(never)]
+    fn step_observed<S: TraceSource>(
+        &mut self,
+        core: &mut CoreState,
+        cursor: &mut TraceCursor<S>,
+    ) -> [u64; 6] {
+        let mut wall_ns = [0u64; 6];
+        let mut clock = Instant::now();
+        let mut lap = |stage: usize| {
+            let now = Instant::now();
+            wall_ns[stage] = u64::try_from((now - clock).as_nanos()).unwrap_or(u64::MAX);
+            clock = now;
+        };
+        let commit = self.commit.evaluate(core);
+        lap(0);
+        let writeback = self.writeback.evaluate(core, cursor);
+        lap(1);
+        let lsq_refresh = self.lsq_refresh.evaluate(core);
+        lap(2);
+        let issue = self.issue.evaluate(core);
+        lap(3);
+        let dispatch = self.dispatch.evaluate(core);
+        lap(4);
+        // Fetch returns at once while stalled, without a fetch group.
+        let fetch_ran = core.cycle >= core.fetch_stall_until;
+        let fetch = self.fetch.evaluate(core, cursor);
+        lap(5);
+        let ops = [commit, writeback, lsq_refresh, issue, dispatch, fetch];
+        let occupancy = [core.ifq.len(), core.rob.len(), core.lsq.len()].map(|n| n as u64);
+        let cycle = core.cycle;
+        core.recorder
+            .as_mut()
+            .expect("only an observed engine steps observed")
+            .end_cycle(cycle, ops, wall_ns, fetch_ran, occupancy);
+        ops
     }
-    let ops = evaluate(core);
-    if R::ENABLED {
-        core.recorder.span_exit(STAGE_SPANS[stage]);
-    }
-    ops
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use crate::rob::InstState;
 use crate::state::CoreState;
-use resim_obs::{CacheKind, Counter, EventKind, Hist, Recorder};
+use resim_obs::{CacheKind, EventKind};
 use resim_trace::TraceRecord;
 
 /// Commit: retire up to N completed instructions in order; stores need a
@@ -13,7 +13,7 @@ pub(crate) struct CommitStage;
 
 impl CommitStage {
     /// Evaluates the stage for one major cycle; returns the instructions committed.
-    pub(crate) fn evaluate<R: Recorder>(&mut self, core: &mut CoreState<R>) -> u64 {
+    pub(crate) fn evaluate(&mut self, core: &mut CoreState) -> u64 {
         let mut write_ports = core.config.mem_write_ports;
         let mut committed = 0u64;
         for _ in 0..core.config.width {
@@ -41,15 +41,11 @@ impl CommitStage {
                     if m.is_store() {
                         let acc = core.memory.data_access(m.addr, true);
                         core.stats.committed_stores += 1;
-                        if R::ENABLED && !acc.hit {
-                            core.recorder.counter(Counter::DcacheMisses, 1);
-                            core.recorder.event(
-                                core.cycle,
-                                EventKind::CacheMiss {
-                                    cache: CacheKind::L1d,
-                                    addr: m.addr,
-                                },
-                            );
+                        if !acc.hit {
+                            core.observe(EventKind::CacheMiss {
+                                cache: CacheKind::L1d,
+                                addr: m.addr,
+                            });
                         }
                     } else {
                         core.stats.committed_loads += 1;
@@ -72,10 +68,6 @@ impl CommitStage {
             core.stats.committed += 1;
             core.last_commit_cycle = core.cycle;
             committed += 1;
-        }
-        if R::ENABLED {
-            core.recorder.counter(Counter::Committed, committed);
-            core.recorder.histogram(Hist::CommittedPerCycle, committed);
         }
         committed
     }

@@ -3,7 +3,6 @@
 use crate::lsq::LsqEntry;
 use crate::rob::{InstState, PendingSet, RobEntry};
 use crate::state::CoreState;
-use resim_obs::{Counter, Recorder};
 use resim_trace::TraceRecord;
 
 /// Dispatch: move up to N instructions from the IFQ into the RB (and
@@ -16,7 +15,7 @@ pub(crate) struct DispatchStage;
 
 impl DispatchStage {
     /// Evaluates the stage for one major cycle; returns the instructions dispatched.
-    pub(crate) fn evaluate<R: Recorder>(&mut self, core: &mut CoreState<R>) -> u64 {
+    pub(crate) fn evaluate(&mut self, core: &mut CoreState) -> u64 {
         let mut dispatched = 0u64;
         for _ in 0..core.config.width {
             let Some(front) = core.ifq.front() else { break };
@@ -73,9 +72,6 @@ impl DispatchStage {
                 core.rename[d.index() as usize] = Some(handle);
             }
             dispatched += 1;
-        }
-        if R::ENABLED {
-            core.recorder.counter(Counter::Dispatched, dispatched);
         }
         dispatched
     }

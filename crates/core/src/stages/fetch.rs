@@ -4,7 +4,7 @@
 use crate::cursor::TraceCursor;
 use crate::state::{CoreState, FetchedInst};
 use resim_bpred::Resolution;
-use resim_obs::{CacheKind, Counter, EventKind, Hist, Recorder};
+use resim_obs::{CacheKind, EventKind};
 use resim_trace::{TraceRecord, TraceSource};
 
 /// Fetch: pull up to N records from the trace into the IFQ, stopping at
@@ -24,8 +24,8 @@ pub(crate) struct FetchStage;
 /// Admits one record into the IFQ: I-cache probe, statistics, branch
 /// prediction against `next` (the following trace record, if visible),
 /// and stall bookkeeping. Returns whether the fetch group must stop.
-fn admit<R: Recorder>(
-    core: &mut CoreState<R>,
+fn admit(
+    core: &mut CoreState,
     record: TraceRecord,
     next: Option<&TraceRecord>,
     fetched: &mut u64,
@@ -36,18 +36,11 @@ fn admit<R: Recorder>(
     if record.wrong_path() {
         core.stats.wrong_path_fetched += 1;
     }
-    if R::ENABLED {
-        core.recorder.counter(Counter::Fetched, 1);
-        if !acc.hit {
-            core.recorder.counter(Counter::IcacheMisses, 1);
-            core.recorder.event(
-                core.cycle,
-                EventKind::CacheMiss {
-                    cache: CacheKind::L1i,
-                    addr: record.pc(),
-                },
-            );
-        }
+    if !acc.hit {
+        core.observe(EventKind::CacheMiss {
+            cache: CacheKind::L1i,
+            addr: record.pc(),
+        });
     }
 
     let mut mispredicted = false;
@@ -64,11 +57,7 @@ fn admit<R: Recorder>(
             } else if pred.outcome() == Resolution::Misfetch {
                 // Right direction, wrong target: fetch bubble.
                 core.stats.misfetches += 1;
-                if R::ENABLED {
-                    core.recorder.counter(Counter::Misfetches, 1);
-                    core.recorder
-                        .event(core.cycle, EventKind::Misfetch { pc: b.pc });
-                }
+                core.observe(EventKind::Misfetch { pc: b.pc });
                 core.fetch_stall_until = core.cycle + 1 + u64::from(core.config.misfetch_penalty);
                 stop_group = true;
             }
@@ -97,9 +86,9 @@ fn admit<R: Recorder>(
 
 impl FetchStage {
     /// Evaluates the stage for one major cycle; returns the instructions fetched.
-    pub(crate) fn evaluate<R: Recorder, S: TraceSource>(
+    pub(crate) fn evaluate<S: TraceSource>(
         &mut self,
-        core: &mut CoreState<R>,
+        core: &mut CoreState,
         cursor: &mut TraceCursor<S>,
     ) -> u64 {
         if core.cycle < core.fetch_stall_until {
@@ -155,9 +144,6 @@ impl FetchStage {
             if stop {
                 break 'group;
             }
-        }
-        if R::ENABLED {
-            core.recorder.histogram(Hist::FetchedPerCycle, fetched);
         }
         fetched
     }

@@ -11,7 +11,7 @@ use crate::config::FuConfig;
 use crate::lsq::LoadReady;
 use crate::rob::InstState;
 use crate::state::CoreState;
-use resim_obs::{CacheKind, Counter, EventKind, Hist, Recorder};
+use resim_obs::{CacheKind, EventKind};
 use resim_trace::{OpClass, TraceRecord};
 
 /// Issue: schedule up to N ready instructions onto functional units,
@@ -41,7 +41,7 @@ impl IssueStage {
     }
 
     /// Evaluates the stage for one major cycle; returns the instructions issued.
-    pub(crate) fn evaluate<R: Recorder>(&mut self, core: &mut CoreState<R>) -> u64 {
+    pub(crate) fn evaluate(&mut self, core: &mut CoreState) -> u64 {
         let width = core.config.width;
         let fus = core.config.fus;
         let mut slots = width;
@@ -132,15 +132,11 @@ impl IssueStage {
                                 read_ports_used += 1;
                                 loads_issued += 1;
                                 let acc = core.memory.data_access(m.addr, false);
-                                if R::ENABLED && !acc.hit {
-                                    core.recorder.counter(Counter::DcacheMisses, 1);
-                                    core.recorder.event(
-                                        core.cycle,
-                                        EventKind::CacheMiss {
-                                            cache: CacheKind::L1d,
-                                            addr: m.addr,
-                                        },
-                                    );
+                                if !acc.hit {
+                                    core.observe(EventKind::CacheMiss {
+                                        cache: CacheKind::L1d,
+                                        addr: m.addr,
+                                    });
                                 }
                                 core.cycle + u64::from(acc.latency)
                             }
@@ -164,10 +160,6 @@ impl IssueStage {
             core.stats.issued += 1;
             issued += 1;
             slots -= 1;
-        }
-        if R::ENABLED {
-            core.recorder.counter(Counter::Issued, issued);
-            core.recorder.histogram(Hist::IssuedPerCycle, issued);
         }
         issued
     }

@@ -2,7 +2,6 @@
 //! in every organization of §IV.
 
 use crate::state::CoreState;
-use resim_obs::{Counter, Recorder};
 
 /// `Lsq_refresh`: the slot of the memory-dependence check (§III/§IV).
 ///
@@ -18,11 +17,7 @@ pub(crate) struct LsqRefreshStage;
 impl LsqRefreshStage {
     /// Evaluates the stage for one major cycle; returns the LSQ entries
     /// the hardware stage scans.
-    pub(crate) fn evaluate<R: Recorder>(&mut self, core: &mut CoreState<R>) -> u64 {
-        let refreshed = core.lsq.len() as u64;
-        if R::ENABLED {
-            core.recorder.counter(Counter::LsqRefreshed, refreshed);
-        }
-        refreshed
+    pub(crate) fn evaluate(&mut self, core: &mut CoreState) -> u64 {
+        core.lsq.len() as u64
     }
 }

@@ -3,7 +3,6 @@
 
 use crate::cursor::TraceCursor;
 use crate::state::CoreState;
-use resim_obs::{Counter, Recorder};
 use resim_trace::TraceSource;
 
 /// Writeback: select the oldest N finished executions, broadcast their
@@ -17,9 +16,9 @@ pub(crate) struct WritebackStage {
 
 impl WritebackStage {
     /// Evaluates the stage for one major cycle; returns the instructions written back.
-    pub(crate) fn evaluate<R: Recorder, S: TraceSource>(
+    pub(crate) fn evaluate<S: TraceSource>(
         &mut self,
-        core: &mut CoreState<R>,
+        core: &mut CoreState,
         cursor: &mut TraceCursor<S>,
     ) -> u64 {
         // The select scan visits only the executing entries.
@@ -42,9 +41,6 @@ impl WritebackStage {
             if recover {
                 core.recover(seq, cursor);
             }
-        }
-        if R::ENABLED {
-            core.recorder.counter(Counter::WrittenBack, written_back);
         }
         written_back
     }

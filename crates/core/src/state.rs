@@ -17,7 +17,7 @@ use crate::rob::{Producer, ReorderBuffer};
 use crate::stats::SimStats;
 use resim_bpred::BranchPredictor;
 use resim_mem::MemorySystem;
-use resim_obs::{Counter, EventKind, Gauge, Hist, NullRecorder, Recorder};
+use resim_obs::{EventKind, MetricsRecorder};
 use resim_trace::{TraceRecord, TraceSource};
 use std::collections::VecDeque;
 
@@ -39,17 +39,12 @@ pub(crate) struct FetchedInst {
 /// move a warm predictor and memory system in
 /// ([`Engine::resume`](crate::Engine::resume)) and back out
 /// ([`Engine::into_warm`](crate::Engine::into_warm)).
-///
-/// The state is generic over the instrumentation [`Recorder`] it emits
-/// into, defaulting to the no-op [`NullRecorder`]: every hook
-/// monomorphizes away in the default engine, and a recorder only ever
-/// observes — it never feeds back into simulated state, which is what
-/// keeps instrumented and uninstrumented runs bit-identical.
 #[derive(Debug)]
-pub struct CoreState<R: Recorder = NullRecorder> {
-    /// The instrumentation sink (no-op unless a collecting recorder is
-    /// attached via [`Engine::with_recorder`](crate::Engine::with_recorder)).
-    pub(crate) recorder: R,
+pub struct CoreState {
+    /// The recorder of an [observed](crate::Engine::observed) engine. It
+    /// only ever observes — it never feeds back into simulated state,
+    /// which is what keeps observed and unobserved runs bit-identical.
+    pub(crate) recorder: Option<Box<MetricsRecorder>>,
     pub(crate) config: EngineConfig,
     pub(crate) predictor: BranchPredictor,
     pub(crate) memory: MemorySystem,
@@ -73,41 +68,28 @@ pub struct CoreState<R: Recorder = NullRecorder> {
 }
 
 impl CoreState {
-    /// Builds cold state for `config` with the no-op recorder.
+    /// Builds cold state for `config`.
     ///
     /// # Errors
     ///
     /// Returns the [`ConfigError`] from [`EngineConfig::validate`] on
     /// structural inconsistencies.
     pub fn new(config: EngineConfig) -> Result<Self, ConfigError> {
-        Self::with_recorder(config, NullRecorder)
-    }
-}
-
-impl<R: Recorder> CoreState<R> {
-    /// Builds cold state for `config` emitting into `recorder`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ConfigError`] from [`EngineConfig::validate`] on
-    /// structural inconsistencies.
-    pub fn with_recorder(config: EngineConfig, recorder: R) -> Result<Self, ConfigError> {
         config.validate()?;
         let predictor = BranchPredictor::new(config.predictor);
         let memory = MemorySystem::new(config.memory);
-        Ok(Self::from_parts(config, recorder, predictor, memory))
+        Ok(Self::from_parts(config, predictor, memory))
     }
 
     /// Empty pipeline state around `predictor` and `memory`, for an
     /// already validated `config` they were built for.
     pub(crate) fn from_parts(
         config: EngineConfig,
-        recorder: R,
         predictor: BranchPredictor,
         memory: MemorySystem,
     ) -> Self {
         Self {
-            recorder,
+            recorder: None,
             predictor,
             memory,
             rob: ReorderBuffer::new(config.rb_size),
@@ -130,9 +112,17 @@ impl<R: Recorder> CoreState<R> {
         &self.config
     }
 
-    /// The attached instrumentation recorder.
-    pub fn recorder(&self) -> &R {
-        &self.recorder
+    /// The attached recorder, if any.
+    pub fn recorder(&self) -> Option<&MetricsRecorder> {
+        self.recorder.as_deref()
+    }
+
+    /// Hands a rare event (a cache miss, a misfetch, a recovery) to the
+    /// recorder at the current cycle; does nothing without one.
+    pub(crate) fn observe(&mut self, kind: EventKind) {
+        if let Some(recorder) = &mut self.recorder {
+            recorder.event(self.cycle, kind);
+        }
     }
 
     /// Simulated (major) cycles elapsed.
@@ -165,24 +155,6 @@ impl<R: Recorder> CoreState<R> {
         self.stats.ifq_occupancy_max = self.stats.ifq_occupancy_max.max(self.ifq.len() as u64);
         self.stats.rb_occupancy_max = self.stats.rb_occupancy_max.max(self.rob.len() as u64);
         self.stats.lsq_occupancy_max = self.stats.lsq_occupancy_max.max(self.lsq.len() as u64);
-        if R::ENABLED {
-            let (ifq, rb, lsq) = (
-                self.ifq.len() as u64,
-                self.rob.len() as u64,
-                self.lsq.len() as u64,
-            );
-            self.recorder.gauge(Gauge::IfqOccupancy, ifq);
-            self.recorder.gauge(Gauge::RbOccupancy, rb);
-            self.recorder.gauge(Gauge::LsqOccupancy, lsq);
-            self.recorder.event(
-                self.cycle,
-                EventKind::Occupancy {
-                    ifq: ifq.min(u64::from(u16::MAX)) as u16,
-                    rb: rb.min(u64::from(u16::MAX)) as u16,
-                    lsq: lsq.min(u64::from(u16::MAX)) as u16,
-                },
-            );
-        }
         self.cycle += 1;
     }
 
@@ -198,18 +170,10 @@ impl<R: Recorder> CoreState<R> {
         let total = (self.rob.squash_younger(branch_seq) + self.ifq.len()) as u64;
         self.lsq.squash_younger(branch_seq);
         self.stats.squashed += total;
-        if R::ENABLED {
-            self.recorder.counter(Counter::MispredictRecoveries, 1);
-            self.recorder.counter(Counter::Squashed, total);
-            self.recorder.histogram(Hist::SquashDepth, total);
-            self.recorder.event(
-                self.cycle,
-                EventKind::MispredictRecovery {
-                    seq: branch_seq,
-                    squashed: total.min(u64::from(u32::MAX)) as u32,
-                },
-            );
-        }
+        self.observe(EventKind::MispredictRecovery {
+            seq: branch_seq,
+            squashed: total.min(u64::from(u32::MAX)) as u32,
+        });
         self.ifq.clear();
         // "Tagged instructions that have not been fetched by the branch
         // resolution point ... are discarded" (§V.A). Skip them a whole

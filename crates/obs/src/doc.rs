@@ -322,23 +322,25 @@ pub fn write_events_jsonl(journal: &EventJournal) -> String {
 mod tests {
     use super::*;
     use crate::journal::Event;
-    use crate::recorder::{CacheKind, Recorder};
+    use crate::recorder::CacheKind;
 
     fn synthetic_doc() -> MetricsDoc {
         let mut r = MetricsRecorder::with_journal_capacity(8);
-        r.counter(Counter::Fetched, 10);
-        r.counter(Counter::Committed, 7);
-        r.gauge(Gauge::RbOccupancy, 3);
-        r.gauge(Gauge::RbOccupancy, 5);
-        r.histogram(Hist::CommittedPerCycle, 2);
-        r.histogram(Hist::CommittedPerCycle, 4);
-        r.event(
+        // Two cycles in which Commit retires 3 then 4, Fetch stalls
+        // after fetching 10, and the RB holds 3 then 5.
+        r.end_cycle(
+            0,
+            [3, 0, 0, 0, 0, 10],
+            [300, 0, 0, 0, 0, 0],
+            true,
+            [0, 3, 0],
+        );
+        r.end_cycle(
             1,
-            EventKind::Occupancy {
-                ifq: 1,
-                rb: 4,
-                lsq: 2,
-            },
+            [4, 0, 0, 0, 0, 0],
+            [500, 0, 0, 0, 0, 0],
+            false,
+            [0, 5, 0],
         );
         let mut doc = MetricsDoc::new("demo.toml", "paper-2n3");
         doc.cycles = 5;
@@ -396,7 +398,7 @@ mod tests {
             "      \"min\": 0,\n",
             "      \"max\": 0,\n",
             "      \"avg\": 0.000000,\n",
-            "      \"samples\": 0\n",
+            "      \"samples\": 2\n",
             "    },\n",
             "    \"rb_occupancy\": {\n",
             "      \"min\": 3,\n",
@@ -408,29 +410,33 @@ mod tests {
             "      \"min\": 0,\n",
             "      \"max\": 0,\n",
             "      \"avg\": 0.000000,\n",
-            "      \"samples\": 0\n",
+            "      \"samples\": 2\n",
             "    }\n",
             "  },\n",
             "  \"histograms\": {\n",
             "    \"fetched_per_cycle\": {\n",
-            "      \"count\": 0,\n",
-            "      \"mean\": 0.000000,\n",
-            "      \"max\": 0,\n",
+            "      \"count\": 1,\n",
+            "      \"mean\": 10.000000,\n",
+            "      \"max\": 10,\n",
             "      \"buckets\": [\n",
-            "        0\n",
+            "        0,\n",
+            "        0,\n",
+            "        0,\n",
+            "        0,\n",
+            "        1\n",
             "      ]\n",
             "    },\n",
             "    \"issued_per_cycle\": {\n",
-            "      \"count\": 0,\n",
+            "      \"count\": 2,\n",
             "      \"mean\": 0.000000,\n",
             "      \"max\": 0,\n",
             "      \"buckets\": [\n",
-            "        0\n",
+            "        2\n",
             "      ]\n",
             "    },\n",
             "    \"committed_per_cycle\": {\n",
             "      \"count\": 2,\n",
-            "      \"mean\": 3.000000,\n",
+            "      \"mean\": 3.500000,\n",
             "      \"max\": 4,\n",
             "      \"buckets\": [\n",
             "        0,\n",
@@ -451,32 +457,32 @@ mod tests {
             "  \"spans\": [\n",
             "    {\n",
             "      \"name\": \"Commit\",\n",
-            "      \"calls\": 0,\n",
-            "      \"wall_ns\": 0\n",
+            "      \"calls\": 2,\n",
+            "      \"wall_ns\": 800\n",
             "    },\n",
             "    {\n",
             "      \"name\": \"Writeback\",\n",
-            "      \"calls\": 0,\n",
+            "      \"calls\": 2,\n",
             "      \"wall_ns\": 0\n",
             "    },\n",
             "    {\n",
             "      \"name\": \"Lsq_refresh\",\n",
-            "      \"calls\": 0,\n",
+            "      \"calls\": 2,\n",
             "      \"wall_ns\": 0\n",
             "    },\n",
             "    {\n",
             "      \"name\": \"Issue\",\n",
-            "      \"calls\": 0,\n",
+            "      \"calls\": 2,\n",
             "      \"wall_ns\": 0\n",
             "    },\n",
             "    {\n",
             "      \"name\": \"Dispatch\",\n",
-            "      \"calls\": 0,\n",
+            "      \"calls\": 2,\n",
             "      \"wall_ns\": 0\n",
             "    },\n",
             "    {\n",
             "      \"name\": \"Fetch\",\n",
-            "      \"calls\": 0,\n",
+            "      \"calls\": 2,\n",
             "      \"wall_ns\": 0\n",
             "    }\n",
             "  ],\n",
@@ -490,8 +496,8 @@ mod tests {
             "  },\n",
             "  \"journal\": {\n",
             "    \"capacity\": 8,\n",
-            "    \"recorded\": 1,\n",
-            "    \"retained\": 1,\n",
+            "    \"recorded\": 2,\n",
+            "    \"retained\": 2,\n",
             "    \"dropped\": 0\n",
             "  }\n",
             "}\n",

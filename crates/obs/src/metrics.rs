@@ -2,8 +2,7 @@
 //! event journal, and the streaming occupancy track.
 
 use crate::journal::{Event, EventJournal, DEFAULT_JOURNAL_CAPACITY};
-use crate::recorder::{Counter, EventKind, Gauge, Hist, Recorder, SpanId};
-use std::time::Instant;
+use crate::recorder::{CacheKind, Counter, EventKind, Gauge, Hist, SpanId};
 
 /// Power-of-two bucket count: bucket 0 holds the value 0, bucket `k`
 /// holds `2^(k-1) <= v < 2^k`, and the last bucket saturates.
@@ -130,27 +129,12 @@ impl GaugeAgg {
 }
 
 /// Accumulated wall time of one span id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanSummary {
     /// Completed enter/exit pairs.
     pub calls: u64,
     /// Total wall time across calls, in nanoseconds.
     pub wall_ns: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct SpanAgg {
-    calls: u64,
-    wall_ns: u64,
-    open: Option<Instant>,
-}
-
-impl SpanAgg {
-    const EMPTY: SpanAgg = SpanAgg {
-        calls: 0,
-        wall_ns: 0,
-        open: None,
-    };
 }
 
 /// A streaming, bounded-memory record of pipeline occupancy over
@@ -277,15 +261,31 @@ impl Default for OccupancyTrack {
     }
 }
 
-/// The collecting [`Recorder`]: counters, gauges, histograms and spans
-/// in fixed-index arrays, events in a bounded ring journal, and the
+/// The counter each stage's per-cycle operations feed, aligned with
+/// [`SpanId::ALL`].
+const STAGE_COUNTERS: [Counter; 6] = [
+    Counter::Committed,
+    Counter::WrittenBack,
+    Counter::LsqRefreshed,
+    Counter::Issued,
+    Counter::Dispatched,
+    Counter::Fetched,
+];
+
+/// What an engine observes: counters, gauges, histograms and spans in
+/// fixed-index arrays, events in a bounded ring journal, and the
 /// occupancy track for the heatmap.
+///
+/// The engine feeds it twice: [`MetricsRecorder::event`] for each rare
+/// event as it happens (cache misses, misfetches, recoveries), and
+/// [`MetricsRecorder::end_cycle`] once per simulated cycle with what
+/// each stage did. Every instrument is derived from those two calls.
 #[derive(Debug)]
 pub struct MetricsRecorder {
     counters: [u64; Counter::ALL.len()],
     gauges: [GaugeAgg; Gauge::ALL.len()],
     hists: [Pow2Histogram; Hist::ALL.len()],
-    spans: [SpanAgg; SpanId::ALL.len()],
+    spans: [SpanSummary; SpanId::ALL.len()],
     journal: EventJournal,
     track: OccupancyTrack,
 }
@@ -302,10 +302,71 @@ impl MetricsRecorder {
             counters: [0; Counter::ALL.len()],
             gauges: [GaugeAgg::EMPTY; Gauge::ALL.len()],
             hists: [Pow2Histogram::new(); Hist::ALL.len()],
-            spans: [SpanAgg::EMPTY; SpanId::ALL.len()],
+            spans: [SpanSummary::default(); SpanId::ALL.len()],
             journal: EventJournal::new(capacity),
             track: OccupancyTrack::new(),
         }
+    }
+
+    /// Adds `delta` to a counter.
+    pub fn add(&mut self, c: Counter, delta: u64) {
+        self.counters[c as usize] += delta;
+    }
+
+    /// Journals `kind` at simulated `cycle` and bumps the instruments
+    /// that go with it: the miss, misfetch, recovery and squash
+    /// counters, the squash-depth histogram, or the occupancy track.
+    pub fn event(&mut self, cycle: u64, kind: EventKind) {
+        match kind {
+            EventKind::Occupancy { ifq, rb, lsq } => {
+                self.track
+                    .record(u64::from(ifq), u64::from(rb), u64::from(lsq));
+            }
+            EventKind::MispredictRecovery { squashed, .. } => {
+                self.add(Counter::MispredictRecoveries, 1);
+                self.add(Counter::Squashed, u64::from(squashed));
+                self.hists[Hist::SquashDepth as usize].record(u64::from(squashed));
+            }
+            EventKind::Misfetch { .. } => self.add(Counter::Misfetches, 1),
+            EventKind::CacheMiss { cache, .. } => match cache {
+                CacheKind::L1i => self.add(Counter::IcacheMisses, 1),
+                CacheKind::L1d => self.add(Counter::DcacheMisses, 1),
+            },
+        }
+        self.journal.push(Event { cycle, kind });
+    }
+
+    /// Closes simulated `cycle`: `ops` and `wall_ns` are what each stage
+    /// did and how long its evaluation took, in [`SpanId::ALL`] order;
+    /// `fetch_ran` is false when Fetch stalled without looking at the
+    /// trace; `occupancy` is the end-of-cycle IFQ, RB and LSQ fill.
+    ///
+    /// Feeds the six stage counters and spans, the per-cycle issue and
+    /// commit histograms (and the fetch one when Fetch ran), the three
+    /// gauges, and one [`EventKind::Occupancy`] event.
+    pub fn end_cycle(
+        &mut self,
+        cycle: u64,
+        ops: [u64; 6],
+        wall_ns: [u64; 6],
+        fetch_ran: bool,
+        occupancy: [u64; 3],
+    ) {
+        for stage in 0..SpanId::ALL.len() {
+            self.counters[STAGE_COUNTERS[stage] as usize] += ops[stage];
+            self.spans[stage].calls += 1;
+            self.spans[stage].wall_ns += wall_ns[stage];
+        }
+        self.hists[Hist::CommittedPerCycle as usize].record(ops[SpanId::Commit as usize]);
+        self.hists[Hist::IssuedPerCycle as usize].record(ops[SpanId::Issue as usize]);
+        if fetch_ran {
+            self.hists[Hist::FetchedPerCycle as usize].record(ops[SpanId::Fetch as usize]);
+        }
+        for (gauge, value) in self.gauges.iter_mut().zip(occupancy) {
+            gauge.record(value);
+        }
+        let [ifq, rb, lsq] = occupancy.map(|v| v.min(u64::from(u16::MAX)) as u16);
+        self.event(cycle, EventKind::Occupancy { ifq, rb, lsq });
     }
 
     /// Current value of a counter.
@@ -325,11 +386,7 @@ impl MetricsRecorder {
 
     /// Accumulated wall time of a span.
     pub fn span_summary(&self, s: SpanId) -> SpanSummary {
-        let agg = &self.spans[s as usize];
-        SpanSummary {
-            calls: agg.calls,
-            wall_ns: agg.wall_ns,
-        }
+        self.spans[s as usize]
     }
 
     /// The event journal.
@@ -380,48 +437,6 @@ impl Default for MetricsRecorder {
     }
 }
 
-impl Recorder for MetricsRecorder {
-    const ENABLED: bool = true;
-
-    #[inline]
-    fn counter(&mut self, c: Counter, delta: u64) {
-        self.counters[c as usize] += delta;
-    }
-
-    #[inline]
-    fn gauge(&mut self, g: Gauge, value: u64) {
-        self.gauges[g as usize].record(value);
-    }
-
-    #[inline]
-    fn histogram(&mut self, h: Hist, value: u64) {
-        self.hists[h as usize].record(value);
-    }
-
-    #[inline]
-    fn span_enter(&mut self, s: SpanId) {
-        self.spans[s as usize].open = Some(Instant::now());
-    }
-
-    #[inline]
-    fn span_exit(&mut self, s: SpanId) {
-        let agg = &mut self.spans[s as usize];
-        if let Some(t0) = agg.open.take() {
-            agg.calls += 1;
-            agg.wall_ns += t0.elapsed().as_nanos() as u64;
-        }
-    }
-
-    #[inline]
-    fn event(&mut self, cycle: u64, kind: EventKind) {
-        if let EventKind::Occupancy { ifq, rb, lsq } = kind {
-            self.track
-                .record(u64::from(ifq), u64::from(rb), u64::from(lsq));
-        }
-        self.journal.push(Event { cycle, kind });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,13 +466,15 @@ mod tests {
     #[test]
     fn gauge_summary_tracks_min_max_avg() {
         let mut r = MetricsRecorder::new();
-        for v in [4, 2, 9] {
-            r.gauge(Gauge::RbOccupancy, v);
+        for (cycle, rb) in [4, 2, 9].into_iter().enumerate() {
+            r.end_cycle(cycle as u64, [0; 6], [0; 6], true, [1, rb, 0]);
         }
         let s = r.gauge_summary(Gauge::RbOccupancy);
         assert_eq!((s.min, s.max, s.samples), (2, 9, 3));
         assert!((s.avg - 5.0).abs() < 1e-12);
-        let empty = r.gauge_summary(Gauge::IfqOccupancy);
+        let ifq = r.gauge_summary(Gauge::IfqOccupancy);
+        assert_eq!((ifq.min, ifq.max, ifq.samples), (1, 1, 3));
+        let empty = MetricsRecorder::new().gauge_summary(Gauge::IfqOccupancy);
         assert_eq!((empty.min, empty.max, empty.samples), (0, 0, 0));
         assert_eq!(empty.avg, 0.0);
     }
@@ -479,8 +496,8 @@ mod tests {
     }
 
     #[test]
-    fn events_feed_journal_and_track() {
-        let mut r = MetricsRecorder::with_journal_capacity(4);
+    fn events_feed_journal_track_and_counters() {
+        let mut r = MetricsRecorder::with_journal_capacity(8);
         r.event(
             1,
             EventKind::Occupancy {
@@ -489,25 +506,62 @@ mod tests {
                 lsq: 1,
             },
         );
-        r.event(
-            2,
-            EventKind::CacheMiss {
-                cache: CacheKind::L1d,
-                addr: 0x80,
-            },
-        );
-        assert_eq!(r.journal().recorded(), 2);
+        for cache in [CacheKind::L1d, CacheKind::L1d, CacheKind::L1i] {
+            r.event(2, EventKind::CacheMiss { cache, addr: 0x80 });
+        }
+        r.event(3, EventKind::Misfetch { pc: 0x40 });
+        for squashed in [6, 3] {
+            r.event(4, EventKind::MispredictRecovery { seq: 9, squashed });
+        }
+        assert_eq!(r.journal().recorded(), 7);
         assert_eq!(r.occupancy().cycles(), 1);
+        assert_eq!(r.counter_value(Counter::DcacheMisses), 2);
+        assert_eq!(r.counter_value(Counter::IcacheMisses), 1);
+        assert_eq!(r.counter_value(Counter::Misfetches), 1);
+        assert_eq!(r.counter_value(Counter::MispredictRecoveries), 2);
+        assert_eq!(r.counter_value(Counter::Squashed), 9);
+        let depth = r.histogram_of(Hist::SquashDepth);
+        assert_eq!((depth.count(), depth.max()), (2, 6));
     }
 
     #[test]
-    fn spans_accumulate_and_tolerate_unbalanced_exit() {
-        let mut r = MetricsRecorder::new();
-        r.span_exit(SpanId::Fetch); // exit without enter: ignored
-        r.span_enter(SpanId::Fetch);
-        r.span_exit(SpanId::Fetch);
-        let s = r.span_summary(SpanId::Fetch);
-        assert_eq!(s.calls, 1);
+    fn end_cycle_derives_the_stage_instruments() {
+        let mut r = MetricsRecorder::with_journal_capacity(8);
+        // Stage order: Commit, Writeback, Lsq_refresh, Issue, Dispatch, Fetch.
+        r.end_cycle(
+            0,
+            [1, 2, 3, 4, 5, 6],
+            [10, 20, 30, 40, 50, 60],
+            true,
+            [6, 5, 3],
+        );
+        // Fetch stalled: no fetched-per-cycle observation.
+        r.end_cycle(
+            1,
+            [2, 0, 3, 1, 0, 0],
+            [10, 20, 30, 40, 50, 60],
+            false,
+            [6, 7, 3],
+        );
+        for (counter, value) in [
+            (Counter::Committed, 3),
+            (Counter::WrittenBack, 2),
+            (Counter::LsqRefreshed, 6),
+            (Counter::Issued, 5),
+            (Counter::Dispatched, 5),
+            (Counter::Fetched, 6),
+        ] {
+            assert_eq!(r.counter_value(counter), value, "{counter:?}");
+        }
+        assert_eq!(r.histogram_of(Hist::CommittedPerCycle).count(), 2);
+        assert_eq!(r.histogram_of(Hist::IssuedPerCycle).max(), 4);
+        assert_eq!(r.histogram_of(Hist::FetchedPerCycle).count(), 1);
+        assert_eq!(r.gauge_summary(Gauge::RbOccupancy).max, 7);
+        assert_eq!(r.occupancy().cycles(), 2);
+        let cycles: Vec<u64> = r.journal().iter().map(|e| e.cycle).collect();
+        assert_eq!(cycles, [0, 1]);
+        let fetch = r.span_summary(SpanId::Fetch);
+        assert_eq!((fetch.calls, fetch.wall_ns), (2, 120));
         let table = r.render_span_table();
         assert!(table.starts_with("stage wall time"));
         assert!(table.contains("Fetch"));

@@ -1,8 +1,8 @@
-//! The [`Recorder`] trait, its instrument identifiers, and the no-op
-//! [`NullRecorder`].
+//! The instrument identifiers and event kinds of
+//! [`MetricsRecorder`](crate::MetricsRecorder).
 //!
-//! Identifiers are plain enums (not strings) so a collecting recorder
-//! can back every instrument with a fixed-index array — no hashing, no
+//! Identifiers are plain enums (not strings) so the recorder can back
+//! every instrument with a fixed-index array — no hashing, no
 //! allocation, nothing on the hot path but an indexed add.
 
 /// Monotonic counters the engine bumps as it works.
@@ -261,86 +261,9 @@ pub enum EventKind {
     },
 }
 
-/// The instrumentation sink the engine emits into.
-///
-/// All hooks have default no-op bodies; [`NullRecorder`] adds nothing
-/// on top, so an `Engine<NullRecorder>` monomorphizes every call site
-/// to an empty inline function and the hot loop is exactly the
-/// uninstrumented loop. Use [`Recorder::ENABLED`] to guard emission
-/// code whose *argument computation* is itself non-trivial.
-pub trait Recorder: Send + std::fmt::Debug {
-    /// Whether this recorder collects anything at all. `false` lets
-    /// call sites skip composing event payloads entirely (the branch is
-    /// resolved at compile time).
-    const ENABLED: bool;
-
-    /// Adds `delta` to a counter.
-    #[inline(always)]
-    fn counter(&mut self, c: Counter, delta: u64) {
-        let _ = (c, delta);
-    }
-
-    /// Records one observation of a sampled value.
-    #[inline(always)]
-    fn gauge(&mut self, g: Gauge, value: u64) {
-        let _ = (g, value);
-    }
-
-    /// Adds `value` to a power-of-two-bucket histogram.
-    #[inline(always)]
-    fn histogram(&mut self, h: Hist, value: u64) {
-        let _ = (h, value);
-    }
-
-    /// Opens a wall-time span. Spans do not nest per id: a second
-    /// `span_enter` before `span_exit` restarts the clock.
-    #[inline(always)]
-    fn span_enter(&mut self, s: SpanId) {
-        let _ = s;
-    }
-
-    /// Closes a wall-time span, accumulating the elapsed time.
-    #[inline(always)]
-    fn span_exit(&mut self, s: SpanId) {
-        let _ = s;
-    }
-
-    /// Journals a structured event at a simulated cycle.
-    #[inline(always)]
-    fn event(&mut self, cycle: u64, kind: EventKind) {
-        let _ = (cycle, kind);
-    }
-}
-
-/// The default recorder: collects nothing, costs nothing.
-///
-/// Every hook is the trait's empty default, `ENABLED` is `false`, and
-/// the type is a ZST — an `Engine<NullRecorder>` is byte-for-byte the
-/// uninstrumented engine.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    const ENABLED: bool = false;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_recorder_is_a_zst_and_disabled() {
-        assert_eq!(std::mem::size_of::<NullRecorder>(), 0);
-        const { assert!(!NullRecorder::ENABLED) };
-        // The default hooks accept calls without effect.
-        let mut r = NullRecorder;
-        r.counter(Counter::Fetched, 3);
-        r.gauge(Gauge::RbOccupancy, 9);
-        r.histogram(Hist::SquashDepth, 4);
-        r.span_enter(SpanId::Fetch);
-        r.span_exit(SpanId::Fetch);
-        r.event(7, EventKind::Misfetch { pc: 0x40 });
-    }
 
     #[test]
     fn id_names_are_stable_and_unique() {

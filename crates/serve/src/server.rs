@@ -8,7 +8,7 @@ use crate::protocol::{
     FrameError, Request, WireError, SERVE_SCHEMA,
 };
 use crate::recover;
-use resim_obs::{Counter, MetricsRecorder, Recorder as _};
+use resim_obs::{Counter, MetricsRecorder};
 use resim_sweep::{stable_csv_header, ScenarioDoc, SweepRunner};
 use resim_toml::json::JsonValue;
 use std::io::{self, BufReader};
@@ -110,7 +110,7 @@ impl Server {
     }
 
     fn bump(&self, c: Counter, by: u64) {
-        recover(self.metrics.lock()).counter(c, by);
+        recover(self.metrics.lock()).add(c, by);
     }
 
     /// The serial executor: pops jobs in submission order, runs each

@@ -15,7 +15,7 @@
 //! | [`workloads`] | `resim-workloads` | calibrated synthetic SPECINT CPU2000 models |
 //! | [`tracegen`] | `resim-tracegen` | `sim-bpred`-style trace generation with wrong-path blocks |
 //! | [`core`] | `resim-core` | the out-of-order timing engine and minor-cycle pipeline models |
-//! | [`obs`] | `resim-obs` | zero-overhead-when-off instrumentation: `Recorder` trait, metrics, event journal, versioned exports |
+//! | [`obs`] | `resim-obs` | observation: the metrics recorder, event journal, versioned exports |
 //! | [`sample`] | `resim-sample` | SMARTS-style sampled simulation: functional warmup, warm state moved into each detailed window, confidence-bounded IPC |
 //! | [`session`] | `resim-session` | RSSN record/replay artifacts: every nondeterministic input of a run plus its stats digest |
 //! | [`sweep`] | `resim-sweep` | deterministic multi-threaded scenario-grid sweeps with trace sharing |
@@ -80,7 +80,7 @@ pub mod prelude {
     };
     pub use resim_isa::{programs, Assembler, FunctionalSimulator};
     pub use resim_mem::{CacheConfig, MemorySystem, MemorySystemConfig};
-    pub use resim_obs::{MetricsRecorder, NullRecorder, Recorder};
+    pub use resim_obs::MetricsRecorder;
     pub use resim_sample::{run_sampled, FunctionalWarmer, SampledStats, SamplePlan, WarmupMode};
     pub use resim_session::SessionRecord;
     pub use resim_sweep::{CellMode, Scenario, SweepReport, SweepRunner, WorkloadPoint};
