@@ -47,7 +47,7 @@ fn stats_bit_identical_under_caches_and_real_predictor() {
     // every miss the caches count is an event the recorder counted.
     let config = EngineConfig::paper_2wide_cached();
     let (stats, engine) = run_both(&config, SpecBenchmark::Vortex);
-    let rec = engine.recorder().expect("the engine is observed");
+    let rec = engine.into_recorder().expect("the engine is observed");
     assert!(stats.memory.l1d.misses() > 0);
     assert_eq!(
         rec.counter_value(Counter::IcacheMisses),

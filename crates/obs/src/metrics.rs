@@ -131,7 +131,7 @@ impl GaugeAgg {
 /// Accumulated wall time of one span id.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanSummary {
-    /// Completed enter/exit pairs.
+    /// Stage evaluations timed, one per observed cycle.
     pub calls: u64,
     /// Total wall time across calls, in nanoseconds.
     pub wall_ns: u64,

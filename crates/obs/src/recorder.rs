@@ -5,7 +5,8 @@
 //! every instrument with a fixed-index array — no hashing, no
 //! allocation, nothing on the hot path but an indexed add.
 
-/// Monotonic counters the engine bumps as it works.
+/// Monotonic counters: the engine's, derived from what it feeds the
+/// recorder, and the serve counters `resim-serve` adds itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
