@@ -765,24 +765,26 @@ pub(crate) fn record(
         inputs.stamp(&mut rec);
         rec.cell_index = Some(n as u64);
         inputs.into_run()
-    } else if let Some((path, bytes)) = &file {
-        let src = container(bytes.as_slice()).map_err(|e| cannot_replay(path, e))?;
-        RunInputs::of(&doc).stamp(&mut rec);
-        // The file's header, not the scenario, says what is actually
-        // simulated — record it, and embed the whole container so the
-        // session replays self-contained.
-        let h = src.header().clone();
-        rec.tracegen_fingerprint = h.tracegen_fingerprint;
-        rec.workload = h.workload;
-        rec.seed = h.seed;
-        rec.budget = h.correct_records;
-        rec.trace_container_version = h.container_version;
-        rec.trace_layout_version = h.layout_version;
-        let source = Source::File(Box::new(src), Some(path.to_string()));
-        (doc.engine.clone(), source)
     } else {
         RunInputs::of(&doc).stamp(&mut rec);
-        (doc.engine.clone(), Source::Generated(doc.generate()))
+        let source = match &file {
+            Some((path, bytes)) => {
+                let src = container(bytes.as_slice()).map_err(|e| cannot_replay(path, e))?;
+                // The file's header, not the scenario, says what is
+                // actually simulated — record it, and embed the whole
+                // container so the session replays self-contained.
+                let h = src.header().clone();
+                rec.tracegen_fingerprint = h.tracegen_fingerprint;
+                rec.workload = h.workload;
+                rec.seed = h.seed;
+                rec.budget = h.correct_records;
+                rec.trace_container_version = h.container_version;
+                rec.trace_layout_version = h.layout_version;
+                Source::File(Box::new(src), Some(path.to_string()))
+            }
+            None => Source::Generated(doc.generate()),
+        };
+        (doc.engine.clone(), source)
     };
     // A sampled session records the merged detailed-window statistics:
     // the per-window data is a deterministic function of the same
