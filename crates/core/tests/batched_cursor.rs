@@ -2,17 +2,15 @@
 //! behavior-invisible: a run through the default batched [`TraceCursor`]
 //! is bit-identical to a forced batch-size-1 cursor (the historical
 //! one-record-lookahead frontend) across every workload model and
-//! several seeds, over both the slice and the bit-codec frontends.
+//! several seeds, over both the slice and the bit-codec frontends; and
+//! that the engine reads its source only in whole batches.
 
 use resim_core::{Engine, EngineConfig, SimStats, TraceCursor};
+use resim_trace::{TraceRecord, TraceSource};
 use resim_tracegen::{generate_trace, TraceGenConfig};
 use resim_workloads::{SpecBenchmark, Workload};
 
-fn drain_with_batch(
-    config: &EngineConfig,
-    src: impl resim_trace::TraceSource,
-    batch: usize,
-) -> SimStats {
+fn drain_with_batch(config: &EngineConfig, src: impl TraceSource, batch: usize) -> SimStats {
     let mut engine = Engine::new(config.clone()).unwrap();
     let mut cursor = TraceCursor::with_batch_size(src, batch);
     engine.drain(&mut cursor)
@@ -92,5 +90,80 @@ fn windowed_batched_run_replays_run_exactly() {
         let windowed = engine.drain(&mut cursor);
         assert_eq!(windowed, full, "batch {batch} windowed replay");
         assert_eq!(cursor.consumed(), trace.len() as u64);
+    }
+}
+
+/// Wraps a source and counts what the engine asks of it: the length of
+/// every `fill` buffer, and any `next_record` or `skip` call.
+struct Counting<'a> {
+    inner: Box<dyn TraceSource + 'a>,
+    fills: Vec<usize>,
+    records: usize,
+    singles: usize,
+}
+
+impl<'a> Counting<'a> {
+    fn new(inner: impl TraceSource + 'a) -> Self {
+        Self {
+            inner: Box::new(inner),
+            fills: Vec::new(),
+            records: 0,
+            singles: 0,
+        }
+    }
+}
+
+impl TraceSource for Counting<'_> {
+    fn next_record(&mut self) -> Option<TraceRecord> {
+        self.singles += 1;
+        self.inner.next_record()
+    }
+
+    fn fill(&mut self, buf: &mut [TraceRecord]) -> usize {
+        self.fills.push(buf.len());
+        let n = self.inner.fill(buf);
+        self.records += n;
+        n
+    }
+
+    fn skip(&mut self, n: u64) -> u64 {
+        self.singles += 1;
+        self.inner.skip(n)
+    }
+}
+
+#[test]
+fn engine_reads_its_source_once_per_batch() {
+    // The cursor is the engine's only reader of the source: one `fill`
+    // per `DEFAULT_BATCH` records, the short remainder (if any), then the
+    // one empty call that ends the trace; never a per-record call.
+    let config = EngineConfig::paper_4wide();
+    let trace = generate_trace(
+        Workload::spec(SpecBenchmark::Vpr, 9),
+        10_000,
+        &TraceGenConfig::paper(),
+    );
+    let encoded = trace.encode();
+    let n = trace.len();
+    let batch = resim_core::DEFAULT_BATCH;
+    let expected = n / batch + usize::from(!n.is_multiple_of(batch)) + 1;
+    let full = Engine::new(config.clone()).unwrap().run(trace.source());
+    for (frontend, mut src) in [
+        ("slice", Counting::new(trace.source())),
+        ("codec", Counting::new(encoded.source())),
+    ] {
+        let stats = Engine::new(config.clone()).unwrap().run(&mut src);
+        assert_eq!(stats, full, "{frontend}: counting wrapper changed the run");
+        assert_eq!(src.records, n, "{frontend}: every record read once");
+        assert_eq!(
+            src.fills.len(),
+            expected,
+            "{frontend}: fill calls for {n} records"
+        );
+        assert!(
+            src.fills.iter().all(|&len| len == batch),
+            "{frontend}: every fill asks for a whole batch"
+        );
+        assert_eq!(src.singles, 0, "{frontend}: next_record or skip called");
     }
 }
