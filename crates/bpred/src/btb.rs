@@ -144,16 +144,13 @@ impl Btb {
             return;
         }
         // Choose an invalid way, else the LRU way.
-        let victim = ways
-            .iter()
-            .position(|e| !e.valid)
-            .unwrap_or_else(|| {
-                ways.iter()
-                    .enumerate()
-                    .max_by_key(|(_, e)| e.lru)
-                    .map(|(i, _)| i)
-                    .expect("BTB set cannot be empty")
-            });
+        let victim = ways.iter().position(|e| !e.valid).unwrap_or_else(|| {
+            ways.iter()
+                .enumerate()
+                .max_by_key(|(_, e)| e.lru)
+                .map(|(i, _)| i)
+                .expect("BTB set cannot be empty")
+        });
         ways[victim] = BtbEntry {
             tag,
             target,

@@ -289,15 +289,18 @@ mod tests {
 
     #[test]
     fn gshare_learns_correlated_branches() {
-        let mut p = DirectionPredictor::new(DirectionConfig::TwoLevel(TwoLevelConfig::gshare(
-            8, 4096,
-        )));
+        let mut p =
+            DirectionPredictor::new(DirectionConfig::TwoLevel(TwoLevelConfig::gshare(8, 4096)));
         // Pattern of period 4 on one branch.
         let pat = [true, true, false, true];
         for i in 0..400usize {
             let t = pat[i % 4];
             if i >= 100 {
-                assert_eq!(p.predict(0x500, t), t, "gshare should have locked on by {i}");
+                assert_eq!(
+                    p.predict(0x500, t),
+                    t,
+                    "gshare should have locked on by {i}"
+                );
             }
             p.update(0x500, t);
         }

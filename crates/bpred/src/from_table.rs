@@ -156,7 +156,11 @@ impl PredictorConfig {
 
 fn check_two_level(t: &Table, two: &TwoLevelConfig) -> Result<(), Error> {
     power_of_two(t, "l1_size", two.l1_size)?;
-    let l2_key = if t.get("pht_size").is_some() { "pht_size" } else { "l2_size" };
+    let l2_key = if t.get("pht_size").is_some() {
+        "pht_size"
+    } else {
+        "l2_size"
+    };
     if two.l2_size == 0 {
         return Err(Error::new(
             t.key_line(l2_key),
@@ -215,7 +219,10 @@ mod tests {
             parse("kind = \"perfect\"").unwrap().direction,
             DirectionConfig::Perfect
         );
-        assert_eq!(parse("kind = \"taken\"").unwrap().direction, DirectionConfig::Taken);
+        assert_eq!(
+            parse("kind = \"taken\"").unwrap().direction,
+            DirectionConfig::Taken
+        );
         assert_eq!(
             parse("kind = \"not-taken\"").unwrap().direction,
             DirectionConfig::NotTaken
@@ -256,20 +263,49 @@ mod tests {
 
     #[test]
     fn geometry_is_checked_with_lines() {
-        assert_eq!(parse("kind = \"bimodal\"\nsize = 1000").unwrap_err().line(), 2);
-        assert!(parse("l2_size = 1000").unwrap_err().to_string().contains("power of two"));
-        assert!(parse("history_bits = 17").unwrap_err().to_string().contains("1..=16"));
-        assert!(parse("counter_bits = 0").unwrap_err().to_string().contains("1..=8"));
+        assert_eq!(
+            parse("kind = \"bimodal\"\nsize = 1000").unwrap_err().line(),
+            2
+        );
+        assert!(parse("l2_size = 1000")
+            .unwrap_err()
+            .to_string()
+            .contains("power of two"));
+        assert!(parse("history_bits = 17")
+            .unwrap_err()
+            .to_string()
+            .contains("1..=16"));
+        assert!(parse("counter_bits = 0")
+            .unwrap_err()
+            .to_string()
+            .contains("1..=8"));
         assert!(parse("btb_entries = 100").is_err());
-        assert!(parse("btb_associativity = 4\nbtb_entries = 2").unwrap_err().to_string().contains("exceeds"));
-        assert!(parse("ras_entries = 0").unwrap_err().to_string().contains("at least 1"));
-        assert!(parse("kind = \"gshare\"\npht_size = 100").unwrap_err().line() == 2);
+        assert!(parse("btb_associativity = 4\nbtb_entries = 2")
+            .unwrap_err()
+            .to_string()
+            .contains("exceeds"));
+        assert!(parse("ras_entries = 0")
+            .unwrap_err()
+            .to_string()
+            .contains("at least 1"));
+        assert!(
+            parse("kind = \"gshare\"\npht_size = 100")
+                .unwrap_err()
+                .line()
+                == 2
+        );
         // Size bounds: the largest accepted value passes, one step over
         // fails at its line.
         assert!(parse("btb_entries = 16777216\nl2_size = 16777216\nras_entries = 65536").is_ok());
         assert_eq!(parse("\nbtb_entries = 33554432").unwrap_err().line(), 2);
-        assert!(parse("l2_size = 33554432").unwrap_err().to_string().contains("maximum"));
-        assert!(parse("ras_entries = 65537").unwrap_err().to_string().contains("maximum"));
+        assert!(parse("l2_size = 33554432")
+            .unwrap_err()
+            .to_string()
+            .contains("maximum"));
+        assert!(parse("ras_entries = 65537")
+            .unwrap_err()
+            .to_string()
+            .contains("maximum"));
     }
 
     #[test]

@@ -49,8 +49,8 @@
 
 mod btb;
 mod counter;
-mod from_table;
 mod direction;
+mod from_table;
 mod predictor;
 mod ras;
 mod tournament;

@@ -481,7 +481,11 @@ mod tests {
             detailed.resolve(pc, kind, taken, target);
             warmed.warm(pc, kind, taken, target);
         }
-        assert_eq!(warmed.stats(), PredictorStats::default(), "warm is stats-silent");
+        assert_eq!(
+            warmed.stats(),
+            PredictorStats::default(),
+            "warm is stats-silent"
+        );
         assert!(detailed.stats().branches > 0);
         detailed.reset_stats();
         warmed.reset_stats();
