@@ -219,7 +219,9 @@ impl AreaModel {
                     let c = if name == "D-C" { l1d } else { l1i };
                     let (cal_i, cal_d) = match Self::calibration_config().memory {
                         MemorySystemConfig::Split { l1i, l1d } => (l1i, l1d),
-                        MemorySystemConfig::Perfect { .. } => unreachable!("calibration has caches"),
+                        MemorySystemConfig::Perfect { .. } => {
+                            unreachable!("calibration has caches")
+                        }
                     };
                     let cal_c = if name == "D-C" { cal_d } else { cal_i };
                     (c.sets() * c.associativity) as f64
@@ -338,9 +340,8 @@ mod tests {
         };
         let a4 = AreaModel::new().estimate(&cal);
         let a8 = AreaModel::new().estimate(&w8);
-        let pick = |e: &AreaEstimate, n: &str| {
-            e.stages().iter().find(|s| s.name == n).unwrap().slices
-        };
+        let pick =
+            |e: &AreaEstimate, n: &str| e.stages().iter().find(|s| s.name == n).unwrap().slices;
         assert!((pick(&a8, "wb") / pick(&a4, "wb") - 2.0).abs() < 1e-9);
         assert!(pick(&a8, "fetch") > pick(&a4, "fetch"));
     }
@@ -369,7 +370,8 @@ mod tests {
         }
         // Stage logic shrinks; storage structures are untouched.
         assert!(est.total_slices() < full.total_slices());
-        let pick = |e: &AreaEstimate, n: &str| e.stages().iter().find(|s| s.name == n).unwrap().slices;
+        let pick =
+            |e: &AreaEstimate, n: &str| e.stages().iter().find(|s| s.name == n).unwrap().slices;
         assert_eq!(pick(&est, "RB"), pick(&full, "RB"));
         assert_eq!(pick(&est, "BP"), pick(&full, "BP"));
         assert!(pick(&est, "fetch") > 0.0);

@@ -128,8 +128,7 @@ mod tests {
 
     #[test]
     fn fast_column_average_matches_paper() {
-        let avg: f64 =
-            fast_table1_column().iter().map(|(_, v)| v).sum::<f64>() / 5.0;
+        let avg: f64 = fast_table1_column().iter().map(|(_, v)| v).sum::<f64>() / 5.0;
         assert!((avg - 2.79).abs() < 0.01, "Table 1 reports 2.79 average");
     }
 }

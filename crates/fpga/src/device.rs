@@ -101,6 +101,9 @@ mod tests {
     #[test]
     fn names_and_capacity() {
         assert!(FpgaDevice::Virtex4Lx40.name().contains("xc4vlx40"));
-        assert!(FpgaDevice::Virtex4Lx40.slices() > 12_273, "paper design fits");
+        assert!(
+            FpgaDevice::Virtex4Lx40.slices() > 12_273,
+            "paper design fits"
+        );
     }
 }

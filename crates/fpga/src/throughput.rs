@@ -141,7 +141,10 @@ mod tests {
         // Table 1 right: N+4 = 6 minor cycles, 84 MHz -> 14 M major/s;
         // an IPC of 1.46 gives gzip's 20.44 MIPS.
         let cfg = EngineConfig::paper_2wide_cached();
-        assert_eq!(cfg.pipeline, PipelineOrganization::ImprovedSerial.description());
+        assert_eq!(
+            cfg.pipeline,
+            PipelineOrganization::ImprovedSerial.description()
+        );
         let m = ThroughputModel::new(FpgaDevice::Virtex4Lx40);
         let s = m.speed(&cfg, &stats(10_000, 14_600, 0), None);
         assert!((s.mips - 20.44).abs() < 0.01);
