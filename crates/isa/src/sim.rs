@@ -10,7 +10,7 @@
 use crate::asm::Program;
 use crate::inst::{Inst, TEXT_BASE};
 use resim_trace::{
-    BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OtherRecord, OpClass, Reg, TraceRecord,
+    BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, Reg, TraceRecord,
 };
 use std::collections::HashMap;
 use std::error::Error;
@@ -148,7 +148,8 @@ impl<'p> FunctionalSimulator<'p> {
                 }
             }
             MemSize::Half => {
-                let v = u32::from(self.read_byte(addr)) | (u32::from(self.read_byte(addr + 1)) << 8);
+                let v =
+                    u32::from(self.read_byte(addr)) | (u32::from(self.read_byte(addr + 1)) << 8);
                 if signed {
                     v as u16 as i16 as i32 as u32
                 } else {
@@ -247,7 +248,14 @@ impl<'p> FunctionalSimulator<'p> {
             Inst::Rem(d, s, t) => {
                 let b = self.reg(t) as i32;
                 let a = self.reg(s) as i32;
-                self.set_reg(d, if b == 0 { a as u32 } else { a.wrapping_rem(b) as u32 });
+                self.set_reg(
+                    d,
+                    if b == 0 {
+                        a as u32
+                    } else {
+                        a.wrapping_rem(b) as u32
+                    },
+                );
                 other(pc, OpClass::IntDiv, d, s, t)
             }
             Inst::Lw(t, base, off) => self.load(pc, t, base, off, MemSize::Word, false),
@@ -316,7 +324,15 @@ impl<'p> FunctionalSimulator<'p> {
         other(pc, OpClass::IntAlu, d, s, t)
     }
 
-    fn load(&mut self, pc: u32, t: u8, base: u8, off: i16, size: MemSize, signed: bool) -> TraceRecord {
+    fn load(
+        &mut self,
+        pc: u32,
+        t: u8,
+        base: u8,
+        off: i16,
+        size: MemSize,
+        signed: bool,
+    ) -> TraceRecord {
         let addr = self.reg(base).wrapping_add(off as i32 as u32);
         let v = self.read_sized(addr, size, signed);
         self.set_reg(t, v);
