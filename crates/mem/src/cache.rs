@@ -512,10 +512,17 @@ mod tests {
                 accessed.access(a, a % 3 == 0);
                 warmed.warm(a);
             }
-            assert_eq!(warmed.stats(), CacheStats::default(), "warm is stats-silent");
+            assert_eq!(
+                warmed.stats(),
+                CacheStats::default(),
+                "warm is stats-silent"
+            );
             assert!(accessed.stats().accesses() > 0);
             accessed.reset_stats();
-            assert_eq!(accessed, warmed, "{repl:?}: same tags and replacement state");
+            assert_eq!(
+                accessed, warmed,
+                "{repl:?}: same tags and replacement state"
+            );
         }
     }
 

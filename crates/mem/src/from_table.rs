@@ -58,7 +58,9 @@ impl CacheConfig {
                 Some(other) => {
                     return Err(Error::new(
                         t.key_line("replacement"),
-                        format!("unknown replacement policy {other:?} (expected lru, fifo or random)"),
+                        format!(
+                            "unknown replacement policy {other:?} (expected lru, fifo or random)"
+                        ),
                     ))
                 }
             },
@@ -191,12 +193,18 @@ mod tests {
             parse("kind = \"perfect\"\nlatency = 3").unwrap(),
             MemorySystemConfig::Perfect { latency: 3 }
         );
-        assert!(parse("latency = 0").unwrap_err().to_string().contains("at least 1"));
+        assert!(parse("latency = 0")
+            .unwrap_err()
+            .to_string()
+            .contains("at least 1"));
     }
 
     #[test]
     fn split_defaults_to_paper_l1() {
-        assert_eq!(parse("kind = \"split\"").unwrap(), MemorySystemConfig::l1_32k());
+        assert_eq!(
+            parse("kind = \"split\"").unwrap(),
+            MemorySystemConfig::l1_32k()
+        );
     }
 
     #[test]
@@ -211,7 +219,11 @@ mod tests {
         assert_eq!(l1i.size_bytes, 16384);
         assert_eq!(l1d.associativity, 2);
         assert_eq!(l1d.replacement, Replacement::Fifo);
-        assert_eq!(l1d.size_bytes, 32 * 1024, "unset keys keep the paper geometry");
+        assert_eq!(
+            l1d.size_bytes,
+            32 * 1024,
+            "unset keys keep the paper geometry"
+        );
     }
 
     #[test]
@@ -227,10 +239,12 @@ mod tests {
         assert!(err.to_string().contains("power of two"));
         assert!(parse("kind = \"split\"\n[l1d]\nblock_bytes = 2").is_err());
         assert!(parse("kind = \"split\"\n[l1d]\nhit_latency = 0").is_err());
-        assert!(parse("kind = \"split\"\n[l1d]\nsize_bytes = 64\nblock_bytes = 64\nassociativity = 2")
-            .unwrap_err()
-            .to_string()
-            .contains("cannot hold"));
+        assert!(parse(
+            "kind = \"split\"\n[l1d]\nsize_bytes = 64\nblock_bytes = 64\nassociativity = 2"
+        )
+        .unwrap_err()
+        .to_string()
+        .contains("cannot hold"));
         assert!(parse("kind = \"split\"\n[l1d]\nreplacement = \"plru\"").is_err());
         assert!(parse("kind = \"split\"\n[l1d]\nsize_bytes = 1073741824").is_ok());
         let err = parse("kind = \"split\"\n[l1d]\nsize_bytes = 2147483648").unwrap_err();

@@ -270,7 +270,11 @@ mod tests {
             data: None,
             wrong_path: false,
         }));
-        assert_eq!(m.stats(), MemorySystemStats::default(), "warm is stats-silent");
+        assert_eq!(
+            m.stats(),
+            MemorySystemStats::default(),
+            "warm is stats-silent"
+        );
         assert!(m.inst_access(0x1000).hit, "I-side was warmed");
         assert!(m.data_access(0x8000, false).hit, "D-side was warmed");
     }
