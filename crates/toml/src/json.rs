@@ -391,8 +391,7 @@ impl Parser<'_> {
                                     if !(0xdc00..0xe000).contains(&lo) {
                                         return Err(JsonError::new(at, "invalid surrogate pair"));
                                     }
-                                    let code =
-                                        0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+                                    let code = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
                                     char::from_u32(code)
                                         .ok_or_else(|| JsonError::new(at, "invalid code point"))?
                                 } else {
@@ -531,7 +530,10 @@ mod tests {
         let v = parse_json(r#"{"a":[1,2.5,"x"],"b":{"c":null},"d":true}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
         assert_eq!(v.get("a").unwrap().as_array().unwrap()[0].as_u64(), Some(1));
-        assert_eq!(v.get("a").unwrap().as_array().unwrap()[1].as_f64(), Some(2.5));
+        assert_eq!(
+            v.get("a").unwrap().as_array().unwrap()[1].as_f64(),
+            Some(2.5)
+        );
         assert_eq!(v.get("b").unwrap().get("c"), Some(&JsonValue::Null));
         assert_eq!(v.get("d").unwrap().as_bool(), Some(true));
         assert!(v.get("missing").is_none());
@@ -583,6 +585,9 @@ mod tests {
         // Whole floats keep a fraction so they re-parse as floats.
         assert_eq!(JsonValue::Float(2.0).render(), "2.0");
         assert_eq!(JsonValue::Float(f64::NAN).render(), "null");
-        assert_eq!(JsonValue::Str("a\"b\\c\u{1}".into()).render(), "\"a\\\"b\\\\c\\u0001\"");
+        assert_eq!(
+            JsonValue::Str("a\"b\\c\u{1}".into()).render(),
+            "\"a\\\"b\\\\c\\u0001\""
+        );
     }
 }

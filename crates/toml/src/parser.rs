@@ -25,7 +25,10 @@ pub(crate) fn parse(input: &str) -> Result<Table, Error> {
                 return Err(Error::new(line, "dotted keys are not supported"));
             }
             if p.peek() != Some('=') {
-                return Err(Error::new(line, format!("expected `=` after key {:?}", key.value)));
+                return Err(Error::new(
+                    line,
+                    format!("expected `=` after key {:?}", key.value),
+                ));
             }
             p.bump();
             p.skip_ws();
@@ -39,7 +42,10 @@ pub(crate) fn parse(input: &str) -> Result<Table, Error> {
 
 /// Walks `path` from `root`, creating implicit tables and descending into
 /// the last element of arrays of tables, TOML-style.
-fn navigate<'t>(mut table: &'t mut Table, path: &[Spanned<String>]) -> Result<&'t mut Table, Error> {
+fn navigate<'t>(
+    mut table: &'t mut Table,
+    path: &[Spanned<String>],
+) -> Result<&'t mut Table, Error> {
     for seg in path {
         if table.get(&seg.value).is_none() {
             let sub = Value::Table(Table::new(seg.line));
@@ -60,12 +66,7 @@ fn navigate<'t>(mut table: &'t mut Table, path: &[Spanned<String>]) -> Result<&'
                     )))
                 }
             },
-            _ => {
-                return Err(seg.error(format!(
-                    "key {:?} is a value, not a table",
-                    seg.value
-                )))
-            }
+            _ => return Err(seg.error(format!("key {:?} is a value, not a table", seg.value))),
         };
     }
     Ok(table)
@@ -181,7 +182,10 @@ impl Parser {
         }
         if is_array {
             if self.peek() != Some(']') {
-                return Err(Error::new(line, "array-of-tables header must end with `]]`"));
+                return Err(Error::new(
+                    line,
+                    "array-of-tables header must end with `]]`",
+                ));
             }
             self.bump();
         }
@@ -265,7 +269,9 @@ impl Parser {
         match self.peek() {
             Some('"') | Some('\'') => {
                 let v = self.string()?;
-                let Value::Str(s) = v.value else { unreachable!() };
+                let Value::Str(s) = v.value else {
+                    unreachable!()
+                };
                 Ok(Spanned::new(s, line))
             }
             Some(c) if c.is_ascii_alphanumeric() || c == '_' || c == '-' => {
@@ -323,9 +329,7 @@ impl Parser {
                             let d = self
                                 .bump()
                                 .and_then(|c| c.to_digit(16))
-                                .ok_or_else(|| {
-                                    Error::new(line, "\\u escape needs 4 hex digits")
-                                })?;
+                                .ok_or_else(|| Error::new(line, "\\u escape needs 4 hex digits"))?;
                             code = code * 16 + d;
                         }
                         s.push(
@@ -385,7 +389,10 @@ impl Parser {
         match word.as_str() {
             "true" => Ok(Spanned::new(Value::Bool(true), line)),
             "false" => Ok(Spanned::new(Value::Bool(false), line)),
-            other => Err(Error::new(line, format!("expected a value, found {other:?}"))),
+            other => Err(Error::new(
+                line,
+                format!("expected a value, found {other:?}"),
+            )),
         }
     }
 
@@ -414,13 +421,19 @@ impl Parser {
                 .map(|v| Spanned::new(Value::Float(v), line))
                 .map_err(|_| Error::new(line, format!("invalid float {token:?}")));
         }
-        clean.parse::<i64>().map(|v| Spanned::new(Value::Int(v), line)).map_err(|_| {
-            if digits.contains('-') || digits.contains(':') {
-                Error::new(line, format!("invalid number {token:?} (dates are not supported)"))
-            } else {
-                Error::new(line, format!("invalid number {token:?}"))
-            }
-        })
+        clean
+            .parse::<i64>()
+            .map(|v| Spanned::new(Value::Int(v), line))
+            .map_err(|_| {
+                if digits.contains('-') || digits.contains(':') {
+                    Error::new(
+                        line,
+                        format!("invalid number {token:?} (dates are not supported)"),
+                    )
+                } else {
+                    Error::new(line, format!("invalid number {token:?}"))
+                }
+            })
     }
 
     /// Consumes a run of token characters (used by numbers and booleans).
@@ -444,14 +457,15 @@ mod tests {
 
     #[test]
     fn array_elements_reopen_subtable_scope() {
-        let doc = parse(
-            "[[run]]\n[run.engine]\nx = 1\n[[run]]\n[run.engine]\nx = 2\n",
-        )
-        .unwrap();
+        let doc = parse("[[run]]\n[run.engine]\nx = 1\n[[run]]\n[run.engine]\nx = 2\n").unwrap();
         let runs = doc.table_array("run").unwrap();
         assert_eq!(runs.len(), 2);
         let x = |t: &Table| {
-            t.opt_table("engine").unwrap().unwrap().req_usize("x").unwrap()
+            t.opt_table("engine")
+                .unwrap()
+                .unwrap()
+                .req_usize("x")
+                .unwrap()
         };
         assert_eq!(x(runs[0]), 1);
         assert_eq!(x(runs[1]), 2);
@@ -480,20 +494,26 @@ z = 4
         assert_eq!(doc.req_usize("top").unwrap(), 1);
         let a = doc.opt_table("a").unwrap().unwrap();
         assert_eq!(a.req_usize("x").unwrap(), 2);
-        assert_eq!(a.opt_table("b").unwrap().unwrap().req_usize("y").unwrap(), 3);
+        assert_eq!(
+            a.opt_table("b").unwrap().unwrap().req_usize("y").unwrap(),
+            3
+        );
         let runs = doc.table_array("runs").unwrap();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].req_usize("n").unwrap(), 1);
         assert_eq!(runs[1].req_usize("n").unwrap(), 2);
-        assert_eq!(runs[1].line(), 9, "array-of-tables entry carries its header line");
+        assert_eq!(
+            runs[1].line(),
+            9,
+            "array-of-tables entry carries its header line"
+        );
     }
 
     #[test]
     fn numbers_in_all_radixes() {
-        let doc = parse(
-            "a = 42\nb = -17\nc = 0xFEED_5EED\nd = 0o17\ne = 0b1010\nf = 1_000_000\ng = +5",
-        )
-        .unwrap();
+        let doc =
+            parse("a = 42\nb = -17\nc = 0xFEED_5EED\nd = 0o17\ne = 0b1010\nf = 1_000_000\ng = +5")
+                .unwrap();
         assert_eq!(doc.opt_i64("a").unwrap(), Some(42));
         assert_eq!(doc.opt_i64("b").unwrap(), Some(-17));
         assert_eq!(doc.opt_u64("c").unwrap(), Some(0xFEED_5EED));
@@ -514,9 +534,11 @@ z = 4
 
     #[test]
     fn strings_with_escapes_and_literals() {
-        let doc = parse(r#"a = "tab\there \"q\" A"
+        let doc = parse(
+            r#"a = "tab\there \"q\" A"
 b = 'no \escapes'
-"quoted key" = 1"#)
+"quoted key" = 1"#,
+        )
         .unwrap();
         assert_eq!(doc.opt_str("a").unwrap(), Some("tab\there \"q\" A"));
         assert_eq!(doc.opt_str("b").unwrap(), Some(r"no \escapes"));
@@ -525,10 +547,9 @@ b = 'no \escapes'
 
     #[test]
     fn multiline_arrays_with_comments() {
-        let doc = parse(
-            "seeds = [\n  1, # first\n  2,\n  3, # trailing comma is fine\n]\nafter = 9",
-        )
-        .unwrap();
+        let doc =
+            parse("seeds = [\n  1, # first\n  2,\n  3, # trailing comma is fine\n]\nafter = 9")
+                .unwrap();
         assert_eq!(doc.opt_u64_array("seeds").unwrap().unwrap(), vec![1, 2, 3]);
         assert_eq!(doc.opt_i64("after").unwrap(), Some(9));
         assert_eq!(doc.key_line("after"), 6);
@@ -553,16 +574,31 @@ b = 'no \escapes'
 
     #[test]
     fn pointed_rejections_for_unsupported_syntax() {
-        assert!(parse("a = {x = 1}").unwrap_err().to_string().contains("inline tables"));
-        assert!(parse("a.b = 1").unwrap_err().to_string().contains("dotted keys"));
-        assert!(parse("a = \"\"\"x\"\"\"").unwrap_err().to_string().contains("multi-line"));
-        assert!(parse("a = 2009-05-01").unwrap_err().to_string().contains("dates"));
+        assert!(parse("a = {x = 1}")
+            .unwrap_err()
+            .to_string()
+            .contains("inline tables"));
+        assert!(parse("a.b = 1")
+            .unwrap_err()
+            .to_string()
+            .contains("dotted keys"));
+        assert!(parse("a = \"\"\"x\"\"\"")
+            .unwrap_err()
+            .to_string()
+            .contains("multi-line"));
+        assert!(parse("a = 2009-05-01")
+            .unwrap_err()
+            .to_string()
+            .contains("dates"));
     }
 
     #[test]
     fn header_value_conflicts_are_errors() {
         assert!(parse("a = 1\n[a]\n").is_err());
-        assert!(parse("[[a]]\n[a]\nx = 1").is_err(), "array then plain header");
+        assert!(
+            parse("[[a]]\n[a]\nx = 1").is_err(),
+            "array then plain header"
+        );
         assert!(parse("a = [1]\n[[a]]\n").is_err(), "plain array then [[a]]");
     }
 

@@ -119,7 +119,11 @@ impl Table {
     /// # Errors
     ///
     /// Rejects duplicate keys with the line of the second definition.
-    pub(crate) fn insert(&mut self, key: Spanned<String>, value: Spanned<Value>) -> Result<(), Error> {
+    pub(crate) fn insert(
+        &mut self,
+        key: Spanned<String>,
+        value: Spanned<Value>,
+    ) -> Result<(), Error> {
         if self.get(&key.value).is_some() {
             return Err(key.error(format!("duplicate key {:?}", key.value)));
         }
@@ -332,9 +336,7 @@ impl Table {
                     usize::try_from(v).map_err(|_| {
                         self.value_error(
                             key,
-                            format!(
-                                "key {key:?}: {v} does not fit in this platform's usize"
-                            ),
+                            format!("key {key:?}: {v} does not fit in this platform's usize"),
                         )
                     })
                 })
@@ -418,7 +420,10 @@ x = 1
         assert_eq!(t.opt_u64_array("seeds").unwrap().unwrap(), vec![1, 2, 3]);
         let names = t.opt_str_array("names").unwrap().unwrap();
         assert_eq!(names[1].value, "b");
-        assert_eq!(t.opt_table("sub").unwrap().unwrap().req_usize("x").unwrap(), 1);
+        assert_eq!(
+            t.opt_table("sub").unwrap().unwrap().req_usize("x").unwrap(),
+            1
+        );
     }
 
     #[test]
@@ -462,7 +467,11 @@ x = 1
     #[test]
     fn u32_range_is_checked() {
         let t = crate::parse("big = 4294967296").unwrap();
-        assert!(t.opt_u32("big").unwrap_err().to_string().contains("32 bits"));
+        assert!(t
+            .opt_u32("big")
+            .unwrap_err()
+            .to_string()
+            .contains("32 bits"));
         let t = crate::parse("ok = 4294967295").unwrap();
         assert_eq!(t.opt_u32("ok").unwrap(), Some(u32::MAX));
     }
