@@ -79,7 +79,11 @@ impl CachedTrace {
     /// the trace generating from the stream would, without walking the
     /// workload again.
     pub fn correct_path(&self) -> impl Iterator<Item = resim_trace::TraceRecord> + '_ {
-        self.trace.records().iter().filter(|r| !r.wrong_path()).copied()
+        self.trace
+            .records()
+            .iter()
+            .filter(|r| !r.wrong_path())
+            .copied()
     }
 }
 
@@ -124,7 +128,11 @@ impl TraceCache {
 
     /// Looks up `key` without generating.
     pub fn get(&self, key: &TraceKey) -> Option<Arc<CachedTrace>> {
-        self.map.lock().expect("trace cache poisoned").get(key).map(Arc::clone)
+        self.map
+            .lock()
+            .expect("trace cache poisoned")
+            .get(key)
+            .map(Arc::clone)
     }
 
     /// Pre-populates the cache with an externally obtained trace — e.g.
@@ -194,7 +202,10 @@ mod tests {
         let cache = TraceCache::new();
         let a = cache.get_or_generate(key(1), || Workload::spec(SpecBenchmark::Gzip, 1));
         let b = cache.get_or_generate(key(1), || Workload::spec(SpecBenchmark::Gzip, 1));
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must share the first trace");
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "second lookup must share the first trace"
+        );
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);
@@ -226,10 +237,9 @@ mod tests {
                 let cache = Arc::clone(&cache);
                 s.spawn(move || {
                     for seed in 0..4 {
-                        let t = cache
-                            .get_or_generate(key(seed), move || {
-                                Workload::spec(SpecBenchmark::Gzip, seed)
-                            });
+                        let t = cache.get_or_generate(key(seed), move || {
+                            Workload::spec(SpecBenchmark::Gzip, seed)
+                        });
                         assert_eq!(t.trace.correct_path_len(), 2_000);
                     }
                 });

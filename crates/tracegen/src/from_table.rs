@@ -52,7 +52,9 @@ impl TraceGenConfig {
                 Some(sub) => PredictorConfig::from_table(sub)?,
                 None => base.predictor,
             },
-            wrong_path_len: t.opt_usize("wrong_path_len")?.unwrap_or(base.wrong_path_len),
+            wrong_path_len: t
+                .opt_usize("wrong_path_len")?
+                .unwrap_or(base.wrong_path_len),
             seed: t.opt_u64("seed")?.unwrap_or(base.seed),
         };
         if config.wrong_path_len == 0 {
@@ -116,7 +118,12 @@ mod tests {
         let base = parse("").unwrap().fingerprint();
         assert_ne!(parse("seed = 1").unwrap().fingerprint(), base);
         assert_ne!(parse("wrong_path_len = 8").unwrap().fingerprint(), base);
-        assert_ne!(parse("[predictor]\nkind = \"taken\"").unwrap().fingerprint(), base);
+        assert_ne!(
+            parse("[predictor]\nkind = \"taken\"")
+                .unwrap()
+                .fingerprint(),
+            base
+        );
         assert_eq!(parse("").unwrap().fingerprint(), base, "deterministic");
     }
 }

@@ -317,10 +317,7 @@ mod tests {
                     j -= 1;
                 }
                 assert!(j > 0, "tagged block cannot start the trace");
-                assert!(
-                    recs[j - 1].is_branch(),
-                    "tagged block must follow a branch"
-                );
+                assert!(recs[j - 1].is_branch(), "tagged block must follow a branch");
             }
         }
     }

@@ -72,7 +72,8 @@ impl<I: Iterator<Item = TraceRecord>> TraceSource for TraceStream<I> {
                     // The previous block is drained: reuse its buffer.
                     self.queue.clear();
                     self.queued = 0;
-                    self.synth.block(wrong_pc, self.wrong_path_len, &mut self.queue);
+                    self.synth
+                        .block(wrong_pc, self.wrong_path_len, &mut self.queue);
                     self.tagger.count_wrong_path(self.wrong_path_len as u64);
                 }
                 Some(record)

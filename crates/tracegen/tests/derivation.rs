@@ -54,7 +54,10 @@ fn check_every_pair<I: IntoIterator<Item = TraceRecord>>(
     make: impl Fn() -> I,
 ) {
     let configs = configs();
-    let direct: Vec<Trace> = configs.iter().map(|c| generate_trace(make(), n, c)).collect();
+    let direct: Vec<Trace> = configs
+        .iter()
+        .map(|c| generate_trace(make(), n, c))
+        .collect();
     for (a, from) in direct.iter().enumerate() {
         for (b, config) in configs.iter().enumerate() {
             let derived = generate_trace(correct_path(from), n, config);
@@ -73,7 +76,10 @@ fn the_configs_tag_differently() {
     // the one exception.
     let w = || Workload::spec(SpecBenchmark::Vpr, 2009);
     let configs = configs();
-    let traces: Vec<Trace> = configs.iter().map(|c| generate_trace(w(), 20_000, c)).collect();
+    let traces: Vec<Trace> = configs
+        .iter()
+        .map(|c| generate_trace(w(), 20_000, c))
+        .collect();
     let perfect = |i: usize| configs[i].predictor == PredictorConfig::perfect();
     for i in 0..traces.len() {
         for j in i + 1..traces.len() {
@@ -98,5 +104,9 @@ fn derivation_is_exact_for_a_stream_shorter_than_the_budget() {
     let stream: Vec<TraceRecord> = Workload::spec(SpecBenchmark::Gzip, 11).generate(5_000);
     check_every_pair("finite gzip", 8_000, || stream.clone());
     let trace = generate_trace(stream.clone(), 8_000, &TraceGenConfig::paper());
-    assert_eq!(trace.correct_path_len(), 5_000, "the trace ends with its stream");
+    assert_eq!(
+        trace.correct_path_len(),
+        5_000,
+        "the trace ends with its stream"
+    );
 }
