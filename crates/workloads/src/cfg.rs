@@ -309,9 +309,7 @@ impl StaticCfg {
         quota: &mut SlotQuota,
     ) -> Vec<SlotKind> {
         let len = rng.gen_range(profile.block_len_min..=profile.block_len_max);
-        let mut slots: Vec<SlotKind> = (0..len)
-            .map(|_| quota.next_kind(profile, rng))
-            .collect();
+        let mut slots: Vec<SlotKind> = (0..len).map(|_| quota.next_kind(profile, rng)).collect();
         // Shuffle within the block so quota ordering leaves no periodic
         // pattern in the instruction stream.
         for i in (1..slots.len()).rev() {
@@ -354,9 +352,8 @@ impl StaticCfg {
                 // like noisy biased branches) stay rare.
                 let mean = f64::from(profile.mean_loop_trips);
                 let floor = (mean / 4.0).max(2.0);
-                let trips = (floor
-                    + (-rng.gen::<f64>().max(1e-12).ln()) * (mean - floor).max(1.0))
-                .ceil() as u32;
+                let trips = (floor + (-rng.gen::<f64>().max(1e-12).ln()) * (mean - floor).max(1.0))
+                    .ceil() as u32;
                 Terminator::Loop {
                     target: BlockId(index - span),
                     trips,
@@ -477,11 +474,13 @@ mod tests {
                     assert!(target.0 < i, "loop target must be a back-edge");
                     assert!(trips >= 1);
                 }
-                Terminator::Jump { target } if i + 1 != cfg.main_blocks()
+                Terminator::Jump { target }
+                    if i + 1 != cfg.main_blocks()
                     // Only the region-closing jump may point backwards.
-                    && i < cfg.main_blocks() && target.0 != 0 => {
-                        assert!(target.0 > i);
-                    }
+                    && i < cfg.main_blocks() && target.0 != 0 =>
+                {
+                    assert!(target.0 > i);
+                }
                 _ => {}
             }
         }

@@ -335,7 +335,11 @@ impl Workload {
     fn alloc_dest(&mut self) -> Reg {
         // Walk r8..r27 to avoid the stable pointer/stack registers.
         let d = Reg::new(self.next_dest);
-        self.next_dest = if self.next_dest >= 27 { 8 } else { self.next_dest + 1 };
+        self.next_dest = if self.next_dest >= 27 {
+            8
+        } else {
+            self.next_dest + 1
+        };
         self.recent_dests.copy_within(..RECENT_DESTS - 1, 1);
         self.recent_dests[0] = d;
         self.recent_len = (self.recent_len + 1).min(RECENT_DESTS);
@@ -440,7 +444,10 @@ mod tests {
         let mut site_target: HashMap<u32, u32> = HashMap::new();
         for r in &recs {
             if let TraceRecord::Branch(b) = r {
-                if matches!(b.kind, BranchKind::Cond | BranchKind::Jump | BranchKind::Call) {
+                if matches!(
+                    b.kind,
+                    BranchKind::Cond | BranchKind::Jump | BranchKind::Call
+                ) {
                     let prev = site_target.insert(b.pc, b.target);
                     if let Some(t) = prev {
                         assert_eq!(t, b.target, "site {:#x} changed target", b.pc);
@@ -456,15 +463,11 @@ mod tests {
         let recs = Workload::new(&p, 6).generate(100_000);
         let calls = recs
             .iter()
-            .filter(
-                |r| matches!(r, TraceRecord::Branch(b) if b.kind == BranchKind::Call),
-            )
+            .filter(|r| matches!(r, TraceRecord::Branch(b) if b.kind == BranchKind::Call))
             .count() as i64;
         let rets = recs
             .iter()
-            .filter(
-                |r| matches!(r, TraceRecord::Branch(b) if b.kind == BranchKind::Return),
-            )
+            .filter(|r| matches!(r, TraceRecord::Branch(b) if b.kind == BranchKind::Return))
             .count() as i64;
         assert!(calls > 0, "profile must exercise calls");
         assert!((calls - rets).abs() <= MAX_CALL_DEPTH as i64 + 1);

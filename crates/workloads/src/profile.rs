@@ -145,7 +145,10 @@ impl WorkloadProfile {
             self.frac_load + self.frac_store + self.frac_mult + self.frac_div + self.frac_nop;
         assert!(slot_sum <= 1.0, "slot fractions sum to {slot_sum} > 1");
         let term_sum = self.frac_jump + self.frac_call + self.frac_fallthrough;
-        assert!(term_sum <= 1.0, "terminator fractions sum to {term_sum} > 1");
+        assert!(
+            term_sum <= 1.0,
+            "terminator fractions sum to {term_sum} > 1"
+        );
         let cond_sum = self.frac_loop_branches + self.frac_random_branches;
         assert!(
             cond_sum <= 1.0,

@@ -256,7 +256,11 @@ mod tests {
             recs.iter().filter(|r| r.is_load() || r.is_store()).count() as f64 / 40_000.0
         };
         let vortex = frac_mem(SpecBenchmark::Vortex);
-        for b in [SpecBenchmark::Gzip, SpecBenchmark::Bzip2, SpecBenchmark::Vpr] {
+        for b in [
+            SpecBenchmark::Gzip,
+            SpecBenchmark::Bzip2,
+            SpecBenchmark::Vpr,
+        ] {
             assert!(
                 vortex > frac_mem(b),
                 "vortex must have the largest memory fraction (vs {b})"

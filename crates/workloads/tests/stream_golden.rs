@@ -25,12 +25,30 @@ const SEEDS: [u64; 3] = [2009, 7, 11];
 
 /// `(workload, [digest at each of SEEDS])`.
 const PINS: [(&str, [u64; 3]); 6] = [
-    ("gzip", [0xed826e57eaf11f9a, 0xa4e4456a2485a812, 0x0560e48e527dff4a]),
-    ("bzip2", [0xa57cfd976b7b7e3a, 0xaaf70c8a8eba6f5f, 0xbe844d9f5fde44bd]),
-    ("parser", [0x9061ad491e8d9e34, 0xc80a02fe510c0ca2, 0x0962af959103b05b]),
-    ("vortex", [0xb0dc898b9ce52d7d, 0x82cc14192615b1bb, 0xd6404bfdebfa7d76]),
-    ("vpr", [0xfb280062c99dac5b, 0xaf6a4292eb27aabf, 0x0f200b25bd5947f2]),
-    ("generic", [0xd002d44cca60abd7, 0xf82e7a5da2103c99, 0x02931c05112fbdc9]),
+    (
+        "gzip",
+        [0xed826e57eaf11f9a, 0xa4e4456a2485a812, 0x0560e48e527dff4a],
+    ),
+    (
+        "bzip2",
+        [0xa57cfd976b7b7e3a, 0xaaf70c8a8eba6f5f, 0xbe844d9f5fde44bd],
+    ),
+    (
+        "parser",
+        [0x9061ad491e8d9e34, 0xc80a02fe510c0ca2, 0x0962af959103b05b],
+    ),
+    (
+        "vortex",
+        [0xb0dc898b9ce52d7d, 0x82cc14192615b1bb, 0xd6404bfdebfa7d76],
+    ),
+    (
+        "vpr",
+        [0xfb280062c99dac5b, 0xaf6a4292eb27aabf, 0x0f200b25bd5947f2],
+    ),
+    (
+        "generic",
+        [0xd002d44cca60abd7, 0xf82e7a5da2103c99, 0x02931c05112fbdc9],
+    ),
 ];
 
 fn write_reg(h: &mut Fnv64, reg: Option<Reg>) {
@@ -95,7 +113,12 @@ fn instantiate(name: &str, seed: u64) -> Workload {
 fn pinned_streams_are_bit_identical() {
     let actual: Vec<(&str, [u64; 3])> = PINS
         .iter()
-        .map(|&(name, _)| (name, SEEDS.map(|seed| stream_digest(instantiate(name, seed)))))
+        .map(|&(name, _)| {
+            (
+                name,
+                SEEDS.map(|seed| stream_digest(instantiate(name, seed))),
+            )
+        })
         .collect();
     let table: String = actual
         .iter()
