@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --release --example design_space [instructions]`
 
-use resim::prelude::*;
 use resim::core::FuConfig;
+use resim::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n: usize = std::env::args()

@@ -45,7 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         left: n * 2, // cap on *total* records incl. wrong path
     });
 
-    println!("on-the-fly simulation of vpr ({} records consumed)", stats.trace_records_consumed());
+    println!(
+        "on-the-fly simulation of vpr ({} records consumed)",
+        stats.trace_records_consumed()
+    );
     println!(
         "IPC {:.3}, wrong-path fraction {:.1}%\n",
         stats.ipc(),
@@ -63,14 +66,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for device in FpgaDevice::PAPER {
         let speed = ThroughputModel::new(device).speed(&config, &stats, None);
         let demand = speed.mips_including_wrong_path;
-        println!("{device}: engine wants {demand:.2} M records/s ({:.2} Gb/s)", demand * bits / 1000.0);
+        println!(
+            "{device}: engine wants {demand:.2} M records/s ({:.2} Gb/s)",
+            demand * bits / 1000.0
+        );
         for link in [TraceLink::GigabitEthernet, TraceLink::DrcHyperTransport] {
             let eff = effective_mips(demand, bits, link);
             println!(
                 "  {:20} delivers {:>6.2} MIPS{}",
                 link.to_string(),
                 eff,
-                if eff + 1e-9 < demand { "  <- link-bound" } else { "" }
+                if eff + 1e-9 < demand {
+                    "  <- link-bound"
+                } else {
+                    ""
+                }
             );
         }
     }

@@ -75,13 +75,11 @@ pub mod prelude {
         block_diagram, CoreState, Engine, EngineConfig, MinorCycleScheduler, PipelineDescription,
         PipelineOrganization, SimStats, SlotExpr, SlotSpec, StageRow, TraceCursor,
     };
-    pub use resim_fpga::{
-        effective_mips, AreaModel, FpgaDevice, ThroughputModel, TraceLink,
-    };
+    pub use resim_fpga::{effective_mips, AreaModel, FpgaDevice, ThroughputModel, TraceLink};
     pub use resim_isa::{programs, Assembler, FunctionalSimulator};
     pub use resim_mem::{CacheConfig, MemorySystem, MemorySystemConfig};
     pub use resim_obs::MetricsRecorder;
-    pub use resim_sample::{run_sampled, FunctionalWarmer, SampledStats, SamplePlan, WarmupMode};
+    pub use resim_sample::{run_sampled, FunctionalWarmer, SamplePlan, SampledStats, WarmupMode};
     pub use resim_session::SessionRecord;
     pub use resim_sweep::{CellMode, Scenario, SweepReport, SweepRunner, WorkloadPoint};
     pub use resim_trace::{

@@ -49,7 +49,10 @@ fn every_corpus_session_replays_bit_identically() {
     for session in corpus_sessions() {
         let path = session.to_str().unwrap();
         let (code, out, err) = run_for_test(&["replay", "-s", path]);
-        assert_eq!(code, 0, "{path}: replay failed\nstdout: {out}\nstderr: {err}");
+        assert_eq!(
+            code, 0,
+            "{path}: replay failed\nstdout: {out}\nstderr: {err}"
+        );
         assert!(
             out.contains("SimStats bit-identical"),
             "{path}: replay did not report bit-identity:\n{out}"

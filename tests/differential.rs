@@ -100,7 +100,10 @@ fn branch_outcomes_agree_between_functional_and_trace_sides() {
                 _ => None,
             })
             .collect();
-        assert_eq!(functional, traced, "{name}: branch outcome sequences differ");
+        assert_eq!(
+            functional, traced,
+            "{name}: branch outcome sequences differ"
+        );
     }
 }
 

@@ -23,7 +23,11 @@ fn program_to_mips_pipeline() {
 
     let ts = trace.stats();
     let speed = ThroughputModel::new(FpgaDevice::Virtex4Lx40).speed(&config, &stats, Some(&ts));
-    assert!(speed.mips > 0.0 && speed.mips <= 48.0, "mips {}", speed.mips);
+    assert!(
+        speed.mips > 0.0 && speed.mips <= 48.0,
+        "mips {}",
+        speed.mips
+    );
 }
 
 /// The encoded wire format round-trips through the engine identically to
@@ -78,10 +82,12 @@ fn streaming_equals_batch_timing() {
         Workload::spec(SpecBenchmark::Vpr, 9).take(n),
         TraceGenConfig::paper(),
     );
-    let b = Engine::new(EngineConfig::paper_4wide()).unwrap().run(Capped {
-        inner: stream,
-        left: batch.len(),
-    });
+    let b = Engine::new(EngineConfig::paper_4wide())
+        .unwrap()
+        .run(Capped {
+            inner: stream,
+            left: batch.len(),
+        });
     assert_eq!(a.committed, b.committed);
     assert_eq!(a.cycles, b.cycles);
 }

@@ -33,13 +33,14 @@ fn corpus_scenario_fingerprints_are_pinned() {
     let mut failures = Vec::new();
     for (name, pinned) in PINNED {
         let path = format!("tests/corpus/{name}.toml");
-        let text = fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
         let doc = ScenarioDoc::parse_str(&text)
             .unwrap_or_else(|e| panic!("{path} no longer parses: {e}"));
-        let actual = format!("{:016x}", doc.fingerprint().unwrap_or_else(|e| {
-            panic!("{path} no longer resolves to a scenario: {e}")
-        }));
+        let actual = format!(
+            "{:016x}",
+            doc.fingerprint()
+                .unwrap_or_else(|e| { panic!("{path} no longer resolves to a scenario: {e}") })
+        );
         if actual != *pinned {
             failures.push(format!("    (\"{name}\", \"{actual}\"),"));
         }
@@ -61,7 +62,10 @@ fn corpus_scenario_fingerprints_are_pinned() {
 #[test]
 fn fingerprint_ignores_presentation_only_edits() {
     let text = fs::read_to_string("tests/corpus/simple-gzip-s1.toml").expect("corpus file");
-    let base = ScenarioDoc::parse_str(&text).expect("parses").fingerprint().expect("resolves");
+    let base = ScenarioDoc::parse_str(&text)
+        .expect("parses")
+        .fingerprint()
+        .expect("resolves");
 
     let renamed = format!("{text}\n[trace]\nfile = \"elsewhere.trace\"\n");
     let doc = ScenarioDoc::parse_str(&renamed).expect("parses with [trace]");
@@ -78,7 +82,13 @@ fn fingerprint_ignores_presentation_only_edits() {
 fn fingerprint_tracks_content_edits() {
     let a = fs::read_to_string("tests/corpus/simple-gzip-s1.toml").expect("corpus file");
     let b = fs::read_to_string("tests/corpus/simple-gzip-s2.toml").expect("corpus file");
-    let fa = ScenarioDoc::parse_str(&a).expect("parses").fingerprint().expect("resolves");
-    let fb = ScenarioDoc::parse_str(&b).expect("parses").fingerprint().expect("resolves");
+    let fa = ScenarioDoc::parse_str(&a)
+        .expect("parses")
+        .fingerprint()
+        .expect("resolves");
+    let fb = ScenarioDoc::parse_str(&b)
+        .expect("parses")
+        .fingerprint()
+        .expect("resolves");
     assert_ne!(fa, fb, "different seeds must give different fingerprints");
 }

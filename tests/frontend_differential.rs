@@ -28,9 +28,13 @@ fn memory_v1_and_v2_frontends_are_bit_identical() {
             let reference = run_stats(&config, trace.source());
 
             for (label, encoded) in [("v1", trace.encode()), ("v2", trace.encode_v2())] {
-                let header =
-                    TraceFileHeader::for_trace(&encoded, bench.name(), seed, tracegen.fingerprint())
-                        .with_correct_records(trace.correct_path_len() as u64);
+                let header = TraceFileHeader::for_trace(
+                    &encoded,
+                    bench.name(),
+                    seed,
+                    tracegen.fingerprint(),
+                )
+                .with_correct_records(trace.correct_path_len() as u64);
                 let mut container = Vec::new();
                 header.write_trace(&mut container, &encoded).unwrap();
 

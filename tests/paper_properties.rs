@@ -26,7 +26,10 @@ fn left() -> (EngineConfig, TraceGenConfig) {
 }
 
 fn right() -> (EngineConfig, TraceGenConfig) {
-    (EngineConfig::paper_2wide_cached(), TraceGenConfig::perfect())
+    (
+        EngineConfig::paper_2wide_cached(),
+        TraceGenConfig::perfect(),
+    )
 }
 
 /// Table 1 left: every benchmark lands in the paper's 19–35 MIPS band and
@@ -69,8 +72,14 @@ fn table1_bzip2_crossover() {
     let gzip_l = ipc(SpecBenchmark::Gzip, &cl, &tl);
     let bzip2_r = ipc(SpecBenchmark::Bzip2, &cr, &tr);
     let gzip_r = ipc(SpecBenchmark::Gzip, &cr, &tr);
-    assert!(bzip2_l > gzip_l, "perfect memory: bzip2 {bzip2_l} > gzip {gzip_l}");
-    assert!(gzip_r > bzip2_r, "32K caches: gzip {gzip_r} > bzip2 {bzip2_r}");
+    assert!(
+        bzip2_l > gzip_l,
+        "perfect memory: bzip2 {bzip2_l} > gzip {gzip_l}"
+    );
+    assert!(
+        gzip_r > bzip2_r,
+        "32K caches: gzip {gzip_r} > bzip2 {bzip2_r}"
+    );
 }
 
 /// Table 2: ReSim outperforms the best reported hardware simulators by
@@ -109,7 +118,11 @@ fn table1_right_fast_factor() {
             .speed(&cfg, &stats, None)
             .mips;
     }
-    let fast_avg: f64 = comparison::fast_table1_column().iter().map(|(_, v)| v).sum::<f64>() / 5.0;
+    let fast_avg: f64 = comparison::fast_table1_column()
+        .iter()
+        .map(|(_, v)| v)
+        .sum::<f64>()
+        / 5.0;
     let factor = (total / 5.0) / fast_avg;
     assert!(
         (4.0..9.0).contains(&factor),
@@ -172,8 +185,14 @@ fn table4_fast_area_ratios() {
     let est = AreaModel::new().estimate(&AreaModel::calibration_config());
     let slice_ratio = comparison::FAST_AREA_SLICES / est.total_slices();
     let bram_ratio = comparison::FAST_AREA_BRAMS as f64 / est.total_brams() as f64;
-    assert!((2.2..2.6).contains(&slice_ratio), "slices ratio {slice_ratio:.2}");
-    assert!((20.0..28.0).contains(&bram_ratio), "bram ratio {bram_ratio:.1}");
+    assert!(
+        (2.2..2.6).contains(&slice_ratio),
+        "slices ratio {slice_ratio:.2}"
+    );
+    assert!(
+        (20.0..28.0).contains(&bram_ratio),
+        "bram ratio {bram_ratio:.1}"
+    );
 }
 
 /// §IV: the three pipeline organizations simulate identically; only the

@@ -90,7 +90,10 @@ fn novel_organization_runs_end_to_end_with_area_estimation() {
     };
     assert_eq!(slices(&est, "lsq"), 0.0);
     assert!(slices(&est, "fetch") > 0.0);
-    assert!(slices(&est, "disp") > 0.0, "Dispatch row keeps the disp logic");
+    assert!(
+        slices(&est, "disp") > 0.0,
+        "Dispatch row keeps the disp logic"
+    );
     assert_eq!(slices(&est, "RB"), slices(&full, "RB"));
 }
 

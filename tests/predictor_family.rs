@@ -2,9 +2,9 @@
 //! claim that the Branch Predictor block is generated from user
 //! parameters, so any member of the family can drive a simulation.
 
-use resim::prelude::*;
 use resim::bpred::{DirectionConfig, TournamentConfig, TournamentPredictor, TwoLevelConfig};
 use resim::core::Engine;
+use resim::prelude::*;
 
 fn cycles_with(direction: DirectionConfig) -> u64 {
     let tg = TraceGenConfig {

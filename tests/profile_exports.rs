@@ -17,19 +17,71 @@ use std::path::{Path, PathBuf};
 /// Scenario (path relative to the repository root) and the pinned
 /// digests of its masked metrics document and its events stream.
 const PINNED: &[(&str, &str, &str)] = &[
-    ("examples/pipelines/fused.toml", "cf6954e77a3b7ac5", "bad53d8c87e39a59"),
-    ("examples/pipelines/improved.toml", "68c85a876eb644e3", "ced57603cdd0312b"),
-    ("examples/pipelines/optimized.toml", "8611dfe1b713d622", "f56f97fa187dd53b"),
-    ("examples/pipelines/simple.toml", "817add7a2c378e2f", "ced57603cdd0312b"),
-    ("tests/corpus/cached-vortex.toml", "1f2726866316521f", "836e907bc00131db"),
-    ("tests/corpus/file-v1-vortex.toml", "748da0b279200d9d", "b558936b35b7505e"),
-    ("tests/corpus/file-v2-vortex.toml", "51b0657048d7392a", "b558936b35b7505e"),
-    ("tests/corpus/fused-gzip.toml", "3e3abe5b349c7626", "ced57603cdd0312b"),
-    ("tests/corpus/improved-vpr.toml", "2b076a48aa113c70", "dd5feb552442b990"),
-    ("tests/corpus/optimized-parser.toml", "f4e819a14ce9fe3f", "e5a438845666ab44"),
-    ("tests/corpus/sampled-bzip2.toml", "d9abc8ca075aaeb4", "0a44793d31fbb863"),
-    ("tests/corpus/simple-gzip-s1.toml", "308dcea88c79a658", "f8b55952302da313"),
-    ("tests/corpus/simple-gzip-s2.toml", "631e69d9e5b3aaab", "9a80881b13a6e79c"),
+    (
+        "examples/pipelines/fused.toml",
+        "cf6954e77a3b7ac5",
+        "bad53d8c87e39a59",
+    ),
+    (
+        "examples/pipelines/improved.toml",
+        "68c85a876eb644e3",
+        "ced57603cdd0312b",
+    ),
+    (
+        "examples/pipelines/optimized.toml",
+        "8611dfe1b713d622",
+        "f56f97fa187dd53b",
+    ),
+    (
+        "examples/pipelines/simple.toml",
+        "817add7a2c378e2f",
+        "ced57603cdd0312b",
+    ),
+    (
+        "tests/corpus/cached-vortex.toml",
+        "1f2726866316521f",
+        "836e907bc00131db",
+    ),
+    (
+        "tests/corpus/file-v1-vortex.toml",
+        "748da0b279200d9d",
+        "b558936b35b7505e",
+    ),
+    (
+        "tests/corpus/file-v2-vortex.toml",
+        "51b0657048d7392a",
+        "b558936b35b7505e",
+    ),
+    (
+        "tests/corpus/fused-gzip.toml",
+        "3e3abe5b349c7626",
+        "ced57603cdd0312b",
+    ),
+    (
+        "tests/corpus/improved-vpr.toml",
+        "2b076a48aa113c70",
+        "dd5feb552442b990",
+    ),
+    (
+        "tests/corpus/optimized-parser.toml",
+        "f4e819a14ce9fe3f",
+        "e5a438845666ab44",
+    ),
+    (
+        "tests/corpus/sampled-bzip2.toml",
+        "d9abc8ca075aaeb4",
+        "0a44793d31fbb863",
+    ),
+    (
+        "tests/corpus/simple-gzip-s1.toml",
+        "308dcea88c79a658",
+        "f8b55952302da313",
+    ),
+    (
+        "tests/corpus/simple-gzip-s2.toml",
+        "631e69d9e5b3aaab",
+        "9a80881b13a6e79c",
+    ),
 ];
 
 /// The scenarios the pin must cover, found on disk.
@@ -82,7 +134,10 @@ fn profile(scenario: &str, dir: &Path) -> (String, String) {
         "--events-out",
         events.to_str().unwrap(),
     ]);
-    assert_eq!(code, 0, "{scenario}: profile failed\nstdout: {out}\nstderr: {err}");
+    assert_eq!(
+        code, 0,
+        "{scenario}: profile failed\nstdout: {out}\nstderr: {err}"
+    );
     (
         mask_wall_times(&fs::read_to_string(&metrics).unwrap()),
         fs::read_to_string(&events).unwrap(),
@@ -104,7 +159,11 @@ fn scratch(test: &str) -> PathBuf {
 #[test]
 fn profile_exports_are_pinned_for_every_scenario() {
     let pinned: Vec<&str> = PINNED.iter().map(|(s, _, _)| *s).collect();
-    assert_eq!(scenarios(), pinned, "the pin table must list every scenario");
+    assert_eq!(
+        scenarios(),
+        pinned,
+        "the pin table must list every scenario"
+    );
 
     let dir = scratch("pinned");
     let mut actual = String::new();
@@ -130,7 +189,10 @@ fn a_pinned_scenario_journals_every_rare_event() {
         "\"kind\":\"misfetch\"",
         "\"kind\":\"mispredict_recovery\"",
     ] {
-        assert!(events.contains(kind), "no {kind} event journaled:\n{events}");
+        assert!(
+            events.contains(kind),
+            "no {kind} event journaled:\n{events}"
+        );
     }
     for counter in [
         "icache_misses",
