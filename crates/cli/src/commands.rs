@@ -119,8 +119,9 @@ pub(crate) fn trace(
 }
 
 /// A trace container as every run reads it, from a file or from the
-/// bytes a session embeds. One reader type for both builds the engine
-/// loop once for containers; the reader is called once per 16 KiB block.
+/// bytes a session embeds. The reader is boxed so that
+/// [`Source::File`] holds either with one type; it is called once per
+/// 16 KiB block.
 type Container<'a> = FileSource<Box<dyn Read + 'a>>;
 
 /// Reads the header of the container `reader` is positioned at.

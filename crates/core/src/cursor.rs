@@ -1,5 +1,6 @@
 //! The engine's read position over a trace: a ring-buffered batch
-//! consumer of any [`TraceSource`].
+//! consumer of any [`TraceSource`], and the one place the engine meets
+//! the source's type.
 //!
 //! The cursor is where the batched trace frontend meets the cycle loop.
 //! Fetch needs single-record `peek`/`take` semantics (wrong-path block
@@ -11,6 +12,10 @@
 //! engine out of the ring: the per-record cost in the cycle loop is an
 //! index bump, and the per-block cost is amortised over
 //! [`DEFAULT_BATCH`] records.
+//!
+//! The source is a trait object, erased at that refill: a replayed
+//! container, a pre-decoded slice and a generator on the fly all drive
+//! one compiled cycle loop, at the cost of one dynamic call per block.
 
 use resim_trace::{OpClass, OtherRecord, TraceRecord, TraceSource};
 
@@ -22,6 +27,10 @@ use resim_trace::{OpClass, OtherRecord, TraceRecord, TraceSource};
 /// ring-buffered read-ahead — is lost at window boundaries. This is what
 /// makes a windowed run bit-identical to one [`Engine::run`] call.
 ///
+/// The cursor boxes its source, so its type names only the lifetime of
+/// what the source borrows, and the engine is compiled once for every
+/// source. The source is called only to refill the ring.
+///
 /// The batch size changes **when** records are pulled from the source,
 /// never **which** records the engine sees or in what order: a cursor at
 /// any batch size replays the exact record sequence of a batch-size-1
@@ -30,9 +39,8 @@ use resim_trace::{OpClass, OtherRecord, TraceRecord, TraceSource};
 /// [`Engine::run`]: crate::Engine::run
 /// [`Engine::run_window`]: crate::Engine::run_window
 /// [`Engine::drain`]: crate::Engine::drain
-#[derive(Debug)]
-pub struct TraceCursor<S> {
-    src: S,
+pub struct TraceCursor<'a> {
+    src: Box<dyn TraceSource + 'a>,
     /// Fixed-capacity decode ring; `buf[head..len]` holds records the
     /// source has produced but the engine has not consumed.
     buf: Box<[TraceRecord]>,
@@ -50,9 +58,9 @@ pub struct TraceCursor<S> {
 /// than a sampling window cares about.
 pub const DEFAULT_BATCH: usize = 256;
 
-impl<S: TraceSource> TraceCursor<S> {
+impl<'a> TraceCursor<'a> {
     /// Creates a cursor at the start of `src` with [`DEFAULT_BATCH`].
-    pub fn new(src: S) -> Self {
+    pub fn new(src: impl TraceSource + 'a) -> Self {
         Self::with_batch_size(src, DEFAULT_BATCH)
     }
 
@@ -65,7 +73,7 @@ impl<S: TraceSource> TraceCursor<S> {
     /// # Panics
     ///
     /// Panics if `batch` is zero.
-    pub fn with_batch_size(src: S, batch: usize) -> Self {
+    pub fn with_batch_size(src: impl TraceSource + 'a, batch: usize) -> Self {
         assert!(batch >= 1, "cursor batch size must be at least 1");
         let pad = TraceRecord::Other(OtherRecord {
             pc: 0,
@@ -76,7 +84,7 @@ impl<S: TraceSource> TraceCursor<S> {
             wrong_path: false,
         });
         Self {
-            src,
+            src: Box::new(src),
             buf: vec![pad; batch].into_boxed_slice(),
             head: 0,
             len: 0,
@@ -89,11 +97,6 @@ impl<S: TraceSource> TraceCursor<S> {
     /// until fetch actually takes them).
     pub fn consumed(&self) -> u64 {
         self.consumed
-    }
-
-    /// Whether the trace is exhausted (refills the ring to find out).
-    pub fn is_exhausted(&mut self) -> bool {
-        self.peek().is_none()
     }
 
     pub(crate) fn peek(&mut self) -> Option<&TraceRecord> {
@@ -185,7 +188,6 @@ mod tests {
             }
             assert!(c.next().is_none());
             assert!(c.peek().is_none());
-            assert!(c.is_exhausted());
             assert_eq!(c.consumed(), 10);
         }
     }

@@ -188,8 +188,7 @@ impl Engine {
     /// the ring are dropped with it (the statistics only ever count
     /// records the engine consumed).
     pub fn run_for(&mut self, source: impl TraceSource, max_cycles: u64) -> SimStats {
-        let mut cursor = TraceCursor::new(source);
-        self.drain_for(&mut cursor, max_cycles)
+        self.step_until(&mut TraceCursor::new(source), u64::MAX, max_cycles)
     }
 
     /// Runs until at least `records` further trace records have entered
@@ -208,37 +207,26 @@ impl Engine {
     /// calls.
     ///
     /// Returns the cumulative statistics so far (not the window's delta).
-    pub fn run_window<S: TraceSource>(
-        &mut self,
-        cursor: &mut TraceCursor<S>,
-        records: u64,
-    ) -> SimStats {
+    pub fn run_window(&mut self, cursor: &mut TraceCursor<'_>, records: u64) -> SimStats {
         let target = cursor.consumed().saturating_add(records);
         self.step_until(cursor, target, u64::MAX)
     }
 
     /// Runs until the cursor is exhausted and the pipeline is empty —
     /// the closing counterpart of [`Engine::run_window`].
-    pub fn drain<S: TraceSource>(&mut self, cursor: &mut TraceCursor<S>) -> SimStats {
-        self.drain_for(cursor, u64::MAX)
-    }
-
-    fn drain_for<S: TraceSource>(
-        &mut self,
-        cursor: &mut TraceCursor<S>,
-        max_cycles: u64,
-    ) -> SimStats {
-        self.step_until(cursor, u64::MAX, max_cycles)
+    pub fn drain(&mut self, cursor: &mut TraceCursor<'_>) -> SimStats {
+        self.step_until(cursor, u64::MAX, u64::MAX)
     }
 
     /// The one cycle loop: steps until the cursor has consumed
     /// `records` records in total or the cycle counter reaches
     /// `max_cycles`, or the cursor is exhausted and the pipeline is
     /// empty, and returns the statistics. The limits are values, not a
-    /// closure, so the loop is compiled once per trace source.
-    fn step_until<S: TraceSource>(
+    /// closure, and the cursor erases the source's type, so the loop is
+    /// compiled once.
+    fn step_until(
         &mut self,
-        cursor: &mut TraceCursor<S>,
+        cursor: &mut TraceCursor<'_>,
         records: u64,
         max_cycles: u64,
     ) -> SimStats {
@@ -255,7 +243,7 @@ impl Engine {
     /// Advances one simulated (major) cycle: the scheduler evaluates the
     /// stage roster, then the state closes the cycle with occupancy
     /// accounting.
-    fn step<S: TraceSource>(&mut self, cursor: &mut TraceCursor<S>) {
+    fn step(&mut self, cursor: &mut TraceCursor<'_>) {
         self.scheduler.step(&mut self.state, cursor);
         self.state.finish_cycle();
     }

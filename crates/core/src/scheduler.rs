@@ -28,7 +28,6 @@ use crate::stages::{
     CommitStage, DispatchStage, FetchStage, IssueStage, LsqRefreshStage, WritebackStage,
 };
 use crate::state::CoreState;
-use resim_trace::TraceSource;
 use std::time::Instant;
 
 /// Stage names in evaluation order, as the paper spells them.
@@ -116,11 +115,7 @@ impl MinorCycleScheduler {
 
     /// Evaluates every stage once (one major cycle). The one check for
     /// a recorder per cycle picks the observed evaluation.
-    pub(crate) fn step<S: TraceSource>(
-        &mut self,
-        core: &mut CoreState,
-        cursor: &mut TraceCursor<S>,
-    ) {
+    pub(crate) fn step(&mut self, core: &mut CoreState, cursor: &mut TraceCursor<'_>) {
         let ops = if core.recorder.is_some() {
             self.step_observed(core, cursor)
         } else {
@@ -142,11 +137,7 @@ impl MinorCycleScheduler {
     /// cycle to the recorder. Kept out of line so the unobserved loop
     /// stays as tight as it was.
     #[inline(never)]
-    fn step_observed<S: TraceSource>(
-        &mut self,
-        core: &mut CoreState,
-        cursor: &mut TraceCursor<S>,
-    ) -> [u64; 6] {
+    fn step_observed(&mut self, core: &mut CoreState, cursor: &mut TraceCursor<'_>) -> [u64; 6] {
         let mut wall_ns = [0u64; 6];
         let mut clock = Instant::now();
         let mut lap = |stage: usize| {

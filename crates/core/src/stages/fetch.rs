@@ -5,7 +5,7 @@ use crate::cursor::TraceCursor;
 use crate::state::{CoreState, FetchedInst};
 use resim_bpred::Resolution;
 use resim_obs::{CacheKind, EventKind};
-use resim_trace::{TraceRecord, TraceSource};
+use resim_trace::TraceRecord;
 
 /// Fetch: pull up to N records from the trace into the IFQ, stopping at
 /// a control-flow bubble, an IFQ-full condition, an I-cache miss, a
@@ -86,11 +86,7 @@ fn admit(
 
 impl FetchStage {
     /// Evaluates the stage for one major cycle; returns the instructions fetched.
-    pub(crate) fn evaluate<S: TraceSource>(
-        &mut self,
-        core: &mut CoreState,
-        cursor: &mut TraceCursor<S>,
-    ) -> u64 {
+    pub(crate) fn evaluate(&mut self, core: &mut CoreState, cursor: &mut TraceCursor<'_>) -> u64 {
         if core.cycle < core.fetch_stall_until {
             core.stats.fetch_stall_cycles += 1;
             return 0;

@@ -3,7 +3,6 @@
 
 use crate::cursor::TraceCursor;
 use crate::state::CoreState;
-use resim_trace::TraceSource;
 
 /// Writeback: select the oldest N finished executions, broadcast their
 /// results (wakeup), and run misprediction recovery (§III).
@@ -16,11 +15,7 @@ pub(crate) struct WritebackStage {
 
 impl WritebackStage {
     /// Evaluates the stage for one major cycle; returns the instructions written back.
-    pub(crate) fn evaluate<S: TraceSource>(
-        &mut self,
-        core: &mut CoreState,
-        cursor: &mut TraceCursor<S>,
-    ) -> u64 {
+    pub(crate) fn evaluate(&mut self, core: &mut CoreState, cursor: &mut TraceCursor<'_>) -> u64 {
         // The select scan visits only the executing entries.
         self.done.clear();
         core.rob

@@ -18,7 +18,7 @@ use crate::stats::SimStats;
 use resim_bpred::BranchPredictor;
 use resim_mem::MemorySystem;
 use resim_obs::{EventKind, MetricsRecorder};
-use resim_trace::{TraceRecord, TraceSource};
+use resim_trace::TraceRecord;
 use std::collections::VecDeque;
 
 /// An IFQ slot: a fetched record plus fetch-time metadata.
@@ -165,7 +165,7 @@ impl CoreState {
     /// Invoked by the Writeback stage; lives on `CoreState` because it
     /// cuts across every structure at once (RB, LSQ, IFQ, rename table,
     /// the trace cursor and the fetch throttle).
-    pub(crate) fn recover<S: TraceSource>(&mut self, branch_seq: u64, cursor: &mut TraceCursor<S>) {
+    pub(crate) fn recover(&mut self, branch_seq: u64, cursor: &mut TraceCursor<'_>) {
         self.stats.mispredict_recoveries += 1;
         let total = (self.rob.squash_younger(branch_seq) + self.ifq.len()) as u64;
         self.lsq.squash_younger(branch_seq);

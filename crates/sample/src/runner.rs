@@ -189,12 +189,6 @@ impl<S: TraceSource> TraceSource for Peekable<S> {
         self.buf.take().or_else(|| self.src.next_record())
     }
 
-    fn len_hint(&self) -> Option<u64> {
-        self.src
-            .len_hint()
-            .map(|n| n + u64::from(self.buf.is_some()))
-    }
-
     fn skip(&mut self, n: u64) -> u64 {
         if n == 0 {
             return 0;

@@ -671,7 +671,6 @@ mod tests {
         // though records 1–3 ride the implicit/explicit PC chain.
         let mut src = enc.source();
         assert_eq!(src.skip(3), 3);
-        assert_eq!(src.len_hint(), Some(2));
         let rest: Vec<TraceRecord> = std::iter::from_fn(|| src.next_record()).collect();
         assert_eq!(rest, trace.records()[3..]);
         assert!(src.error().is_none());
@@ -700,7 +699,6 @@ mod tests {
         let trace = Trace::from_records(sample_records());
         let enc = trace.encode();
         let mut src = enc.source();
-        assert_eq!(src.len_hint(), Some(5));
         let all: Vec<TraceRecord> = std::iter::from_fn(|| src.next_record()).collect();
         assert_eq!(all, trace.records());
         assert!(src.next_record().is_none(), "fused after end");

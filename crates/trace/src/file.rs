@@ -83,7 +83,6 @@
 //! // …and stream it back record by record.
 //! let mut source = FileSource::from_reader(&file[..]).unwrap();
 //! assert_eq!(source.header().workload, "demo");
-//! assert_eq!(source.len_hint(), Some(100));
 //! let round: Trace = std::iter::from_fn(|| source.next_record()).collect();
 //! assert_eq!(round, trace);
 //! ```
@@ -495,10 +494,6 @@ impl<R: Read> TraceSource for FileSource<R> {
         n
     }
 
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.remaining)
-    }
-
     fn skip(&mut self, n: u64) -> u64 {
         let mut skipped = 0;
         while skipped < n && self.error.is_none() && self.remaining > 0 {
@@ -733,7 +728,6 @@ mod tests {
         let trace = sample_trace();
         let buf = container(&trace);
         let mut src = FileSource::from_reader(&buf[..]).unwrap();
-        assert_eq!(src.len_hint(), Some(5));
         assert_eq!(src.header().correct_records, 4);
         let round: Vec<TraceRecord> = std::iter::from_fn(|| src.next_record()).collect();
         assert_eq!(round, trace.records());

@@ -47,11 +47,6 @@ pub trait TraceSource {
         n
     }
 
-    /// A hint of how many records remain, if known.
-    fn len_hint(&self) -> Option<u64> {
-        None
-    }
-
     /// Discards the next `n` records, returning how many were actually
     /// discarded (less than `n` only at end of trace).
     ///
@@ -97,10 +92,6 @@ impl<T: TraceSource + ?Sized> TraceSource for &mut T {
         (**self).fill(buf)
     }
 
-    fn len_hint(&self) -> Option<u64> {
-        (**self).len_hint()
-    }
-
     fn skip(&mut self, n: u64) -> u64 {
         (**self).skip(n)
     }
@@ -113,10 +104,6 @@ impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
 
     fn fill(&mut self, buf: &mut [TraceRecord]) -> usize {
         (**self).fill(buf)
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        (**self).len_hint()
     }
 
     fn skip(&mut self, n: u64) -> u64 {
@@ -161,11 +148,6 @@ impl<S: TraceSource> TraceSource for Window<'_, S> {
         n
     }
 
-    fn len_hint(&self) -> Option<u64> {
-        let cap = self.remaining;
-        Some(self.source.len_hint().map_or(cap, |n| n.min(cap)))
-    }
-
     fn skip(&mut self, n: u64) -> u64 {
         let skipped = self.source.skip(n.min(self.remaining));
         self.remaining -= skipped;
@@ -208,10 +190,6 @@ impl TraceSource for SliceSource<'_> {
         n
     }
 
-    fn len_hint(&self) -> Option<u64> {
-        Some((self.records.len() - self.pos) as u64)
-    }
-
     fn skip(&mut self, n: u64) -> u64 {
         let left = (self.records.len() - self.pos) as u64;
         let skipped = n.min(left);
@@ -244,10 +222,8 @@ mod tests {
     fn slice_source_yields_all_then_fuses() {
         let records = recs(3);
         let mut s = SliceSource::new(&records);
-        assert_eq!(s.len_hint(), Some(3));
         assert!(s.next_record().is_some());
         assert!(s.next_record().is_some());
-        assert_eq!(s.len_hint(), Some(1));
         assert!(s.next_record().is_some());
         assert!(s.next_record().is_none());
         assert!(s.next_record().is_none());
@@ -272,7 +248,6 @@ mod tests {
     fn boxed_source() {
         let records = recs(2);
         let mut boxed: Box<dyn TraceSource + '_> = Box::new(SliceSource::new(&records));
-        assert_eq!(boxed.len_hint(), Some(2));
         assert!(boxed.next_record().is_some());
     }
 
@@ -313,7 +288,6 @@ mod tests {
         let mut s = SliceSource::new(&records);
         {
             let mut w = s.window(4);
-            assert_eq!(w.len_hint(), Some(4));
             assert_eq!(w.skip(1), 1);
             assert_eq!(w.next_record().unwrap().pc(), 4);
             assert_eq!(w.remaining(), 2);
@@ -330,7 +304,6 @@ mod tests {
         let records = recs(2);
         let mut s = SliceSource::new(&records);
         let mut w = s.window(5);
-        assert_eq!(w.len_hint(), Some(2), "hint clamps to the source");
         assert!(w.next_record().is_some());
         assert!(w.next_record().is_some());
         assert!(w.next_record().is_none());
