@@ -316,10 +316,13 @@ impl Server {
                 }
             }
             Request::Metrics => {
+                // The bag is a whole recorder; only its serve counters
+                // ever move.
                 let counters: Vec<(&str, JsonValue)> = {
                     let m = recover(self.metrics.lock());
                     Counter::ALL
                         .iter()
+                        .filter(|c| c.name().starts_with("serve_"))
                         .map(|&c| (c.name(), JsonValue::Int(m.counter_value(c) as i64)))
                         .collect()
                 };
