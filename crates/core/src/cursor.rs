@@ -1,6 +1,5 @@
 //! The engine's read position over a trace: a ring-buffered batch
-//! consumer of any [`TraceSource`], and the one place the engine meets
-//! the source's type.
+//! consumer of any [`TraceSource`].
 //!
 //! The cursor is where the batched trace frontend meets the cycle loop.
 //! Fetch needs single-record `peek`/`take` semantics (wrong-path block
