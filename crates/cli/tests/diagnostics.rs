@@ -98,6 +98,46 @@ fn sweep_problems_resolve_lazily_with_context() {
 }
 
 #[test]
+fn unknown_pipeline_names_list_every_nameable_organization() {
+    // The names list is part of the diagnostic: the three built-ins,
+    // plus the scenario's own `[pipeline]` when it declares one, for
+    // both the `[engine]` key and the `[sweep.grid]` axis.
+    let custom = "[pipeline]\nname = \"dual\"\n\
+                  [[pipeline.stage]]\nname = \"Fetch\"\nslots = \"i\"\n\
+                  [[pipeline.stage]]\nname = \"Commit\"\nslots = \"i+1\"\n";
+    let sweep = "[sweep]\nworkloads = [\"gzip\"]\nbudgets = [500]\nseeds = [1]\n\
+                 [sweep.grid]\npipelines = [\"improved\", \"x\"]\n";
+    let builtins_only = "(expected simple, improved or optimized)";
+    let with_custom = "(expected simple, improved, optimized or the scenario's \"dual\")";
+    let cases = [
+        (
+            "engine",
+            "[engine]\nwidth = 4\npipeline = \"x\"\n".to_string(),
+            3,
+            builtins_only,
+        ),
+        (
+            "engine-custom",
+            format!("{custom}[engine]\npipeline = \"x\"\n"),
+            10,
+            with_custom,
+        ),
+        ("grid", sweep.to_string(), 6, builtins_only),
+        ("grid-custom", format!("{custom}{sweep}"), 14, with_custom),
+    ];
+    for (name, scenario, line, expected) in cases {
+        let (code, out, err) = run_on(
+            &format!("unknown-pipeline-{name}"),
+            &scenario,
+            &["describe"],
+        );
+        assert_eq!(code, 1, "{name}: stdout: {out}");
+        let want = format!("s.toml:{line}: unknown pipeline \"x\" {expected}\n");
+        assert!(err.contains(&want), "{name}: want {want:?}, got {err:?}");
+    }
+}
+
+#[test]
 fn replaying_a_foreign_trace_warns_about_the_fingerprint() {
     let dir = scratch("fingerprint");
     let perfect = dir.join("perfect.toml");
