@@ -147,7 +147,9 @@ impl<'a> TraceCursor<'a> {
         }
         self.head = 0;
         self.len = self.src.fill(&mut self.buf);
-        if self.len == 0 {
+        // A short fill is the end of the trace (the `TraceSource::fill`
+        // contract), so the source is not asked again.
+        if self.len < self.buf.len() {
             self.done = true;
         }
     }
