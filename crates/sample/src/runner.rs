@@ -169,7 +169,8 @@ fn run_full_coverage<S: TraceSource>(
 
 /// One-record lookahead over a [`TraceSource`]: the sampled runner
 /// must see whether a window boundary landed inside a wrong-path block
-/// without losing the record it peeked at.
+/// without losing the record it peeked at. Everything else reads
+/// through the source's own `fill` and `skip`.
 struct Peekable<S: TraceSource> {
     src: S,
     buf: Option<resim_trace::TraceRecord>,
@@ -187,6 +188,15 @@ impl<S: TraceSource> Peekable<S> {
 impl<S: TraceSource> TraceSource for Peekable<S> {
     fn next_record(&mut self) -> Option<resim_trace::TraceRecord> {
         self.buf.take().or_else(|| self.src.next_record())
+    }
+
+    fn fill(&mut self, buf: &mut [resim_trace::TraceRecord]) -> usize {
+        if let (Some(r), Some((first, rest))) = (self.buf, buf.split_first_mut()) {
+            self.buf = None;
+            *first = r;
+            return 1 + self.src.fill(rest);
+        }
+        self.src.fill(buf)
     }
 
     fn skip(&mut self, n: u64) -> u64 {

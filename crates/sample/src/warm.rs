@@ -16,9 +16,9 @@
 //! copy of any table.
 
 use resim_bpred::BranchPredictor;
-use resim_core::EngineConfig;
+use resim_core::{EngineConfig, DEFAULT_BATCH};
 use resim_mem::MemorySystem;
-use resim_trace::{TraceRecord, TraceSource};
+use resim_trace::{OpClass, OtherRecord, TraceRecord, TraceSource};
 
 /// Cold-start functional warm state for one engine configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,14 +65,31 @@ impl FunctionalWarmer {
 
     /// Pulls up to `n` records from `source` and warms each; returns how
     /// many were pulled (less than `n` only at end of trace).
+    ///
+    /// Records arrive through [`TraceSource::fill`] in blocks of at most
+    /// [`DEFAULT_BATCH`], never past the `n`-th.
     pub fn warm_from(&mut self, source: &mut impl TraceSource, n: u64) -> u64 {
-        for pulled in 0..n {
-            match source.next_record() {
-                Some(r) => self.warm_record(&r),
-                None => return pulled,
+        let mut buf = [TraceRecord::Other(OtherRecord {
+            pc: 0,
+            class: OpClass::Nop,
+            dest: None,
+            src1: None,
+            src2: None,
+            wrong_path: false,
+        }); DEFAULT_BATCH];
+        let mut pulled = 0;
+        while pulled < n {
+            let want = (n - pulled).min(DEFAULT_BATCH as u64) as usize;
+            let got = source.fill(&mut buf[..want]);
+            for r in &buf[..got] {
+                self.warm_record(r);
+            }
+            pulled += got as u64;
+            if got < want {
+                break;
             }
         }
-        n
+        pulled
     }
 }
 
