@@ -58,7 +58,7 @@ fn main() {
     println!("Ablation 2 (SIV.A/B): pipeline organizations, gzip, 4-wide, Virtex-4");
     let org_points = EngineConfig::paper_4wide()
         .grid()
-        .pipelines(resim_core::PipelineOrganization::ALL)
+        .pipelines(resim_core::PipelineDescription::builtins())
         .build();
     let org_scenario = Scenario::new()
         .config_grid(org_points.clone(), tg)

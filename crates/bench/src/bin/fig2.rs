@@ -1,7 +1,7 @@
 //! Regenerates **Figure 2**: the simple serial pipeline (2N+3 minor
 //! cycles per major cycle), shown for a 4-wide processor.
 
-use resim_core::PipelineOrganization;
+use resim_core::PipelineDescription;
 
 fn main() {
     let width = std::env::args()
@@ -10,7 +10,10 @@ fn main() {
         .unwrap_or(4);
     println!(
         "{}",
-        PipelineOrganization::SimpleSerial.schedule(width).render()
+        PipelineDescription::simple()
+            .schedule(width)
+            .expect("a schedule needs width >= 1")
+            .render()
     );
     println!("Writeback and Lsq_refresh minor cycles precede Issue (paper SIV.A);");
     println!("DPL and CA stand for Decouple and Cache Access.");

@@ -1,7 +1,7 @@
 //! Regenerates **Figure 3**: the improved (efficient) pipeline including
 //! the L1 D-cache — N+4 minor cycles per major cycle.
 
-use resim_core::PipelineOrganization;
+use resim_core::PipelineDescription;
 
 fn main() {
     let width = std::env::args()
@@ -10,8 +10,9 @@ fn main() {
         .unwrap_or(4);
     println!(
         "{}",
-        PipelineOrganization::ImprovedSerial
+        PipelineDescription::improved()
             .schedule(width)
+            .expect("a schedule needs width >= 1")
             .render()
     );
     println!("Writeback is scheduled one cycle early (pipelined control, paper SIV.B);");

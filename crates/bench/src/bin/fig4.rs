@@ -2,7 +2,7 @@
 //! in parallel with the first Issue slot, which carries no load, giving
 //! N+3 minor cycles (requires at most N-1 memory ports).
 
-use resim_core::PipelineOrganization;
+use resim_core::PipelineDescription;
 
 fn main() {
     let width = std::env::args()
@@ -11,8 +11,9 @@ fn main() {
         .unwrap_or(4);
     println!(
         "{}",
-        PipelineOrganization::OptimizedSerial
+        PipelineDescription::optimized()
             .schedule(width)
+            .expect("a schedule needs width >= 1")
             .render()
     );
     println!("The first Issue slot considers no loads, so it needs no cache access and");

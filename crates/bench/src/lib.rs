@@ -143,7 +143,7 @@ pub fn table1_scenario(n: usize) -> Scenario {
         .opt_table("sweep")
         .expect("sweep is a table")
         .expect("[sweep] section present");
-    Scenario::from_table(sweep)
+    Scenario::from_table(sweep, None)
         .expect("embedded scenario is valid")
         .budgets([n])
 }

@@ -5,7 +5,7 @@
 //! same schedule grid cells in `resim describe`.
 
 use resim_cli::{run_for_test, ScenarioDoc};
-use resim_core::{Engine, EngineConfig, PipelineOrganization};
+use resim_core::{Engine, EngineConfig, PipelineDescription};
 use std::fs;
 use std::path::PathBuf;
 
@@ -150,11 +150,11 @@ name = "Commit"
 slots = "i+1"
 "#;
 
-fn pairs() -> [(&'static str, PipelineOrganization); 3] {
+fn pairs() -> [(&'static str, PipelineDescription); 3] {
     [
-        (SIMPLE_DECL, PipelineOrganization::SimpleSerial),
-        (IMPROVED_DECL, PipelineOrganization::ImprovedSerial),
-        (OPTIMIZED_DECL, PipelineOrganization::OptimizedSerial),
+        (SIMPLE_DECL, PipelineDescription::simple()),
+        (IMPROVED_DECL, PipelineDescription::improved()),
+        (OPTIMIZED_DECL, PipelineDescription::optimized()),
     ]
 }
 
@@ -166,7 +166,7 @@ fn declarative_builtins_are_bit_identical_on_the_golden_fixture() {
 
         let declarative = Engine::new(doc.engine.clone()).unwrap().run(trace.source());
         let reference_config = EngineConfig {
-            pipeline: org.description(),
+            pipeline: org.clone(),
             ..EngineConfig::paper_4wide()
         };
         let reference = Engine::new(reference_config.clone())
@@ -176,14 +176,14 @@ fn declarative_builtins_are_bit_identical_on_the_golden_fixture() {
         assert_eq!(
             declarative,
             reference,
-            "{}: SimStats must be bit-identical to the {} enum path",
+            "{}: SimStats must be bit-identical to the built-in {}",
             doc.engine.pipeline.name(),
             org.name(),
         );
 
         // Minor-cycle accounting: same per-major cost, same totals.
         let cost = doc.engine.minor_cycles_per_major();
-        assert_eq!(cost, org.minor_cycles_per_major(doc.engine.width));
+        assert_eq!(cost, org.minor_cycles_per_major(doc.engine.width).unwrap());
         assert_eq!(declarative.minor_cycles, declarative.cycles * cost);
     }
 }
@@ -194,7 +194,7 @@ fn declarative_builtins_render_the_same_schedule_grid() {
         let doc = ScenarioDoc::parse_str(decl).unwrap();
         for width in [2usize, 4, 8] {
             let custom = doc.engine.pipeline.schedule(width).unwrap();
-            let builtin = org.schedule(width);
+            let builtin = org.schedule(width).unwrap();
             // The header names the organization (and the figure for
             // built-ins); every grid line below it must match exactly.
             let custom_render = custom.render();
@@ -234,16 +234,16 @@ fn describe_renders_the_declarative_grid() {
 fn run_end_to_end_matches_between_paths() {
     let dir = scratch("run");
     let decl_path = dir.join("decl.toml");
-    let enum_path = dir.join("enum.toml");
+    let builtin_path = dir.join("builtin.toml");
     fs::write(&decl_path, format!("{IMPROVED_DECL}{GOLDEN_WORKLOAD}")).unwrap();
     fs::write(
-        &enum_path,
+        &builtin_path,
         format!("[engine]\npipeline = \"improved\"\n{GOLDEN_WORKLOAD}"),
     )
     .unwrap();
 
     let (code_a, out_a, err_a) = run_for_test(&["run", "-s", decl_path.to_str().unwrap()]);
-    let (code_b, out_b, err_b) = run_for_test(&["run", "-s", enum_path.to_str().unwrap()]);
+    let (code_b, out_b, err_b) = run_for_test(&["run", "-s", builtin_path.to_str().unwrap()]);
     assert_eq!(code_a, 0, "stderr: {err_a}");
     assert_eq!(code_b, 0, "stderr: {err_b}");
     assert_eq!(out_a, out_b, "run reports must be identical");

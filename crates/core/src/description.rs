@@ -10,24 +10,25 @@
 //! issue/writeback chain and whether loads are barred from the first
 //! issue slot (§IV.B).
 //!
-//! The three paper organizations survive as built-in constructors
+//! The three paper organizations are built-in constructors
 //! ([`PipelineDescription::simple`], [`PipelineDescription::improved`],
-//! [`PipelineDescription::optimized`]) whose grids are asserted
-//! bit-identical to the former hard-coded `schedule(width)` tables, so
-//! every golden fixture is preserved. Anything else — a 5-stage
+//! [`PipelineDescription::optimized`], all three in
+//! [`PipelineDescription::builtins`]), the only names a scenario can
+//! use without declaring a `[pipeline]`. Anything else — a 5-stage
 //! organization, a double-pumped writeback, a fetch row that spans two
 //! slots per way — is just another value of the same type, built in
 //! code or parsed from a scenario file's `[pipeline]` section
 //! (`PipelineDescription::from_table` in `from_table.rs`).
 //!
-//! The description is the *only* source of minor-cycle geometry: the
-//! [`MinorCycleScheduler`](crate::MinorCycleScheduler) derives its
-//! engine-cycle cost from [`PipelineDescription::schedule`] (highest
-//! occupied slot + 1), `resim describe` renders the same grid, and the
-//! FPGA area model includes a stage-logic row only when some
-//! description row maps onto it ([`PipelineDescription::area_keys`]).
+//! The description is the *only* source of minor-cycle geometry: a
+//! configuration derives its engine-cycle cost from
+//! [`PipelineDescription::schedule`] (highest occupied slot + 1, see
+//! [`EngineConfig::minor_cycles_per_major`](crate::EngineConfig::minor_cycles_per_major)),
+//! `resim describe` renders the same grid, and the FPGA area model
+//! includes a stage-logic row only when some description row maps onto
+//! it ([`PipelineDescription::area_keys`]).
 
-use crate::pipeline::{PipelineOrganization, Schedule, ScheduleRow};
+use crate::pipeline::{Schedule, ScheduleRow};
 use std::error::Error;
 use std::fmt;
 
@@ -521,15 +522,17 @@ impl PipelineDescription {
         }
     }
 
-    /// The built-in description for a paper organization name
-    /// (`"simple"`, `"improved"`, `"optimized"`).
+    /// The paper's three organizations, Figures 2–4 in order:
+    /// [`simple`](Self::simple), [`improved`](Self::improved) and
+    /// [`optimized`](Self::optimized).
+    pub fn builtins() -> [Self; 3] {
+        [Self::simple(), Self::improved(), Self::optimized()]
+    }
+
+    /// The built-in description named `name`, if one of
+    /// [`PipelineDescription::builtins`] carries it.
     pub fn builtin(name: &str) -> Option<Self> {
-        match name {
-            "simple" => Some(Self::simple()),
-            "improved" => Some(Self::improved()),
-            "optimized" => Some(Self::optimized()),
-            _ => None,
-        }
+        Self::builtins().into_iter().find(|d| d.name == name)
     }
 
     /// Display name (unique within a scenario).
@@ -837,12 +840,6 @@ impl fmt::Display for PipelineDescription {
     }
 }
 
-impl From<PipelineOrganization> for PipelineDescription {
-    fn from(org: PipelineOrganization) -> Self {
-        org.description()
-    }
-}
-
 /// Problems with a pipeline description, at parse or validation time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DescriptionError {
@@ -1021,11 +1018,7 @@ mod tests {
 
     #[test]
     fn builtins_validate_at_all_widths() {
-        for d in [
-            PipelineDescription::simple(),
-            PipelineDescription::improved(),
-            PipelineDescription::optimized(),
-        ] {
+        for d in PipelineDescription::builtins() {
             d.validate_shape().unwrap();
             for w in 1..=16 {
                 d.validate_at(w)
@@ -1065,21 +1058,19 @@ mod tests {
         assert!(PipelineDescription::improved().pipelined());
         assert!(PipelineDescription::optimized().restricts_first_slot_loads());
         assert!(!PipelineDescription::improved().restricts_first_slot_loads());
-        assert_eq!(
-            PipelineDescription::builtin("simple").unwrap().figure(),
-            Some(2)
-        );
+        // The built-ins are Figures 2–4 in order, each findable by name.
+        let figures = [("simple", 2), ("improved", 3), ("optimized", 4)];
+        for (d, (name, figure)) in PipelineDescription::builtins().iter().zip(figures) {
+            assert_eq!((d.name(), d.figure()), (name, Some(figure)));
+            assert_eq!(PipelineDescription::builtin(name).as_ref(), Some(d));
+        }
         assert!(PipelineDescription::builtin("turbo").is_none());
         assert_eq!(PipelineDescription::optimized().to_string(), "optimized");
     }
 
     #[test]
     fn builtin_area_keys_cover_all_stage_logic() {
-        for d in [
-            PipelineDescription::simple(),
-            PipelineDescription::improved(),
-            PipelineDescription::optimized(),
-        ] {
+        for d in PipelineDescription::builtins() {
             assert_eq!(d.area_keys(), STAGE_AREA_KEYS.to_vec(), "{}", d.name());
         }
     }

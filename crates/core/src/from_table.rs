@@ -16,8 +16,8 @@ use resim_mem::MemorySystemConfig;
 use resim_toml::{Error, Table, Value};
 
 /// Resolves a pipeline name as used in scenario files: the scenario's
-/// own `[pipeline]` description (when its name matches), or one of the
-/// built-ins `"simple"` / `"improved"` / `"optimized"`.
+/// own `[pipeline]` description (when its name matches), or one of
+/// [`PipelineDescription::builtins`].
 fn pipeline_by_name(
     name: &str,
     line: u32,
@@ -29,14 +29,21 @@ fn pipeline_by_name(
         }
     }
     PipelineDescription::builtin(name).ok_or_else(|| {
-        let expected = match custom {
-            Some(c) => format!(
-                "expected simple, improved, optimized or the scenario's {:?}",
-                c.name()
+        let mut names: Vec<String> = PipelineDescription::builtins()
+            .iter()
+            .map(|d| d.name().to_string())
+            .collect();
+        if let Some(c) = custom {
+            names.push(format!("the scenario's {:?}", c.name()));
+        }
+        let last = names.pop().expect("there are built-ins");
+        Error::new(
+            line,
+            format!(
+                "unknown pipeline {name:?} (expected {} or {last})",
+                names.join(", ")
             ),
-            None => "expected simple, improved or optimized".to_string(),
-        };
-        Error::new(line, format!("unknown pipeline {name:?} ({expected})"))
+        )
     })
 }
 
@@ -231,7 +238,9 @@ impl FuConfig {
 }
 
 impl EngineConfig {
-    /// Builds an engine configuration from an `[engine]` table.
+    /// Builds an engine configuration from an `[engine]` table, with the
+    /// scenario's `[pipeline]` description as `custom` when it declares
+    /// one.
     ///
     /// `preset` picks the starting point — `"paper-4wide"` (default) or
     /// `"paper-2wide-cached"`, the paper's two Table 1 machines — and
@@ -242,6 +251,11 @@ impl EngineConfig {
     /// `fu` ([`FuConfig::from_table`]), `predictor`
     /// ([`PredictorConfig::from_table`]) and `memory`
     /// ([`MemorySystemConfig::from_table`]).
+    ///
+    /// A `custom` description becomes the configuration's pipeline
+    /// (that is what declaring a `[pipeline]` section *means*), unless
+    /// a `pipeline = "..."` key explicitly picks a built-in; the key
+    /// also resolves the custom description by its own name.
     ///
     /// The result is structurally validated ([`EngineConfig::validate`]),
     /// so a table that parses is a configuration the engine accepts.
@@ -255,13 +269,13 @@ impl EngineConfig {
     /// [predictor]
     /// kind = "perfect"
     /// "#).unwrap();
-    /// let config = EngineConfig::from_table(&t).unwrap();
+    /// let config = EngineConfig::from_table(&t, None).unwrap();
     /// assert_eq!(config.rb_size, 32);
     /// assert_eq!(config.width, 4);
     ///
     /// // Structural problems are line-numbered diagnostics.
     /// let t = resim_toml::parse("width = 0").unwrap();
-    /// let err = EngineConfig::from_table(&t).unwrap_err();
+    /// let err = EngineConfig::from_table(&t, None).unwrap_err();
     /// assert!(err.to_string().contains("width"));
     /// ```
     ///
@@ -270,21 +284,7 @@ impl EngineConfig {
     /// A line-numbered [`Error`] for unknown keys, an unknown preset or
     /// pipeline name, sub-table problems, or a configuration that fails
     /// structural validation.
-    pub fn from_table(t: &Table) -> Result<Self, Error> {
-        Self::from_table_with(t, None)
-    }
-
-    /// Like [`EngineConfig::from_table`], but with the scenario's
-    /// `[pipeline]` description in scope: when `custom` is given it
-    /// becomes the configuration's pipeline (that is what declaring a
-    /// `[pipeline]` section *means*), unless a `pipeline = "..."` key
-    /// explicitly picks a built-in — and the custom description is also
-    /// resolvable by its own name there.
-    ///
-    /// # Errors
-    ///
-    /// As [`EngineConfig::from_table`].
-    pub fn from_table_with(t: &Table, custom: Option<&PipelineDescription>) -> Result<Self, Error> {
+    pub fn from_table(t: &Table, custom: Option<&PipelineDescription>) -> Result<Self, Error> {
         t.ensure_only(&[
             "preset",
             "width",
@@ -367,9 +367,10 @@ impl ConfigGrid {
     /// `base` (itself usually an [`EngineConfig::from_table`] result).
     ///
     /// Axis keys — each an array, each optional: `widths`, `rb_sizes`,
-    /// `lsq_sizes`, `pipelines` (organization names). The predictor and
-    /// memory axes of the builder API stay library-only; vary those via
-    /// explicit `[[sweep.config]]` entries.
+    /// `lsq_sizes`, `pipelines` (organization names: the built-ins, and
+    /// the scenario's `[pipeline]` when it is given as `custom`). The
+    /// predictor and memory axes of the builder API stay library-only;
+    /// vary those via explicit `[[sweep.config]]` entries.
     ///
     /// Axis *values* are validated here (unknown keys, unknown
     /// pipeline names); whether the *combinations* produce valid
@@ -383,7 +384,7 @@ impl ConfigGrid {
     /// use resim_core::{ConfigGrid, EngineConfig};
     ///
     /// let t = resim_toml::parse("widths = [2, 4]\nrb_sizes = [16, 32]").unwrap();
-    /// let grid = ConfigGrid::from_table(EngineConfig::paper_4wide(), &t).unwrap();
+    /// let grid = ConfigGrid::from_table(EngineConfig::paper_4wide(), &t, None).unwrap();
     /// let points = grid.try_build().unwrap();
     /// assert_eq!(points.len(), 4);
     /// assert_eq!(points[0].0, "w2-rb16");
@@ -393,17 +394,7 @@ impl ConfigGrid {
     ///
     /// A line-numbered [`Error`] for unknown keys or unknown pipeline
     /// names.
-    pub fn from_table(base: EngineConfig, t: &Table) -> Result<Self, Error> {
-        Self::from_table_with(base, t, None)
-    }
-
-    /// Like [`ConfigGrid::from_table`], with the scenario's `[pipeline]`
-    /// description resolvable by name on the `pipelines` axis.
-    ///
-    /// # Errors
-    ///
-    /// As [`ConfigGrid::from_table`].
-    pub fn from_table_with(
+    pub fn from_table(
         base: EngineConfig,
         t: &Table,
         custom: Option<&PipelineDescription>,
@@ -445,7 +436,7 @@ mod tests {
     use resim_bpred::DirectionConfig;
 
     fn parse(s: &str) -> Result<EngineConfig, Error> {
-        EngineConfig::from_table(&resim_toml::parse(s).unwrap())
+        EngineConfig::from_table(&resim_toml::parse(s).unwrap(), None)
     }
 
     #[test]
@@ -503,19 +494,19 @@ mod tests {
 
         // With a [pipeline] in scope, it becomes the engine default...
         let engine = resim_toml::parse("width = 2\nmem_read_ports = 1").unwrap();
-        let c = EngineConfig::from_table_with(&engine, Some(&d)).unwrap();
+        let c = EngineConfig::from_table(&engine, Some(&d)).unwrap();
         assert_eq!(c.pipeline, d);
         // ...resolvable by name, and built-ins stay nameable.
         let engine = resim_toml::parse("pipeline = \"dual\"").unwrap();
         assert_eq!(
-            EngineConfig::from_table_with(&engine, Some(&d))
+            EngineConfig::from_table(&engine, Some(&d))
                 .unwrap()
                 .pipeline,
             d
         );
         let engine = resim_toml::parse("pipeline = \"improved\"").unwrap();
         assert_eq!(
-            EngineConfig::from_table_with(&engine, Some(&d))
+            EngineConfig::from_table(&engine, Some(&d))
                 .unwrap()
                 .pipeline,
             PipelineDescription::improved()
@@ -621,7 +612,7 @@ mod tests {
     fn grid_axes_parse_and_build() {
         let t = resim_toml::parse("widths = [1, 2, 4]\npipelines = [\"improved\", \"optimized\"]")
             .unwrap();
-        let grid = ConfigGrid::from_table(EngineConfig::paper_4wide(), &t).unwrap();
+        let grid = ConfigGrid::from_table(EngineConfig::paper_4wide(), &t, None).unwrap();
         let points = grid.try_build().unwrap();
         assert_eq!(points.len(), 6);
         for (name, c) in &points {
@@ -632,14 +623,16 @@ mod tests {
     #[test]
     fn impossible_grid_axes_error_at_try_build_instead_of_panicking() {
         let t = resim_toml::parse("rb_sizes = [2]").unwrap();
-        let grid = ConfigGrid::from_table(EngineConfig::paper_4wide(), &t).unwrap();
+        let grid = ConfigGrid::from_table(EngineConfig::paper_4wide(), &t, None).unwrap();
         let (name, e) = grid.try_build().unwrap_err();
         assert_eq!(name, "rb2");
         assert!(e.to_string().contains("RB"), "{e}");
         let t = resim_toml::parse("lanes = [2]").unwrap();
-        assert!(ConfigGrid::from_table(EngineConfig::paper_4wide(), &t)
-            .unwrap_err()
-            .to_string()
-            .contains("unknown key"));
+        assert!(
+            ConfigGrid::from_table(EngineConfig::paper_4wide(), &t, None)
+                .unwrap_err()
+                .to_string()
+                .contains("unknown key")
+        );
     }
 }

@@ -88,14 +88,10 @@ impl ConfigGrid {
         self
     }
 
-    /// Varies the internal pipeline organization; accepts
-    /// [`PipelineDescription`] values or the built-in
-    /// [`PipelineOrganization`](crate::PipelineOrganization) handles.
-    pub fn pipelines(
-        mut self,
-        orgs: impl IntoIterator<Item = impl Into<PipelineDescription>>,
-    ) -> Self {
-        self.pipelines = orgs.into_iter().map(Into::into).collect();
+    /// Varies the internal pipeline organization: the built-ins
+    /// ([`PipelineDescription::builtins`]) or any custom description.
+    pub fn pipelines(mut self, orgs: impl IntoIterator<Item = PipelineDescription>) -> Self {
+        self.pipelines = orgs.into_iter().collect();
         self
     }
 
@@ -286,7 +282,6 @@ impl ConfigGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::PipelineOrganization;
 
     #[test]
     fn empty_grid_is_the_base_point() {
@@ -340,13 +335,13 @@ mod tests {
         let grid = EngineConfig::paper_4wide()
             .grid()
             .widths([2, 4])
-            .pipelines(PipelineOrganization::ALL);
+            .pipelines(PipelineDescription::builtins());
         assert_eq!(grid.len(), 6);
         let points = grid.build();
         assert_eq!(points.len(), 6);
         assert_eq!(
             points[0].0,
-            format!("w2-{}", PipelineOrganization::ALL[0].name())
+            format!("w2-{}", PipelineDescription::simple().name())
         );
         // Width-major, pipeline-minor ordering.
         assert!(points[2].0.starts_with("w2-"));

@@ -16,14 +16,15 @@
 //! processor *serially*: each simulated **major cycle** is split into
 //! **minor cycles**, and three internal pipeline organizations trade
 //! engine latency for implementation simplicity
-//! ([`PipelineOrganization`], Figures 2–4: `2N+3`, `N+4`, `N+3` minor
-//! cycles). In this reproduction the engine is that structure made
+//! ([`PipelineDescription::builtins`], Figures 2–4: `2N+3`, `N+4`, `N+3`
+//! minor cycles). In this reproduction the engine is that structure made
 //! explicit: each of the six stages is a fixed unit over the shared
 //! [`CoreState`], and the [`MinorCycleScheduler`] calls them directly in
-//! the fixed evaluation order and owns the per-organization minor-cycle
-//! accounting — derived from the organization's schedule grid, exactly
-//! as the grid determines the FPGA engine's MIPS (`resim-fpga` turns it
-//! into simulated MIPS).
+//! the fixed evaluation order. The minor-cycle cost belongs to the
+//! configuration ([`EngineConfig::minor_cycles_per_major`], derived from
+//! the description's schedule grid) and is charged by one rule,
+//! [`SimStats::with_minor_cycle_cost`] — exactly as the grid determines
+//! the FPGA engine's MIPS (`resim-fpga` turns it into simulated MIPS).
 //!
 //! ## Quick start
 //!
@@ -77,7 +78,7 @@ pub use description::{
 pub use engine::Engine;
 pub use grid::ConfigGrid;
 pub use lsq::{LoadReady, LoadStoreQueue, LsqEntry};
-pub use pipeline::{PipelineOrganization, Schedule, ScheduleRow};
+pub use pipeline::{Schedule, ScheduleRow};
 pub use rob::{
     InstState, PendingSet, Producer, ReorderBuffer, RobEntry, RobEntryMut, RobEntryView,
 };

@@ -1,16 +1,15 @@
-//! ReSim's internal (minor-cycle) pipeline organizations — the paper's
-//! §IV and Figures 2–4.
+//! Minor-cycle schedules: the grids of the paper's §IV and Figures 2–4.
 //!
 //! ReSim processes the simulated processor's N ways *serially*: one
 //! **major cycle** (simulated cycle) is split into **minor cycles**, each
 //! handling one stage step for one way. The paper develops three
-//! organizations:
+//! organizations, each a built-in [`PipelineDescription`]:
 //!
 //! | Organization | Minor cycles per major | Key idea |
 //! |---|---|---|
-//! | [`SimpleSerial`] (Fig. 2) | `2N + 3` | Writeback → Lsq_refresh → Issue strictly ordered |
-//! | [`ImprovedSerial`] (Fig. 3) | `N + 4` | Writeback pipelined one cycle behind Issue (pipelined control); cache access before writeback |
-//! | [`OptimizedSerial`] (Fig. 4) | `N + 3` | Lsq_refresh in parallel with the first Issue slot; no load may issue in slot 0; requires ≤ N−1 memory ports |
+//! | [`simple`] (Fig. 2) | `2N + 3` | Writeback → Lsq_refresh → Issue strictly ordered |
+//! | [`improved`] (Fig. 3) | `N + 4` | Writeback pipelined one cycle behind Issue (pipelined control); cache access before writeback |
+//! | [`optimized`] (Fig. 4) | `N + 3` | Lsq_refresh in parallel with the first Issue slot; no load may issue in slot 0; requires ≤ N−1 memory ports |
 //!
 //! The organizations are *semantically equivalent*: the simulated
 //! processor's timing is identical under all three (the optimized form
@@ -18,105 +17,14 @@
 //! throughput — fewer minor cycles per major cycle means more simulated
 //! MIPS at the same FPGA clock.
 //!
-//! Since the declarative-pipeline refactor, these three are no longer
-//! special: each is a built-in [`PipelineDescription`] (obtained via
-//! [`PipelineOrganization::description`]), and the grids below are
-//! *derived* from those descriptions, bit-identical to the original
-//! hand-coded tables. The enum survives as the convenient closed-world
-//! handle for the paper's organizations; anything richer goes through
-//! [`PipelineDescription`] directly.
+//! A [`Schedule`] is one description's grid at one width
+//! ([`PipelineDescription::schedule`]), rendered as the paper draws it.
 //!
-//! [`SimpleSerial`]: PipelineOrganization::SimpleSerial
-//! [`ImprovedSerial`]: PipelineOrganization::ImprovedSerial
-//! [`OptimizedSerial`]: PipelineOrganization::OptimizedSerial
-
-use crate::description::PipelineDescription;
-use std::fmt;
-
-/// The three internal pipeline organizations of §IV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PipelineOrganization {
-    /// Figure 2: strict WB → Lsq_refresh → Issue chain, `2N+3`.
-    SimpleSerial,
-    /// Figure 3: Issue/Writeback overlapped via pipelined control, `N+4`.
-    ImprovedSerial,
-    /// Figure 4: Lsq_refresh ∥ first Issue, no load in slot 0, `N+3`.
-    OptimizedSerial,
-}
-
-impl PipelineOrganization {
-    /// All organizations, in presentation order.
-    pub const ALL: [PipelineOrganization; 3] = [
-        PipelineOrganization::SimpleSerial,
-        PipelineOrganization::ImprovedSerial,
-        PipelineOrganization::OptimizedSerial,
-    ];
-
-    /// The declarative description of this organization — the data the
-    /// scheduler, grid renderer, and area model actually consume.
-    pub fn description(self) -> PipelineDescription {
-        match self {
-            PipelineOrganization::SimpleSerial => PipelineDescription::simple(),
-            PipelineOrganization::ImprovedSerial => PipelineDescription::improved(),
-            PipelineOrganization::OptimizedSerial => PipelineDescription::optimized(),
-        }
-    }
-
-    /// Minor cycles consumed per major (simulated) cycle for an `N`-wide
-    /// processor.
-    pub fn minor_cycles_per_major(self, width: usize) -> u64 {
-        let n = width as u64;
-        match self {
-            PipelineOrganization::SimpleSerial => 2 * n + 3,
-            PipelineOrganization::ImprovedSerial => n + 4,
-            PipelineOrganization::OptimizedSerial => n + 3,
-        }
-    }
-
-    /// Whether loads are barred from the first issue slot (§IV.B's
-    /// optimization).
-    pub fn restricts_first_slot_loads(self) -> bool {
-        matches!(self, PipelineOrganization::OptimizedSerial)
-    }
-
-    /// Short display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            PipelineOrganization::SimpleSerial => "simple",
-            PipelineOrganization::ImprovedSerial => "improved",
-            PipelineOrganization::OptimizedSerial => "optimized",
-        }
-    }
-
-    /// The paper figure this organization is drawn in.
-    pub fn figure(self) -> u32 {
-        match self {
-            PipelineOrganization::SimpleSerial => 2,
-            PipelineOrganization::ImprovedSerial => 3,
-            PipelineOrganization::OptimizedSerial => 4,
-        }
-    }
-
-    /// Builds the minor-cycle schedule of one major cycle for an
-    /// `N`-wide processor (the content of Figures 2–4), derived from
-    /// [`PipelineOrganization::description`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero.
-    pub fn schedule(self, width: usize) -> Schedule {
-        assert!(width >= 1, "schedule needs width >= 1");
-        self.description()
-            .schedule(width)
-            .expect("builtin descriptions are valid at any width >= 1")
-    }
-}
-
-impl fmt::Display for PipelineOrganization {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+//! [`PipelineDescription`]: crate::PipelineDescription
+//! [`PipelineDescription::schedule`]: crate::PipelineDescription::schedule
+//! [`simple`]: crate::PipelineDescription::simple
+//! [`improved`]: crate::PipelineDescription::improved
+//! [`optimized`]: crate::PipelineDescription::optimized
 
 /// One stage row of a minor-cycle schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -238,51 +146,17 @@ impl Schedule {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn latencies_match_paper_formulas() {
-        // The paper's worked example is the 4-wide machine: 11 / 8 / 7.
-        assert_eq!(
-            PipelineOrganization::SimpleSerial.minor_cycles_per_major(4),
-            11
-        );
-        assert_eq!(
-            PipelineOrganization::ImprovedSerial.minor_cycles_per_major(4),
-            8
-        );
-        assert_eq!(
-            PipelineOrganization::OptimizedSerial.minor_cycles_per_major(4),
-            7
-        );
-        // And the 2-wide cached configuration of Table 1 right: N+4 = 6.
-        assert_eq!(
-            PipelineOrganization::ImprovedSerial.minor_cycles_per_major(2),
-            6
-        );
-        for w in 1..=16 {
-            let n = w as u64;
-            assert_eq!(
-                PipelineOrganization::SimpleSerial.minor_cycles_per_major(w),
-                2 * n + 3
-            );
-            assert_eq!(
-                PipelineOrganization::ImprovedSerial.minor_cycles_per_major(w),
-                n + 4
-            );
-            assert_eq!(
-                PipelineOrganization::OptimizedSerial.minor_cycles_per_major(w),
-                n + 3
-            );
-        }
-    }
+    use crate::description::PipelineDescription;
 
     #[test]
     fn schedules_fit_their_budget() {
-        for org in PipelineOrganization::ALL {
+        for d in PipelineDescription::builtins() {
             for w in 1..=8 {
-                let s = org.schedule(w);
-                assert_eq!(s.minor_cycles() as u64, org.minor_cycles_per_major(w));
+                let s = d.schedule(w).unwrap();
+                assert_eq!(
+                    s.minor_cycles() as u64,
+                    d.minor_cycles_per_major(w).unwrap()
+                );
                 for r in s.rows() {
                     assert_eq!(r.cells.len(), s.minor_cycles());
                 }
@@ -291,20 +165,10 @@ mod tests {
     }
 
     #[test]
-    fn enum_schedule_matches_description_schedule() {
-        // The enum path is a thin veneer over the description path.
-        for org in PipelineOrganization::ALL {
-            for w in 1..=8 {
-                assert_eq!(org.schedule(w), org.description().schedule(w).unwrap());
-            }
-        }
-    }
-
-    #[test]
     fn simple_orders_wb_before_lsqr_before_issue() {
         // §IV.A: "first Writeback is performed ... Then Lsq_refresh ...
         // Then Issue can proceed".
-        let s = PipelineOrganization::SimpleSerial.schedule(4);
+        let s = PipelineDescription::simple().schedule(4).unwrap();
         let last_wb = s.slot_of("Writeback", "W3").unwrap();
         let lr = s.slot_of("Lsq_refresh", "LR").unwrap();
         let first_issue = s.slot_of("Issue-1", "I0").unwrap();
@@ -316,7 +180,7 @@ mod tests {
     fn improved_issues_before_writeback() {
         // §IV.B: "the Issue minor-cycle is performed before the Writeback
         // minor-cycle during a major-cycle", and CA precedes WB.
-        let s = PipelineOrganization::ImprovedSerial.schedule(4);
+        let s = PipelineDescription::improved().schedule(4).unwrap();
         for i in 0..4 {
             let issue = s.slot_of("Issue", &format!("I{i}")).unwrap();
             let ca = s.slot_of("CacheAccess", &format!("CA{i}")).unwrap();
@@ -333,7 +197,8 @@ mod tests {
         // §IV.B: "we allow the execution of Lsq_refresh and of the first
         // Issue to be performed in parallel" and "we disallow the issue
         // and execution of a load instruction in the first slot".
-        let s = PipelineOrganization::OptimizedSerial.schedule(4);
+        let optimized = PipelineDescription::optimized();
+        let s = optimized.schedule(4).unwrap();
         assert_eq!(
             s.slot_of("Lsq_refresh", "LR"),
             s.slot_of("Issue", "I0"),
@@ -344,29 +209,18 @@ mod tests {
             None,
             "slot 0 has no cache access because it cannot carry a load"
         );
-        assert!(PipelineOrganization::OptimizedSerial.restricts_first_slot_loads());
-        assert!(!PipelineOrganization::ImprovedSerial.restricts_first_slot_loads());
+        assert!(optimized.restricts_first_slot_loads());
+        assert!(!PipelineDescription::improved().restricts_first_slot_loads());
     }
 
     #[test]
     fn render_contains_all_labels() {
-        let s = PipelineOrganization::OptimizedSerial.schedule(4);
+        let s = PipelineDescription::optimized().schedule(4).unwrap();
         let text = s.render();
         for label in ["LR", "I0", "I3", "W0", "CA1", "F0", "C3"] {
             assert!(text.contains(label), "render must include {label}:\n{text}");
         }
         assert!(text.contains("7 minor cycles"));
         assert!(text.contains("optimized pipeline (Figure 4)"));
-    }
-
-    #[test]
-    fn names_and_figures() {
-        assert_eq!(PipelineOrganization::SimpleSerial.figure(), 2);
-        assert_eq!(PipelineOrganization::ImprovedSerial.figure(), 3);
-        assert_eq!(PipelineOrganization::OptimizedSerial.figure(), 4);
-        assert_eq!(
-            PipelineOrganization::OptimizedSerial.to_string(),
-            "optimized"
-        );
     }
 }

@@ -214,14 +214,15 @@ impl CoreState {
 mod tests {
     use super::*;
     use crate::config::FuConfig;
-    use crate::pipeline::PipelineOrganization;
+    use crate::description::PipelineDescription;
 
     #[test]
     fn grid_derived_cost_matches_the_paper_formulas() {
         // The state charges the cost its configuration derives from the
         // schedule grid; the paper's closed-form 2N+3 / N+4 / N+3 must
         // agree for every organization and width.
-        for org in PipelineOrganization::ALL {
+        let formulas: [fn(u64) -> u64; 3] = [|n| 2 * n + 3, |n| n + 4, |n| n + 3];
+        for (org, formula) in PipelineDescription::builtins().into_iter().zip(formulas) {
             for width in 1..=16usize {
                 let config = EngineConfig {
                     width,
@@ -232,12 +233,12 @@ mod tests {
                         ..Default::default()
                     },
                     mem_read_ports: 1.max(width.saturating_sub(1).min(2)),
-                    pipeline: org.description(),
+                    pipeline: org.clone(),
                     ..EngineConfig::paper_4wide()
                 };
                 assert_eq!(
                     config.minor_cycles_per_major(),
-                    org.minor_cycles_per_major(width),
+                    formula(width as u64),
                     "{org} at width {width}: grid-derived cost diverged from the formula"
                 );
                 // Optimized at width 1 fails the port rule; every

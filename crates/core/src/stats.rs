@@ -627,7 +627,7 @@ mod tests {
         assert!(stats.covers(&ran, &with(|c| c.rb_size = 256)));
         assert!(stats.covers(
             &ran,
-            &with(|c| c.pipeline = crate::PipelineOrganization::SimpleSerial.description())
+            &with(|c| c.pipeline = crate::PipelineDescription::simple())
         ));
         // At its maximum the RB would have filled; the IFQ and LSQ did.
         assert!(!stats.covers(&ran, &with(|c| c.rb_size = 40)));

@@ -3,7 +3,7 @@
 //! the stage-graph engine.
 
 use resim_core::{
-    ConfigError, Engine, EngineConfig, FuConfig, PipelineOrganization, SimStats, TraceCursor,
+    ConfigError, Engine, EngineConfig, FuConfig, PipelineDescription, SimStats, TraceCursor,
 };
 use resim_trace::{
     BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, Reg, Trace,
@@ -241,7 +241,7 @@ fn cached_config_is_slower_than_perfect_memory() {
         EngineConfig {
             predictor: resim_bpred::PredictorConfig::perfect(),
             memory: resim_mem::MemorySystemConfig::l1_32k(),
-            pipeline: PipelineOrganization::ImprovedSerial.description(),
+            pipeline: PipelineDescription::improved(),
             ..EngineConfig::paper_4wide()
         },
     );

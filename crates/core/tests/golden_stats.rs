@@ -18,7 +18,7 @@
 //! synthetic aliasing trace, which the gzip trace never exercises.
 
 use resim_bpred::PredictorStats;
-use resim_core::{Engine, EngineConfig, PipelineOrganization, SimStats};
+use resim_core::{Engine, EngineConfig, PipelineDescription, SimStats};
 use resim_mem::{CacheStats, MemorySystemStats};
 use resim_trace::{
     BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, Reg, Trace,
@@ -42,7 +42,7 @@ fn golden_trace() -> Trace {
 fn cached_config() -> EngineConfig {
     EngineConfig {
         memory: resim_mem::MemorySystemConfig::l1_32k(),
-        pipeline: PipelineOrganization::ImprovedSerial.description(),
+        pipeline: PipelineDescription::improved(),
         ..EngineConfig::paper_4wide()
     }
 }
@@ -343,86 +343,32 @@ fn aliasing_trace() -> Trace {
     Trace::from_records(recs)
 }
 
-/// One forwarding pin: `(lsq_size, cached memory?, organization)` →
+/// One forwarding pin: `(lsq_size, cached memory?, built-in pipeline)` →
 /// `(SimStats::digest(), cycles, load_forwards)` over [`aliasing_trace`]
 /// on a 64-entry RB.
-type ForwardPin = ((usize, bool, PipelineOrganization), (u64, u64, u64));
+type ForwardPin = ((usize, bool, &'static str), (u64, u64, u64));
 
 /// Pins of the forwarding paths, recorded on the LSQ that recomputed
 /// readiness in a per-cycle `Lsq_refresh` pass.
 const FORWARD_PINS: &[ForwardPin] = &[
-    (
-        (4, false, PipelineOrganization::SimpleSerial),
-        (0x72e9c130a560280a, 6254, 876),
-    ),
-    (
-        (4, false, PipelineOrganization::ImprovedSerial),
-        (0x5985e60a7edc5180, 6254, 876),
-    ),
-    (
-        (4, false, PipelineOrganization::OptimizedSerial),
-        (0x1ac62a6e6708538e, 6254, 876),
-    ),
-    (
-        (4, true, PipelineOrganization::SimpleSerial),
-        (0xf0e64e05ea23ef03, 6281, 875),
-    ),
-    (
-        (4, true, PipelineOrganization::ImprovedSerial),
-        (0x06be8f0085e35b3e, 6281, 875),
-    ),
-    (
-        (4, true, PipelineOrganization::OptimizedSerial),
-        (0x570f92b0c5edc148, 6281, 875),
-    ),
-    (
-        (8, false, PipelineOrganization::SimpleSerial),
-        (0xef342950c87d951a, 5132, 1000),
-    ),
-    (
-        (8, false, PipelineOrganization::ImprovedSerial),
-        (0x45ae589c0cdd79ea, 5132, 1000),
-    ),
-    (
-        (8, false, PipelineOrganization::OptimizedSerial),
-        (0xd83f2b1927ca7d5a, 5132, 1000),
-    ),
-    (
-        (8, true, PipelineOrganization::SimpleSerial),
-        (0x171dcb980677f116, 5208, 1022),
-    ),
-    (
-        (8, true, PipelineOrganization::ImprovedSerial),
-        (0x01e7424e5f51fbd5, 5208, 1022),
-    ),
-    (
-        (8, true, PipelineOrganization::OptimizedSerial),
-        (0x431348aa81eb46f1, 5208, 1022),
-    ),
-    (
-        (32, false, PipelineOrganization::SimpleSerial),
-        (0xa08ef999fea6a462, 4012, 1124),
-    ),
-    (
-        (32, false, PipelineOrganization::ImprovedSerial),
-        (0xa49646ed5e7990a1, 4012, 1124),
-    ),
-    (
-        (32, false, PipelineOrganization::OptimizedSerial),
-        (0x68fd8a31377f22d5, 4012, 1124),
-    ),
-    (
-        (32, true, PipelineOrganization::SimpleSerial),
-        (0x9d3f073fd82a9b79, 4047, 1123),
-    ),
-    (
-        (32, true, PipelineOrganization::ImprovedSerial),
-        (0x21621d5ad066e449, 4047, 1123),
-    ),
-    (
-        (32, true, PipelineOrganization::OptimizedSerial),
-        (0xce1c873804294650, 4047, 1123),
-    ),
+    ((4, false, "simple"), (0x72e9c130a560280a, 6254, 876)),
+    ((4, false, "improved"), (0x5985e60a7edc5180, 6254, 876)),
+    ((4, false, "optimized"), (0x1ac62a6e6708538e, 6254, 876)),
+    ((4, true, "simple"), (0xf0e64e05ea23ef03, 6281, 875)),
+    ((4, true, "improved"), (0x06be8f0085e35b3e, 6281, 875)),
+    ((4, true, "optimized"), (0x570f92b0c5edc148, 6281, 875)),
+    ((8, false, "simple"), (0xef342950c87d951a, 5132, 1000)),
+    ((8, false, "improved"), (0x45ae589c0cdd79ea, 5132, 1000)),
+    ((8, false, "optimized"), (0xd83f2b1927ca7d5a, 5132, 1000)),
+    ((8, true, "simple"), (0x171dcb980677f116, 5208, 1022)),
+    ((8, true, "improved"), (0x01e7424e5f51fbd5, 5208, 1022)),
+    ((8, true, "optimized"), (0x431348aa81eb46f1, 5208, 1022)),
+    ((32, false, "simple"), (0xa08ef999fea6a462, 4012, 1124)),
+    ((32, false, "improved"), (0xa49646ed5e7990a1, 4012, 1124)),
+    ((32, false, "optimized"), (0x68fd8a31377f22d5, 4012, 1124)),
+    ((32, true, "simple"), (0x9d3f073fd82a9b79, 4047, 1123)),
+    ((32, true, "improved"), (0x21621d5ad066e449, 4047, 1123)),
+    ((32, true, "optimized"), (0xce1c873804294650, 4047, 1123)),
 ];
 
 #[test]
@@ -431,9 +377,9 @@ fn store_to_load_forwarding_matches_the_pins() {
     let mut got = Vec::new();
     for lsq_size in [4, 8, 32] {
         for cached in [false, true] {
-            for org in PipelineOrganization::ALL {
+            for org in ["simple", "improved", "optimized"] {
                 let config = EngineConfig {
-                    pipeline: org.description(),
+                    pipeline: PipelineDescription::builtin(org).unwrap(),
                     ..window_config(64, lsq_size, cached)
                 };
                 let stats = Engine::new(config).unwrap().run(trace.source());

@@ -2,7 +2,7 @@
 //! randomly-parameterised synthetic workloads.
 
 use proptest::prelude::*;
-use resim_core::{Engine, EngineConfig, FuConfig, PipelineDescription, PipelineOrganization};
+use resim_core::{Engine, EngineConfig, FuConfig, PipelineDescription};
 use resim_tracegen::{generate_trace, TraceGenConfig};
 use resim_workloads::{SpecBenchmark, Workload, WorkloadProfile};
 
@@ -38,7 +38,7 @@ fn arb_profile() -> impl Strategy<Value = WorkloadProfile> {
 }
 
 /// The `[pipeline]` sections of every shipped `examples/pipelines/*.toml`.
-fn example_pipelines() -> Vec<(&'static str, PipelineDescription)> {
+fn example_pipelines() -> Vec<PipelineDescription> {
     ["simple", "improved", "optimized", "fused"]
         .into_iter()
         .map(|name| {
@@ -52,10 +52,7 @@ fn example_pipelines() -> Vec<(&'static str, PipelineDescription)> {
                 .opt_table("pipeline")
                 .unwrap()
                 .expect("example has [pipeline]");
-            (
-                name,
-                PipelineDescription::from_table(table).expect("example pipeline is valid"),
-            )
+            PipelineDescription::from_table(table).expect("example pipeline is valid")
         })
         .collect()
 }
@@ -77,9 +74,9 @@ fn arb_config() -> impl Strategy<Value = EngineConfig> {
             },
             mem_read_ports: (width - 1).max(1),
             pipeline: if width == 1 {
-                PipelineOrganization::ImprovedSerial.description()
+                PipelineDescription::improved()
             } else {
-                PipelineOrganization::OptimizedSerial.description()
+                PipelineDescription::optimized()
             },
             ..EngineConfig::paper_4wide()
         })
@@ -140,7 +137,6 @@ proptest! {
             (perfect, TraceGenConfig::paper()),
             (EngineConfig::paper_2wide_cached(), TraceGenConfig::perfect()),
         ];
-        let builtins = PipelineOrganization::ALL.map(|org| (org.name(), org.description()));
         for (machine, tracegen) in machines {
             let trace = generate_trace(Workload::new(&profile, seed), 4_000, &tracegen);
             let run = |pipeline: &PipelineDescription| {
@@ -149,12 +145,12 @@ proptest! {
                 (config.minor_cycles_per_major(), stats)
             };
             let (_, base) = run(&machine.pipeline);
-            for (name, pipeline) in builtins.iter().cloned().chain(example_pipelines()) {
+            for pipeline in PipelineDescription::builtins().into_iter().chain(example_pipelines()) {
                 let (cost, stats) = run(&pipeline);
                 prop_assert_eq!(
                     stats,
                     base.with_minor_cycle_cost(cost),
-                    "{} at width {}: timing differs", name, machine.width
+                    "{} at width {}: timing differs", pipeline.name(), machine.width
                 );
             }
         }
@@ -185,7 +181,7 @@ proptest! {
         lsq in prop_oneof![Just(4usize), Just(8), Just(64), Just(128)],
         larger in 0usize..200,
     ) {
-        let organizations = PipelineOrganization::ALL;
+        let organizations = PipelineDescription::builtins();
         let workload = Workload::spec(SpecBenchmark::ALL[bench], seed);
         let trace = generate_trace(workload, budget, &TraceGenConfig::paper());
         let ran = EngineConfig {
@@ -197,12 +193,12 @@ proptest! {
             } else {
                 resim_mem::MemorySystemConfig::perfect()
             },
-            pipeline: organizations[organization].description(),
+            pipeline: organizations[organization].clone(),
             ..EngineConfig::paper_4wide()
         };
         let stats = Engine::new(ran.clone()).unwrap().run(trace.source());
         let width = ran.width;
-        let other_pipeline = organizations[(organization + 1) % 3].description();
+        let other_pipeline = organizations[(organization + 1) % 3].clone();
 
         type Size = fn(&EngineConfig) -> usize;
         type Resize = fn(&mut EngineConfig, usize);

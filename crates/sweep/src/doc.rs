@@ -135,16 +135,7 @@ impl ScenarioDoc {
         };
 
         let engine_table = doc.opt_table("engine")?;
-        let engine = match engine_table {
-            Some(t) => EngineConfig::from_table_with(t, pipeline.as_ref())?,
-            None => match &pipeline {
-                Some(p) => EngineConfig {
-                    pipeline: p.clone(),
-                    ..EngineConfig::paper_4wide()
-                },
-                None => EngineConfig::paper_4wide(),
-            },
-        };
+        let engine = crate::from_table::engine_from(engine_table, pipeline.as_ref())?;
         // The single inheritance rule shared with the sweep grid: the
         // generator predictor follows the engine's unless given.
         let tracegen = crate::resolve_tracegen(&engine, doc.opt_table("tracegen")?)?;
@@ -264,11 +255,11 @@ impl ScenarioDoc {
             .sweep
             .as_ref()
             .ok_or_else(|| Error::new(0, "this command needs a [sweep] section"))?;
-        let scenario = Scenario::from_table_with(t, self.pipeline.as_ref())?;
+        let scenario = Scenario::from_table(t, self.pipeline.as_ref())?;
         let Some(grid) = t.opt_table("grid")?.filter(|_| self.engine_explicit) else {
             return Ok(scenario);
         };
-        let base = crate::from_table::grid_base(grid, self.pipeline.as_ref())?;
+        let base = crate::from_table::engine_from(grid.opt_table("base")?, self.pipeline.as_ref())?;
         if base.fingerprint() == self.engine.fingerprint() {
             return Ok(scenario);
         }

@@ -99,7 +99,9 @@ pub(crate) const SWEEP_KEYS: &[&str] = &[
 ];
 
 impl Scenario {
-    /// Builds a sweep scenario from a `[sweep]` table.
+    /// Builds a sweep scenario from a `[sweep]` table, with the
+    /// scenario's top-level `[pipeline]` description (parsed by the
+    /// caller) as `custom` when it declares one.
     ///
     /// Axes:
     ///
@@ -115,6 +117,11 @@ impl Scenario {
     ///   [`ConfigGrid::from_table`], an optional `base` engine table
     ///   and an optional shared `tracegen` table). At least one
     ///   configuration must result.
+    ///
+    /// A `custom` description is the default pipeline of every
+    /// `[[sweep.config]]` engine and of the `[sweep.grid]` base, and its
+    /// name is resolvable on the grid's `pipelines` axis alongside the
+    /// built-ins.
     ///
     /// A config entry without a `tracegen` table — or with one that
     /// omits `predictor` — generates its traces with the **engine's**
@@ -140,7 +147,7 @@ impl Scenario {
     /// rb_sizes = [16, 32]
     /// "#).unwrap();
     /// let sweep = doc.opt_table("sweep").unwrap().unwrap();
-    /// let scenario = Scenario::from_table(sweep).unwrap();
+    /// let scenario = Scenario::from_table(sweep, None).unwrap();
     /// assert_eq!(scenario.len(), 2 * 2 * 2, "configs x workloads x seeds");
     /// ```
     ///
@@ -150,44 +157,21 @@ impl Scenario {
     /// missing required axes, sub-table problems, or a grid failing
     /// [`Scenario::validate`] (duplicate names, zero budgets, invalid
     /// configurations).
-    pub fn from_table(t: &Table) -> Result<Self, Error> {
-        Self::from_table_with(t, None)
-    }
-
-    /// [`Scenario::from_table`] with a scenario-level custom
-    /// [`PipelineDescription`] in scope (a top-level `[pipeline]`
-    /// table, parsed by the caller). When given, the description is
-    /// the default pipeline of every `[[sweep.config]]` engine and of
-    /// the `[sweep.grid]` base, and its name is resolvable on the
-    /// grid's `pipelines` axis alongside the built-ins.
-    ///
-    /// # Errors
-    ///
-    /// As [`Scenario::from_table`].
-    pub fn from_table_with(t: &Table, custom: Option<&PipelineDescription>) -> Result<Self, Error> {
+    pub fn from_table(t: &Table, custom: Option<&PipelineDescription>) -> Result<Self, Error> {
         t.ensure_only(SWEEP_KEYS)?;
         let mut scenario = Scenario::new();
 
         for entry in t.table_array("config")? {
             entry.ensure_only(&["name", "engine", "tracegen"])?;
             let name = entry.req_str("name")?;
-            let engine = match entry.opt_table("engine")? {
-                Some(e) => EngineConfig::from_table_with(e, custom)?,
-                None => match custom {
-                    Some(p) => EngineConfig {
-                        pipeline: p.clone(),
-                        ..EngineConfig::paper_4wide()
-                    },
-                    None => EngineConfig::paper_4wide(),
-                },
-            };
+            let engine = engine_from(entry.opt_table("engine")?, custom)?;
             let tracegen = resolve_tracegen(&engine, entry.opt_table("tracegen")?)?;
             scenario = scenario.config(name, engine, tracegen);
         }
         if let Some(g) = t.opt_table("grid")? {
-            let base = grid_base(g, custom)?;
+            let base = engine_from(g.opt_table("base")?, custom)?;
             let tracegen = resolve_tracegen(&base, g.opt_table("tracegen")?)?;
-            let grid = ConfigGrid::from_table_with(base, g, custom)?;
+            let grid = ConfigGrid::from_table(base, g, custom)?;
             let (points, notes) = grid
                 .try_build_with_notes()
                 .map_err(|(name, e)| g.error(format!("grid point {name:?}: {e}")))?;
@@ -255,15 +239,15 @@ impl Scenario {
     }
 }
 
-/// The base point of a `[sweep.grid]` table: its `[sweep.grid.base]`
-/// engine, or `paper-4wide` (with the document's custom pipeline, if
-/// any) when the table has none.
-pub(crate) fn grid_base(
-    grid: &Table,
+/// The engine of an `[engine]`-style table (`[engine]`,
+/// `[sweep.config.engine]`, `[sweep.grid.base]`), or `paper-4wide`
+/// (with the document's custom pipeline, if any) when there is none.
+pub(crate) fn engine_from(
+    t: Option<&Table>,
     custom: Option<&PipelineDescription>,
 ) -> Result<EngineConfig, Error> {
-    Ok(match grid.opt_table("base")? {
-        Some(b) => EngineConfig::from_table_with(b, custom)?,
+    Ok(match t {
+        Some(t) => EngineConfig::from_table(t, custom)?,
         None => match custom {
             Some(p) => EngineConfig {
                 pipeline: p.clone(),
@@ -282,7 +266,7 @@ mod tests {
     fn parse(s: &str) -> Result<Scenario, Error> {
         let doc = resim_toml::parse(s).unwrap();
         let sweep = doc.opt_table("sweep").unwrap().expect("[sweep] present");
-        Scenario::from_table(sweep)
+        Scenario::from_table(sweep, None)
     }
 
     const MINIMAL: &str = r#"
@@ -507,7 +491,7 @@ pipelines = ["improved", "skewed"]
         )
         .unwrap();
         let sweep = doc.opt_table("sweep").unwrap().unwrap();
-        let s = Scenario::from_table_with(sweep, Some(&custom)).unwrap();
+        let s = Scenario::from_table(sweep, Some(&custom)).unwrap();
         assert_eq!(
             s.configs()[0].engine.pipeline,
             custom,

@@ -3,7 +3,7 @@
 //! through `resim-sweep` at any thread count.
 
 use resim_bpred::{DirectionConfig, PredictorConfig};
-use resim_core::{Engine, EngineConfig, PipelineOrganization, SimStats};
+use resim_core::{Engine, EngineConfig, PipelineDescription, SimStats};
 use resim_sample::{run_sampled, SamplePlan, SampledStats};
 use resim_sweep::{
     Cell, CellMode, Scenario, ScenarioDoc, SweepPhase, SweepReport, SweepRunner, WorkloadPoint,
@@ -240,13 +240,13 @@ fn cell_fingerprints_key_on_content_not_names() {
 /// full and sampled: 9 configs × 2 modes = 18 cells, 6 timing points.
 fn pipeline_grid() -> Scenario {
     let mut scenario = Scenario::new();
-    for org in PipelineOrganization::ALL {
+    for org in PipelineDescription::builtins() {
         for rb_size in [8usize, 16, 32] {
             scenario = scenario.config(
                 format!("{org}-rb{rb_size}"),
                 EngineConfig {
                     rb_size,
-                    pipeline: org.description(),
+                    pipeline: org.clone(),
                     ..EngineConfig::paper_4wide()
                 },
                 TraceGenConfig::paper(),
@@ -457,15 +457,15 @@ fn queue_sharing_is_invisible() {
     for rb_size in [8usize, 16, 32, 48, 64, 96] {
         for lsq_size in [8usize, 32] {
             for org in [
-                PipelineOrganization::SimpleSerial,
-                PipelineOrganization::OptimizedSerial,
+                PipelineDescription::simple(),
+                PipelineDescription::optimized(),
             ] {
                 scenario = scenario.config(
                     format!("rb{rb_size}-lsq{lsq_size}-{org}"),
                     EngineConfig {
                         rb_size,
                         lsq_size,
-                        pipeline: org.description(),
+                        pipeline: org.clone(),
                         ..EngineConfig::paper_4wide()
                     },
                     TraceGenConfig::paper(),

@@ -73,7 +73,7 @@ pub mod prelude {
     pub use resim_bpred::{BranchPredictor, PredictorConfig};
     pub use resim_core::{
         block_diagram, CoreState, Engine, EngineConfig, MinorCycleScheduler, PipelineDescription,
-        PipelineOrganization, SimStats, SlotExpr, SlotSpec, StageRow, TraceCursor,
+        SimStats, SlotExpr, SlotSpec, StageRow, TraceCursor,
     };
     pub use resim_fpga::{effective_mips, AreaModel, FpgaDevice, ThroughputModel, TraceLink};
     pub use resim_isa::{programs, Assembler, FunctionalSimulator};

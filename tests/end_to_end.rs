@@ -138,7 +138,7 @@ fn pointer_chase_is_cache_sensitive() {
     let cached = Engine::new(EngineConfig {
         predictor: PredictorConfig::perfect(),
         memory: MemorySystemConfig::l1_32k(),
-        pipeline: PipelineOrganization::ImprovedSerial.description(),
+        pipeline: PipelineDescription::improved(),
         ..EngineConfig::paper_4wide()
     })
     .unwrap()

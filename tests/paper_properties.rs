@@ -206,9 +206,9 @@ fn pipeline_organizations_equivalent_but_faster() {
     );
     let mut mips = Vec::new();
     let mut cycles = Vec::new();
-    for org in PipelineOrganization::ALL {
+    for pipeline in PipelineDescription::builtins() {
         let config = EngineConfig {
-            pipeline: org.description(),
+            pipeline,
             ..EngineConfig::paper_4wide()
         };
         let stats = Engine::new(config.clone()).unwrap().run(trace.source());

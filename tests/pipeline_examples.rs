@@ -5,7 +5,7 @@
 //! files through `resim describe` / `resim sweep`; this test covers
 //! the library path (and the area model, which has no subcommand).
 
-use resim::core::{Engine, EngineConfig, PipelineDescription, PipelineOrganization};
+use resim::core::{Engine, EngineConfig, PipelineDescription};
 use resim::fpga::AreaModel;
 use resim::tracegen::{generate_trace, TraceGenConfig};
 use resim::workloads::{SpecBenchmark, Workload};
@@ -98,17 +98,14 @@ fn novel_organization_runs_end_to_end_with_area_estimation() {
 }
 
 #[test]
-fn example_builtin_twins_match_the_enum_grids() {
-    for (file, org) in [
-        ("simple.toml", PipelineOrganization::SimpleSerial),
-        ("improved.toml", PipelineOrganization::ImprovedSerial),
-        ("optimized.toml", PipelineOrganization::OptimizedSerial),
-    ] {
-        let desc = example_description(file);
+fn example_builtin_twins_match_the_builtin_grids() {
+    for builtin in PipelineDescription::builtins() {
+        let file = format!("{}.toml", builtin.name());
+        let desc = example_description(&file);
         for width in [2usize, 4] {
             assert_eq!(
                 desc.minor_cycles_per_major(width).unwrap(),
-                org.minor_cycles_per_major(width),
+                builtin.minor_cycles_per_major(width).unwrap(),
                 "{file} at width {width}"
             );
         }
