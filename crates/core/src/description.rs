@@ -526,13 +526,17 @@ impl PipelineDescription {
     /// [`simple`](Self::simple), [`improved`](Self::improved) and
     /// [`optimized`](Self::optimized).
     pub fn builtins() -> [Self; 3] {
-        [Self::simple(), Self::improved(), Self::optimized()]
+        BUILTINS.map(|(_, build)| build())
     }
 
     /// The built-in description named `name`, if one of
-    /// [`PipelineDescription::builtins`] carries it.
+    /// [`PipelineDescription::builtins`] carries it. Only that one is
+    /// built.
     pub fn builtin(name: &str) -> Option<Self> {
-        Self::builtins().into_iter().find(|d| d.name == name)
+        BUILTINS
+            .iter()
+            .find(|&&(builtin, _)| builtin == name)
+            .map(|(_, build)| build())
     }
 
     /// Display name (unique within a scenario).
@@ -833,6 +837,14 @@ impl PipelineDescription {
         }
     }
 }
+
+/// The built-in organizations by name, in [`PipelineDescription::builtins`]
+/// order; each name is the one its constructor gives.
+const BUILTINS: [(&str, fn() -> PipelineDescription); 3] = [
+    ("simple", PipelineDescription::simple),
+    ("improved", PipelineDescription::improved),
+    ("optimized", PipelineDescription::optimized),
+];
 
 impl fmt::Display for PipelineDescription {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
