@@ -838,9 +838,12 @@ impl PipelineDescription {
     }
 }
 
+/// A built-in organization: its name and its constructor.
+type Builtin = (&'static str, fn() -> PipelineDescription);
+
 /// The built-in organizations by name, in [`PipelineDescription::builtins`]
 /// order; each name is the one its constructor gives.
-const BUILTINS: [(&str, fn() -> PipelineDescription); 3] = [
+const BUILTINS: [Builtin; 3] = [
     ("simple", PipelineDescription::simple),
     ("improved", PipelineDescription::improved),
     ("optimized", PipelineDescription::optimized),
