@@ -527,6 +527,10 @@ pub(crate) mod tests {
                 self.len_bits += 1;
             }
         }
+
+        fn pad_to_byte(&mut self) {
+            self.len_bits = self.len_bits.next_multiple_of(8);
+        }
     }
 
     #[test]
@@ -550,6 +554,30 @@ pub(crate) mod tests {
                     assert_eq!(bytes, slow.buf, "{case}");
                     assert_eq!(bits, slow.len_bits, "{case}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn matches_the_bit_serial_writer_over_long_mixed_sequences() {
+        let mut rng = Rng(2009);
+        for case in 0..40 {
+            let mut fast = BitWriter::new();
+            let mut slow = SerialWriter::default();
+            for op in 0..rng.range(1, 600) {
+                if rng.range(0, 9) == 0 {
+                    fast.pad_to_byte();
+                    slow.pad_to_byte();
+                } else {
+                    let width = rng.range(1, 32) as u32;
+                    let value = rng.next() as u32 >> (32 - width);
+                    fast.put(value, width);
+                    slow.put(value, width);
+                }
+                assert_eq!(fast.len_bits(), slow.len_bits, "case {case}, op {op}");
+                let (bytes, bits) = fast.clone().finish();
+                assert_eq!(bytes, slow.buf, "case {case}, op {op}");
+                assert_eq!(bits, slow.len_bits, "case {case}, op {op}");
             }
         }
     }
