@@ -112,33 +112,29 @@ impl TraceEncoder {
             TraceRecord::Mem(_) => FMT_MEM,
             TraceRecord::Branch(_) => FMT_BRANCH,
         };
-        self.writer.put(fmt, 2);
-        self.writer.put_bool(record.wrong_path());
         let explicit = pc_is_explicit(record, self.expected_pc);
-        self.writer.put_bool(explicit);
+        // Adjacent fixed-width fields go out as one value, LSB-first in
+        // layout order.
+        let head = fmt | u32::from(record.wrong_path()) << 2 | u32::from(explicit) << 3;
+        self.writer.put(head, 4);
         if explicit {
             self.writer.put(record.pc(), 32);
         }
         match record {
             TraceRecord::Other(o) => {
                 self.writer.put(o.class.encode(), 2);
-                put_reg(&mut self.writer, o.dest);
-                put_reg(&mut self.writer, o.src1);
-                put_reg(&mut self.writer, o.src2);
+                put_regs(&mut self.writer, [o.dest, o.src1, o.src2]);
             }
             TraceRecord::Mem(m) => {
-                self.writer.put(m.kind.encode(), 1);
-                self.writer.put(m.size.encode(), 2);
+                self.writer.put(m.kind.encode() | m.size.encode() << 1, 3);
                 self.writer.put(m.addr, 32);
-                put_reg(&mut self.writer, m.base);
-                put_reg(&mut self.writer, m.data);
+                put_regs(&mut self.writer, [m.base, m.data]);
             }
             TraceRecord::Branch(b) => {
-                self.writer.put(b.kind.encode(), 3);
-                self.writer.put_bool(b.taken);
+                self.writer
+                    .put(b.kind.encode() | u32::from(b.taken) << 3, 4);
                 self.writer.put(b.target, 32);
-                put_reg(&mut self.writer, b.src1);
-                put_reg(&mut self.writer, b.src2);
+                put_regs(&mut self.writer, [b.src1, b.src2]);
             }
         }
         // Byte-align each record (hardware decoder framing).
@@ -181,14 +177,21 @@ impl TraceEncoder {
     }
 }
 
-pub(crate) fn put_reg(w: &mut BitWriter, reg: Option<Reg>) {
-    match reg {
-        Some(r) => {
-            w.put_bool(true);
-            w.put(u32::from(r.index()), 6);
-        }
-        None => w.put_bool(false),
+/// Writes a record's register fields in one `put`, LSB-first in the
+/// given order: each a presence flag, then the 6-bit index if present
+/// (at most 21 bits for three registers).
+#[inline]
+pub(crate) fn put_regs<const N: usize>(w: &mut BitWriter, regs: [Option<Reg>; N]) {
+    let (mut field, mut nbits) = (0u32, 0u32);
+    for reg in regs {
+        let (value, width) = match reg {
+            Some(r) => (1 | u32::from(r.index()) << 1, 7),
+            None => (0, 1),
+        };
+        field |= value << nbits;
+        nbits += width;
     }
+    w.put(field, nbits);
 }
 
 #[inline(always)]

@@ -49,7 +49,7 @@
 //! ([`EncodedTrace::source`]) or in a container file.
 
 use crate::bits::{BitFields, BitWriter};
-use crate::codec::{get_reg, put_reg, DecodeError, EncodedTrace, FMT_BRANCH, FMT_MEM, FMT_OTHER};
+use crate::codec::{get_reg, put_regs, DecodeError, EncodedTrace, FMT_BRANCH, FMT_MEM, FMT_OTHER};
 use crate::record::{
     BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, TraceRecord,
 };
@@ -80,12 +80,25 @@ fn unzigzag(z: u32) -> u32 {
 /// continuation flag plus seven value bits, least-significant group first.
 pub(crate) fn put_varint(w: &mut BitWriter, mut v: u64) {
     loop {
-        let group = (v & 0x7F) as u32;
-        v >>= 7;
-        w.put_bool(v != 0);
-        w.put(group, 7);
+        let (groups, nbits) = varint_groups(&mut v);
+        w.put(groups, nbits);
         if v == 0 {
             break;
+        }
+    }
+}
+
+/// Takes the next (up to three) varint groups off `v`, composed LSB-first
+/// into one value of at most 24 bits; returns it and its width.
+fn varint_groups(v: &mut u64) -> (u32, u32) {
+    let (mut groups, mut nbits) = (0u32, 0u32);
+    loop {
+        let group = (*v & 0x7F) as u32;
+        *v >>= 7;
+        groups |= (u32::from(*v != 0) | group << 1) << nbits;
+        nbits += 8;
+        if *v == 0 || nbits == 24 {
+            return (groups, nbits);
         }
     }
 }
@@ -121,8 +134,7 @@ fn put_rle(w: &mut BitWriter, mut v: u64) {
     loop {
         let group = (v & 0x3) as u32;
         v >>= 2;
-        w.put_bool(v != 0);
-        w.put(group, 2);
+        w.put(u32::from(v != 0) | group << 1, 3);
         if v == 0 {
             break;
         }
@@ -153,8 +165,12 @@ fn get_rle(r: &mut impl BitFields) -> Result<u64, DecodeError> {
 fn put_delta_field(w: &mut BitWriter, actual: u32, reference: u32) {
     let zz = zigzag(actual.wrapping_sub(reference));
     if zz <= DELTA_MAX {
-        w.put_bool(true);
-        put_varint(w, u64::from(zz));
+        // Three varint groups hold any delta, so the mode flag and the
+        // varint go out as one value of at most 25 bits.
+        let mut v = u64::from(zz);
+        let (groups, nbits) = varint_groups(&mut v);
+        debug_assert_eq!(v, 0, "a delta of more than three groups");
+        w.put(1 | groups << 1, 1 + nbits);
     } else {
         w.put_bool(false);
         w.put(actual, 32);
@@ -248,25 +264,22 @@ fn encode_record_v2(
         TraceRecord::Mem(_) => FMT_MEM,
         TraceRecord::Branch(_) => FMT_BRANCH,
     };
-    w.put(fmt, 2);
-    w.put_bool(record.wrong_path());
+    // The format, the tag and the record's leading fixed-width fields go
+    // out as one value, LSB-first in layout order.
+    let head = fmt | u32::from(record.wrong_path()) << 2;
     match record {
         TraceRecord::Other(o) => {
-            w.put(o.class.encode(), 2);
-            put_reg(w, o.dest);
-            put_reg(w, o.src1);
-            put_reg(w, o.src2);
+            w.put(head | o.class.encode() << 3, 5);
+            put_regs(w, [o.dest, o.src1, o.src2]);
         }
         TraceRecord::Mem(m) => {
-            w.put(m.kind.encode(), 1);
-            w.put(m.size.encode(), 2);
+            w.put(head | m.kind.encode() << 3 | m.size.encode() << 4, 6);
             put_delta_field(w, m.addr, *prev_addr);
             *prev_addr = m.addr;
-            put_reg(w, m.base);
-            put_reg(w, m.data);
+            put_regs(w, [m.base, m.data]);
         }
         TraceRecord::Branch(b) => {
-            w.put(b.kind.encode(), 3);
+            w.put(head | b.kind.encode() << 3, 6);
             if *outcome_left == 0 {
                 // Start a new outcome run: maximal span of branches (the
                 // records between them do not matter) sharing `taken`.
@@ -292,8 +305,7 @@ fn encode_record_v2(
             debug_assert_eq!(*outcome, Some(b.taken), "outcome runs must alternate");
             *outcome_left -= 1;
             put_delta_field(w, b.target, b.pc);
-            put_reg(w, b.src1);
-            put_reg(w, b.src2);
+            put_regs(w, [b.src1, b.src2]);
         }
     }
 }
@@ -451,7 +463,22 @@ mod tests {
 
     #[test]
     fn varint_roundtrip() {
-        let values = [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX];
+        // Including each side of the three-group chunks `put_varint`
+        // writes at a time.
+        let values = [
+            0u64,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            (1 << 21) - 1,
+            1 << 21,
+            (1 << 42) - 1,
+            1 << 42,
+            u32::MAX as u64,
+            u64::MAX,
+        ];
         for &v in &values {
             let mut w = BitWriter::new();
             put_varint(&mut w, v);
@@ -794,9 +821,7 @@ mod tests {
         w.put(FMT_OTHER, 2);
         w.put_bool(false);
         w.put(OpClass::Nop.encode(), 2);
-        for _ in 0..3 {
-            put_reg(w, None);
-        }
+        put_regs(w, [None; 3]);
         w.len_bits()
     }
 
@@ -860,8 +885,7 @@ mod tests {
         }
         w.put_bool(true);
         put_long_varint(&mut w, VARINT_GROUPS);
-        put_reg(&mut w, Some(Reg::new(63)));
-        put_reg(&mut w, Some(Reg::new(1)));
+        put_regs(&mut w, [Some(Reg::new(63)), Some(Reg::new(1))]);
         assert_eq!(w.len_bits() - first, u64::from(MAX_V2_RECORD_BITS));
         assert_eq!(MAX_V2_RECORD_BITS, 359);
         // It ends the body, so its window ends at the declared length.
