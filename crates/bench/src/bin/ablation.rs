@@ -29,10 +29,13 @@ fn main() {
         .unwrap_or(DEFAULT_INSTRUCTIONS / 2);
 
     // --- 1. parallel vs serial fetch --------------------------------
-    println!("Ablation 1 (SIV): parallel vs serial fetch front end");
-    println!(
+    outln!("Ablation 1 (SIV): parallel vs serial fetch front end");
+    outln!(
         "{:>6} {:>12} {:>12} {:>22}",
-        "width", "area ratio", "freq ratio", "per-area throughput"
+        "width",
+        "area ratio",
+        "freq ratio",
+        "per-area throughput"
     );
     for w in [1usize, 2, 4, 8] {
         let a = parallel_fetch_ablation(w);
@@ -40,12 +43,16 @@ fn main() {
         // cycle; the serial engine needs N+3. Throughput per unit area:
         let serial = 1.0 / (w as f64 + 3.0);
         let parallel = a.freq_ratio / a.area_ratio;
-        println!(
+        outln!(
             "{:>6} {:>12.1} {:>12.2} {:>14.3} vs {:.3}",
-            w, a.area_ratio, a.freq_ratio, parallel, serial
+            w,
+            a.area_ratio,
+            a.freq_ratio,
+            parallel,
+            serial
         );
     }
-    println!("(paper's measured point: width 4 -> 4x area, 22% slower)\n");
+    outln!("(paper's measured point: width 4 -> 4x area, 22% slower)\n");
 
     // One runner for both sweeps: the shared trace cache generates the
     // gzip trace once and every cell of both grids reuses it.
@@ -55,7 +62,7 @@ fn main() {
     let gzip = || WorkloadPoint::spec(SpecBenchmark::Gzip);
 
     // --- 2. pipeline organization sweep ------------------------------
-    println!("Ablation 2 (SIV.A/B): pipeline organizations, gzip, 4-wide, Virtex-4");
+    outln!("Ablation 2 (SIV.A/B): pipeline organizations, gzip, 4-wide, Virtex-4");
     let org_points = EngineConfig::paper_4wide()
         .grid()
         .pipelines(resim_core::PipelineDescription::builtins())
@@ -67,9 +74,13 @@ fn main() {
         .seeds([DEFAULT_SEED]);
     let org_report = runner.run(&org_scenario).expect("pipeline grid is valid");
 
-    println!(
+    outln!(
         "{:>10} {:>12} {:>12} {:>10} {:>10}",
-        "pipeline", "minor/major", "sim cycles", "IPC", "V4 MIPS"
+        "pipeline",
+        "minor/major",
+        "sim cycles",
+        "IPC",
+        "V4 MIPS"
     );
     let mut cycles_seen = Vec::new();
     for (name, config) in &org_points {
@@ -77,7 +88,7 @@ fn main() {
         let mips = ThroughputModel::new(FpgaDevice::Virtex4Lx40)
             .speed(config, &cell.stats, None)
             .mips;
-        println!(
+        outln!(
             "{:>10} {:>12} {:>12} {:>10.3} {:>10.2}",
             name,
             config.minor_cycles_per_major(),
@@ -91,10 +102,10 @@ fn main() {
         cycles_seen.windows(2).all(|w| w[0] == w[1]),
         "the three organizations must produce identical simulated timing"
     );
-    println!("simulated cycle counts identical across organizations: OK\n");
+    outln!("simulated cycle counts identical across organizations: OK\n");
 
     // --- 3. width sweep ----------------------------------------------
-    println!("Ablation 3: simulated-width sweep, gzip, perfect memory, Virtex-4");
+    outln!("Ablation 3: simulated-width sweep, gzip, perfect memory, Virtex-4");
     let width_points = EngineConfig::paper_4wide()
         .grid()
         .widths([1, 2, 4, 8])
@@ -106,16 +117,20 @@ fn main() {
         .seeds([DEFAULT_SEED]);
     let width_report = runner.run(&width_scenario).expect("width grid is valid");
 
-    println!(
+    outln!(
         "{:>6} {:>10} {:>12} {:>10} {:>10}",
-        "width", "pipeline", "minor/major", "IPC", "V4 MIPS"
+        "width",
+        "pipeline",
+        "minor/major",
+        "IPC",
+        "V4 MIPS"
     );
     for (name, config) in &width_points {
         let cell = width_report.get(name, "gzip").expect("width cell ran");
         let mips = ThroughputModel::new(FpgaDevice::Virtex4Lx40)
             .speed(config, &cell.stats, None)
             .mips;
-        println!(
+        outln!(
             "{:>6} {:>10} {:>12} {:>10.3} {:>10.2}",
             config.width,
             config.pipeline.name(),
@@ -124,9 +139,9 @@ fn main() {
             mips
         );
     }
-    println!("\nNote the engine-throughput sweet spot: wider simulated processors");
-    println!("raise IPC sub-linearly but pay N+3 minor cycles per simulated cycle.");
-    println!(
+    outln!("\nNote the engine-throughput sweet spot: wider simulated processors");
+    outln!("raise IPC sub-linearly but pay N+3 minor cycles per simulated cycle.");
+    outln!(
         "[sweeps: {} cells on {} threads in {:.2?}; traces generated {}, cache hits {}]",
         org_report.len() + width_report.len(),
         runner.threads(),

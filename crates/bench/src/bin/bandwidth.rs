@@ -22,12 +22,18 @@ fn main() {
         .run(&table1_left_scenario(n))
         .expect("bandwidth grid is valid");
 
-    println!("Trace-link feasibility (4-issue, 2-level BP, perfect memory; {n} instrs)\n");
+    outln!("Trace-link feasibility (4-issue, 2-level BP, perfect memory; {n} instrs)\n");
     for device in FpgaDevice::PAPER {
-        println!("--- {device} ---");
-        println!(
+        outln!("--- {device} ---");
+        outln!(
             "{:8} {:>10} {:>10} | {:>10} {:>10} {:>10} {:>10}",
-            "SPEC", "demand", "Gb/s", "GigE", "PCIe x4", "DRC HT", "on-board"
+            "SPEC",
+            "demand",
+            "Gb/s",
+            "GigE",
+            "PCIe x4",
+            "DRC HT",
+            "on-board"
         );
         for b in SpecBenchmark::ALL {
             let r = report.get(LEFT, b.name()).expect("cell ran");
@@ -36,7 +42,7 @@ fn main() {
             let demand = sp.mips_including_wrong_path;
             let gbps = demand * bits / 1000.0;
             let eff = |l| effective_mips(demand, bits, l);
-            println!(
+            outln!(
                 "{:8} {:>10.2} {:>10.2} | {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
                 b.name(),
                 demand,
@@ -47,11 +53,11 @@ fn main() {
                 eff(TraceLink::OnBoardMemory),
             );
         }
-        println!();
+        outln!();
     }
-    println!("The paper's observation: the ~1.1 Gb/s demand exceeds Gigabit Ethernet,");
-    println!("but tightly-coupled CPU-FPGA buses (the DRC board) sustain it easily.");
-    println!(
+    outln!("The paper's observation: the ~1.1 Gb/s demand exceeds Gigabit Ethernet,");
+    outln!("but tightly-coupled CPU-FPGA buses (the DRC board) sustain it easily.");
+    outln!(
         "[sweep: {} cells on {} threads in {:.2?}; both device tables share them]",
         report.len(),
         report.threads,

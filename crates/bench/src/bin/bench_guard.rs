@@ -26,6 +26,7 @@
 //! Regenerate the baseline (`--write`, on a quiet machine) whenever a
 //! deliberate engine or codec change moves throughput.
 
+use resim_bench::outln;
 use resim_bench::timing::{Frontend, SuppliedTrace};
 use resim_core::EngineConfig;
 use resim_toml::json::parse_json;
@@ -163,10 +164,10 @@ fn main() {
         }
     };
 
-    println!("bench_guard: {BENCH} ({BUDGET} records, best of {RUNS})");
+    outln!("bench_guard: {BENCH} ({BUDGET} records, best of {RUNS})");
     let mut rows = measure_all();
     for row in &rows {
-        println!("  {:14} {:10.0} records/s", row.frontend.name(), row.rate);
+        outln!("  {:14} {:10.0} records/s", row.frontend.name(), row.rate);
     }
 
     let Some(Baseline {
@@ -175,7 +176,7 @@ fn main() {
     }) = baseline
     else {
         write_baseline(&path, &rows);
-        println!("baseline written to {}", path.display());
+        outln!("baseline written to {}", path.display());
         return;
     };
     let floor = |baseline: f64| baseline * (1.0 - allowed_drop);
@@ -191,7 +192,7 @@ fn main() {
         {
             break;
         }
-        println!("bench_guard: shortfall on first pass; remeasuring to rule out host noise");
+        outln!("bench_guard: shortfall on first pass; remeasuring to rule out host noise");
         for (row, fresh) in rows.iter_mut().zip(measure_all()) {
             row.rate = row.rate.max(fresh.rate);
         }
@@ -210,13 +211,16 @@ fn main() {
         .collect();
     for r in &results {
         let verdict = if r.ok { "ok" } else { "REGRESSION" };
-        println!(
+        outln!(
             "  {:14} baseline {:10.0}  floor {:10.0}  measured {:10.0}  {verdict}",
-            r.frontend, r.baseline, r.floor, r.measured
+            r.frontend,
+            r.baseline,
+            r.floor,
+            r.measured
         );
     }
     let ok = results.iter().all(|r| r.ok);
-    println!("{}", bench_line(allowed_drop, &results, ok));
+    outln!("{}", bench_line(allowed_drop, &results, ok));
     if !ok {
         eprintln!(
             "bench_guard: throughput regressed more than {:.0}% below BENCH_BASELINE.json",
@@ -224,7 +228,7 @@ fn main() {
         );
         std::process::exit(1);
     }
-    println!(
+    outln!(
         "bench_guard: all rows within {:.0}% of baseline",
         allowed_drop * 100.0
     );

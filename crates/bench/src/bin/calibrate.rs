@@ -38,16 +38,25 @@ fn main() {
         ("vpr", 43.52),
     ];
 
-    println!(
+    outln!(
         "{:8} | {:>7} {:>7} | {:>7} {:>7} | {:>7} {:>7} | {:>7} {:>7} | {:>8}",
-        "bench", "ipc4", "tgt", "ipc2c", "tgt", "wp%", "tgt%", "bits", "tgt", "dl1 hit"
+        "bench",
+        "ipc4",
+        "tgt",
+        "ipc2c",
+        "tgt",
+        "wp%",
+        "tgt%",
+        "bits",
+        "tgt",
+        "dl1 hit"
     );
     for (i, b) in SpecBenchmark::ALL.iter().enumerate() {
         let (cfg_l, tg_l) = table1_left();
         let rl = run_spec(*b, &cfg_l, &tg_l, n, DEFAULT_SEED);
         let (cfg_r, tg_r) = table1_right();
         let rr = run_spec(*b, &cfg_r, &tg_r, n, DEFAULT_SEED);
-        println!("{:8} | {:>7.3} {:>7.2} | {:>7.3} {:>7.2} | {:>7.3} {:>7.3} | {:>7.2} {:>7.2} | {:>8.3}",
+        outln!("{:8} | {:>7.3} {:>7.2} | {:>7.3} {:>7.2} | {:>7.3} {:>7.3} | {:>7.2} {:>7.2} | {:>8.3}",
             b.name(),
             rl.stats.ipc(), t_left[i].1,
             rr.stats.ipc(), t_right[i].1,

@@ -7,7 +7,7 @@
 //!
 //! Usage: `codec_compare [instructions-per-benchmark]`.
 
-use resim_bench::{rule, DEFAULT_SEED};
+use resim_bench::{outln, rule, DEFAULT_SEED};
 use resim_tracegen::{generate_trace, TraceGenConfig};
 use resim_workloads::{SpecBenchmark, Workload};
 
@@ -17,13 +17,17 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(200_000);
 
-    println!("Trace codec density: layout v1 (Table 3) vs layout v2 (delta/RLE)");
-    println!("{n} instructions/benchmark, seed {DEFAULT_SEED}, paper tracegen.\n");
-    println!(
+    outln!("Trace codec density: layout v1 (Table 3) vs layout v2 (delta/RLE)");
+    outln!("{n} instructions/benchmark, seed {DEFAULT_SEED}, paper tracegen.\n");
+    outln!(
         "{:8} | {:>10} | {:>10} | {:>8} | {:>12}",
-        "SPEC", "v1 b/inst", "v2 b/inst", "saving", "v2 wins"
+        "SPEC",
+        "v1 b/inst",
+        "v2 b/inst",
+        "saving",
+        "v2 wins"
     );
-    println!("{}", rule(60));
+    outln!("{}", rule(60));
 
     let tg = TraceGenConfig::paper();
     let (mut s1, mut s2) = (0.0, 0.0);
@@ -36,7 +40,7 @@ fn main() {
         s2 += v2;
         let win = v2 < v1;
         wins += usize::from(win);
-        println!(
+        outln!(
             "{:8} | {:>10.2} | {:>10.2} | {:>7.1}% | {:>12}",
             b.name(),
             v1,
@@ -45,8 +49,8 @@ fn main() {
             if win { "yes" } else { "NO" },
         );
     }
-    println!("{}", rule(60));
-    println!(
+    outln!("{}", rule(60));
+    outln!(
         "{:8} | {:>10.2} | {:>10.2} | {:>7.1}% | {wins}/5 benchmarks",
         "Average",
         s1 / 5.0,

@@ -1,6 +1,7 @@
 //! Regenerates **Figure 2**: the simple serial pipeline (2N+3 minor
 //! cycles per major cycle), shown for a 4-wide processor.
 
+use resim_bench::outln;
 use resim_core::PipelineDescription;
 
 fn main() {
@@ -8,13 +9,13 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(4);
-    println!(
+    outln!(
         "{}",
         PipelineDescription::simple()
             .schedule(width)
             .expect("a schedule needs width >= 1")
             .render()
     );
-    println!("Writeback and Lsq_refresh minor cycles precede Issue (paper SIV.A);");
-    println!("DPL and CA stand for Decouple and Cache Access.");
+    outln!("Writeback and Lsq_refresh minor cycles precede Issue (paper SIV.A);");
+    outln!("DPL and CA stand for Decouple and Cache Access.");
 }

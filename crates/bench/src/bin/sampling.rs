@@ -9,7 +9,7 @@
 //!
 //! Run with `cargo run --release -p resim-bench --bin sampling`.
 
-use resim_bench::DEFAULT_SEED;
+use resim_bench::{outln, DEFAULT_SEED};
 use resim_core::{Engine, EngineConfig, SimStats};
 use resim_sample::{run_sampled, SamplePlan, SampledStats, WarmupMode};
 use resim_trace::Trace;
@@ -64,14 +64,14 @@ fn main() {
     let config = EngineConfig::paper_4wide();
     let tracegen = TraceGenConfig::paper();
 
-    println!(
+    outln!(
         "sampled-vs-full — paper_4wide, {INSTRUCTIONS} instructions/workload, plans at 5% coverage"
     );
-    println!();
-    println!(
+    outln!();
+    outln!(
         "| workload | plan | full IPC | sampled IPC (95% CI) | err % | in CI | wall speedup | rec-thpt speedup |"
     );
-    println!("|---|---|---:|---:|---:|---|---:|---:|");
+    outln!("|---|---|---:|---:|---:|---|---:|---:|");
 
     for benchmark in SpecBenchmark::ALL {
         let trace = generate_trace(
@@ -88,7 +88,7 @@ fn main() {
             let err = 100.0 * s.relative_error(full.stats.ipc());
             let wall_speedup = full.wall.as_secs_f64() / wall.as_secs_f64().max(1e-9);
             let thpt_speedup = rate(s.records_total, wall) / full_rate;
-            println!(
+            outln!(
                 "| {} | {} | {:.4} | {:.4} [{:.4}, {:.4}] | {:.2} | {} | {:.1}x | {:.1}x |",
                 benchmark.name(),
                 plan_name,
@@ -108,8 +108,8 @@ fn main() {
         }
     }
 
-    println!();
-    println!(
+    outln!();
+    outln!(
         "coverage {:.1}% detailed; bounded plan skips via the codec fast path \
          (TraceSource::skip) and warms the last 4k records before each window",
         100.0 * plans()[0].1.coverage()

@@ -38,11 +38,11 @@ fn main() {
     ];
     let fast = comparison::fast_table1_column();
 
-    println!("Table 1: ReSim simulation performance ({n} instructions per benchmark)");
-    println!("Left: 4-issue, 2-level BP, perfect memory (N+3 = 7 minor cycles).");
-    println!("Right: 2-issue, perfect BP, 32KB 8-way 64B L1 I+D (N+4 = 6 minor cycles).");
-    println!("'paper' columns are the publication's values for comparison.\n");
-    println!(
+    outln!("Table 1: ReSim simulation performance ({n} instructions per benchmark)");
+    outln!("Left: 4-issue, 2-level BP, perfect memory (N+3 = 7 minor cycles).");
+    outln!("Right: 2-issue, perfect BP, 32KB 8-way 64B L1 I+D (N+4 = 6 minor cycles).");
+    outln!("'paper' columns are the publication's values for comparison.\n");
+    outln!(
         "{:8} | {:>8} {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8} {:>8} | {:>8}",
         "SPEC",
         "V4 MIPS",
@@ -55,7 +55,7 @@ fn main() {
         "paper",
         "FAST"
     );
-    println!("{}", rule(104));
+    outln!("{}", rule(104));
 
     let (cfg_l, _) = table1_left();
     let (cfg_r, _) = table1_right();
@@ -76,7 +76,7 @@ fn main() {
         sums[2] += r4;
         sums[3] += r5;
         sums[4] += fast[i].1;
-        println!(
+        outln!(
             "{:8} | {:>8.2} {:>8.2} {:>8.2} {:>8.2} | {:>8.2} {:>8.2} {:>8.2} {:>8.2} | {:>8.2}",
             b.name(),
             l4,
@@ -90,8 +90,8 @@ fn main() {
             fast[i].1,
         );
     }
-    println!("{}", rule(104));
-    println!(
+    outln!("{}", rule(104));
+    outln!(
         "{:8} | {:>8.2} {:>8.2} {:>8.2} {:>8.2} | {:>8.2} {:>8.2} {:>8.2} {:>8.2} | {:>8.2}",
         "Average",
         sums[0] / 5.0,
@@ -104,11 +104,11 @@ fn main() {
         22.92,
         sums[4] / 5.0,
     );
-    println!(
+    outln!(
         "\nReSim (2-issue, V4) over FAST: {:.2}x  (paper reports 6.57x for the common technology)",
         (sums[2] / 5.0) / (sums[4] / 5.0)
     );
-    println!(
+    outln!(
         "[sweep: {} cells on {} threads in {:.2?}; {} traces generated]",
         report.len(),
         report.threads,

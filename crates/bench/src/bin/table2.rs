@@ -35,38 +35,42 @@ fn main() {
     let resim_4wide = avg(LEFT, &cfg_l);
     let resim_2wide = avg(RIGHT, &cfg_r);
 
-    println!("Table 2: architectural simulator performance ({n} instructions/benchmark)\n");
-    println!("{:36} {:>10} {:>11}", "Simulator / ISA", "MIPS", "source");
-    println!("{}", rule(60));
+    outln!("Table 2: architectural simulator performance ({n} instructions/benchmark)\n");
+    outln!("{:36} {:>10} {:>11}", "Simulator / ISA", "MIPS", "source");
+    outln!("{}", rule(60));
     for row in comparison::literature_rows() {
-        println!(
+        outln!(
             "{:36} {:>10.2} {:>11}",
             format!("{} ({})", row.name, row.isa),
             row.speed_mips,
             row.provenance.to_string()
         );
     }
-    println!(
+    outln!(
         "{:36} {:>10.2} {:>11}",
-        "ReSim (PISA, 2-wide, perfect BP, V5)", resim_2wide, "computed"
+        "ReSim (PISA, 2-wide, perfect BP, V5)",
+        resim_2wide,
+        "computed"
     );
-    println!(
+    outln!(
         "{:36} {:>10.2} {:>11}",
-        "ReSim (PISA, 4-wide, 2-lev BP, V5)", resim_4wide, "computed"
+        "ReSim (PISA, 4-wide, 2-lev BP, V5)",
+        resim_4wide,
+        "computed"
     );
-    println!("{}", rule(60));
-    println!("paper's ReSim rows: 22.92 and 28.67 MIPS");
+    outln!("{}", rule(60));
+    outln!("paper's ReSim rows: 22.92 and 28.67 MIPS");
     let best_hw = 4.70f64;
-    println!(
+    outln!(
         "\nReSim vs best prior hardware simulator (A-Ports, 4.70 MIPS): {:.1}x",
         resim_4wide / best_hw
     );
-    println!(
+    outln!(
         "ReSim vs sim-outorder (0.30 MIPS): {:.0}x",
         resim_4wide / 0.30
     );
-    println!("(the paper reports 'more than a factor of 5' over FAST and A-Ports)");
-    println!(
+    outln!("(the paper reports 'more than a factor of 5' over FAST and A-Ports)");
+    outln!(
         "[sweep: {} cells on {} threads in {:.2?}]",
         report.len(),
         report.threads,

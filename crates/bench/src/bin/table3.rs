@@ -28,13 +28,20 @@ fn main() {
         ("vpr", 43.52, 24.44, 132.94),
     ];
 
-    println!("Table 3: ReSim throughput statistics ({n} instructions/benchmark)");
-    println!("4-issue, 2-level BP, perfect memory, Virtex-4. 'p:' columns = paper.\n");
-    println!(
+    outln!("Table 3: ReSim throughput statistics ({n} instructions/benchmark)");
+    outln!("4-issue, 2-level BP, perfect memory, Virtex-4. 'p:' columns = paper.\n");
+    outln!(
         "{:8} | {:>10} {:>8} | {:>10} {:>8} | {:>10} {:>8} | {:>7}",
-        "SPEC", "bits/instr", "p:bits", "MIPS", "p:MIPS", "MB/s", "p:MB/s", "wp %"
+        "SPEC",
+        "bits/instr",
+        "p:bits",
+        "MIPS",
+        "p:MIPS",
+        "MB/s",
+        "p:MB/s",
+        "wp %"
     );
-    println!("{}", rule(92));
+    outln!("{}", rule(92));
 
     let (cfg, _) = table1_left();
     let report = SweepRunner::new(0)
@@ -50,7 +57,7 @@ fn main() {
         sb += bits;
         sm += sp.mips_including_wrong_path;
         st += mbps;
-        println!(
+        outln!(
             "{:8} | {:>10.2} {:>8.2} | {:>10.2} {:>8.2} | {:>10.2} {:>8.2} | {:>7.2}",
             b.name(),
             bits,
@@ -62,8 +69,8 @@ fn main() {
             100.0 * r.stats.wrong_path_fraction(),
         );
     }
-    println!("{}", rule(92));
-    println!(
+    outln!("{}", rule(92));
+    outln!(
         "{:8} | {:>10.2} {:>8.2} | {:>10.2} {:>8.2} | {:>10.2} {:>8.2} |",
         "Average",
         sb / 5.0,
@@ -75,7 +82,7 @@ fn main() {
     );
 
     let gbps = (st / 5.0) * 8.0 / 1000.0;
-    println!("\nAverage trace demand: {gbps:.2} Gb/s (paper: ~1.1 Gb/s)");
+    outln!("\nAverage trace demand: {gbps:.2} Gb/s (paper: ~1.1 Gb/s)");
     for link in TraceLink::ALL {
         let eff = effective_mips(sm / 5.0, sb / 5.0, link);
         let verdict = if eff + 1e-9 >= sm / 5.0 {
@@ -83,13 +90,13 @@ fn main() {
         } else {
             "THROTTLES"
         };
-        println!(
+        outln!(
             "  over {:20} -> {:>6.2} MIPS  ({verdict})",
             link.to_string(),
             eff
         );
     }
-    println!(
+    outln!(
         "[sweep: {} cells on {} threads in {:.2?}]",
         report.len(),
         report.threads,

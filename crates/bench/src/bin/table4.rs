@@ -2,7 +2,7 @@
 //! per-stage/structure percentages of slices, 4-input LUTs and BRAMs,
 //! plus the FAST area comparison of §V.C.
 
-use resim_bench::rule;
+use resim_bench::{outln, rule};
 use resim_fpga::{comparison, AreaModel, FpgaDevice};
 
 fn main() {
@@ -25,15 +25,20 @@ fn main() {
         ("I-C", 1.0),
     ];
 
-    println!("Table 4: area cost on Virtex-4 (xc4vlx40), 4-wide reference design\n");
-    println!(
+    outln!("Table 4: area cost on Virtex-4 (xc4vlx40), 4-wide reference design\n");
+    outln!(
         "{:10} {:>8} {:>9} {:>9} {:>9} {:>7}",
-        "structure", "slices", "slices %", "paper %", "LUTs", "BRAMs"
+        "structure",
+        "slices",
+        "slices %",
+        "paper %",
+        "LUTs",
+        "BRAMs"
     );
-    println!("{}", rule(58));
+    outln!("{}", rule(58));
     for (s, &(pname, ppct)) in est.stages().iter().zip(paper_slices.iter()) {
         assert_eq!(s.name, pname, "table ordering");
-        println!(
+        outln!(
             "{:10} {:>8.0} {:>9.1} {:>9.1} {:>9.0} {:>7}",
             s.name,
             s.slices,
@@ -43,8 +48,8 @@ fn main() {
             s.brams
         );
     }
-    println!("{}", rule(58));
-    println!(
+    outln!("{}", rule(58));
+    outln!(
         "{:10} {:>8.0} {:>9} {:>9} {:>9.0} {:>7}",
         "total",
         est.total_slices(),
@@ -53,20 +58,20 @@ fn main() {
         est.total_luts(),
         est.total_brams()
     );
-    println!("paper totals: 12273 slices, 17175 LUTs, 7 BRAMs\n");
+    outln!("paper totals: 12273 slices, 17175 LUTs, 7 BRAMs\n");
 
-    println!(
+    outln!(
         "FAST 4-wide on Virtex-4: {} slices, {} BRAMs -> {:.1}x and {:.0}x larger than ReSim",
         comparison::FAST_AREA_SLICES,
         comparison::FAST_AREA_BRAMS,
         comparison::FAST_AREA_SLICES / est.total_slices(),
         comparison::FAST_AREA_BRAMS as f64 / est.total_brams() as f64
     );
-    println!("(paper: 2.4x and 24x)\n");
+    outln!("(paper: 2.4x and 24x)\n");
 
     // §VI: multi-instance fitting (the multi-core argument).
     let no_cache = model.estimate(&resim_core::EngineConfig::paper_4wide());
-    println!(
+    outln!(
         "Engine-only (perfect-memory) instance: {:.0} slices; {} instances fit an xc4vlx40",
         no_cache.total_slices(),
         no_cache.instances_on(FpgaDevice::Virtex4Lx40)

@@ -26,6 +26,7 @@
 //! fresh engine per run. Run with
 //! `cargo run --release -p resim-bench --bin throughput_table`.
 
+use resim_bench::outln;
 use resim_bench::timing::{best_rate, Frontend, SuppliedTrace};
 use resim_bpred::{BranchPredictor, PredictorConfig};
 use resim_core::{Engine, EngineConfig, MetricsRecorder, PipelineDescription, SimStats};
@@ -43,8 +44,8 @@ fn mrate(rate: f64) -> String {
 }
 
 fn frontend_by_configuration(gzip: &SuppliedTrace) {
-    println!("| frontend | configuration | Mrec/s |");
-    println!("|----------|---------------|--------|");
+    outln!("| frontend | configuration | Mrec/s |");
+    outln!("|----------|---------------|--------|");
     for (name, pipeline) in [
         ("N+3 (optimized)", PipelineDescription::optimized()),
         ("N+4 (improved)", PipelineDescription::improved()),
@@ -56,14 +57,14 @@ fn frontend_by_configuration(gzip: &SuppliedTrace) {
         };
         for frontend in Frontend::ALL {
             let rate = gzip.engine_rate(&config, frontend, RUNS);
-            println!("| {} | {name} | {} |", frontend.name(), mrate(rate));
+            outln!("| {} | {name} | {} |", frontend.name(), mrate(rate));
         }
     }
     let (config, tracegen) = resim_bench::table1_right();
     let right = SuppliedTrace::generate(SpecBenchmark::Gzip, RECORDS, &tracegen);
     for frontend in Frontend::ALL {
         let rate = right.engine_rate(&config, frontend, RUNS);
-        println!(
+        outln!(
             "| {} | Table 1 right (2-wide, N+4, L1) | {} |",
             frontend.name(),
             mrate(rate)
@@ -73,35 +74,35 @@ fn frontend_by_configuration(gzip: &SuppliedTrace) {
 
 fn workload_by_frontend() {
     let config = EngineConfig::paper_4wide();
-    println!("| workload | slice | file |");
-    println!("|----------|-------|------|");
+    outln!("| workload | slice | file |");
+    outln!("|----------|-------|------|");
     for bench in SpecBenchmark::ALL {
         let supplied = SuppliedTrace::generate(bench, RECORDS, &TraceGenConfig::paper());
         let rates: Vec<String> = Frontend::ALL
             .into_iter()
             .map(|frontend| mrate(supplied.engine_rate(&config, frontend, RUNS)))
             .collect();
-        println!("| {} | {} |", bench.name(), rates.join(" | "));
+        outln!("| {} | {} |", bench.name(), rates.join(" | "));
     }
 }
 
 fn rb_sizes(gzip: &SuppliedTrace) {
-    println!("| RB entries (gzip, slice, paper-4wide) | Mrec/s |");
-    println!("|---------------------------------------|--------|");
+    outln!("| RB entries (gzip, slice, paper-4wide) | Mrec/s |");
+    outln!("|---------------------------------------|--------|");
     for rb_size in [16, 64, 256] {
         let config = EngineConfig {
             rb_size,
             ..EngineConfig::paper_4wide()
         };
         let rate = gzip.engine_rate(&config, Frontend::Slice, RUNS);
-        println!("| {rb_size} | {} |", mrate(rate));
+        outln!("| {rb_size} | {} |", mrate(rate));
     }
 }
 
 fn lsq_sizes(gzip: &SuppliedTrace) {
     let parser = SuppliedTrace::generate(SpecBenchmark::Parser, RECORDS, &TraceGenConfig::paper());
-    println!("| workload (slice, paper-4wide, RB 64) | LSQ entries | memory | Mrec/s |");
-    println!("|--------------------------------------|-------------|--------|--------|");
+    outln!("| workload (slice, paper-4wide, RB 64) | LSQ entries | memory | Mrec/s |");
+    outln!("|--------------------------------------|-------------|--------|--------|");
     for (name, supplied) in [("gzip", gzip), ("parser", &parser)] {
         for lsq_size in [8, 32] {
             for (memory_name, memory) in [
@@ -115,7 +116,7 @@ fn lsq_sizes(gzip: &SuppliedTrace) {
                     ..EngineConfig::paper_4wide()
                 };
                 let rate = supplied.engine_rate(&config, Frontend::Slice, RUNS);
-                println!("| {name} | {lsq_size} | {memory_name} | {} |", mrate(rate));
+                outln!("| {name} | {lsq_size} | {memory_name} | {} |", mrate(rate));
             }
         }
     }
@@ -142,10 +143,10 @@ fn observation_overhead(gzip: &SuppliedTrace) {
         off_stats, on_stats,
         "observation changed the simulated statistics"
     );
-    println!("| observation (slice, N+3) | Mrec/s | vs. off |");
-    println!("|--------------------------|--------|---------|");
-    println!("| off | {} | — |", mrate(off));
-    println!(
+    outln!("| observation (slice, N+3) | Mrec/s | vs. off |");
+    outln!("|--------------------------|--------|---------|");
+    outln!("| off | {} | — |", mrate(off));
+    outln!(
         "| on (`MetricsRecorder`) | {} | {:+.0} % |",
         mrate(on),
         100.0 * (on / off - 1.0)
@@ -217,10 +218,10 @@ fn components(gzip: &SuppliedTrace) {
             }),
         ),
     ];
-    println!("| component | counts | M/s |");
-    println!("|-----------|--------|-----|");
+    outln!("| component | counts | M/s |");
+    outln!("|-----------|--------|-----|");
     for (name, counts, rate) in rows {
-        println!("| {name} | {counts} | {} |", mrate(rate));
+        outln!("| {name} | {counts} | {} |", mrate(rate));
     }
 }
 
@@ -229,17 +230,17 @@ fn decoded_len(encoded: &resim_trace::EncodedTrace) -> u64 {
 }
 
 fn main() {
-    println!("Host throughput, millions per second; {RECORDS} records, best of {RUNS}\n");
+    outln!("Host throughput, millions per second; {RECORDS} records, best of {RUNS}\n");
     let gzip = SuppliedTrace::generate(SpecBenchmark::Gzip, RECORDS, &TraceGenConfig::paper());
     frontend_by_configuration(&gzip);
-    println!();
+    outln!();
     workload_by_frontend();
-    println!();
+    outln!();
     rb_sizes(&gzip);
-    println!();
+    outln!();
     lsq_sizes(&gzip);
-    println!();
+    outln!();
     observation_overhead(&gzip);
-    println!();
+    outln!();
     components(&gzip);
 }

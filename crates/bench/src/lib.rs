@@ -19,6 +19,9 @@
 //! | `throughput_table` | host throughput: frontends, workloads, recorder, components |
 //! | `bench_guard` | CI gate: engine throughput per frontend vs `BENCH_BASELINE.json` |
 //!
+//! Every binary prints through [`outln!`], so a closed pipe ends it with
+//! exit status 1 and a one-line message, not a panic.
+//!
 //! Both host-speed binaries time through [`timing`]: best-of-N rates
 //! over one trace supplied as a slice, a v1 encoding and a file.
 
@@ -27,12 +30,38 @@
 
 pub mod timing;
 
+use std::io::Write;
+
 use resim_core::{Engine, EngineConfig, SimStats};
 use resim_fpga::{FpgaDevice, SimulationSpeed, ThroughputModel};
 use resim_sweep::{CellResult, Scenario};
 use resim_trace::{Trace, TraceStats};
 use resim_tracegen::{generate_trace, TraceGenConfig};
 use resim_workloads::{SpecBenchmark, Workload};
+
+/// `println!` for the report binaries, through [`write_stdout`]: a
+/// failed write (a closed pipe, say) ends the process with exit status 1
+/// and `cannot write output: <error>` on stderr, as `resim` does, rather
+/// than a panic.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes `args` to stdout and flushes; on failure, reports
+/// `cannot write output: <error>` on stderr and exits with status 1.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(args).and_then(|()| out.flush()) {
+        let _ = writeln!(std::io::stderr(), "cannot write output: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// Default instruction budget per benchmark run (correct-path records).
 pub const DEFAULT_INSTRUCTIONS: usize = 1_000_000;
