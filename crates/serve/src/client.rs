@@ -131,7 +131,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Any [`ClientError`]; an unissued id is code `unknown-job`.
+    /// Any [`ClientError`]; an unissued id is code `unknown-job`, and a
+    /// finished job the server has since dropped is code `expired`.
     pub fn status(&mut self, job: u64) -> Result<JsonValue, ClientError> {
         self.roundtrip(
             verb("status", vec![("job", JsonValue::Int(job as i64))]),
@@ -144,7 +145,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Any [`ClientError`].
+    /// Any [`ClientError`]; codes `unknown-job` and `expired` as for
+    /// [`Client::status`].
     pub fn wait(
         &mut self,
         job: u64,

@@ -7,6 +7,12 @@
 //! condvar and wakes exactly when *something* changed, re-snapshotting
 //! its job.
 //!
+//! The table forgets finished jobs oldest first: it keeps the last
+//! [`FINISHED_JOBS_KEPT`] outcomes (each carries its CSV report), so a
+//! long-lived server's memory does not grow with the jobs it has run. A
+//! lookup of an evicted id answers [`Missing::Expired`], one of an id
+//! never issued [`Missing::Unknown`].
+//!
 //! Execution itself is **serial**: one executor thread pops jobs in
 //! submission order ([`JobTable::take_next`]). That is the exactly-once
 //! guarantee under concurrent identical submissions — by the time the
@@ -19,6 +25,21 @@ use crate::recover;
 use resim_sweep::ScenarioDoc;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
+
+/// How many finished (done or failed) jobs the table keeps, most recent
+/// first; an older one is dropped, outcome and CSV included, when a newer
+/// one finishes.
+pub const FINISHED_JOBS_KEPT: usize = 256;
+
+/// Why a job id has no snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Missing {
+    /// The table never issued the id.
+    Unknown,
+    /// The job finished and was dropped to keep the last
+    /// [`FINISHED_JOBS_KEPT`].
+    Expired,
+}
 
 /// What a finished job produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,7 +132,22 @@ struct Inner {
     next_id: u64,
     queue: VecDeque<u64>,
     jobs: HashMap<u64, JobEntry>,
+    /// Finished job ids, oldest first; at most [`FINISHED_JOBS_KEPT`].
+    finished: VecDeque<u64>,
     closed: bool,
+}
+
+impl Inner {
+    /// The entry for `id`, or why there is none.
+    fn entry(&self, id: u64) -> Result<&JobEntry, Missing> {
+        match self.jobs.get(&id) {
+            Some(entry) => Ok(entry),
+            // Ids are issued in order from 1 and only eviction removes
+            // an entry.
+            None if (1..=self.next_id).contains(&id) => Err(Missing::Expired),
+            None => Err(Missing::Unknown),
+        }
+    }
 }
 
 /// The shared job table (see the module docs for the concurrency
@@ -185,35 +221,44 @@ impl JobTable {
         self.changed.notify_all();
     }
 
-    /// Moves a job to its terminal state.
+    /// Moves a job to its terminal state, dropping the oldest finished
+    /// job if more than [`FINISHED_JOBS_KEPT`] now are.
     pub fn finish(&self, id: u64, result: Result<JobOutcome, String>) {
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         if let Some(entry) = inner.jobs.get_mut(&id) {
+            if !entry.state.terminal() {
+                inner.finished.push_back(id);
+            }
             entry.state = match result {
                 Ok(outcome) => State::Done(outcome),
                 Err(message) => State::Failed(message),
             };
             entry.version += 1;
         }
+        if inner.finished.len() > FINISHED_JOBS_KEPT {
+            let oldest = inner.finished.pop_front().expect("more than none");
+            inner.jobs.remove(&oldest);
+        }
         self.changed.notify_all();
     }
 
-    /// Snapshots a job; `None` for an id the table never issued.
-    pub fn status(&self, id: u64) -> Option<JobStatus> {
+    /// Snapshots a job, or says why there is none.
+    pub fn status(&self, id: u64) -> Result<JobStatus, Missing> {
         let inner = self.lock();
-        inner.jobs.get(&id).map(|e| status_of(id, e))
+        inner.entry(id).map(|e| status_of(id, e))
     }
 
     /// Blocks until job `id` changes past `seen_version` (or is already
-    /// terminal), returning the fresh snapshot; `None` for an unknown
-    /// id. The building block of streamed `wait` responses: call with
-    /// the last snapshot's version, emit, repeat until terminal.
-    pub fn wait_change(&self, id: u64, seen_version: u64) -> Option<JobStatus> {
+    /// terminal), returning the fresh snapshot, or why there is none.
+    /// The building block of streamed `wait` responses: call with the
+    /// last snapshot's version, emit, repeat until terminal.
+    pub fn wait_change(&self, id: u64, seen_version: u64) -> Result<JobStatus, Missing> {
         let mut inner = self.lock();
         loop {
-            let entry = inner.jobs.get(&id)?;
+            let entry = inner.entry(id)?;
             if entry.version > seen_version || entry.state.terminal() {
-                return Some(status_of(id, entry));
+                return Ok(status_of(id, entry));
             }
             inner = recover(self.changed.wait(inner));
         }
@@ -275,7 +320,7 @@ mod tests {
         let b = table.submit(ScenarioDoc::default(), String::new());
         assert_eq!((a, b), (1, 2));
         assert_eq!(table.status(a).unwrap().state, "queued");
-        assert!(table.status(99).is_none());
+        assert_eq!(table.status(99).unwrap_err(), Missing::Unknown);
 
         let (first, ..) = table.take_next().unwrap();
         assert_eq!(first, a, "FIFO");
@@ -319,7 +364,44 @@ mod tests {
         // Waiting on an already-terminal job returns immediately even
         // with nothing newer than `seen`.
         assert!(table.wait_change(id, u64::MAX).unwrap().terminal());
-        assert!(table.wait_change(404, 0).is_none());
+        assert_eq!(table.wait_change(404, 0).unwrap_err(), Missing::Unknown);
+    }
+
+    #[test]
+    fn finished_jobs_past_the_bound_expire_oldest_first() {
+        let table = JobTable::new();
+        // A job still queued is never dropped, however many finish.
+        let parked = table.submit(ScenarioDoc::default(), String::new());
+        let (running, ..) = table.take_next().unwrap();
+        assert_eq!(running, parked);
+        let ids: Vec<u64> = (0..FINISHED_JOBS_KEPT + 2)
+            .map(|_| table.submit(ScenarioDoc::default(), String::new()))
+            .collect();
+        for (n, &id) in ids.iter().enumerate() {
+            let (got, ..) = table.take_next().unwrap();
+            assert_eq!(got, id);
+            if n % 2 == 0 {
+                table.finish(id, Ok(outcome()));
+            } else {
+                table.finish(id, Err("boom".to_string()));
+            }
+        }
+        for &gone in &ids[..2] {
+            assert_eq!(table.status(gone).unwrap_err(), Missing::Expired);
+            assert_eq!(table.wait_change(gone, 0).unwrap_err(), Missing::Expired);
+        }
+        for &kept in &ids[2..] {
+            assert!(table.status(kept).unwrap().terminal(), "job {kept}");
+        }
+        assert_eq!(table.lock().finished.len(), FINISHED_JOBS_KEPT);
+        assert_eq!(table.status(parked).unwrap().state, "running");
+        let never = ids.last().unwrap() + 1;
+        assert_eq!(table.status(never).unwrap_err(), Missing::Unknown);
+        assert_eq!(table.status(0).unwrap_err(), Missing::Unknown);
+        // The running job finishing drops the oldest kept one.
+        table.finish(parked, Ok(outcome()));
+        assert_eq!(table.status(ids[2]).unwrap_err(), Missing::Expired);
+        assert!(table.status(parked).unwrap().terminal());
     }
 
     #[test]

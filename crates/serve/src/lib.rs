@@ -63,7 +63,7 @@ mod server;
 
 pub use cache::{CachedCell, Lookup, Rejection, ResultCache};
 pub use client::{Client, ClientError};
-pub use jobs::{JobOutcome, JobStatus, JobTable};
+pub use jobs::{JobOutcome, JobStatus, JobTable, Missing, FINISHED_JOBS_KEPT};
 pub use protocol::{ErrorCode, Request, WireError, MAX_FRAME, SERVE_SCHEMA};
 pub use server::{Server, SERVER_VERSION};
 

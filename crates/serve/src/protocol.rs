@@ -42,6 +42,9 @@ pub enum ErrorCode {
     BadScenario,
     /// A `status`/`wait` named a job id the server never issued.
     UnknownJob,
+    /// A `status`/`wait` named a job that finished and was dropped to
+    /// keep the last [`FINISHED_JOBS_KEPT`](crate::jobs::FINISHED_JOBS_KEPT).
+    Expired,
 }
 
 impl ErrorCode {
@@ -54,6 +57,7 @@ impl ErrorCode {
             ErrorCode::UnknownVerb => "unknown-verb",
             ErrorCode::BadScenario => "bad-scenario",
             ErrorCode::UnknownJob => "unknown-job",
+            ErrorCode::Expired => "expired",
         }
     }
 }
@@ -340,6 +344,7 @@ mod tests {
             (ErrorCode::UnknownVerb, "unknown-verb"),
             (ErrorCode::BadScenario, "bad-scenario"),
             (ErrorCode::UnknownJob, "unknown-job"),
+            (ErrorCode::Expired, "expired"),
         ];
         for (code, name) in all {
             assert_eq!(code.name(), name);

@@ -2,7 +2,7 @@
 //! cache-aware job execution they share.
 
 use crate::cache::{CachedCell, Lookup, ResultCache};
-use crate::jobs::{JobOutcome, JobStatus, JobTable};
+use crate::jobs::{JobOutcome, JobStatus, JobTable, Missing, FINISHED_JOBS_KEPT};
 use crate::protocol::{
     fingerprint_hex, object, ok_response, parse_request, read_frame, write_frame, ErrorCode,
     FrameError, Request, WireError, SERVE_SCHEMA,
@@ -291,20 +291,21 @@ impl Server {
                 }
             }
             Request::Status { job } => match self.jobs.status(job) {
-                Some(status) => send(writer, &status_response(&status)),
-                None => {
+                Ok(status) => send(writer, &status_response(&status)),
+                Err(missing) => {
                     self.bump(Counter::ServeErrors, 1);
-                    let e = WireError::new(ErrorCode::UnknownJob, format!("no job {job}"));
-                    send(writer, &e.render())
+                    send(writer, &missing_job(job, missing).render())
                 }
             },
             Request::Wait { job } => {
                 let mut seen = 0;
                 loop {
-                    let Some(status) = self.jobs.wait_change(job, seen) else {
-                        self.bump(Counter::ServeErrors, 1);
-                        let e = WireError::new(ErrorCode::UnknownJob, format!("no job {job}"));
-                        return send(writer, &e.render());
+                    let status = match self.jobs.wait_change(job, seen) {
+                        Ok(status) => status,
+                        Err(missing) => {
+                            self.bump(Counter::ServeErrors, 1);
+                            return send(writer, &missing_job(job, missing).render());
+                        }
                     };
                     if status.terminal() {
                         return send(writer, &status_response(&status));
@@ -346,6 +347,20 @@ impl Server {
                 false
             }
         }
+    }
+}
+
+/// The typed error for a `status`/`wait` on a job with no snapshot.
+fn missing_job(job: u64, missing: Missing) -> WireError {
+    match missing {
+        Missing::Unknown => WireError::new(ErrorCode::UnknownJob, format!("no job {job}")),
+        Missing::Expired => WireError::new(
+            ErrorCode::Expired,
+            format!(
+                "job {job} finished and was dropped: the server keeps the last \
+                 {FINISHED_JOBS_KEPT} finished jobs"
+            ),
+        ),
     }
 }
 
