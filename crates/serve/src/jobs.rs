@@ -26,9 +26,8 @@ use resim_sweep::ScenarioDoc;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 
-/// How many finished (done or failed) jobs the table keeps, most recent
-/// first; an older one is dropped, outcome and CSV included, when a newer
-/// one finishes.
+/// How many finished (done or failed) jobs the table keeps: when one
+/// more finishes, the oldest is dropped, outcome and CSV included.
 pub const FINISHED_JOBS_KEPT: usize = 256;
 
 /// Why a job id has no snapshot.
@@ -227,9 +226,7 @@ impl JobTable {
         let mut guard = self.lock();
         let inner = &mut *guard;
         if let Some(entry) = inner.jobs.get_mut(&id) {
-            if !entry.state.terminal() {
-                inner.finished.push_back(id);
-            }
+            inner.finished.push_back(id);
             entry.state = match result {
                 Ok(outcome) => State::Done(outcome),
                 Err(message) => State::Failed(message),
