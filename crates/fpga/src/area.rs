@@ -22,9 +22,9 @@ use resim_bpred::DirectionConfig;
 use resim_core::EngineConfig;
 use resim_mem::MemorySystemConfig;
 
-/// Calibration anchors from Table 4 (percent of total, paper order).
+/// Calibration anchors from Table 4 (percent of total, paper order):
 /// (name, slices %, LUTs %, BRAM blocks).
-const TABLE4: [(&str, f64, f64, u64); 12] = [
+pub const TABLE4: [(&str, f64, f64, u64); 12] = [
     ("fetch", 25.0, 23.0, 0),
     ("disp", 9.0, 5.0, 0),
     ("issue", 5.0, 7.0, 0),
@@ -39,9 +39,10 @@ const TABLE4: [(&str, f64, f64, u64); 12] = [
     ("I-C", 1.0, 1.0, 2),
 ];
 
-/// Total resources of the calibration design (Table 4, last column).
-const TABLE4_SLICES: f64 = 12_273.0;
-const TABLE4_LUTS: f64 = 17_175.0;
+/// Total slices of the calibration design (Table 4, last column).
+pub const TABLE4_SLICES: f64 = 12_273.0;
+/// Total 4-input LUTs of the calibration design (Table 4, last column).
+pub const TABLE4_LUTS: f64 = 17_175.0;
 
 /// Resource usage of one stage or structure.
 #[derive(Debug, Clone, PartialEq)]

@@ -20,7 +20,8 @@
 //! * [`TraceLink`] — trace-delivery bandwidth models for the Table 3
 //!   analysis (Gigabit Ethernet vs. tightly-coupled CPU–FPGA buses);
 //! * [`comparison`] — the literature datapoints of Table 2 (FAST,
-//!   A-Ports, PTLsim, GEMS, `sim-outorder`) with provenance tags.
+//!   A-Ports, PTLsim, GEMS, `sim-outorder`) with provenance tags, and
+//!   the paper's per-benchmark Table 1 and Table 3 cells.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +32,10 @@ pub mod comparison;
 mod device;
 mod throughput;
 
-pub use area::{parallel_fetch_ablation, AreaEstimate, AreaModel, FetchAblation, StageArea};
+pub use area::{
+    parallel_fetch_ablation, AreaEstimate, AreaModel, FetchAblation, StageArea, TABLE4,
+    TABLE4_LUTS, TABLE4_SLICES,
+};
 pub use bandwidth::{effective_mips, TraceLink};
 pub use device::FpgaDevice;
 pub use throughput::{SimulationSpeed, ThroughputModel};
