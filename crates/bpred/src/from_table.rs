@@ -9,29 +9,51 @@
 use crate::btb::BtbConfig;
 use crate::direction::{DirectionConfig, TwoLevelConfig};
 use crate::predictor::PredictorConfig;
-use resim_toml::{Error, Table};
+use resim_toml::{Error, Key, Kind, Table};
 
 /// Largest accepted predictor or BTB table (entries). Every table is
 /// allocated up front, so an unbounded size from a scenario file would
 /// exhaust memory instead of failing as a diagnostic.
-const MAX_TABLE_ENTRIES: usize = 1 << 24;
+const MAX_TABLE_ENTRIES: u64 = 1 << 24;
 
 /// Largest accepted return-address stack depth.
-const MAX_RAS_ENTRIES: usize = 1 << 16;
+const MAX_RAS_ENTRIES: u64 = 1 << 16;
 
-/// Keys meaningful for every predictor kind.
-const COMMON_KEYS: &[&str] = &["kind", "btb_entries", "btb_associativity", "ras_entries"];
+/// Keys of a `[engine.predictor]` table common to every kind.
+pub const PREDICTOR_KEYS: &[Key] = &[
+    Key("kind", Kind::Str),
+    Key("btb_entries", Kind::Pow2(1, MAX_TABLE_ENTRIES)),
+    Key("btb_associativity", Kind::Pow2(1, MAX_TABLE_ENTRIES)),
+    Key("ras_entries", Kind::Int(1, MAX_RAS_ENTRIES)),
+];
+
+/// The extra keys of `kind = "bimodal"`.
+pub const BIMODAL_KEYS: &[Key] = &[Key("size", Kind::Pow2(1, MAX_TABLE_ENTRIES))];
+
+/// The extra keys of `kind = "two-level"`.
+pub const TWO_LEVEL_KEYS: &[Key] = &[
+    Key("l1_size", Kind::Pow2(1, MAX_TABLE_ENTRIES)),
+    Key("history_bits", Kind::Int(1, 16)),
+    Key("l2_size", Kind::Pow2(1, MAX_TABLE_ENTRIES)),
+    Key("xor", Kind::Bool),
+    Key("counter_bits", Kind::Int(1, 8)),
+];
+
+/// The extra keys of `kind = "gshare"`.
+pub const GSHARE_KEYS: &[Key] = &[
+    Key("history_bits", Kind::Int(1, 16)),
+    Key("pht_size", Kind::Pow2(1, MAX_TABLE_ENTRIES)),
+];
 
 impl PredictorConfig {
     /// Builds a predictor configuration from a scenario-file table.
     ///
     /// `kind` selects the direction predictor — `"perfect"`, `"taken"`,
-    /// `"not-taken"`, `"bimodal"` (`size`), `"two-level"` (`l1_size`,
-    /// `history_bits`, `l2_size`, `xor`, `counter_bits`) or `"gshare"`
-    /// (`history_bits`, `pht_size`) — defaulting to the paper's
-    /// two-level scheme. `btb_entries`, `btb_associativity` and
-    /// `ras_entries` apply to every kind. Omitted keys keep the paper's
-    /// reference values ([`PredictorConfig::paper_two_level`]).
+    /// `"not-taken"`, `"bimodal"` ([`BIMODAL_KEYS`]), `"two-level"`
+    /// ([`TWO_LEVEL_KEYS`]) or `"gshare"` ([`GSHARE_KEYS`]) —
+    /// defaulting to the paper's two-level scheme; [`PREDICTOR_KEYS`]
+    /// apply to every kind. Omitted keys keep the paper's reference
+    /// values ([`PredictorConfig::paper_two_level`]).
     ///
     /// ```
     /// use resim_bpred::{DirectionConfig, PredictorConfig};
@@ -53,59 +75,37 @@ impl PredictorConfig {
     ///
     /// # Errors
     ///
-    /// A line-numbered [`Error`] for unknown keys, keys that do not
-    /// apply to the selected kind, or invalid geometry (non-power-of-two
-    /// table sizes, tables over 2^24 entries, a RAS deeper than 2^16,
-    /// out-of-range history lengths).
+    /// A line-numbered [`Error`] for keys that do not apply to the
+    /// selected kind, values outside their key table's range, or a BTB
+    /// with more ways than entries.
     pub fn from_table(t: &Table) -> Result<Self, Error> {
-        let mut config = PredictorConfig::paper_two_level();
+        type Direction = fn(&Table) -> Result<DirectionConfig, Error>;
         let kind = t.opt_str("kind")?.unwrap_or("two-level");
-        config.direction = match kind {
-            "perfect" => {
-                t.ensure_only(COMMON_KEYS)?;
-                DirectionConfig::Perfect
-            }
-            "taken" => {
-                t.ensure_only(COMMON_KEYS)?;
-                DirectionConfig::Taken
-            }
-            "not-taken" => {
-                t.ensure_only(COMMON_KEYS)?;
-                DirectionConfig::NotTaken
-            }
-            "bimodal" => {
-                t.ensure_only(&[COMMON_KEYS, &["size"]].concat())?;
+        let (extra, direction): (&[Key], Direction) = match kind {
+            "perfect" => (&[], |_| Ok(DirectionConfig::Perfect)),
+            "taken" => (&[], |_| Ok(DirectionConfig::Taken)),
+            "not-taken" => (&[], |_| Ok(DirectionConfig::NotTaken)),
+            "bimodal" => (BIMODAL_KEYS, |t| {
                 let size = t.opt_usize("size")?.unwrap_or(2048);
-                power_of_two(t, "size", size)?;
-                DirectionConfig::Bimodal { size }
-            }
-            "two-level" => {
-                t.ensure_only(
-                    &[
-                        COMMON_KEYS,
-                        &["l1_size", "history_bits", "l2_size", "xor", "counter_bits"],
-                    ]
-                    .concat(),
-                )?;
+                Ok(DirectionConfig::Bimodal { size })
+            }),
+            "two-level" => (TWO_LEVEL_KEYS, |t| {
                 let paper = TwoLevelConfig::paper();
-                let two = TwoLevelConfig {
+                Ok(DirectionConfig::TwoLevel(TwoLevelConfig {
                     l1_size: t.opt_usize("l1_size")?.unwrap_or(paper.l1_size),
                     history_bits: t.opt_u32("history_bits")?.unwrap_or(paper.history_bits),
                     l2_size: t.opt_usize("l2_size")?.unwrap_or(paper.l2_size),
                     xor: t.opt_bool("xor")?.unwrap_or(paper.xor),
                     counter_bits: t.opt_u32("counter_bits")?.unwrap_or(paper.counter_bits),
-                };
-                check_two_level(t, &two)?;
-                DirectionConfig::TwoLevel(two)
-            }
-            "gshare" => {
-                t.ensure_only(&[COMMON_KEYS, &["history_bits", "pht_size"]].concat())?;
+                }))
+            }),
+            "gshare" => (GSHARE_KEYS, |t| {
                 let history = t.opt_u32("history_bits")?.unwrap_or(12);
                 let pht = t.opt_usize("pht_size")?.unwrap_or(4096);
-                let two = TwoLevelConfig::gshare(history, pht);
-                check_two_level(t, &two)?;
-                DirectionConfig::TwoLevel(two)
-            }
+                Ok(DirectionConfig::TwoLevel(TwoLevelConfig::gshare(
+                    history, pht,
+                )))
+            }),
             other => {
                 return Err(Error::new(
                     t.key_line("kind"),
@@ -116,14 +116,15 @@ impl PredictorConfig {
                 ))
             }
         };
+        t.check(&[PREDICTOR_KEYS, extra].concat())?;
+        let mut config = PredictorConfig::paper_two_level();
+        config.direction = direction(t)?;
         let btb = BtbConfig {
             entries: t.opt_usize("btb_entries")?.unwrap_or(config.btb.entries),
             associativity: t
                 .opt_usize("btb_associativity")?
                 .unwrap_or(config.btb.associativity),
         };
-        power_of_two(t, "btb_entries", btb.entries)?;
-        power_of_two(t, "btb_associativity", btb.associativity)?;
         if btb.associativity > btb.entries {
             return Err(Error::new(
                 t.key_line("btb_associativity"),
@@ -135,69 +136,8 @@ impl PredictorConfig {
         }
         config.btb = btb;
         config.ras_entries = t.opt_usize("ras_entries")?.unwrap_or(config.ras_entries);
-        if config.ras_entries == 0 {
-            return Err(Error::new(
-                t.key_line("ras_entries"),
-                "ras_entries must be at least 1",
-            ));
-        }
-        if config.ras_entries > MAX_RAS_ENTRIES {
-            return Err(Error::new(
-                t.key_line("ras_entries"),
-                format!(
-                    "ras_entries {} exceeds the maximum of {MAX_RAS_ENTRIES}",
-                    config.ras_entries
-                ),
-            ));
-        }
         Ok(config)
     }
-}
-
-fn check_two_level(t: &Table, two: &TwoLevelConfig) -> Result<(), Error> {
-    power_of_two(t, "l1_size", two.l1_size)?;
-    let l2_key = if t.get("pht_size").is_some() {
-        "pht_size"
-    } else {
-        "l2_size"
-    };
-    if two.l2_size == 0 {
-        return Err(Error::new(
-            t.key_line(l2_key),
-            "pattern table needs at least one entry",
-        ));
-    }
-    power_of_two(t, l2_key, two.l2_size)?;
-    if !(1..=16).contains(&two.history_bits) {
-        return Err(Error::new(
-            t.key_line("history_bits"),
-            format!("history_bits {} out of range 1..=16", two.history_bits),
-        ));
-    }
-    if !(1..=8).contains(&two.counter_bits) {
-        return Err(Error::new(
-            t.key_line("counter_bits"),
-            format!("counter_bits {} out of range 1..=8", two.counter_bits),
-        ));
-    }
-    Ok(())
-}
-
-/// Checks a table size: a power of two of at most [`MAX_TABLE_ENTRIES`].
-fn power_of_two(t: &Table, key: &str, value: usize) -> Result<(), Error> {
-    if value == 0 || !value.is_power_of_two() {
-        return Err(Error::new(
-            t.key_line(key),
-            format!("key {key:?}: {value} must be a power of two"),
-        ));
-    }
-    if value > MAX_TABLE_ENTRIES {
-        return Err(Error::new(
-            t.key_line(key),
-            format!("key {key:?}: {value} exceeds the maximum of {MAX_TABLE_ENTRIES} entries"),
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -274,11 +214,11 @@ mod tests {
         assert!(parse("history_bits = 17")
             .unwrap_err()
             .to_string()
-            .contains("1..=16"));
+            .contains("exceeds the maximum of 16"));
         assert!(parse("counter_bits = 0")
             .unwrap_err()
             .to_string()
-            .contains("1..=8"));
+            .contains("at least 1"));
         assert!(parse("btb_entries = 100").is_err());
         assert!(parse("btb_associativity = 4\nbtb_entries = 2")
             .unwrap_err()

@@ -58,6 +58,7 @@ mod tournament;
 pub use btb::{Btb, BtbConfig};
 pub use counter::SatCounter;
 pub use direction::{DirectionConfig, DirectionPredictor, TwoLevelConfig};
+pub use from_table::{BIMODAL_KEYS, GSHARE_KEYS, PREDICTOR_KEYS, TWO_LEVEL_KEYS};
 pub use predictor::{BranchPredictor, Prediction, PredictorConfig, PredictorStats, Resolution};
 pub use ras::Ras;
 pub use tournament::{TournamentConfig, TournamentPredictor};

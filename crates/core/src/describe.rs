@@ -5,6 +5,7 @@ use crate::config::EngineConfig;
 use crate::scheduler::MinorCycleScheduler;
 use resim_bpred::DirectionConfig;
 use resim_mem::MemorySystemConfig;
+use std::fmt::Write as _;
 
 /// Renders the block diagram of the simulated machine (Figure 1) for a
 /// given configuration: the stages, the structures between them and
@@ -39,49 +40,61 @@ pub fn block_diagram(config: &EngineConfig) -> String {
             l1d.block_bytes,
         ),
     };
-    format!(
-        r#"ReSim simulated microarchitecture (Figure 1), {width}-wide
-
-           +--------------------------------------------------------+
-  trace -> |  FETCH  --> IFQ[{ifq}] --> Decouple --> DISPATCH         |
-           |    |                            |          |           |
-           |    v                            v          v           |
-           |  Branch Predictor          Rename Table   RB[{rb}]       |
-           |   ({dir})                                  LSQ[{lsq}]      |
-           |   BTB[{btb}] RAS[{ras}]                                     |
-           |                                                        |
-           |  ISSUE/EX: {alus}xALU(lat {alat}) {mults}xMUL(lat {mlat}) {divs}xDIV(lat {dlat})    |
-           |  Lsq_refresh -> load wakeup, store-to-load forwarding  |
-           |  WRITEBACK ({width}/cycle) --> COMMIT ({width}/cycle)            |
-           |  mem ports: {rport} read / {wport} write                          |
-           +--------------------------------------------------------+
-  memory:  {mem}
-  penalties: misfetch {mfp}, mispredict {mpp}
-  engine pipeline: {pipe} ({minor} minor cycles per simulated cycle)
-  stage roster: {roster} (evaluation order)
-"#,
-        width = config.width,
-        ifq = config.ifq_size,
-        rb = config.rb_size,
-        lsq = config.lsq_size,
-        dir = dir,
-        btb = config.predictor.btb.entries,
-        ras = config.predictor.ras_entries,
-        alus = config.fus.alus,
-        alat = config.fus.alu_latency,
-        mults = config.fus.mults,
-        mlat = config.fus.mult_latency,
-        divs = config.fus.divs,
-        dlat = config.fus.div_latency,
-        rport = config.mem_read_ports,
-        wport = config.mem_write_ports,
-        mem = mem,
-        mfp = config.misfetch_penalty,
-        mpp = config.mispredict_penalty,
-        pipe = config.pipeline,
-        minor = config.minor_cycles_per_major(),
-        roster = scheduler.roster().join(" -> "),
-    )
+    let width = config.width;
+    let rows = [
+        format!(
+            "  FETCH  --> IFQ[{}] --> Decouple --> DISPATCH",
+            config.ifq_size
+        ),
+        "    |                            |          |".to_owned(),
+        "    v                            v          v".to_owned(),
+        format!(
+            "  Branch Predictor          Rename Table   RB[{}]",
+            config.rb_size
+        ),
+        format!("{:<42} LSQ[{}]", format!("   ({dir})"), config.lsq_size),
+        format!(
+            "   BTB[{}] RAS[{}]",
+            config.predictor.btb.entries, config.predictor.ras_entries
+        ),
+        String::new(),
+        format!(
+            "  ISSUE/EX: {}xALU(lat {}) {}xMUL(lat {}) {}xDIV(lat {})",
+            config.fus.alus,
+            config.fus.alu_latency,
+            config.fus.mults,
+            config.fus.mult_latency,
+            config.fus.divs,
+            config.fus.div_latency
+        ),
+        "  Lsq_refresh -> load wakeup, store-to-load forwarding".to_owned(),
+        format!("  WRITEBACK ({width}/cycle) --> COMMIT ({width}/cycle)"),
+        format!(
+            "  mem ports: {} read / {} write",
+            config.mem_read_ports, config.mem_write_ports
+        ),
+    ];
+    // The box widens to its longest row, keeping two columns of margin.
+    let inner = rows.iter().map(|r| r.len() + 2).max().unwrap_or(0).max(56);
+    let border = format!("           +{}+\n", "-".repeat(inner));
+    let mut out = format!("ReSim simulated microarchitecture (Figure 1), {width}-wide\n\n{border}");
+    for (i, row) in rows.iter().enumerate() {
+        let lead = if i == 0 { "  trace -> " } else { "           " };
+        let _ = writeln!(out, "{lead}|{row:<inner$}|");
+    }
+    out.push_str(&border);
+    let _ = write!(
+        out,
+        "  memory:  {mem}\n  penalties: misfetch {}, mispredict {}\n  \
+         engine pipeline: {} ({} minor cycles per simulated cycle)\n  \
+         stage roster: {} (evaluation order)\n",
+        config.misfetch_penalty,
+        config.mispredict_penalty,
+        config.pipeline,
+        config.minor_cycles_per_major(),
+        scheduler.roster().join(" -> "),
+    );
+    out
 }
 
 #[cfg(test)]
@@ -110,6 +123,35 @@ mod tests {
             "Commit -> Writeback -> Lsq_refresh -> Issue -> Dispatch -> Fetch",
         ] {
             assert!(d.contains(needle), "diagram must mention {needle}:\n{d}");
+        }
+    }
+
+    #[test]
+    fn every_row_reaches_the_right_border() {
+        let mut bimodal = EngineConfig::paper_4wide();
+        bimodal.predictor.direction = DirectionConfig::Bimodal { size: 2048 };
+        let mut gshare = EngineConfig::paper_4wide();
+        gshare.predictor.direction =
+            DirectionConfig::TwoLevel(resim_bpred::TwoLevelConfig::gshare(12, 4096));
+        for config in [
+            EngineConfig::paper_4wide(),
+            EngineConfig::paper_2wide_cached(),
+            bimodal,
+            gshare,
+        ] {
+            let d = block_diagram(&config);
+            let lines: Vec<&str> = d.lines().collect();
+            let borders: Vec<usize> = (0..lines.len())
+                .filter(|&i| lines[i].trim_start().starts_with('+'))
+                .collect();
+            let [top, bottom] = borders[..] else {
+                panic!("two border lines expected:\n{d}");
+            };
+            assert!(bottom > top + 1, "{d}");
+            for line in &lines[top..=bottom] {
+                assert_eq!(line.len(), lines[top].len(), "{line:?} in\n{d}");
+                assert!(line.ends_with(['|', '+']), "{line:?} in\n{d}");
+            }
         }
     }
 

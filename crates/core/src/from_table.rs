@@ -13,7 +13,67 @@ use crate::description::{PipelineDescription, SlotExpr, SlotSpec, StageRow};
 use crate::grid::ConfigGrid;
 use resim_bpred::PredictorConfig;
 use resim_mem::MemorySystemConfig;
-use resim_toml::{Error, Table, Value};
+use resim_toml::{Error, Key, Kind, Table, Value};
+
+/// Keys of an `[engine]` table (and of `[sweep.config.engine]` and
+/// `[sweep.grid.base]`). The sizes, penalties and unit counts are
+/// bounded by [`EngineConfig::validate`], not here.
+pub const ENGINE_KEYS: &[Key] = &[
+    Key("preset", Kind::Str),
+    Key("width", Kind::U64),
+    Key("ifq_size", Kind::U64),
+    Key("rb_size", Kind::U64),
+    Key("lsq_size", Kind::U64),
+    Key("mem_read_ports", Kind::U64),
+    Key("mem_write_ports", Kind::U64),
+    Key("misfetch_penalty", Kind::U64),
+    Key("mispredict_penalty", Kind::U64),
+    Key("pipeline", Kind::Str),
+    Key("fu", Kind::Table),
+    Key("predictor", Kind::Table),
+    Key("memory", Kind::Table),
+];
+
+/// Keys of an `[engine.fu]` table, bounded by [`EngineConfig::validate`].
+pub const FU_KEYS: &[Key] = &[
+    Key("alus", Kind::U64),
+    Key("mults", Kind::U64),
+    Key("divs", Kind::U64),
+    Key("alu_latency", Kind::U64),
+    Key("mult_latency", Kind::U64),
+    Key("div_latency", Kind::U64),
+    Key("div_pipelined", Kind::Bool),
+];
+
+/// Keys of a `[sweep.grid]` table. `base` and `tracegen` belong to the
+/// caller (`Scenario::from_table` reads them from the same table).
+pub const GRID_KEYS: &[Key] = &[
+    Key("widths", Kind::Ints(u64::MAX)),
+    Key("rb_sizes", Kind::Ints(u64::MAX)),
+    Key("lsq_sizes", Kind::Ints(u64::MAX)),
+    Key("pipelines", Kind::Strs),
+    Key("base", Kind::Table),
+    Key("tracegen", Kind::Table),
+];
+
+/// Keys of a `[pipeline]` table.
+pub const PIPELINE_KEYS: &[Key] = &[
+    Key("name", Kind::Str),
+    Key("pipelined", Kind::Bool),
+    Key("restrict_first_slot_loads", Kind::Bool),
+    Key("stage", Kind::Tables),
+];
+
+/// Keys of a `[[pipeline.stage]]` entry; `slots` and `ways` take a
+/// formula string or an integer (array) and are checked by their parser.
+pub const STAGE_KEYS: &[Key] = &[
+    Key("name", Kind::Str),
+    Key("label", Kind::Str),
+    Key("slots", Kind::Any),
+    Key("ways", Kind::Any),
+    Key("first_way", Kind::U64),
+    Key("area", Kind::Str),
+];
 
 /// Resolves a pipeline name as used in scenario files: the scenario's
 /// own `[pipeline]` description (when its name matches), or one of
@@ -52,17 +112,8 @@ impl PipelineDescription {
     /// declarative form of the paper's Figures 2–4, open to new
     /// organizations.
     ///
-    /// Top-level keys: `name` (required), `pipelined` (default `true`),
-    /// `restrict_first_slot_loads` (default `false`). Each
-    /// `[[pipeline.stage]]` entry takes `name` (required), `label`
-    /// (cell prefix; default the name's first character), `slots` (a
-    /// formula string over the way index `i` and width `n`, e.g.
-    /// `"2*i+1"`, or an explicit slot array like `[0, 2, 5]`), `ways`
-    /// (how many ways the row covers, a formula over `n` or an integer;
-    /// default `"n"`, and `1` makes the single cell carry the bare
-    /// label), `first_way` (default 0) and `area` (a Table 4 stage-logic
-    /// key — `fetch`, `disp`, `issue`, `lsq`, `wb`, `cmt` — or `"none"`;
-    /// default inferred from the stage name).
+    /// Keys: [`PIPELINE_KEYS`], and [`STAGE_KEYS`] for each
+    /// `[[pipeline.stage]]` entry; `docs/guide.md` documents each key.
     ///
     /// The description's *shape* is validated here (non-empty roster,
     /// unique stages, known area keys) with line-numbered diagnostics;
@@ -92,7 +143,7 @@ impl PipelineDescription {
     /// A line-numbered [`Error`] for unknown keys, missing names, bad
     /// formulas or an invalid shape.
     pub fn from_table(t: &Table) -> Result<Self, Error> {
-        t.ensure_only(&["name", "pipelined", "restrict_first_slot_loads", "stage"])?;
+        t.check(PIPELINE_KEYS)?;
         let name = t.req_str("name")?;
         if PipelineDescription::builtin(name).is_some() {
             return Err(Error::new(
@@ -115,7 +166,7 @@ impl PipelineDescription {
 
 /// Parses one `[[pipeline.stage]]` entry.
 fn stage_row_from_table(t: &Table) -> Result<StageRow, Error> {
-    t.ensure_only(&["name", "label", "slots", "ways", "first_way", "area"])?;
+    t.check(STAGE_KEYS)?;
     let name = t.req_str("name")?;
     let label = match t.opt_str("label")? {
         Some(l) => l.to_string(),
@@ -207,23 +258,14 @@ fn stage_row_from_table(t: &Table) -> Result<StageRow, Error> {
 impl FuConfig {
     /// Builds a functional-unit pool from an `[engine.fu]` table.
     ///
-    /// Keys: `alus`, `mults`, `divs`, `alu_latency`, `mult_latency`,
-    /// `div_latency`, `div_pipelined`; omitted keys keep the paper's
-    /// reference mix ([`FuConfig::paper`]).
+    /// Keys: [`FU_KEYS`]; omitted keys keep the paper's reference mix
+    /// ([`FuConfig::paper`]).
     ///
     /// # Errors
     ///
     /// A line-numbered [`Error`] for unknown keys or non-integer values.
     pub fn from_table(t: &Table) -> Result<Self, Error> {
-        t.ensure_only(&[
-            "alus",
-            "mults",
-            "divs",
-            "alu_latency",
-            "mult_latency",
-            "div_latency",
-            "div_pipelined",
-        ])?;
+        t.check(FU_KEYS)?;
         let base = FuConfig::paper();
         Ok(FuConfig {
             alus: t.opt_usize("alus")?.unwrap_or(base.alus),
@@ -242,15 +284,12 @@ impl EngineConfig {
     /// scenario's `[pipeline]` description as `custom` when it declares
     /// one.
     ///
-    /// `preset` picks the starting point — `"paper-4wide"` (default) or
-    /// `"paper-2wide-cached"`, the paper's two Table 1 machines — and
-    /// every other key overrides one field: `width`, `ifq_size`,
-    /// `rb_size`, `lsq_size`, `mem_read_ports`, `mem_write_ports`,
-    /// `misfetch_penalty`, `mispredict_penalty`, `pipeline`
-    /// (`"simple"` / `"improved"` / `"optimized"`), and the sub-tables
-    /// `fu` ([`FuConfig::from_table`]), `predictor`
-    /// ([`PredictorConfig::from_table`]) and `memory`
-    /// ([`MemorySystemConfig::from_table`]).
+    /// Keys: [`ENGINE_KEYS`]. `preset` picks the starting point —
+    /// `"paper-4wide"` (default) or `"paper-2wide-cached"`, the paper's
+    /// two Table 1 machines — and every other key overrides one field;
+    /// the sub-tables are [`FuConfig::from_table`],
+    /// [`PredictorConfig::from_table`] and
+    /// [`MemorySystemConfig::from_table`].
     ///
     /// A `custom` description becomes the configuration's pipeline
     /// (that is what declaring a `[pipeline]` section *means*), unless
@@ -285,21 +324,7 @@ impl EngineConfig {
     /// pipeline name, sub-table problems, or a configuration that fails
     /// structural validation.
     pub fn from_table(t: &Table, custom: Option<&PipelineDescription>) -> Result<Self, Error> {
-        t.ensure_only(&[
-            "preset",
-            "width",
-            "ifq_size",
-            "rb_size",
-            "lsq_size",
-            "mem_read_ports",
-            "mem_write_ports",
-            "misfetch_penalty",
-            "mispredict_penalty",
-            "pipeline",
-            "fu",
-            "predictor",
-            "memory",
-        ])?;
+        t.check(ENGINE_KEYS)?;
         let mut config = match t.opt_str("preset")? {
             None | Some("paper-4wide") => EngineConfig::paper_4wide(),
             Some("paper-2wide-cached") => EngineConfig::paper_2wide_cached(),
@@ -312,30 +337,22 @@ impl EngineConfig {
                 ))
             }
         };
-        if let Some(v) = t.opt_usize("width")? {
-            config.width = v;
-        }
-        if let Some(v) = t.opt_usize("ifq_size")? {
-            config.ifq_size = v;
-        }
-        if let Some(v) = t.opt_usize("rb_size")? {
-            config.rb_size = v;
-        }
-        if let Some(v) = t.opt_usize("lsq_size")? {
-            config.lsq_size = v;
-        }
-        if let Some(v) = t.opt_usize("mem_read_ports")? {
-            config.mem_read_ports = v;
-        }
-        if let Some(v) = t.opt_usize("mem_write_ports")? {
-            config.mem_write_ports = v;
-        }
-        if let Some(v) = t.opt_u32("misfetch_penalty")? {
-            config.misfetch_penalty = v;
-        }
-        if let Some(v) = t.opt_u32("mispredict_penalty")? {
-            config.mispredict_penalty = v;
-        }
+        config.width = t.opt_usize("width")?.unwrap_or(config.width);
+        config.ifq_size = t.opt_usize("ifq_size")?.unwrap_or(config.ifq_size);
+        config.rb_size = t.opt_usize("rb_size")?.unwrap_or(config.rb_size);
+        config.lsq_size = t.opt_usize("lsq_size")?.unwrap_or(config.lsq_size);
+        config.mem_read_ports = t
+            .opt_usize("mem_read_ports")?
+            .unwrap_or(config.mem_read_ports);
+        config.mem_write_ports = t
+            .opt_usize("mem_write_ports")?
+            .unwrap_or(config.mem_write_ports);
+        config.misfetch_penalty = t
+            .opt_u32("misfetch_penalty")?
+            .unwrap_or(config.misfetch_penalty);
+        config.mispredict_penalty = t
+            .opt_u32("mispredict_penalty")?
+            .unwrap_or(config.mispredict_penalty);
         match t.opt_str("pipeline")? {
             Some(name) => {
                 config.pipeline = pipeline_by_name(name, t.key_line("pipeline"), custom)?;
@@ -366,9 +383,9 @@ impl ConfigGrid {
     /// Builds a configuration grid from a `[sweep.grid]` table over
     /// `base` (itself usually an [`EngineConfig::from_table`] result).
     ///
-    /// Axis keys — each an array, each optional: `widths`, `rb_sizes`,
-    /// `lsq_sizes`, `pipelines` (organization names: the built-ins, and
-    /// the scenario's `[pipeline]` when it is given as `custom`). The
+    /// Keys: [`GRID_KEYS`]; each axis is optional, and `pipelines` names
+    /// organizations (the built-ins, and the scenario's `[pipeline]`
+    /// when it is given as `custom`). The
     /// predictor and memory axes of the builder API stay library-only;
     /// vary those via explicit `[[sweep.config]]` entries.
     ///
@@ -399,16 +416,7 @@ impl ConfigGrid {
         t: &Table,
         custom: Option<&PipelineDescription>,
     ) -> Result<Self, Error> {
-        // `base` and `tracegen` belong to the caller (`Scenario::from_table`
-        // reads them from the same [sweep.grid] table before calling here).
-        t.ensure_only(&[
-            "widths",
-            "rb_sizes",
-            "lsq_sizes",
-            "pipelines",
-            "base",
-            "tracegen",
-        ])?;
+        t.check(GRID_KEYS)?;
         let mut grid = base.grid();
         if let Some(widths) = t.opt_usize_array("widths")? {
             grid = grid.widths(widths);

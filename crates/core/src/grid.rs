@@ -236,7 +236,7 @@ impl ConfigGrid {
                 alus: w.max(2),
                 ..config.fus
             };
-            config.mem_read_ports = if w == 1 { 1 } else { (w.min(4) - 1).max(1) };
+            config.mem_read_ports = w.clamp(2, 4) - 1;
         }
         if let Some(rb) = rb {
             labels.push(format!("rb{rb}"));

@@ -76,6 +76,7 @@ pub use description::{
     StageRow, MAX_SLOT, STAGE_AREA_KEYS,
 };
 pub use engine::Engine;
+pub use from_table::{ENGINE_KEYS, FU_KEYS, GRID_KEYS, PIPELINE_KEYS, STAGE_KEYS};
 pub use grid::ConfigGrid;
 pub use lsq::{LoadReady, LoadStoreQueue, LsqEntry};
 pub use pipeline::{Schedule, ScheduleRow};

@@ -7,20 +7,40 @@
 
 use crate::cache::{CacheConfig, Replacement};
 use crate::system::MemorySystemConfig;
-use resim_toml::{Error, Table};
+use resim_toml::{Error, Key, Kind, Table};
 
 /// Largest accepted cache capacity in bytes. The tag arrays are
 /// allocated up front, so an unbounded size from a scenario file would
 /// exhaust memory instead of failing as a diagnostic.
-const MAX_CACHE_BYTES: usize = 1 << 30;
+const MAX_CACHE_BYTES: u64 = 1 << 30;
+
+/// Keys of an `[engine.memory.l1i]` / `[engine.memory.l1d]` table.
+pub const CACHE_KEYS: &[Key] = &[
+    Key("size_bytes", Kind::Pow2(1, MAX_CACHE_BYTES)),
+    Key("block_bytes", Kind::Pow2(4, u64::MAX)),
+    Key("associativity", Kind::Pow2(1, u64::MAX)),
+    Key("replacement", Kind::Str),
+    Key("hit_latency", Kind::Int(1, u64::MAX)),
+    Key("miss_penalty", Kind::U64),
+];
+
+/// Keys of an `[engine.memory]` table with `kind = "perfect"`.
+pub const PERFECT_MEMORY_KEYS: &[Key] = &[
+    Key("kind", Kind::Str),
+    Key("latency", Kind::Int(1, u64::MAX)),
+];
+
+/// Keys of an `[engine.memory]` table with `kind = "split"`.
+pub const SPLIT_MEMORY_KEYS: &[Key] = &[
+    Key("kind", Kind::Str),
+    Key("l1i", Kind::Table),
+    Key("l1d", Kind::Table),
+];
 
 impl CacheConfig {
     /// Builds one cache geometry from a scenario-file table
-    /// (`[engine.memory.l1i]` / `[engine.memory.l1d]`).
-    ///
-    /// Keys: `size_bytes`, `block_bytes`, `associativity`,
-    /// `replacement` (`"lru"`, `"fifo"` or `"random"`), `hit_latency`,
-    /// `miss_penalty`. Omitted keys keep the paper's 32 KB 8-way 64 B
+    /// (`[engine.memory.l1i]` / `[engine.memory.l1d]`, keys
+    /// [`CACHE_KEYS`]). Omitted keys keep the paper's 32 KB 8-way 64 B
     /// values ([`CacheConfig::l1_32k`]).
     ///
     /// ```
@@ -33,18 +53,11 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// A line-numbered [`Error`] for unknown keys or invalid geometry
-    /// (non-power-of-two sizes, a capacity over 2^30 bytes, blocks under
-    /// 4 bytes, a capacity that cannot hold one set, a zero hit latency).
+    /// A line-numbered [`Error`] for keys outside [`CACHE_KEYS`] or their
+    /// ranges, an unknown replacement policy, or a capacity that cannot
+    /// hold one set.
     pub fn from_table(t: &Table) -> Result<Self, Error> {
-        t.ensure_only(&[
-            "size_bytes",
-            "block_bytes",
-            "associativity",
-            "replacement",
-            "hit_latency",
-            "miss_penalty",
-        ])?;
+        t.check(CACHE_KEYS)?;
         let base = CacheConfig::l1_32k();
         let config = CacheConfig {
             size_bytes: t.opt_usize("size_bytes")?.unwrap_or(base.size_bytes),
@@ -67,33 +80,6 @@ impl CacheConfig {
             hit_latency: t.opt_u32("hit_latency")?.unwrap_or(base.hit_latency),
             miss_penalty: t.opt_u32("miss_penalty")?.unwrap_or(base.miss_penalty),
         };
-        let pow2 = |key: &str, v: usize| -> Result<(), Error> {
-            if v == 0 || !v.is_power_of_two() {
-                return Err(Error::new(
-                    t.key_line(key),
-                    format!("key {key:?}: {v} must be a power of two"),
-                ));
-            }
-            Ok(())
-        };
-        pow2("size_bytes", config.size_bytes)?;
-        if config.size_bytes > MAX_CACHE_BYTES {
-            return Err(Error::new(
-                t.key_line("size_bytes"),
-                format!(
-                    "key \"size_bytes\": {} exceeds the maximum of {MAX_CACHE_BYTES}",
-                    config.size_bytes
-                ),
-            ));
-        }
-        pow2("block_bytes", config.block_bytes)?;
-        pow2("associativity", config.associativity)?;
-        if config.block_bytes < 4 {
-            return Err(Error::new(
-                t.key_line("block_bytes"),
-                "block_bytes must be at least 4",
-            ));
-        }
         let set_bytes = config.block_bytes.checked_mul(config.associativity);
         if set_bytes.is_none_or(|set| config.size_bytes < set) {
             return Err(Error::new(
@@ -104,12 +90,6 @@ impl CacheConfig {
                 ),
             ));
         }
-        if config.hit_latency == 0 {
-            return Err(Error::new(
-                t.key_line("hit_latency"),
-                "hit_latency must be at least 1",
-            ));
-        }
         Ok(config)
     }
 }
@@ -118,10 +98,11 @@ impl MemorySystemConfig {
     /// Builds a memory system from a scenario-file table
     /// (`[engine.memory]`).
     ///
-    /// `kind` selects `"perfect"` (key `latency`, default 1) or
-    /// `"split"` (sub-tables `l1i` / `l1d`, each a
-    /// [`CacheConfig::from_table`] with the paper's 32 KB geometry as
-    /// default). An absent table means perfect single-cycle memory.
+    /// `kind` selects `"perfect"` ([`PERFECT_MEMORY_KEYS`], `latency`
+    /// default 1) or `"split"` ([`SPLIT_MEMORY_KEYS`]: sub-tables `l1i`
+    /// / `l1d`, each a [`CacheConfig::from_table`] with the paper's
+    /// 32 KB geometry as default). An absent table means perfect
+    /// single-cycle memory.
     ///
     /// ```
     /// use resim_mem::MemorySystemConfig;
@@ -143,18 +124,12 @@ impl MemorySystemConfig {
         let kind = t.opt_str("kind")?.unwrap_or("perfect");
         match kind {
             "perfect" => {
-                t.ensure_only(&["kind", "latency"])?;
+                t.check(PERFECT_MEMORY_KEYS)?;
                 let latency = t.opt_u32("latency")?.unwrap_or(1);
-                if latency == 0 {
-                    return Err(Error::new(
-                        t.key_line("latency"),
-                        "latency must be at least 1",
-                    ));
-                }
                 Ok(MemorySystemConfig::Perfect { latency })
             }
             "split" => {
-                t.ensure_only(&["kind", "l1i", "l1d"])?;
+                t.check(SPLIT_MEMORY_KEYS)?;
                 let cache = |key: &str| -> Result<CacheConfig, Error> {
                     match t.opt_table(key)? {
                         Some(sub) => CacheConfig::from_table(sub),

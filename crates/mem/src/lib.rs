@@ -36,4 +36,5 @@ mod from_table;
 mod system;
 
 pub use cache::{AccessResult, Cache, CacheConfig, CacheStats, Replacement};
+pub use from_table::{CACHE_KEYS, PERFECT_MEMORY_KEYS, SPLIT_MEMORY_KEYS};
 pub use system::{MemorySystem, MemorySystemConfig, MemorySystemStats};

@@ -4,17 +4,25 @@
 //! [`SamplePlan`]. See `docs/guide.md` for the key reference.
 
 use crate::plan::{SamplePlan, WarmupMode};
-use resim_toml::{Error, Table};
+use resim_toml::{Error, Key, Kind, Table};
+
+/// Keys of a `[sample]` table.
+pub const SAMPLE_KEYS: &[Key] = &[
+    Key("interval", Kind::U64),
+    Key("detailed", Kind::U64),
+    Key("period", Kind::U64),
+    Key("offset", Kind::U64),
+    Key("warmup", Kind::Str),
+    Key("warmup_records", Kind::U64),
+];
 
 impl SamplePlan {
     /// Builds a sampling plan from a `[sample]` table.
     ///
-    /// Keys: `interval` (records per interval, required), `detailed`
-    /// (detailed-window records, required), `period` (sample every
-    /// n-th interval, default 1), `offset` (which interval within the
-    /// period, default 0), `warmup` (`"functional"`, the default, or
-    /// `"bounded"`) and `warmup_records` (required with — and only
-    /// meaningful for — bounded warmup).
+    /// Keys: [`SAMPLE_KEYS`]. `interval` and `detailed` are required;
+    /// `warmup` is `"functional"` (the default) or `"bounded"`, and
+    /// `warmup_records` is required with — and only meaningful for —
+    /// bounded warmup. `docs/guide.md` documents each key.
     ///
     /// The plan is validated ([`SamplePlan::validate`]), so a table
     /// that parses is a plan [`run_sampled`](crate::run_sampled)
@@ -42,14 +50,7 @@ impl SamplePlan {
     /// without bounded warmup, or a plan failing validation (e.g. a
     /// detailed window longer than the interval).
     pub fn from_table(t: &Table) -> Result<Self, Error> {
-        t.ensure_only(&[
-            "interval",
-            "detailed",
-            "period",
-            "offset",
-            "warmup",
-            "warmup_records",
-        ])?;
+        t.check(SAMPLE_KEYS)?;
         let warmup = match t.opt_str("warmup")?.unwrap_or("functional") {
             "functional" => {
                 if t.get("warmup_records").is_some() {

@@ -81,6 +81,7 @@ mod runner;
 mod stats;
 mod warm;
 
+pub use from_table::SAMPLE_KEYS;
 pub use plan::{PlanError, SamplePlan, WarmupMode};
 pub use runner::{run_sampled, simulate, RunOutcome, SampleError};
 pub use stats::{SampledStats, WindowStats};

@@ -20,9 +20,30 @@ use crate::from_table::SWEEP_KEYS;
 use crate::scenario::{CellMode, Scenario, WorkloadPoint, MAX_BUDGET};
 use resim_core::{EngineConfig, Fnv64, PipelineDescription};
 use resim_sample::SamplePlan;
-use resim_toml::{Error, Table};
+use resim_toml::{Error, Key, Kind, Table};
 use resim_trace::Trace;
 use resim_tracegen::{generate_trace, TraceGenConfig};
+
+/// The sections of a scenario document.
+pub const SECTION_KEYS: &[Key] = &[
+    Key("engine", Kind::Table),
+    Key("tracegen", Kind::Table),
+    Key("workload", Kind::Table),
+    Key("trace", Kind::Table),
+    Key("sample", Kind::Table),
+    Key("sweep", Kind::Table),
+    Key("pipeline", Kind::Table),
+];
+
+/// Keys of a `[workload]` table.
+pub const WORKLOAD_KEYS: &[Key] = &[
+    Key("name", Kind::Str),
+    Key("seed", Kind::U64),
+    Key("budget", Kind::Int(1, MAX_BUDGET as u64)),
+];
+
+/// Keys of a `[trace]` table.
+pub const TRACE_KEYS: &[Key] = &[Key("file", Kind::Str)];
 
 /// The `[workload]` section: which stream feeds trace generation.
 ///
@@ -122,9 +143,7 @@ impl ScenarioDoc {
     /// or keys, or any section failing its `from_table` constructor.
     pub fn parse_str(input: &str) -> Result<Self, Error> {
         let doc = resim_toml::parse(input)?;
-        doc.ensure_only(&[
-            "engine", "tracegen", "workload", "trace", "sample", "sweep", "pipeline",
-        ])?;
+        doc.check(SECTION_KEYS)?;
 
         // A top-level [pipeline] defines a custom organization: it
         // becomes the engine's pipeline (unless [engine] picks another
@@ -144,7 +163,7 @@ impl ScenarioDoc {
         let workload_table = doc.opt_table("workload")?;
         let workload_explicit = workload_table.is_some();
         if let Some(t) = workload_table {
-            t.ensure_only(&["name", "seed", "budget"])?;
+            t.check(WORKLOAD_KEYS)?;
             if let Some(name) = t.opt_str("name")? {
                 WorkloadPoint::named(name).ok_or_else(|| {
                     Error::new(
@@ -157,26 +176,13 @@ impl ScenarioDoc {
                 })?;
                 workload.name = name.to_string();
             }
-            if let Some(seed) = t.opt_u64("seed")? {
-                workload.seed = seed;
-            }
-            if let Some(budget) = t.opt_usize("budget")? {
-                if budget == 0 {
-                    return Err(Error::new(t.key_line("budget"), "budget must be non-zero"));
-                }
-                if budget > MAX_BUDGET {
-                    return Err(Error::new(
-                        t.key_line("budget"),
-                        format!("budget {budget} exceeds the maximum of {MAX_BUDGET}"),
-                    ));
-                }
-                workload.budget = budget;
-            }
+            workload.seed = t.opt_u64("seed")?.unwrap_or(workload.seed);
+            workload.budget = t.opt_usize("budget")?.unwrap_or(workload.budget);
         }
 
         let trace_file = match doc.opt_table("trace")? {
             Some(t) => {
-                t.ensure_only(&["file"])?;
+                t.check(TRACE_KEYS)?;
                 t.opt_str("file")?.map(str::to_string)
             }
             None => None,
@@ -189,11 +195,12 @@ impl ScenarioDoc {
 
         // The sweep grid is resolved lazily: `resim trace|run|sample`
         // on a scenario that also carries a [sweep] section must not
-        // pay (or fail) for it. Its own keys are checked here, so a
-        // misspelt or removed key fails every command alike.
+        // pay (or fail) for it. Its own keys are checked here (names,
+        // types and ranges), so a misspelt or removed key fails every
+        // command alike.
         let sweep = doc.opt_table("sweep")?.cloned();
         if let Some(t) = &sweep {
-            t.ensure_only(SWEEP_KEYS)?;
+            t.check(SWEEP_KEYS)?;
         }
 
         Ok(Self {

@@ -7,7 +7,7 @@
 use crate::scenario::{CellMode, Scenario, WorkloadPoint, MAX_BUDGET};
 use resim_core::{ConfigGrid, EngineConfig, PipelineDescription};
 use resim_sample::SamplePlan;
-use resim_toml::{Error, Table};
+use resim_toml::{Error, Key, Kind, Table};
 use resim_tracegen::TraceGenConfig;
 use resim_workloads::{SpecBenchmark, WorkloadProfile};
 
@@ -85,17 +85,24 @@ pub fn resolve_tracegen(
     }
 }
 
-/// The keys a `[sweep]` table may carry.
-pub(crate) const SWEEP_KEYS: &[&str] = &[
-    "workloads",
-    "budgets",
-    "seeds",
-    "modes",
-    "sample",
-    "config",
-    "grid",
-    "threads",
-    "trace_files",
+/// Keys of a `[sweep]` table.
+pub const SWEEP_KEYS: &[Key] = &[
+    Key("workloads", Kind::Strs),
+    Key("budgets", Kind::Ints(MAX_BUDGET as u64)),
+    Key("seeds", Kind::Ints(u64::MAX)),
+    Key("modes", Kind::Strs),
+    Key("sample", Kind::Table),
+    Key("config", Kind::Tables),
+    Key("grid", Kind::Table),
+    Key("threads", Kind::U64),
+    Key("trace_files", Kind::Strs),
+];
+
+/// Keys of a `[[sweep.config]]` entry.
+pub const CONFIG_KEYS: &[Key] = &[
+    Key("name", Kind::Str),
+    Key("engine", Kind::Table),
+    Key("tracegen", Kind::Table),
 ];
 
 impl Scenario {
@@ -103,20 +110,12 @@ impl Scenario {
     /// scenario's top-level `[pipeline]` description (parsed by the
     /// caller) as `custom` when it declares one.
     ///
-    /// Axes:
-    ///
-    /// * `workloads` — array of workload names
-    ///   ([`WorkloadPoint::named`]), required;
-    /// * `budgets`, `seeds` — integer arrays, required;
-    /// * `modes` — optional array of `"full"` / `"sampled"`;
-    ///   `"sampled"` reads its plan from the `[sweep.sample]` sub-table
-    ///   ([`SamplePlan::from_table`]);
-    /// * configurations — any number of `[[sweep.config]]` entries
-    ///   (`name`, optional `engine` and `tracegen` sub-tables), and/or
-    ///   one `[sweep.grid]` (axis keys per
-    ///   [`ConfigGrid::from_table`], an optional `base` engine table
-    ///   and an optional shared `tracegen` table). At least one
-    ///   configuration must result.
+    /// Keys: [`SWEEP_KEYS`], with [`CONFIG_KEYS`] for each
+    /// `[[sweep.config]]` entry. `workloads`, `budgets` and `seeds` are
+    /// required; `"sampled"` in `modes` reads its plan from the
+    /// `[sweep.sample]` sub-table ([`SamplePlan::from_table`]); the grid
+    /// is a [`ConfigGrid::from_table`]. At least one configuration must
+    /// result.
     ///
     /// A `custom` description is the default pipeline of every
     /// `[[sweep.config]]` engine and of the `[sweep.grid]` base, and its
@@ -158,11 +157,11 @@ impl Scenario {
     /// [`Scenario::validate`] (duplicate names, zero budgets, invalid
     /// configurations).
     pub fn from_table(t: &Table, custom: Option<&PipelineDescription>) -> Result<Self, Error> {
-        t.ensure_only(SWEEP_KEYS)?;
+        t.check(SWEEP_KEYS)?;
         let mut scenario = Scenario::new();
 
         for entry in t.table_array("config")? {
-            entry.ensure_only(&["name", "engine", "tracegen"])?;
+            entry.check(CONFIG_KEYS)?;
             let name = entry.req_str("name")?;
             let engine = engine_from(entry.opt_table("engine")?, custom)?;
             let tracegen = resolve_tracegen(&engine, entry.opt_table("tracegen")?)?;
@@ -202,12 +201,6 @@ impl Scenario {
         let Some(budgets) = t.opt_usize_array("budgets")? else {
             return Err(t.error("missing required array key \"budgets\""));
         };
-        if let Some(budget) = budgets.iter().find(|&&b| b > MAX_BUDGET) {
-            return Err(Error::new(
-                t.key_line("budgets"),
-                format!("budget {budget} exceeds the maximum of {MAX_BUDGET}"),
-            ));
-        }
         let Some(seeds) = t.opt_u64_array("seeds")? else {
             return Err(t.error("missing required array key \"seeds\""));
         };

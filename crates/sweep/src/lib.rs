@@ -66,8 +66,8 @@ mod report;
 mod runner;
 mod scenario;
 
-pub use doc::{ScenarioDoc, WorkloadSpec};
-pub use from_table::resolve_tracegen;
+pub use doc::{ScenarioDoc, WorkloadSpec, SECTION_KEYS, TRACE_KEYS, WORKLOAD_KEYS};
+pub use from_table::{resolve_tracegen, CONFIG_KEYS, SWEEP_KEYS};
 pub use report::{stable_csv_header, stable_csv_row, CellResult, SweepReport};
 pub use runner::{SweepPhase, SweepProgress, SweepRunner};
 pub use scenario::{

@@ -28,6 +28,8 @@
 //! pointing at the offending line, so configuration code built on this
 //! crate (the `from_table` constructors across the `resim-*` crates)
 //! reports schema problems with the same precision as syntax problems.
+//! Each section declares the keys it takes once, as a table of [`Key`]s
+//! (name, [`Kind`] and parse-time range) that [`Table::check`] reads.
 //!
 //! ## Example
 //!
@@ -59,9 +61,11 @@
 mod error;
 pub mod json;
 mod parser;
+mod schema;
 mod value;
 
 pub use error::Error;
+pub use schema::{Key, Kind};
 pub use value::{Spanned, Table, Value};
 
 /// Parses a TOML document into its root [`Table`].

@@ -138,19 +138,9 @@ impl Table {
             .map(|(_, v)| v)
     }
 
-    /// Errors on any key outside `allowed` — the typo guard every
-    /// `from_table` constructor runs before reading its keys.
-    pub fn ensure_only(&self, allowed: &[&str]) -> Result<(), Error> {
-        for (k, _) in &self.entries {
-            if !allowed.contains(&k.value.as_str()) {
-                return Err(k.error(format!(
-                    "unknown key {:?} (expected one of: {})",
-                    k.value,
-                    allowed.join(", ")
-                )));
-            }
-        }
-        Ok(())
+    /// The entries in document order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &(Spanned<String>, Spanned<Value>)> {
+        self.entries.iter()
     }
 
     /// An [`Error`] pinned to this table's header line.
@@ -452,15 +442,25 @@ x = 1
     }
 
     #[test]
-    fn ensure_only_flags_typos() {
+    fn check_flags_typos() {
         let t = table();
+        let keys = |names: &[&'static str]| {
+            names
+                .iter()
+                .map(|&n| crate::Key(n, crate::Kind::Any))
+                .collect::<Vec<_>>()
+        };
         let err = t
-            .ensure_only(&["name", "width", "neg", "frac", "flag", "seeds", "sub"])
+            .check(&keys(&[
+                "name", "width", "neg", "frac", "flag", "seeds", "sub",
+            ]))
             .unwrap_err();
         assert_eq!(err.line(), 7);
         assert!(err.to_string().contains("unknown key \"names\""), "{err}");
         assert!(t
-            .ensure_only(&["name", "width", "neg", "frac", "flag", "seeds", "names", "sub"])
+            .check(&keys(&[
+                "name", "width", "neg", "frac", "flag", "seeds", "names", "sub"
+            ]))
             .is_ok());
     }
 

@@ -5,21 +5,27 @@
 
 use crate::TraceGenConfig;
 use resim_bpred::PredictorConfig;
-use resim_toml::{Error, Table};
+use resim_toml::{Error, Key, Kind, Table};
 
 /// Largest accepted wrong-path block length. Each block is buffered
 /// whole while the generator synthesizes it, so an unbounded length from
 /// a scenario file would exhaust memory instead of failing as a
 /// diagnostic.
-const MAX_WRONG_PATH_LEN: usize = 1 << 16;
+const MAX_WRONG_PATH_LEN: u64 = 1 << 16;
+
+/// Keys of a `[tracegen]` table.
+pub const TRACEGEN_KEYS: &[Key] = &[
+    Key("wrong_path_len", Kind::Int(1, MAX_WRONG_PATH_LEN)),
+    Key("seed", Kind::U64),
+    Key("predictor", Kind::Table),
+];
 
 impl TraceGenConfig {
     /// Builds a generator configuration from a `[tracegen]` table.
     ///
-    /// Keys: `wrong_path_len` (the conservative paper choice is RB +
-    /// IFQ = 32), `seed` (wrong-path instruction synthesis), and an
-    /// optional `predictor` sub-table
-    /// ([`PredictorConfig::from_table`]). Omitted keys keep the paper's
+    /// Keys: [`TRACEGEN_KEYS`]; `wrong_path_len`'s conservative paper
+    /// choice is RB + IFQ = 32, and the `predictor` sub-table is a
+    /// [`PredictorConfig::from_table`]. Omitted keys keep the paper's
     /// reference values ([`TraceGenConfig::paper`]); the CLI
     /// additionally defaults the predictor to the engine's when the
     /// sub-table is absent, keeping the wrong-path tags meaningful
@@ -41,11 +47,10 @@ impl TraceGenConfig {
     ///
     /// # Errors
     ///
-    /// A line-numbered [`Error`] for unknown keys, a `wrong_path_len`
-    /// of zero or over 2^16, or
-    /// predictor sub-table problems.
+    /// A line-numbered [`Error`] for keys outside [`TRACEGEN_KEYS`] or
+    /// their ranges, or predictor sub-table problems.
     pub fn from_table(t: &Table) -> Result<Self, Error> {
-        t.ensure_only(&["wrong_path_len", "seed", "predictor"])?;
+        t.check(TRACEGEN_KEYS)?;
         let base = TraceGenConfig::paper();
         let config = TraceGenConfig {
             predictor: match t.opt_table("predictor")? {
@@ -57,21 +62,6 @@ impl TraceGenConfig {
                 .unwrap_or(base.wrong_path_len),
             seed: t.opt_u64("seed")?.unwrap_or(base.seed),
         };
-        if config.wrong_path_len == 0 {
-            return Err(Error::new(
-                t.key_line("wrong_path_len"),
-                "wrong_path_len must be at least 1 (the paper uses RB + IFQ = 32)",
-            ));
-        }
-        if config.wrong_path_len > MAX_WRONG_PATH_LEN {
-            return Err(Error::new(
-                t.key_line("wrong_path_len"),
-                format!(
-                    "wrong_path_len {} exceeds the maximum of {MAX_WRONG_PATH_LEN}",
-                    config.wrong_path_len
-                ),
-            ));
-        }
         Ok(config)
     }
 }

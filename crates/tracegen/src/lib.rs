@@ -43,6 +43,7 @@ mod stream;
 mod wrongpath;
 
 pub use cache::{CachedTrace, TraceCache, TraceKey};
+pub use from_table::TRACEGEN_KEYS;
 pub use stream::TraceStream;
 pub use wrongpath::WrongPathSynth;
 
