@@ -6,8 +6,8 @@
 //! The small-container tests are exhaustive rather than randomized: the
 //! container under test is small enough (< 200 bytes) to try every byte
 //! position and every prefix length deterministically. The multi-block
-//! tests cut a 40 KiB body around each read-block edge and its end, and
-//! flip its bytes at a stride.
+//! tests cut a body of three or more read blocks, in each layout, around
+//! each block edge and its end, and flip its bytes at a stride.
 
 use resim_trace::{
     BranchKind, BranchRecord, FileSource, Fnv64, MemKind, MemRecord, MemSize, OpClass, OtherRecord,
@@ -368,7 +368,7 @@ impl Rng {
     }
 }
 
-/// A v2 trace whose body spans three read blocks: every record shape,
+/// A trace whose body spans three read blocks in either layout: every record shape,
 /// PC runs broken by small and escaped jumps, strided and wild
 /// addresses, biased branch outcomes and wrong-path records.
 fn long_trace() -> Trace {
@@ -499,10 +499,10 @@ fn fold_fields(h: &mut Fnv64, r: &TraceRecord) {
     h.write(&r.pc().to_le_bytes());
 }
 
-/// Folds the outcome of every drain of `bytes`, over a slice and through
-/// a [`Dribble`] reader.
-fn fold_all_drains(h: &mut Fnv64, bytes: &[u8]) {
-    for drain in DRAINS {
+/// Folds the outcome of each of `drains` over `bytes`, over a slice and
+/// through a [`Dribble`] reader.
+fn fold_all_drains(h: &mut Fnv64, bytes: &[u8], drains: &[Drain]) {
+    for &drain in drains {
         fold_source(h, bytes, drain, fold_fields);
         let dribble = Dribble {
             body: bytes,
@@ -512,24 +512,72 @@ fn fold_all_drains(h: &mut Fnv64, bytes: &[u8]) {
     }
 }
 
-/// The multi-block fixture as a container, with the offset of its body.
-fn long_container() -> (Vec<u8>, usize) {
+/// The multi-block fixture as a container in `layout`, with the offset
+/// of its body.
+fn long_container(layout: u16) -> (Vec<u8>, usize) {
     let trace = long_trace();
-    let encoded = trace.encode_v2();
+    let encoded = match layout {
+        1 => trace.encode(),
+        2 => trace.encode_v2(),
+        other => panic!("no layout {other}"),
+    };
     let body = encoded.bytes().len();
     assert!(
         body >= 40 * 1024,
-        "fixture body of {body} bytes must span 3 blocks"
+        "layout {layout}: fixture body of {body} bytes must span 3 blocks"
     );
     let header = TraceFileHeader::for_trace(&encoded, "vpr", 2009, 0xFEED)
         .with_correct_records(trace.correct_path_len() as u64);
     let mut good = Vec::new();
     header.write_trace(&mut good, &encoded).unwrap();
     let (records, errored) = drain(&good).expect("pristine header parses");
-    assert!(!errored, "pristine container must drain cleanly");
-    assert_eq!(records, trace.records(), "pristine round trip");
+    assert!(
+        !errored,
+        "layout {layout}: pristine container must drain cleanly"
+    );
+    assert_eq!(
+        records,
+        trace.records(),
+        "layout {layout}: pristine round trip"
+    );
     let start = good.len() - body;
     (good, start)
+}
+
+/// Folds every cut of the multi-block container in `layout` within 64
+/// bytes of each block edge and of the end, each drained every way over
+/// a slice and a 1–3-byte reader.
+fn multi_block_cut_digest(layout: u16) -> u64 {
+    let (good, start) = long_container(layout);
+    let body = good.len() - start;
+    let mut cuts: Vec<usize> = (1..=body / BLOCK_BYTES)
+        .map(|k| start + k * BLOCK_BYTES)
+        .chain([good.len()])
+        .flat_map(|edge| edge - 64..=(edge + 64).min(good.len()))
+        .collect();
+    cuts.dedup();
+    let mut h = Fnv64::new();
+    for &len in &cuts {
+        fold_all_drains(&mut h, &good[..len], &DRAINS);
+    }
+    h.finish()
+}
+
+/// Folds the pristine multi-block container in `layout` and byte flips
+/// (masks 0x01, 0x80, 0xFF) every 1 021 bytes through its body, each
+/// drained the ways `drains` lists.
+fn multi_block_flip_digest(layout: u16, drains: &[Drain]) -> u64 {
+    let (good, start) = long_container(layout);
+    let mut h = Fnv64::new();
+    fold_all_drains(&mut h, &good, drains);
+    for pos in (start..good.len()).step_by(1021) {
+        for mask in [0x01u8, 0x80, 0xFF] {
+            let mut bad = good.clone();
+            bad[pos] ^= mask;
+            fold_all_drains(&mut h, &bad, drains);
+        }
+    }
+    h.finish()
 }
 
 /// Pins every stop point and error of a v2 body that spans read blocks,
@@ -540,19 +588,7 @@ fn long_container() -> (Vec<u8>, usize) {
 #[test]
 fn multi_block_v2_cut_outcomes_are_pinned() {
     const PINNED: u64 = 0xd517_842d_ebd3_fc47;
-    let (good, start) = long_container();
-    let body = good.len() - start;
-    let mut cuts: Vec<usize> = (1..=body / BLOCK_BYTES)
-        .map(|k| start + k * BLOCK_BYTES)
-        .chain([good.len()])
-        .flat_map(|edge| edge - 64..=(edge + 64).min(good.len()))
-        .collect();
-    cuts.dedup();
-    let mut h = Fnv64::new();
-    for &len in &cuts {
-        fold_all_drains(&mut h, &good[..len]);
-    }
-    let got = h.finish();
+    let got = multi_block_cut_digest(2);
     assert_eq!(got, PINNED, "digest {got:#018x}, pinned {PINNED:#018x}");
 }
 
@@ -561,16 +597,25 @@ fn multi_block_v2_cut_outcomes_are_pinned() {
 #[test]
 fn multi_block_v2_flip_outcomes_are_pinned() {
     const PINNED: u64 = 0x4ad4_419a_a211_4b89;
-    let (good, start) = long_container();
-    let mut h = Fnv64::new();
-    fold_all_drains(&mut h, &good);
-    for pos in (start..good.len()).step_by(1021) {
-        for mask in [0x01u8, 0x80, 0xFF] {
-            let mut bad = good.clone();
-            bad[pos] ^= mask;
-            fold_all_drains(&mut h, &bad);
-        }
-    }
-    let got = h.finish();
+    let got = multi_block_flip_digest(2, &DRAINS);
+    assert_eq!(got, PINNED, "digest {got:#018x}, pinned {PINNED:#018x}");
+}
+
+/// The layout-1 twin of the v2 cut pin: the same fixture, encoded in
+/// layout 1, cut around each block edge and its end, drained every way.
+/// The value was taken from the per-field checked reader.
+#[test]
+fn multi_block_v1_cut_outcomes_are_pinned() {
+    const PINNED: u64 = 0x1c8e_6547_7437_9c5f;
+    let got = multi_block_cut_digest(1);
+    assert_eq!(got, PINNED, "digest {got:#018x}, pinned {PINNED:#018x}");
+}
+
+/// The layout-1 twin of the v2 flip pin, drained by `next_record` and
+/// `fill` only.
+#[test]
+fn multi_block_v1_flip_outcomes_are_pinned() {
+    const PINNED: u64 = 0xc648_0bc9_ce86_7ce5;
+    let got = multi_block_flip_digest(1, &[Drain::NextRecord, Drain::Fill(5)]);
     assert_eq!(got, PINNED, "digest {got:#018x}, pinned {PINNED:#018x}");
 }
