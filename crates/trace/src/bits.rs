@@ -16,34 +16,32 @@
 //! bytes are the same as a bit-at-a-time writer's, which the tests below
 //! check against one.
 //!
-//! The reader pulls the body a block at a time, and a field is an
-//! unaligned 8-byte load from the block, a shift and a mask, not a loop
-//! over its bits.
+//! The reader pulls the body a block at a time and hands a record decoder
+//! a [`WindowBits`] at the cursor. A field there is one unaligned 8-byte
+//! load from the block, a shift and a mask: no `Option`, no I/O test and
+//! no length test. Each layout bounds how many bits its decoder reads for
+//! one record on any input, well-formed or not (its *span*:
+//! `MAX_V1_RECORD_BITS`, `MAX_V2_RECORD_BITS`). Before a record, the
+//! reader tops the block up until it holds a span past the cursor or the
+//! rest of the declared body; a failed read is parked, not reported.
 //!
-//! Record decoders read their fields through the [`BitFields`] trait, so
-//! one decoder body runs over either of two readers:
-//!
-//! * **The checked reader**, [`StreamBits`] itself. Every field is tested
-//!   against the declared bit length and the bytes buffered, and the
-//!   block is refilled on exact demand. A short or failing body therefore
-//!   stops at the field that first lacks a bit, as a bit-at-a-time
-//!   reader would.
-//! * **The window reader**, [`WindowBits`], which
-//!   [`StreamBits::windows`] lends when the block and the declared
-//!   length both hold at least a given span of bits. A field there is
-//!   only a load, a shift and a mask: no `Option`, no I/O test and no
-//!   length test.
-//!
-//! The window's span is the most bits the decoder can read for one
-//! record on any input (the v2 layout's `MAX_V2_RECORD_BITS`, set by its
-//! varint and run-length group limits). Inside a window, no field can
-//! run past the declared length or past the bytes read, so no field that
-//! the checked reader would fail is ever read there. `Truncated` and I/O
-//! errors therefore arise only on the checked path. Every other error
-//! comes from the decoder body, which both readers share, so every value,
-//! every error and every stop point is the same whichever reader a record
-//! went through.
+//! Whether the record fit is checked once, at its end. A record that ends
+//! within the bits available, the declared length and the bytes read
+//! alike, stands with the decoder's own result. One that ends past them
+//! fails, with the parked I/O error if the body came up short, else with
+//! [`DecodeError::Truncated`]. The decoder only reads forward, so its end
+//! is past the limit exactly when one of its fields is: a reader that
+//! tested every field (the bit-serial oracle in the tests) stops after
+//! the same records, whatever the block holds past the last byte read.
+//! The error can differ from that reader's in one case only: a body both
+//! shorter than declared and holding a field that crosses the last byte
+//! read and the declared end at once, which the per-field reader calls
+//! `Truncated` and this one calls the I/O error. A body that is only cut
+//! short never does: its crossing field is one the writer wrote, inside
+//! the declared length.
 
+use crate::codec::DecodeError;
+use crate::file::FileError;
 use std::io::{self, Read};
 
 /// Appends values of 1–32 bits into a growing byte buffer, LSB-first.
@@ -141,9 +139,13 @@ impl BitWriter {
 /// it straight to the file), small enough to cost nothing per source.
 const BLOCK_BYTES: usize = 16 * 1024;
 
-/// Bytes allocated past a block's capacity, so the 8-byte load behind a
-/// field at any buffered bit stays inside the allocation.
-const LOAD_SLACK: usize = 8;
+/// Bytes allocated past a block's capacity so that an 8-byte load at any
+/// bit up to `span` past the last byte read stays inside the allocation
+/// (`LOAD_SLACK`): a record starts at most at the last bit read and reads
+/// at most `span` bits.
+fn load_slack(span: usize) -> usize {
+    span.div_ceil(8) + 8
+}
 
 /// The `nbits` (1–32) bits at bit offset `bit` of `block`: an unaligned
 /// little-endian 8-byte load, a shift and a mask.
@@ -154,110 +156,62 @@ fn load_bits(block: &[u8], bit: usize, nbits: u32) -> u32 {
     ((word >> (bit % 8)) & ((1u64 << nbits) - 1)) as u32
 }
 
-/// What a record decoder reads its bit fields through: the checked
-/// [`StreamBits`], or a [`WindowBits`] over a span the caller has
-/// already bounds-checked.
-pub(crate) trait BitFields {
-    /// Reads `nbits` (1–32) bits; `None` if fewer remain.
-    fn get(&mut self, nbits: u32) -> Option<u32>;
-
-    /// Whether no bits remain.
-    fn is_empty(&self) -> bool;
-
-    /// Reads one flag bit.
-    #[inline(always)]
-    fn get_bool(&mut self) -> Option<bool> {
-        self.get(1).map(|b| b == 1)
-    }
-
-    /// Reads a flag bit, then `nbits` (1–31) value bits.
-    #[inline(always)]
-    fn get_group(&mut self, nbits: u32) -> Option<(bool, u32)> {
-        let flag = self.get_bool()?;
-        Some((flag, self.get(nbits)?))
-    }
-
-    /// Reads a presence bit, then `nbits` (1–31) value bits only if it
-    /// is set.
-    #[inline(always)]
-    fn get_present(&mut self, nbits: u32) -> Option<Option<u32>> {
-        if self.get_bool()? {
-            self.get(nbits).map(Some)
-        } else {
-            Some(None)
-        }
-    }
-}
-
 /// Reads back values packed by [`BitWriter`] from an [`io::Read`], a
-/// block at a time.
+/// block at a time, one record per [`WindowBits`].
 ///
 /// Body bytes are read into a block of at most [`BLOCK_BYTES`] (never
 /// more than the declared body, so an inflated header cannot make it
-/// allocate by the declared length), and a value is one unaligned load,
-/// shift and mask at the cursor's bit offset in the block.
+/// allocate by the declared length). The total payload bit length comes
+/// from the caller (the container header), and so does the span, the
+/// most bits one record can read.
 ///
-/// Every `get` checks the field against the declared length and the
-/// bytes buffered, and reads happen on exact demand: the block is
-/// refilled only when a `get` or `skip_bits` needs a bit it does not
-/// hold, so a body shorter than declared fails at the same call, after
-/// the same records, as a bit-at-a-time reader would.
-///
-/// [`StreamBits::windows`] lends a [`WindowBits`] over a span the
-/// block and the declared length both hold, for decoders that can bound
-/// how far they read: inside it no field can be short, so none is
-/// checked.
-///
-/// The total payload bit length comes from the caller (the container
-/// header); an I/O error — including a body shorter than that length,
-/// reported as [`io::ErrorKind::UnexpectedEof`] — is parked in
-/// `io_error`, bit reads then report exhaustion, and
-/// [`FileSource`](crate::FileSource) surfaces it as
-/// [`FileError::Io`](crate::FileError::Io).
+/// An I/O error, including a body shorter than its length (reported as
+/// [`io::ErrorKind::UnexpectedEof`]), is parked when a read fails, and
+/// surfaces as [`FileError::Io`] only if a record runs past the bytes
+/// read: a short file still yields every record that lies fully inside
+/// them.
 #[derive(Debug)]
 pub(crate) struct StreamBits<R: Read> {
     reader: R,
-    total_bits: u64,
-    pos: u64,
-    /// Body bytes read: `block[..tail]` is valid, and [`LOAD_SLACK`]
+    /// Declared bits past the cursor.
+    left: u64,
+    /// Body bytes read: `block[..tail]` is valid, and `load_slack(span)`
     /// bytes follow the capacity.
     block: Vec<u8>,
     tail: usize,
-    /// Bit offset in `block` of the bit at `pos`.
+    /// Bit offset in `block` of the cursor.
     bit: usize,
     /// Body bytes not yet requested from `reader`.
     unread: u64,
+    /// The most bits one record can read.
+    span: usize,
     io_error: Option<io::Error>,
 }
 
 impl<R: Read> StreamBits<R> {
     /// Creates a reader over `reader` holding exactly `total_bits` valid
-    /// bits.
-    pub(crate) fn new(reader: R, total_bits: u64) -> Self {
+    /// bits, for records of at most `span` bits.
+    pub(crate) fn new(reader: R, total_bits: u64, span: u32) -> Self {
+        let span = span as usize;
         let unread = total_bits.div_ceil(8);
         let capacity = unread.min(BLOCK_BYTES as u64) as usize;
         Self {
             reader,
-            total_bits,
-            pos: 0,
-            block: vec![0; capacity + LOAD_SLACK],
+            left: total_bits,
+            block: vec![0; capacity + load_slack(span)],
             tail: 0,
             bit: 0,
             unread,
+            span,
             io_error: None,
         }
-    }
-
-    /// Takes the parked I/O error, if a read failed.
-    pub(crate) fn take_io_error(&mut self) -> Option<io::Error> {
-        self.io_error.take()
     }
 
     /// Reads more body bytes after `block[..tail]`; `false` (with the
     /// error parked) on I/O failure, a 0-byte read counting as
     /// [`io::ErrorKind::UnexpectedEof`].
     fn refill(&mut self) -> bool {
-        let capacity = self.block.len() - LOAD_SLACK;
+        let capacity = self.block.len() - load_slack(self.span);
         let want = self.unread.min((capacity - self.tail) as u64) as usize;
         loop {
             match self
@@ -282,174 +236,183 @@ impl<R: Read> StreamBits<R> {
         }
     }
 
-    /// Makes the block hold at least `need` (≤ 32) unread bits, reading
-    /// only for bits it lacks; `false` on I/O failure.
-    ///
-    /// Out of line so that `get`'s fast path, a load, a shift and a
-    /// mask, stays small enough to inline into the record decoders.
+    /// Reads until the block holds a span past the cursor or the rest of
+    /// the declared body, or a read fails; returns the block offset where
+    /// the bits available end.
+    #[inline]
+    fn top_up(&mut self) -> usize {
+        let want = self.left.min(self.span as u64) as usize;
+        if self.tail * 8 - self.bit < want && self.io_error.is_none() {
+            self.read_ahead(want);
+        }
+        self.bit + self.left.min((self.tail * 8 - self.bit) as u64) as usize
+    }
+
+    /// Moves the unread bytes (less than a span) to the front of the
+    /// block, then reads behind them until it holds `want` bits past the
+    /// cursor or a read fails.
     #[inline(never)]
-    fn top_up(&mut self, need: u32) -> bool {
-        // Move the unread bytes (at most four) to the front, then read
-        // behind them.
+    fn read_ahead(&mut self, want: usize) {
         let keep = self.bit / 8;
         self.block.copy_within(keep..self.tail, 0);
         self.tail -= keep;
         self.bit %= 8;
-        while self.bit + need as usize > self.tail * 8 {
-            if !self.refill() {
-                return false;
-            }
-        }
-        true
+        while self.tail * 8 - self.bit < want && self.refill() {}
     }
 
-    /// Runs `decode` over a [`WindowBits`] at the cursor, again and again
-    /// while it returns `true` and both the block and the declared
-    /// length hold at least `span` more bits; the cursor then stands
-    /// where the last call stopped. Reads nothing itself.
+    /// Why a record ran past the bits available: the parked I/O error if
+    /// the body came up short, else the declared length.
+    fn overrun(&mut self) -> FileError {
+        match self.io_error.take() {
+            Some(e) => FileError::Io(e.kind()),
+            None => FileError::Decode(DecodeError::Truncated),
+        }
+    }
+
+    /// Decodes up to `max` records at the cursor, each through a window
+    /// with `decode`, and hands each to `take`. Returns how many it took,
+    /// and the error that stopped it short of `max`, if one did.
     ///
-    /// Each call of `decode` must read at most `span` bits, whatever the
-    /// bytes: then no field inside a window can be truncated or need a
-    /// read, so the checked [`BitFields::get`] would have returned the
-    /// same values and stopped at the same bit.
+    /// `decode` must read at most the span for one record, whatever the
+    /// bytes. Records run back to back through one window while the
+    /// block holds a span past each; the block is topped up between.
     #[inline]
-    pub(crate) fn windows(
+    pub(crate) fn decode<T>(
         &mut self,
-        span: u32,
-        mut decode: impl FnMut(&mut WindowBits<'_>) -> bool,
-    ) {
-        let span = span as usize;
-        if self.io_error.is_some() {
-            return;
-        }
-        let room = (self.total_bits - self.pos).min((self.tail * 8 - self.bit) as u64) as usize;
-        let Some(last_start) = (self.bit + room).checked_sub(span) else {
-            return;
-        };
-        let start = self.bit;
-        let mut window = WindowBits {
-            block: &self.block,
-            bit: start,
-        };
-        while window.bit <= last_start {
-            let at = window.bit;
-            let more = decode(&mut window);
-            debug_assert!(
-                window.bit - at <= span,
-                "read {} bits of a {span}-bit window",
-                window.bit - at
-            );
-            if !more {
-                break;
+        max: u64,
+        mut decode: impl FnMut(&mut WindowBits<'_>) -> Result<T, DecodeError>,
+        mut take: impl FnMut(T),
+    ) -> (u64, Option<FileError>) {
+        let mut n = 0;
+        while n < max {
+            let limit = self.top_up();
+            // Past this, the next record might not fit.
+            let last_start = limit.saturating_sub(self.span);
+            let start = self.bit;
+            let mut window = WindowBits {
+                block: &self.block,
+                bit: start,
+            };
+            let (mut overran, mut failed) = (false, None);
+            loop {
+                let at = window.bit;
+                let got = decode(&mut window);
+                debug_assert!(
+                    window.bit - at <= self.span,
+                    "read {} bits of a {}-bit span",
+                    window.bit - at,
+                    self.span
+                );
+                if window.bit > limit {
+                    // The cursor stays at the record's start, inside the block.
+                    window.bit = at;
+                    overran = true;
+                    break;
+                }
+                match got {
+                    Ok(record) => {
+                        take(record);
+                        n += 1;
+                    }
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
+                    }
+                }
+                if n == max || window.bit > last_start {
+                    break;
+                }
+            }
+            self.left -= (window.bit - start) as u64;
+            self.bit = window.bit;
+            if overran {
+                return (n, Some(self.overrun()));
+            }
+            if let Some(e) = failed {
+                return (n, Some(FileError::Decode(e)));
             }
         }
-        self.bit = window.bit;
-        self.pos += (window.bit - start) as u64;
-    }
-
-    /// Advances past `nbits` bits without assembling a value; `false` if
-    /// fewer remain (the position is then unchanged unless a read
-    /// failed).
-    pub(crate) fn skip_bits(&mut self, nbits: u64) -> bool {
-        match self.pos.checked_add(nbits) {
-            Some(end) if end <= self.total_bits => {}
-            _ => return false,
-        }
-        if self.io_error.is_some() {
-            return false;
-        }
-        // A generic `io::Read` cannot seek: read past the bits instead.
-        let mut left = nbits;
-        while left > 0 {
-            let n = left.min(32) as u32;
-            if self.get(n).is_none() {
-                return false;
-            }
-            left -= u64::from(n);
-        }
-        true
-    }
-
-    /// Current read position in bits.
-    pub(crate) fn position(&self) -> u64 {
-        self.pos
-    }
-
-    /// Bits remaining to be read (none once a read has failed).
-    pub(crate) fn remaining_bits(&self) -> u64 {
-        if self.io_error.is_some() {
-            0
-        } else {
-            self.total_bits - self.pos
-        }
+        (n, None)
     }
 }
 
-impl<R: Read> BitFields for StreamBits<R> {
-    #[inline]
-    fn get(&mut self, nbits: u32) -> Option<u32> {
-        assert!(
-            (1..=32).contains(&nbits),
-            "bit width {nbits} out of range 1..=32"
-        );
-        if self.io_error.is_some() || self.pos + u64::from(nbits) > self.total_bits {
-            return None;
-        }
-        if self.bit + nbits as usize > self.tail * 8 && !self.top_up(nbits) {
-            return None;
-        }
-        let value = load_bits(&self.block, self.bit, nbits);
-        self.bit += nbits as usize;
-        self.pos += u64::from(nbits);
-        Some(value)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.remaining_bits() == 0
-    }
-}
-
-/// A cursor over bits a [`StreamBits`] block is known to hold (see
-/// [`StreamBits::windows`]): each field is one load, shift and mask,
-/// with no truncation, I/O or position test.
+/// A cursor over a [`StreamBits`] block (see [`StreamBits::decode`]):
+/// each field is one load, shift and mask, with no truncation, I/O or
+/// position test.
 pub(crate) struct WindowBits<'a> {
     block: &'a [u8],
     bit: usize,
 }
 
-impl BitFields for WindowBits<'_> {
+impl WindowBits<'_> {
+    /// Reads `nbits` (1–32) bits.
     #[inline(always)]
-    fn get(&mut self, nbits: u32) -> Option<u32> {
+    pub(crate) fn get(&mut self, nbits: u32) -> u32 {
         let value = load_bits(self.block, self.bit, nbits);
         self.bit += nbits as usize;
-        Some(value)
+        value
     }
 
-    fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// One load for the flag and the value.
+    /// Reads one flag bit.
     #[inline(always)]
-    fn get_group(&mut self, nbits: u32) -> Option<(bool, u32)> {
-        let group = self.get(1 + nbits)?;
-        Some((group & 1 == 1, group >> 1))
+    pub(crate) fn get_bool(&mut self) -> bool {
+        self.get(1) == 1
     }
 
-    /// One load for the flag and the value; the value's bits are
-    /// consumed only if the flag is set.
+    /// Reads a flag bit, then `nbits` (1–31) value bits, in one load.
     #[inline(always)]
-    fn get_present(&mut self, nbits: u32) -> Option<Option<u32>> {
+    pub(crate) fn get_group(&mut self, nbits: u32) -> (bool, u32) {
+        let group = self.get(1 + nbits);
+        (group & 1 == 1, group >> 1)
+    }
+
+    /// Reads a presence bit, then `nbits` (1–31) value bits only if it is
+    /// set, in one load.
+    #[inline(always)]
+    pub(crate) fn get_present(&mut self, nbits: u32) -> Option<u32> {
         let field = load_bits(self.block, self.bit, 1 + nbits);
         let present = field & 1 == 1;
         self.bit += if present { 1 + nbits as usize } else { 1 };
-        Some(present.then_some(field >> 1))
+        present.then_some(field >> 1)
+    }
+
+    /// Skips to the next byte boundary of the stream (the block starts on
+    /// one).
+    #[inline(always)]
+    pub(crate) fn align_to_byte(&mut self) {
+        self.bit = self.bit.next_multiple_of(8);
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    /// Reads `bytes` through windows as `decode` calls of a reader over
+    /// all of them, returning each call's result and how many bits it
+    /// read: how a record decoder sees its input.
+    pub(crate) fn read_windows<T>(
+        bytes: &[u8],
+        calls: usize,
+        mut decode: impl FnMut(&mut WindowBits<'_>) -> T,
+    ) -> Vec<(T, usize)> {
+        let mut block = bytes.to_vec();
+        block.resize(bytes.len() + load_slack(MAX_SPAN), 0);
+        let mut window = WindowBits {
+            block: &block,
+            bit: 0,
+        };
+        (0..calls)
+            .map(|_| {
+                let at = window.bit;
+                let value = decode(&mut window);
+                (value, window.bit - at)
+            })
+            .collect()
+    }
+
+    /// The longest span any layout uses.
+    const MAX_SPAN: usize = 359;
 
     #[test]
     fn roundtrip_mixed_widths() {
@@ -463,81 +426,80 @@ pub(crate) mod tests {
         assert_eq!(total, 1 + 1 + 6 + 32 + 3);
         let (bytes, bits) = w.finish();
         assert_eq!(bits, total);
-        let mut r = StreamBits::new(&bytes[..], bits);
-        assert_eq!(r.get(1), Some(1));
-        assert_eq!(r.get(1), Some(0));
-        assert_eq!(r.get(6), Some(0x3F));
-        assert_eq!(r.get(32), Some(0xDEADBEEF));
-        assert_eq!(r.get(3), Some(5));
-        assert_eq!(r.remaining_bits(), 0);
-        assert_eq!(r.get(1), None);
+        let got = read_windows(&bytes, 1, |r| {
+            [r.get(1), r.get(1), r.get(6), r.get(32), r.get(3)]
+        });
+        assert_eq!(got, [([1, 0, 0x3F, 0xDEADBEEF, 5], total as usize)]);
     }
 
     #[test]
-    fn empty_reader() {
-        let mut r = StreamBits::new(&[][..], 0);
-        assert_eq!(r.get(1), None);
-        assert_eq!(r.remaining_bits(), 0);
-    }
-
-    #[test]
-    fn bools() {
+    fn bools_groups_and_presence() {
         let mut w = BitWriter::new();
         w.put_bool(true);
         w.put_bool(false);
-        w.put_bool(true);
+        w.put(1 | 0x55 << 1, 8);
+        w.put(0, 1);
+        w.put(1 | 42 << 1, 7);
         let (bytes, bits) = w.finish();
-        let mut r = StreamBits::new(&bytes[..], bits);
-        assert_eq!(r.get_bool(), Some(true));
-        assert_eq!(r.get_bool(), Some(false));
-        assert_eq!(r.get_bool(), Some(true));
-        assert_eq!(r.get_bool(), None);
+        let got = read_windows(&bytes, 1, |r| {
+            (
+                r.get_bool(),
+                r.get_bool(),
+                r.get_group(7),
+                r.get_present(6),
+                r.get_present(6),
+            )
+        });
+        let want = (true, false, (true, 0x55), None, Some(42));
+        assert_eq!(got, [(want, bits as usize)]);
     }
 
     #[test]
-    #[should_panic(expected = "does not fit")]
-    fn overflow_value_panics() {
-        let mut w = BitWriter::new();
-        w.put(8, 3);
+    fn align_to_byte_skips_to_the_boundary() {
+        let got = read_windows(&[0xFF; 4], 3, |r| {
+            r.get(3);
+            r.align_to_byte();
+        });
+        assert_eq!(got.iter().map(|&(_, n)| n).collect::<Vec<_>>(), [8, 8, 8]);
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn zero_width_panics() {
-        let mut w = BitWriter::new();
-        w.put(0, 0);
+    fn an_empty_body_truncates_the_first_record() {
+        let mut r = StreamBits::new(&[][..], 0, 8);
+        let (n, error) = r.decode(1, |w| Ok(w.get(1)), |_| {});
+        assert_eq!(
+            (n, error),
+            (0, Some(FileError::Decode(DecodeError::Truncated)))
+        );
+        let (n, error) = StreamBits::new(&[][..], 0, 8).decode(0, |w| Ok(w.get(1)), |_| {});
+        assert_eq!((n, error), (0, None), "no record asked for, none read");
     }
 
     #[test]
-    fn position_tracking() {
-        let mut w = BitWriter::new();
-        w.put(0x7, 3);
-        w.put(0x1, 2);
-        let (bytes, bits) = w.finish();
-        let mut r = StreamBits::new(&bytes[..], bits);
-        assert_eq!(r.position(), 0);
-        r.get(3);
-        assert_eq!(r.position(), 3);
-        r.get(2);
-        assert_eq!(r.position(), 5);
-    }
-
-    #[test]
-    fn skip_bits_advances_without_reading() {
-        let mut w = BitWriter::new();
-        w.put(0x5, 3);
-        w.put(0xBEEF, 16);
-        w.put(0x3, 2);
-        let (bytes, bits) = w.finish();
-        let mut r = StreamBits::new(&bytes[..], bits);
-        assert!(r.skip_bits(3));
-        assert_eq!(r.position(), 3);
-        assert!(r.skip_bits(16));
-        assert_eq!(r.get(2), Some(0x3));
-        assert!(!r.skip_bits(1), "nothing left to skip");
-        assert_eq!(r.position(), 21, "failed skip must not move");
-        assert!(!r.skip_bits(u64::MAX), "overflowing skip must fail cleanly");
-        assert_eq!(r.position(), 21);
+    fn a_record_may_read_a_whole_span_past_the_last_byte() {
+        // One byte read, and a record of `span` one-bit fields from its
+        // first bit: the last load starts `span - 1` bits in.
+        for span in [9, 88, MAX_SPAN as u32] {
+            for total_bits in [8, 9 * 8] {
+                let mut r = StreamBits::new(&[0xA5][..], total_bits, span);
+                let (n, error) = r.decode(
+                    1,
+                    |w| {
+                        for _ in 0..span {
+                            w.get(1);
+                        }
+                        Ok(())
+                    },
+                    |_| {},
+                );
+                let want = if total_bits == 8 {
+                    FileError::Decode(DecodeError::Truncated)
+                } else {
+                    FileError::Io(io::ErrorKind::UnexpectedEof)
+                };
+                assert_eq!((n, error), (0, Some(want)), "span {span}");
+            }
+        }
     }
 
     /// The bit-serial writer `BitWriter` replaced, kept as the oracle.
@@ -633,14 +595,15 @@ pub(crate) mod tests {
         let mut w = BitWriter::new();
         w.put(u32::MAX, 32);
         w.put(0, 32);
-        let (bytes, bits) = w.finish();
-        let mut r = StreamBits::new(&bytes[..], bits);
-        assert_eq!(r.get(32), Some(u32::MAX));
-        assert_eq!(r.get(32), Some(0));
+        let (bytes, _) = w.finish();
+        let got = read_windows(&bytes, 2, |r| r.get(32));
+        assert_eq!(got, [(u32::MAX, 32), (0, 32)]);
     }
 
     /// The bit-serial reader `StreamBits` replaced, kept as the oracle:
-    /// one bit per step and a 1-byte `read_exact` at every byte boundary.
+    /// one bit per step, a 1-byte `read_exact` at every byte boundary,
+    /// and every field checked against the declared length and the bytes
+    /// read before it is taken.
     struct SerialBits<R: Read> {
         reader: R,
         total_bits: u64,
@@ -690,31 +653,6 @@ pub(crate) mod tests {
                 self.pos += 1;
             }
             Some(value)
-        }
-
-        fn skip_bits(&mut self, nbits: u64) -> bool {
-            match self.pos.checked_add(nbits) {
-                Some(end) if end <= self.total_bits => {}
-                _ => return false,
-            }
-            if self.io_error.is_some() {
-                return false;
-            }
-            for _ in 0..nbits {
-                if !self.refill() {
-                    return false;
-                }
-                self.pos += 1;
-            }
-            true
-        }
-
-        fn remaining_bits(&self) -> u64 {
-            if self.io_error.is_some() {
-                0
-            } else {
-                self.total_bits - self.pos
-            }
         }
     }
 
@@ -767,71 +705,154 @@ pub(crate) mod tests {
         }
     }
 
-    /// Runs one random sequence of `get`/`skip_bits` calls against both
-    /// readers, asserting equal values, positions and remaining bits
-    /// while reads succeed, and failure at the same call with the same
-    /// error kind.
-    fn differential_case(seed: u64) {
-        let mut rng = Rng(seed);
-        let body: Vec<u8> = (0..rng.range(0, 80)).map(|_| rng.next() as u8).collect();
-        let body_bits = body.len() as u64 * 8;
-        // Every third body is shorter than it declares.
-        let total_bits = if seed.is_multiple_of(3) {
-            body_bits + rng.range(1, 200)
-        } else {
-            body_bits - rng.range(0, 7).min(body_bits)
-        };
-        let end_error = seed
-            .is_multiple_of(5)
-            .then_some(io::ErrorKind::ConnectionReset);
-        let reader = |salt: u64| Dribble {
-            body: body.clone(),
-            at: 0,
-            rng: Rng(seed ^ salt),
-            end_error,
-        };
-        let mut fast = StreamBits::new(reader(1), total_bits);
-        let mut slow = SerialBits::new(reader(2), total_bits);
-        for call in 0..rng.range(1, 60) {
-            let case = format!("seed {seed}, call {call}, total {total_bits}, body {body_bits}");
-            let ok = if rng.range(0, 3) == 0 {
-                let n = if rng.range(0, 4) == 0 {
-                    rng.range(0, 300)
-                } else {
-                    rng.range(0, 40)
+    /// A test record: the widths of its fields, at most `MAX_SPAN` bits
+    /// in all. A decoder reading it fails with `BadEnum` at a 3-bit field
+    /// that reads 7, and reads no further.
+    type Shape = Vec<u32>;
+
+    fn random_shapes(rng: &mut Rng, count: u64) -> Vec<Shape> {
+        (0..count)
+            .map(|_| {
+                let mut left = rng.range(1, MAX_SPAN as u64) as u32;
+                let mut shape = Vec::new();
+                while left > 0 {
+                    let n = (rng.range(1, 32) as u32).min(left);
+                    shape.push(n);
+                    left -= n;
+                }
+                shape
+            })
+            .collect()
+    }
+
+    const BAD_FIELD: DecodeError = DecodeError::BadEnum("test field");
+
+    /// Reads the records of `shapes` field by field through the oracle:
+    /// the values of every record read whole, then the error that stopped
+    /// it, as the per-field reader reported it (`Truncated` if the field
+    /// failed the declared length, the I/O error if a read failed).
+    fn serial_outcome<R: Read>(
+        mut slow: SerialBits<R>,
+        shapes: &[Shape],
+    ) -> (Vec<Vec<u32>>, Option<FileError>) {
+        let mut records = Vec::new();
+        for shape in shapes {
+            let mut values = Vec::new();
+            for &n in shape {
+                let Some(v) = slow.get(n) else {
+                    let error = match &slow.io_error {
+                        Some(e) => FileError::Io(e.kind()),
+                        None => FileError::Decode(DecodeError::Truncated),
+                    };
+                    return (records, Some(error));
                 };
-                let got = fast.skip_bits(n);
-                assert_eq!(got, slow.skip_bits(n), "{case}: skip_bits({n})");
-                got
-            } else {
-                let n = rng.range(1, 32) as u32;
-                let got = fast.get(n);
-                assert_eq!(got, slow.get(n), "{case}: get({n})");
-                got.is_some()
-            };
-            let fast_err = fast.io_error.as_ref().map(io::Error::kind);
-            let slow_err = slow.io_error.as_ref().map(io::Error::kind);
-            assert_eq!(fast_err, slow_err, "{case}: error kind");
-            assert_eq!(fast.remaining_bits(), slow.remaining_bits(), "{case}");
-            if fast_err.is_some() {
-                assert!(!ok, "{case}: a failed read must report failure");
-                return;
+                if n == 3 && v == 7 {
+                    return (records, Some(FileError::Decode(BAD_FIELD)));
+                }
+                values.push(v);
             }
-            assert_eq!(fast.position(), slow.pos, "{case}");
+            records.push(values);
         }
+        (records, None)
+    }
+
+    /// Reads the records of `shapes` through `fast` in batches of 1–7, as
+    /// `FileSource` does, with the same values and the same error rule.
+    fn window_outcome<R: Read>(
+        mut fast: StreamBits<R>,
+        shapes: &[Shape],
+        rng: &mut Rng,
+    ) -> (Vec<Vec<u32>>, Option<FileError>) {
+        let mut records = Vec::new();
+        let mut next = 0;
+        while next < shapes.len() {
+            let max = rng.range(1, 7).min((shapes.len() - next) as u64);
+            let (n, error) = fast.decode(
+                max,
+                |w| {
+                    let shape = &shapes[next];
+                    next += 1;
+                    let mut values = Vec::new();
+                    for &n in shape {
+                        let v = w.get(n);
+                        if n == 3 && v == 7 {
+                            return Err(BAD_FIELD);
+                        }
+                        values.push(v);
+                    }
+                    Ok(values)
+                },
+                |values| records.push(values),
+            );
+            assert!(n == max || error.is_some(), "a batch stopped short");
+            if error.is_some() {
+                return (records, error);
+            }
+        }
+        (records, None)
+    }
+
+    /// Reads one random body through the new reader and the oracle, over
+    /// `reader(salt)`, and checks that both yield the same records and
+    /// stop with the same error. The one departure: a body shorter than
+    /// its declared length, where the oracle can say `Truncated` for a
+    /// field that crosses both the last byte read and the declared end,
+    /// reports the read's I/O error, `end`.
+    fn differential_case<R: Read>(
+        seed: u64,
+        body_len: usize,
+        total_bits: u64,
+        end: io::ErrorKind,
+        reader: impl Fn(u64) -> R,
+    ) {
+        let mut rng = Rng(seed);
+        let count = rng.range(1, 2 + body_len as u64 / 8);
+        let shapes = random_shapes(&mut rng, count);
+        let case = format!("seed {seed}, body {body_len} bytes, total {total_bits} bits");
+        let short = (body_len as u64) < total_bits.div_ceil(8);
+        let fast = window_outcome(
+            StreamBits::new(reader(1), total_bits, MAX_SPAN as u32),
+            &shapes,
+            &mut rng,
+        );
+        let (records, error) = serial_outcome(SerialBits::new(reader(2), total_bits), &shapes);
+        let error = match error {
+            Some(FileError::Decode(DecodeError::Truncated)) if short => Some(FileError::Io(end)),
+            other => other,
+        };
+        assert_eq!(fast, (records, error), "{case}");
     }
 
     #[test]
     fn block_reader_matches_the_bit_serial_reader() {
         for seed in 0..3000 {
-            differential_case(seed);
+            let mut rng = Rng(seed);
+            let body: Vec<u8> = (0..rng.range(0, 300)).map(|_| rng.next() as u8).collect();
+            let body_bits = body.len() as u64 * 8;
+            // Every third body is shorter than it declares.
+            let total_bits = if seed.is_multiple_of(3) {
+                body_bits + rng.range(1, 200)
+            } else {
+                body_bits - rng.range(0, 7).min(body_bits)
+            };
+            let end_error = seed
+                .is_multiple_of(5)
+                .then_some(io::ErrorKind::ConnectionReset);
+            let reader = |salt: u64| Dribble {
+                body: body.clone(),
+                at: 0,
+                rng: Rng(seed ^ salt),
+                end_error,
+            };
+            let end = end_error.unwrap_or(io::ErrorKind::UnexpectedEof);
+            differential_case(seed, body.len(), total_bits, end, reader);
         }
     }
 
     #[test]
     fn block_reader_matches_the_bit_serial_reader_over_slices() {
         let mut rng = Rng(2009);
-        for case in 0..500 {
+        for case in 0..300 {
             // Bodies past one block, so refills land mid-record.
             let body: Vec<u8> = (0..rng.range(0, 40_000))
                 .map(|_| rng.next() as u8)
@@ -842,38 +863,17 @@ pub(crate) mod tests {
             } else {
                 body_bits - rng.range(0, 7).min(body_bits)
             };
-            let mut fast = StreamBits::new(&body[..], total_bits);
-            let mut slow = SerialBits::new(&body[..], total_bits);
-            loop {
-                let got = if rng.range(0, 8) == 0 {
-                    let n = rng.range(0, 20_000);
-                    let got = fast.skip_bits(n);
-                    assert_eq!(got, slow.skip_bits(n), "case {case}: skip_bits({n})");
-                    got
-                } else {
-                    let n = rng.range(1, 32) as u32;
-                    let got = fast.get(n);
-                    assert_eq!(got, slow.get(n), "case {case}: get({n})");
-                    got.is_some()
-                };
-                let fast_err = fast.io_error.as_ref().map(io::Error::kind);
-                let slow_err = slow.io_error.as_ref().map(io::Error::kind);
-                assert_eq!(fast_err, slow_err, "case {case}");
-                if fast_err.is_some() || fast.remaining_bits() == 0 {
-                    break;
-                }
-                if got {
-                    assert_eq!(fast.position(), slow.pos, "case {case}");
-                }
-            }
+            let end = io::ErrorKind::UnexpectedEof;
+            differential_case(case, body.len(), total_bits, end, |_| &body[..]);
         }
     }
 
     #[test]
     fn block_is_sized_by_the_body_not_the_header() {
-        let r = StreamBits::new(&[0u8; 3][..], 17);
-        assert_eq!(r.block.len(), 3 + LOAD_SLACK);
-        let r = StreamBits::new(&[][..], u64::MAX);
-        assert_eq!(r.block.len(), BLOCK_BYTES + LOAD_SLACK);
+        let r = StreamBits::new(&[0u8; 3][..], 17, 88);
+        assert_eq!(r.block.len(), 3 + load_slack(88));
+        let r = StreamBits::new(&[][..], u64::MAX, 359);
+        assert_eq!(r.block.len(), BLOCK_BYTES + load_slack(359));
+        assert_eq!(load_slack(359), 53, "45 bytes of span and one load");
     }
 }

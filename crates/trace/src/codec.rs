@@ -31,8 +31,12 @@
 //! [`EncodedTrace::source`] and [`EncodedTrace::decode`] read it back
 //! through [`FileSource`], the crate's one record source, whose bit
 //! reader streams off an `&[u8]` here and off a file for a container.
+//! The record decoder reads its fields unchecked through a window of
+//! the reader's block, at most [`MAX_V1_RECORD_BITS`] of them; the reader
+//! checks once, at the record's end, that the record fit in the bits
+//! available (see the [`bits`](crate::bits) module).
 
-use crate::bits::{BitFields, BitWriter, StreamBits};
+use crate::bits::{BitWriter, WindowBits};
 use crate::file::{FileError, FileSource, TraceFileHeader};
 use crate::record::{
     BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, Reg, TraceRecord,
@@ -41,11 +45,27 @@ use crate::stats::TraceStats;
 use crate::Trace;
 use std::error::Error;
 use std::fmt;
-use std::io::Read;
 
 pub(crate) const FMT_OTHER: u32 = 0;
 pub(crate) const FMT_MEM: u32 = 1;
 pub(crate) const FMT_BRANCH: u32 = 2;
+
+/// Bits of a present register field (flag and index).
+pub(crate) const REG_BITS: u32 = 1 + 6;
+
+/// Most bits [`decode_record_bits`] reads for one record, on any input:
+/// the common header with an explicit PC, the longest payload (a branch
+/// with both registers) and the padding to the next byte. Records start
+/// on a byte boundary, so the padding never takes it past a whole byte.
+pub(crate) const MAX_V1_RECORD_BITS: u32 = {
+    let header = 2 + 1 + 1 + 32;
+    let other = 2 + 3 * REG_BITS;
+    let mem = 1 + 2 + 32 + 2 * REG_BITS;
+    let branch = 3 + 1 + 32 + 2 * REG_BITS;
+    let payload = if mem > branch { mem } else { branch };
+    let payload = if other > payload { other } else { payload };
+    (header + payload).next_multiple_of(8)
+};
 
 /// Whether `record` carries its PC explicitly, given the PC implied by
 /// the record before it (`None` at trace start).
@@ -195,9 +215,8 @@ pub(crate) fn put_regs<const N: usize>(w: &mut BitWriter, regs: [Option<Reg>; N]
 }
 
 #[inline(always)]
-pub(crate) fn get_reg(r: &mut impl BitFields) -> Result<Option<Reg>, DecodeError> {
-    let idx = r.get_present(6).ok_or(DecodeError::Truncated)?;
-    Ok(idx.map(|idx| Reg::new(idx as u8)))
+pub(crate) fn get_reg(r: &mut WindowBits<'_>) -> Option<Reg> {
+    r.get_present(6).map(|idx| Reg::new(idx as u8))
 }
 
 /// A bit-packed, encoded trace plus its accounting.
@@ -290,188 +309,80 @@ impl EncodedTrace {
     }
 }
 
-/// Decodes one v1 record; `Ok(None)` at a clean end of stream.
+/// Decodes one v1 record at the window's cursor, reading at most
+/// [`MAX_V1_RECORD_BITS`] bits on any input.
+///
+/// Each check follows the field it tests, so a decoder that stops at an
+/// error has read no field past it; whether the record fit in the body
+/// is for the caller to check, at its end.
 ///
 /// # Errors
 ///
-/// [`DecodeError::Truncated`] if the stream ends mid-record;
-/// [`DecodeError::BadFormat`] / [`DecodeError::BadEnum`] on invalid
-/// field values.
-pub(crate) fn decode_record_bits<R: Read>(
-    reader: &mut StreamBits<R>,
+/// [`DecodeError::BadFormat`] / [`DecodeError::BadEnum`] on invalid field
+/// values, [`DecodeError::MissingPc`] on an implicit PC with no record
+/// before it.
+#[inline(always)]
+pub(crate) fn decode_record_bits(
+    reader: &mut WindowBits<'_>,
     expected_pc: &mut Option<u32>,
-) -> Result<Option<TraceRecord>, DecodeError> {
-    if reader.remaining_bits() == 0 {
-        return Ok(None);
-    }
-    // Fewer than a minimal header's worth of bits means padding from
-    // byte alignment was mis-declared: the caller passed a wrong bit
-    // length.
-    let fmt = reader.get(2).ok_or(DecodeError::Truncated)?;
+) -> Result<TraceRecord, DecodeError> {
+    let fmt = reader.get(2);
     if fmt > FMT_BRANCH {
         return Err(DecodeError::BadFormat(fmt as u8));
     }
-    let wrong_path = reader.get_bool().ok_or(DecodeError::Truncated)?;
-    let explicit = reader.get_bool().ok_or(DecodeError::Truncated)?;
-    let pc = if explicit {
-        reader.get(32).ok_or(DecodeError::Truncated)?
+    let wrong_path = reader.get_bool();
+    let pc = if reader.get_bool() {
+        reader.get(32)
     } else {
         expected_pc.ok_or(DecodeError::MissingPc)?
     };
     let record = match fmt {
         FMT_OTHER => {
-            let class = reader.get(2).ok_or(DecodeError::Truncated)?;
-            let class = OpClass::decode(class).ok_or(DecodeError::BadEnum("op class"))?;
-            let dest = get_reg(reader)?;
-            let src1 = get_reg(reader)?;
-            let src2 = get_reg(reader)?;
+            let class = OpClass::decode(reader.get(2)).ok_or(DecodeError::BadEnum("op class"))?;
             TraceRecord::Other(OtherRecord {
                 pc,
                 class,
-                dest,
-                src1,
-                src2,
+                dest: get_reg(reader),
+                src1: get_reg(reader),
+                src2: get_reg(reader),
                 wrong_path,
             })
         }
         FMT_MEM => {
-            let kind = reader.get(1).ok_or(DecodeError::Truncated)?;
-            let kind = if kind == 0 {
-                MemKind::Load
-            } else {
+            let kind = if reader.get_bool() {
                 MemKind::Store
+            } else {
+                MemKind::Load
             };
-            let size = reader.get(2).ok_or(DecodeError::Truncated)?;
-            let size = MemSize::decode(size).ok_or(DecodeError::BadEnum("mem size"))?;
-            let addr = reader.get(32).ok_or(DecodeError::Truncated)?;
-            let base = get_reg(reader)?;
-            let data = get_reg(reader)?;
+            let size = MemSize::decode(reader.get(2)).ok_or(DecodeError::BadEnum("mem size"))?;
             TraceRecord::Mem(MemRecord {
                 pc,
-                addr,
+                addr: reader.get(32),
                 size,
                 kind,
-                base,
-                data,
+                base: get_reg(reader),
+                data: get_reg(reader),
                 wrong_path,
             })
-        }
-        FMT_BRANCH => {
-            let kind = reader.get(3).ok_or(DecodeError::Truncated)?;
-            let kind = BranchKind::decode(kind).ok_or(DecodeError::BadEnum("branch kind"))?;
-            let taken = reader.get_bool().ok_or(DecodeError::Truncated)?;
-            let target = reader.get(32).ok_or(DecodeError::Truncated)?;
-            let src1 = get_reg(reader)?;
-            let src2 = get_reg(reader)?;
-            TraceRecord::Branch(BranchRecord {
-                pc,
-                target,
-                taken,
-                kind,
-                src1,
-                src2,
-                wrong_path,
-            })
-        }
-        other => return Err(DecodeError::BadFormat(other as u8)),
-    };
-    // Skip the byte-alignment padding.
-    while !reader.position().is_multiple_of(8) {
-        reader.get_bool().ok_or(DecodeError::Truncated)?;
-    }
-    *expected_pc = Some(record.implied_next_pc());
-    Ok(Some(record))
-}
-
-/// Discards one v1 record without building a [`TraceRecord`] — the
-/// fast path behind [`TraceSource::skip`](crate::TraceSource::skip).
-///
-/// Only the fields that determine record length and PC chaining are
-/// examined (presence flags, and a branch's taken/target pair); the
-/// 32-bit address/register payloads are skipped wholesale, never
-/// validated or materialised. Returns `Ok(false)` at a clean end of
-/// stream.
-///
-/// # Errors
-///
-/// The same [`DecodeError`]s as [`decode_record_bits`], except that enum
-/// payloads (`OpClass`, `MemSize`, `BranchKind`) are *not* range-checked
-/// here.
-pub(crate) fn skip_record_bits<R: Read>(
-    reader: &mut StreamBits<R>,
-    expected_pc: &mut Option<u32>,
-) -> Result<bool, DecodeError> {
-    if reader.remaining_bits() == 0 {
-        return Ok(false);
-    }
-    let fmt = reader.get(2).ok_or(DecodeError::Truncated)?;
-    if fmt > FMT_BRANCH {
-        return Err(DecodeError::BadFormat(fmt as u8));
-    }
-    // tag bit
-    if !reader.skip_bits(1) {
-        return Err(DecodeError::Truncated);
-    }
-    let explicit = reader.get_bool().ok_or(DecodeError::Truncated)?;
-    let pc = if explicit {
-        reader.get(32).ok_or(DecodeError::Truncated)?
-    } else {
-        expected_pc.ok_or(DecodeError::MissingPc)?
-    };
-    let next_pc = match fmt {
-        FMT_OTHER => {
-            // class(2) + three optional registers.
-            if !reader.skip_bits(2) {
-                return Err(DecodeError::Truncated);
-            }
-            for _ in 0..3 {
-                skip_reg(reader)?;
-            }
-            pc.wrapping_add(4)
-        }
-        FMT_MEM => {
-            // kind(1) + size(2) + addr(32) + two optional registers.
-            if !reader.skip_bits(1 + 2 + 32) {
-                return Err(DecodeError::Truncated);
-            }
-            for _ in 0..2 {
-                skip_reg(reader)?;
-            }
-            pc.wrapping_add(4)
         }
         _ => {
-            // kind(3), then taken/target — the only payload skipping
-            // must decode, because a taken branch redirects the
-            // implicit-PC chain.
-            if !reader.skip_bits(3) {
-                return Err(DecodeError::Truncated);
-            }
-            let taken = reader.get_bool().ok_or(DecodeError::Truncated)?;
-            let target = reader.get(32).ok_or(DecodeError::Truncated)?;
-            for _ in 0..2 {
-                skip_reg(reader)?;
-            }
-            if taken {
-                target
-            } else {
-                pc.wrapping_add(4)
-            }
+            let kind =
+                BranchKind::decode(reader.get(3)).ok_or(DecodeError::BadEnum("branch kind"))?;
+            TraceRecord::Branch(BranchRecord {
+                pc,
+                taken: reader.get_bool(),
+                target: reader.get(32),
+                kind,
+                src1: get_reg(reader),
+                src2: get_reg(reader),
+                wrong_path,
+            })
         }
     };
-    let pad = (8 - reader.position() % 8) % 8;
-    if !reader.skip_bits(pad) {
-        return Err(DecodeError::Truncated);
-    }
-    *expected_pc = Some(next_pc);
-    Ok(true)
-}
-
-fn skip_reg<R: Read>(r: &mut StreamBits<R>) -> Result<(), DecodeError> {
-    let present = r.get_bool().ok_or(DecodeError::Truncated)?;
-    if present && !r.skip_bits(6) {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(())
+    // Skip the byte-alignment padding.
+    reader.align_to_byte();
+    *expected_pc = Some(record.implied_next_pc());
+    Ok(record)
 }
 
 /// Errors produced when decoding a packed trace.
@@ -508,6 +419,7 @@ impl Error for DecodeError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::tests::read_windows;
 
     fn sample_records() -> Vec<TraceRecord> {
         vec![
@@ -772,6 +684,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_longest_record_reads_exactly_its_span() {
+        let longest = TraceRecord::Branch(BranchRecord {
+            pc: 0x100,
+            target: 0x800,
+            taken: true,
+            kind: BranchKind::IndirectCall,
+            src1: Some(Reg::new(63)),
+            src2: Some(Reg::new(1)),
+            wrong_path: true,
+        });
+        assert_eq!(MAX_V1_RECORD_BITS, 88);
+        assert_eq!(v1_record_bits(&longest, None), 88);
+        let enc = Trace::from_records(vec![longest]).encode();
+        let got = read_windows(enc.bytes(), 1, |w| decode_record_bits(w, &mut None));
+        assert_eq!(got, [(Ok(longest), 88)]);
     }
 
     #[test]

@@ -46,10 +46,17 @@
 //! of words ([`V2State`]) regardless of trace length, and records are
 //! parsed off the crate's one bit reader by the one
 //! [`FileSource`](crate::FileSource), whether the body sits in memory
-//! ([`EncodedTrace::source`]) or in a container file.
+//! ([`EncodedTrace::source`]) or in a container file. The decoder reads
+//! its fields unchecked through a window of the reader's block; every
+//! varint and run length gives up at its group limit, so no record reads
+//! more than [`MAX_V2_RECORD_BITS`], and the reader checks once, at the
+//! record's end, that it fit in the bits available (see the
+//! [`bits`](crate::bits) module).
 
-use crate::bits::{BitFields, BitWriter};
-use crate::codec::{get_reg, put_regs, DecodeError, EncodedTrace, FMT_BRANCH, FMT_MEM, FMT_OTHER};
+use crate::bits::{BitWriter, WindowBits};
+use crate::codec::{
+    get_reg, put_regs, DecodeError, EncodedTrace, FMT_BRANCH, FMT_MEM, FMT_OTHER, REG_BITS,
+};
 use crate::record::{
     BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, TraceRecord,
 };
@@ -111,10 +118,10 @@ const VARINT_GROUPS: u32 = u64::BITS.div_ceil(7);
 /// A stream claiming more than the [`VARINT_GROUPS`] groups a `u64` can
 /// need is malformed ([`DecodeError::BadVarint`]), not an infinite loop.
 #[inline(always)]
-pub(crate) fn get_varint(r: &mut impl BitFields) -> Result<u64, DecodeError> {
+pub(crate) fn get_varint(r: &mut WindowBits<'_>) -> Result<u64, DecodeError> {
     let mut v = 0u64;
     for shift in (0..VARINT_GROUPS).map(|g| 7 * g) {
-        let (cont, group) = r.get_group(7).ok_or(DecodeError::Truncated)?;
+        let (cont, group) = r.get_group(7);
         let group = u64::from(group);
         if shift == 63 && group > 1 {
             return Err(DecodeError::BadVarint);
@@ -147,10 +154,10 @@ const RLE_GROUPS: u32 = u64::BITS / 2;
 /// Reads a run length written by [`put_rle`]; more than [`RLE_GROUPS`]
 /// groups is [`DecodeError::BadVarint`].
 #[inline(always)]
-fn get_rle(r: &mut impl BitFields) -> Result<u64, DecodeError> {
+fn get_rle(r: &mut WindowBits<'_>) -> Result<u64, DecodeError> {
     let mut v = 0u64;
     for shift in (0..RLE_GROUPS).map(|g| 2 * g) {
-        let (cont, group) = r.get_group(2).ok_or(DecodeError::Truncated)?;
+        let (cont, group) = r.get_group(2);
         let group = u64::from(group);
         v |= group << shift;
         if !cont {
@@ -178,13 +185,13 @@ fn put_delta_field(w: &mut BitWriter, actual: u32, reference: u32) {
 }
 
 #[inline(always)]
-fn get_delta_field(r: &mut impl BitFields, reference: u32) -> Result<u32, DecodeError> {
-    if r.get_bool().ok_or(DecodeError::Truncated)? {
+fn get_delta_field(r: &mut WindowBits<'_>, reference: u32) -> Result<u32, DecodeError> {
+    if r.get_bool() {
         let zz = get_varint(r)?;
         let zz = u32::try_from(zz).map_err(|_| DecodeError::BadVarint)?;
         Ok(reference.wrapping_add(unzigzag(zz)))
     } else {
-        r.get(32).ok_or(DecodeError::Truncated)
+        Ok(r.get(32))
     }
 }
 
@@ -332,41 +339,33 @@ const DELTA_FIELD_MAX_BITS: u32 = 1 + if VARINT_MAX_BITS > 32 {
     32
 };
 
-/// Bits of a present register field (flag and index).
-const REG_MAX_BITS: u32 = 1 + 6;
-
 /// Most bits [`decode_record_bits_v2`] reads for one record, on any
 /// input, well-formed or not: a group header, the format and tag, and
 /// the longest payload, a branch that starts the first outcome run.
-/// Every varint and run length gives up after its group limit, so a
-/// decoder handed a window of this many bits never reads past it.
+/// Every varint and run length gives up after its group limit, so the
+/// decoder never reads more than this for one record.
 pub(crate) const MAX_V2_RECORD_BITS: u32 = {
     let header = DELTA_FIELD_MAX_BITS + VARINT_MAX_BITS;
-    let other = 2 + 3 * REG_MAX_BITS;
-    let mem = 1 + 2 + DELTA_FIELD_MAX_BITS + 2 * REG_MAX_BITS;
-    let branch = 3 + 1 + RLE_GROUPS * 3 + DELTA_FIELD_MAX_BITS + 2 * REG_MAX_BITS;
+    let other = 2 + 3 * REG_BITS;
+    let mem = 1 + 2 + DELTA_FIELD_MAX_BITS + 2 * REG_BITS;
+    let branch = 3 + 1 + RLE_GROUPS * 3 + DELTA_FIELD_MAX_BITS + 2 * REG_BITS;
     let payload = if mem > branch { mem } else { branch };
     let payload = if other > payload { other } else { payload };
     header + 2 + 1 + payload
 };
 
-/// Decodes one v2 record; `Ok(None)` at a clean end of stream (which
-/// can only fall on a group boundary).
+/// Decodes one v2 record at the window's cursor, reading at most
+/// [`MAX_V2_RECORD_BITS`] bits on any input.
 ///
-/// One body serves both readers: the checked [`StreamBits`] and a
-/// [`WindowBits`] of [`MAX_V2_RECORD_BITS`], so every value, error and
-/// stop point is the same whichever one a record is read through.
-///
-/// [`StreamBits`]: crate::bits::StreamBits
-/// [`WindowBits`]: crate::bits::WindowBits
+/// Each check follows the field it tests, so a decoder that stops at an
+/// error has read no field past it; whether the record fit in the body
+/// is for the caller to check, at its end.
+#[inline(always)]
 pub(crate) fn decode_record_bits_v2(
-    reader: &mut impl BitFields,
+    reader: &mut WindowBits<'_>,
     st: &mut V2State,
-) -> Result<Option<TraceRecord>, DecodeError> {
+) -> Result<TraceRecord, DecodeError> {
     let pc = if st.group_left == 0 {
-        if reader.is_empty() {
-            return Ok(None);
-        }
         let pc = get_delta_field(reader, st.expected_pc)?;
         let run = get_varint(reader)?;
         st.group_left = run.checked_add(1).ok_or(DecodeError::BadVarint)?;
@@ -375,56 +374,48 @@ pub(crate) fn decode_record_bits_v2(
         st.expected_pc
     };
     st.group_left -= 1;
-    let fmt = reader.get(2).ok_or(DecodeError::Truncated)?;
+    let fmt = reader.get(2);
     if fmt > FMT_BRANCH {
         return Err(DecodeError::BadFormat(fmt as u8));
     }
-    let wrong_path = reader.get_bool().ok_or(DecodeError::Truncated)?;
+    let wrong_path = reader.get_bool();
     let record = match fmt {
         FMT_OTHER => {
-            let class = reader.get(2).ok_or(DecodeError::Truncated)?;
-            let class = OpClass::decode(class).ok_or(DecodeError::BadEnum("op class"))?;
-            let dest = get_reg(reader)?;
-            let src1 = get_reg(reader)?;
-            let src2 = get_reg(reader)?;
+            let class = OpClass::decode(reader.get(2)).ok_or(DecodeError::BadEnum("op class"))?;
             TraceRecord::Other(OtherRecord {
                 pc,
                 class,
-                dest,
-                src1,
-                src2,
+                dest: get_reg(reader),
+                src1: get_reg(reader),
+                src2: get_reg(reader),
                 wrong_path,
             })
         }
         FMT_MEM => {
-            let kind = reader.get(1).ok_or(DecodeError::Truncated)?;
-            let kind = if kind == 0 {
-                MemKind::Load
-            } else {
+            let kind = if reader.get_bool() {
                 MemKind::Store
+            } else {
+                MemKind::Load
             };
-            let size = reader.get(2).ok_or(DecodeError::Truncated)?;
-            let size = MemSize::decode(size).ok_or(DecodeError::BadEnum("mem size"))?;
+            let size = MemSize::decode(reader.get(2)).ok_or(DecodeError::BadEnum("mem size"))?;
             let addr = get_delta_field(reader, st.prev_addr)?;
             st.prev_addr = addr;
-            let base = get_reg(reader)?;
-            let data = get_reg(reader)?;
             TraceRecord::Mem(MemRecord {
                 pc,
                 addr,
                 size,
                 kind,
-                base,
-                data,
+                base: get_reg(reader),
+                data: get_reg(reader),
                 wrong_path,
             })
         }
         _ => {
-            let kind = reader.get(3).ok_or(DecodeError::Truncated)?;
-            let kind = BranchKind::decode(kind).ok_or(DecodeError::BadEnum("branch kind"))?;
+            let kind =
+                BranchKind::decode(reader.get(3)).ok_or(DecodeError::BadEnum("branch kind"))?;
             if st.outcome_left == 0 {
                 let dir = match st.outcome {
-                    None => reader.get_bool().ok_or(DecodeError::Truncated)?,
+                    None => reader.get_bool(),
                     Some(prev) => !prev,
                 };
                 let len = get_rle(reader)?
@@ -436,30 +427,28 @@ pub(crate) fn decode_record_bits_v2(
             let taken = st.outcome.unwrap_or(false);
             st.outcome_left -= 1;
             let target = get_delta_field(reader, pc)?;
-            let src1 = get_reg(reader)?;
-            let src2 = get_reg(reader)?;
             TraceRecord::Branch(BranchRecord {
                 pc,
                 target,
                 taken,
                 kind,
-                src1,
-                src2,
+                src1: get_reg(reader),
+                src2: get_reg(reader),
                 wrong_path,
             })
         }
     };
     st.expected_pc = record.implied_next_pc();
-    Ok(Some(record))
+    Ok(record)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits::tests::Rng;
-    use crate::bits::StreamBits;
+    use crate::bits::tests::{read_windows, Rng};
+    use crate::file::{FileError, FileSource, TraceFileHeader};
     use crate::record::Reg;
-    use crate::Trace;
+    use crate::{Trace, TraceSource};
 
     #[test]
     fn varint_roundtrip() {
@@ -483,9 +472,8 @@ mod tests {
             let mut w = BitWriter::new();
             put_varint(&mut w, v);
             let (bytes, bits) = w.finish();
-            let mut r = StreamBits::new(&bytes[..], bits);
-            assert_eq!(get_varint(&mut r), Ok(v), "varint {v}");
-            assert_eq!(r.remaining_bits(), 0);
+            let got = read_windows(&bytes, 1, get_varint);
+            assert_eq!(got, [(Ok(v), bits as usize)], "varint {v}");
         }
     }
 
@@ -495,9 +483,8 @@ mod tests {
             let mut w = BitWriter::new();
             put_rle(&mut w, v);
             let (bytes, bits) = w.finish();
-            let mut r = StreamBits::new(&bytes[..], bits);
-            assert_eq!(get_rle(&mut r), Ok(v), "rle {v}");
-            assert_eq!(r.remaining_bits(), 0);
+            let got = read_windows(&bytes, 1, get_rle);
+            assert_eq!(got, [(Ok(v), bits as usize)], "rle {v}");
         }
     }
 
@@ -511,9 +498,12 @@ mod tests {
         }
         w.put_bool(false);
         w.put(0, 7);
-        let (bytes, bits) = w.finish();
-        let mut r = StreamBits::new(&bytes[..], bits);
-        assert_eq!(get_varint(&mut r), Err(DecodeError::BadVarint));
+        let (bytes, _) = w.finish();
+        let got = read_windows(&bytes, 1, get_varint);
+        assert_eq!(
+            got,
+            [(Err(DecodeError::BadVarint), VARINT_MAX_BITS as usize)]
+        );
     }
 
     #[test]
@@ -534,9 +524,9 @@ mod tests {
         let mut w = BitWriter::new();
         put_delta_field(&mut w, 0x8000_0000, 0);
         assert_eq!(w.len_bits(), 33);
-        let (bytes, bits) = w.finish();
-        let mut r = StreamBits::new(&bytes[..], bits);
-        assert_eq!(get_delta_field(&mut r, 0), Ok(0x8000_0000));
+        let (bytes, _) = w.finish();
+        let got = read_windows(&bytes, 1, |r| get_delta_field(r, 0));
+        assert_eq!(got, [(Ok(0x8000_0000), 33)]);
     }
 
     fn alu(pc: u32) -> TraceRecord {
@@ -643,11 +633,25 @@ mod tests {
         }
         let enc = encode_v2(&records);
         for cut in 0..enc.len_bits() {
-            let mut st = V2State::default();
-            let mut r = StreamBits::new(enc.bytes(), cut);
-            // Must terminate with Ok(None) or an error — never panic.
-            while let Ok(Some(_)) = decode_record_bits_v2(&mut r, &mut st) {}
+            // A prefix of the records, then `Truncated`: never a panic.
+            let (got, error) = drain(enc.bytes(), cut, enc.len());
+            assert_eq!(got, records[..got.len()], "cut at {cut}");
+            assert_eq!(error, Some(FileError::Decode(DecodeError::Truncated)));
         }
+    }
+
+    /// Drains `bytes` as a v2 body of `len_bits` bits and `records`
+    /// records through a [`FileSource`], returning what it yields and
+    /// how it ends.
+    fn drain(bytes: &[u8], len_bits: u64, records: u64) -> (Vec<TraceRecord>, Option<FileError>) {
+        let header = TraceFileHeader {
+            len_bits,
+            records,
+            ..TraceFileHeader::for_trace(&encode_v2(&[]), "", 0, 0)
+        };
+        let mut src = FileSource::new(header, bytes);
+        let got = std::iter::from_fn(|| src.next_record()).collect();
+        (got, src.error().cloned())
     }
 
     #[test]
@@ -719,70 +723,25 @@ mod tests {
         records
     }
 
-    /// Decodes `bytes` record by record two ways: through windows
-    /// wherever the block and the declared length allow one (else the
-    /// checked reader), as `FileSource` does, and through the checked
-    /// reader alone. Every result and every position after it must
-    /// agree; returns how many records went through a window.
-    fn window_matches_checked(bytes: &[u8], total_bits: u64) -> usize {
-        let mut fast = StreamBits::new(bytes, total_bits);
-        let mut slow = StreamBits::new(bytes, total_bits);
-        let (mut fast_state, mut slow_state) = (V2State::default(), V2State::default());
-        let mut windowed = 0;
-        for record in 0.. {
-            let mut through_window = None;
-            fast.windows(MAX_V2_RECORD_BITS, |window| {
-                through_window = Some(decode_record_bits_v2(window, &mut fast_state));
-                false
-            });
-            let got = match through_window {
-                Some(got) => {
-                    windowed += 1;
-                    got
-                }
-                None => decode_record_bits_v2(&mut fast, &mut fast_state),
-            };
-            let want = decode_record_bits_v2(&mut slow, &mut slow_state);
-            let case = format!(
-                "record {record} of {} bytes / {total_bits} bits",
-                bytes.len()
-            );
-            assert_eq!(got, want, "{case}");
-            assert_eq!(fast.position(), slow.position(), "{case}");
-            if !matches!(want, Ok(Some(_))) {
-                break;
-            }
-        }
-        windowed
-    }
-
     #[test]
-    fn window_reader_matches_the_checked_reader_on_valid_encodings() {
+    fn random_encodings_roundtrip_and_cut_to_a_prefix() {
         let mut rng = Rng(2009);
-        let mut windowed = 0;
-        // The last body spans two read blocks, so windows resume after
-        // a refill.
+        // The last body spans two read blocks, so records resume after a
+        // refill.
         for len in (0..120).map(|i| i * 7).chain([6000]) {
-            let enc = encode_v2(&random_records(&mut rng, len));
-            windowed += window_matches_checked(enc.bytes(), enc.len_bits());
-            // Declared shorter than the body: the records near the cut
-            // must end the same way on both paths.
-            let cut = enc.len_bits().saturating_sub(rng.range(0, 199));
-            window_matches_checked(enc.bytes(), cut);
-        }
-        assert!(
-            windowed > 10_000,
-            "only {windowed} records went through a window"
-        );
-    }
-
-    #[test]
-    fn window_reader_matches_the_checked_reader_on_random_bytes() {
-        let mut rng = Rng(7);
-        for _ in 0..3000 {
-            let bytes: Vec<u8> = (0..rng.range(0, 599)).map(|_| rng.next() as u8).collect();
-            let total_bits = (bytes.len() as u64 * 8).saturating_sub(rng.range(0, 7));
-            window_matches_checked(&bytes, total_bits);
+            let records = random_records(&mut rng, len);
+            let enc = encode_v2(&records);
+            assert_eq!(
+                drain(enc.bytes(), enc.len_bits(), enc.len()),
+                (records.clone(), None)
+            );
+            // Declared shorter than the body: a prefix, then `Truncated`.
+            let cut = enc.len_bits().saturating_sub(rng.range(1, 199));
+            if len > 0 {
+                let (got, error) = drain(enc.bytes(), cut, enc.len());
+                assert_eq!(got, records[..got.len()], "{len} records cut to {cut} bits");
+                assert_eq!(error, Some(FileError::Decode(DecodeError::Truncated)));
+            }
         }
     }
 
@@ -812,8 +771,8 @@ mod tests {
         }
     }
 
-    /// A one-record group: the checked reader reads it and fills the
-    /// block, so the next record can take a window. Returns its length.
+    /// A one-record group, so the record after it opens a group with the
+    /// state a body carries. Returns its length.
     fn put_nop_group(w: &mut BitWriter) -> u64 {
         w.put_bool(true);
         put_varint(w, 0);
@@ -825,25 +784,17 @@ mod tests {
         w.len_bits()
     }
 
-    /// Decodes the nop group and then the record after it through the
-    /// checked reader, returning that record's result and length, and
-    /// checks that a window reads it the same way.
-    fn second_record(bytes: &[u8], bits: u64) -> (Result<Option<TraceRecord>, DecodeError>, u64) {
-        let mut r = StreamBits::new(bytes, bits);
+    /// Decodes the nop group and then the record after it, returning
+    /// that record's result and how many bits it read.
+    fn second_record(bytes: &[u8]) -> (Result<TraceRecord, DecodeError>, u64) {
         let mut state = V2State::default();
-        let first = decode_record_bits_v2(&mut r, &mut state);
+        let got = read_windows(bytes, 2, |w| decode_record_bits_v2(w, &mut state));
         assert!(
-            matches!(first, Ok(Some(TraceRecord::Other(_)))),
-            "{first:?}"
+            matches!(got[0].0, Ok(TraceRecord::Other(_))),
+            "{:?}",
+            got[0]
         );
-        let start = r.position();
-        let second = decode_record_bits_v2(&mut r, &mut state);
-        assert_eq!(
-            window_matches_checked(bytes, bits),
-            1,
-            "one record through a window"
-        );
-        (second, r.position() - start)
+        (got[1].0, got[1].1 as u64)
     }
 
     #[test]
@@ -852,8 +803,8 @@ mod tests {
         let mut w = BitWriter::new();
         put_nop_group(&mut w);
         put_ones(&mut w, 40);
-        let (bytes, bits) = w.finish();
-        let (second, read) = second_record(&bytes, bits);
+        let (bytes, _) = w.finish();
+        let (second, read) = second_record(&bytes);
         assert_eq!(second, Err(DecodeError::BadVarint));
         assert_eq!(read, u64::from(DELTA_FIELD_MAX_BITS));
 
@@ -863,8 +814,8 @@ mod tests {
         put_branch_prefix(&mut w, 1);
         let prefix = w.len_bits() - first;
         put_ones(&mut w, 40);
-        let (bytes, bits) = w.finish();
-        let (second, read) = second_record(&bytes, bits);
+        let (bytes, _) = w.finish();
+        let (second, read) = second_record(&bytes);
         assert_eq!(second, Err(DecodeError::BadVarint));
         assert_eq!(read, prefix + 1 + u64::from(RLE_GROUPS * 3));
     }
@@ -872,9 +823,9 @@ mod tests {
     /// The longest record any input can hold: a group header of two
     /// ten-group varints, then a branch opening the first outcome run
     /// with a 32-group run length, a ten-group target delta and both
-    /// registers. It decodes, and fills its window exactly.
+    /// registers. It decodes, and reads exactly its span.
     #[test]
-    fn the_longest_record_fills_its_window_exactly() {
+    fn the_longest_record_reads_exactly_its_span() {
         let mut w = BitWriter::new();
         let first = put_nop_group(&mut w);
         put_branch_prefix(&mut w, VARINT_GROUPS);
@@ -888,18 +839,18 @@ mod tests {
         put_regs(&mut w, [Some(Reg::new(63)), Some(Reg::new(1))]);
         assert_eq!(w.len_bits() - first, u64::from(MAX_V2_RECORD_BITS));
         assert_eq!(MAX_V2_RECORD_BITS, 359);
-        // It ends the body, so its window ends at the declared length.
+        // It ends the body, so it ends at the declared length.
         let (bytes, bits) = w.finish();
-        let (second, read) = second_record(&bytes, bits);
-        assert!(
-            matches!(second, Ok(Some(TraceRecord::Branch(_)))),
-            "{second:?}"
-        );
+        let (second, read) = second_record(&bytes);
+        assert!(matches!(second, Ok(TraceRecord::Branch(_))), "{second:?}");
         assert_eq!(read, u64::from(MAX_V2_RECORD_BITS));
+        let (got, error) = drain(&bytes, bits, 2);
+        assert_eq!((got.len(), error), (2, None));
         // Declared one bit short, the record is truncated. The block still
-        // holds the missing bit, so only the declared length keeps the
-        // window shut.
+        // holds the missing bit, so only the declared length stops it.
         assert_eq!(bits % 8, 0, "the last byte must hold the cut bit");
-        assert_eq!(window_matches_checked(&bytes, bits - 1), 0);
+        let (got, error) = drain(&bytes, bits - 1, 2);
+        assert_eq!(got.len(), 1);
+        assert_eq!(error, Some(FileError::Decode(DecodeError::Truncated)));
     }
 }

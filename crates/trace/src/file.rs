@@ -47,16 +47,21 @@
 //!
 //! ## Decoding
 //!
-//! A [`FileSource`] reads its body a 16 KiB block at a time. A layout-2
-//! record is decoded through a window of that block, with no per-field
-//! test, whenever the block and the declared length both still hold the
-//! longest record the decoder can read. Only the records that straddle a
-//! block refill or the end of the body go through the checked reader,
-//! which tests every field. Both readers run the same decoder, and a
-//! window never holds a bit the checked reader would have refused, so
-//! the records, errors and stop points are those of the checked reader
-//! alone (see the [`bits`](crate::bits) module). Layout 1 always uses
-//! the checked reader.
+//! A [`FileSource`] reads its body a 16 KiB block at a time, and decodes
+//! every record of either layout the same way. The layout picks only the
+//! record decoder and its span, the most bits that decoder reads for one
+//! record on any input (88 for layout 1, 359 for layout 2). Before a
+//! record, the block is topped up until it holds a span past the cursor
+//! or the rest of the declared body. The record's fields are then read
+//! from the block with no per-field test, and its end is compared once
+//! with the bits available. A record that ends past the bytes the reader
+//! delivered fails with the I/O error that stopped the read; one that
+//! ends past the declared length of a body read whole fails with
+//! [`DecodeError::Truncated`]; otherwise the decoder's own result
+//! stands. A decoder only reads forward, so this stops after the same
+//! records as testing every field would (see the [`bits`](crate::bits)
+//! module). `next_record`, `fill` and `skip` all decode this way; `skip`
+//! discards what it decodes.
 //!
 //! ## Example
 //!
@@ -89,7 +94,7 @@
 
 use crate::bits::StreamBits;
 use crate::codec::{
-    decode_record_bits, skip_record_bits, DecodeError, EncodedTrace, TRACE_LAYOUT_VERSION,
+    decode_record_bits, DecodeError, EncodedTrace, MAX_V1_RECORD_BITS, TRACE_LAYOUT_VERSION,
 };
 use crate::codec_v2::{
     decode_record_bits_v2, V2State, MAX_V2_RECORD_BITS, TRACE_LAYOUT_VERSION_V2,
@@ -301,10 +306,10 @@ pub fn save_trace_file(
 /// one `next_record` (or one `fill` batch) at a time straight off the
 /// reader, so replaying a multi-gigabyte trace never buffers more than
 /// one 16 KiB block of it. [`EncodedTrace::source`] builds the same
-/// source over an in-memory body. On a v1 body [`TraceSource::skip`]
-/// pages over records without materialising them; a v2 body chains
-/// decoder state through every record, so its skip decodes and
-/// discards.
+/// source over an in-memory body. Both layouts chain decoder state
+/// through every record (the v1 implied PC, the v2 groups, runs and
+/// address deltas), so [`TraceSource::skip`] decodes and discards, and
+/// stops where [`TraceSource::next_record`] would.
 ///
 /// I/O and decode problems after construction terminate the stream
 /// (fused `None`); inspect [`FileSource::error`] to distinguish a clean
@@ -325,6 +330,35 @@ pub struct FileSource<R: Read> {
 enum BodyDecoder {
     V1 { expected_pc: Option<u32> },
     V2(V2State),
+}
+
+impl BodyDecoder {
+    /// The decoder for `layout`, and its span: the most bits it reads
+    /// for one record.
+    fn new(layout: u16) -> (Self, u32) {
+        if layout == TRACE_LAYOUT_VERSION_V2 {
+            (BodyDecoder::V2(V2State::default()), MAX_V2_RECORD_BITS)
+        } else {
+            (BodyDecoder::V1 { expected_pc: None }, MAX_V1_RECORD_BITS)
+        }
+    }
+
+    /// Decodes up to `max` records from `bits` with this layout's record
+    /// decoder (see [`StreamBits::decode`]).
+    #[inline(always)]
+    fn decode<R: Read>(
+        &mut self,
+        bits: &mut StreamBits<R>,
+        max: u64,
+        take: impl FnMut(TraceRecord),
+    ) -> (u64, Option<FileError>) {
+        match self {
+            BodyDecoder::V1 { expected_pc } => {
+                bits.decode(max, |w| decode_record_bits(w, expected_pc), take)
+            }
+            BodyDecoder::V2(state) => bits.decode(max, |w| decode_record_bits_v2(w, state), take),
+        }
+    }
 }
 
 impl FileSource<io::BufReader<fs::File>> {
@@ -361,12 +395,8 @@ impl<R: Read> FileSource<R> {
     /// A source decoding the body `reader` is positioned at, as `header`
     /// describes it (layout, record count, bit length).
     pub(crate) fn new(header: TraceFileHeader, reader: R) -> Self {
-        let bits = StreamBits::new(reader, header.len_bits);
-        let body = if header.layout_version == TRACE_LAYOUT_VERSION_V2 {
-            BodyDecoder::V2(V2State::default())
-        } else {
-            BodyDecoder::V1 { expected_pc: None }
-        };
+        let (body, span) = BodyDecoder::new(header.layout_version);
+        let bits = StreamBits::new(reader, header.len_bits, span);
         Self {
             remaining: header.records,
             header,
@@ -388,9 +418,9 @@ impl<R: Read> FileSource<R> {
         self.error.as_ref()
     }
 
-    /// Records materialised so far, across [`TraceSource::next_record`]
-    /// and [`TraceSource::fill`] alike (skipped records are not decoded
-    /// in layout 1 and are not counted for either layout).
+    /// Records handed out so far, across [`TraceSource::next_record`]
+    /// and [`TraceSource::fill`] alike. Records [`TraceSource::skip`]
+    /// decodes and discards are not counted.
     pub fn records_decoded(&self) -> u64 {
         self.decoded
     }
@@ -400,76 +430,19 @@ impl<R: Read> FileSource<R> {
         self.fills
     }
 
-    /// Folds the bit reader's pending I/O error (if any) with a decode
-    /// result into this source's terminal error state.
-    fn fail(&mut self, decode: DecodeError) {
-        self.error = Some(match self.bits.take_io_error() {
-            Some(io) => FileError::Io(io.kind()),
-            None => FileError::Decode(decode),
-        });
-    }
-
-    /// Decodes the next record through the checked reader, in the
-    /// layout this file declared.
-    fn decode_next(&mut self) -> Result<Option<TraceRecord>, DecodeError> {
-        match &mut self.body {
-            BodyDecoder::V1 { expected_pc } => decode_record_bits(&mut self.bits, expected_pc),
-            BodyDecoder::V2(state) => decode_record_bits_v2(&mut self.bits, state),
-        }
-    }
-
     /// Decodes up to `max` records in stream order, handing each to
     /// `take`, and returns how many it took. Stops early at the declared
-    /// record count or at the first error, which it records.
-    ///
-    /// A v2 record goes through a window of the block whenever the block
-    /// and the declared length both hold [`MAX_V2_RECORD_BITS`] more
-    /// bits, and through the checked reader otherwise (see "Decoding" in
-    /// the module docs).
-    fn decode_into(&mut self, max: u64, mut take: impl FnMut(TraceRecord)) -> u64 {
-        let mut n = 0;
-        while n < max && self.error.is_none() && self.remaining > 0 {
-            if let BodyDecoder::V2(state) = &mut self.body {
-                let want = (max - n).min(self.remaining);
-                let mut taken = 0;
-                let mut failed = None;
-                self.bits.windows(MAX_V2_RECORD_BITS, |window| {
-                    match decode_record_bits_v2(window, state) {
-                        Ok(Some(r)) => {
-                            take(r);
-                            taken += 1;
-                            taken < want
-                        }
-                        // A window is never empty: the end of the body is
-                        // left to the checked reader.
-                        Ok(None) => false,
-                        Err(e) => {
-                            failed = Some(e);
-                            false
-                        }
-                    }
-                });
-                n += taken;
-                self.remaining -= taken;
-                if let Some(e) = failed {
-                    self.fail(e);
-                    break;
-                }
-                if n == max || self.remaining == 0 {
-                    break;
-                }
-            }
-            match self.decode_next() {
-                Ok(Some(r)) => {
-                    take(r);
-                    n += 1;
-                    self.remaining -= 1;
-                }
-                // Body bits ran out before the declared record count.
-                Ok(None) => self.error = Some(FileError::Decode(DecodeError::Truncated)),
-                Err(e) => self.fail(e),
-            }
+    /// record count or at the first error, which it records (see
+    /// "Decoding" in the module docs).
+    fn decode_into(&mut self, max: u64, take: impl FnMut(TraceRecord)) -> u64 {
+        if self.error.is_some() {
+            return 0;
         }
+        let (n, error) = self
+            .body
+            .decode(&mut self.bits, max.min(self.remaining), take);
+        self.remaining -= n;
+        self.error = error;
         n
     }
 }
@@ -495,30 +468,7 @@ impl<R: Read> TraceSource for FileSource<R> {
     }
 
     fn skip(&mut self, n: u64) -> u64 {
-        let mut skipped = 0;
-        while skipped < n && self.error.is_none() && self.remaining > 0 {
-            let expected_pc = match &mut self.body {
-                BodyDecoder::V1 { expected_pc } => expected_pc,
-                // v2 chains decoder state through every record, so it
-                // decodes and discards.
-                BodyDecoder::V2(_) => return skipped + self.decode_into(n - skipped, |_| {}),
-            };
-            match skip_record_bits(&mut self.bits, expected_pc) {
-                Ok(true) => {
-                    skipped += 1;
-                    self.remaining -= 1;
-                }
-                Ok(false) => {
-                    self.error = Some(FileError::Decode(DecodeError::Truncated));
-                    break;
-                }
-                Err(e) => {
-                    self.fail(e);
-                    break;
-                }
-            }
-        }
-        skipped
+        self.decode_into(n, |_| {})
     }
 }
 
@@ -845,6 +795,60 @@ mod tests {
         assert_eq!(src.fill(&mut batch), 0);
         assert_eq!(src.batch_fills(), 2);
         assert_eq!(src.records_decoded(), 5);
+        // Skipped records are decoded, but not counted.
+        let mut src = FileSource::from_reader(&buf[..]).unwrap();
+        assert_eq!(src.skip(3), 3);
+        src.next_record().unwrap();
+        assert_eq!(src.records_decoded(), 1);
+    }
+
+    #[test]
+    fn a_short_body_yields_every_record_inside_the_bytes_read() {
+        let trace = sample_trace();
+        let buf = container(&trace);
+        let encoded = trace.encode();
+        let body = buf.len() - encoded.bytes().len();
+        // Where each record ends, in bits.
+        let ends: Vec<u64> = (1..=trace.len())
+            .map(|k| {
+                Trace::from_records(trace.records()[..k].to_vec())
+                    .encode()
+                    .len_bits()
+            })
+            .collect();
+        for keep in 0..encoded.bytes().len() {
+            let mut src = FileSource::from_reader(&buf[..body + keep]).unwrap();
+            let got: Vec<TraceRecord> = std::iter::from_fn(|| src.next_record()).collect();
+            let inside = ends.iter().filter(|&&end| end <= keep as u64 * 8).count();
+            assert_eq!(got, trace.records()[..inside], "{keep} body bytes");
+            assert_eq!(
+                src.error(),
+                Some(&FileError::Io(io::ErrorKind::UnexpectedEof)),
+                "{keep} body bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn more_records_declared_than_the_body_holds_are_truncated() {
+        let trace = sample_trace();
+        for encoded in [trace.encode(), trace.encode_v2()] {
+            let header = TraceFileHeader {
+                records: trace.len() as u64 + 1,
+                ..TraceFileHeader::for_trace(&encoded, "w", 0, 0)
+            };
+            let mut buf = Vec::new();
+            header.write_trace(&mut buf, &encoded).unwrap();
+            let mut src = FileSource::from_reader(&buf[..]).unwrap();
+            let got: Vec<TraceRecord> = std::iter::from_fn(|| src.next_record()).collect();
+            assert_eq!(got, trace.records());
+            assert_eq!(
+                src.error(),
+                Some(&FileError::Decode(DecodeError::Truncated)),
+                "layout {}: the body ends at its declared length",
+                header.layout_version
+            );
+        }
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub trait TraceSource {
     /// The default implementation decodes and drops records one by one;
     /// sources with cheaper seeks override it —
     /// [`SliceSource`] jumps its cursor in O(1), and
-    /// [`FileSource`](crate::FileSource) pages over a v1 bit stream
-    /// without materialising records.
+    /// [`FileSource`](crate::FileSource) decodes and discards a batch in
+    /// its block loop, stopping where `next_record` would.
     /// Sampled simulation uses this for warmup fast-forward between
     /// detailed windows.
     fn skip(&mut self, n: u64) -> u64 {
