@@ -45,15 +45,28 @@ pub const GSHARE_KEYS: &[Key] = &[
     Key("pht_size", Kind::Pow2(1, MAX_TABLE_ENTRIES)),
 ];
 
+/// The `kind` name of a direction predictor.
+fn kind_of(direction: &DirectionConfig) -> &'static str {
+    match direction {
+        DirectionConfig::Perfect => "perfect",
+        DirectionConfig::Taken => "taken",
+        DirectionConfig::NotTaken => "not-taken",
+        DirectionConfig::Bimodal { .. } => "bimodal",
+        DirectionConfig::TwoLevel(_) => "two-level",
+    }
+}
+
 impl PredictorConfig {
-    /// Builds a predictor configuration from a scenario-file table.
+    /// Builds a predictor configuration from a scenario-file table that
+    /// overrides `base`.
     ///
     /// `kind` selects the direction predictor — `"perfect"`, `"taken"`,
     /// `"not-taken"`, `"bimodal"` ([`BIMODAL_KEYS`]), `"two-level"`
-    /// ([`TWO_LEVEL_KEYS`]) or `"gshare"` ([`GSHARE_KEYS`]) —
-    /// defaulting to the paper's two-level scheme; [`PREDICTOR_KEYS`]
-    /// apply to every kind. Omitted keys keep the paper's reference
-    /// values ([`PredictorConfig::paper_two_level`]).
+    /// ([`TWO_LEVEL_KEYS`]) or `"gshare"` ([`GSHARE_KEYS`]) — starting
+    /// from that kind's reference values. Without `kind`, the table
+    /// keeps `base`'s direction predictor, and the keys of its kind
+    /// override its fields. [`PREDICTOR_KEYS`] apply to every kind, and
+    /// omitted ones keep `base`'s values.
     ///
     /// ```
     /// use resim_bpred::{DirectionConfig, PredictorConfig};
@@ -64,13 +77,19 @@ impl PredictorConfig {
     /// pht_size = 4096
     /// btb_entries = 1024
     /// "#).unwrap();
-    /// let config = PredictorConfig::from_table(&t).unwrap();
+    /// let config = PredictorConfig::from_table(PredictorConfig::paper_two_level(), &t).unwrap();
     /// assert_eq!(config.btb.entries, 1024);
     /// assert!(matches!(config.direction, DirectionConfig::TwoLevel(t) if t.xor));
     ///
+    /// // Without `kind`, the base's direction predictor stays.
+    /// let t = resim_toml::parse("btb_entries = 1024").unwrap();
+    /// let config = PredictorConfig::from_table(PredictorConfig::perfect(), &t).unwrap();
+    /// assert_eq!(config.direction, DirectionConfig::Perfect);
+    ///
     /// // Geometry problems are line-numbered diagnostics, not panics.
     /// let t = resim_toml::parse("kind = \"bimodal\"\nsize = 1000").unwrap();
-    /// assert_eq!(PredictorConfig::from_table(&t).unwrap_err().line(), 2);
+    /// let err = PredictorConfig::from_table(PredictorConfig::paper_two_level(), &t);
+    /// assert_eq!(err.unwrap_err().line(), 2);
     /// ```
     ///
     /// # Errors
@@ -78,28 +97,40 @@ impl PredictorConfig {
     /// A line-numbered [`Error`] for keys that do not apply to the
     /// selected kind, values outside their key table's range, or a BTB
     /// with more ways than entries.
-    pub fn from_table(t: &Table) -> Result<Self, Error> {
-        type Direction = fn(&Table) -> Result<DirectionConfig, Error>;
-        let kind = t.opt_str("kind")?.unwrap_or("two-level");
+    pub fn from_table(base: PredictorConfig, t: &Table) -> Result<Self, Error> {
+        // The direction predictor the kind's keys override: the base's
+        // when no kind is named, else the named kind's reference values.
+        type Direction = fn(&Table, Option<DirectionConfig>) -> Result<DirectionConfig, Error>;
+        let (kind, start) = match t.opt_str("kind")? {
+            Some(kind) => (kind, None),
+            None => (kind_of(&base.direction), Some(base.direction)),
+        };
         let (extra, direction): (&[Key], Direction) = match kind {
-            "perfect" => (&[], |_| Ok(DirectionConfig::Perfect)),
-            "taken" => (&[], |_| Ok(DirectionConfig::Taken)),
-            "not-taken" => (&[], |_| Ok(DirectionConfig::NotTaken)),
-            "bimodal" => (BIMODAL_KEYS, |t| {
-                let size = t.opt_usize("size")?.unwrap_or(2048);
+            "perfect" => (&[], |_, _| Ok(DirectionConfig::Perfect)),
+            "taken" => (&[], |_, _| Ok(DirectionConfig::Taken)),
+            "not-taken" => (&[], |_, _| Ok(DirectionConfig::NotTaken)),
+            "bimodal" => (BIMODAL_KEYS, |t, start| {
+                let size = match start {
+                    Some(DirectionConfig::Bimodal { size }) => size,
+                    _ => 2048,
+                };
+                let size = t.opt_usize("size")?.unwrap_or(size);
                 Ok(DirectionConfig::Bimodal { size })
             }),
-            "two-level" => (TWO_LEVEL_KEYS, |t| {
-                let paper = TwoLevelConfig::paper();
+            "two-level" => (TWO_LEVEL_KEYS, |t, start| {
+                let base = match start {
+                    Some(DirectionConfig::TwoLevel(base)) => base,
+                    _ => TwoLevelConfig::paper(),
+                };
                 Ok(DirectionConfig::TwoLevel(TwoLevelConfig {
-                    l1_size: t.opt_usize("l1_size")?.unwrap_or(paper.l1_size),
-                    history_bits: t.opt_u32("history_bits")?.unwrap_or(paper.history_bits),
-                    l2_size: t.opt_usize("l2_size")?.unwrap_or(paper.l2_size),
-                    xor: t.opt_bool("xor")?.unwrap_or(paper.xor),
-                    counter_bits: t.opt_u32("counter_bits")?.unwrap_or(paper.counter_bits),
+                    l1_size: t.opt_usize("l1_size")?.unwrap_or(base.l1_size),
+                    history_bits: t.opt_u32("history_bits")?.unwrap_or(base.history_bits),
+                    l2_size: t.opt_usize("l2_size")?.unwrap_or(base.l2_size),
+                    xor: t.opt_bool("xor")?.unwrap_or(base.xor),
+                    counter_bits: t.opt_u32("counter_bits")?.unwrap_or(base.counter_bits),
                 }))
             }),
-            "gshare" => (GSHARE_KEYS, |t| {
+            "gshare" => (GSHARE_KEYS, |t, _| {
                 let history = t.opt_u32("history_bits")?.unwrap_or(12);
                 let pht = t.opt_usize("pht_size")?.unwrap_or(4096);
                 Ok(DirectionConfig::TwoLevel(TwoLevelConfig::gshare(
@@ -117,8 +148,8 @@ impl PredictorConfig {
             }
         };
         t.check(&[PREDICTOR_KEYS, extra].concat())?;
-        let mut config = PredictorConfig::paper_two_level();
-        config.direction = direction(t)?;
+        let mut config = base;
+        config.direction = direction(t, start)?;
         let btb = BtbConfig {
             entries: t.opt_usize("btb_entries")?.unwrap_or(config.btb.entries),
             associativity: t
@@ -145,7 +176,11 @@ mod tests {
     use super::*;
 
     fn parse(s: &str) -> Result<PredictorConfig, Error> {
-        PredictorConfig::from_table(&resim_toml::parse(s).unwrap())
+        parse_over(PredictorConfig::paper_two_level(), s)
+    }
+
+    fn parse_over(base: PredictorConfig, s: &str) -> Result<PredictorConfig, Error> {
+        PredictorConfig::from_table(base, &resim_toml::parse(s).unwrap())
     }
 
     #[test]
@@ -183,6 +218,34 @@ mod tests {
         assert_eq!(
             parse("kind = \"gshare\"").unwrap().direction,
             DirectionConfig::TwoLevel(TwoLevelConfig::gshare(12, 4096))
+        );
+    }
+
+    #[test]
+    fn without_a_kind_the_base_direction_predictor_stays() {
+        let base = PredictorConfig::perfect();
+        let c = parse_over(base, "btb_entries = 1024").unwrap();
+        assert_eq!(c.direction, DirectionConfig::Perfect);
+        assert_eq!(c.btb.entries, 1024);
+        assert_eq!(c.ras_entries, base.ras_entries);
+        // The base's kind decides which extra keys apply.
+        assert!(parse_over(base, "l1_size = 4").is_err());
+        let bimodal = PredictorConfig {
+            direction: DirectionConfig::Bimodal { size: 64 },
+            ..base
+        };
+        let c = parse_over(bimodal, "ras_entries = 4").unwrap();
+        assert_eq!(c.direction, DirectionConfig::Bimodal { size: 64 });
+        // A named kind starts from that kind's reference values.
+        let c = parse_over(bimodal, "kind = \"bimodal\"").unwrap();
+        assert_eq!(c.direction, DirectionConfig::Bimodal { size: 2048 });
+        let c = parse_over(base, "kind = \"two-level\"\nhistory_bits = 10").unwrap();
+        assert_eq!(
+            c.direction,
+            DirectionConfig::TwoLevel(TwoLevelConfig {
+                history_bits: 10,
+                ..TwoLevelConfig::paper()
+            })
         );
     }
 

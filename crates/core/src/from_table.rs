@@ -256,17 +256,16 @@ fn stage_row_from_table(t: &Table) -> Result<StageRow, Error> {
 }
 
 impl FuConfig {
-    /// Builds a functional-unit pool from an `[engine.fu]` table.
+    /// Builds a functional-unit pool from an `[engine.fu]` table that
+    /// overrides `base`.
     ///
-    /// Keys: [`FU_KEYS`]; omitted keys keep the paper's reference mix
-    /// ([`FuConfig::paper`]).
+    /// Keys: [`FU_KEYS`]; omitted keys keep `base`'s values.
     ///
     /// # Errors
     ///
     /// A line-numbered [`Error`] for unknown keys or non-integer values.
-    pub fn from_table(t: &Table) -> Result<Self, Error> {
+    pub fn from_table(base: FuConfig, t: &Table) -> Result<Self, Error> {
         t.check(FU_KEYS)?;
-        let base = FuConfig::paper();
         Ok(FuConfig {
             alus: t.opt_usize("alus")?.unwrap_or(base.alus),
             mults: t.opt_usize("mults")?.unwrap_or(base.mults),
@@ -287,9 +286,9 @@ impl EngineConfig {
     /// Keys: [`ENGINE_KEYS`]. `preset` picks the starting point —
     /// `"paper-4wide"` (default) or `"paper-2wide-cached"`, the paper's
     /// two Table 1 machines — and every other key overrides one field;
-    /// the sub-tables are [`FuConfig::from_table`],
-    /// [`PredictorConfig::from_table`] and
-    /// [`MemorySystemConfig::from_table`].
+    /// the sub-tables are [`FuConfig::from_table`] and
+    /// [`PredictorConfig::from_table`] over the preset's pool and
+    /// predictor, and [`MemorySystemConfig::from_table`].
     ///
     /// A `custom` description becomes the configuration's pipeline
     /// (that is what declaring a `[pipeline]` section *means*), unless
@@ -364,10 +363,10 @@ impl EngineConfig {
             }
         }
         if let Some(sub) = t.opt_table("fu")? {
-            config.fus = FuConfig::from_table(sub)?;
+            config.fus = FuConfig::from_table(config.fus, sub)?;
         }
         if let Some(sub) = t.opt_table("predictor")? {
-            config.predictor = PredictorConfig::from_table(sub)?;
+            config.predictor = PredictorConfig::from_table(config.predictor, sub)?;
         }
         if let Some(sub) = t.opt_table("memory")? {
             config.memory = MemorySystemConfig::from_table(sub)?;
@@ -450,6 +449,29 @@ mod tests {
     #[test]
     fn empty_table_is_the_paper_machine() {
         assert_eq!(parse("").unwrap(), EngineConfig::paper_4wide());
+    }
+
+    #[test]
+    fn fu_and_predictor_sub_tables_start_from_the_preset() {
+        let cached = EngineConfig::paper_2wide_cached();
+        let c = parse("preset = \"paper-2wide-cached\"\n[fu]\ndiv_latency = 20").unwrap();
+        assert_eq!(
+            c.fus,
+            FuConfig {
+                div_latency: 20,
+                ..cached.fus
+            },
+            "the preset's pool, not the paper's"
+        );
+        assert_eq!(c.fus.alus, 2);
+        let c = parse("preset = \"paper-2wide-cached\"\n[predictor]\nbtb_entries = 1024").unwrap();
+        assert_eq!(c.predictor.direction, DirectionConfig::Perfect);
+        assert_eq!(c.predictor.btb.entries, 1024);
+        assert_eq!(c.predictor.ras_entries, cached.predictor.ras_entries);
+        // Under the default preset the sub-tables read as before.
+        let c = parse("[fu]\ndiv_latency = 20\n[predictor]\nbtb_entries = 1024").unwrap();
+        assert_eq!(c.fus.alus, FuConfig::paper().alus);
+        assert_eq!(c.predictor.direction, DirectionConfig::paper_two_level());
     }
 
     #[test]

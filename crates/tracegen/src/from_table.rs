@@ -26,10 +26,11 @@ impl TraceGenConfig {
     /// Keys: [`TRACEGEN_KEYS`]; `wrong_path_len`'s conservative paper
     /// choice is RB + IFQ = 32, and the `predictor` sub-table is a
     /// [`PredictorConfig::from_table`]. Omitted keys keep the paper's
-    /// reference values ([`TraceGenConfig::paper`]); the CLI
-    /// additionally defaults the predictor to the engine's when the
-    /// sub-table is absent, keeping the wrong-path tags meaningful
-    /// (§V.A).
+    /// reference values ([`TraceGenConfig::paper`]), and so does a
+    /// `predictor` sub-table: it overrides the paper's two-level
+    /// predictor, not the engine's. The CLI defaults the predictor to
+    /// the engine's only when the sub-table is absent, keeping the
+    /// wrong-path tags meaningful (§V.A).
     ///
     /// ```
     /// use resim_tracegen::TraceGenConfig;
@@ -54,7 +55,7 @@ impl TraceGenConfig {
         let base = TraceGenConfig::paper();
         let config = TraceGenConfig {
             predictor: match t.opt_table("predictor")? {
-                Some(sub) => PredictorConfig::from_table(sub)?,
+                Some(sub) => PredictorConfig::from_table(base.predictor, sub)?,
                 None => base.predictor,
             },
             wrong_path_len: t
