@@ -325,3 +325,66 @@ fn describe_reports_the_scheduler_stage_roster() {
     );
     fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn bounded_warmup_skips_containers_like_the_generated_trace() {
+    // `warmup_records` is below each gap, so between windows `resim
+    // sample` fast-forwards through `skip` and warms only the rest.
+    let scenario = r#"
+[engine]
+preset = "paper-4wide"
+
+[workload]
+name = "parser"
+seed = 11
+budget = 30000
+
+[sample]
+interval = 5000
+detailed = 500
+period = 1
+warmup = "bounded"
+warmup_records = 1000
+"#;
+    let dir = scratch("bounded-skip");
+    let scenario_path = dir.join("s.toml");
+    fs::write(&scenario_path, scenario).unwrap();
+    let scenario_path = scenario_path.to_str().unwrap();
+    let mut runs = Vec::new();
+    for layout in ["1", "2"] {
+        let trace_path = dir.join(format!("parser-v{layout}.trace"));
+        let trace_path = trace_path.to_str().unwrap();
+        let (code, _, err) = run_for_test(&[
+            "trace",
+            "-s",
+            scenario_path,
+            "-o",
+            trace_path,
+            "--layout",
+            layout,
+        ]);
+        assert_eq!(code, 0, "stderr: {err}");
+        let (code, out, err) = run_for_test(&["sample", "-s", scenario_path, "-t", trace_path]);
+        assert_eq!(code, 0, "layout {layout}: stderr: {err}");
+        runs.push(out);
+    }
+    let (code, out, err) = run_for_test(&["sample", "-s", scenario_path]);
+    assert_eq!(code, 0, "stderr: {err}");
+    runs.push(out);
+
+    // The first line names the source; the rest must agree.
+    let body = |out: &str| out.lines().skip(1).collect::<Vec<_>>().join("\n");
+    let generated = body(&runs[2]);
+    assert!(
+        generated.contains("records detailed 3500 / warmed 6018 / skipped 23618"),
+        "the plan must skip records between windows:\n{generated}"
+    );
+    for (layout, out) in ["1", "2"].iter().zip(&runs) {
+        assert_eq!(
+            body(out),
+            generated,
+            "layout {layout} against the generated trace"
+        );
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
