@@ -591,6 +591,20 @@ pub(crate) mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "does not fit")]
+    fn overflow_value_panics() {
+        let mut w = BitWriter::new();
+        w.put(8, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn zero_width_panics() {
+        let mut w = BitWriter::new();
+        w.put(0, 0);
+    }
+
+    #[test]
     fn full_u32_values() {
         let mut w = BitWriter::new();
         w.put(u32::MAX, 32);
