@@ -866,7 +866,7 @@ pub(crate) mod tests {
     #[test]
     fn block_reader_matches_the_bit_serial_reader_over_slices() {
         let mut rng = Rng(2009);
-        for case in 0..300 {
+        for case in 0..500 {
             // Bodies past one block, so refills land mid-record.
             let body: Vec<u8> = (0..rng.range(0, 40_000))
                 .map(|_| rng.next() as u8)
